@@ -8,14 +8,13 @@
 //!   repro all [--fast]
 //!
 //! Experiments: analyze table1 table3 table4 table5 fig3 fig4 fig5 fig7
-//! fig8 fig9 whatif faults summary trace serve chaos slo obs bench
-//! verify async.
+//! fig8 fig9 whatif faults summary trace serve chaos slo obs verify
+//! async.
 //! `analyze` runs
 //! the `lm-analyze` static linter over the shipped presets (plus the
 //! default serving plan and SLO policy) and exits non-zero on any
 //! `Error`-level diagnostic. `serve` replays a seeded traffic trace
-//! through the continuous-batching scheduler (paged and slab KV modes)
-//! and both baselines (`--rps`, `--requests`, `--seed`) and exits
+//! through the continuous-batching scheduler and both baselines (`--rps`, `--requests`, `--seed`) and exits
 //! non-zero unless continuous batching dominates and the paged
 //! scheduler rejects nothing; `--shared-prefix` adds the cross-request
 //! prefix-sharing study, which must beat its unshared control
@@ -39,23 +38,20 @@
 //! tolerances, OpenMetrics round-trip, a flight-recorder post-mortem
 //! from an injected overload, `LMA27x` lints — writing `results/obs.json`
 //! plus the Perfetto serve timeline to `results/serve_timeline.json`,
-//! and exits non-zero unless every gate holds. `bench` regenerates the
-//! tracked perf trajectory (`BENCH_kernels.json` / `BENCH_serve.json`
-//! at the repo root, schema `{bench, metric, value, unit}`). `verify`
-//! runs the exhaustive bounded verification lane (DESIGN.md §15): the
+//! and exits non-zero unless every gate holds. `verify` runs the exhaustive bounded verification lane (DESIGN.md §15): the
 //! planner-space sweep against executable ground truth (`--sweep
 //! quick|full` picks the lattice), a seeded over-grant mutation that
 //! must be caught as `LMA291`, preemption-bounded model checking of the
 //! paged-KV and scheduler protocols, the `LMA29x` lints over the
-//! assembled probe, and the zero-cost-off throughput comparison —
+//! assembled probe, and the zero-cost-off throughput comparison against
+//! the committed `results/serve.json` —
 //! writing deterministic `results/verify.json` and exiting non-zero
 //! unless every gate holds. `async` drives the real-time serving lane
 //! (DESIGN.md §16): `ServeSession::run_async` on the miniature engine
 //! with tokio streaming clients and mid-stream disconnects — output
 //! transparency, zero KV leaks and total resolution are gated;
 //! wall-clock TTFT/throughput are recorded into `results/async.json`
-//! and merged as `serve_async` rows into `BENCH_serve.json` but never
-//! byte-compared.
+//! but never byte-compared.
 
 use lm_bench::experiments::*;
 use lm_bench::table::{f, render};
@@ -493,7 +489,6 @@ fn serve_mode_table(modes: &[serve::ModeRow]) -> String {
         .map(|m| {
             vec![
                 m.mode.clone(),
-                m.kv_mode.clone(),
                 format!("{}/{}", m.completed, m.completed + m.rejected),
                 f(m.sim_seconds, 1),
                 f(m.tokens_per_s, 2),
@@ -508,7 +503,7 @@ fn serve_mode_table(modes: &[serve::ModeRow]) -> String {
         })
         .collect();
     render(
-        &["mode", "kv", "done", "sim (s)", "tok/s", "ttft p50", "p95", "lat p95", "pad", "pages", "shared", "miss"],
+        &["mode", "done", "sim (s)", "tok/s", "ttft p50", "p95", "lat p95", "pad", "pages", "shared", "miss"],
         &rendered,
     )
 }
@@ -733,39 +728,9 @@ fn run_obs(seed: u64, rps: f64, requests: usize) {
     }
 }
 
-fn run_bench() {
-    println!("\n== Perf trajectory: kernel and serve-path wall timings ==");
-    let kernels = lm_bench::perf::kernel_rows();
-    let serve = lm_bench::perf::serve_rows();
-    for (name, rows) in [("BENCH_kernels.json", &kernels), ("BENCH_serve.json", &serve)] {
-        let rendered: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.bench.clone(),
-                    r.metric.clone(),
-                    f(r.value, 2),
-                    r.unit.clone(),
-                ]
-            })
-            .collect();
-        println!("{}", render(&["bench", "metric", "value", "unit"], &rendered));
-        match serde_json::to_string_pretty(rows) {
-            Ok(json) => {
-                if let Err(e) = fs::write(name, json) {
-                    eprintln!("warning: could not write {name}: {e}");
-                } else {
-                    println!("wrote {name} ({} rows)", rows.len());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialise {name}: {e}"),
-        }
-    }
-}
-
 fn run_verify(depth: lm_verify::SweepDepth) {
     println!("\n== Verification: planner-space sweep + protocol model checking (DESIGN.md §15) ==");
-    let r = verify::run(depth, "BENCH_serve.json");
+    let r = verify::run(depth, "results/serve.json");
     println!(
         "sweep ({}): {} configs over {} axes -> {} consistent, {} incomplete, {} unsound (floor {})",
         r.sweep_depth,
@@ -815,7 +780,7 @@ fn run_verify(depth: lm_verify::SweepDepth) {
             if r.zero_cost.ok { "ok" } else { "REGRESSED" }
         ),
         _ => println!(
-            "zero-cost-off: {:.6} tok/s (no BENCH_serve.json snapshot; skipped)",
+            "zero-cost-off: {:.6} tok/s (no results/serve.json snapshot; skipped)",
             r.zero_cost.measured_tokens_per_s
         ),
     }
@@ -853,24 +818,6 @@ fn run_async_lane(seed: u64) {
     );
     let ok = r.async_ok;
     save("async", &r);
-    // Merge the wall rows into the tracked trajectory, replacing any
-    // prior serve_async rows (the bench lane owns the rest of the file).
-    if let Ok(json) = fs::read_to_string("BENCH_serve.json") {
-        if let Ok(mut rows) = serde_json::from_str::<Vec<lm_bench::perf::BenchRow>>(&json) {
-            rows.retain(|row| !row.bench.starts_with("serve_async/"));
-            rows.extend(async_rt::bench_rows(&r));
-            match serde_json::to_string_pretty(&rows) {
-                Ok(json) => {
-                    if let Err(e) = fs::write("BENCH_serve.json", json) {
-                        eprintln!("warning: could not write BENCH_serve.json: {e}");
-                    } else {
-                        println!("merged serve_async rows into BENCH_serve.json");
-                    }
-                }
-                Err(e) => eprintln!("warning: could not serialise BENCH_serve.json: {e}"),
-            }
-        }
-    }
     if ok {
         println!("async_ok: the real-time path is transparent and leak-free");
     } else {
@@ -1032,7 +979,6 @@ fn main() {
         "chaos" => run_chaos(serve_seed, storm, rps, requests),
         "slo" => run_slo(serve_seed, rps, requests),
         "obs" => run_obs(serve_seed, rps, requests),
-        "bench" => run_bench(),
         "verify" => run_verify(sweep),
         "async" => run_async_lane(serve_seed),
         "summary" => {
@@ -1064,7 +1010,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: analyze table1 table3 table4 table5 fig3 fig4 fig5 fig7 fig8 fig9 whatif faults summary trace serve chaos slo obs bench verify async all");
+            eprintln!("choose from: analyze table1 table3 table4 table5 fig3 fig4 fig5 fig7 fig8 fig9 whatif faults summary trace serve chaos slo obs verify async all");
             std::process::exit(2);
         }
     }

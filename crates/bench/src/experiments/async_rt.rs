@@ -13,14 +13,12 @@
 //! 3. **Total resolution**: responses + rejections + cancellations
 //!    conserve the request count.
 //!
-//! Wall-clock TTFT/throughput are *recorded* (they feed the
-//! `serve_async` rows of `BENCH_serve.json`) but never byte-compared:
-//! the modelled run is compressed onto the wall via
+//! Wall-clock TTFT/throughput are *recorded* in `results/async.json`
+//! but never byte-compared: the modelled run is compressed onto the wall via
 //! [`AsyncConfig::time_scale`], so absolute wall numbers are
 //! machine-dependent by design. Everything the gates judge is
 //! wall-independent.
 
-use crate::perf::BenchRow;
 use lm_engine::GenerateRequest;
 use lm_serve::{AsyncConfig, CancelReason, EngineBackend, Request, ServeSession};
 use serde::{Deserialize, Serialize};
@@ -99,30 +97,6 @@ fn traffic(n: usize) -> Vec<Request> {
             Request::new(i as u64, prompt, 6 + i % 4).with_arrival_us(i as u64 * 10_000)
         })
         .collect()
-}
-
-/// The `serve_async` rows merged into `BENCH_serve.json` by `repro`.
-pub fn bench_rows(r: &AsyncReport) -> Vec<BenchRow> {
-    vec![
-        BenchRow {
-            bench: format!("serve_async/{}req", r.requests),
-            metric: "wall_time".to_string(),
-            value: r.wall_seconds * 1e3,
-            unit: "ms".to_string(),
-        },
-        BenchRow {
-            bench: format!("serve_async/{}req", r.requests),
-            metric: "wall_ttft_mean".to_string(),
-            value: r.wall_ttft_mean_s * 1e3,
-            unit: "ms".to_string(),
-        },
-        BenchRow {
-            bench: format!("serve_async/{}req", r.requests),
-            metric: "wall_tokens_per_s".to_string(),
-            value: r.wall_tokens_per_s,
-            unit: "tok/s".to_string(),
-        },
-    ]
 }
 
 /// Run the async lane: calibrate the time scale on the virtual clock,
@@ -281,33 +255,5 @@ mod tests {
         );
         assert!(r.time_scale >= 1.0);
         assert!(r.wall_seconds > 0.0);
-    }
-
-    #[test]
-    fn bench_rows_carry_the_wall_metrics() {
-        let r = AsyncReport {
-            seed: 1,
-            requests: 4,
-            channel_capacity: 32,
-            time_scale: 10.0,
-            virtual_sim_seconds: 2.5,
-            async_sim_seconds: 2.6,
-            completed: 3,
-            rejected: 0,
-            disconnects: 1,
-            streams: Vec::new(),
-            wall_seconds: 0.25,
-            wall_ttft_mean_s: 0.05,
-            wall_tokens_per_s: 120.0,
-            transparency_ok: true,
-            zero_leak_ok: true,
-            total_resolution_ok: true,
-            disconnect_ok: true,
-            async_ok: true,
-        };
-        let rows = bench_rows(&r);
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|row| row.bench == "serve_async/4req"));
-        assert!(rows.iter().any(|row| row.metric == "wall_tokens_per_s"));
     }
 }

@@ -1,8 +1,7 @@
 //! `repro serve` — the continuous-batching serving experiment: the same
-//! seeded OPT-30B traffic trace is served four ways (continuous batching
-//! over the paged KV pool, continuous batching over the legacy
-//! contiguous slab, one-call-per-request, naive static batching) on the
-//! analytic backend's virtual clock, and continuous batching must
+//! seeded OPT-30B traffic trace is served three ways (continuous
+//! batching over the paged KV pool, one-call-per-request, naive static
+//! batching) on the analytic backend's virtual clock, and continuous batching must
 //! dominate both baselines. TTFT and end-to-end latency percentiles come
 //! from each run's own `lm-trace` histogram snapshot.
 //!
@@ -14,7 +13,7 @@
 //! to the unshared control (with zero admission rejections).
 
 use lm_serve::{
-    synth_shared_prefix_traffic, synth_traffic, AnalyticBackend, KvMode, ServeConfig, ServeMode,
+    synth_shared_prefix_traffic, synth_traffic, AnalyticBackend, ServeConfig, ServeMode,
     ServeOutcome, ServePlan, ServeSession,
 };
 use lm_trace::Tracer;
@@ -66,20 +65,17 @@ impl LatencyStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModeRow {
     pub mode: String,
-    /// KV residency strategy this row ran under: `paged`, `slab`, or
-    /// `-` for the baselines that serve one batch shape at a time.
-    pub kv_mode: String,
     pub completed: usize,
     pub rejected: usize,
     pub sim_seconds: f64,
     pub tokens_per_s: f64,
     pub generated_tokens: u64,
-    /// KV tokens charged beyond what the request actually used — the
-    /// padded-slab envelope. Structurally zero in paged mode, which is
-    /// the point of the paged-vs-slab columns.
+    /// Tokens charged beyond what the requests actually used: prompt
+    /// and generation padding in the static baseline. Structurally zero
+    /// for the continuous scheduler, whose pages track the exact context.
     pub padding_tokens: u64,
     pub kv_peak_bytes: u64,
-    /// High-water mark of live KV pages (paged mode only).
+    /// High-water mark of live KV pages (continuous scheduler only).
     pub kv_pages_peak: u64,
     /// Page mappings served from the prefix index instead of fresh
     /// allocation + prefill.
@@ -98,7 +94,7 @@ pub struct ModeRow {
 }
 
 /// The `--shared-prefix` study: identical arrival process and decode
-/// work, three residency strategies. `shared_paged` must beat
+/// work, with and without a common prompt head. `shared_paged` must beat
 /// `unshared_paged` on effective throughput — the prefill skipped by
 /// prefix sharing is the only difference between them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -107,7 +103,7 @@ pub struct SharedPrefixReport {
     pub rps: f64,
     pub requests: usize,
     pub prefix_len: usize,
-    /// `shared_paged`, `unshared_paged` (control), `shared_slab`.
+    /// `shared_paged`, `unshared_paged` (control).
     pub modes: Vec<ModeRow>,
     /// shared_paged tok/s over unshared_paged tok/s.
     pub effective_speedup: f64,
@@ -154,10 +150,9 @@ fn histogram(tracer: &Tracer, name: &str) -> LatencyStats {
         .unwrap_or_else(LatencyStats::empty)
 }
 
-fn mode_row(mode: &str, kv_mode: &str, tracer: &Tracer, out: &ServeOutcome) -> ModeRow {
+fn mode_row(mode: &str, tracer: &Tracer, out: &ServeOutcome) -> ModeRow {
     ModeRow {
         mode: mode.to_string(),
-        kv_mode: kv_mode.to_string(),
         completed: out.responses.len(),
         rejected: out.rejections.len(),
         sim_seconds: out.sim_seconds,
@@ -177,14 +172,12 @@ fn mode_row(mode: &str, kv_mode: &str, tracer: &Tracer, out: &ServeOutcome) -> M
 
 fn continuous_row(
     backend: &AnalyticBackend,
-    kv_mode: KvMode,
     label: &str,
     traffic: Vec<lm_serve::Request>,
 ) -> (ServePlan, ModeRow) {
     let tracer = Tracer::new();
     let cfg = ServeConfig {
         tracer: tracer.clone(),
-        kv_mode,
         ..ServeConfig::default()
     };
     let (plan, out) = ServeSession::new(backend)
@@ -192,21 +185,15 @@ fn continuous_row(
         .run(traffic)
         .unwrap_or_else(|e| panic!("continuous serving ({label}) failed: {e}"))
         .into_continuous();
-    let kv = match kv_mode {
-        KvMode::Paged => "paged",
-        KvMode::Slab => "slab",
-    };
-    (plan, mode_row(label, kv, &tracer, &out))
+    (plan, mode_row(label, &tracer, &out))
 }
 
-/// Serve `n` seeded requests at `rps` through all four schedulers.
+/// Serve `n` seeded requests at `rps` through all three schedulers.
 pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, lm_serve::ServeBackend::model(&backend));
 
-    let (plan, paged) =
-        continuous_row(&backend, KvMode::Paged, "continuous_paged", traffic.clone());
-    let (_, slab) = continuous_row(&backend, KvMode::Slab, "continuous_slab", traffic.clone());
+    let (plan, paged) = continuous_row(&backend, "continuous_paged", traffic.clone());
 
     let seq_tracer = Tracer::new();
     let seq_cfg = ServeConfig {
@@ -253,9 +240,8 @@ pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
         plan,
         modes: vec![
             paged,
-            slab,
-            mode_row("sequential", "-", &seq_tracer, &seq),
-            mode_row("static", "-", &stat_tracer, &stat),
+            mode_row("sequential", &seq_tracer, &seq),
+            mode_row("static", &stat_tracer, &stat),
         ],
         speedup_vs_sequential,
         speedup_vs_static,
@@ -266,9 +252,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
 }
 
 /// The `--shared-prefix` study: `n` requests sharing one `prefix_len`-
-/// token system prompt vs the same trace with unique control prefixes,
-/// plus the slab strategy on the shared trace to show what the padded
-/// envelope pays for the identical workload.
+/// token system prompt vs the same trace with unique control prefixes.
 pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> SharedPrefixReport {
     let backend = AnalyticBackend::opt_30b();
     let (shared, control) = synth_shared_prefix_traffic(
@@ -279,11 +263,8 @@ pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> Sh
         prefix_len,
     );
 
-    let (_, shared_paged) =
-        continuous_row(&backend, KvMode::Paged, "shared_paged", shared.clone());
-    let (_, unshared_paged) =
-        continuous_row(&backend, KvMode::Paged, "unshared_paged", control);
-    let (_, shared_slab) = continuous_row(&backend, KvMode::Slab, "shared_slab", shared);
+    let (_, shared_paged) = continuous_row(&backend, "shared_paged", shared);
+    let (_, unshared_paged) = continuous_row(&backend, "unshared_paged", control);
 
     let effective_speedup = if unshared_paged.tokens_per_s > 0.0 {
         shared_paged.tokens_per_s / unshared_paged.tokens_per_s
@@ -300,7 +281,7 @@ pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> Sh
         rps,
         requests: n,
         prefix_len,
-        modes: vec![shared_paged, unshared_paged, shared_slab],
+        modes: vec![shared_paged, unshared_paged],
         effective_speedup,
         paged_rejections,
         superlinear_ok,
@@ -319,9 +300,8 @@ mod tests {
             "continuous must dominate: vs seq {:.2}x, vs static {:.2}x",
             r.speedup_vs_sequential, r.speedup_vs_static
         );
-        assert_eq!(r.modes.len(), 4);
+        assert_eq!(r.modes.len(), 3);
         let cont = &r.modes[0];
-        assert_eq!(cont.kv_mode, "paged");
         assert!(cont.completed > 0);
         assert_eq!(
             cont.ttft.count as usize, cont.completed,
@@ -343,22 +323,14 @@ mod tests {
     }
 
     #[test]
-    fn paged_mode_charges_no_padding_and_slab_does() {
+    fn paging_charges_no_padding_and_static_batching_does() {
         let r = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
-        let paged = &r.modes[0];
-        let slab = &r.modes[1];
-        assert_eq!(slab.kv_mode, "slab");
+        let (paged, stat) = (&r.modes[0], &r.modes[2]);
+        assert_eq!(stat.mode, "static");
         assert_eq!(paged.padding_tokens, 0, "pages track the exact context");
         assert!(
-            slab.padding_tokens > 0,
-            "the padded slab envelope must be visible in the report"
-        );
-        assert!(
-            paged.tokens_per_s >= slab.tokens_per_s,
-            "exact-context prefill can't be slower than the padded envelope: \
-             paged {:.1} vs slab {:.1}",
-            paged.tokens_per_s,
-            slab.tokens_per_s
+            stat.padding_tokens > 0,
+            "the padded batch envelope must be visible in the report"
         );
     }
 
@@ -372,7 +344,7 @@ mod tests {
             r.modes[0].shared_prefix_hits,
             r.paged_rejections
         );
-        assert_eq!(r.modes.len(), 3);
+        assert_eq!(r.modes.len(), 2);
         assert!(r.modes[0].shared_tokens > 0);
         assert_eq!(
             r.modes[1].shared_prefix_hits, 0,

@@ -16,13 +16,14 @@
 //!    (`LMA292` clean), with at least [`MIN_INTERLEAVINGS`] total
 //!    interleavings;
 //! 4. zero-cost-off: the virtual-clock serve throughput recomputed here
-//!    equals the tracked `BENCH_serve.json` snapshot — verification
+//!    equals the committed `results/serve.json` snapshot — verification
 //!    instrumentation must cost the serve path nothing.
 //!
 //! `repro verify [--sweep quick|full]` writes `results/verify.json` and
 //! exits non-zero when any gate fails; `scripts/verify.sh` additionally
 //! byte-compares the artifact across two runs.
 
+use super::serve;
 use lm_analyze::{lint_verify, Diagnostic, UnsoundnessWitness};
 use lm_serve::{synth_traffic, AnalyticBackend, ServeBackend, ServeSession};
 use lm_verify::{
@@ -49,9 +50,9 @@ pub const ZERO_COST_REL_TOL: f64 = 1e-9;
 /// serve path's deterministic virtual throughput.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ZeroCostCheck {
-    /// `virtual_tokens_per_s` from the tracked `BENCH_serve.json`
-    /// snapshot; `None` when no snapshot exists yet (pass — nothing to
-    /// regress against).
+    /// `continuous_paged` tokens/s from the committed
+    /// `results/serve.json`; `None` when no snapshot exists yet (pass —
+    /// nothing to regress against).
     pub snapshot_tokens_per_s: Option<f64>,
     /// The same quantity recomputed by this run.
     pub measured_tokens_per_s: f64,
@@ -99,11 +100,12 @@ fn lane_opts() -> loom::Options {
 }
 
 /// Recompute the deterministic serve throughput and compare it against
-/// the tracked snapshot (read from `bench_serve_json`, normally the
-/// repo-root `BENCH_serve.json`).
-fn zero_cost_check(bench_serve_json: &str) -> ZeroCostCheck {
+/// the committed snapshot (read from `serve_json`, normally
+/// `results/serve.json`, whose default run is the same trace).
+fn zero_cost_check(serve_json: &str) -> ZeroCostCheck {
     let backend = AnalyticBackend::opt_30b();
-    let traffic = synth_traffic(7, 4.0, 32, backend.model());
+    let (seed, rps, n) = (serve::DEFAULT_SEED, serve::DEFAULT_RPS, serve::DEFAULT_REQUESTS);
+    let traffic = synth_traffic(seed, rps, n, backend.model());
     let measured = match ServeSession::new(&backend).run(traffic) {
         Ok(r) => r.outcome.tokens_per_s(),
         Err(_) => {
@@ -115,15 +117,18 @@ fn zero_cost_check(bench_serve_json: &str) -> ZeroCostCheck {
             }
         }
     };
-    let snapshot = std::fs::read_to_string(bench_serve_json)
+    let snapshot = std::fs::read_to_string(serve_json)
         .ok()
-        .and_then(|json| serde_json::from_str::<Vec<crate::perf::BenchRow>>(&json).ok())
-        .and_then(|rows| {
-            rows.iter()
-                .find(|r| {
-                    r.bench == "serve/continuous/32req" && r.metric == "virtual_tokens_per_s"
-                })
-                .map(|r| r.value)
+        .and_then(|json| serde_json::from_str::<serve::ServeReport>(&json).ok())
+        // A `repro serve` run with other flags overwrites the file with
+        // a different trace; that is no snapshot of this one.
+        .filter(|report| (report.seed, report.rps, report.requests) == (seed, rps, n))
+        .and_then(|report| {
+            report
+                .modes
+                .iter()
+                .find(|m| m.mode == "continuous_paged")
+                .map(|m| m.tokens_per_s)
         });
     match snapshot {
         Some(snap) if snap > 0.0 => {
@@ -145,7 +150,7 @@ fn zero_cost_check(bench_serve_json: &str) -> ZeroCostCheck {
 }
 
 /// Run the whole verification lane at `depth`.
-pub fn run(depth: SweepDepth, bench_serve_json: &str) -> VerifyReport {
+pub fn run(depth: SweepDepth, serve_json: &str) -> VerifyReport {
     // Clean sweep: the shipped planner against executable ground truth.
     let sweep = run_sweep(depth, Mutation::None);
     // Mutated sweep: the instrument must catch the seeded over-grant.
@@ -165,7 +170,7 @@ pub fn run(depth: SweepDepth, bench_serve_json: &str) -> VerifyReport {
     let mutated_lint_has_lma291 =
         mutated_report.has(lm_analyze::LintCode::Lma291LintUnsoundnessWitness);
 
-    let zero_cost = zero_cost_check(bench_serve_json);
+    let zero_cost = zero_cost_check(serve_json);
 
     let protocols_ok = protocols
         .iter()
@@ -208,9 +213,12 @@ pub fn run(depth: SweepDepth, bench_serve_json: &str) -> VerifyReport {
 mod tests {
     use super::*;
 
+    /// The committed snapshot, wherever the test binary's cwd is.
+    const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/serve.json");
+
     #[test]
     fn quick_lane_passes_every_gate() {
-        let r = run(SweepDepth::Quick, "BENCH_serve.json");
+        let r = run(SweepDepth::Quick, SNAPSHOT);
         assert!(
             r.verify_ok,
             "gates: lint_errors={} unsoundness={:?} mutation_caught={} \
@@ -224,14 +232,14 @@ mod tests {
 
     #[test]
     fn report_is_byte_deterministic() {
-        let a = serde_json::to_string(&run(SweepDepth::Quick, "BENCH_serve.json")).unwrap();
-        let b = serde_json::to_string(&run(SweepDepth::Quick, "BENCH_serve.json")).unwrap();
+        let a = serde_json::to_string(&run(SweepDepth::Quick, SNAPSHOT)).unwrap();
+        let b = serde_json::to_string(&run(SweepDepth::Quick, SNAPSHOT)).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn missing_snapshot_is_a_pass_not_a_crash() {
-        let z = zero_cost_check("/nonexistent/BENCH_serve.json");
+        let z = zero_cost_check("/nonexistent/serve.json");
         assert!(z.ok);
         assert!(z.snapshot_tokens_per_s.is_none());
         assert!(z.measured_tokens_per_s > 0.0);

@@ -2,14 +2,12 @@
 //!
 //! The experiment harness: one runner per table and figure of the
 //! LM-Offload paper (see [`experiments`]), an ASCII [`table`] renderer,
-//! the tracked [`perf`] trajectory behind `repro bench`, and the `repro`
-//! binary that regenerates everything and writes JSON results to
-//! `results/` (plus `BENCH_*.json` at the repo root).
+//! and the `repro` binary that regenerates everything and writes JSON
+//! results to `results/`.
 //!
-//! Criterion microbenchmarks of the underlying kernels and searches live
-//! in `benches/`.
+//! Wall-clock performance is measured from outside the workspace by
+//! `benchmark/` (see its README).
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod experiments;
-pub mod perf;
 pub mod table;

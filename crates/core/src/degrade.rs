@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn select_fallback_matches_independent_evaluator_ranking() {
-        // The acceptance criterion: the controller's pick is exactly the
+        // The acceptance condition: the controller's pick is exactly the
         // rung the analytic model scores fastest among feasible ones.
         let c = controller();
         let current = Policy::flexgen_default();

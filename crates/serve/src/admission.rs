@@ -5,11 +5,11 @@
 //! Slot count is chosen as the throughput argmax of the cost model:
 //! because each decode step pays one shared layer fetch plus per-slot
 //! terms, modelled tokens/s (`k / step(k)`) is non-decreasing in `k`, so
-//! the argmax is the largest `k` the KV pool and the configured ceiling
-//! admit. The resulting plan is linted by `lm-analyze`'s `LMA25x` family
-//! before any request is served — an infeasible plan is a typed error
-//! carrying the diagnostic report, the same contract as the engine's
-//! strict pre-flight.
+//! the argmax is the largest `k` the KV pool's pages admit at the
+//! expected per-sequence residency. The resulting plan is linted by
+//! `lm-analyze`'s `LMA25x` family before any request is served — an
+//! infeasible plan is a typed error carrying the diagnostic report, the
+//! same contract as the engine's strict pre-flight.
 
 use crate::backend::ServeBackend;
 use crate::slo::{DegradeLadder, SloPolicy};
@@ -21,44 +21,25 @@ use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// How the scheduler backs each slot's KV cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KvMode {
-    /// One contiguous worst-case lease per slot (`slot_context` tokens),
-    /// acquired whole at admission. Simple, but pads every request to
-    /// the envelope and rejects admissions the paged pool would accept.
-    Slab,
-    /// Block-granular pages from `lm-kvpool`: per-request page tables,
-    /// prompt-prefix sharing across requests, copy-on-write forks on
-    /// divergence. Admission reserves exactly the pages a request can
-    /// touch, so decode never allocates.
-    #[default]
-    Paged,
-}
-
-
-
 /// Operator-facing serving knobs.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Worst-case-slab budget: in slab mode, the upper bound on
-    /// concurrent sequences; in paged mode it only sizes the derived
-    /// pool (`max_slots` worst-case leases), and the slot count comes
-    /// from page residency instead.
+    /// Worst-case envelopes the derived KV pool is sized for
+    /// (`max_slots` sequences at the full planning context). It is a
+    /// memory budget, not a concurrency ceiling: the slot count comes
+    /// from page residency.
     pub max_slots: usize,
     /// KV pool capacity in bytes; `0` derives `max_slots` worst-case
-    /// leases so the configured ceiling is reachable.
+    /// envelopes.
     pub kv_pool_bytes: usize,
-    /// Worst-case per-slot context length used to size leases and the
+    /// Worst-case per-slot context length used to size the pool and the
     /// plan; `0` derives a quarter of the model's context window (the
     /// traffic synthesizer's envelope).
     pub slot_context: usize,
     /// Head groups of the per-sequence attention graph (the Kahn-width
     /// bound input).
     pub head_groups: usize,
-    /// KV backing for slots; paged is the default (DESIGN.md §14).
-    pub kv_mode: KvMode,
-    /// Tokens per KV page in paged mode; `0` derives the largest
+    /// Tokens per KV page (DESIGN.md §14); `0` derives the largest
     /// divisor of the planning context not exceeding 16, so pages
     /// always tile the KV block exactly (`LMA280`).
     pub page_tokens: usize,
@@ -87,7 +68,6 @@ impl Default for ServeConfig {
             kv_pool_bytes: 0,
             slot_context: 0,
             head_groups: 7,
-            kv_mode: KvMode::default(),
             page_tokens: 0,
             retry: RetryPolicy::none(),
             fault: FaultInjector::disabled(),
@@ -103,11 +83,11 @@ impl Default for ServeConfig {
 /// concurrently and what that claims.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServePlan {
-    /// Concurrent sequences (each holds one KV lease).
+    /// Concurrent sequences (each holds one page table).
     pub slots: usize,
-    /// Planning context length behind the lease sizing.
+    /// Planning context length behind the pool sizing.
     pub slot_context: usize,
-    /// Worst-case lease per slot, bytes.
+    /// Worst-case KV envelope of one sequence, bytes.
     pub kv_bytes_per_slot: u64,
     /// Serve KV pool capacity, bytes.
     pub kv_pool_bytes: u64,
@@ -118,9 +98,7 @@ pub struct ServePlan {
     pub est_step_seconds: f64,
     /// Modelled steady-state throughput, tokens/second.
     pub est_tokens_per_s: f64,
-    /// KV backing the scheduler will use.
-    pub kv_mode: KvMode,
-    /// Tokens per KV page (tiles `slot_context` exactly in paged mode).
+    /// Tokens per KV page (tiles `slot_context` exactly).
     pub page_tokens: u64,
     /// Bytes one page leases (`page_tokens · kv_bytes_at(1)`).
     pub page_bytes: u64,
@@ -131,19 +109,15 @@ pub struct ServePlan {
 }
 
 impl ServePlan {
-    /// The observation `lm-analyze`'s `LMA25x` lints judge. Slab mode
-    /// reports the worst-case lease per slot; paged mode reports the
-    /// *planned page residency* per sequence (half the envelope, the
-    /// statistical bound admission banks on), because that — not the
-    /// slab worst case — is what `slots` of them must fit in the pool.
+    /// The observation `lm-analyze`'s `LMA25x` lints judge. Per slot it
+    /// reports the *planned page residency* of one sequence (half the
+    /// envelope, the statistical bound admission banks on), because that
+    /// — not the worst case — is what `slots` of them must fit in the
+    /// pool.
     pub fn probe(&self) -> ServeProbe {
-        let per_slot = match self.kv_mode {
-            KvMode::Slab => self.kv_bytes_per_slot,
-            KvMode::Paged => self.pages_per_slot.div_ceil(2).max(1) * self.page_bytes,
-        };
         ServeProbe {
             slots: self.slots as u64,
-            kv_bytes_per_slot: per_slot,
+            kv_bytes_per_slot: self.pages_per_slot.div_ceil(2).max(1) * self.page_bytes,
             kv_pool_bytes: self.kv_pool_bytes,
             block_size: self.slots as u64,
             kahn_width: self.kahn_width,
@@ -277,25 +251,17 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
     // k/step(k) non-decreasing, so take the largest feasible k (and let
     // the lint reject a pool too small for even one).
     //
-    // Slab mode must fit `k` whole worst-case leases, so the pool bound
-    // is `pool / per_slot`, capped by the configured ceiling. Paged mode
-    // reasons about *pages*: a sequence's residency tracks its actual
-    // context — admission reserves `pages_for(prompt + gen)`, and the
-    // traffic envelope fills the planning context about halfway on
-    // average — so the same bytes multiplex roughly twice the sequences.
-    // The tail where every resident sequence simultaneously nears the
-    // envelope is absorbed by admission backpressure (a transiently full
-    // page pool requeues the candidate; it never rejects it), which is
-    // what makes the statistical bound safe to plan on.
-    let by_pool = pool_bytes / per_slot;
-    let slots = match cfg.kv_mode {
-        KvMode::Slab => cfg.max_slots.min(by_pool.max(1)).max(1),
-        KvMode::Paged => {
-            let pages_total = (pool_bytes / page_bytes.max(1)).max(1);
-            let expected_pages = pages_per_slot.div_ceil(2).max(1);
-            (pages_total / expected_pages).max(1)
-        }
-    };
+    // Feasibility is counted in *pages*: a sequence's residency tracks
+    // its actual context — admission reserves `pages_for(prompt + gen)`,
+    // and the traffic envelope fills the planning context about halfway
+    // on average — so the pool multiplexes roughly twice the sequences
+    // worst-case envelopes would. The tail where every resident sequence
+    // simultaneously nears the envelope is absorbed by admission
+    // backpressure (a transiently full page pool requeues the candidate;
+    // it never rejects it), which is what makes the statistical bound
+    // safe to plan on.
+    let pages_total = pool_bytes / page_bytes.max(1);
+    let slots = (pages_total.max(1) / pages_per_slot.div_ceil(2).max(1)).max(1);
     let graph = attention_block_graph(
         1,
         slots as u64,
@@ -317,16 +283,13 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
         } else {
             0.0
         },
-        kv_mode: cfg.kv_mode,
         page_tokens: page_tokens as u64,
         page_bytes: page_bytes as u64,
-        pages_total: (pool_bytes / page_bytes.max(1)) as u64,
+        pages_total: pages_total as u64,
         pages_per_slot: pages_per_slot as u64,
     };
     let mut report = lint_serve(&plan.probe());
-    if cfg.kv_mode == KvMode::Paged {
-        report.extend(lint_paging(&plan.paging_probe()));
-    }
+    report.extend(lint_paging(&plan.paging_probe()));
     (plan, report)
 }
 
@@ -352,26 +315,14 @@ mod tests {
     #[test]
     fn default_plan_is_clean_and_model_guided() {
         let b = AnalyticBackend::opt_30b();
-        // Paged default: the same 8-slab pool admits 16 statistical
-        // slots at the expected half-envelope page residency.
+        // The default pool of 8 worst-case envelopes admits 16
+        // statistical slots at the expected half-envelope residency.
         let plan = plan_admission(&b, &ServeConfig::default()).unwrap();
         assert_eq!(plan.slots, 16);
         assert!(plan.est_step_seconds > 0.0);
         assert!(plan.est_tokens_per_s > 0.0);
+        assert!(plan.kahn_width >= plan.slots as u64);
         assert!(lint_serve(&plan.probe()).is_clean());
-        // Slab mode keeps the worst-case-lease arithmetic: one slot per
-        // full-context slab.
-        let slab = plan_admission(
-            &b,
-            &ServeConfig {
-                kv_mode: KvMode::Slab,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(slab.slots, 8);
-        assert!(slab.kahn_width >= slab.slots as u64);
-        assert!(lint_serve(&slab.probe()).is_clean());
     }
 
     #[test]
@@ -381,24 +332,14 @@ mod tests {
             let p = plan_admission(&b, &ServeConfig::default()).unwrap();
             p.kv_bytes_per_slot as usize
         };
+        // A 3.5-envelope pool is 112 pages; over an expected residency
+        // of 16 pages per sequence that admits 7.
         let cfg = ServeConfig {
             kv_pool_bytes: 3 * per_slot + per_slot / 2,
-            kv_mode: KvMode::Slab,
             ..ServeConfig::default()
         };
         let plan = plan_admission(&b, &cfg).unwrap();
-        assert_eq!(plan.slots, 3, "pool fits exactly three leases");
-        // The same 3.5-slab pool repacked into pages: 112 pages over an
-        // expected residency of 16 pages per sequence admits 7.
-        let paged = plan_admission(
-            &b,
-            &ServeConfig {
-                kv_pool_bytes: 3 * per_slot + per_slot / 2,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(paged.slots, 7, "page residency outpacks worst-case slabs");
+        assert_eq!(plan.slots, 7, "page residency outpacks worst-case envelopes");
     }
 
     #[test]
@@ -420,13 +361,12 @@ mod tests {
     fn default_plan_page_geometry_tiles_the_block() {
         let b = AnalyticBackend::opt_30b();
         let plan = plan_admission(&b, &ServeConfig::default()).unwrap();
-        assert_eq!(plan.kv_mode, KvMode::Paged);
         assert_eq!(plan.page_tokens, 16, "512-token context derives 16-token pages");
         assert_eq!(plan.slot_context as u64 % plan.page_tokens, 0);
         assert_eq!(
             plan.page_bytes * plan.pages_per_slot,
             plan.kv_bytes_per_slot,
-            "pages tile the worst-case slab exactly"
+            "pages tile the worst-case envelope exactly"
         );
         // The plan over-subscribes slots against worst-case envelopes
         // (that is the point of paging); what it must guarantee is the
@@ -464,13 +404,6 @@ mod tests {
             }
             other => panic!("expected plan rejection, got ok={}", other.is_ok()),
         }
-        // The same misconfiguration is ignored in slab mode: no pages.
-        let slab = ServeConfig {
-            kv_mode: KvMode::Slab,
-            page_tokens: 11,
-            ..ServeConfig::default()
-        };
-        assert!(plan_admission(&b, &slab).is_ok());
     }
 
     #[test]

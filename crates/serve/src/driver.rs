@@ -7,9 +7,9 @@
 //! Two drivers exist:
 //!
 //! - [`VirtualDriver`] — the identity driver: `pace` returns the
-//!   modelled clock unchanged and `deliver` always succeeds, so the
-//!   scheduler byte-reproduces the pre-split `serve_continuous` outcomes
-//!   (the golden `results/serve.json` test holds it to that).
+//!   modelled clock unchanged and `deliver` always succeeds, so a run is
+//!   a pure function of its inputs (the golden `results/serve.json`
+//!   test holds it to the committed bytes).
 //! - `AsyncDriver` (private to [`session`](crate::session)) — the tokio
 //!   front end: `pace` sleeps until scaled wall time catches the
 //!   modelled clock and returns whichever is later (wall deadlines feed
@@ -64,9 +64,10 @@ pub trait ServeDriver {
 }
 
 /// The identity driver: virtual clock, synchronous callback delivery.
-/// [`serve_continuous_with`](crate::scheduler::serve_continuous_with)
-/// and [`ServeSession::run_streaming`](crate::ServeSession::run_streaming)
-/// are thin wrappers over this.
+/// [`ServeSession::run_streaming`](crate::ServeSession::run_streaming)
+/// is a thin wrapper over this, and
+/// [`ServeSession::run`](crate::ServeSession::run) is that with a
+/// callback that discards the tokens.
 pub struct VirtualDriver<'a> {
     on_token: &'a mut dyn FnMut(TokenEvent),
 }
@@ -80,16 +81,6 @@ impl<'a> VirtualDriver<'a> {
 impl ServeDriver for VirtualDriver<'_> {
     fn deliver(&mut self, event: TokenEvent) -> Delivery {
         (self.on_token)(event);
-        Delivery::Delivered
-    }
-}
-
-/// A driver that drops nothing and goes nowhere: the default for
-/// non-streaming runs.
-pub struct NullDriver;
-
-impl ServeDriver for NullDriver {
-    fn deliver(&mut self, _event: TokenEvent) -> Delivery {
         Delivery::Delivered
     }
 }
@@ -115,20 +106,5 @@ mod tests {
         );
         d.retire(1); // no-op
         assert_eq!(seen, vec![42]);
-    }
-
-    #[test]
-    fn null_driver_always_delivers() {
-        let mut d = NullDriver;
-        assert_eq!(d.pace(7), 7);
-        assert_eq!(
-            d.deliver(TokenEvent {
-                request_id: 0,
-                index: 0,
-                token: 1,
-                t_us: 0
-            }),
-            Delivery::Delivered
-        );
     }
 }

@@ -20,12 +20,15 @@
 //! - [`admission`]: the model-guided admission controller producing an
 //!   `LMA25x`-linted [`ServePlan`] (slots vs KV pool headroom vs the
 //!   block graph's Kahn width);
-//! - [`scheduler`]: the continuous scheduler core and its two baselines,
-//!   all parameterized over the [`driver`] clock/transport split;
-//! - [`session`]: the unified serve API — [`ServeSession`] subsumes the
-//!   deprecated `serve_*` free functions behind one builder (mode,
-//!   backend, SLO policy, fault plan, observability sinks) and adds the
-//!   real-time front end [`ServeSession::run_async`]: wall-clock pacing
+//! - [`scheduler`]: the continuous scheduler — a boundary state machine
+//!   over paged KV, parameterized over the [`driver`] clock/transport
+//!   split — with the sequential and static-batching baselines it is
+//!   measured against kept as separate loops beside it;
+//! - [`session`]: the serve API — [`ServeSession`], one builder over a
+//!   backend, a [`ServeConfig`] and a [`ServeMode`], is the only entry
+//!   point, on the virtual clock ([`ServeSession::run`],
+//!   [`ServeSession::run_streaming`]) and in real time
+//!   ([`ServeSession::run_async`]): wall-clock pacing
 //!   ([`AsyncConfig::time_scale`]), per-request bounded tokio token
 //!   channels, disconnect-on-drop, and `LMA30x` pre-flight;
 //! - [`slo`]: the overload-protection layer (DESIGN.md §12) — the
@@ -51,6 +54,7 @@
 
 pub mod admission;
 pub mod backend;
+mod baselines;
 pub mod driver;
 pub mod obs;
 pub mod request;
@@ -59,7 +63,7 @@ pub mod session;
 pub mod slo;
 
 pub use admission::{
-    derive_plan, plan_admission, slo_probe, KvMode, ServeConfig, ServeError, ServePlan,
+    derive_plan, plan_admission, slo_probe, ServeConfig, ServeError, ServePlan,
 };
 pub use obs::{
     obs_probe, serve_timeline, BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample,
@@ -69,11 +73,7 @@ pub use request::{
     synth_shared_prefix_traffic, synth_traffic, ArrivalQueue, CancelReason, CancelToken,
     Cancellation, RejectReason, Rejection, Request, Response,
 };
-pub use driver::{Delivery, NullDriver, ServeDriver, VirtualDriver};
-#[allow(deprecated)]
-pub use scheduler::{
-    serve_continuous, serve_continuous_with, serve_sequential, serve_static, ServeOutcome,
-    ServeStats, TokenEvent,
-};
+pub use driver::{Delivery, ServeDriver, VirtualDriver};
+pub use scheduler::{ServeOutcome, ServeStats, TokenEvent};
 pub use session::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
 pub use slo::{DegradeLadder, DegradeRung, SloPolicy, StaticLadder, TtftModel};

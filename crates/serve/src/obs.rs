@@ -98,8 +98,8 @@ pub struct BoundaryObs {
     pub active_slots: usize,
     /// Plan slot count (constant; kept per-sample for self-containment).
     pub slots: usize,
-    /// Pages mapped by resident sequences at this boundary (0 in slab
-    /// mode) — the residency series the paged drift audit integrates.
+    /// Pages mapped by resident sequences at this boundary — the
+    /// residency series the occupancy drift audit integrates.
     pub pages_in_use: u64,
     /// Model-side page demand of the resident sequences: the paging
     /// geometry applied to each active request's metadata
@@ -166,10 +166,10 @@ impl ServeObs {
     }
 
     /// The serve-path drift audit: predicted-vs-observed rows for TTFT
-    /// (mean and p99 over the audited requests), slot occupancy (the
-    /// work-conserving prediction `min(active + queued, slots)/slots`
-    /// against realized `active/slots`, both time-weighted), and mean
-    /// ready-queue depth via Little's law (`λ · mean predicted wait`).
+    /// (mean and p99 over the audited requests), occupancy in pages
+    /// (`min(pages_demand, pool)/pool` against realized
+    /// `pages_in_use/pool`, both time-weighted), and mean ready-queue
+    /// depth via Little's law (`λ · mean predicted wait`).
     pub fn audit(&self, plan: &ServePlan) -> ServeDriftReport {
         let n = self.ttft.len();
         let (pred_ttft, obs_ttft): (Vec<f64>, Vec<f64>) = self
@@ -184,29 +184,16 @@ impl ServeObs {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        // Occupancy is audited in the binding resource's units: slab
-        // mode fills slots, paged mode fills pages (DESIGN.md §14). The
-        // paged prediction is the analytic geometry applied to the
-        // resident requests' metadata (`pages_demand`), capped by the
-        // pool — eager reservation makes realized residency track it
-        // exactly, so drift here means leaked/double-mapped pages
-        // (observed high) or prefix-sharing dedup (observed low).
-        let slots = plan.slots.max(1) as f64;
-        let (occ_pred, occ_obs) = match plan.kv_mode {
-            crate::KvMode::Paged => {
-                let total = plan.pages_total.max(1) as f64;
-                (
-                    self.time_weighted_mean(|b| (b.pages_demand as f64).min(total) / total),
-                    self.time_weighted_mean(|b| b.pages_in_use as f64 / total),
-                )
-            }
-            crate::KvMode::Slab => (
-                self.time_weighted_mean(|b| {
-                    ((b.active_slots + b.queued).min(b.slots)) as f64 / slots
-                }),
-                self.time_weighted_mean(|b| b.active_slots as f64 / slots),
-            ),
-        };
+        // Occupancy is audited in the binding resource's units: pages
+        // (DESIGN.md §14). The prediction is the analytic geometry
+        // applied to the resident requests' metadata (`pages_demand`),
+        // capped by the pool — eager reservation makes realized
+        // residency track it exactly, so drift here means
+        // leaked/double-mapped pages (observed high) or prefix-sharing
+        // dedup (observed low).
+        let total = plan.pages_total.max(1) as f64;
+        let occ_pred = self.time_weighted_mean(|b| (b.pages_demand as f64).min(total) / total);
+        let occ_obs = self.time_weighted_mean(|b| b.pages_in_use as f64 / total);
         let depth_obs = self.time_weighted_mean(|b| b.queued as f64);
         // Little's law over the audited window: arrival rate λ of the
         // requests that got a first token, times their mean predicted
@@ -338,7 +325,6 @@ mod tests {
             kahn_width: 2,
             est_step_seconds: 0.1,
             est_tokens_per_s: 20.0,
-            kv_mode: crate::KvMode::Paged,
             page_tokens: 16,
             page_bytes: 128,
             pages_total: 16,

@@ -1,53 +1,43 @@
-//! The deterministic continuous-batching scheduler, plus the two
-//! baselines it is measured against (sequential one-call-per-request and
-//! naive static batching).
+//! The deterministic continuous-batching scheduler: a small state
+//! machine whose block boundary is a fixed sequence of named phases.
 //!
 //! Determinism contract: the scheduler runs on a virtual clock (u64
 //! microseconds) advanced only by the backend's modelled task costs.
-//! Admission order is a total order — `(priority desc, arrival asc, id
-//! asc)` — and every block boundary processes arrivals, retirements and
-//! admissions in a fixed sequence, so a run is a pure function of
-//! `(requests, backend, config)`: byte-identical outcomes across runs
-//! and machines.
+//! Admission order is a total order — fresh deadline-holders earliest
+//! deadline first, then `(priority desc, arrival asc, id asc)` — and
+//! every boundary runs the same phases in the same order, so a run is a
+//! pure function of `(requests, backend, config)`: byte-identical
+//! outcomes across runs and machines.
 //!
-//! Slot lifecycle: a request is admitted at a block boundary when a slot
-//! is free and its KV backing is granted by the serve pool — in paged
-//! mode (the default, DESIGN.md §14) a page table from the shared
-//! [`PagedKvPool`] covering exactly the tokens it can touch, with prompt
-//! prefixes mapped copy-on-write onto pages other requests already hold;
-//! in slab mode one contiguous lease sized for the padded worst case.
-//! Transient grant failures retry under the configured `lm-fault`
-//! policy, then defer to the next boundary while other sequences still
-//! hold KV. Each decode step delivers one token to every active slot
-//! (streamed through the `on_token` callback) and, in paged mode,
-//! appends it to the slot's page table (forking a shared page on first
-//! divergent write); a finished sequence drops its KV at the boundary,
-//! and the freed bytes admit the next queued request.
+//! One boundary (`Scheduler::boundary`; each phase is a method of that
+//! name, documented there): `pop_arrivals` → `sweep_slots` (cancels,
+//! disconnects, crashes of resident sequences) → `sweep_queue` (queued
+//! cancels, expired deadlines) → `audit_ttft` → `slo_monitor` (preempt
+//! or degrade, DESIGN.md §12) → `shed` → `admit` (page-table grants from
+//! the shared [`PagedKvPool`] with copy-on-write prefix sharing,
+//! DESIGN.md §14, deadline rescue, one group prefill) →
+//! `sample_boundary` → `decode_step` (one token to every resident
+//! sequence, through the [`ServeDriver`]) → `retire`.
 //!
-//! Overload protection (DESIGN.md §12): every boundary also sweeps slot
-//! fates — explicit cancels and injected client disconnects resolve as
-//! terminal [`Cancellation`]s with the KV lease reclaimed on the spot;
-//! injected slot crashes re-queue the request, which later *resumes from
-//! its generated prefix* (token streams are deterministic, so the cached
-//! prefix is exact and nothing is re-emitted — only the prefix re-prefill
-//! is re-paid). When a [`SloPolicy`](crate::SloPolicy) is configured, a
-//! per-boundary monitor predicts p99 TTFT over the wait queue with
-//! [`TtftModel`] and, under enforcement, preempts the lowest-priority
-//! slot, sheds doomed admissions, or climbs the degrade ladder. Every
-//! request resolves exactly once: response, rejection, or cancellation.
+//! Every request resolves exactly once — response, rejection, or
+//! cancellation — because `Scheduler::resolve` is the only code that
+//! records a terminal state and retires the request at the driver.
 
-use crate::admission::{KvMode, ServeConfig, ServeError, ServePlan};
+use crate::admission::{plan_admission, slo_probe, ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
-use crate::driver::{Delivery, NullDriver, ServeDriver, VirtualDriver};
+use crate::driver::{Delivery, ServeDriver};
 use crate::obs::{BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
 use crate::request::{
     micros, ArrivalQueue, CancelReason, Cancellation, RejectReason, Rejection, Request, Response,
 };
-use crate::slo::TtftModel;
-use lm_engine::{validate_request, EngineError, Lease, MemPool};
+use crate::slo::{SloPolicy, TtftModel};
+use lm_engine::{validate_request, EngineError, MemPool, PoolExhausted};
+use lm_fault::RetryError;
 use lm_kvpool::{PageConfig, PagedKvPool, SeqKv};
+use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// One streamed token, delivered as it is generated (virtual time).
@@ -94,8 +84,11 @@ impl ServeStats {
     }
 }
 
-/// What one serving run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What one serving run produced. Every scheduler accumulates into a
+/// default (empty) outcome as it runs and seals it with `close`; the
+/// baselines, which hold no KV and keep no lifecycle record, leave those
+/// parts at zero.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServeOutcome {
     pub responses: Vec<Response>,
     pub rejections: Vec<Rejection>,
@@ -106,8 +99,9 @@ pub struct ServeOutcome {
     pub sim_seconds: f64,
     /// Real (non-padding) tokens generated.
     pub generated_tokens: u64,
-    /// Padding tokens charged (prompt padding inside admitted groups;
-    /// for the static baseline also generation padding to the batch max).
+    /// Padding tokens charged: prompt and generation padding to the
+    /// batch max in the static baseline. The continuous scheduler pages
+    /// the exact context and charges none.
     pub padding_tokens: u64,
     /// High-water mark of the serve KV pool, bytes (0 for baselines that
     /// do not lease).
@@ -125,8 +119,8 @@ pub struct ServeOutcome {
     /// Admission-lifecycle accounting (continuous scheduler only;
     /// baselines leave it default).
     pub stats: ServeStats,
-    /// High-water mark of mapped pages in the paged KV pool (0 in slab
-    /// mode and for the baselines).
+    /// High-water mark of mapped pages in the paged KV pool (0 for the
+    /// baselines).
     pub kv_pages_peak: u64,
     /// Pages still mapped when the run ended; the page-table RAII
     /// invariant demands zero, and the chaos harness gates on it
@@ -149,6 +143,15 @@ pub struct ServeOutcome {
 }
 
 impl ServeOutcome {
+    /// Seal the run at its final clock, terminal states ordered by id.
+    pub(crate) fn close(mut self, clock_us: u64) -> Self {
+        self.responses.sort_by_key(|r| r.id);
+        self.rejections.sort_by_key(|r| r.id);
+        self.cancellations.sort_by_key(|c| c.id);
+        self.sim_seconds = clock_us as f64 / 1e6;
+        self
+    }
+
     /// Real tokens per virtual second.
     pub fn tokens_per_s(&self) -> f64 {
         if self.sim_seconds > 0.0 {
@@ -164,94 +167,92 @@ impl ServeOutcome {
     }
 }
 
-/// A request waiting — or, after a crash/preemption, *re*-waiting — for
-/// a slot.
-struct Pending {
+/// One request inside the scheduler: waiting for a slot (first time, or
+/// again after a crash or preemption) or resident in one.
+struct Seq {
     req: Request,
-    /// Cached token stream from a previous admission. Tokens are a
-    /// deterministic function of the request alone, so the cache is
-    /// exact: resumption continues the same stream without re-emitting.
+    /// The request's token stream, materialized at first admission.
+    /// Tokens are a deterministic function of the request alone, so the
+    /// cache is exact: resumption continues the same stream without
+    /// re-emitting.
     tokens: Option<Vec<u32>>,
-    /// Tokens already streamed to the client before the interruption.
+    /// Tokens already streamed to the client.
     emitted: usize,
     first_token_us: Option<u64>,
     /// Crash ordinal; keys the next admission's crash draw so retries
     /// see fresh randomness.
     crashes: u32,
+    /// `Some` while the sequence holds a slot.
+    seat: Option<Seat>,
 }
 
-impl Pending {
-    fn fresh(req: Request) -> Self {
-        Pending {
-            req,
-            tokens: None,
-            emitted: 0,
-            first_token_us: None,
-            crashes: 0,
-        }
-    }
-
-    /// Prompt length a re-admission pays prefill for: the original
-    /// prompt plus the already-generated prefix.
-    fn effective_prompt_len(&self) -> usize {
-        self.req.prompt.len() + self.emitted
-    }
-}
-
-/// An admitted sequence holding a slot.
-struct Slot {
-    req: Request,
-    tokens: Vec<u32>,
-    emitted: usize,
-    /// Current sequence length (padded prompt + emitted tokens).
-    context: u64,
-    first_token_us: Option<u64>,
+/// What a resident sequence holds. The page table reclaims its pages on
+/// drop (RAII), so every slot exit — retire, cancel, crash, preemption —
+/// returns its KV without a dedicated release path.
+struct Seat {
+    /// Stable slot index for the serve timeline: the smallest index free
+    /// at admission, returned to the pool when the residency ends.
+    slot_idx: u32,
+    /// Per-request page table; decode appends tokens into it.
+    kv: SeqKv,
     /// Token ordinal at which this admission's injected client
     /// disconnect lands (checked at every boundary), if one was drawn.
     disconnect_at: Option<usize>,
     /// Token ordinal at which this admission's injected slot crash
     /// lands, if one was drawn.
     crash_at: Option<usize>,
-    crashes: u32,
-    /// Stable slot index for the serve timeline: the smallest index free
-    /// at admission, returned to the pool when the residency ends.
-    slot_idx: u32,
-    kv: SlotKv,
 }
 
-/// KV backing one slot holds. Both variants reclaim their bytes on drop
-/// (RAII), so every slot exit — retire, cancel, crash, preemption —
-/// returns its KV without a dedicated release path.
-enum SlotKv {
-    /// Contiguous worst-case lease, held only for its drop.
-    Slab(#[allow(dead_code)] Lease),
-    /// Per-request page table; decode appends tokens into it.
-    Paged(SeqKv),
-}
+impl Seq {
+    fn fresh(req: Request) -> Self {
+        Seq {
+            req,
+            tokens: None,
+            emitted: 0,
+            first_token_us: None,
+            crashes: 0,
+            seat: None,
+        }
+    }
 
-impl Slot {
-    fn remaining(&self) -> u64 {
-        (self.tokens.len() - self.emitted) as u64
+    /// Current sequence length, which is also the prompt a
+    /// (re-)admission pays prefill for: the original prompt plus the
+    /// already-generated prefix.
+    fn context(&self) -> usize {
+        self.req.prompt.len() + self.emitted
+    }
+
+    fn stream(&self) -> &[u32] {
+        self.tokens.as_deref().unwrap_or_default()
+    }
+
+    /// Tokens of the materialized stream still to emit.
+    fn remaining(&self) -> usize {
+        self.stream().len() - self.emitted
+    }
+
+    /// Decode steps a queued request still asks for (its stream may not
+    /// be materialized yet, so this reads the request).
+    fn owed(&self) -> usize {
+        self.req.gen_len.saturating_sub(self.emitted)
+    }
+
+    fn slot(&self) -> Option<u32> {
+        self.seat.as_ref().map(|s| s.slot_idx)
     }
 }
 
-/// Total admission order: priority desc, then arrival asc, then id asc.
-///
-/// With `edf` set (paged mode), queued requests still waiting on their
-/// admission deadline jump the queue in earliest-deadline-first order.
-/// Slab mode cannot afford this: its admission pads the whole group to
-/// the longest prompt, so pulling a long deadline-holder forward
-/// inflates every peer's envelope. Paged admission prices each request
-/// by its exact page demand, which makes deadline-first ordering free.
-fn admission_order(ready: &mut [Pending], edf: bool) {
-    let deadline_key = |p: &Pending| {
-        // Once a request has streamed a token its admission deadline is
-        // satisfied; only fresh deadline-holders are under the clock.
-        if edf && p.emitted == 0 {
-            p.req.deadline_us.unwrap_or(u64::MAX)
-        } else {
-            u64::MAX
-        }
+/// Total admission order: queued requests still waiting on their
+/// admission deadline go earliest-deadline-first (paged admission prices
+/// each request by its exact page demand, so pulling a long
+/// deadline-holder forward costs its peers nothing), then priority desc,
+/// arrival asc, id asc.
+fn admission_order(ready: &mut [Seq]) {
+    // Once a request has streamed a token its admission deadline is
+    // satisfied; only fresh deadline-holders are under the clock.
+    let deadline_key = |p: &Seq| match p.emitted {
+        0 => p.req.deadline_us.unwrap_or(u64::MAX),
+        _ => u64::MAX,
     };
     ready.sort_by(|a, b| {
         deadline_key(a)
@@ -262,1364 +263,898 @@ fn admission_order(ready: &mut [Pending], edf: bool) {
     });
 }
 
-/// Snapshot the analytic TTFT predictor's inputs at a block boundary.
-/// Step time comes from the admission plan's full-occupancy estimate and
-/// prefill from the wait queue's padding envelope, both scaled by the
-/// current degrade factor — the same model that times the run predicts
-/// it.
-///
-/// In paged mode the plan's slot count is only a ceiling: pages are the
-/// binding resource (DESIGN.md §14). The predictor therefore prices
-/// `free_slots` by walking the wait queue in admission order until the
-/// pool's free pages run out, and caps turnover concurrency at what the
-/// pool can hold at the *observed* per-sequence page residency.
-fn ttft_model(
-    plan: &ServePlan,
+/// A request's token stream, or why it can never have one: the engine's
+/// shared request checker first, then the backend. Every scheduler admits
+/// through this, so all of them reject the same requests.
+pub(crate) fn token_stream(
     backend: &dyn ServeBackend,
-    active: &[Slot],
-    ready: &[Pending],
-    degrade_factor: f64,
-    paged: Option<&Arc<PagedKvPool>>,
-) -> TtftModel {
-    let mut remaining: Vec<u64> = active.iter().map(Slot::remaining).collect();
-    remaining.sort_unstable();
-    let queued_steps: u64 = ready
-        .iter()
-        .map(|p| p.req.gen_len.saturating_sub(p.emitted) as u64)
-        .sum();
-    let n = (remaining.len() + ready.len()).max(1);
-    let mean_gen_steps = (remaining.iter().sum::<u64>() + queued_steps) as f64 / n as f64;
-    let pad_guess = ready
-        .iter()
-        .map(Pending::effective_prompt_len)
-        .max()
-        .unwrap_or(1);
-    let mut slots = plan.slots;
-    let mut free = plan.slots.saturating_sub(active.len());
-    if let Some(pp) = paged {
-        // Immediate admissions: queue positions fit until free pages do.
-        let mut pages_free = pp.capacity_pages().saturating_sub(pp.pages_in_use());
-        let mut admissible = 0usize;
-        for p in ready.iter().take(free) {
-            let need = pp.required_pages(
-                p.effective_prompt_len(),
-                p.req.gen_len.saturating_sub(p.emitted),
-            );
-            if need > pages_free {
-                break;
-            }
-            pages_free -= need;
-            admissible += 1;
-        }
-        free = admissible;
-        // Turnover concurrency: observed residency when sequences are
-        // resident, the plan's expected half-envelope otherwise.
-        let mapped: usize = active
-            .iter()
-            .map(|s| match &s.kv {
-                SlotKv::Paged(seq) => seq.mapped_pages(),
-                SlotKv::Slab(_) => 0,
-            })
-            .sum();
-        let per_seq = if active.is_empty() || mapped == 0 {
-            (plan.pages_per_slot.div_ceil(2).max(1)) as usize
-        } else {
-            (mapped / active.len()).max(1)
-        };
-        slots = slots.min((pp.capacity_pages() / per_seq).max(1));
+    req: &Request,
+) -> Result<Vec<u32>, RejectReason> {
+    let prompts = std::slice::from_ref(&req.prompt);
+    if let Err(EngineError::InvalidRequest { reason }) =
+        validate_request(backend.model(), prompts, req.gen_len, 1)
+    {
+        return Err(RejectReason::Invalid(reason));
     }
-    // Step quote from the same cost source the boundary charger uses:
-    // the live contexts plus this boundary's admissions. The plan's
-    // `est_step_seconds` is a full-occupancy, full-context envelope —
-    // fine for capacity planning, but as a TTFT term it over-quotes
-    // every step of a partially filled block.
-    let mut contexts: Vec<u64> = active.iter().map(|s| s.context).collect();
-    for p in ready.iter().take(free) {
-        contexts.push(p.effective_prompt_len() as u64 + 1);
-    }
-    let step_s = if contexts.is_empty() {
-        plan.est_step_seconds
-    } else {
-        backend.decode_step_seconds(&contexts)
-    };
-    TtftModel {
-        slots,
-        free_slots: free,
-        remaining_sorted: remaining,
-        mean_gen_steps,
-        prefill_s: backend.prefill_seconds(pad_guess, free.max(1)) * degrade_factor,
-        step_s: step_s * degrade_factor,
-    }
+    backend
+        .materialize(req)
+        .map_err(|e| RejectReason::AdmissionFailed(e.to_string()))
 }
 
-/// Run the continuous-batching scheduler over `requests`; the plan is
-/// derived (and `LMA25x`-linted) by [`crate::plan_admission`] first.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).run(requests)` — the unified serve API"
-)]
-pub fn serve_continuous(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    run_continuous(backend, cfg, requests, &mut NullDriver)
-}
-
-/// [`serve_continuous`] with per-token streaming delivery.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).run_streaming(requests, on_token)`"
-)]
-pub fn serve_continuous_with(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-    on_token: &mut dyn FnMut(TokenEvent),
-) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    run_continuous(backend, cfg, requests, &mut VirtualDriver::new(on_token))
+/// The three ways a request leaves the scheduler.
+enum Terminal {
+    Response(Response),
+    Rejection(Rejection),
+    Cancellation(Cancellation),
 }
 
 /// The continuous-batching core, parameterized over the clock/transport
-/// [`ServeDriver`] (DESIGN.md §16). With [`VirtualDriver`] or
-/// [`NullDriver`] this is byte-for-byte the pre-split scheduler: `pace`
-/// is the identity and every delivery succeeds, so outcomes are a pure
-/// function of `(requests, backend, config)` exactly as before. A
-/// real-time driver may stretch the clock (wall jitter feeds the same
-/// deadline/SLO machinery) and may report a token undeliverable, which
-/// resolves at the next boundary through the scheduler's existing
-/// client-disconnect vocabulary.
+/// [`ServeDriver`] (DESIGN.md §16). With a virtual driver `pace` is the
+/// identity and every delivery succeeds, so outcomes are a pure function
+/// of `(requests, backend, config)`. A real-time driver may stretch the
+/// clock (wall jitter feeds the same deadline/SLO machinery) and may
+/// report a token undeliverable, which resolves at the next boundary
+/// through the scheduler's client-disconnect vocabulary.
 pub(crate) fn run_continuous(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
     requests: Vec<Request>,
     driver: &mut dyn ServeDriver,
 ) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    let plan = crate::admission::plan_admission(backend, cfg)?;
+    let plan = plan_admission(backend, cfg)?;
     // SLO pre-flight: an unmeetable or actuator-less policy is a typed
     // error before any request is served, mirroring the LMA25x plan gate.
     if let Some(slo) = cfg.slo.as_ref() {
-        let report = lm_analyze::lint_slo(&crate::admission::slo_probe(
-            &plan,
-            backend,
-            slo,
-            cfg.ladder.as_ref(),
-        ));
+        let report = lm_analyze::lint_slo(&slo_probe(&plan, backend, slo, cfg.ladder.as_ref()));
         if !report.is_clean() {
             return Err(ServeError::Plan(report));
         }
     }
-    let tracer = &cfg.tracer;
-    let flight = &cfg.flight;
-    if flight.is_enabled() {
+    if cfg.flight.is_enabled() {
         // Tee injected faults into the same ring as scheduler decisions.
-        cfg.fault.set_flight(flight.clone());
+        cfg.fault.set_flight(cfg.flight.clone());
     }
-    let pool = MemPool::new("serve.kv", plan.kv_pool_bytes as usize);
-    pool.attach_fault(cfg.fault.clone());
-    // Paged mode layers the block-granular allocator over the same
-    // MemPool, so byte accounting (peak, leak detection, injected
-    // pressure) stays unified across modes.
-    let paged = (plan.kv_mode == KvMode::Paged).then(|| {
-        PagedKvPool::new(
+    let mut sched = Scheduler::new(&plan, cfg, backend, driver, requests);
+    while sched.boundary()? {}
+    let outcome = sched.finish();
+    Ok((plan, outcome))
+}
+
+/// The scheduler's whole state between two boundaries.
+struct Scheduler<'a> {
+    plan: &'a ServePlan,
+    cfg: &'a ServeConfig,
+    tracer: &'a Tracer,
+    backend: &'a dyn ServeBackend,
+    driver: &'a mut dyn ServeDriver,
+    /// Byte budget under the page pool: peak, leak detection and
+    /// injected pressure are accounted here.
+    pool: Arc<MemPool>,
+    pages: Arc<PagedKvPool>,
+    /// Requests that have not arrived yet.
+    queue: ArrivalQueue,
+    /// Arrived and waiting for a slot, in admission order.
+    ready: Vec<Seq>,
+    /// Resident sequences (every one has a seat).
+    active: Vec<Seq>,
+    clock_us: u64,
+    /// One-way degrade ratchet driven by the SLO monitor.
+    degrade_factor: f64,
+    degrade_level: usize,
+    /// Decode-step ordinal, keying the per-step stall draw.
+    steps: u64,
+    /// The outcome under construction: terminal states, admission
+    /// accounting and the observability record (§13) accumulate here.
+    out: ServeOutcome,
+    /// Predicted TTFT (relative to arrival, µs) sampled once per request
+    /// the first time it is seen in the wait queue.
+    predicted_ttft: BTreeMap<u64, u64>,
+    /// Requests whose transport failed a delivery (receiver dropped, or
+    /// backpressure grace exhausted); resolved as client disconnects at
+    /// the next slot sweep. Always empty under the virtual driver.
+    transport_drops: BTreeMap<u64, Delivery>,
+    /// Free stable slot indices for the timeline.
+    free_slot_ids: Vec<u32>,
+    submitted: usize,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(
+        plan: &'a ServePlan,
+        cfg: &'a ServeConfig,
+        backend: &'a dyn ServeBackend,
+        driver: &'a mut dyn ServeDriver,
+        requests: Vec<Request>,
+    ) -> Self {
+        let pool = MemPool::new("serve.kv", plan.kv_pool_bytes as usize);
+        pool.attach_fault(cfg.fault.clone());
+        // The block-granular allocator sits over the MemPool, so byte
+        // accounting and page accounting describe the same memory.
+        let pages = PagedKvPool::new(
             pool.clone(),
             PageConfig {
                 page_tokens: plan.page_tokens as usize,
                 bytes_per_token: (plan.page_bytes / plan.page_tokens.max(1)) as usize,
             },
-        )
-    });
-
-    let total = requests.len();
-    let mut queue = ArrivalQueue::new(requests);
-    let mut ready: Vec<Pending> = Vec::new();
-    let mut active: Vec<Slot> = Vec::new();
-    let mut responses = Vec::new();
-    let mut rejections = Vec::new();
-    let mut cancellations: Vec<Cancellation> = Vec::new();
-    let mut stats = ServeStats::default();
-    let mut clock_us = 0u64;
-    let mut generated = 0u64;
-    let mut padding = 0u64;
-    let mut deadline_misses = 0u64;
-    // One-way degrade ratchet driven by the SLO monitor.
-    let mut degrade_factor = 1.0f64;
-    let mut degrade_level = 0usize;
-    // Boundary ordinal, keying the per-step stall draw.
-    let mut boundary = 0u64;
-    // Observability record: lifecycle events, boundary samples, and the
-    // TTFT prediction audit (§13). All virtual-clock, all deterministic.
-    let mut obs = ServeObs::default();
-    // Predicted TTFT (relative to arrival, µs) sampled once per request
-    // the first time it is seen in the wait queue.
-    let mut predicted_ttft: BTreeMap<u64, u64> = BTreeMap::new();
-    // Requests whose transport failed a delivery (receiver dropped, or
-    // backpressure grace exhausted); resolved as client disconnects at
-    // the next boundary sweep. Always empty under the virtual drivers.
-    let mut transport_drops: BTreeMap<u64, Delivery> = BTreeMap::new();
-    // Free stable slot indices for the timeline; smallest index first.
-    let mut free_slot_ids: Vec<u32> = (0..plan.slots as u32).rev().collect();
-    let idle_boundary = |t_us: u64, pending: usize, degrade: f64| BoundaryObs {
-        t_us,
-        queued: 0,
-        pending_arrivals: pending,
-        active_slots: 0,
-        slots: plan.slots,
-        pages_in_use: 0,
-        pages_demand: 0,
-        predicted_ttft_p99_us: None,
-        degrade_factor: degrade,
-    };
-
-    loop {
-        for req in queue.pop_arrived(clock_us) {
-            obs.lifecycle.push(LifecycleEvent {
-                t_us: req.arrival_us,
-                dur_us: 0,
-                request: req.id,
-                slot: None,
-                phase: RequestPhase::Queued,
-            });
-            ready.push(Pending::fresh(req));
+        );
+        Scheduler {
+            plan,
+            cfg,
+            tracer: &cfg.tracer,
+            backend,
+            driver,
+            pool,
+            pages,
+            submitted: requests.len(),
+            queue: ArrivalQueue::new(requests),
+            ready: Vec::new(),
+            active: Vec::new(),
+            clock_us: 0,
+            degrade_factor: 1.0,
+            degrade_level: 0,
+            steps: 0,
+            out: ServeOutcome::default(),
+            predicted_ttft: BTreeMap::new(),
+            transport_drops: BTreeMap::new(),
+            free_slot_ids: (0..plan.slots as u32).rev().collect(),
         }
-        if active.is_empty() && ready.is_empty() {
-            match queue.next_arrival_us() {
-                Some(t) => {
-                    // Sample the idle gap so the occupancy integral
-                    // covers it (nothing runs until the next arrival).
-                    obs.boundaries
-                        .push(idle_boundary(clock_us, queue.len(), degrade_factor));
-                    clock_us = driver.pace(t);
-                    continue;
-                }
-                None => {
-                    // Terminal sample: closes the last boundary interval.
-                    obs.boundaries.push(idle_boundary(clock_us, 0, degrade_factor));
-                    break;
-                }
+    }
+
+    /// Run one block boundary; `false` once every request has resolved.
+    fn boundary(&mut self) -> Result<bool, ServeError> {
+        self.pop_arrivals();
+        if self.active.is_empty() && self.ready.is_empty() {
+            return Ok(self.idle());
+        }
+        self.sweep_slots();
+        self.sweep_queue();
+        self.audit_ttft();
+        self.slo_monitor();
+        self.shed();
+        self.admit();
+        self.sample_boundary();
+        // With everything at this boundary rejected there is no block to
+        // step; the next boundary waits for traffic.
+        if !self.active.is_empty() {
+            self.decode_step()?;
+            self.retire();
+        }
+        Ok(true)
+    }
+
+    // ---- emission and resolution -------------------------------------
+
+    fn record(&mut self, t_us: u64, dur_us: u64, phase: RequestPhase, id: u64, slot: Option<u32>) {
+        self.out.obs.lifecycle.push(LifecycleEvent {
+            t_us,
+            dur_us,
+            request: id,
+            slot,
+            phase,
+        });
+    }
+
+    /// A scheduler decision, recorded where decisions go: the lifecycle
+    /// record, the admission accounting and the phase's tracer counter.
+    fn emit(&mut self, phase: RequestPhase, id: u64, slot: Option<u32>) {
+        self.record(self.clock_us, 0, phase, id, slot);
+        match phase {
+            RequestPhase::Admitted => {
+                self.out.stats.admitted += 1;
+                self.tracer.counter_add("serve.admitted", 1);
             }
+            RequestPhase::Done => {
+                self.out.stats.completed += 1;
+                self.tracer.counter_add("serve.completed", 1);
+            }
+            RequestPhase::Cancelled => {
+                self.out.stats.cancelled_in_slot += u64::from(slot.is_some());
+                self.tracer.counter_add("serve.cancelled", 1);
+            }
+            RequestPhase::Preempted => {
+                self.out.stats.preemptions += 1;
+                self.tracer.counter_add("serve.preemptions", 1);
+                self.tracer.instant("serve.preempted", "serve");
+            }
+            RequestPhase::Crashed => {
+                self.out.stats.slot_crashes += 1;
+                self.tracer.counter_add("serve.slot_crashes", 1);
+                self.tracer.counter_add("serve.crash_retries", 1);
+            }
+            RequestPhase::Shed => self.tracer.counter_add("serve.rejected", 1),
+            RequestPhase::Queued | RequestPhase::Prefill | RequestPhase::Decode => {}
         }
+    }
 
-        // ---- boundary sweep 1: fates of running slots -----------------
-        // Cancellation (explicit or injected disconnect) is terminal and
-        // reclaims the KV lease here; a crash re-queues the request to
-        // resume from its prefix. Disconnect outranks crash when both
-        // land on the same token.
-        let mut still = Vec::with_capacity(active.len());
-        for slot in active.drain(..) {
-            if slot.req.cancel.is_cancelled_at(clock_us) {
-                stats.cancelled_in_slot += 1;
-                tracer.counter_add("serve.cancelled", 1);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Cancelled,
-                });
-                if flight.is_enabled() {
-                    flight.record(
-                        clock_us,
-                        "sched",
-                        format!("cancel request={} delivered={}", slot.req.id, slot.emitted),
-                    );
+    /// The detail of a decision, for the flight recorder's ring.
+    fn note(&self, note: fmt::Arguments<'_>) {
+        if self.cfg.flight.is_enabled() {
+            self.cfg
+                .flight
+                .record(self.clock_us, "sched", note.to_string());
+        }
+    }
+
+    /// The only place a request becomes terminal: count it, emit its
+    /// phase, file it under its terminal state, and retire it at the
+    /// driver. `slot` is the seat it held until now, if any.
+    fn resolve(&mut self, terminal: Terminal, slot: Option<u32>) {
+        let (phase, id) = match &terminal {
+            Terminal::Response(r) => (RequestPhase::Done, r.id),
+            Terminal::Rejection(r) => {
+                match r.reason {
+                    RejectReason::DeadlineExpired { .. } => {
+                        self.out.deadline_misses += 1;
+                        self.tracer.counter_add("serve.deadline_miss", 1);
+                        self.tracer.instant("serve.deadline_expired", "serve");
+                    }
+                    RejectReason::WouldMissDeadline { .. } => {
+                        self.out.stats.shed += 1;
+                        self.out.deadline_misses += 1;
+                        self.tracer.counter_add("serve.shed", 1);
+                        self.tracer.counter_add("serve.deadline_miss", 1);
+                    }
+                    _ => {}
                 }
-                free_slot_ids.push(slot.slot_idx);
-                cancellations.push(Cancellation {
-                    id: slot.req.id,
-                    reason: CancelReason::Explicit,
-                    delivered: slot.emitted,
-                    cancel_us: clock_us,
-                });
-                driver.retire(slot.req.id);
-            } else if slot.disconnect_at == Some(slot.emitted)
-                || transport_drops.contains_key(&slot.req.id)
-            {
+                (RequestPhase::Shed, r.id)
+            }
+            Terminal::Cancellation(c) => {
+                if c.reason == CancelReason::ClientDisconnect {
+                    self.tracer.counter_add("serve.disconnects", 1);
+                }
+                (RequestPhase::Cancelled, c.id)
+            }
+        };
+        self.emit(phase, id, slot);
+        match terminal {
+            Terminal::Response(r) => self.out.responses.push(r),
+            Terminal::Rejection(r) => self.out.rejections.push(r),
+            Terminal::Cancellation(c) => self.out.cancellations.push(c),
+        }
+        self.driver.retire(id);
+    }
+
+    /// End a residency: drop the page table (its pages return to the
+    /// pool here) and free the timeline slot index.
+    fn vacate(&mut self, seq: &mut Seq) -> Option<u32> {
+        let seat = seq.seat.take()?;
+        self.free_slot_ids.push(seat.slot_idx);
+        Some(seat.slot_idx)
+    }
+
+    /// Take a sequence the caller removed from `active` off its slot and
+    /// back into the wait queue with its stream cached — the one path
+    /// shared by slot crashes, SLO preemption and deadline rescue. (The
+    /// caller does the removal because the sweep must keep `active` in
+    /// order while the victim picks use `swap_remove`.)
+    fn evict(&mut self, mut seq: Seq, phase: RequestPhase) {
+        let slot = self.vacate(&mut seq);
+        self.emit(phase, seq.req.id, slot);
+        self.emit(RequestPhase::Queued, seq.req.id, None);
+        self.ready.push(seq);
+    }
+
+    /// Resolve a cancelled sequence, resident or queued.
+    fn cancel(&mut self, mut seq: Seq, reason: CancelReason) {
+        let slot = self.vacate(&mut seq);
+        let (id, delivered) = (seq.req.id, seq.emitted);
+        if slot.is_some() {
+            let verb = match reason {
+                CancelReason::Explicit => "cancel",
+                CancelReason::ClientDisconnect => "disconnect",
+            };
+            self.note(format_args!("{verb} request={id} delivered={delivered}"));
+        }
+        let cancel_us = self.clock_us;
+        let cancellation = Cancellation {
+            id,
+            reason,
+            delivered,
+            cancel_us,
+        };
+        self.resolve(Terminal::Cancellation(cancellation), slot);
+    }
+
+    /// The resident sequence eviction costs least: lowest priority, then
+    /// fewest tokens streamed, then newest id — optionally only among
+    /// those strictly below `outranked_by`.
+    fn least_invested(&self, outranked_by: Option<u8>) -> Option<usize> {
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| outranked_by.map_or(true, |top| s.req.priority < top))
+            .min_by_key(|(_, s)| (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id)))
+            .map(|(i, _)| i)
+    }
+
+    // ---- the boundary phases, in order -------------------------------
+
+    fn pop_arrivals(&mut self) {
+        for req in self.queue.pop_arrived(self.clock_us) {
+            self.record(req.arrival_us, 0, RequestPhase::Queued, req.id, None);
+            self.ready.push(Seq::fresh(req));
+        }
+    }
+
+    /// Nothing resident and nothing waiting: sample the gap so the
+    /// occupancy integral covers it, then jump to the next arrival — or,
+    /// with none left, close the run on a terminal sample.
+    fn idle(&mut self) -> bool {
+        self.observe();
+        let next = self.queue.next_arrival_us();
+        if let Some(t) = next {
+            self.clock_us = self.driver.pace(t);
+        }
+        next.is_some()
+    }
+
+    /// Fates of resident sequences. Disconnect outranks crash when both
+    /// land on the same token.
+    fn sweep_slots(&mut self) {
+        for mut seq in std::mem::take(&mut self.active) {
+            let (id, emitted) = (seq.req.id, seq.emitted);
+            let fates = seq.seat.as_ref().map(|s| (s.disconnect_at, s.crash_at));
+            let (disconnect_at, crash_at) = fates.unwrap_or_default();
+            if seq.req.cancel.is_cancelled_at(self.clock_us) {
+                self.cancel(seq, CancelReason::Explicit);
+            } else if disconnect_at == Some(emitted) || self.transport_drops.contains_key(&id) {
                 // Injected disconnects and real transport failures land
                 // in the same terminal state: the client is gone.
-                if transport_drops.remove(&slot.req.id) == Some(Delivery::Backpressured) {
-                    tracer.counter_add("serve.backpressure_disconnects", 1);
+                if self.transport_drops.remove(&id) == Some(Delivery::Backpressured) {
+                    self.tracer.counter_add("serve.backpressure_disconnects", 1);
                 }
-                stats.cancelled_in_slot += 1;
-                tracer.counter_add("serve.cancelled", 1);
-                tracer.counter_add("serve.disconnects", 1);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Cancelled,
-                });
-                if flight.is_enabled() {
-                    flight.record(
-                        clock_us,
-                        "sched",
-                        format!("disconnect request={} delivered={}", slot.req.id, slot.emitted),
-                    );
-                }
-                free_slot_ids.push(slot.slot_idx);
-                cancellations.push(Cancellation {
-                    id: slot.req.id,
-                    reason: CancelReason::ClientDisconnect,
-                    delivered: slot.emitted,
-                    cancel_us: clock_us,
-                });
-                driver.retire(slot.req.id);
-            } else if slot.crash_at == Some(slot.emitted) {
-                stats.slot_crashes += 1;
-                tracer.counter_add("serve.slot_crashes", 1);
-                tracer.counter_add("serve.crash_retries", 1);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Crashed,
-                });
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: None,
-                    phase: RequestPhase::Queued,
-                });
-                if flight.is_enabled() {
-                    flight.record(
-                        clock_us,
-                        "sched",
-                        format!("slot_crash request={} emitted={}", slot.req.id, slot.emitted),
-                    );
-                }
-                free_slot_ids.push(slot.slot_idx);
-                ready.push(Pending {
-                    req: slot.req,
-                    tokens: Some(slot.tokens),
-                    emitted: slot.emitted,
-                    first_token_us: slot.first_token_us,
-                    crashes: slot.crashes + 1,
-                });
+                self.cancel(seq, CancelReason::ClientDisconnect);
+            } else if crash_at == Some(emitted) {
+                seq.crashes += 1;
+                self.note(format_args!("slot_crash request={id} emitted={emitted}"));
+                self.evict(seq, RequestPhase::Crashed);
             } else {
-                still.push(slot);
+                self.active.push(seq);
             }
         }
-        active = still;
+    }
 
-        // ---- boundary sweep 2: queued fates ---------------------------
-        // Explicit cancels are terminal wherever the request sits. A
-        // deadline only expires a request that never held a slot — once
-        // admitted, the admission deadline is satisfied and a resumed
-        // request keeps running.
-        ready.retain(|p| {
-            if p.req.cancel.is_cancelled_at(clock_us) {
-                stats_cancel_queued(tracer, &mut cancellations, p, clock_us);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: p.req.id,
-                    slot: None,
-                    phase: RequestPhase::Cancelled,
-                });
-                driver.retire(p.req.id);
-                return false;
+    /// Fates of queued requests. Explicit cancels are terminal wherever
+    /// the request sits. A deadline only expires a request that never
+    /// held a slot — once admitted, the admission deadline is satisfied
+    /// and a resumed request keeps running.
+    fn sweep_queue(&mut self) {
+        let now_us = self.clock_us;
+        for seq in std::mem::take(&mut self.ready) {
+            let expired = seq
+                .req
+                .deadline_us
+                .filter(|&d| seq.emitted == 0 && d < now_us);
+            if seq.req.cancel.is_cancelled_at(now_us) {
+                self.cancel(seq, CancelReason::Explicit);
+            } else if let Some(deadline_us) = expired {
+                let reason = RejectReason::DeadlineExpired {
+                    deadline_us,
+                    now_us,
+                };
+                self.reject(seq.req.id, reason);
+            } else {
+                self.ready.push(seq);
             }
-            if p.emitted == 0 {
-                if let Some(d) = p.req.deadline_us {
-                    if d < clock_us {
-                        deadline_misses += 1;
-                        tracer.counter_add("serve.rejected", 1);
-                        tracer.counter_add("serve.deadline_miss", 1);
-                        tracer.instant("serve.deadline_expired", "serve");
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::DeadlineExpired {
-                                deadline_us: d,
-                                now_us: clock_us,
-                            },
-                        });
-                        driver.retire(p.req.id);
-                        return false;
-                    }
-                }
-            }
-            true
-        });
+        }
+        admission_order(&mut self.ready);
+    }
 
-        admission_order(&mut ready, paged.is_some());
+    fn reject(&mut self, id: u64, reason: RejectReason) {
+        self.resolve(Terminal::Rejection(Rejection { id, reason }), None);
+    }
 
-        // ---- TTFT audit: sample the predictor once per request --------
-        // The first boundary that sees a request in the wait queue asks
-        // the same TtftModel the SLO monitor uses what its first-token
-        // time will be; the observed value pairs with it at first emit.
-        if ready
+    /// The first boundary that sees a request in the wait queue asks the
+    /// same [`TtftModel`] the SLO monitor uses what its first-token time
+    /// will be; the observed value pairs with it at first emit.
+    fn audit_ttft(&mut self) {
+        if self
+            .ready
             .iter()
-            .any(|p| !predicted_ttft.contains_key(&p.req.id))
+            .all(|p| self.predicted_ttft.contains_key(&p.req.id))
         {
-            let model = ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref());
-            for (pos, p) in ready.iter().enumerate() {
-                predicted_ttft.entry(p.req.id).or_insert_with(|| {
-                    clock_us
-                        .saturating_add(model.predict_rel_ttft_us(pos))
-                        .saturating_sub(p.req.arrival_us)
-                });
-            }
+            return;
         }
-
-        // ---- SLO monitor: predict, then actuate -----------------------
-        if let Some(slo) = cfg.slo.as_ref() {
-            if !ready.is_empty() {
-                let model = ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref());
-                if let Some(p99) = model.predicted_p99_us(ready.len()) {
-                    tracer.gauge_set("serve.predicted_ttft_p99_s", p99 as f64 / 1e6);
-                    if p99 > slo.ttft_p99_us() {
-                        stats.predicted_violations += 1;
-                        tracer.counter_add("serve.slo_predicted_violations", 1);
-                        if slo.enforce {
-                            // Actuator 1: evict the lowest-priority,
-                            // least-invested slot — but only when slots
-                            // are the bottleneck and the best waiter
-                            // strictly outranks it (one per boundary).
-                            let mut acted = false;
-                            if slo.preempt && active.len() == plan.slots {
-                                let top = ready[0].req.priority;
-                                let victim = active
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, s)| s.req.priority < top)
-                                    .min_by_key(|(_, s)| {
-                                        (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id))
-                                    })
-                                    .map(|(i, _)| i);
-                                if let Some(i) = victim {
-                                    let slot = active.swap_remove(i);
-                                    stats.preemptions += 1;
-                                    tracer.counter_add("serve.preemptions", 1);
-                                    tracer.instant("serve.preempted", "serve");
-                                    obs.lifecycle.push(LifecycleEvent {
-                                        t_us: clock_us,
-                                        dur_us: 0,
-                                        request: slot.req.id,
-                                        slot: Some(slot.slot_idx),
-                                        phase: RequestPhase::Preempted,
-                                    });
-                                    obs.lifecycle.push(LifecycleEvent {
-                                        t_us: clock_us,
-                                        dur_us: 0,
-                                        request: slot.req.id,
-                                        slot: None,
-                                        phase: RequestPhase::Queued,
-                                    });
-                                    if flight.is_enabled() {
-                                        flight.record(
-                                            clock_us,
-                                            "sched",
-                                            format!(
-                                                "preempt request={} emitted={} p99_us={p99}",
-                                                slot.req.id, slot.emitted
-                                            ),
-                                        );
-                                    }
-                                    free_slot_ids.push(slot.slot_idx);
-                                    ready.push(Pending {
-                                        req: slot.req,
-                                        tokens: Some(slot.tokens),
-                                        emitted: slot.emitted,
-                                        first_token_us: slot.first_token_us,
-                                        crashes: slot.crashes,
-                                    });
-                                    admission_order(&mut ready, paged.is_some());
-                                    acted = true;
-                                }
-                            }
-                            // Actuator 2: climb one rung of the
-                            // model-guided fallback ladder (sticky for
-                            // the rest of the run).
-                            if !acted {
-                                if let Some(ladder) = cfg.ladder.as_ref() {
-                                    if let Some(rung) = ladder.rung(degrade_level + 1) {
-                                        degrade_level += 1;
-                                        degrade_factor =
-                                            degrade_factor.min(rung.step_time_factor.max(0.01));
-                                        stats.degradations += 1;
-                                        tracer.counter_add("serve.degradations", 1);
-                                        tracer.gauge_set(
-                                            "serve.degrade_level",
-                                            degrade_level as f64,
-                                        );
-                                        if flight.is_enabled() {
-                                            flight.record(
-                                                clock_us,
-                                                "sched",
-                                                format!(
-                                                    "degrade level={degrade_level} \
-                                                     factor={degrade_factor}"
-                                                ),
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- load shedding: reject doomed admissions up front ---------
-        if let Some(slo) = cfg.slo.as_ref() {
-            if slo.enforce && slo.shed && !ready.is_empty() {
-                let model = ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref());
-                let mut kept = Vec::with_capacity(ready.len());
-                let mut pos = 0usize;
-                for p in ready.drain(..) {
-                    // Never shed a request that already streamed tokens.
-                    if p.emitted > 0 {
-                        kept.push(p);
-                        pos += 1;
-                        continue;
-                    }
-                    let predicted_us = clock_us.saturating_add(model.predict_rel_ttft_us(pos));
-                    let slack_us = p.req.arrival_us.saturating_add(micros(slo.shed_slack_s));
-                    let eff_deadline = p.req.deadline_us.map_or(slack_us, |d| d.min(slack_us));
-                    if predicted_us > eff_deadline {
-                        stats.shed += 1;
-                        deadline_misses += 1;
-                        tracer.counter_add("serve.shed", 1);
-                        tracer.counter_add("serve.rejected", 1);
-                        tracer.counter_add("serve.deadline_miss", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        if flight.is_enabled() {
-                            flight.record(
-                                clock_us,
-                                "sched",
-                                format!(
-                                    "shed request={} predicted_us={predicted_us} \
-                                     deadline_us={eff_deadline}",
-                                    p.req.id
-                                ),
-                            );
-                        }
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::WouldMissDeadline {
-                                deadline_us: eff_deadline,
-                                predicted_ttft_us: predicted_us,
-                            },
-                        });
-                        driver.retire(p.req.id);
-                        // The queue shortened: later requests move up.
-                    } else {
-                        kept.push(p);
-                        pos += 1;
-                    }
-                }
-                ready = kept;
-            }
-        }
-
-        // ---- admit into free slots ------------------------------------
-        // Smallest free timeline index is assigned first.
-        free_slot_ids.sort_unstable_by(|a, b| b.cmp(a));
-        let free = plan.slots.saturating_sub(active.len());
-        let mut candidates: Vec<(Pending, Vec<u32>)> = Vec::new();
-        while candidates.len() < free && !ready.is_empty() {
-            let mut p = ready.remove(0);
-            match p.tokens.take() {
-                // A resume carries its cached stream; it was validated
-                // at first admission.
-                Some(tokens) => candidates.push((p, tokens)),
-                None => {
-                    if let Err(EngineError::InvalidRequest { reason }) = validate_request(
-                        backend.model(),
-                        std::slice::from_ref(&p.req.prompt),
-                        p.req.gen_len,
-                        1,
-                    ) {
-                        tracer.counter_add("serve.rejected", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::Invalid(reason),
-                        });
-                        driver.retire(p.req.id);
-                        continue;
-                    }
-                    match backend.materialize(&p.req) {
-                        Ok(tokens) => candidates.push((p, tokens)),
-                        Err(e) => {
-                            tracer.counter_add("serve.rejected", 1);
-                            obs.lifecycle.push(LifecycleEvent {
-                                t_us: clock_us,
-                                dur_us: 0,
-                                request: p.req.id,
-                                slot: None,
-                                phase: RequestPhase::Shed,
-                            });
-                            rejections.push(Rejection {
-                                id: p.req.id,
-                                reason: RejectReason::AdmissionFailed(e.to_string()),
-                            });
-                            driver.retire(p.req.id);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Slab mode pads the group to its longest (effective) prompt and
-        // leases the padded worst case so a slot never outgrows its
-        // reservation. Paged mode reserves exactly the pages `known +
-        // generation` can touch — no padding, and prompt prefixes
-        // already resident in the pool are mapped instead of refilled.
-        // A resume's effective prompt includes its generated prefix,
-        // whose re-prefill is the (only) cost of resumption.
-        let pad_len = candidates
-            .iter()
-            .map(|(p, _)| p.effective_prompt_len())
-            .max()
-            .unwrap_or(0);
-        // Longest span of *unshared* known tokens in the admitted group:
-        // what paged-mode prefill actually pays for.
-        let mut prefill_span = 0usize;
-        let mut admitted: Vec<Slot> = Vec::new();
-        for (mut p, tokens) in candidates {
-            let remaining = tokens.len() - p.emitted;
-            let on_retry = |_: u32, _: &lm_engine::PoolExhausted| {
-                cfg.fault.note_retry();
-                tracer.counter_add("serve.admission_retries", 1);
-            };
-            let paged_known: Option<Vec<u32>> = paged.as_ref().map(|_| {
-                p.req
-                    .prompt
-                    .iter()
-                    .chain(&tokens[..p.emitted])
-                    .copied()
-                    .collect()
+        let model = self.ttft_model();
+        let now_us = self.clock_us;
+        for (pos, p) in self.ready.iter().enumerate() {
+            self.predicted_ttft.entry(p.req.id).or_insert_with(|| {
+                now_us
+                    .saturating_add(model.predict_rel_ttft_us(pos))
+                    .saturating_sub(p.req.arrival_us)
             });
-            let (mut grant, demand_bytes) = match (paged.as_ref(), paged_known.as_ref()) {
-                (Some(pp), Some(known)) => {
-                    let demand =
-                        pp.required_pages(known.len(), remaining) * pp.cfg().page_bytes();
-                    let grant = cfg
-                        .retry
-                        .run(|_| pp.admit(known, remaining).map(SlotKv::Paged), on_retry);
-                    (grant, demand)
-                }
-                _ => {
-                    let bytes = backend.kv_bytes_at(pad_len + remaining);
-                    let grant = cfg
-                        .retry
-                        .run(|_| pool.alloc(bytes).map(SlotKv::Slab), on_retry);
-                    (grant, bytes)
-                }
-            };
-            // ---- deadline rescue (paged only) -------------------------
-            // A queued deadline-holder must not starve behind residents
-            // that have no clock on them: page granularity makes partial
-            // eviction cheap, so reclaim pages from the least-invested
-            // active slots until the grant fits. The victim re-queues
-            // with its stream cached and resumes when pages free up —
-            // its own admission deadline (if any) was satisfied the
-            // moment it first held a slot, so nothing is lost but the
-            // re-prefill of its generated prefix.
-            if grant.is_err()
-                && p.emitted == 0
-                && p.req.deadline_us.is_some()
-                && demand_bytes <= pool.capacity()
+        }
+    }
+
+    /// Predict p99 TTFT over the wait queue, then actuate (at most one
+    /// action per boundary).
+    fn slo_monitor(&mut self) {
+        let Some(slo) = self.cfg.slo.as_ref() else {
+            return;
+        };
+        let Some(p99) = self.predicted_p99_us() else {
+            return;
+        };
+        self.tracer
+            .gauge_set("serve.predicted_ttft_p99_s", p99 as f64 / 1e6);
+        if p99 <= slo.ttft_p99_us() {
+            return;
+        }
+        self.out.stats.predicted_violations += 1;
+        self.tracer.counter_add("serve.slo_predicted_violations", 1);
+        if !slo.enforce {
+            return;
+        }
+        // Actuator 1: evict the lowest-priority, least-invested slot —
+        // but only when slots are the bottleneck and the best waiter
+        // strictly outranks it.
+        if slo.preempt && self.active.len() == self.plan.slots {
+            if let Some(i) = self.least_invested(Some(self.ready[0].req.priority)) {
+                let victim = self.active.swap_remove(i);
+                let (id, emitted) = (victim.req.id, victim.emitted);
+                self.note(format_args!(
+                    "preempt request={id} emitted={emitted} p99_us={p99}"
+                ));
+                self.evict(victim, RequestPhase::Preempted);
+                admission_order(&mut self.ready);
+                return;
+            }
+        }
+        // Actuator 2: climb one rung of the model-guided fallback ladder
+        // (sticky for the rest of the run).
+        let Some(ladder) = self.cfg.ladder.as_ref() else {
+            return;
+        };
+        if let Some(rung) = ladder.rung(self.degrade_level + 1) {
+            self.degrade_level += 1;
+            self.degrade_factor = self.degrade_factor.min(rung.step_time_factor.max(0.01));
+            self.out.stats.degradations += 1;
+            self.tracer.counter_add("serve.degradations", 1);
+            self.tracer
+                .gauge_set("serve.degrade_level", self.degrade_level as f64);
+            self.note(format_args!(
+                "degrade level={} factor={}",
+                self.degrade_level, self.degrade_factor
+            ));
+        }
+    }
+
+    /// Load shedding: reject doomed admissions up front.
+    fn shed(&mut self) {
+        let armed = |s: &&SloPolicy| s.enforce && s.shed && !self.ready.is_empty();
+        let Some(slo) = self.cfg.slo.as_ref().filter(armed) else {
+            return;
+        };
+        let model = self.ttft_model();
+        // Queue position among the kept: each shed moves the rest up.
+        let mut pos = 0usize;
+        for seq in std::mem::take(&mut self.ready) {
+            let predicted_us = self.clock_us.saturating_add(model.predict_rel_ttft_us(pos));
+            let slack_us = seq.req.arrival_us.saturating_add(micros(slo.shed_slack_s));
+            let deadline_us = seq.req.deadline_us.map_or(slack_us, |d| d.min(slack_us));
+            // Never shed a request that already streamed tokens.
+            if seq.emitted == 0 && predicted_us > deadline_us {
+                let (id, predicted_ttft_us) = (seq.req.id, predicted_us);
+                self.note(format_args!(
+                    "shed request={id} predicted_us={predicted_us} deadline_us={deadline_us}"
+                ));
+                let reason = RejectReason::WouldMissDeadline {
+                    deadline_us,
+                    predicted_ttft_us,
+                };
+                self.reject(id, reason);
+            } else {
+                self.ready.push(seq);
+                pos += 1;
+            }
+        }
+    }
+
+    /// Admit into free slots, then charge the admitted group's prefill.
+    fn admit(&mut self) {
+        // Smallest free timeline index is assigned first.
+        self.free_slot_ids.sort_unstable_by(|a, b| b.cmp(a));
+        // Longest span of *unshared* known tokens in the admitted group:
+        // what prefill actually pays for (shared-prefix KV is already
+        // resident).
+        let mut prefill_span = 0usize;
+        let mut admitted: Vec<Seq> = Vec::new();
+        for seq in self.candidates() {
+            // Reserve exactly the pages `known + generation` can touch.
+            // A resume's known tokens include its generated prefix,
+            // whose re-prefill is the (only) cost of resumption.
+            let remaining = seq.remaining();
+            let known = [&seq.req.prompt[..], &seq.stream()[..seq.emitted]].concat();
+            let demand_bytes =
+                self.pages.required_pages(known.len(), remaining) * self.pages.cfg().page_bytes();
+            let mut grant = self.grant(&known, remaining);
+            // Deadline rescue: a queued deadline-holder must not starve
+            // behind residents that have no clock on them. Page
+            // granularity makes partial eviction cheap, so reclaim pages
+            // from the least-invested residents until the grant fits.
+            // The victim re-queues with its stream cached — its own
+            // admission deadline (if any) was satisfied the moment it
+            // first held a slot, so nothing is lost but the re-prefill
+            // of its generated prefix.
+            if seq.emitted == 0
+                && seq.req.deadline_us.is_some()
+                && demand_bytes <= self.pool.capacity()
             {
-                if let (Some(pp), Some(known)) = (paged.as_ref(), paged_known.as_ref()) {
-                    while grant.is_err() {
-                        let victim = active
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| {
-                                (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id))
-                            })
-                            .map(|(i, _)| i);
-                        let Some(i) = victim else { break };
-                        let Slot {
-                            req: v_req,
-                            tokens: v_tokens,
-                            emitted: v_emitted,
-                            first_token_us: v_first_token_us,
-                            crashes: v_crashes,
-                            slot_idx: v_slot_idx,
-                            kv: v_kv,
-                            ..
-                        } = active.swap_remove(i);
-                        // Return the victim's pages to the pool before
-                        // retrying the grant.
-                        drop(v_kv);
-                        stats.preemptions += 1;
-                        tracer.counter_add("serve.preemptions", 1);
-                        tracer.instant("serve.preempted", "serve");
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: v_req.id,
-                            slot: Some(v_slot_idx),
-                            phase: RequestPhase::Preempted,
-                        });
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: v_req.id,
-                            slot: None,
-                            phase: RequestPhase::Queued,
-                        });
-                        if flight.is_enabled() {
-                            flight.record(
-                                clock_us,
-                                "sched",
-                                format!(
-                                    "deadline-rescue preempt request={} pages for request={}",
-                                    v_req.id, p.req.id
-                                ),
-                            );
-                        }
-                        free_slot_ids.push(v_slot_idx);
-                        ready.push(Pending {
-                            req: v_req,
-                            tokens: Some(v_tokens),
-                            emitted: v_emitted,
-                            first_token_us: v_first_token_us,
-                            crashes: v_crashes,
-                        });
-                        grant = cfg
-                            .retry
-                            .run(|_| pp.admit(known, remaining).map(SlotKv::Paged), on_retry);
-                    }
+                while let Some(i) = grant.is_err().then(|| self.least_invested(None)).flatten() {
+                    let victim = self.active.swap_remove(i);
+                    self.note(format_args!(
+                        "deadline-rescue preempt request={} pages for request={}",
+                        victim.req.id, seq.req.id
+                    ));
+                    self.evict(victim, RequestPhase::Preempted);
+                    grant = self.grant(&known, remaining);
                 }
             }
             match grant {
                 Ok(kv) => {
-                    let context = match &kv {
-                        // Exact residency: attention runs over the real
-                        // sequence, and no padding tokens are charged.
-                        SlotKv::Paged(seq) => {
-                            let shared = seq.shared_tokens();
-                            if shared > 0 {
-                                tracer.counter_add("serve.shared_prefix_hits", 1);
-                                tracer.counter_add("serve.shared_tokens", shared as u64);
-                            }
-                            prefill_span =
-                                prefill_span.max(p.effective_prompt_len() - shared);
-                            p.effective_prompt_len() as u64
-                        }
-                        SlotKv::Slab(_) => {
-                            let pad_tokens = (pad_len - p.effective_prompt_len()) as u64;
-                            padding += pad_tokens;
-                            tracer.counter_add("serve.padding_tokens", pad_tokens);
-                            prefill_span = pad_len;
-                            pad_len as u64
-                        }
-                    };
-                    tracer.counter_add("serve.admitted", 1);
-                    stats.admitted += 1;
-                    let slot_idx = free_slot_ids.pop().unwrap_or(0);
-                    obs.lifecycle.push(LifecycleEvent {
-                        t_us: clock_us,
-                        dur_us: 0,
-                        request: p.req.id,
-                        slot: Some(slot_idx),
-                        phase: RequestPhase::Admitted,
-                    });
-                    if flight.is_enabled() {
-                        flight.record(
-                            clock_us,
-                            "sched",
-                            format!(
-                                "admit request={} slot={slot_idx} lease_bytes={demand_bytes}",
-                                p.req.id
-                            ),
-                        );
-                    }
-                    // This admission's injected fates: both land at least
-                    // one token ahead, so every admission makes progress
-                    // and crash-retries terminate.
-                    let emitted = p.emitted;
-                    let fate = move |frac: f64| {
-                        emitted + ((frac * remaining as f64).floor() as usize).max(1)
-                    };
-                    let disconnect_at =
-                        cfg.fault.client_disconnect("serve.slot", p.req.id).map(fate);
-                    let crash_at = cfg
-                        .fault
-                        .slot_crash("serve.slot", p.req.id, p.crashes)
-                        .map(fate);
-                    admitted.push(Slot {
-                        tokens,
-                        emitted: p.emitted,
-                        context,
-                        first_token_us: p.first_token_us,
-                        disconnect_at,
-                        crash_at,
-                        crashes: p.crashes,
-                        slot_idx,
-                        req: p.req,
-                        kv,
-                    });
+                    prefill_span = prefill_span.max(seq.context() - kv.shared_tokens());
+                    admitted.push(self.seat(seq, kv, demand_bytes));
                 }
-                Err(err) => {
-                    if demand_bytes > pool.capacity() {
-                        // Unservable under this plan, ever.
-                        tracer.counter_add("serve.rejected", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::PoolOverCommit {
-                                bytes: demand_bytes,
-                                capacity: pool.capacity(),
-                            },
-                        });
-                        driver.retire(p.req.id);
-                    } else if active.is_empty() && admitted.is_empty() {
-                        // Nothing holds a lease, so waiting frees no
-                        // bytes: the failure is not transient.
-                        tracer.counter_add("serve.rejected", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::AdmissionFailed(err.to_string()),
-                        });
-                        driver.retire(p.req.id);
-                    } else {
-                        // Defer to the next boundary; leases retire there.
-                        tracer.counter_add("serve.deferred", 1);
-                        p.tokens = Some(tokens);
-                        ready.push(p);
-                    }
+                // Unservable under this plan, ever.
+                Err(_) if demand_bytes > self.pool.capacity() => {
+                    let (bytes, capacity) = (demand_bytes, self.pool.capacity());
+                    self.reject(seq.req.id, RejectReason::PoolOverCommit { bytes, capacity });
+                }
+                // Nothing holds KV, so waiting frees no bytes: the failure
+                // is not transient.
+                Err(err) if self.active.is_empty() && admitted.is_empty() => {
+                    self.reject(seq.req.id, RejectReason::AdmissionFailed(err.to_string()));
+                }
+                // Defer: residents retire at later boundaries and free
+                // their pages.
+                Err(_) => {
+                    self.tracer.counter_add("serve.deferred", 1);
+                    self.ready.push(seq);
                 }
             }
         }
-
-        if !admitted.is_empty() {
-            // Paged mode prefills only unshared tokens (shared-prefix KV
-            // is already resident); slab mode pays the padded envelope.
-            let dt = backend.prefill_seconds(prefill_span.max(1), admitted.len()) * degrade_factor;
-            let prefill_start = clock_us;
-            clock_us += micros(dt);
-            tracer.histogram_record("serve.prefill_s", dt);
-            for slot in &admitted {
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: prefill_start,
-                    dur_us: micros(dt),
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Prefill,
-                });
-            }
-            active.extend(admitted);
+        if admitted.is_empty() {
+            return;
         }
+        let dt = self
+            .backend
+            .prefill_seconds(prefill_span.max(1), admitted.len())
+            * self.degrade_factor;
+        let (start, dur) = (self.clock_us, micros(dt));
+        self.clock_us += dur;
+        self.tracer.histogram_record("serve.prefill_s", dt);
+        for seq in &admitted {
+            self.record(start, dur, RequestPhase::Prefill, seq.req.id, seq.slot());
+        }
+        self.active.extend(admitted);
+    }
 
-        tracer.gauge_set("serve.queue_depth", (ready.len() + queue.len()) as f64);
-        tracer.gauge_set(
-            "serve.slot_occupancy",
-            active.len() as f64 / plan.slots.max(1) as f64,
-        );
-        // Per-boundary state sample (post-admission, pre-decode): what
-        // the drift audit integrates and the timeline's counter tracks.
-        let predicted_p99 = if ready.is_empty() {
-            None
-        } else {
-            ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref())
-                .predicted_p99_us(ready.len())
-        };
-        obs.boundaries.push(BoundaryObs {
-            t_us: clock_us,
-            queued: ready.len(),
-            pending_arrivals: queue.len(),
-            active_slots: active.len(),
-            slots: plan.slots,
-            pages_in_use: paged
-                .as_ref()
-                .map(|pp| pp.pages_in_use() as u64)
-                .unwrap_or(0),
-            pages_demand: paged
-                .as_ref()
-                .map(|pp| {
-                    active
-                        .iter()
-                        .map(|s| pp.required_pages(s.req.prompt.len(), s.req.gen_len) as u64)
-                        .sum()
-                })
-                .unwrap_or(0),
-            predicted_ttft_p99_us: predicted_p99,
-            degrade_factor,
+    /// Pull admission candidates off the head of the wait queue, one per
+    /// free slot, materializing the token stream of first-timers (a
+    /// resume carries its cached stream; it was validated then).
+    fn candidates(&mut self) -> Vec<Seq> {
+        let free = self.plan.slots.saturating_sub(self.active.len());
+        let mut picked: Vec<Seq> = Vec::new();
+        while picked.len() < free && !self.ready.is_empty() {
+            let mut seq = self.ready.remove(0);
+            if seq.tokens.is_none() {
+                match token_stream(self.backend, &seq.req) {
+                    Ok(tokens) => seq.tokens = Some(tokens),
+                    Err(reason) => {
+                        self.reject(seq.req.id, reason);
+                        continue;
+                    }
+                }
+            }
+            picked.push(seq);
+        }
+        picked
+    }
+
+    /// Ask the page pool for a page table over `known` plus `remaining`
+    /// generated tokens, retrying transient pressure under the
+    /// configured policy.
+    fn grant(&self, known: &[u32], remaining: usize) -> Result<SeqKv, RetryError<PoolExhausted>> {
+        self.cfg.retry.run(
+            |_| self.pages.admit(known, remaining),
+            |_, _| {
+                self.cfg.fault.note_retry();
+                self.tracer.counter_add("serve.admission_retries", 1);
+            },
+        )
+    }
+
+    /// Put a granted candidate on a slot and draw this admission's
+    /// injected fates.
+    fn seat(&mut self, mut seq: Seq, kv: SeqKv, demand_bytes: usize) -> Seq {
+        let id = seq.req.id;
+        let shared = kv.shared_tokens();
+        if shared > 0 {
+            self.tracer.counter_add("serve.shared_prefix_hits", 1);
+            self.tracer
+                .counter_add("serve.shared_tokens", shared as u64);
+        }
+        let slot_idx = self.free_slot_ids.pop().unwrap_or(0);
+        self.emit(RequestPhase::Admitted, id, Some(slot_idx));
+        self.note(format_args!(
+            "admit request={id} slot={slot_idx} lease_bytes={demand_bytes}"
+        ));
+        // Both fates land at least one token ahead, so every admission
+        // makes progress and crash-retries terminate.
+        let (emitted, remaining) = (seq.emitted, seq.remaining());
+        let fate = move |frac: f64| emitted + ((frac * remaining as f64).floor() as usize).max(1);
+        let fault = &self.cfg.fault;
+        seq.seat = Some(Seat {
+            slot_idx,
+            kv,
+            disconnect_at: fault.client_disconnect("serve.slot", id).map(fate),
+            crash_at: fault.slot_crash("serve.slot", id, seq.crashes).map(fate),
         });
+        seq
+    }
 
-        if active.is_empty() {
-            // Everything at this boundary was rejected; wait for traffic.
-            continue;
-        }
+    /// Per-boundary state sample (post-admission, pre-decode): what the
+    /// drift audit integrates and the timeline's counter tracks.
+    fn sample_boundary(&mut self) {
+        self.tracer.gauge_set(
+            "serve.queue_depth",
+            (self.ready.len() + self.queue.len()) as f64,
+        );
+        self.tracer.gauge_set(
+            "serve.slot_occupancy",
+            self.active.len() as f64 / self.plan.slots.max(1) as f64,
+        );
+        self.observe();
+    }
 
-        // ---- one decode step over the whole block ---------------------
-        let contexts: Vec<u64> = active.iter().map(|s| s.context).collect();
-        let dt = backend.decode_step_seconds(&contexts) * degrade_factor;
-        let step_start = clock_us;
-        clock_us += micros(dt);
-        tracer.histogram_record("serve.step_s", dt);
-        // An injected transfer stall stretches this boundary (virtually).
-        boundary += 1;
-        if let Some(stall) = cfg.fault.transfer_stall("serve.step", boundary) {
+    /// p99 TTFT the model predicts over the wait queue; `None` (and no
+    /// cost-model call) when nothing waits.
+    fn predicted_p99_us(&self) -> Option<u64> {
+        let queued = self.ready.len();
+        (queued > 0).then(|| self.ttft_model().predicted_p99_us(queued))?
+    }
+
+    fn observe(&mut self) {
+        let predicted_ttft_p99_us = self.predicted_p99_us();
+        let pages = &self.pages;
+        self.out.obs.boundaries.push(BoundaryObs {
+            t_us: self.clock_us,
+            queued: self.ready.len(),
+            pending_arrivals: self.queue.len(),
+            active_slots: self.active.len(),
+            slots: self.plan.slots,
+            pages_in_use: pages.pages_in_use() as u64,
+            pages_demand: self
+                .active
+                .iter()
+                .map(|s| pages.required_pages(s.req.prompt.len(), s.req.gen_len) as u64)
+                .sum(),
+            predicted_ttft_p99_us,
+            degrade_factor: self.degrade_factor,
+        });
+    }
+
+    /// One decode step over the whole block: one token to every resident
+    /// sequence.
+    fn decode_step(&mut self) -> Result<(), ServeError> {
+        // Exact residency: attention runs over each real sequence.
+        let contexts: Vec<u64> = self.active.iter().map(|s| s.context() as u64).collect();
+        let dt = self.backend.decode_step_seconds(&contexts) * self.degrade_factor;
+        let step_start = self.clock_us;
+        self.clock_us += micros(dt);
+        self.tracer.histogram_record("serve.step_s", dt);
+        // An injected transfer stall stretches this step (virtually).
+        self.steps += 1;
+        if let Some(stall) = self.cfg.fault.transfer_stall("serve.step", self.steps) {
             let stall_s = stall.as_secs_f64();
-            clock_us += micros(stall_s);
-            tracer.histogram_record("serve.stall_s", stall_s);
+            self.clock_us += micros(stall_s);
+            self.tracer.histogram_record("serve.stall_s", stall_s);
         }
         // A real-time driver blocks here until wall time catches the
         // modelled clock and may return a later value, so wall jitter
         // flows into step accounting, TTFT, and the deadline machinery.
         // The virtual driver is the identity.
-        clock_us = driver.pace(clock_us);
-        let step_dur = clock_us - step_start;
+        self.clock_us = self.driver.pace(self.clock_us);
+        let step_dur = self.clock_us - step_start;
 
-        for slot in &mut active {
-            let token = slot.tokens[slot.emitted];
-            match driver.deliver(TokenEvent {
-                request_id: slot.req.id,
-                index: slot.emitted,
+        let mut active = std::mem::take(&mut self.active);
+        for seq in &mut active {
+            let id = seq.req.id;
+            let token = seq.stream()[seq.emitted];
+            let delivery = self.driver.deliver(TokenEvent {
+                request_id: id,
+                index: seq.emitted,
                 token,
-                t_us: clock_us,
-            }) {
-                Delivery::Delivered => {}
-                failed => {
-                    // Keep generating this step (the block already paid
-                    // for it); the next boundary sweep resolves the
-                    // request as a client disconnect.
-                    transport_drops.entry(slot.req.id).or_insert(failed);
-                }
-            }
-            // Land the token's KV in the slot's page table; a page still
-            // shared with another sequence forks copy-on-write here.
-            if let SlotKv::Paged(seq) = &mut slot.kv {
-                seq.append(token)?;
-            }
-            slot.emitted += 1;
-            slot.context += 1;
-            generated += 1;
-            tracer.counter_add("serve.tokens", 1);
-            obs.lifecycle.push(LifecycleEvent {
-                t_us: step_start,
-                dur_us: step_dur,
-                request: slot.req.id,
-                slot: Some(slot.slot_idx),
-                phase: RequestPhase::Decode,
+                t_us: self.clock_us,
             });
-            if slot.first_token_us.is_none() {
-                slot.first_token_us = Some(clock_us);
-                let observed_us = clock_us.saturating_sub(slot.req.arrival_us);
-                tracer.histogram_record("serve.ttft_s", observed_us as f64 / 1e6);
-                if let Some(&predicted_us) = predicted_ttft.get(&slot.req.id) {
-                    obs.ttft.push(TtftSample {
-                        request: slot.req.id,
-                        predicted_us,
-                        observed_us,
-                    });
-                }
-                // A realized first token past the TTFT objective is the
-                // breach the flight recorder freezes on.
-                if flight.is_enabled() {
-                    if let Some(slo) = cfg.slo.as_ref() {
-                        if observed_us > slo.ttft_p99_us() {
-                            flight.trigger(
-                                &format!(
-                                    "slo_breach: request {} ttft {:.6}s > objective {:.6}s",
-                                    slot.req.id,
-                                    observed_us as f64 / 1e6,
-                                    slo.ttft_p99_s
-                                ),
-                                clock_us,
-                                tracer.snapshot().metrics,
-                            );
-                        }
-                    }
-                }
+            if delivery != Delivery::Delivered {
+                // Keep generating this step (the block already paid for
+                // it); the next slot sweep resolves the request as a
+                // client disconnect.
+                self.transport_drops.entry(id).or_insert(delivery);
+            }
+            // Land the token's KV in the page table; a page still shared
+            // with another sequence forks copy-on-write here.
+            if let Some(seat) = seq.seat.as_mut() {
+                seat.kv.append(token)?;
+            }
+            seq.emitted += 1;
+            self.out.generated_tokens += 1;
+            self.tracer.counter_add("serve.tokens", 1);
+            self.record(step_start, step_dur, RequestPhase::Decode, id, seq.slot());
+            if seq.first_token_us.is_none() {
+                seq.first_token_us = Some(self.clock_us);
+                self.first_token(seq);
             }
         }
-
-        // ---- retire finished sequences (leases drop here) -------------
-        let mut kept = Vec::with_capacity(active.len());
-        for slot in active.drain(..) {
-            if slot.emitted >= slot.tokens.len() {
-                stats.completed += 1;
-                tracer.counter_add("serve.completed", 1);
-                tracer.histogram_record(
-                    "serve.latency_s",
-                    (clock_us.saturating_sub(slot.req.arrival_us)) as f64 / 1e6,
-                );
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Done,
-                });
-                free_slot_ids.push(slot.slot_idx);
-                // A transport failure on the final step loses the race:
-                // the stream is complete, so the request resolves as a
-                // response (matching the virtual path, where the last
-                // token always lands before any fate is swept).
-                transport_drops.remove(&slot.req.id);
-                responses.push(Response {
-                    id: slot.req.id,
-                    tokens: slot.tokens,
-                    arrival_us: slot.req.arrival_us,
-                    first_token_us: slot.first_token_us.unwrap_or(clock_us),
-                    finish_us: clock_us,
-                });
-                driver.retire(slot.req.id);
-            } else {
-                kept.push(slot);
-            }
-        }
-        active = kept;
+        self.active = active;
+        Ok(())
     }
 
-    debug_assert_eq!(
-        responses.len() + rejections.len() + cancellations.len(),
-        total
-    );
-    debug_assert!(stats.admissions_balanced(), "admissions must conserve");
-    let (kv_pages_peak, kv_pages_leaked, paging) = match paged.as_ref() {
-        Some(pp) => {
-            // Live LMA28x check: with every sequence retired, refcounts,
-            // page residency, and MemPool byte accounting must all be
-            // back at quiescence, and no write may ever have landed on a
-            // shared page.
-            debug_assert!(pp.accounting_balanced(), "page/byte accounting diverged");
-            let counters = pp.counters();
-            let s = pp.stats();
-            let probe = lm_analyze::PagingProbe {
-                page_tokens: plan.page_tokens,
-                page_bytes: plan.page_bytes,
-                bytes_per_token: plan.page_bytes / plan.page_tokens.max(1),
-                kv_block_tokens: plan.slot_context as u64,
-                pages_total: plan.pages_total,
-                pages_in_use: counters.pages_in_use,
-                page_refcount_sum: counters.refcount_sum,
-                seq_mapped_pages: counters.refcount_sum,
-                shared_write_violations: s.shared_write_violations,
-            };
-            debug_assert!(
-                lm_analyze::lint_paging(&probe).is_clean(),
-                "{}",
-                lm_analyze::lint_paging(&probe)
-            );
-            (pp.peak_pages() as u64, pp.pages_in_use() as u64, s)
+    /// A request's first token landed: close its TTFT audit pair, and
+    /// freeze the flight recorder if it breached the objective.
+    fn first_token(&mut self, seq: &Seq) {
+        let id = seq.req.id;
+        let observed_us = self.clock_us.saturating_sub(seq.req.arrival_us);
+        self.tracer
+            .histogram_record("serve.ttft_s", observed_us as f64 / 1e6);
+        if let Some(&predicted_us) = self.predicted_ttft.get(&id) {
+            self.out.obs.ttft.push(TtftSample {
+                request: id,
+                predicted_us,
+                observed_us,
+            });
         }
-        None => (0, 0, lm_kvpool::PagingStats::default()),
-    };
-    responses.sort_by_key(|r| r.id);
-    rejections.sort_by_key(|r| r.id);
-    cancellations.sort_by_key(|c| c.id);
-    Ok((
-        plan,
+        let flight = &self.cfg.flight;
+        let breached = |s: &&SloPolicy| flight.is_enabled() && observed_us > s.ttft_p99_us();
+        if let Some(slo) = self.cfg.slo.as_ref().filter(breached) {
+            flight.trigger(
+                &format!(
+                    "slo_breach: request {id} ttft {:.6}s > objective {:.6}s",
+                    observed_us as f64 / 1e6,
+                    slo.ttft_p99_s
+                ),
+                self.clock_us,
+                self.tracer.snapshot().metrics,
+            );
+        }
+    }
+
+    /// Retire finished sequences; their pages return to the pool here.
+    fn retire(&mut self) {
+        for mut seq in std::mem::take(&mut self.active) {
+            if seq.remaining() > 0 {
+                self.active.push(seq);
+                continue;
+            }
+            let latency_us = self.clock_us.saturating_sub(seq.req.arrival_us);
+            self.tracer
+                .histogram_record("serve.latency_s", latency_us as f64 / 1e6);
+            // A transport failure on the final step loses the race: the
+            // stream is complete, so the request resolves as a response
+            // (matching the virtual path, where the last token always
+            // lands before any fate is swept).
+            self.transport_drops.remove(&seq.req.id);
+            let slot = self.vacate(&mut seq);
+            let response = Response {
+                id: seq.req.id,
+                tokens: seq.tokens.unwrap_or_default(),
+                arrival_us: seq.req.arrival_us,
+                first_token_us: seq.first_token_us.unwrap_or(self.clock_us),
+                finish_us: self.clock_us,
+            };
+            self.resolve(Terminal::Response(response), slot);
+        }
+    }
+
+    // ---- prediction and wrap-up --------------------------------------
+
+    /// Snapshot the analytic TTFT predictor's inputs. Step time and
+    /// prefill come from the same cost source the boundary charger uses,
+    /// scaled by the current degrade factor — the model that times the
+    /// run predicts it.
+    ///
+    /// The plan's slot count is only a ceiling: pages are the binding
+    /// resource (DESIGN.md §14). The predictor therefore prices
+    /// `free_slots` by walking the wait queue in admission order until
+    /// the pool's free pages run out, and caps turnover concurrency at
+    /// what the pool can hold at the *observed* per-sequence page
+    /// residency. The queue and slot state differ between the phases
+    /// that ask, so nothing here is cached across them.
+    fn ttft_model(&self) -> TtftModel {
+        let (plan, pages) = (self.plan, &self.pages);
+        let mut remaining: Vec<u64> = self.active.iter().map(|s| s.remaining() as u64).collect();
+        remaining.sort_unstable();
+        let queued_steps: u64 = self.ready.iter().map(|p| p.owed() as u64).sum();
+        let n = (remaining.len() + self.ready.len()).max(1);
+        let mean_gen_steps = (remaining.iter().sum::<u64>() + queued_steps) as f64 / n as f64;
+        let pad_guess = self.ready.iter().map(Seq::context).max().unwrap_or(1);
+        // Immediate admissions: queue positions fit until free pages do.
+        let free_slots = plan.slots.saturating_sub(self.active.len());
+        let mut pages_free = pages.capacity_pages().saturating_sub(pages.pages_in_use());
+        let mut free = 0usize;
+        for p in self.ready.iter().take(free_slots) {
+            let need = pages.required_pages(p.context(), p.owed());
+            if need > pages_free {
+                break;
+            }
+            pages_free -= need;
+            free += 1;
+        }
+        // Turnover concurrency: observed residency when sequences are
+        // resident, the plan's expected half-envelope otherwise.
+        let mapped: usize = self
+            .active
+            .iter()
+            .filter_map(|s| s.seat.as_ref())
+            .map(|seat| seat.kv.mapped_pages())
+            .sum();
+        let per_seq = if self.active.is_empty() || mapped == 0 {
+            (plan.pages_per_slot.div_ceil(2).max(1)) as usize
+        } else {
+            (mapped / self.active.len()).max(1)
+        };
+        let slots = plan.slots.min((pages.capacity_pages() / per_seq).max(1));
+        // Step quote over the live contexts plus this boundary's
+        // admissions. The plan's `est_step_seconds` is a full-occupancy,
+        // full-context envelope — fine for capacity planning, but as a
+        // TTFT term it over-quotes every step of a partially filled
+        // block.
+        let mut contexts: Vec<u64> = self.active.iter().map(|s| s.context() as u64).collect();
+        contexts.extend(self.ready.iter().take(free).map(|p| p.context() as u64 + 1));
+        let step_s = if contexts.is_empty() {
+            plan.est_step_seconds
+        } else {
+            self.backend.decode_step_seconds(&contexts)
+        };
+        TtftModel {
+            slots,
+            free_slots: free,
+            remaining_sorted: remaining,
+            mean_gen_steps,
+            prefill_s: self.backend.prefill_seconds(pad_guess, free.max(1)) * self.degrade_factor,
+            step_s: step_s * self.degrade_factor,
+        }
+    }
+
+    fn finish(self) -> ServeOutcome {
+        let (plan, pages) = (self.plan, &self.pages);
+        debug_assert_eq!(self.out.terminal_count(), self.submitted);
+        debug_assert!(
+            self.out.stats.admissions_balanced(),
+            "admissions must conserve"
+        );
+        // Live LMA28x check: with every sequence retired, refcounts,
+        // page residency, and MemPool byte accounting must all be back
+        // at quiescence, and no write may ever have landed on a shared
+        // page.
+        debug_assert!(pages.accounting_balanced(), "page/byte accounting diverged");
+        let counters = pages.counters();
+        let paging = pages.stats();
+        let probe = lm_analyze::PagingProbe {
+            pages_in_use: counters.pages_in_use,
+            page_refcount_sum: counters.refcount_sum,
+            seq_mapped_pages: counters.refcount_sum,
+            shared_write_violations: paging.shared_write_violations,
+            ..plan.paging_probe()
+        };
+        debug_assert!(
+            lm_analyze::lint_paging(&probe).is_clean(),
+            "{}",
+            lm_analyze::lint_paging(&probe)
+        );
         ServeOutcome {
-            responses,
-            rejections,
-            cancellations,
-            sim_seconds: clock_us as f64 / 1e6,
-            generated_tokens: generated,
-            padding_tokens: padding,
-            kv_peak_bytes: pool.peak(),
-            kv_leaked_bytes: pool.used(),
-            deadline_misses,
-            stats,
-            kv_pages_peak,
-            kv_pages_leaked,
+            kv_peak_bytes: self.pool.peak(),
+            kv_leaked_bytes: self.pool.used(),
+            kv_pages_peak: pages.peak_pages() as u64,
+            kv_pages_leaked: pages.pages_in_use() as u64,
             shared_prefix_hits: paging.shared_hits,
             shared_tokens: paging.shared_tokens,
             cow_forks: paging.cow_forks,
-            obs,
-        },
-    ))
-}
-
-/// Terminalize a queued request whose cancel token fired (shared by the
-/// retain sweep, which cannot move out of its closure argument).
-fn stats_cancel_queued(
-    tracer: &lm_trace::Tracer,
-    cancellations: &mut Vec<Cancellation>,
-    p: &Pending,
-    clock_us: u64,
-) {
-    tracer.counter_add("serve.cancelled", 1);
-    cancellations.push(Cancellation {
-        id: p.req.id,
-        reason: CancelReason::Explicit,
-        delivered: p.emitted,
-        cancel_us: clock_us,
-    });
-}
-
-/// Baseline 1: one call per request, in arrival order — each request
-/// pays its own full weight stream (no amortisation at all).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).mode(ServeMode::Sequential).run(requests)`"
-)]
-pub fn serve_sequential(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    run_sequential(backend, cfg, requests)
-}
-
-pub(crate) fn run_sequential(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    let tracer = &cfg.tracer;
-    let mut queue: Vec<Request> = requests;
-    queue.sort_by_key(|r| (r.arrival_us, r.id));
-    let mut responses = Vec::new();
-    let mut rejections = Vec::new();
-    let mut clock_us = 0u64;
-    let mut generated = 0u64;
-    let mut deadline_misses = 0u64;
-    for req in queue {
-        clock_us = clock_us.max(req.arrival_us);
-        // Report (never enforce) admission deadlines: service starting
-        // past the deadline counts as a miss, keeping the baseline
-        // comparable with the continuous scheduler's rejections.
-        if req.deadline_us.is_some_and(|d| d < clock_us) {
-            deadline_misses += 1;
-            tracer.counter_add("serve.deadline_miss", 1);
-        }
-        if let Err(EngineError::InvalidRequest { reason }) = validate_request(
-            backend.model(),
-            std::slice::from_ref(&req.prompt),
-            req.gen_len,
-            1,
-        ) {
-            rejections.push(Rejection {
-                id: req.id,
-                reason: RejectReason::Invalid(reason),
-            });
-            continue;
-        }
-        let tokens = match backend.materialize(&req) {
-            Ok(t) => t,
-            Err(e) => {
-                rejections.push(Rejection {
-                    id: req.id,
-                    reason: RejectReason::AdmissionFailed(e.to_string()),
-                });
-                continue;
-            }
-        };
-        clock_us += micros(backend.prefill_seconds(req.prompt.len(), 1));
-        let mut first_token_us = None;
-        for i in 0..tokens.len() {
-            clock_us += micros(backend.decode_step_seconds(&[(req.prompt.len() + i + 1) as u64]));
-            if first_token_us.is_none() {
-                first_token_us = Some(clock_us);
-                tracer.histogram_record(
-                    "serve.ttft_s",
-                    (clock_us.saturating_sub(req.arrival_us)) as f64 / 1e6,
-                );
-            }
-            generated += 1;
-        }
-        tracer.histogram_record(
-            "serve.latency_s",
-            (clock_us.saturating_sub(req.arrival_us)) as f64 / 1e6,
-        );
-        responses.push(Response {
-            id: req.id,
-            first_token_us: first_token_us.unwrap_or(clock_us),
-            finish_us: clock_us,
-            arrival_us: req.arrival_us,
-            tokens,
-        });
-    }
-    responses.sort_by_key(|r| r.id);
-    rejections.sort_by_key(|r| r.id);
-    Ok(ServeOutcome {
-        responses,
-        rejections,
-        cancellations: Vec::new(),
-        sim_seconds: clock_us as f64 / 1e6,
-        generated_tokens: generated,
-        padding_tokens: 0,
-        kv_peak_bytes: 0,
-        kv_leaked_bytes: 0,
-        deadline_misses,
-        stats: ServeStats::default(),
-        kv_pages_peak: 0,
-        kv_pages_leaked: 0,
-        shared_prefix_hits: 0,
-        shared_tokens: 0,
-        cow_forks: 0,
-        obs: ServeObs::default(),
-    })
-}
-
-/// Baseline 2: naive static batching — fixed groups of `batch` in
-/// arrival order; a group waits for its last member to arrive, pads
-/// prompts *and* generation lengths to the group max, and releases every
-/// response only when the whole group finishes.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).mode(ServeMode::Static { batch }).run(requests)`"
-)]
-pub fn serve_static(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    batch: usize,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    run_static(backend, cfg, batch, requests)
-}
-
-pub(crate) fn run_static(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    batch: usize,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    assert!(batch >= 1, "batch must be positive");
-    let tracer = &cfg.tracer;
-    let mut queue: Vec<Request> = requests;
-    queue.sort_by_key(|r| (r.arrival_us, r.id));
-    let mut responses = Vec::new();
-    let mut rejections = Vec::new();
-    let mut clock_us = 0u64;
-    let mut generated = 0u64;
-    let mut padding = 0u64;
-    let mut deadline_misses = 0u64;
-    for chunk in queue.chunks(batch) {
-        // The batch forms only when its last member has arrived.
-        let formed = chunk.iter().map(|r| r.arrival_us).max().unwrap_or(0);
-        clock_us = clock_us.max(formed);
-        // Report (never enforce) deadlines that pass while the batch
-        // waits to form — the static scheduler's signature failure mode.
-        for req in chunk {
-            if req.deadline_us.is_some_and(|d| d < clock_us) {
-                deadline_misses += 1;
-                tracer.counter_add("serve.deadline_miss", 1);
-            }
-        }
-        let mut members: Vec<(&Request, Vec<u32>)> = Vec::new();
-        for req in chunk {
-            if let Err(EngineError::InvalidRequest { reason }) = validate_request(
-                backend.model(),
-                std::slice::from_ref(&req.prompt),
-                req.gen_len,
-                1,
-            ) {
-                rejections.push(Rejection {
-                    id: req.id,
-                    reason: RejectReason::Invalid(reason),
-                });
-                continue;
-            }
-            match backend.materialize(req) {
-                Ok(t) => members.push((req, t)),
-                Err(e) => rejections.push(Rejection {
-                    id: req.id,
-                    reason: RejectReason::AdmissionFailed(e.to_string()),
-                }),
-            }
-        }
-        if members.is_empty() {
-            continue;
-        }
-        let pad_len = members.iter().map(|(r, _)| r.prompt.len()).max().unwrap_or(1);
-        let max_gen = members.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
-        for (r, t) in &members {
-            padding += (pad_len - r.prompt.len()) as u64 + (max_gen - t.len()) as u64;
-        }
-        clock_us += micros(backend.prefill_seconds(pad_len, members.len()));
-        let mut firsts: Vec<Option<u64>> = vec![None; members.len()];
-        for step in 0..max_gen {
-            // Every slot pays every step at the padded context — the
-            // naive part: finished sequences idle inside the batch.
-            let contexts: Vec<u64> = vec![(pad_len + step + 1) as u64; members.len()];
-            clock_us += micros(backend.decode_step_seconds(&contexts));
-            for (m, (_, tokens)) in members.iter().enumerate() {
-                if step < tokens.len() {
-                    generated += 1;
-                    if firsts[m].is_none() {
-                        firsts[m] = Some(clock_us);
-                    }
-                }
-            }
-        }
-        // Naive release: the whole batch returns together.
-        for (m, (req, tokens)) in members.into_iter().enumerate() {
-            let first = firsts[m].unwrap_or(clock_us);
-            tracer.histogram_record(
-                "serve.ttft_s",
-                (first.saturating_sub(req.arrival_us)) as f64 / 1e6,
-            );
-            tracer.histogram_record(
-                "serve.latency_s",
-                (clock_us.saturating_sub(req.arrival_us)) as f64 / 1e6,
-            );
-            responses.push(Response {
-                id: req.id,
-                tokens,
-                arrival_us: req.arrival_us,
-                first_token_us: first,
-                finish_us: clock_us,
-            });
+            ..self.out.close(self.clock_us)
         }
     }
-    responses.sort_by_key(|r| r.id);
-    rejections.sort_by_key(|r| r.id);
-    Ok(ServeOutcome {
-        responses,
-        rejections,
-        cancellations: Vec::new(),
-        sim_seconds: clock_us as f64 / 1e6,
-        generated_tokens: generated,
-        padding_tokens: padding,
-        kv_peak_bytes: 0,
-        kv_leaked_bytes: 0,
-        deadline_misses,
-        stats: ServeStats::default(),
-        kv_pages_peak: 0,
-        kv_pages_leaked: 0,
-        shared_prefix_hits: 0,
-        shared_tokens: 0,
-        cow_forks: 0,
-        obs: ServeObs::default(),
-    })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1633,9 +1168,6 @@ mod tests {
         (b, reqs)
     }
 
-    // The suite drives the scheduler through the unified ServeSession
-    // API (the deprecated free-function shims are covered by a
-    // dedicated delegation test in `session`).
     fn continuous(
         b: &dyn ServeBackend,
         cfg: &ServeConfig,
@@ -1795,16 +1327,17 @@ mod tests {
     fn priorities_jump_the_queue() {
         let b = AnalyticBackend::opt_30b();
         // One slot, both requests present at t=0: the high-priority one
-        // must be served first despite the larger id. Slab mode, where
-        // `max_slots` is a hard concurrency ceiling — the paged planner
-        // repacks the same budget into more page-residency slots.
+        // must be served first despite the larger id. Half a worst-case
+        // envelope of pool is the planner's expected residency of exactly
+        // one sequence.
         let lo = Request::new(0, vec![1, 2], 4).with_priority(0);
         let hi = Request::new(1, vec![3, 4], 4).with_priority(2);
+        let envelope = plan_admission(&b, &ServeConfig::default()).unwrap().kv_bytes_per_slot;
         let cfg = ServeConfig {
-            max_slots: 1,
-            kv_mode: KvMode::Slab,
+            kv_pool_bytes: envelope as usize / 2,
             ..ServeConfig::default()
         };
+        assert_eq!(plan_admission(&b, &cfg).unwrap().slots, 1);
         let (_, out) = continuous(&b, &cfg, vec![lo, hi]).unwrap();
         let finish = |id: u64| {
             out.responses
@@ -1896,7 +1429,7 @@ mod tests {
     /// plan's physical floor, so the policy is feasible but any real
     /// queueing predicts a violation.
     fn tight_slo(b: &AnalyticBackend, cfg: &ServeConfig, headroom: f64) -> f64 {
-        let plan = crate::admission::plan_admission(b, cfg).unwrap();
+        let plan = plan_admission(b, cfg).unwrap();
         let floor =
             b.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
         floor * headroom
@@ -1989,27 +1522,6 @@ mod tests {
     }
 
     #[test]
-    fn baselines_report_deadline_misses_without_enforcing() {
-        let b = AnalyticBackend::opt_30b();
-        // Arrives immediately but sequential service reaches it late;
-        // static batch (size 2) waits for the late second arrival.
-        let doomed = Request::new(0, vec![1, 2], 4).with_deadline_us(10);
-        let hog = Request::new(1, vec![1; 64], 40);
-        let late = Request::new(2, vec![3], 4).with_arrival_us(50_000_000);
-        let seq = sequential(
-            &b,
-            &ServeConfig::default(),
-            vec![hog.clone(), doomed.clone().with_arrival_us(1000)],
-        )
-        .unwrap();
-        assert_eq!(seq.deadline_misses, 1, "service starts after the deadline");
-        assert_eq!(seq.responses.len(), 2, "reported, not enforced");
-        let stat = static_batch(&b, &ServeConfig::default(), 2, vec![doomed, late]).unwrap();
-        assert_eq!(stat.deadline_misses, 1, "batch forms after the deadline");
-        assert_eq!(stat.responses.len(), 2);
-    }
-
-    #[test]
     fn fault_injected_pool_pressure_is_retried() {
         use lm_fault::{FaultConfig, FaultInjector, RetryPolicy};
         let b = AnalyticBackend::opt_30b();
@@ -2035,6 +1547,58 @@ mod tests {
             "expected admission retries under pool pressure"
         );
         assert!(!out.responses.is_empty());
+    }
+
+    /// Counts `retire` calls per request id; otherwise the identity.
+    #[derive(Default)]
+    struct CountingDriver {
+        retired: BTreeMap<u64, u32>,
+    }
+
+    impl ServeDriver for CountingDriver {
+        fn deliver(&mut self, _event: TokenEvent) -> Delivery {
+            Delivery::Delivered
+        }
+
+        fn retire(&mut self, request_id: u64) {
+            *self.retired.entry(request_id).or_default() += 1;
+        }
+    }
+
+    #[test]
+    fn every_request_resolves_and_retires_exactly_once_under_the_default_storm() {
+        use lm_fault::{FaultConfig, FaultInjector, RetryPolicy, StormProfile};
+        let (b, reqs) = traffic(32);
+        let mut submitted: Vec<u64> = reqs.iter().map(|r| r.id).collect();
+        submitted.sort_unstable();
+        let cfg = ServeConfig {
+            fault: FaultInjector::new(FaultConfig::storm(7, StormProfile::Default)),
+            retry: RetryPolicy::fast_test(),
+            ..ServeConfig::default()
+        };
+        let mut counting = CountingDriver::default();
+        let (_, out) = run_continuous(&b, &cfg, reqs, &mut counting).unwrap();
+        assert!(
+            !out.cancellations.is_empty() && out.stats.slot_crashes > 0,
+            "the storm must exercise more than the happy path: {:?}",
+            out.stats
+        );
+        let mut resolved: Vec<u64> = out
+            .responses
+            .iter()
+            .map(|r| r.id)
+            .chain(out.rejections.iter().map(|r| r.id))
+            .chain(out.cancellations.iter().map(|c| c.id))
+            .collect();
+        resolved.sort_unstable();
+        assert_eq!(resolved, submitted, "each id in exactly one terminal state");
+        let retired: Vec<u64> = counting.retired.keys().copied().collect();
+        assert_eq!(retired, submitted, "every id retired at the driver");
+        assert!(
+            counting.retired.values().all(|&n| n == 1),
+            "retired more than once: {:?}",
+            counting.retired
+        );
     }
 
     #[test]

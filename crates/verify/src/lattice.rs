@@ -40,7 +40,7 @@ use lm_analyze::UnsoundnessWitness;
 use lm_engine::MemPool;
 use lm_kvpool::{PageConfig, PagedKvPool};
 use lm_models::{presets, ModelConfig};
-use lm_serve::{derive_plan, slo_probe, AnalyticBackend, KvMode, ServeBackend, ServeConfig, SloPolicy};
+use lm_serve::{derive_plan, slo_probe, AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
 use lm_serve::{DegradeLadder, ServePlan, StaticLadder, TtftModel};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
@@ -382,7 +382,6 @@ pub fn run_sweep(depth: SweepDepth, mutation: Mutation) -> SweepReport {
                         let cfg = ServeConfig {
                             kv_pool_bytes: pool_mult * slab_bytes,
                             page_tokens,
-                            kv_mode: KvMode::Paged,
                             slo: slo.policy(),
                             ladder: ladder.ladder(),
                             ..ServeConfig::default()
@@ -510,7 +509,6 @@ mod tests {
                 let cfg = ServeConfig {
                     kv_pool_bytes: pool_mult * slab_bytes,
                     page_tokens,
-                    kv_mode: KvMode::Paged,
                     ..ServeConfig::default()
                 };
                 let (plan, lint_report) = derive_plan(&backend, &cfg);

@@ -120,25 +120,22 @@ grep -q '"obs_ok": true' results/obs.json \
 grep -q '"traceEvents"' results/serve_timeline.json \
     || { echo "verify: results/serve_timeline.json is not a Perfetto trace" >&2; exit 1; }
 
-if [ "${BENCH:-1}" = "0" ]; then
-    echo "==> bench lane skipped (BENCH=0)"
-else
-    echo "==> repro bench (perf trajectory: BENCH_kernels.json / BENCH_serve.json)"
-    cargo run --release -q -p lm-bench --bin repro -- bench
-    for f in BENCH_kernels.json BENCH_serve.json; do
-        [ -s "$f" ] || { echo "verify: $f missing or empty" >&2; exit 1; }
-        for key in '"bench"' '"metric"' '"value"' '"unit"'; do
-            grep -q "$key" "$f" \
-                || { echo "verify: $f lacks the $key schema field" >&2; exit 1; }
-        done
-    done
-fi
+# Same bytes out: the lanes above run on the virtual clock, so what they
+# just regenerated must be the committed artifacts, byte for byte. A
+# scheduler change that moves one of them either is a bug or comes with
+# the regenerated file in the same commit. (The committed verify.json is
+# the quick sweep's.)
+echo "==> git diff --exit-code (virtual-clock results are the committed bytes)"
+same_bytes="results/serve.json results/chaos.json results/slo.json results/obs.json results/serve_timeline.json"
+[ "${VERIFY_SWEEP:-quick}" = "quick" ] && same_bytes="$same_bytes results/verify.json"
+# shellcheck disable=SC2086  # the list is meant to split into paths
+git diff --exit-code -- $same_bytes \
+    || { echo "verify: a virtual-clock result drifted from its committed bytes" >&2; exit 1; }
 
 # Real-time serving lane (DESIGN.md §16): the gates (transparency, zero
 # leaks, total resolution, an exercised disconnect) are wall-independent;
-# the wall-clock TTFT/throughput in results/async.json and the
-# serve_async rows of BENCH_serve.json are recorded but deliberately NOT
-# byte-compared across runs.
+# the wall-clock TTFT/throughput in results/async.json are recorded but
+# deliberately NOT byte-compared across runs.
 if [ "${ASYNC:-1}" = "0" ]; then
     echo "==> async lane skipped (ASYNC=0)"
 else

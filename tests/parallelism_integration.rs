@@ -7,8 +7,10 @@ use lm_cachesim::{run_contention, ContentionConfig, ThreadSetting};
 use lm_hardware::presets as hw;
 use lm_models::{presets as models, Workload};
 use lm_offload::derive_plan;
-use lm_parallelism::{analyze, attention_graph, bundle_small_ops, burn, Executor};
+use lm_parallelism::{analyze, attention_graph, bundle_small_ops, Executor};
 use lm_sim::Policy;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 #[test]
 fn controller_plans_are_consistent_across_models() {
@@ -33,39 +35,53 @@ fn controller_plans_are_consistent_across_models() {
 }
 
 #[test]
-fn plan_executes_on_real_cores_with_speedup() {
-    // Execute the Fig. 6 graph with the plan's shape on this machine and
-    // verify the tuned configuration beats serial execution.
+fn plan_executes_every_node_once_in_dependency_order_and_in_parallel() {
+    // Execute the Fig. 6 graph with the plan's shape and count what
+    // happened: every node runs exactly once, none starts before its
+    // predecessors finished, and the workers really overlap — up to
+    // `inter_op` nodes at a time, never more. (Whether overlap is also
+    // *faster* is a wall-clock question for `benchmark/`, not tier-1.)
     let graph = attention_graph(32, 64, 256, 7);
-    let analysis = analyze(&graph).unwrap();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let inter = analysis.max_concurrency().min(cores).max(2);
+    let n = graph.len();
+    let preds = graph.predecessors();
+    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(4);
+    let inter = analyze(&graph).unwrap().max_concurrency().min(cores).max(2);
 
-    let work = |u: usize, threads: usize| burn(graph.nodes[u].flops * 1e-3, threads);
-    // Best-of-N: the minimum is robust to preemption by concurrently
-    // running test binaries, which otherwise flakes this comparison on
-    // small machines.
-    let best_of = |inter_op: usize| {
-        (0..3)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                Executor::new(inter_op, 1).run(&graph, work);
-                t0.elapsed()
-            })
-            .min()
-            .expect("nonzero trials")
-    };
-    let t_serial = best_of(1);
-    let t_tuned = best_of(inter);
-    if cores >= 2 {
-        assert!(
-            t_tuned.as_secs_f64() < t_serial.as_secs_f64() * 1.05,
-            "tuned {t_tuned:?} vs serial {t_serial:?} on {cores} cores"
-        );
-    } else {
-        // Single core: only bounded scheduling overhead can be asserted.
-        assert!(t_tuned.as_secs_f64() < t_serial.as_secs_f64() * 2.0);
-    }
+    // Two nodes with the same non-empty predecessor set become ready
+    // together, so neither can depend on the other: with two or more
+    // workers both must be in flight before either may finish. The
+    // barrier forces that interleaving instead of hoping for it.
+    let (a, b) = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+        .find(|&(a, b)| !preds[a].is_empty() && preds[a] == preds[b])
+        .expect("the attention graph fans out into sibling heads");
+    let rendezvous = Barrier::new(2);
+
+    let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+    let finished: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    let early_starts = AtomicUsize::new(0);
+    let running = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
+
+    let order = Executor::new(inter, 1).run(&graph, |u, _threads| {
+        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+        peak.fetch_max(now, Ordering::SeqCst);
+        runs[u].fetch_add(1, Ordering::SeqCst);
+        if preds[u].iter().any(|&p| !finished[p].load(Ordering::SeqCst)) {
+            early_starts.fetch_add(1, Ordering::SeqCst);
+        }
+        if u == a || u == b {
+            rendezvous.wait();
+        }
+        finished[u].store(true, Ordering::SeqCst);
+        running.fetch_sub(1, Ordering::SeqCst);
+    });
+
+    assert_eq!(order.len(), n);
+    assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "every node runs exactly once");
+    assert_eq!(early_starts.load(Ordering::SeqCst), 0, "a node started before a predecessor finished");
+    let peak = peak.load(Ordering::SeqCst);
+    assert!((2..=inter).contains(&peak), "peak concurrency {peak} with inter_op {inter}");
 }
 
 #[test]

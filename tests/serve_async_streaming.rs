@@ -1,9 +1,8 @@
-//! The serve-API-redesign contract (DESIGN.md §16), end to end:
+//! The serve API contract (DESIGN.md §16), end to end:
 //!
-//! 1. The clock/transport split is an exact identity on the virtual
-//!    path — regenerating the `repro serve --shared-prefix` artifact
-//!    through `ServeSession` must reproduce the committed
-//!    `results/serve.json` byte for byte;
+//! 1. The virtual path is a pure function of its inputs — regenerating
+//!    the `repro serve --shared-prefix` artifact through `ServeSession`
+//!    must reproduce the committed `results/serve.json` byte for byte;
 //! 2. The real-time path (`ServeSession::run_async`) changes *when*
 //!    tokens arrive, never *which*: for random ragged traffic on the
 //!    real miniature engine, every streamed token sequence equals the
@@ -19,9 +18,9 @@ use proptest::prelude::*;
 /// Regenerate the default serve artifact (both the plain run and the
 /// shared-prefix study, exactly as `repro serve --rps 4 --requests 32
 /// --seed 7 --shared-prefix` assembles it) and compare it byte for byte
-/// against the committed golden. This is the redesign's load-bearing
-/// promise: swapping the four free functions for `ServeSession` +
-/// `ServeDriver` changed no virtual-clock byte.
+/// against the committed golden: a change to the scheduler, the
+/// planner, the cost model or the clock/transport split that moves a
+/// virtual-clock byte fails here.
 #[test]
 fn virtual_clock_serve_artifact_matches_the_committed_golden_bytes() {
     let mut r = serve::run(7, 4.0, 32);

@@ -7,8 +7,8 @@
 
 use lm_fault::{FaultConfig, FaultInjector, RetryPolicy, StormProfile};
 use lm_serve::{
-    synth_traffic, AnalyticBackend, KvMode, RejectReason, Request, ServeBackend, ServeConfig,
-    ServeSession,
+    derive_plan, synth_traffic, AnalyticBackend, RejectReason, Request, ServeBackend,
+    ServeConfig, ServeSession,
 };
 use proptest::prelude::*;
 
@@ -57,36 +57,35 @@ proptest! {
 #[test]
 fn queued_deadline_expiry_rejects_without_ever_taking_a_slot() {
     let backend = AnalyticBackend::opt_30b();
-    // One slot only, held for a long generation by a higher-priority
-    // request; the doomed request's deadline expires while it waits.
-    // Slab mode: `max_slots` is a hard concurrency ceiling only there —
-    // the paged planner derives concurrency from page residency and
-    // would run both requests at once (and its deadline-rescue path
-    // exists precisely to preempt for fresh deadline-holders).
-    let cfg = ServeConfig {
-        max_slots: 1,
-        kv_mode: KvMode::Slab,
-        ..ServeConfig::default()
-    };
-    let hog = Request::new(0, vec![1, 2, 3], 48)
-        .with_priority(2)
-        .with_arrival_us(0);
-    let doomed = Request::new(1, vec![4, 5], 8)
-        .with_priority(0)
-        .with_arrival_us(0)
-        .with_deadline_us(1_000_000); // 1 virtual second: far before the hog finishes
+    let cfg = ServeConfig::default();
+    // Every slot of the plan is held for a long generation by a
+    // higher-priority, deadline-free hog before the doomed request
+    // arrives, so it never becomes an admission candidate — which is
+    // also why deadline rescue (it reclaims pages for a *candidate*)
+    // cannot fire — and its deadline expires while it waits.
+    let hogs = derive_plan(&backend, &cfg).0.slots as u64;
+    let doomed_id = hogs;
+    let mut requests: Vec<Request> = (0..hogs)
+        .map(|id| Request::new(id, vec![1, 2, 3], 48).with_priority(2))
+        .collect();
+    requests.push(
+        Request::new(doomed_id, vec![4, 5], 8)
+            .with_priority(0)
+            .with_arrival_us(1)
+            .with_deadline_us(1_000_000), // 1 virtual second: far before any hog finishes
+    );
     let mut events = Vec::new();
     let out = ServeSession::new(&backend)
         .config(cfg)
-        .run_streaming(vec![hog, doomed], &mut |e| events.push(e))
+        .run_streaming(requests, &mut |e| events.push(e))
         .unwrap()
         .outcome;
 
-    assert_eq!(out.responses.len(), 1, "the hog completes");
-    assert_eq!(out.responses[0].id, 0);
+    assert_eq!(out.responses.len() as u64, hogs, "every hog completes");
+    assert!(out.responses.iter().all(|r| r.id != doomed_id));
     assert_eq!(out.rejections.len(), 1);
     let rej = &out.rejections[0];
-    assert_eq!(rej.id, 1);
+    assert_eq!(rej.id, doomed_id);
     assert!(
         matches!(rej.reason, RejectReason::DeadlineExpired { .. }),
         "expected a deadline rejection, got {:?}",
@@ -94,12 +93,13 @@ fn queued_deadline_expiry_rejects_without_ever_taking_a_slot() {
     );
     assert_eq!(out.deadline_misses, 1);
     assert!(
-        events.iter().all(|e| e.request_id != 1),
+        events.iter().all(|e| e.request_id != doomed_id),
         "the expired request must never emit a token"
     );
     assert_eq!(
-        out.stats.admitted, 1,
-        "only the hog is ever admitted: {:?}",
+        out.stats.admitted, hogs,
+        "only the hogs are ever admitted: {:?}",
         out.stats
     );
+    assert_eq!(out.stats.preemptions, 0, "nothing was evicted to make room");
 }
