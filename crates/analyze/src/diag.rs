@@ -31,195 +31,130 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Stable identifiers of every lint the analyzer can emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LintCode {
+/// Declares [`LintCode`] from one list: each `Variant = "LMAnnn"` row
+/// yields the enum variant, its [`LintCode::as_str`] arm and its
+/// [`LintCode::ALL`] entry, in declaration order.
+macro_rules! lint_codes {
+    ($($(#[$doc:meta])* $variant:ident = $code:literal,)+) => {
+        /// Stable identifiers of every lint the analyzer can emit.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        pub enum LintCode {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl LintCode {
+            /// The stable textual code, e.g. `"LMA001"`.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(LintCode::$variant => $code,)+
+                }
+            }
+
+            /// All codes, for enumeration in docs and coverage tests.
+            pub const ALL: [LintCode; [$($code),+].len()] = [$(LintCode::$variant,)+];
+        }
+    };
+}
+
+lint_codes! {
     /// Graph has a dependency cycle.
-    Lma001CyclicGraph,
+    Lma001CyclicGraph = "LMA001",
     /// Node unreachable from any source and feeding no sink (isolated).
-    Lma002OrphanNode,
+    Lma002OrphanNode = "LMA002",
     /// The same edge is recorded more than once.
-    Lma003DuplicateEdge,
+    Lma003DuplicateEdge = "LMA003",
     /// Compute node carries zero FLOPs *and* zero bytes.
-    Lma004ZeroCostNode,
+    Lma004ZeroCostNode = "LMA004",
     /// An edge endpoint is not a node of the graph.
-    Lma005EdgeOutOfBounds,
+    Lma005EdgeOutOfBounds = "LMA005",
     /// A node depends on itself.
-    Lma006SelfEdge,
+    Lma006SelfEdge = "LMA006",
     /// A `Transfer` node shares a wavefront with compute operators.
-    Lma007TransferOffBoundary,
+    Lma007TransferOffBoundary = "LMA007",
     /// Plan's inter-op parallelism exceeds the graph's Kahn width.
-    Lma101InterOpExceedsWidth,
+    Lma101InterOpExceedsWidth = "LMA101",
     /// Compute + transfer threads exceed the hardware thread budget.
-    Lma102ThreadBudgetExceeded,
+    Lma102ThreadBudgetExceeded = "LMA102",
     /// Transfer-thread vector does not cover the five load/store tasks.
-    Lma103WrongTransferVector,
+    Lma103WrongTransferVector = "LMA103",
     /// A transfer task was granted zero threads.
-    Lma104ZeroTransferThreads,
+    Lma104ZeroTransferThreads = "LMA104",
     /// Thread grants invert the transfer-volume ordering.
-    Lma105DisproportionalTransfer,
+    Lma105DisproportionalTransfer = "LMA105",
     /// `inter_op_total` ≠ compute inter-op + five transfer tasks.
-    Lma106InterOpTotalMismatch,
+    Lma106InterOpTotalMismatch = "LMA106",
     /// Step-time estimate is below the compute-time estimate.
-    Lma107StepBelowCompute,
+    Lma107StepBelowCompute = "LMA107",
     /// Offloading policy fails validation (fractions, placement).
-    Lma108InvalidPolicy,
+    Lma108InvalidPolicy = "LMA108",
     /// Memory plan exceeds a device or host pool capacity.
-    Lma109CapacityExceeded,
+    Lma109CapacityExceeded = "LMA109",
     /// A bundled operator's working set exceeds the LLC capacity.
-    Lma110BundleExceedsCache,
+    Lma110BundleExceedsCache = "LMA110",
     /// A sampled task time disagrees with bytes / bandwidth dimensional
     /// bounds.
-    Lma201DimensionalMismatch,
+    Lma201DimensionalMismatch = "LMA201",
     /// `T_gen` is not the max of the six task aggregates (Eq. 2).
-    Lma202TgenNotMax,
+    Lma202TgenNotMax = "LMA202",
     /// Quantized footprint exceeds the fp16 footprint.
-    Lma203QuantizedLargerThanF16,
+    Lma203QuantizedLargerThanF16 = "LMA203",
     /// A sampled quantity is negative, NaN or infinite.
-    Lma204NonFiniteQuantity,
+    Lma204NonFiniteQuantity = "LMA204",
     /// Serve plan leases more KV bytes than its pool holds.
-    Lma250SlotsExceedPool,
+    Lma250SlotsExceedPool = "LMA250",
     /// Serve block size exceeds the Kahn width bound of its block graph.
-    Lma251BlockExceedsWidth,
+    Lma251BlockExceedsWidth = "LMA251",
     /// Serve plan leaves most of the KV pool idle (underutilization).
-    Lma252SlotsUnderutilizePool,
+    Lma252SlotsUnderutilizePool = "LMA252",
     /// SLO target below the physical floor (one prefill + one step):
     /// unmeetable by any policy.
-    Lma260SloBelowFloor,
+    Lma260SloBelowFloor = "LMA260",
     /// SLO enforcement enabled with every actuator disabled.
-    Lma261SloNoActuator,
+    Lma261SloNoActuator = "LMA261",
     /// Preemption armed on a single-slot plan (evicting the only slot
     /// thrashes without adding service capacity).
-    Lma262PreemptSingleSlot,
+    Lma262PreemptSingleSlot = "LMA262",
     /// SLO enforcement enabled without a TTFT histogram registered:
     /// breaches can neither be observed nor post-mortemed.
-    Lma270SloWithoutTtftHistogram,
+    Lma270SloWithoutTtftHistogram = "LMA270",
     /// Flight recorder armed with zero capacity while chaos faults are
     /// active: the post-mortem dump would always be empty.
-    Lma271FlightRecorderZeroCapacity,
+    Lma271FlightRecorderZeroCapacity = "LMA271",
     /// Page geometry broken: zero-size pages, `page_bytes` not equal to
     /// `page_tokens · bytes_per_token`, a page size that does not divide
     /// the plan's KV block, or a pool too small for one page.
-    Lma280PageGeometryInvalid,
+    Lma280PageGeometryInvalid = "LMA280",
     /// Sum of page refcounts disagrees with the live page tables, or
     /// more pages are in use than the pool holds.
-    Lma281PageRefcountImbalance,
+    Lma281PageRefcountImbalance = "LMA281",
     /// A page was written in place while mapped by more than one
     /// sequence — the copy-on-write discipline was bypassed.
-    Lma282DoubleMappedWritablePage,
+    Lma282DoubleMappedWritablePage = "LMA282",
     /// The verification sweep's config lattice is degenerate: an axis
     /// holds fewer than two distinct values or the total point count is
     /// below the coverage floor, so "zero witnesses" is vacuous.
-    Lma290SweepDomainDegenerate,
+    Lma290SweepDomainDegenerate = "LMA290",
     /// A deployment config passed its planner lints but an executable
     /// ground-truth invariant failed on the same config — the lint is
     /// unsound at that point and must be tightened.
-    Lma291LintUnsoundnessWitness,
+    Lma291LintUnsoundnessWitness = "LMA291",
     /// A protocol transition declared in the state-machine's transition
     /// table was never exercised by the bounded exploration — its
     /// invariants are unverified.
-    Lma292UncheckedProtocolTransition,
+    Lma292UncheckedProtocolTransition = "LMA292",
     /// An async serving session configured a zero-capacity per-request
     /// token channel: the bounded mpsc cannot hold a single token, so
     /// every delivery would stall into the backpressure path and every
     /// stream would resolve as a spurious disconnect.
-    Lma300AsyncZeroChannelCapacity,
+    Lma300AsyncZeroChannelCapacity = "LMA300",
     /// A wall-clock SLO on an async session sits at or below the cost
     /// model's physical TTFT floor (one worst-case group prefill plus
     /// one full-occupancy decode step): no scheduling decision can meet
     /// it, and wall jitter only pushes further past it.
-    Lma301AsyncSloBelowFloor,
+    Lma301AsyncSloBelowFloor = "LMA301",
     /// The async session's virtual-per-wall time scale is non-finite or
     /// non-positive, so wall time can never map onto the modelled clock.
-    Lma302AsyncBadTimeScale,
-}
-
-impl LintCode {
-    /// The stable textual code, e.g. `"LMA001"`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LintCode::Lma001CyclicGraph => "LMA001",
-            LintCode::Lma002OrphanNode => "LMA002",
-            LintCode::Lma003DuplicateEdge => "LMA003",
-            LintCode::Lma004ZeroCostNode => "LMA004",
-            LintCode::Lma005EdgeOutOfBounds => "LMA005",
-            LintCode::Lma006SelfEdge => "LMA006",
-            LintCode::Lma007TransferOffBoundary => "LMA007",
-            LintCode::Lma101InterOpExceedsWidth => "LMA101",
-            LintCode::Lma102ThreadBudgetExceeded => "LMA102",
-            LintCode::Lma103WrongTransferVector => "LMA103",
-            LintCode::Lma104ZeroTransferThreads => "LMA104",
-            LintCode::Lma105DisproportionalTransfer => "LMA105",
-            LintCode::Lma106InterOpTotalMismatch => "LMA106",
-            LintCode::Lma107StepBelowCompute => "LMA107",
-            LintCode::Lma108InvalidPolicy => "LMA108",
-            LintCode::Lma109CapacityExceeded => "LMA109",
-            LintCode::Lma110BundleExceedsCache => "LMA110",
-            LintCode::Lma201DimensionalMismatch => "LMA201",
-            LintCode::Lma202TgenNotMax => "LMA202",
-            LintCode::Lma203QuantizedLargerThanF16 => "LMA203",
-            LintCode::Lma204NonFiniteQuantity => "LMA204",
-            LintCode::Lma250SlotsExceedPool => "LMA250",
-            LintCode::Lma251BlockExceedsWidth => "LMA251",
-            LintCode::Lma252SlotsUnderutilizePool => "LMA252",
-            LintCode::Lma260SloBelowFloor => "LMA260",
-            LintCode::Lma261SloNoActuator => "LMA261",
-            LintCode::Lma262PreemptSingleSlot => "LMA262",
-            LintCode::Lma270SloWithoutTtftHistogram => "LMA270",
-            LintCode::Lma271FlightRecorderZeroCapacity => "LMA271",
-            LintCode::Lma280PageGeometryInvalid => "LMA280",
-            LintCode::Lma281PageRefcountImbalance => "LMA281",
-            LintCode::Lma282DoubleMappedWritablePage => "LMA282",
-            LintCode::Lma290SweepDomainDegenerate => "LMA290",
-            LintCode::Lma291LintUnsoundnessWitness => "LMA291",
-            LintCode::Lma292UncheckedProtocolTransition => "LMA292",
-            LintCode::Lma300AsyncZeroChannelCapacity => "LMA300",
-            LintCode::Lma301AsyncSloBelowFloor => "LMA301",
-            LintCode::Lma302AsyncBadTimeScale => "LMA302",
-        }
-    }
-
-    /// All codes, for enumeration in docs and coverage tests.
-    pub const ALL: [LintCode; 38] = [
-        LintCode::Lma001CyclicGraph,
-        LintCode::Lma002OrphanNode,
-        LintCode::Lma003DuplicateEdge,
-        LintCode::Lma004ZeroCostNode,
-        LintCode::Lma005EdgeOutOfBounds,
-        LintCode::Lma006SelfEdge,
-        LintCode::Lma007TransferOffBoundary,
-        LintCode::Lma101InterOpExceedsWidth,
-        LintCode::Lma102ThreadBudgetExceeded,
-        LintCode::Lma103WrongTransferVector,
-        LintCode::Lma104ZeroTransferThreads,
-        LintCode::Lma105DisproportionalTransfer,
-        LintCode::Lma106InterOpTotalMismatch,
-        LintCode::Lma107StepBelowCompute,
-        LintCode::Lma108InvalidPolicy,
-        LintCode::Lma109CapacityExceeded,
-        LintCode::Lma110BundleExceedsCache,
-        LintCode::Lma201DimensionalMismatch,
-        LintCode::Lma202TgenNotMax,
-        LintCode::Lma203QuantizedLargerThanF16,
-        LintCode::Lma204NonFiniteQuantity,
-        LintCode::Lma250SlotsExceedPool,
-        LintCode::Lma251BlockExceedsWidth,
-        LintCode::Lma252SlotsUnderutilizePool,
-        LintCode::Lma260SloBelowFloor,
-        LintCode::Lma261SloNoActuator,
-        LintCode::Lma262PreemptSingleSlot,
-        LintCode::Lma270SloWithoutTtftHistogram,
-        LintCode::Lma271FlightRecorderZeroCapacity,
-        LintCode::Lma280PageGeometryInvalid,
-        LintCode::Lma281PageRefcountImbalance,
-        LintCode::Lma282DoubleMappedWritablePage,
-        LintCode::Lma290SweepDomainDegenerate,
-        LintCode::Lma291LintUnsoundnessWitness,
-        LintCode::Lma292UncheckedProtocolTransition,
-        LintCode::Lma300AsyncZeroChannelCapacity,
-        LintCode::Lma301AsyncSloBelowFloor,
-        LintCode::Lma302AsyncBadTimeScale,
-    ];
+    Lma302AsyncBadTimeScale = "LMA302",
 }
 
 /// How severe a finding is.

@@ -1,86 +1,112 @@
-//! `repro` — regenerate every table and figure of the LM-Offload paper.
+//! `repro` — regenerate every table and figure of the LM-Offload paper
+//! and gate the result.
 //!
-//! Usage:
-//!   repro <experiment> [--fast] [--fault-seed N] [--tokens N]
-//!                      [--rps R] [--requests N] [--seed S]
-//!                      [--storm <profile>] [--shared-prefix]
-//!                      [--sweep quick|full]
-//!   repro all [--fast]
+//! Usage: `repro [<lane>... | all] [--seed S] [--rps R] [--requests N]`
+//! `[--storm P] [--fault-seed N] [--tokens N]`
 //!
-//! Experiments: analyze table1 table3 table4 table5 fig3 fig4 fig5 fig7
-//! fig8 fig9 whatif faults summary trace serve chaos slo obs verify
-//! async.
-//! `analyze` runs
-//! the `lm-analyze` static linter over the shipped presets (plus the
-//! default serving plan and SLO policy) and exits non-zero on any
-//! `Error`-level diagnostic. `serve` replays a seeded traffic trace
-//! through the continuous-batching scheduler and both baselines (`--rps`, `--requests`, `--seed`) and exits
-//! non-zero unless continuous batching dominates and the paged
-//! scheduler rejects nothing; `--shared-prefix` adds the cross-request
-//! prefix-sharing study, which must beat its unshared control
-//! super-linearly. `chaos` drives the scheduler under a
-//! seeded fault storm (`--seed`, `--storm default|pool-squeeze|`
-//! `disconnects|crashes|blackout`) and exits non-zero unless every
-//! resilience invariant holds (zero leaked KV leases and pages, total
-//! resolution,
-//! conservation, solo-run transparency, byte-identical replay). `slo`
-//! serves the trace in observe vs enforcing mode under a TTFT objective
-//! and exits non-zero unless enforcement meets the SLO that observe mode
-//! violates. `--fast` restricts Table-3-derived sweeps to two generation
-//! lengths; `--fault-seed N` sets the deterministic fault plan of the
-//! `faults` experiment; `--tokens N` sets the token count of the `trace`
-//! experiment. JSON results are written to `results/<experiment>.json`;
-//! `trace` additionally writes the engine timeline as Chrome/Perfetto
-//! trace JSON to `results/trace.json` (load it at
-//! https://ui.perfetto.dev) and the model-vs-measured drift report to
-//! `results/trace_drift.json`. `obs` audits the serve path's
-//! observability surfaces (DESIGN.md §13) — drift ratios vs documented
-//! tolerances, OpenMetrics round-trip, a flight-recorder post-mortem
-//! from an injected overload, `LMA27x` lints — writing `results/obs.json`
-//! plus the Perfetto serve timeline to `results/serve_timeline.json`,
-//! and exits non-zero unless every gate holds. `verify` runs the exhaustive bounded verification lane (DESIGN.md §15): the
-//! planner-space sweep against executable ground truth (`--sweep
-//! quick|full` picks the lattice), a seeded over-grant mutation that
-//! must be caught as `LMA291`, preemption-bounded model checking of the
-//! paged-KV and scheduler protocols, the `LMA29x` lints over the
-//! assembled probe, and the zero-cost-off throughput comparison against
-//! the committed `results/serve.json` —
-//! writing deterministic `results/verify.json` and exiting non-zero
-//! unless every gate holds. `async` drives the real-time serving lane
-//! (DESIGN.md §16): `ServeSession::run_async` on the miniature engine
-//! with tokio streaming clients and mid-stream disconnects — output
-//! transparency, zero KV leaks and total resolution are gated;
-//! wall-clock TTFT/throughput are recorded into `results/async.json`
-//! but never byte-compared.
+//! The lanes are the rows of [`LANES`]; a usage error prints them, and
+//! README "Reproducing the paper" says what each one measures and gates.
+//! Every lane writes its artifacts under `results/` and returns its
+//! gates as values; after the last requested lane the runner prints one
+//! `lane / gate / ok` table and exits 1 if any gate is false (2 on a
+//! usage error). `repro all` with no flags reproduces every committed
+//! deterministic `results/` file byte for byte (README "Testing").
 
 use lm_bench::experiments::*;
-use lm_bench::table::{f, render};
-use lm_offload::{whatif_sweep, Axis};
+use lm_bench::table::{f, print_rows};
+use lm_fault::StormProfile;
+use lm_offload::{whatif_sweep, Axis, Table3Row};
 use serde::Serialize;
 use std::fs;
 use std::path::Path;
 
-fn save<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        match serde_json::to_string_pretty(value) {
-            Ok(json) => {
-                if let Err(e) = fs::write(&path, json) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialise {name}: {e}"),
-        }
-    }
+/// The experiment inputs a lane may read; [`parse`] starts from the
+/// configuration of the committed `results/`.
+struct Args {
+    seed: u64,
+    rps: f64,
+    requests: usize,
+    storm: StormProfile,
+    fault_seed: u64,
+    tokens: u64,
 }
 
-fn run_table1() {
-    println!("\n== Table 1: I/O traffic per generated token (OPT-30B, s=64, n=128, bls=640) ==");
+/// One verdict of one lane; any `ok == false` fails the run.
+struct Gate {
+    lane: &'static str,
+    name: &'static str,
+    ok: bool,
+}
+
+fn gate(lane: &'static str, name: &'static str, ok: bool) -> Gate {
+    Gate { lane, name, ok }
+}
+
+struct Lane {
+    name: &'static str,
+    /// Printed as the lane's header and in the usage text.
+    title: &'static str,
+    /// `repro all` runs it.
+    in_all: bool,
+    run: fn(&Args) -> Vec<Gate>,
+}
+
+#[rustfmt::skip]
+const LANES: &[Lane] = &[
+    Lane { name: "analyze", in_all: true, run: run_analyze, title: "Static analysis: lm-analyze lints over the shipped presets" },
+    Lane { name: "table4", in_all: true, run: run_table4, title: "Table 4: evaluation platforms" },
+    Lane { name: "whatif", in_all: true, run: run_whatif, title: "What-if sensitivity (OPT-66B, s=64, n=16; policy re-searched per point)" },
+    Lane { name: "table1", in_all: true, run: run_table1, title: "Table 1: I/O traffic per generated token (OPT-30B, s=64, n=128, bls=640)" },
+    Lane { name: "fig3", in_all: true, run: run_fig3, title: "Figure 3: offloading x quantization strategies (OPT-30B motivation)" },
+    Lane { name: "fig4", in_all: true, run: run_fig4, title: "Figure 4: per-token time breakdown (quant / dequant / other)" },
+    Lane { name: "fig5", in_all: true, run: run_fig5, title: "Figure 5: thread-level parallelism sweeps (OPT-30B, n=8)" },
+    Lane { name: "table3", in_all: true, run: run_table3, title: "Table 3: FlexGen / ZeRO-Inference / LM-Offload, and the §5.2 headline speedups" },
+    Lane { name: "fig7", in_all: true, run: run_fig7, title: "Figure 7: effective quantization (parallelism control disabled)" },
+    Lane { name: "fig8", in_all: true, run: run_fig8, title: "Figure 8: thread-level parallelism control (OPT-30B, n=8)" },
+    Lane { name: "table5", in_all: true, run: run_table5, title: "Table 5: LLC misses under default vs controlled threading" },
+    Lane { name: "fig9", in_all: true, run: run_fig9, title: "Figure 9: multi-GPU weak scaling (pipeline parallelism)" },
+    Lane { name: "faults", in_all: true, run: run_faults, title: "Fault injection: retry, backpressure, model-guided degradation" },
+    Lane { name: "trace", in_all: true, run: run_trace, title: "Tracing & drift: lm-trace spans, Perfetto export, model-vs-measured ratios" },
+    Lane { name: "serve", in_all: true, run: run_serve, title: "Serving: continuous batching vs baselines, shared-prefix study (OPT-30B)" },
+    Lane { name: "chaos", in_all: true, run: run_chaos, title: "Chaos: a fault storm over the continuous scheduler" },
+    Lane { name: "slo", in_all: true, run: run_slo, title: "SLO: observe vs enforcing under overload" },
+    Lane { name: "obs", in_all: true, run: run_obs, title: "Observability: serve-path drift audit, exposition, flight recorder" },
+    Lane { name: "verify", in_all: true, run: run_verify, title: "Verification: planner-space sweep + protocol model checking (DESIGN.md §15)" },
+    Lane { name: "async", in_all: true, run: run_async, title: "Async serving: real-time streaming over the continuous scheduler" },
+    Lane { name: "summary", in_all: false, run: run_summary, title: "§5.2 headline speedups alone (re-runs Table 3)" },
+];
+
+/// Write `results/<file>` — the one function that writes files.
+fn save(file: &str, body: &str) -> std::io::Result<()> {
+    let dir = Path::new("results");
+    fs::create_dir_all(dir)?;
+    fs::write(dir.join(file), body)
+}
+
+/// The `artifact_written` gate: `body` serialised and reached
+/// `results/<file>`. A lane that could not write what it computed has
+/// not reproduced anything, whatever its other gates say.
+fn artifact(lane: &'static str, file: &str, body: Result<String, serde_json::Error>) -> Gate {
+    let written = body
+        .map_err(std::io::Error::other)
+        .and_then(|body| save(file, &body));
+    if let Err(e) = &written {
+        eprintln!("error: could not write results/{file}: {e}");
+    }
+    gate(lane, "artifact_written", written.is_ok())
+}
+
+/// [`artifact`] for the common case: `value` as `results/<lane>.json`.
+fn artifact_json<T: Serialize>(lane: &'static str, value: &T) -> Gate {
+    artifact(lane, &format!("{lane}.json"), serde_json::to_string_pretty(value))
+}
+
+fn run_table1(_: &Args) -> Vec<Gate> {
     let rows = table1::run();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["scenario", "direction", "tensor", "ours (GiB)", "paper (GiB)"],
+        &rows,
+        |r| {
             vec![
                 r.scenario.clone(),
                 r.direction.clone(),
@@ -88,79 +114,57 @@ fn run_table1() {
                 f(r.ours_gib, 2),
                 r.paper_gib.map(|p| f(p, 2)).unwrap_or_default(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["scenario", "direction", "tensor", "ours (GiB)", "paper (GiB)"],
-            &rendered
-        )
+        },
     );
-    save("table1", &rows);
+    vec![artifact_json("table1", &rows)]
 }
 
-fn run_fig3() {
-    println!("\n== Figure 3: offloading x quantization strategies (OPT-30B motivation) ==");
+fn run_fig3(_: &Args) -> Vec<Gate> {
     let rows = fig3::run();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.name.clone(), format!("{}%", r.wg), f(r.tput, 1)])
-        .collect();
-    println!("{}", render(&["strategy", "wg", "tokens/s"], &rendered));
-    save("fig3", &rows);
+    print_rows(&["strategy", "wg", "tokens/s"], &rows, |r| {
+        vec![r.name.clone(), format!("{}%", r.wg), f(r.tput, 1)]
+    });
+    vec![artifact_json("fig3", &rows)]
 }
 
-fn run_fig4() {
-    println!("\n== Figure 4: per-token time breakdown (quant / dequant / other) ==");
+fn run_fig4(_: &Args) -> Vec<Gate> {
     let rows = fig3::run_breakdown();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["strategy", "quant (s)", "dequant (s)", "other (s)"],
+        &rows,
+        |r| {
             vec![
                 r.name.clone(),
                 f(r.quant, 3),
                 f(r.dequant, 3),
                 f(r.other, 3),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["strategy", "quant (s)", "dequant (s)", "other (s)"], &rendered)
+        },
     );
-    save("fig4", &rows);
+    vec![artifact_json("fig4", &rows)]
 }
 
-fn run_fig5() {
-    println!("\n== Figure 5: thread-level parallelism sweeps (OPT-30B, n=8) ==");
+fn run_fig5(_: &Args) -> Vec<Gate> {
     let fig = fig5::run();
     for (name, series) in [("intra-op", &fig.intra_sweep), ("inter-op", &fig.inter_sweep)] {
-        let rendered: Vec<Vec<String>> = series
-            .iter()
-            .map(|p| {
-                vec![
-                    p.threads.to_string(),
-                    f(p.step_time * 1e3, 2),
-                    f(p.relative_tput, 3),
-                ]
-            })
-            .collect();
         println!("-- {name} sweep --");
-        println!(
-            "{}",
-            render(&["threads", "step (ms)", "rel tput"], &rendered)
-        );
+        print_rows(&["threads", "step (ms)", "rel tput"], series, |p| {
+            vec![
+                p.threads.to_string(),
+                f(p.step_time * 1e3, 2),
+                f(p.relative_tput, 3),
+            ]
+        });
     }
-    save("fig5", &fig);
+    vec![artifact_json("fig5", &fig)]
 }
 
-fn run_table3(lens: &[u64]) {
-    println!("\n== Table 3: FlexGen / ZeRO-Inference / LM-Offload ==");
-    let rows = table3::run(lens);
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+fn run_table3(_: &Args) -> Vec<Gate> {
+    let rows = table3::run();
+    print_rows(
+        &["model", "len", "framework", "bsz", "wg", "cg", "hg", "w/kv bits", "mem", "tput", "norm"],
+        &rows,
+        |r| {
             vec![
                 r.model.clone(),
                 r.gen_len.to_string(),
@@ -174,24 +178,20 @@ fn run_table3(lens: &[u64]) {
                 f(r.tput, 1),
                 f(r.norm_tput, 2),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["model", "len", "framework", "bsz", "wg", "cg", "hg", "w/kv bits", "mem", "tput", "norm"],
-            &rendered
-        )
+        },
     );
-    save("table3", &rows);
-
-    let s = summary::summarise(&rows);
-    print_summary(&s);
-    save("summary", &s);
+    vec![artifact_json("table3", &rows), summarise("table3", &rows)]
 }
 
-fn print_summary(s: &summary::Summary) {
-    println!("\n== §5.2 headline speedups (paper: vs FlexGen up to 2.95x / avg 2.34x; vs ZeRO up to 2.88x / avg 1.57x) ==");
+fn run_summary(_: &Args) -> Vec<Gate> {
+    vec![summarise("summary", &table3::run())]
+}
+
+/// Print the §5.2 headline numbers of `rows` and write them to
+/// `results/summary.json` on behalf of `lane`.
+fn summarise(lane: &'static str, rows: &[Table3Row]) -> Gate {
+    let s = summary::summarise(rows);
+    println!("\n-- §5.2 headline speedups (paper: vs FlexGen up to 2.95x / avg 2.34x; vs ZeRO up to 2.88x / avg 1.57x) --");
     if let Some(fg) = s.vs_flexgen {
         println!("vs FlexGen:        up to {:.2}x ({:.2}x on average)", fg.max, fg.mean);
     }
@@ -203,33 +203,28 @@ fn print_summary(s: &summary::Summary) {
     } else {
         println!("baseline wins: {}", s.baseline_wins.join(", "));
     }
+    artifact(lane, "summary.json", serde_json::to_string_pretty(&s))
 }
 
-fn run_table4() {
-    println!("\n== Table 4: evaluation platforms ==");
+fn run_table4(_: &Args) -> Vec<Gate> {
     let rows = table4::run();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.platform.clone(),
-                format!("{} ({} cores, {:.0} GiB)", r.cpu, r.cores, r.host_mem_gib),
-                format!("{}x {} ({:.0} GiB)", r.num_gpus, r.gpu, r.gpu_mem_gib),
-                format!("{} ({:.0} GB/s bidir)", r.interconnect, r.bidir_bw_gbps),
-            ]
-        })
-        .collect();
-    println!("{}", render(&["platform", "cpu", "gpu", "interconnect"], &rendered));
-    save("table4", &rows);
+    print_rows(&["platform", "cpu", "gpu", "interconnect"], &rows, |r| {
+        vec![
+            r.platform.clone(),
+            format!("{} ({} cores, {:.0} GiB)", r.cpu, r.cores, r.host_mem_gib),
+            format!("{}x {} ({:.0} GiB)", r.num_gpus, r.gpu, r.gpu_mem_gib),
+            format!("{} ({:.0} GB/s bidir)", r.interconnect, r.bidir_bw_gbps),
+        ]
+    });
+    vec![artifact_json("table4", &rows)]
 }
 
-fn run_table5() {
-    println!("\n== Table 5: LLC misses under default vs controlled threading ==");
+fn run_table5(_: &Args) -> Vec<Gate> {
     let t = table5::run();
-    let rendered: Vec<Vec<String>> = t
-        .rows
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["setting", "load miss (sim)", "store miss (sim)", "load (scaled)", "store (scaled)"],
+        &t.rows,
+        |r| {
             vec![
                 r.setting.clone(),
                 r.load_misses_sim.to_string(),
@@ -237,28 +232,21 @@ fn run_table5() {
                 format!("{:.1}B", r.load_misses_scaled as f64 / 1e9),
                 format!("{:.1}B", r.store_misses_scaled as f64 / 1e9),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["setting", "load miss (sim)", "store miss (sim)", "load (scaled)", "store (scaled)"],
-            &rendered
-        )
+        },
     );
     println!(
         "reduction: loads {:.0}% stores {:.0}% (paper: ~38-40%, 10B->6B / 19B->12B)",
         t.load_reduction_pct, t.store_reduction_pct
     );
-    save("table5", &t);
+    vec![artifact_json("table5", &t)]
 }
 
-fn run_fig7(lens: &[u64]) {
-    println!("\n== Figure 7: effective quantization (parallelism control disabled) ==");
-    let rows = fig7::run(lens);
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+fn run_fig7(_: &Args) -> Vec<Gate> {
+    let rows = fig7::run();
+    print_rows(
+        &["model", "len", "FlexGen", "LM-Offload (no ctl)", "gain"],
+        &rows,
+        |r| {
             vec![
                 r.model.clone(),
                 r.gen_len.to_string(),
@@ -266,36 +254,24 @@ fn run_fig7(lens: &[u64]) {
                 f(r.lm_offload_noctl_tput, 1),
                 format!("{:+.0}%", r.gain_pct),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["model", "len", "FlexGen", "LM-Offload (no ctl)", "gain"],
-            &rendered
-        )
+        },
     );
-    save("fig7", &rows);
+    vec![artifact_json("fig7", &rows)]
 }
 
-fn run_fig8() {
-    println!("\n== Figure 8: thread-level parallelism control (OPT-30B, n=8) ==");
+fn run_fig8(_: &Args) -> Vec<Gate> {
     let fig = fig8::run();
-    let rendered: Vec<Vec<String>> = fig
-        .tasks
-        .iter()
-        .map(|t| {
+    print_rows(
+        &["task", "default (s)", "controlled (s)", "reduction"],
+        &fig.tasks,
+        |t| {
             vec![
                 t.task.clone(),
                 f(t.default_secs, 2),
                 f(t.controlled_secs, 2),
                 format!("-{:.0}%", t.reduction_pct),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["task", "default (s)", "controlled (s)", "reduction"], &rendered)
+        },
     );
     println!(
         "end-to-end: {:.2}s -> {:.2}s (-{:.0}%; paper: -38%)",
@@ -307,15 +283,15 @@ fn run_fig8() {
     );
     println!("\n-- decode timeline (first step, first layers; controlled threading) --");
     println!("{}", fig8::gantt_first_step(80));
-    save("fig8", &fig);
+    vec![artifact_json("fig8", &fig)]
 }
 
-fn run_fig9() {
-    println!("\n== Figure 9: multi-GPU weak scaling (pipeline parallelism) ==");
+fn run_fig9(_: &Args) -> Vec<Gate> {
     let rows = fig9::run();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["model", "GPUs", "FlexGen", "LM-Offload", "speedup"],
+        &rows,
+        |r| {
             vec![
                 r.model.clone(),
                 r.num_gpus.to_string(),
@@ -323,27 +299,23 @@ fn run_fig9() {
                 f(r.lm_offload_tput, 1),
                 format!("{:.2}x", r.speedup),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["model", "GPUs", "FlexGen", "LM-Offload", "speedup"], &rendered)
+        },
     );
-    save("fig9", &rows);
+    vec![artifact_json("fig9", &rows)]
 }
 
-fn run_whatif() {
-    println!("\n== What-if sensitivity (OPT-66B, s=64, n=16; policy re-searched per point) ==");
+fn run_whatif(_: &Args) -> Vec<Gate> {
     let platform = lm_hardware::presets::single_gpu_a100();
     let model = lm_models::presets::opt_66b();
     let factors = [0.5, 1.0, 2.0, 4.0];
     let mut curves = Vec::new();
     for axis in Axis::ALL {
         let c = whatif_sweep(axis, &platform, &model, 64, 16, &factors);
-        let rendered: Vec<Vec<String>> = c
-            .points
-            .iter()
-            .map(|pt| {
+        println!("-- {} --", c.axis);
+        print_rows(
+            &["scale", "tok/s", "wg", "w/kv", "attn", "block"],
+            &c.points,
+            |pt| {
                 vec![
                     format!("{:.1}x", pt.factor),
                     f(pt.throughput, 1),
@@ -352,55 +324,37 @@ fn run_whatif() {
                     if pt.attention_on_cpu { "CPU" } else { "GPU" }.into(),
                     pt.block_size.to_string(),
                 ]
-            })
-            .collect();
-        println!("-- {} --", c.axis);
-        println!(
-            "{}",
-            render(&["scale", "tok/s", "wg", "w/kv", "attn", "block"], &rendered)
+            },
         );
         curves.push(c);
     }
-    save("whatif", &curves);
+    vec![artifact_json("whatif", &curves)]
 }
 
-fn run_analyze() {
-    println!("\n== Static analysis: lm-analyze lints over the shipped presets ==");
+fn run_analyze(_: &Args) -> Vec<Gate> {
     let rows = analyze::run();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.preset.clone(),
-                format!("{}/{}", r.inter_op_total, r.intra_op_compute),
-                r.errors.to_string(),
-                r.warnings.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["preset", "inter/intra", "errors", "warnings"], &rendered)
-    );
-    let mut all_clean = true;
+    print_rows(&["preset", "inter/intra", "errors", "warnings"], &rows, |r| {
+        vec![
+            r.preset.clone(),
+            format!("{}/{}", r.inter_op_total, r.intra_op_compute),
+            r.errors.to_string(),
+            r.warnings.to_string(),
+        ]
+    });
     for r in &rows {
         for d in &r.diagnostics {
             println!("  {}: {d}", r.preset);
         }
-        all_clean &= r.errors == 0;
     }
-    save("analyze", &rows);
-    if all_clean {
-        println!("all shipped presets are clean (zero error diagnostics)");
-    } else {
-        eprintln!("error: a shipped preset has error-level diagnostics");
-        std::process::exit(1);
-    }
+    vec![
+        artifact_json("analyze", &rows),
+        gate("analyze", "zero_error_diagnostics", rows.iter().all(|r| r.errors == 0)),
+    ]
 }
 
-fn run_faults(fault_seed: u64) {
-    println!("\n== Fault injection: retry, backpressure, model-guided degradation (seed {fault_seed}) ==");
-    let r = faults::run(fault_seed);
+fn run_faults(a: &Args) -> Vec<Gate> {
+    println!("fault seed {}", a.fault_seed);
+    let r = faults::run(a.fault_seed);
     println!(
         "checkpoint: {} layers, loaded={} (disk faults {}, torn {}, retries {}, recovered {})",
         r.checkpoint.layers,
@@ -428,33 +382,27 @@ fn run_faults(fault_seed: u64) {
         r.sim.transfer_stalls,
         r.sim.stall_ms_total
     );
-    save("faults", &r);
+    vec![artifact_json("faults", &r)]
 }
 
-fn run_trace(tokens: u64) {
-    println!("\n== Tracing & drift: lm-trace spans, Perfetto export, model-vs-measured ratios ({tokens} tokens) ==");
-    let (r, perfetto_json) = trace::run(tokens);
+fn run_trace(a: &Args) -> Vec<Gate> {
+    println!("{} tokens", a.tokens);
+    let (r, perfetto_json) = trace::run(a.tokens);
     println!(
         "sim: {} spans over {} decode steps ({:.3}s simulated decode)",
         r.sim.spans, r.sim.steps, r.sim.decode_s
     );
-    let rendered: Vec<Vec<String>> = r
-        .sim
-        .drift
-        .tasks
-        .iter()
-        .map(|t| {
+    print_rows(
+        &["task", "predicted (s)", "observed (s)", "obs/pred"],
+        &r.sim.drift.tasks,
+        |t| {
             vec![
                 t.task.clone(),
                 f(t.predicted_s, 4),
                 f(t.observed_s, 4),
                 t.ratio.map(|x| f(x, 4)).unwrap_or_else(|| "-".into()),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["task", "predicted (s)", "observed (s)", "obs/pred"], &rendered)
+        },
     );
     println!(
         "max ratio error: {:.2e} (simulator replays the model: must be ~0)",
@@ -468,25 +416,23 @@ fn run_trace(tokens: u64) {
         r.engine.load_weight_s,
         r.engine.compute_s
     );
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("trace.json");
-        match fs::write(&path, &perfetto_json) {
-            Ok(()) => println!(
-                "wrote {} ({} events; open at https://ui.perfetto.dev)",
-                path.display(),
-                r.engine.perfetto_events
-            ),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
-    save("trace_drift", &r);
+    println!(
+        "results/trace.json: {} events (open at https://ui.perfetto.dev)",
+        r.engine.perfetto_events
+    );
+    vec![
+        artifact("trace", "trace.json", Ok(perfetto_json)),
+        artifact("trace", "trace_drift.json", serde_json::to_string_pretty(&r)),
+        gate("trace", "perfetto_events_nonzero", r.engine.perfetto_events > 0),
+        gate("trace", "max_ratio_error_finite", r.sim.drift.max_ratio_error.is_finite()),
+    ]
 }
 
-fn serve_mode_table(modes: &[serve::ModeRow]) -> String {
-    let rendered: Vec<Vec<String>> = modes
-        .iter()
-        .map(|m| {
+fn print_serve_modes(modes: &[serve::ModeRow]) {
+    print_rows(
+        &["mode", "done", "sim (s)", "tok/s", "ttft p50", "p95", "lat p95", "pad", "pages", "shared", "miss"],
+        modes,
+        |m| {
             vec![
                 m.mode.clone(),
                 format!("{}/{}", m.completed, m.completed + m.rejected),
@@ -500,19 +446,18 @@ fn serve_mode_table(modes: &[serve::ModeRow]) -> String {
                 m.shared_tokens.to_string(),
                 m.deadline_misses.to_string(),
             ]
-        })
-        .collect();
-    render(
-        &["mode", "done", "sim (s)", "tok/s", "ttft p50", "p95", "lat p95", "pad", "pages", "shared", "miss"],
-        &rendered,
-    )
+        },
+    );
 }
 
-fn run_serve(seed: u64, rps: f64, requests: usize, shared_prefix: bool) {
-    println!(
-        "\n== Serving: continuous batching vs baselines (OPT-30B, {requests} requests @ {rps} rps, seed {seed}) =="
-    );
-    let mut r = serve::run(seed, rps, requests);
+/// The one-line input echo of the virtual-clock serve lanes.
+fn print_traffic(a: &Args) {
+    println!("{} requests @ {} rps, seed {}", a.requests, a.rps, a.seed);
+}
+
+fn run_serve(a: &Args) -> Vec<Gate> {
+    print_traffic(a);
+    let r = serve::run(a.seed, a.rps, a.requests);
     println!(
         "plan: {} slots x {} ctx, {:.1} MiB/slot, pool {:.1} MiB = {} pages x {} tok, kahn width {}, est {:.1} tok/s",
         r.plan.slots,
@@ -524,7 +469,7 @@ fn run_serve(seed: u64, rps: f64, requests: usize, shared_prefix: bool) {
         r.plan.kahn_width,
         r.plan.est_tokens_per_s
     );
-    println!("{}", serve_mode_table(&r.modes));
+    print_serve_modes(&r.modes);
     println!(
         "speedup: {:.2}x vs sequential (floor {:.1}x), {:.2}x vs static; paged rejections: {}",
         r.speedup_vs_sequential,
@@ -532,13 +477,17 @@ fn run_serve(seed: u64, rps: f64, requests: usize, shared_prefix: bool) {
         r.speedup_vs_static,
         r.modes[0].rejected
     );
-    if shared_prefix {
-        let sp = serve::run_shared_prefix(seed, rps, requests, serve::DEFAULT_PREFIX_LEN);
+    let mut gates = vec![
+        artifact_json("serve", &r),
+        gate("serve", "dominance_ok", r.dominance_ok),
+        gate("serve", "paged_zero_rejections", r.paged_zero_rejections),
+    ];
+    if let Some(sp) = &r.shared_prefix {
         println!(
             "\n-- shared-prefix study: {} requests sharing a {}-token system prompt --",
             sp.requests, sp.prefix_len
         );
-        println!("{}", serve_mode_table(&sp.modes));
+        print_serve_modes(&sp.modes);
         println!(
             "effective speedup vs unshared control: {:.3}x ({} prefix hits, {} shared tokens, {} COW forks, {} paged rejections)",
             sp.effective_speedup,
@@ -547,32 +496,15 @@ fn run_serve(seed: u64, rps: f64, requests: usize, shared_prefix: bool) {
             sp.modes[0].cow_forks,
             sp.paged_rejections
         );
-        r.shared_prefix = Some(sp);
+        gates.push(gate("serve", "superlinear_ok", sp.superlinear_ok));
     }
-    save("serve", &r);
-    if !r.dominance_ok {
-        eprintln!("error: continuous batching failed to dominate the baselines");
-        std::process::exit(1);
-    }
-    if !r.paged_zero_rejections {
-        eprintln!("error: the paged scheduler rejected requests at the default plan");
-        std::process::exit(1);
-    }
-    if let Some(sp) = &r.shared_prefix {
-        if !sp.superlinear_ok {
-            eprintln!("error: prefix sharing failed to beat the unshared control");
-            std::process::exit(1);
-        }
-        println!("superlinear_ok: sharing beats the unshared control with zero rejections");
-    }
+    gates
 }
 
-fn run_chaos(seed: u64, storm: lm_fault::StormProfile, rps: f64, requests: usize) {
-    println!(
-        "\n== Chaos: {} storm over the continuous scheduler ({requests} requests @ {rps} rps, seed {seed}) ==",
-        storm.name()
-    );
-    let r = chaos::run(seed, storm, rps, requests);
+fn run_chaos(a: &Args) -> Vec<Gate> {
+    println!("{} storm", a.storm.name());
+    print_traffic(a);
+    let r = chaos::run(a.seed, a.storm, a.rps, a.requests);
     println!(
         "resolved {}/{} (completed {}, rejected {}, cancelled {}); admissions {} = completed {} + cancel {} + preempt {} + crash {}",
         r.resolved,
@@ -606,21 +538,15 @@ fn run_chaos(seed: u64, storm: lm_fault::StormProfile, rps: f64, requests: usize
         r.survivors_checked,
         r.invariants.replay_identical
     );
-    let ok = r.invariants_ok;
-    save("chaos", &r);
-    if ok {
-        println!("invariants_ok: every resilience invariant holds");
-    } else {
-        eprintln!("error: a chaos invariant was violated");
-        std::process::exit(1);
-    }
+    vec![
+        artifact_json("chaos", &r),
+        gate("chaos", "invariants_ok", r.invariants_ok),
+    ]
 }
 
-fn run_slo(seed: u64, rps: f64, requests: usize) {
-    println!(
-        "\n== SLO: observe vs enforcing under overload ({requests} requests @ {rps} rps, seed {seed}) =="
-    );
-    let r = slo::run(seed, rps, requests);
+fn run_slo(a: &Args) -> Vec<Gate> {
+    print_traffic(a);
+    let r = slo::run(a.seed, a.rps, a.requests);
     println!(
         "objective: p99 TTFT <= {:.1}s (floor {:.1}s x {:.1}); model-guided ladder: {} rungs",
         r.ttft_p99_slo_s,
@@ -628,9 +554,10 @@ fn run_slo(seed: u64, rps: f64, requests: usize) {
         slo::SLO_FLOOR_HEADROOM,
         r.ladder_rungs
     );
-    let rendered: Vec<Vec<String>> = [&r.observe, &r.enforced]
-        .iter()
-        .map(|m| {
+    print_rows(
+        &["mode", "done", "p99 ttft", "meets", "shed", "preempt", "degrade", "pred viol", "tok/s"],
+        [&r.observe, &r.enforced],
+        |m| {
             vec![
                 m.mode.clone(),
                 format!("{}/{}", m.completed, r.requests),
@@ -642,42 +569,26 @@ fn run_slo(seed: u64, rps: f64, requests: usize) {
                 m.predicted_violations.to_string(),
                 f(m.tokens_per_s, 2),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["mode", "done", "p99 ttft", "meets", "shed", "preempt", "degrade", "pred viol", "tok/s"],
-            &rendered
-        )
+        },
     );
     println!(
         "throughput: enforcing {:.2} tok/s vs sequential {:.2} tok/s",
         r.enforced.tokens_per_s, r.sequential_tokens_per_s
     );
-    let ok = r.slo_ok;
-    save("slo", &r);
-    if ok {
-        println!("slo_ok: enforcement meets the objective observe mode violates");
-    } else {
-        eprintln!("error: SLO enforcement gate failed");
-        std::process::exit(1);
-    }
+    vec![artifact_json("slo", &r), gate("slo", "slo_ok", r.slo_ok)]
 }
 
-fn run_obs(seed: u64, rps: f64, requests: usize) {
-    println!(
-        "\n== Observability: serve-path drift audit, exposition, flight recorder ({requests} requests @ {rps} rps, seed {seed}) =="
-    );
-    let (r, timeline) = obs::run(seed, rps, requests);
+fn run_obs(a: &Args) -> Vec<Gate> {
+    print_traffic(a);
+    let (r, timeline) = obs::run(a.seed, a.rps, a.requests);
     println!(
         "record: {} lifecycle events, {} boundary samples, {} TTFT pairs over {} slots",
         r.lifecycle_events, r.boundary_samples, r.ttft_samples, r.plan.slots
     );
-    let rendered: Vec<Vec<String>> = r
-        .drift_gates
-        .iter()
-        .map(|g| {
+    print_rows(
+        &["metric", "predicted", "observed", "obs/pred", "tolerance", "verdict"],
+        &r.drift_gates,
+        |g| {
             let m = r.drift.metric(&g.metric);
             vec![
                 g.metric.clone(),
@@ -687,14 +598,7 @@ fn run_obs(seed: u64, rps: f64, requests: usize) {
                 format!("±{:.0}%", g.tolerance * 100.0),
                 if g.ok { "ok" } else { "DRIFT" }.into(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["metric", "predicted", "observed", "obs/pred", "tolerance", "verdict"],
-            &rendered
-        )
+        },
     );
     println!(
         "exposition: {} bytes, round-trip {}; flight: '{}' ({} events, {} dropped), round-trip {}; lints: {} errors / {} warnings",
@@ -707,30 +611,19 @@ fn run_obs(seed: u64, rps: f64, requests: usize) {
         r.lint_errors,
         r.lint_warnings
     );
-    let ok = r.obs_ok;
-    save("obs", &r);
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("serve_timeline.json");
-        match fs::write(&path, &timeline) {
-            Ok(()) => println!(
-                "wrote {} (open at https://ui.perfetto.dev)",
-                path.display()
-            ),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
-    if ok {
-        println!("obs_ok: every observability gate holds");
-    } else {
-        eprintln!("error: an observability gate failed");
-        std::process::exit(1);
-    }
+    vec![
+        artifact_json("obs", &r),
+        artifact("obs", "serve_timeline.json", Ok(timeline)),
+        // The Perfetto serve timeline (open at https://ui.perfetto.dev)
+        // is drawn from the lifecycle record: no events, no timeline.
+        gate("obs", "timeline_nonempty", r.lifecycle_events > 0),
+        gate("obs", "drift_ok", r.drift_ok),
+        gate("obs", "obs_ok", r.obs_ok),
+    ]
 }
 
-fn run_verify(depth: lm_verify::SweepDepth) {
-    println!("\n== Verification: planner-space sweep + protocol model checking (DESIGN.md §15) ==");
-    let r = verify::run(depth, "results/serve.json");
+fn run_verify(_: &Args) -> Vec<Gate> {
+    let r = verify::run(lm_verify::SweepDepth::Full, "results/serve.json");
     println!(
         "sweep ({}): {} configs over {} axes -> {} consistent, {} incomplete, {} unsound (floor {})",
         r.sweep_depth,
@@ -784,22 +677,16 @@ fn run_verify(depth: lm_verify::SweepDepth) {
             r.zero_cost.measured_tokens_per_s
         ),
     }
-    let ok = r.verify_ok;
-    save("verify", &r);
-    if ok {
-        println!("verify_ok: every verification gate holds");
-    } else {
-        eprintln!("error: a verification gate failed");
-        std::process::exit(1);
-    }
+    vec![
+        artifact_json("verify", &r),
+        gate("verify", "mutation_caught", r.mutation_caught),
+        gate("verify", "verify_ok", r.verify_ok),
+    ]
 }
 
-fn run_async_lane(seed: u64) {
-    println!(
-        "\n== Async serving: real-time streaming over the continuous scheduler ({} requests, seed {seed}) ==",
-        async_rt::DEFAULT_REQUESTS
-    );
-    let r = async_rt::run(seed, async_rt::DEFAULT_REQUESTS);
+fn run_async(a: &Args) -> Vec<Gate> {
+    println!("{} requests, seed {}", async_rt::DEFAULT_REQUESTS, a.seed);
+    let r = async_rt::run(a.seed, async_rt::DEFAULT_REQUESTS);
     println!(
         "calibration: {:.3} virtual s compressed at {:.1}x -> {:.3} wall s ({:.1} wall tok/s, mean wall TTFT {:.1} ms)",
         r.virtual_sim_seconds,
@@ -812,206 +699,138 @@ fn run_async_lane(seed: u64) {
         "resolved: {} completed, {} rejected, {} mid-stream disconnects of {} requests",
         r.completed, r.rejected, r.disconnects, r.requests
     );
-    println!(
-        "gates: transparency_ok={} zero_leak_ok={} total_resolution_ok={} disconnect_ok={}",
-        r.transparency_ok, r.zero_leak_ok, r.total_resolution_ok, r.disconnect_ok
+    vec![
+        artifact_json("async", &r),
+        gate("async", "transparency_ok", r.transparency_ok),
+        gate("async", "zero_leak_ok", r.zero_leak_ok),
+        gate("async", "async_ok", r.async_ok),
+    ]
+}
+
+fn usage() -> String {
+    let width = LANES.iter().map(|l| l.name.len()).max().unwrap_or(0);
+    let mut text = String::from(
+        "usage: repro [<lane>... | all] [--seed S] [--rps R] [--requests N]\n\
+         \x20            [--storm P] [--fault-seed N] [--tokens N]\n\
+         lanes (`all`, the default, runs every lane not marked *):\n",
     );
-    let ok = r.async_ok;
-    save("async", &r);
-    if ok {
-        println!("async_ok: the real-time path is transparent and leak-free");
-    } else {
-        eprintln!("error: an async serving gate failed");
-        std::process::exit(1);
+    for l in LANES {
+        let mark = if l.in_all { ' ' } else { '*' };
+        text.push_str(&format!(" {mark}{:width$}  {}\n", l.name, l.title));
     }
+    text
+}
+
+/// The value of flag `--key`, from `--key=v` (`inline`) or the next
+/// argument, checked by `validate`; `expects` words the error.
+fn flag_value<'a, T>(
+    key: &str,
+    inline: Option<&'a str>,
+    rest: &mut impl Iterator<Item = &'a String>,
+    expects: &str,
+    validate: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let v = inline
+        .or_else(|| rest.next().map(String::as_str))
+        .ok_or_else(|| format!("--{key} expects {expects}, got nothing"))?;
+    validate(v).ok_or_else(|| format!("--{key} expects {expects}, got '{v}'"))
+}
+
+/// Parse the command line into the lanes to run, in order, and their
+/// inputs. Anything unrecognised is an error: a mistyped flag must not
+/// silently run the default experiment.
+fn parse(argv: &[String]) -> Result<(Vec<&'static Lane>, Args), String> {
+    let mut args = Args {
+        seed: DEFAULT_SEED,
+        rps: DEFAULT_RPS,
+        requests: DEFAULT_REQUESTS,
+        storm: StormProfile::Default,
+        fault_seed: faults::DEFAULT_FAULT_SEED,
+        tokens: trace::DEFAULT_TOKENS,
+    };
+    let mut lanes: Vec<&'static Lane> = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(a) = rest.next() {
+        let Some(flag) = a.strip_prefix("--") else {
+            if a == "all" {
+                lanes.extend(LANES.iter().filter(|l| l.in_all));
+            } else {
+                let lane = LANES.iter().find(|l| l.name == a);
+                lanes.push(lane.ok_or_else(|| format!("unknown lane '{a}'"))?);
+            }
+            continue;
+        };
+        let (key, inline) = match flag.split_once('=') {
+            Some((k, v)) => (k, Some(v)),
+            None => (flag, None),
+        };
+        let rest = &mut rest;
+        match key {
+            "seed" => {
+                args.seed = flag_value(key, inline, rest, "an integer", |v| v.parse().ok())?
+            }
+            "fault-seed" => {
+                args.fault_seed = flag_value(key, inline, rest, "an integer", |v| v.parse().ok())?
+            }
+            "rps" => {
+                args.rps = flag_value(key, inline, rest, "a positive number", |v| {
+                    v.parse().ok().filter(|r: &f64| *r > 0.0 && r.is_finite())
+                })?
+            }
+            "requests" => {
+                args.requests = flag_value(key, inline, rest, "a positive integer", |v| {
+                    v.parse().ok().filter(|n| *n >= 1)
+                })?
+            }
+            "tokens" => {
+                args.tokens = flag_value(key, inline, rest, "a positive integer", |v| {
+                    v.parse().ok().filter(|t| *t >= 1)
+                })?
+            }
+            "storm" => {
+                let names: Vec<&str> = StormProfile::ALL.iter().map(|p| p.name()).collect();
+                let expects = format!("one of {}", names.join("|"));
+                args.storm = flag_value(key, inline, rest, &expects, StormProfile::parse)?
+            }
+            _ => return Err(format!("unknown flag '{a}'")),
+        }
+    }
+    if lanes.is_empty() {
+        lanes.extend(LANES.iter().filter(|l| l.in_all));
+    }
+    Ok((lanes, args))
+}
+
+/// Run every lane to the end — a failed gate never hides a later
+/// lane's verdict — and collect the gates.
+fn run_lanes(lanes: &[&Lane], args: &Args) -> Vec<Gate> {
+    let mut gates = Vec::new();
+    for lane in lanes {
+        println!("\n== {} ==", lane.title);
+        gates.extend((lane.run)(args));
+    }
+    gates
+}
+
+/// Print the gate table; the process exit code is 1 if any gate failed.
+fn report(gates: &[Gate]) -> i32 {
+    println!("\n== Gates ==");
+    print_rows(&["lane", "gate", "ok"], gates, |g| {
+        let verdict = if g.ok { "ok" } else { "FAILED" };
+        vec![g.lane.to_string(), g.name.to_string(), verdict.to_string()]
+    });
+    let failed = gates.iter().filter(|g| !g.ok).count();
+    if failed > 0 {
+        eprintln!("error: {failed} of {} gates failed", gates.len());
+    }
+    i32::from(failed > 0)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut fast = false;
-    let mut shared_prefix = false;
-    let mut fault_seed = faults::DEFAULT_FAULT_SEED;
-    let mut tokens = trace::DEFAULT_TOKENS;
-    let mut rps = serve::DEFAULT_RPS;
-    let mut requests = serve::DEFAULT_REQUESTS;
-    let mut serve_seed = serve::DEFAULT_SEED;
-    let mut storm = lm_fault::StormProfile::Default;
-    let mut sweep = lm_verify::SweepDepth::Quick;
-    let mut which: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let seed_value = if a == "--fault-seed" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--fault-seed=").map(String::from)
-        };
-        let tokens_value = if a == "--tokens" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--tokens=").map(String::from)
-        };
-        let rps_value = if a == "--rps" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--rps=").map(String::from)
-        };
-        let requests_value = if a == "--requests" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--requests=").map(String::from)
-        };
-        let serve_seed_value = if a == "--seed" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--seed=").map(String::from)
-        };
-        let storm_value = if a == "--storm" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--storm=").map(String::from)
-        };
-        let sweep_value = if a == "--sweep" {
-            i += 1;
-            Some(args.get(i).cloned().unwrap_or_default())
-        } else {
-            a.strip_prefix("--sweep=").map(String::from)
-        };
-        if let Some(v) = sweep_value {
-            sweep = match v.as_str() {
-                "quick" => lm_verify::SweepDepth::Quick,
-                "full" => lm_verify::SweepDepth::Full,
-                _ => {
-                    eprintln!("--sweep expects quick|full, got '{v}'");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = storm_value {
-            storm = match lm_fault::StormProfile::parse(&v) {
-                Some(p) => p,
-                None => {
-                    let names: Vec<&str> = lm_fault::StormProfile::ALL
-                        .iter()
-                        .map(|p| p.name())
-                        .collect();
-                    eprintln!("--storm expects one of {}, got '{v}'", names.join("|"));
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = rps_value {
-            rps = match v.parse::<f64>() {
-                Ok(r) if r > 0.0 && r.is_finite() => r,
-                _ => {
-                    eprintln!("--rps expects a positive number, got '{v}'");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = requests_value {
-            requests = match v.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("--requests expects a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = serve_seed_value {
-            serve_seed = match v.parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed expects an integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = seed_value {
-            fault_seed = match v.parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--fault-seed expects an integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = tokens_value {
-            tokens = match v.parse::<u64>() {
-                Ok(t) if t >= 1 => t,
-                _ => {
-                    eprintln!("--tokens expects a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            };
-        } else if a == "--fast" {
-            fast = true;
-        } else if a == "--shared-prefix" {
-            shared_prefix = true;
-        } else if !a.starts_with("--") && which.is_none() {
-            which = Some(a.clone());
-        }
-        i += 1;
-    }
-    let which = which.as_deref().unwrap_or("all");
-    let lens: &[u64] = if fast {
-        &[8, 64]
-    } else {
-        &table3::GEN_LENGTHS
-    };
-
-    match which {
-        "table1" => run_table1(),
-        "table3" => run_table3(lens),
-        "table4" => run_table4(),
-        "table5" => run_table5(),
-        "fig3" => run_fig3(),
-        "fig4" => run_fig4(),
-        "fig5" => run_fig5(),
-        "fig7" => run_fig7(lens),
-        "fig8" => run_fig8(),
-        "fig9" => run_fig9(),
-        "whatif" => run_whatif(),
-        "analyze" => run_analyze(),
-        "faults" => run_faults(fault_seed),
-        "trace" => run_trace(tokens),
-        "serve" => run_serve(serve_seed, rps, requests, shared_prefix),
-        "chaos" => run_chaos(serve_seed, storm, rps, requests),
-        "slo" => run_slo(serve_seed, rps, requests),
-        "obs" => run_obs(serve_seed, rps, requests),
-        "verify" => run_verify(sweep),
-        "async" => run_async_lane(serve_seed),
-        "summary" => {
-            let s = summary::run(lens);
-            print_summary(&s);
-            save("summary", &s);
-        }
-        "all" => {
-            run_analyze();
-            run_table4();
-            run_whatif();
-            run_table1();
-            run_fig3();
-            run_fig4();
-            run_fig5();
-            run_table3(lens);
-            run_fig7(lens);
-            run_fig8();
-            run_table5();
-            run_fig9();
-            run_faults(fault_seed);
-            run_trace(tokens);
-            run_serve(serve_seed, rps, requests, shared_prefix);
-            run_chaos(serve_seed, storm, rps, requests);
-            run_slo(serve_seed, rps, requests);
-            run_obs(serve_seed, rps, requests);
-            run_verify(sweep);
-            run_async_lane(serve_seed);
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: analyze table1 table3 table4 table5 fig3 fig4 fig5 fig7 fig8 fig9 whatif faults summary trace serve chaos slo obs verify async all");
-            std::process::exit(2);
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (lanes, args) = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{}", usage());
+        std::process::exit(2)
+    });
+    std::process::exit(report(&run_lanes(&lanes, &args)));
 }

@@ -9,13 +9,21 @@
 //! shape under `LMA30x`. Shipped presets must produce zero
 //! `Error` diagnostics; warnings are reported but allowed.
 
-use lm_analyze::{analyze_deployment, lint_serve, Deployment, Diagnostic};
+use lm_analyze::{
+    analyze_deployment, lint_async, lint_paging, lint_serve, lint_slo, lint_verify, Deployment,
+    Diagnostic, Report,
+};
 use lm_hardware::presets;
 use lm_models::{presets as models, ModelConfig, Workload};
 use lm_offload::{transfer_tasks, try_derive_plan, DEFAULT_HEAD_GROUPS};
 use lm_parallelism::{attention_graph, SearchConfig};
+use lm_serve::{
+    async_probe, plan_admission, slo_probe, AnalyticBackend, AsyncConfig, DegradeLadder,
+    ServeBackend, ServeConfig, ServeError, ServePlan, SloPolicy,
+};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// FLOP threshold for the bundling lint — the same order of magnitude the
 /// runtime uses to decide which operators are bundling candidates.
@@ -25,12 +33,27 @@ pub const BUNDLE_MIN_FLOPS: f64 = 1e7;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnalyzeRow {
     pub preset: String,
-    /// Derived plan shape, for context next to the findings.
+    /// Derived plan shape, for context next to the findings (what the
+    /// two columns carry for the non-deployment rows is documented where
+    /// each row is built).
     pub inter_op_total: u32,
     pub intra_op_compute: u32,
     pub errors: usize,
     pub warnings: usize,
     pub diagnostics: Vec<Diagnostic>,
+}
+
+impl AnalyzeRow {
+    fn new(preset: &str, inter_op_total: u32, intra_op_compute: u32, report: Report) -> Self {
+        AnalyzeRow {
+            preset: preset.to_string(),
+            inter_op_total,
+            intra_op_compute,
+            errors: report.error_count(),
+            warnings: report.warning_count(),
+            diagnostics: report.diagnostics,
+        }
+    }
 }
 
 fn preset_row(
@@ -61,87 +84,52 @@ fn preset_row(
         transfers: &transfers,
         bundle_min_flops: BUNDLE_MIN_FLOPS,
     });
-    AnalyzeRow {
-        preset: name.to_string(),
-        inter_op_total: out.plan.inter_op_total,
-        intra_op_compute: out.plan.intra_op_compute,
-        errors: report.error_count(),
-        warnings: report.warning_count(),
-        diagnostics: report.diagnostics,
-    }
+    AnalyzeRow::new(name, out.plan.inter_op_total, out.plan.intra_op_compute, report)
 }
 
-/// Lint the default serving plan with the `LMA25x` family. The plan
-/// shape reuses the row columns: `inter_op_total` carries the block
-/// graph's Kahn width, `intra_op_compute` the slot count.
-fn serve_plan_row() -> AnalyzeRow {
-    use lm_serve::{plan_admission, AnalyticBackend, ServeConfig, ServeError};
-    let backend = AnalyticBackend::opt_30b();
-    let (width, slots, report) = match plan_admission(&backend, &ServeConfig::default()) {
-        Ok(plan) => (
+/// Lint the default OPT-30B serving deployment against its one admission
+/// plan, one row per family:
+///
+/// - `LMA25x` the plan itself (columns: Kahn width / slots);
+/// - `LMA28x` its page geometry — the page size must tile the KV block,
+///   the pool must hold a page, the quiescent probe must balance
+///   (columns: pool pages / pages one slot's context spans);
+/// - `LMA26x` the SLO policy `repro slo` enforces — the objective must
+///   clear the physical TTFT floor with an actuator armed (columns:
+///   Kahn width / slots);
+/// - `LMA30x` the async session shape `ServeSession::run_async` ships
+///   with (columns: per-request channel capacity / slots).
+fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) -> [AnalyzeRow; 4] {
+    let floor = backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
+    let policy = SloPolicy::enforcing(floor * super::slo::SLO_FLOOR_HEADROOM);
+    let ladder: Arc<dyn DegradeLadder> = Arc::new(super::slo::model_guided_ladder(backend));
+    let acfg = AsyncConfig::default();
+    [
+        AnalyzeRow::new(
+            "opt-30b/serve/default-plan",
             plan.kahn_width as u32,
             plan.slots as u32,
             lint_serve(&plan.probe()),
         ),
-        // An infeasible default plan surfaces its LMA25x report as rows.
-        Err(ServeError::Plan(report)) => (0, 0, report),
-        Err(e) => panic!("default serve plan failed outside analysis: {e}"),
-    };
-    AnalyzeRow {
-        preset: "opt-30b/serve/default-plan".to_string(),
-        inter_op_total: width,
-        intra_op_compute: slots,
-        errors: report.error_count(),
-        warnings: report.warning_count(),
-        diagnostics: report.diagnostics,
-    }
-}
-
-/// Lint the default plan's page geometry with the `LMA28x` family: the
-/// derived page size must tile the KV block exactly, the pool must hold
-/// at least one page, and the quiescent probe must balance. The row
-/// columns carry the paged shape: `inter_op_total` the pool capacity in
-/// pages, `intra_op_compute` the pages one slot's context spans.
-fn paging_lint_row() -> AnalyzeRow {
-    use lm_analyze::lint_paging;
-    use lm_serve::{plan_admission, AnalyticBackend, ServeConfig};
-    let backend = AnalyticBackend::opt_30b();
-    let plan = plan_admission(&backend, &ServeConfig::default())
-        .unwrap_or_else(|e| panic!("default serve plan is infeasible: {e}"));
-    let report = lint_paging(&plan.paging_probe());
-    AnalyzeRow {
-        preset: "opt-30b/serve/default-paging".to_string(),
-        inter_op_total: plan.pages_total as u32,
-        intra_op_compute: plan.pages_per_slot as u32,
-        errors: report.error_count(),
-        warnings: report.warning_count(),
-        diagnostics: report.diagnostics,
-    }
-}
-
-/// Lint the default SLO configuration (the one `repro slo` enforces)
-/// with the `LMA26x` family: the objective must clear the plan's
-/// physical TTFT floor and at least one actuator must be armed.
-fn slo_policy_row() -> AnalyzeRow {
-    use lm_analyze::lint_slo;
-    use lm_serve::{plan_admission, slo_probe, AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
-    use std::sync::Arc;
-    let backend = AnalyticBackend::opt_30b();
-    let plan = plan_admission(&backend, &ServeConfig::default())
-        .unwrap_or_else(|e| panic!("default serve plan is infeasible: {e}"));
-    let floor = backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
-    let policy = SloPolicy::enforcing(floor * crate::experiments::slo::SLO_FLOOR_HEADROOM);
-    let ladder: Arc<dyn lm_serve::DegradeLadder> =
-        Arc::new(crate::experiments::slo::model_guided_ladder(&backend));
-    let report = lint_slo(&slo_probe(&plan, &backend, &policy, Some(&ladder)));
-    AnalyzeRow {
-        preset: "opt-30b/serve/default-slo".to_string(),
-        inter_op_total: plan.kahn_width as u32,
-        intra_op_compute: plan.slots as u32,
-        errors: report.error_count(),
-        warnings: report.warning_count(),
-        diagnostics: report.diagnostics,
-    }
+        AnalyzeRow::new(
+            "opt-30b/serve/default-paging",
+            plan.pages_total as u32,
+            plan.pages_per_slot as u32,
+            lint_paging(&plan.paging_probe()),
+        ),
+        AnalyzeRow::new(
+            "opt-30b/serve/default-slo",
+            plan.kahn_width as u32,
+            plan.slots as u32,
+            lint_slo(&slo_probe(plan, backend, &policy, Some(&ladder))),
+        ),
+        AnalyzeRow::new(
+            "opt-30b/serve/default-async",
+            acfg.channel_capacity as u32,
+            plan.slots as u32,
+            lint_async(&async_probe(plan, backend, cfg, &acfg)),
+        ),
+    ]
 }
 
 /// Lint the verification instrument itself with the `LMA29x` family: a
@@ -152,7 +140,6 @@ fn slo_policy_row() -> AnalyzeRow {
 /// shape: `inter_op_total` the lattice configs explored,
 /// `intra_op_compute` the declared protocol transitions exercised.
 fn verify_lint_row() -> AnalyzeRow {
-    use lm_analyze::lint_verify;
     use lm_verify::{
         build_probe, check_kvpool_protocol, check_scheduler_protocol, run_sweep, Mutation,
         SweepDepth,
@@ -164,52 +151,18 @@ fn verify_lint_row() -> AnalyzeRow {
     let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
     let protocols = [check_kvpool_protocol(opts()), check_scheduler_protocol(opts())];
     let probe = build_probe(&sweep, &protocols);
-    let report = lint_verify(&probe);
-    AnalyzeRow {
-        preset: "verify/lma29x/quick-sweep".to_string(),
-        inter_op_total: probe.configs_explored as u32,
-        intra_op_compute: probe.exercised_transitions.len() as u32,
-        errors: report.error_count(),
-        warnings: report.warning_count(),
-        diagnostics: report.diagnostics,
-    }
-}
-
-/// Lint the default async session configuration (the one
-/// `ServeSession::run_async` ships with) against the default plan with
-/// the `LMA30x` family: a non-zero token channel, a sane wall→virtual
-/// time scale, and — when an SLO is set — an objective above the
-/// physical TTFT floor. The row columns carry the async shape:
-/// `inter_op_total` the per-request channel capacity,
-/// `intra_op_compute` the planned slots.
-fn async_lint_row() -> AnalyzeRow {
-    use lm_analyze::{lint_async, AsyncProbe};
-    use lm_serve::{plan_admission, AnalyticBackend, AsyncConfig, ServeBackend, ServeConfig};
-    let backend = AnalyticBackend::opt_30b();
-    let plan = plan_admission(&backend, &ServeConfig::default())
-        .unwrap_or_else(|e| panic!("default serve plan is infeasible: {e}"));
-    let floor = backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
-    let acfg = AsyncConfig::default();
-    let report = lint_async(&AsyncProbe {
-        channel_capacity: acfg.channel_capacity as u64,
-        time_scale: acfg.time_scale,
-        ttft_p99_slo_s: None,
-        floor_ttft_s: floor,
-    });
-    AnalyzeRow {
-        preset: "opt-30b/serve/default-async".to_string(),
-        inter_op_total: acfg.channel_capacity as u32,
-        intra_op_compute: plan.slots as u32,
-        errors: report.error_count(),
-        warnings: report.warning_count(),
-        diagnostics: report.diagnostics,
-    }
+    AnalyzeRow::new(
+        "verify/lma29x/quick-sweep",
+        probe.configs_explored as u32,
+        probe.exercised_transitions.len() as u32,
+        lint_verify(&probe),
+    )
 }
 
 /// Lint every shipped preset configuration plus the default serve plan.
 pub fn run() -> Vec<AnalyzeRow> {
     let flexgen = Policy::flexgen_default();
-    vec![
+    let mut rows = vec![
         preset_row(
             "opt-30b/parallelism-study/flexgen-default",
             &models::opt_30b(),
@@ -234,12 +187,22 @@ pub fn run() -> Vec<AnalyzeRow> {
             &Workload::parallelism_study(),
             &flexgen,
         ),
-        serve_plan_row(),
-        paging_lint_row(),
-        slo_policy_row(),
-        verify_lint_row(),
-        async_lint_row(),
-    ]
+    ];
+    let backend = AnalyticBackend::opt_30b();
+    let cfg = ServeConfig::default();
+    match plan_admission(&backend, &cfg) {
+        Ok(plan) => {
+            rows.extend(serve_rows(&backend, &cfg, &plan));
+            // Committed row order: the LMA29x row sits before the async one.
+            rows.insert(rows.len() - 1, verify_lint_row());
+        }
+        // An infeasible default plan surfaces its LMA25x report as rows.
+        Err(ServeError::Plan(report)) => {
+            rows.push(AnalyzeRow::new("opt-30b/serve/default-plan", 0, 0, report))
+        }
+        Err(e) => panic!("default serve plan failed outside analysis: {e}"),
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -24,11 +24,10 @@ use lm_serve::{AsyncConfig, CancelReason, EngineBackend, Request, ServeSession};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-pub const DEFAULT_SEED: u64 = 7;
 pub const DEFAULT_REQUESTS: usize = 9;
 
 /// Wall-clock budget the virtual run is compressed into. Small enough
-/// to keep `scripts/verify.sh` fast, large enough that pacing (not
+/// to keep `repro all` fast, large enough that pacing (not
 /// compute) dominates and backpressure/disconnect windows are real.
 const TARGET_WALL_S: f64 = 0.25;
 
@@ -239,6 +238,7 @@ pub fn run(seed: u64, n: usize) -> AsyncReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::DEFAULT_SEED;
 
     #[test]
     fn async_lane_passes_every_gate_at_the_default_seed() {

@@ -28,10 +28,6 @@ use lm_serve::{
 };
 use serde::{Deserialize, Serialize};
 
-pub const DEFAULT_SEED: u64 = 7;
-pub const DEFAULT_RPS: f64 = 4.0;
-pub const DEFAULT_REQUESTS: usize = 32;
-
 /// The hard invariants the harness gates on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChaosInvariants {
@@ -192,6 +188,7 @@ pub fn run(seed: u64, profile: StormProfile, rps: f64, n: usize) -> ChaosReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{DEFAULT_REQUESTS, DEFAULT_RPS, DEFAULT_SEED};
 
     #[test]
     fn default_storm_holds_every_invariant() {

@@ -3,7 +3,7 @@
 //! of the §3 performance models (the paper reports +90-121% for the 30B
 //! models).
 
-use crate::experiments::table3::table3_models;
+use crate::experiments::table3::{table3_models, GEN_LENGTHS};
 use lm_hardware::presets;
 use lm_models::ModelConfig;
 use lm_offload::{run_framework, EngineConfig, Framework};
@@ -36,11 +36,11 @@ pub fn run_cell(model: &ModelConfig, gen_len: u64) -> Option<Fig7Row> {
     })
 }
 
-/// Run the figure for all Table 3 models.
-pub fn run(gen_lengths: &[u64]) -> Vec<Fig7Row> {
+/// Run the figure for all Table 3 models and generation lengths.
+pub fn run() -> Vec<Fig7Row> {
     let mut out = Vec::new();
     for model in table3_models() {
-        for &len in gen_lengths {
+        for len in GEN_LENGTHS {
             if let Some(row) = run_cell(&model, len) {
                 out.push(row);
             }

@@ -20,3 +20,10 @@ pub mod table4;
 pub mod table5;
 pub mod trace;
 pub mod verify;
+
+/// The default traffic trace of the virtual-clock serve lanes (`serve`,
+/// `chaos`, `slo`, `obs`; `async` shares the seed): the committed
+/// `results/*.json` of those lanes are this trace's bytes.
+pub const DEFAULT_SEED: u64 = 7;
+pub const DEFAULT_RPS: f64 = 4.0;
+pub const DEFAULT_REQUESTS: usize = 32;

@@ -25,10 +25,6 @@ use lm_serve::{
 use lm_trace::{expo, FlightDump, FlightRecorder, ServeDriftReport, Tracer};
 use serde::{Deserialize, Serialize};
 
-pub const DEFAULT_SEED: u64 = 7;
-pub const DEFAULT_RPS: f64 = 4.0;
-pub const DEFAULT_REQUESTS: usize = 32;
-
 /// Per-metric drift tolerances (DESIGN.md §13). The TTFT predictor is a
 /// queueing estimate, not a replay, so the bars are documented per
 /// metric rather than a single epsilon: tails are noisier than means,
@@ -64,7 +60,7 @@ pub struct ObsReport {
     /// The full predicted-vs-observed audit.
     pub drift: ServeDriftReport,
     pub drift_gates: Vec<DriftGate>,
-    /// The verify.sh gate: every metric within its tolerance.
+    /// The `repro obs` drift gate: every metric within its tolerance.
     pub drift_ok: bool,
     /// OpenMetrics rendering of the audited run's registry.
     pub exposition: String,
@@ -195,6 +191,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{DEFAULT_REQUESTS, DEFAULT_RPS, DEFAULT_SEED};
 
     #[test]
     fn default_seed_passes_every_gate() {

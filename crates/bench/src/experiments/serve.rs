@@ -5,7 +5,7 @@
 //! dominate both baselines. TTFT and end-to-end latency percentiles come
 //! from each run's own `lm-trace` histogram snapshot.
 //!
-//! `--shared-prefix` adds the cross-request prefix-sharing study: the
+//! The run also carries the cross-request prefix-sharing study: the
 //! same arrival process and generation lengths are served once with a
 //! common system-prompt prefix and once with unique control prefixes;
 //! the paged pool maps the shared pages copy-on-write, skips their
@@ -19,11 +19,7 @@ use lm_serve::{
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 
-pub const DEFAULT_RPS: f64 = 4.0;
-pub const DEFAULT_REQUESTS: usize = 32;
-pub const DEFAULT_SEED: u64 = 7;
-
-/// Shared system-prompt length for the `--shared-prefix` study: twenty
+/// Shared system-prompt length for the shared-prefix study: twenty
 /// whole 16-token pages, so every request past the first maps 320 prompt
 /// tokens straight out of the prefix index. The length is chosen to make
 /// the study memory-bound: at offload scale prefill is weight-stream
@@ -93,7 +89,7 @@ pub struct ModeRow {
     pub latency: LatencyStats,
 }
 
-/// The `--shared-prefix` study: identical arrival process and decode
+/// The shared-prefix study: identical arrival process and decode
 /// work, with and without a common prompt head. `shared_paged` must beat
 /// `unshared_paged` on effective throughput — the prefill skipped by
 /// prefix sharing is the only difference between them.
@@ -109,7 +105,7 @@ pub struct SharedPrefixReport {
     pub effective_speedup: f64,
     /// Admission rejections across the paged runs (gate: zero).
     pub paged_rejections: usize,
-    /// The verify.sh gate: sharing actually engaged (hits > 0), beat
+    /// The `repro serve` gate: sharing actually engaged (hits > 0), beat
     /// the unshared control, and rejected nothing.
     pub superlinear_ok: bool,
 }
@@ -125,12 +121,13 @@ pub struct ServeReport {
     pub modes: Vec<ModeRow>,
     pub speedup_vs_sequential: f64,
     pub speedup_vs_static: f64,
-    /// Continuous ≥ 1.3× sequential and > static — the verify.sh gate.
+    /// Continuous ≥ 1.3× sequential and > static — a `repro serve` gate.
     pub dominance_ok: bool,
     /// Page-aware admission gate: the paged scheduler rejects nothing
     /// at the default seed.
     pub paged_zero_rejections: bool,
-    /// Filled by `repro serve --shared-prefix`, `null` otherwise.
+    /// The shared-prefix study on the same `(seed, rps, requests)`;
+    /// [`run`] always fills it.
     pub shared_prefix: Option<SharedPrefixReport>,
 }
 
@@ -188,7 +185,8 @@ fn continuous_row(
     (plan, mode_row(label, &tracer, &out))
 }
 
-/// Serve `n` seeded requests at `rps` through all three schedulers.
+/// Serve `n` seeded requests at `rps` through all three schedulers, then
+/// run the shared-prefix study on the same trace parameters.
 pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, lm_serve::ServeBackend::model(&backend));
@@ -247,11 +245,11 @@ pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
         speedup_vs_static,
         dominance_ok,
         paged_zero_rejections,
-        shared_prefix: None,
+        shared_prefix: Some(run_shared_prefix(seed, rps, n, DEFAULT_PREFIX_LEN)),
     }
 }
 
-/// The `--shared-prefix` study: `n` requests sharing one `prefix_len`-
+/// The shared-prefix study: `n` requests sharing one `prefix_len`-
 /// token system prompt vs the same trace with unique control prefixes.
 pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> SharedPrefixReport {
     let backend = AnalyticBackend::opt_30b();
@@ -291,6 +289,7 @@ pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> Sh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{DEFAULT_REQUESTS, DEFAULT_RPS, DEFAULT_SEED};
 
     #[test]
     fn default_experiment_shows_dominance() {

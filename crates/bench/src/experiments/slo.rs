@@ -21,10 +21,6 @@ use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-pub const DEFAULT_SEED: u64 = 7;
-pub const DEFAULT_RPS: f64 = 4.0;
-pub const DEFAULT_REQUESTS: usize = 32;
-
 /// SLO target as a multiple of the plan's physical TTFT floor (one
 /// padded-group prefill plus one full-occupancy decode step). Low enough
 /// that unprotected overload violates it, high enough that shedding and
@@ -69,7 +65,7 @@ pub struct SloReport {
     pub sequential_tokens_per_s: f64,
     /// Enforcing-mode throughput ≥ the sequential baseline's.
     pub continuous_beats_sequential: bool,
-    /// The verify.sh gate: observe violates, enforcing meets, actuators
+    /// The `repro slo` gate: observe violates, enforcing meets, actuators
     /// fired, and continuous still dominates sequential.
     pub slo_ok: bool,
 }
@@ -189,6 +185,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{DEFAULT_REQUESTS, DEFAULT_RPS, DEFAULT_SEED};
 
     #[test]
     fn enforcement_meets_the_slo_observe_mode_violates() {

@@ -2,7 +2,6 @@
 //! FlexGen "up to 2.95× (2.34× on average)" and vs ZeRO-Inference
 //! "up to 2.88× (1.57× on average)".
 
-use crate::experiments::table3;
 use lm_offload::{speedup_over, Framework, Speedup, Table3Row};
 use serde::{Deserialize, Serialize};
 
@@ -29,14 +28,10 @@ pub fn summarise(rows: &[Table3Row]) -> Summary {
     }
 }
 
-/// Run Table 3 at the given lengths and summarise.
-pub fn run(gen_lengths: &[u64]) -> Summary {
-    summarise(&table3::run(gen_lengths))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table3;
     use lm_models::presets as models;
 
     #[test]

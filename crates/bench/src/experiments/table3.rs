@@ -35,10 +35,10 @@ pub fn run_cell(model: &ModelConfig, gen_len: u64) -> Vec<Table3Row> {
 }
 
 /// Run the full table (60 framework runs — takes a little while).
-pub fn run(gen_lengths: &[u64]) -> Vec<Table3Row> {
+pub fn run() -> Vec<Table3Row> {
     let mut all = Vec::new();
     for model in table3_models() {
-        for &len in gen_lengths {
+        for len in GEN_LENGTHS {
             all.extend(run_cell(&model, len));
         }
     }

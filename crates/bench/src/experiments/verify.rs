@@ -19,11 +19,10 @@
 //!    equals the committed `results/serve.json` snapshot — verification
 //!    instrumentation must cost the serve path nothing.
 //!
-//! `repro verify [--sweep quick|full]` writes `results/verify.json` and
-//! exits non-zero when any gate fails; `scripts/verify.sh` additionally
-//! byte-compares the artifact across two runs.
+//! `repro verify` sweeps the full lattice and writes the deterministic
+//! `results/verify.json`; `SweepDepth::Quick` is for debug-mode tests.
 
-use super::serve;
+use super::{serve, DEFAULT_REQUESTS, DEFAULT_RPS, DEFAULT_SEED};
 use lm_analyze::{lint_verify, Diagnostic, UnsoundnessWitness};
 use lm_serve::{synth_traffic, AnalyticBackend, ServeBackend, ServeSession};
 use lm_verify::{
@@ -104,7 +103,7 @@ fn lane_opts() -> loom::Options {
 /// `results/serve.json`, whose default run is the same trace).
 fn zero_cost_check(serve_json: &str) -> ZeroCostCheck {
     let backend = AnalyticBackend::opt_30b();
-    let (seed, rps, n) = (serve::DEFAULT_SEED, serve::DEFAULT_RPS, serve::DEFAULT_REQUESTS);
+    let (seed, rps, n) = (DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
     let traffic = synth_traffic(seed, rps, n, backend.model());
     let measured = match ServeSession::new(&backend).run(traffic) {
         Ok(r) => r.outcome.tokens_per_s(),

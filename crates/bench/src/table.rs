@@ -45,6 +45,16 @@ pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Print `rows` as a table: one line of `cells(row)` per row.
+pub fn print_rows<T>(
+    header: &[&str],
+    rows: impl IntoIterator<Item = T>,
+    cells: impl Fn(T) -> Vec<String>,
+) {
+    let rendered: Vec<Vec<String>> = rows.into_iter().map(cells).collect();
+    println!("{}", render(header, &rendered));
+}
+
 /// Format a float with `digits` decimals.
 pub fn f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")

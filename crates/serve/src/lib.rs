@@ -75,5 +75,5 @@ pub use request::{
 };
 pub use driver::{Delivery, ServeDriver, VirtualDriver};
 pub use scheduler::{ServeOutcome, ServeStats, TokenEvent};
-pub use session::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
+pub use session::{async_probe, AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
 pub use slo::{DegradeLadder, DegradeRung, SloPolicy, StaticLadder, TtftModel};

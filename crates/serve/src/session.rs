@@ -96,6 +96,25 @@ impl Default for AsyncConfig {
     }
 }
 
+/// Sample the `LMA30x` lint observation for an async session: the
+/// channel and clock knobs of `acfg`, the SLO of `cfg` (if any), and the
+/// same physical TTFT floor [`slo_probe`](crate::slo_probe) judges the
+/// virtual path by.
+pub fn async_probe(
+    plan: &ServePlan,
+    backend: &dyn ServeBackend,
+    cfg: &ServeConfig,
+    acfg: &AsyncConfig,
+) -> lm_analyze::AsyncProbe {
+    lm_analyze::AsyncProbe {
+        channel_capacity: acfg.channel_capacity as u64,
+        time_scale: acfg.time_scale,
+        ttft_p99_slo_s: cfg.slo.as_ref().map(|s| s.ttft_p99_s),
+        floor_ttft_s: backend.prefill_seconds(plan.slot_context, plan.slots)
+            + plan.est_step_seconds,
+    }
+}
+
 /// The per-request token streams handed to [`ServeSession::run_async`]'s
 /// client closure: one bounded receiver per submitted request, keyed by
 /// request id. Dropping a receiver (or the whole collection) is how a
@@ -215,14 +234,7 @@ impl<'b> ServeSession<'b> {
         // gate. The plan floor comes from the same arithmetic LMA260
         // judges the virtual path by.
         let (plan, _) = derive_plan(self.backend, &self.cfg);
-        let probe = lm_analyze::AsyncProbe {
-            channel_capacity: acfg.channel_capacity as u64,
-            time_scale: acfg.time_scale,
-            ttft_p99_slo_s: self.cfg.slo.as_ref().map(|s| s.ttft_p99_s),
-            floor_ttft_s: self.backend.prefill_seconds(plan.slot_context, plan.slots)
-                + plan.est_step_seconds,
-        };
-        let report = lm_analyze::lint_async(&probe);
+        let report = lm_analyze::lint_async(&async_probe(&plan, self.backend, &self.cfg, acfg));
         if !report.is_clean() {
             return Err(ServeError::Plan(report));
         }

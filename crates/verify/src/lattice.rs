@@ -46,8 +46,8 @@ use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Lattice size: `Quick` is the default verify lane; `Full` is the
-/// exhaustive overnight lattice behind `VERIFY_SWEEP=full`.
+/// Lattice size: `Full` is the 1,200-point lattice `repro verify` runs;
+/// `Quick` is the subsample the debug-mode tier-1 tests use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepDepth {
     Quick,
