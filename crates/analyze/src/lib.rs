@@ -44,6 +44,7 @@
 //! offending values inline. [`Report`] serialises to JSON for
 //! `repro analyze`.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod async_lints;
 pub mod diag;

@@ -13,6 +13,7 @@
 //!   parameterised by an evaluator closure so each framework brings its
 //!   own cost beliefs.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod flexgen;
 pub mod search;

@@ -13,6 +13,8 @@
 //! The platform is the paper's single-GPU A100 box unless `--gpus G`
 //! selects the multi-GPU V100 platform.
 
+#![forbid(unsafe_code)]
+
 use lm_bench::table::{f, render};
 use lm_hardware::presets as hw;
 use lm_models::{presets as models, DType, Footprint, ModelConfig, Workload};

@@ -12,6 +12,8 @@
 //! usage error). `repro all` with no flags reproduces every committed
 //! deterministic `results/` file byte for byte (README "Testing").
 
+#![forbid(unsafe_code)]
+
 use lm_bench::experiments::*;
 use lm_bench::table::{f, print_rows};
 use lm_fault::StormProfile;

@@ -8,6 +8,7 @@
 //! Wall-clock performance is measured from outside the workspace by
 //! `benchmark/` (see its README).
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod experiments;
 pub mod table;

@@ -10,6 +10,7 @@
 //! co-running operators interleaving on a shared LLC — with a trace-driven
 //! model whose geometry comes from `lm_hardware::CpuSpec`.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod cache;
 pub mod hierarchy;

@@ -46,6 +46,7 @@
 //! assert!(advisor.kv_quantization(base).beneficial);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod advisor;
 pub mod controller;

@@ -70,7 +70,7 @@ fn read_u32(r: &mut impl Read) -> Result<u32, CheckpointError> {
 }
 
 fn write_linear(w: &mut impl Write, l: &Linear) -> Result<(), CheckpointError> {
-    let full = l.weight.materialize();
+    let full = l.weight.as_full();
     write_u32(w, l.out_features as u32)?;
     write_u32(w, l.in_features as u32)?;
     write_u32(w, l.bias.is_some() as u32)?;

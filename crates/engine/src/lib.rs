@@ -20,6 +20,7 @@
 //! assert_eq!(out.tokens[0].len(), 4);
 //! assert!(out.weight_bytes_streamed > 0); // every layer streamed per sweep
 //! ```
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

@@ -4,20 +4,53 @@
 //! pool — for the duration of their use. Dropping the fetched layer frees
 //! the device bytes, so the pool's peak proves how much "GPU memory" the
 //! run really needed.
+//!
+//! The f32 buffers a fetch fills are *device slots*: a dropped
+//! [`FetchedLayer`] hands them back to the store and the next fetch writes
+//! into them in place, as a transfer into preallocated device memory
+//! would. A fresh 28 MB allocation per fetch is bound by first-touch page
+//! faults (1.7 GB/s), not by the copy (13 GB/s into memory that exists).
 
 use crate::model::LayerWeights;
 use crate::pools::{Lease, MemPool, PoolExhausted};
 use lm_fault::{FaultInjector, RetryPolicy};
 use lm_models::ModelConfig;
-use lm_tensor::{Linear, QuantConfig, WeightStore as LinearStore};
+use lm_tensor::{dequantize_into, Linear, QuantConfig, Tensor, WeightStore as LinearStore};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The weight-matrix buffers of one fetched layer, in `q, k, v, o, mlp..`
+/// order.
+type Slot = Vec<Vec<f32>>;
 
 /// A layer materialised into the device pool.
 pub struct FetchedLayer {
     pub weights: LayerWeights,
     pub layer: u32,
+    free_slots: Arc<Mutex<Vec<Slot>>>,
     _lease: Lease,
+}
+
+impl Drop for FetchedLayer {
+    /// Runs before `_lease` drops: the slot is back on the free list
+    /// before the device bytes are released, so whoever is granted them
+    /// finds it there.
+    fn drop(&mut self) {
+        let w = &mut self.weights;
+        let slot = [&mut w.q, &mut w.k, &mut w.v, &mut w.o]
+            .into_iter()
+            .chain(&mut w.mlp)
+            .map(|l| {
+                let hollow = LinearStore::Full(Tensor::zeros([0]));
+                match std::mem::replace(&mut l.weight, hollow) {
+                    LinearStore::Full(t) => t.into_vec(),
+                    _ => Vec::new(),
+                }
+            })
+            .collect();
+        self.free_slots.lock().push(slot);
+    }
 }
 
 /// The at-rest weight store.
@@ -31,6 +64,10 @@ pub struct OffloadStore {
     fetched_bytes: AtomicU64,
     /// Injects transfer stalls into fetches; disabled by default.
     pub fault: FaultInjector,
+    /// Slots of dropped fetches. One is built only when a granted lease
+    /// finds none free, so at most as many exist as layers were ever
+    /// leased at once (two with prefetch).
+    free_slots: Arc<Mutex<Vec<Slot>>>,
     _host_lease: Lease,
 }
 
@@ -57,9 +94,17 @@ impl WeightsAtRest {
     }
 }
 
-fn materialize_linear(l: &Linear) -> Linear {
+/// `l` at full precision, its weights written into `buf` in place: a
+/// copy for f32, a widen for f16, a dequantize for int4/int8.
+fn fill_linear(l: &Linear, mut buf: Vec<f32>) -> Linear {
+    buf.resize(l.out_features * l.in_features, 0.0);
+    match &l.weight {
+        LinearStore::Full(t) => buf.copy_from_slice(t.data()),
+        LinearStore::Half(h) => h.widen_into(&mut buf),
+        LinearStore::Quantized(q) => dequantize_into(q, &mut buf),
+    }
     Linear {
-        weight: LinearStore::Full(l.weight.materialize()),
+        weight: LinearStore::Full(Tensor::from_vec([l.out_features, l.in_features], buf)),
         bias: l.bias.clone(),
         in_features: l.in_features,
         out_features: l.out_features,
@@ -107,6 +152,7 @@ impl OffloadStore {
             device,
             fetched_bytes: AtomicU64::new(0),
             fault: FaultInjector::disabled(),
+            free_slots: Arc::default(),
             _host_lease: host_lease,
         })
     }
@@ -145,9 +191,10 @@ impl OffloadStore {
     }
 
     /// Fetch layer `idx` to the device: dequantize/copy into a
-    /// full-precision working set charged to the device pool. With a
-    /// fault injector attached, the transfer may stall (a real sleep —
-    /// the engine-side counterpart of the simulator's virtual stall).
+    /// full-precision working set — a free device slot, or a new one —
+    /// charged to the device pool. With a fault injector attached, the
+    /// transfer may stall (a real sleep — the engine-side counterpart of
+    /// the simulator's virtual stall).
     pub fn fetch(&self, idx: u32) -> Result<FetchedLayer, PoolExhausted> {
         if let Some(stall) = self.fault.transfer_stall("store.fetch", idx as u64) {
             std::thread::sleep(stall);
@@ -156,21 +203,24 @@ impl OffloadStore {
         let lease = self.device.alloc(self.fetched_bytes(idx))?;
         self.fetched_bytes
             .fetch_add(at_rest.bytes() as u64, Ordering::Relaxed);
+        let mut slot = self.free_slots.lock().pop().unwrap_or_default().into_iter();
+        let mut fill = |l: &Linear| fill_linear(l, slot.next().unwrap_or_default());
         let weights = LayerWeights {
             ln1_gamma: at_rest.ln1_gamma.clone(),
             ln1_beta: at_rest.ln1_beta.clone(),
-            q: materialize_linear(&at_rest.q),
-            k: materialize_linear(&at_rest.k),
-            v: materialize_linear(&at_rest.v),
-            o: materialize_linear(&at_rest.o),
+            q: fill(&at_rest.q),
+            k: fill(&at_rest.k),
+            v: fill(&at_rest.v),
+            o: fill(&at_rest.o),
             ln2_gamma: at_rest.ln2_gamma.clone(),
             ln2_beta: at_rest.ln2_beta.clone(),
-            mlp: at_rest.mlp.iter().map(materialize_linear).collect(),
+            mlp: at_rest.mlp.iter().map(fill).collect(),
             family: at_rest.family,
         };
         Ok(FetchedLayer {
             weights,
             layer: idx,
+            free_slots: Arc::clone(&self.free_slots),
             _lease: lease,
         })
     }
@@ -296,6 +346,99 @@ mod tests {
         let stats = fault.stats();
         assert!(stats.pool_pressure_spikes > 0, "spikes never fired");
         assert_eq!(stats.retries, stats.pool_pressure_spikes);
+    }
+
+    /// Every weight matrix of a layer, in slot order.
+    fn linears(w: &LayerWeights) -> Vec<&Linear> {
+        [&w.q, &w.k, &w.v, &w.o].into_iter().chain(&w.mlp).collect()
+    }
+
+    #[test]
+    fn reused_slot_holds_exactly_the_newly_fetched_layer() {
+        let cfg = presets::tiny_test();
+        for at_rest in [
+            WeightsAtRest::F32,
+            WeightsAtRest::F16,
+            WeightsAtRest::Quantized(QuantConfig::int8()),
+            WeightsAtRest::Quantized(QuantConfig::int4()),
+        ] {
+            let (host, device) = pools(64 << 20);
+            let layers = (0..2).map(|i| LayerWeights::synthesize(&cfg, i, 9));
+            let store = OffloadStore::from_layers(layers, at_rest, host, device.clone()).unwrap();
+            drop(store.fetch(0).unwrap());
+            assert_eq!(device.used(), 0, "{at_rest:?}: drop must free the lease");
+            assert_eq!(
+                store.free_slots.lock().len(),
+                1,
+                "{at_rest:?}: slot not returned"
+            );
+
+            let fetched = store.fetch(1).unwrap();
+            assert!(
+                store.free_slots.lock().is_empty(),
+                "{at_rest:?}: slot not reused"
+            );
+            let fresh = linears(&store.layers[1]);
+            for (m, (got, want)) in linears(&fetched.weights).into_iter().zip(fresh).enumerate() {
+                let (got, want) = (got.weight.as_full(), want.weight.as_full());
+                assert_eq!(got.shape(), want.shape());
+                let same = got
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(
+                    same,
+                    "{at_rest:?}: matrix {m} of layer 1 carries stale bits"
+                );
+            }
+            drop(fetched);
+            assert_eq!(device.used(), 0);
+            assert_eq!(
+                device.peak(),
+                store.fetched_bytes(0),
+                "{at_rest:?}: more than one layer"
+            );
+            assert_eq!(
+                store.free_slots.lock().len(),
+                1,
+                "{at_rest:?}: a second slot was built"
+            );
+        }
+    }
+
+    #[test]
+    fn tokens_do_not_depend_on_prefetch_device_budget_or_slot_reuse() {
+        use crate::{Engine, EngineOptions, GenerateRequest};
+        let cfg = presets::tiny_test();
+        let request = GenerateRequest::new(vec![vec![3, 1, 4, 1, 5], vec![9, 2, 6, 5, 3]], 6);
+        let int4 = Some(QuantConfig::int4());
+        for (f16_at_rest, quantize_at_rest) in [(false, None), (true, None), (false, int4)] {
+            let mut runs = Vec::new();
+            for prefetch in [true, false] {
+                for two_layers in [true, false] {
+                    let options = |device_capacity| EngineOptions {
+                        device_capacity,
+                        f16_at_rest,
+                        quantize_at_rest,
+                        prefetch,
+                        ..EngineOptions::default()
+                    };
+                    let unbounded = Engine::new(&cfg, 7, options(1 << 40)).unwrap();
+                    let engine = if two_layers {
+                        let budget = 2 * unbounded.layer_fetch_bytes(0) + (1 << 20);
+                        Engine::new(&cfg, 7, options(budget)).unwrap()
+                    } else {
+                        unbounded
+                    };
+                    runs.push(engine.run(&request).unwrap().tokens);
+                }
+            }
+            assert!(
+                runs.iter().all(|t| t == &runs[0]),
+                "f16 {f16_at_rest}, quantized {quantize_at_rest:?}: {runs:?}"
+            );
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //!    recovery actions into one [`FaultStats`], surfaced through
 //!    `lm_offload::report` and the `repro` binary.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 mod plan;
 mod retry;

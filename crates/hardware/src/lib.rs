@@ -18,6 +18,7 @@
 //! the *only* tunable constants in the reproduction; DESIGN.md §5 records
 //! how their defaults were chosen.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod presets;
 pub mod spec;

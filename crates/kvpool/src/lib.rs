@@ -31,6 +31,7 @@
 //! recycled LIFO from the free list. Given the same call sequence it
 //! returns the same pages, which is what lets the serve scheduler stay
 //! byte-identical across runs.
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

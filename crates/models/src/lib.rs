@@ -15,6 +15,7 @@
 //!   §3.1 (e.g. OPT-30B at the motivation workload: 55 GiB of weights,
 //!   157 GiB of KV cache, 214 GiB total).
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod config;
 pub mod footprint;

@@ -19,6 +19,7 @@
 //! - [`executor`]: a real work-queue executor with explicit inter-op and
 //!   intra-op parallelism for running operator graphs on actual hardware.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod bundle;
 pub mod executor;

@@ -149,7 +149,7 @@ impl ServePlan {
 fn derive_page_tokens(context: usize) -> usize {
     (1..=context.min(16))
         .rev()
-        .find(|d| context % d == 0)
+        .find(|d| context.is_multiple_of(*d))
         .unwrap_or(1)
 }
 

@@ -48,6 +48,7 @@
 //! run is a pure function of `(requests, backend, config)` — identical
 //! across runs and machines, which is what makes the `repro serve`
 //! experiment reproducible.
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

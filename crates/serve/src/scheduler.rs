@@ -562,7 +562,7 @@ impl<'a> Scheduler<'a> {
         self.active
             .iter()
             .enumerate()
-            .filter(|(_, s)| outranked_by.map_or(true, |top| s.req.priority < top))
+            .filter(|(_, s)| outranked_by.is_none_or(|top| s.req.priority < top))
             .min_by_key(|(_, s)| (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id)))
             .map(|(i, _)| i)
     }

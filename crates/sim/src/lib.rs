@@ -16,6 +16,7 @@
 //! - [`pipeline`]: pipeline-parallel multi-GPU simulation for the weak
 //!   scaling study of Fig. 9.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod analytic;
 pub mod exec;

@@ -91,10 +91,22 @@ impl F16Tensor {
 
     /// Materialise back to f32 for compute.
     pub fn to_f32(&self) -> Tensor {
-        Tensor::from_vec(
-            self.shape.clone(),
-            self.data.iter().map(|&h| f16_bits_to_f32(h)).collect(),
-        )
+        let mut out = vec![0.0f32; self.data.len()];
+        self.widen_into(&mut out);
+        Tensor::from_vec(self.shape.clone(), out)
+    }
+
+    /// [`F16Tensor::to_f32`] into a buffer that already exists
+    /// (`out.len()` must be the tensor's element count).
+    pub fn widen_into(&self, out: &mut [f32]) {
+        assert_eq!(
+            out.len(),
+            self.data.len(),
+            "widen_into: buffer length mismatch"
+        );
+        for (x, &h) in out.iter_mut().zip(&self.data) {
+            *x = f16_bits_to_f32(h);
+        }
     }
 
     pub fn shape(&self) -> &Shape {

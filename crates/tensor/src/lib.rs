@@ -3,8 +3,10 @@
 //! A from-scratch CPU tensor library: the numeric substrate for the real
 //! execution mode of the LM-Offload reproduction.
 //!
-//! Provides dense f32 tensors, rayon-parallel matmul/attention/MLP kernels,
-//! and — centrally for the paper — the group-wise min-max quantization of
+//! Provides dense f32 tensors, single-threaded matmul/attention/MLP
+//! kernels — the hot ones (`matmul_transb`, quantize, dequantize) compiled
+//! twice and dispatched by CPU capability (AVX2+FMA or portable) — and,
+//! centrally for the paper, the group-wise min-max quantization of
 //! Algorithm 2 with dequantization per Eq. 11 ([`quant`]).
 //!
 //! The library favours simplicity over generality: owned contiguous
@@ -22,6 +24,9 @@
 //! assert!(weights.max_abs_diff(&restored) <= q.error_bound() + 1e-6);
 //! ```
 
+// `unsafe` appears only where a `#[target_feature]` instance is called
+// after its features were detected; each site carries its own `allow`.
+#![deny(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod f16;
 pub mod ops;
@@ -33,6 +38,6 @@ pub use f16::{f16_bits_to_f32, f32_to_f16_bits, F16Tensor};
 pub use ops::attention::{mha_decode, mha_prefill, KvCache};
 pub use ops::rope::{apply_rope_decode, apply_rope_prefill, ROPE_THETA};
 pub use ops::linear::{Linear, WeightStore};
-pub use quant::{dequantize, quantize, QuantConfig, QuantizedTensor};
+pub use quant::{dequantize, dequantize_into, quantize, QuantConfig, QuantizedTensor};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -97,7 +97,8 @@ impl KvCache {
 /// Decode-phase attention: one query token per batch item against the whole
 /// cache. `q` is `[batch, hidden]`; returns `[batch, hidden]`.
 ///
-/// Parallelised over (batch, head) pairs — independent work, no sharing.
+/// One (batch, head) pair at a time — independent work, no sharing; the
+/// `par_` iterator is `vendor/rayon`'s sequential stand-in.
 pub fn mha_decode(q: &Tensor, cache: &KvCache, num_heads: usize) -> Tensor {
     assert_eq!(q.rank(), 2, "decode query must be [batch, hidden]");
     let batch = q.dim(0);
@@ -148,7 +149,7 @@ pub fn mha_prefill(q: &Tensor, k: &Tensor, v: &Tensor, num_heads: usize) -> Tens
     let scale = 1.0 / (hd as f32).sqrt();
 
     let mut out = vec![0.0f32; batch * s * hidden];
-    // Parallelise over (batch, head); each owns a [s, hd] output strip that
+    // One (batch, head) at a time; each owns a [s, hd] output strip that
     // is strided in the output buffer, so collect locally then scatter.
     let strips: Vec<((usize, usize), Vec<f32>)> = (0..batch * num_heads)
         .into_par_iter()

@@ -7,6 +7,7 @@ use crate::ops::elementwise::add_bias;
 use crate::ops::matmul::matmul_transb;
 use crate::quant::{dequantize, quantize, QuantConfig, QuantizedTensor};
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Weight storage for a linear layer: full precision or group-quantized.
 ///
@@ -31,13 +32,13 @@ impl WeightStore {
         }
     }
 
-    /// Materialise full-precision weights (dequantizing/widening if
-    /// needed).
-    pub fn materialize(&self) -> Tensor {
+    /// The weights at full precision: borrowed when they already are,
+    /// dequantized / widened into a fresh tensor otherwise.
+    pub fn as_full(&self) -> Cow<'_, Tensor> {
         match self {
-            WeightStore::Full(t) => t.clone(),
-            WeightStore::Half(h) => h.to_f32(),
-            WeightStore::Quantized(q) => dequantize(q),
+            WeightStore::Full(t) => Cow::Borrowed(t),
+            WeightStore::Half(h) => Cow::Owned(h.to_f32()),
+            WeightStore::Quantized(q) => Cow::Owned(dequantize(q)),
         }
     }
 }
@@ -81,8 +82,7 @@ impl Linear {
     pub fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "Linear::forward expects [batch, in]");
         assert_eq!(x.dim(1), self.in_features, "in_features mismatch");
-        let w = self.weight.materialize();
-        let mut y = matmul_transb(x, &w);
+        let mut y = matmul_transb(x, &self.weight.as_full());
         if let Some(b) = &self.bias {
             add_bias(&mut y, b);
         }

@@ -17,7 +17,6 @@ pub mod pack;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use bytes::Bytes;
-use rayon::prelude::*;
 
 /// Quantization parameters: target bit width and group size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +73,6 @@ pub struct QuantizedTensor {
     mins: Vec<f32>,
     /// Per-group range (`max - min`).
     ranges: Vec<f32>,
-    /// Element count after padding to a multiple of `group_size`.
-    padded_len: usize,
 }
 
 impl QuantizedTensor {
@@ -109,98 +106,178 @@ impl QuantizedTensor {
     }
 }
 
+/// f32 lanes the min/max search keeps apart: one AVX2 register.
+const LANES: usize = 8;
+
 /// Quantize a tensor (Algorithm 2). Groups are formed along the flattened
 /// row-major order, which matches grouping along the last dimension when
 /// `group_size` divides it (the common case for `[.., hidden]` tensors).
+///
+/// Runs the instance this CPU supports: same arithmetic, but the AVX2 one
+/// has wider vectors and an inlined `round` instead of a libm call.
 pub fn quantize(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
     config.validate();
-    let n = t.numel();
-    // Phase 1: pad to a multiple of the group size.
-    let padded_len = n.div_ceil(config.group_size) * config.group_size;
-    let num_groups = padded_len / config.group_size;
-    let levels = config.levels();
-
-    // Phases 2-3, parallel over groups (independent, no sharing).
-    let results: Vec<(f32, f32, Vec<u8>)> = (0..num_groups)
-        .into_par_iter()
-        .map(|g| {
-            let start = g * config.group_size;
-            let end = (start + config.group_size).min(n);
-            let group = &t.data()[start..end];
-            // Phase 2: find min and max within the group (lines 9-10).
-            let mut min = f32::INFINITY;
-            let mut max = f32::NEG_INFINITY;
-            for &x in group {
-                min = min.min(x);
-                max = max.max(x);
-            }
-            if group.is_empty() {
-                // Whole group is padding.
-                min = 0.0;
-                max = 0.0;
-            }
-            let range = max - min;
-            let inv = if range > 0.0 { levels / range } else { 0.0 };
-            // Phase 3: min-max normalize per Eq. 10, then clamp (lines 12-14).
-            let mut codes = Vec::with_capacity(config.group_size);
-            for &x in group {
-                let q = ((x - min) * inv).round();
-                codes.push(q.clamp(0.0, levels) as u8);
-            }
-            codes.resize(config.group_size, 0); // padded tail elements
-            (min, range, codes)
-        })
-        .collect();
-
-    let mut mins = Vec::with_capacity(num_groups);
-    let mut ranges = Vec::with_capacity(num_groups);
-    let mut all_codes = Vec::with_capacity(padded_len);
-    for (min, range, codes) in results {
-        mins.push(min);
-        ranges.push(range);
-        all_codes.extend_from_slice(&codes);
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the feature `quantize_avx2` is compiled with was just
+        // detected on the running CPU.
+        #[allow(unsafe_code)]
+        return unsafe { quantize_avx2(t, config) };
     }
+    quantize_groups(t, config)
+}
 
-    // Phase 4: pack to the target bit width (lines 16-18).
-    let packed = match config.bits {
-        4 => pack::pack_nibbles(&all_codes),
-        8 => all_codes,
-        _ => unreachable!("validated above"),
-    };
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn quantize_avx2(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
+    quantize_groups(t, config)
+}
 
+/// The four phases, group by group, codes written straight into the
+/// packed output.
+#[inline(always)]
+fn quantize_groups(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
+    let levels = config.levels();
+    let gs = config.group_size;
+    // Phase 1: pad to a multiple of the group size. Padding codes are the
+    // zeros the packed buffer starts as.
+    let num_groups = t.numel().div_ceil(gs);
+    let mut packed = vec![0u8; (num_groups * gs * config.bits as usize).div_ceil(8)];
+    let mut mins = vec![0.0f32; num_groups];
+    let mut ranges = vec![0.0f32; num_groups];
+    let stats = mins.iter_mut().zip(ranges.iter_mut());
+    for ((g, group), (min_out, range_out)) in t.data().chunks(gs).enumerate().zip(stats) {
+        // Phase 2: find min and max within the group (lines 9-10).
+        let (min, max) = min_max(group);
+        let range = max - min;
+        let inv = if range > 0.0 { levels / range } else { 0.0 };
+        (*min_out, *range_out) = (min, range);
+        // Phase 3: min-max normalize per Eq. 10, then clamp (lines 12-14).
+        let code = |x: f32| {
+            let q = ((x - min) * inv).round();
+            // Clamp to [0, levels], NaN to 0 — what `clamp(..) as u8` gives.
+            let q = lesser(greater(q, 0.0), levels);
+            // `q` is a whole number in 0..=255: adding 2^23 leaves it in the
+            // low mantissa byte, which keeps the conversion a vector add
+            // (a float-to-int cast is lowered one element at a time).
+            (q + 8_388_608.0).to_bits() as u8
+        };
+        // Phase 4: pack to the target bit width (lines 16-18).
+        match config.bits {
+            4 => pack::pack_nibbles_into(group, g * gs, &mut packed, code),
+            _ => {
+                for (c, &x) in packed[g * gs..].iter_mut().zip(group) {
+                    *c = code(x);
+                }
+            }
+        }
+    }
     QuantizedTensor {
         shape: t.shape().clone(),
         config,
         packed: Bytes::from(packed),
         mins,
         ranges,
-        padded_len,
     }
+}
+
+/// `x` if it is below `m`, else `m` (also when `x` is NaN): one `min`
+/// instruction, where `f32::min` is three.
+#[inline(always)]
+fn lesser(x: f32, m: f32) -> f32 {
+    if x < m {
+        x
+    } else {
+        m
+    }
+}
+
+#[inline(always)]
+fn greater(x: f32, m: f32) -> f32 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
+/// Group minimum and maximum, ignoring NaNs, over `LANES` independent
+/// running pairs (element `i` goes to lane `i % LANES`) folded at the end.
+/// The values found do not depend on the order of the comparisons, except
+/// that of two zeros of opposite sign the one met first stays.
+#[inline(always)]
+fn min_max(group: &[f32]) -> (f32, f32) {
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let (body, tail) = group.as_chunks::<LANES>();
+    for chunk in body {
+        for l in 0..LANES {
+            lo[l] = lesser(chunk[l], lo[l]);
+            hi[l] = greater(chunk[l], hi[l]);
+        }
+    }
+    for (l, &x) in tail.iter().enumerate() {
+        lo[l] = lesser(x, lo[l]);
+        hi[l] = greater(x, hi[l]);
+    }
+    (
+        lo.into_iter().fold(f32::INFINITY, |m, x| lesser(x, m)),
+        hi.into_iter().fold(f32::NEG_INFINITY, |m, x| greater(x, m)),
+    )
 }
 
 /// Dequantize per Eq. 11, dropping padding to restore the original shape.
 pub fn dequantize(q: &QuantizedTensor) -> Tensor {
-    let n = q.shape.numel();
-    let codes: Vec<u8> = match q.config.bits {
-        4 => pack::unpack_nibbles(&q.packed, q.padded_len),
-        8 => q.packed.to_vec(),
-        _ => unreachable!("config validated at quantize time"),
-    };
+    let mut out = vec![0.0f32; q.shape.numel()];
+    dequantize_into(q, &mut out);
+    Tensor::from_vec(q.shape.clone(), out)
+}
+
+/// [`dequantize`] into a buffer that already exists (`out.len()` must be
+/// the tensor's element count): one pass from packed codes to f32.
+pub fn dequantize_into(q: &QuantizedTensor, out: &mut [f32]) {
+    assert_eq!(
+        out.len(),
+        q.shape.numel(),
+        "dequantize_into: buffer does not match shape {}",
+        q.shape
+    );
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the feature `dequantize_avx2` is compiled with was just
+        // detected on the running CPU.
+        #[allow(unsafe_code)]
+        unsafe {
+            dequantize_avx2(q, out)
+        };
+        return;
+    }
+    dequantize_groups(q, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dequantize_avx2(q: &QuantizedTensor, out: &mut [f32]) {
+    dequantize_groups(q, out);
+}
+
+#[inline(always)]
+fn dequantize_groups(q: &QuantizedTensor, out: &mut [f32]) {
     let levels = q.config.levels();
     let gs = q.config.group_size;
-
-    let mut out = vec![0.0f32; n];
-    out.par_chunks_mut(gs).enumerate().for_each(|(g, chunk)| {
+    for (g, chunk) in out.chunks_mut(gs).enumerate() {
         let min = q.mins[g];
-        let range = q.ranges[g];
-        let scale = range / levels;
-        let group_codes = &codes[g * gs..g * gs + chunk.len()];
-        for (x, &c) in chunk.iter_mut().zip(group_codes) {
-            *x = c as f32 * scale + min;
+        let scale = q.ranges[g] / levels;
+        let value = |c: u8| c as f32 * scale + min;
+        match q.config.bits {
+            4 => pack::unpack_nibbles_into(&q.packed, g * gs, chunk, value),
+            _ => {
+                for (x, &c) in chunk.iter_mut().zip(&q.packed[g * gs..]) {
+                    *x = value(c);
+                }
+            }
         }
-    });
-
-    Tensor::from_vec(q.shape.clone(), out)
+    }
 }
 
 #[cfg(test)]
@@ -295,7 +372,121 @@ mod tests {
         );
     }
 
+    /// The two-pass quantizer this module had before the single-pass
+    /// one — a code vector per group, then a separate packing pass — kept
+    /// as the reference weights at rest must not move from.
+    fn reference_quantize(t: &Tensor, config: QuantConfig) -> (Vec<u8>, Vec<f32>, Vec<f32>) {
+        let n = t.numel();
+        let padded_len = n.div_ceil(config.group_size) * config.group_size;
+        let levels = config.levels();
+        let (mut mins, mut ranges, mut all_codes) = (Vec::new(), Vec::new(), Vec::new());
+        for g in 0..padded_len / config.group_size {
+            let start = g * config.group_size;
+            let end = (start + config.group_size).min(n);
+            let group = &t.data()[start..end];
+            let mut min = f32::INFINITY;
+            let mut max = f32::NEG_INFINITY;
+            for &x in group {
+                min = min.min(x);
+                max = max.max(x);
+            }
+            let range = max - min;
+            let inv = if range > 0.0 { levels / range } else { 0.0 };
+            let mut codes = Vec::with_capacity(config.group_size);
+            for &x in group {
+                let q = ((x - min) * inv).round();
+                codes.push(q.clamp(0.0, levels) as u8);
+            }
+            codes.resize(config.group_size, 0);
+            mins.push(min);
+            ranges.push(range);
+            all_codes.extend_from_slice(&codes);
+        }
+        let packed = match config.bits {
+            4 => all_codes
+                .chunks(2)
+                .map(|p| p[0] | (p.get(1).unwrap_or(&0) << 4))
+                .collect(),
+            _ => all_codes,
+        };
+        (packed, mins, ranges)
+    }
+
+    /// The matching unpack-then-scale dequantizer.
+    fn reference_dequantize(q: &QuantizedTensor) -> Vec<f32> {
+        let codes: Vec<u8> = match q.config.bits {
+            4 => q.packed.iter().flat_map(|&b| [b & 0x0F, b >> 4]).collect(),
+            _ => q.packed.to_vec(),
+        };
+        let levels = q.config.levels();
+        let gs = q.config.group_size;
+        let mut out = vec![0.0f32; q.shape.numel()];
+        for (g, chunk) in out.chunks_mut(gs).enumerate() {
+            let scale = q.ranges[g] / levels;
+            for (x, &c) in chunk.iter_mut().zip(&codes[g * gs..]) {
+                *x = c as f32 * scale + q.mins[g];
+            }
+        }
+        out
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn specials_quantize_like_the_reference() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        #[rustfmt::skip]
+        let t = Tensor::from_vec([34], vec![
+            nan, 1.0, -2.0, 0.5,
+            inf, 0.0, 1.0, 2.0,
+            -inf, 3.0, 4.0, 5.0,
+            nan, nan, nan, nan,
+            0.0, 0.0, 0.0, 0.0,
+            -0.0, -0.0, -0.0, -0.0,
+            f32::MAX, f32::MIN, 0.0, 1.0,
+            1e-40, 2e-40, 3e-40, 1.5e-40,
+            0.25, 0.75,
+        ]);
+        for bit_width in [4, 8] {
+            let q = quantize(
+                &t,
+                QuantConfig {
+                    bits: bit_width,
+                    group_size: 4,
+                },
+            );
+            let (packed, mins, ranges) = reference_quantize(&t, q.config);
+            assert_eq!(&q.packed[..], &packed[..]);
+            assert_eq!(bits(&q.mins), bits(&mins));
+            assert_eq!(bits(&q.ranges), bits(&ranges));
+            assert_eq!(bits(dequantize(&q).data()), bits(&reference_dequantize(&q)));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_same_bytes_as_the_two_pass_reference(
+            n in 1usize..4096,
+            gs in prop_oneof![Just(2usize), Just(3), Just(64), Just(128)],
+            bit_width in prop_oneof![Just(4u8), Just(8u8)],
+            seed in 0u64..1000,
+            std in 0.01f32..10.0,
+        ) {
+            let t = Tensor::randn([n], std, seed);
+            let q = quantize(&t, QuantConfig { bits: bit_width, group_size: gs });
+            let (packed, mins, ranges) = reference_quantize(&t, q.config);
+            prop_assert_eq!(&q.packed[..], &packed[..]);
+            prop_assert_eq!(bits(&q.mins), bits(&mins));
+            prop_assert_eq!(bits(&q.ranges), bits(&ranges));
+
+            // Into a dirty buffer: every element must be overwritten.
+            let mut out = vec![f32::NAN; n];
+            dequantize_into(&q, &mut out);
+            prop_assert_eq!(bits(&out), bits(&reference_dequantize(&q)));
+        }
+
         #[test]
         fn prop_round_trip_error_bounded(
             n in 1usize..500,

@@ -13,6 +13,7 @@
 //! assert!(ids.len() < "the theatre".len()); // merges compress
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod bpe;
 

@@ -44,6 +44,7 @@
 //! assert_eq!(report.spans.len(), 1);
 //! assert_eq!(report.scopes[0].name, "decode");
 //! ```
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

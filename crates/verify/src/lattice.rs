@@ -229,7 +229,7 @@ fn ground_truth(
     let bytes_per_token = backend.kv_bytes_at(1).max(1);
     let geometry_ok = page_tokens > 0
         && plan.page_bytes as usize == page_tokens * bytes_per_token
-        && plan.slot_context % page_tokens.max(1) == 0
+        && plan.slot_context.is_multiple_of(page_tokens.max(1))
         && plan.pages_total >= 1;
     if !geometry_ok {
         fail(&mut failed, "geometry_tiles");

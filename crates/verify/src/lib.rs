@@ -27,6 +27,7 @@
 //! `lm-analyze`'s `LMA29x` family; `repro verify` publishes the result
 //! as `results/verify.json` and `scripts/verify.sh` gates on it.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
