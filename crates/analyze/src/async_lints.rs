@@ -1,26 +1,7 @@
-//! Async-runtime lints (`LMA30x`).
-//!
-//! `lm-serve`'s `ServeSession::run_async` drives the same deterministic
-//! scheduler core with a wall-clock driver and per-request bounded token
-//! channels. Three misconfigurations survive type checking but can never
-//! work at runtime, so they are rejected at session pre-flight the same
-//! way `LMA25x` rejects an infeasible slot plan:
-//!
-//! - a zero-capacity token channel (`LMA300`): the bounded mpsc cannot
-//!   hold one token, so every delivery exhausts the backpressure grace
-//!   and every stream dies as a spurious disconnect;
-//! - a wall-clock SLO at or below the cost model's physical TTFT floor
-//!   (`LMA301`): virtual time already cannot meet it, and wall jitter
-//!   only adds — the monitor would actuate on every boundary;
-//! - a non-finite or non-positive time scale (`LMA302`): the wall→
-//!   virtual mapping `virtual_us = wall_us · scale` degenerates and the
-//!   pacer either never advances or never sleeps.
-//!
-//! Like every other probe in this crate, [`AsyncProbe`] is a plain
-//! value: `lm-serve` samples it from a live session, mutation tests
-//! corrupt one field at a time, and `repro analyze` checks the default
-//! async configuration — without this crate depending on the serving
-//! crate.
+//! `LMA30x` — `ServeSession::run_async` drives the same scheduler with a
+//! wall-clock driver and per-request bounded token channels; these are
+//! the misconfigurations that survive type checking but can never work
+//! at runtime, judged on an [`AsyncProbe`] before any thread spawns.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};

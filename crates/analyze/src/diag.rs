@@ -1,33 +1,24 @@
 //! Diagnostic primitives: stable lint codes, severities, and the report
 //! container tooling consumes (JSON for `repro analyze`, programmatic
-//! access for strict engine construction).
+//! access for strict engine construction and the serve pre-flight).
 //!
 //! Code ranges are stable API:
 //!
-//! - `LMA0xx` — operator-graph structure lints;
-//! - `LMA1xx` — parallelism-plan and policy lints;
-//! - `LMA20x` — cost-model (Eq. 1-24) consistency lints;
-//! - `LMA25x` — serving-configuration lints (`lm-serve` slot plans);
-//! - `LMA26x` — SLO / overload-policy lints (objective feasibility and
-//!   actuator sanity);
-//! - `LMA27x` — observability lints (an enforced SLO needs a TTFT
-//!   histogram; an armed flight recorder needs capacity);
-//! - `LMA28x` — paged-KV lints (page geometry must tile the KV block;
-//!   page refcounts must balance the live page tables; no page may be
-//!   writable while mapped by more than one sequence);
-//! - `LMA29x` — verification lints over `lm-verify` runs (a sweep whose
-//!   lattice collapsed to a point proves nothing; a lint-unsoundness
-//!   witness means a lint passed where executable ground truth failed;
-//!   a declared protocol transition the exploration never exercised is
-//!   unverified);
-//! - `LMA30x` — async-runtime lints (`ServeSession::run_async`
-//!   configurations: a zero-capacity streaming channel can never carry a
-//!   token; a wall-clock SLO below the cost model's physical TTFT floor
-//!   is unmeetable; a non-positive or non-finite time scale breaks the
-//!   wall→virtual clock mapping).
+//! | range    | module         | judges                                        |
+//! |----------|----------------|-----------------------------------------------|
+//! | `LMA0xx` | `graph_lints`  | operator-graph structure                      |
+//! | `LMA1xx` | `plan_lints`   | Algorithm 3 plans and offloading policies     |
+//! | `LMA20x` | `model_lints`  | the cost model (Eq. 1-24), a `ModelProbe`     |
+//! | `LMA25x` | `serve_lints`  | `lm-serve` slot plans, a `ServeProbe`         |
+//! | `LMA26x` | `serve_lints`  | SLO / overload policies, a `SloProbe`         |
+//! | `LMA27x` | `obs_lints`    | observability wiring, an `ObsProbe`           |
+//! | `LMA28x` | `paging_lints` | paged-KV geometry and counters, a `PagingProbe` |
+//! | `LMA29x` | `verify_lints` | `lm-verify` runs, a `VerifyProbe`             |
+//! | `LMA30x` | `async_lints`  | async serving sessions, an `AsyncProbe`       |
 //!
-//! A code, once shipped, keeps its meaning; retired codes are never
-//! reused.
+//! What a code means is written once: the doc comment on its row of
+//! `lint_codes!` below ([`LintCode`]). A code, once shipped, keeps its
+//! meaning; retired codes are never reused.
 
 use serde::{Deserialize, Serialize};
 

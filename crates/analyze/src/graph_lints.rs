@@ -1,11 +1,7 @@
-//! Structural lints over operator dependency graphs (`LMA0xx`).
-//!
-//! These run before a graph is handed to the executor or to Algorithm 3:
-//! the executor now *rejects* cyclic graphs instead of hanging, but the
-//! lint layer additionally names the cycle, flags dead weight (orphan and
-//! zero-cost nodes), and checks invariants the builder API enforces but
-//! deserialized graphs may violate (edge bounds, self-edges, duplicate
-//! edges).
+//! `LMA0xx` — operator dependency graphs, before they reach the executor
+//! or Algorithm 3. The executor rejects a cyclic graph; the lints name
+//! the cycle, flag dead weight, and check what the builder API enforces
+//! but a deserialized graph may violate.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use lm_parallelism::kahn;

@@ -1,48 +1,17 @@
 //! # lm-analyze
 //!
-//! Static analysis for LM-Offload deployments: a diagnostics engine with
-//! stable lint codes over three families of checks (DESIGN.md §10):
+//! Static analysis for LM-Offload deployments: "the model says no before
+//! the run does". One lint family per module, each a plain function from
+//! an inspected value (a graph, a plan, or a sampled probe) to a
+//! [`Report`]; the families and their code ranges are mapped in [`diag`],
+//! and what each code means is written once, on its row of the
+//! `lint_codes!` list there ([`LintCode`]).
 //!
-//! - [`graph_lints`] (`LMA0xx`): structural lints on operator dependency
-//!   graphs — cycles (with the witness path), orphan nodes, duplicate and
-//!   out-of-bounds edges, zero-cost compute nodes, transfers co-scheduled
-//!   with compute;
-//! - [`plan_lints`] (`LMA1xx`): Algorithm 3 outputs and offloading
-//!   policies — inter-op vs the Kahn width, the
-//!   `inter_op·intra_op + 5 ≤ threads` budget, volume-proportional
-//!   transfer grants, memory-capacity feasibility, bundle working sets vs
-//!   the LLC;
-//! - [`model_lints`] (`LMA20x`): dimensional and structural consistency
-//!   of the analytic cost model (Eq. 1-24) via sampled [`ModelProbe`]
-//!   observations;
-//! - [`serve_lints`] (`LMA25x`): `lm-serve` slot plans — leased KV bytes
-//!   vs pool capacity, block size vs the block graph's Kahn width, and
-//!   pool underutilization — via sampled [`ServeProbe`] observations;
-//! - [`serve_lints`] (`LMA26x`): SLO/overload policies — objective vs
-//!   the physical service floor, enforcement with no armed actuator,
-//!   single-slot preemption churn — via sampled [`SloProbe`]
-//!   observations;
-//! - [`obs_lints`] (`LMA27x`): observability wiring — SLO enforcement
-//!   without a TTFT histogram, an armed zero-capacity flight recorder
-//!   under chaos faults — via sampled [`ObsProbe`] observations;
-//! - [`paging_lints`] (`LMA28x`): paged KV pools — page geometry vs the
-//!   plan's KV block, refcount conservation across page tables, and
-//!   copy-on-write discipline — via sampled [`PagingProbe`]
-//!   observations;
-//! - [`verify_lints`] (`LMA29x`): `lm-verify` runs — sweep-lattice
-//!   degeneracy, lint-unsoundness witnesses from the planner-space
-//!   sweep, and unexercised protocol transitions — via sampled
-//!   [`VerifyProbe`] observations;
-//! - [`async_lints`] (`LMA30x`): async serving sessions — zero-capacity
-//!   token channels, wall-clock SLOs below the physical TTFT floor, and
-//!   degenerate wall→virtual time scales — via sampled [`AsyncProbe`]
-//!   observations.
-//!
-//! Every finding carries a stable `LMAnnn` code (see [`LintCode`]) —
-//! codes keep their meaning across releases and retired codes are never
-//! reused — a severity, the inspected subject, and a message with the
-//! offending values inline. [`Report`] serialises to JSON for
-//! `repro analyze`.
+//! The probe-based families take plain values, so this crate depends on
+//! none of the crates it judges: `lm-serve`'s `preflight` module and
+//! `lm-verify` sample the probes from live objects, and
+//! `tests/mutations.rs` breaks one field at a time to prove every code
+//! fires.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -1,21 +1,7 @@
-//! Observability-configuration lints (`LMA27x`).
-//!
-//! A serving deployment that enforces an SLO or arms chaos faults is
-//! only as good as the evidence it leaves behind (DESIGN.md §13). These
-//! lints judge a sampled [`ObsProbe`] the way `serve_lints` judges a
-//! plan:
-//!
-//! - `LMA270` (error): SLO enforcement enabled but no TTFT histogram is
-//!   registered in the metrics registry — the objective is judged on
-//!   predictions only, realized breaches can neither be observed nor
-//!   post-mortemed;
-//! - `LMA271` (warning): the flight recorder is armed with zero
-//!   capacity while chaos faults are active — the dump a failure would
-//!   freeze is guaranteed empty, which silently defeats its purpose.
-//!
-//! The probe is a plain value, so `lm-serve` can sample it from a live
-//! config and mutation tests can corrupt fields directly without this
-//! crate depending on the serving crate.
+//! `LMA27x` — a deployment that enforces an SLO or arms chaos faults is
+//! only as good as the evidence it leaves behind; these judge an
+//! [`ObsProbe`] of the tracer and flight-recorder wiring. Reported by
+//! `repro obs`, not a run gate (`lm-serve`'s `preflight` says why).
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,4 @@
-//! Parallelism-plan and policy lints (`LMA1xx`).
-//!
-//! These check the *outputs* of Algorithm 3 and the offloading policy
+//! `LMA1xx` — the *outputs* of Algorithm 3 and the offloading policy,
 //! against the constraints the paper derives: inter-op bounded by the
 //! graph's maximum concurrency level (§4.1), the thread budget
 //! `inter_op·intra_op + 5 ≤ total threads` (Algorithm 3 lines 6-7),

@@ -1,32 +1,8 @@
-//! Serving-configuration lints (`LMA25x`).
-//!
-//! The `lm-serve` admission controller turns a request queue into a slot
-//! plan: how many concurrent sequences hold KV leases, how many compose
-//! one engine block, and how much of the KV pool that claims. A bad plan
-//! does not crash immediately — it either deadlocks admission (leases
-//! that can never all be granted) or quietly serves below capacity. These
-//! lints judge a sampled [`ServeProbe`] the same way `model_lints` judges
-//! a [`ModelProbe`](crate::ModelProbe):
-//!
-//! - the leased bytes must fit the pool (`LMA250`: a plan whose slots
-//!   cannot all hold a lease at once stalls at the block boundary);
-//! - the per-block batch must not exceed the block graph's Kahn width
-//!   (`LMA251`: scheduling more sequences per step than the dependency
-//!   structure admits just serialises them with extra padding);
-//! - a plan that leaves more than half of the pool idle while another
-//!   slot would fit is flagged (`LMA252`, warning: throughput left on
-//!   the table).
-//!
-//! The probe is a plain value: `lm-serve` samples it from a live plan,
-//! mutation tests corrupt fields directly, and `repro analyze` checks the
-//! default serving configuration — all without this crate depending on
-//! the serving crate.
-//!
-//! The `LMA26x` family judges an SLO/overload policy the same way via
-//! [`SloProbe`]: an objective below the physical service floor
-//! (`LMA260`) can never be met; enforcement with every actuator disabled
-//! (`LMA261`) silently does nothing; preemption on a one-slot plan
-//! (`LMA262`) thrashes the only slot.
+//! `LMA25x` / `LMA26x` — `lm-serve` slot plans ([`ServeProbe`]) and SLO
+//! policies ([`SloProbe`]). A bad plan does not crash: it deadlocks
+//! admission (leases that can never all be granted) or quietly serves
+//! below capacity; a bad SLO policy makes the actuators flail on every
+//! boundary or promises a reaction it has no lever for.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
@@ -194,15 +170,6 @@ mod tests {
         let r = lint_serve(&sound());
         assert!(r.is_clean(), "{r}");
         assert_eq!(r.warning_count(), 0, "{r}");
-    }
-
-    #[test]
-    fn oversubscribed_pool_caught() {
-        let mut p = sound();
-        p.slots = 11;
-        let r = lint_serve(&p);
-        assert!(r.has(LintCode::Lma250SlotsExceedPool), "{r}");
-        assert!(!r.is_clean());
     }
 
     #[test]

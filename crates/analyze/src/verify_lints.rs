@@ -1,26 +1,8 @@
-//! Verification lints (`LMA29x`).
-//!
-//! `lm-verify` sweeps a bounded lattice of deployment configs and
-//! model-checks the paged-KV and scheduler protocols; these lints judge
-//! the *verification run itself*, sampled as a plain [`VerifyProbe`]:
-//!
-//! - the sweep lattice must not be degenerate (`LMA290`): an axis that
-//!   collapsed to fewer than two distinct values, or a total point
-//!   count below the declared floor, makes "zero witnesses" vacuous —
-//!   the sweep proved nothing about the axis it never varied;
-//! - a lint-unsoundness witness (`LMA291`) is a config where the
-//!   planner lints passed but an executable ground-truth invariant
-//!   failed. One witness means the lint family is unsound at that
-//!   point and must be tightened before the verdicts can be trusted;
-//! - every transition a protocol state machine *declares* must be
-//!   *exercised* by the bounded exploration (`LMA292`): a grant path
-//!   the interleavings never reached carries unverified invariants.
-//!
-//! As with the other probe-based lints, the probe is a plain value:
-//! `lm-verify` fills it from a finished sweep + exploration, mutation
-//! tests corrupt fields directly, and `repro analyze` publishes a row
-//! for the default mini-sweep — without this crate depending on the
-//! verifier.
+//! `LMA29x` — the *verification run itself*: a sweep whose lattice
+//! collapsed proves nothing, a lint that passed where executable ground
+//! truth failed is unsound, and a declared protocol transition the
+//! exploration never drove is unverified. `lm-verify` fills the
+//! [`VerifyProbe`] from a finished sweep + exploration.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};

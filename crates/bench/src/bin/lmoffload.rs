@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+use lm_bench::cli::{flag_value, split_flag};
 use lm_bench::table::{f, render};
 use lm_hardware::presets as hw;
 use lm_models::{presets as models, DType, Footprint, ModelConfig, Workload};
@@ -24,6 +25,9 @@ use lm_offload::{
 };
 use lm_sim::{fits, max_gpu_batch, AttentionPlacement, Policy};
 
+const USAGE: &str = "usage: lmoffload <advise|plan|capacity|compare|whatif|models> [model] \
+                     [--prompt N] [--gen N] [--gpus G]";
+
 struct Args {
     command: String,
     model: Option<String>,
@@ -32,7 +36,9 @@ struct Args {
     gpus: u32,
 }
 
-fn parse_args() -> Args {
+/// Parse the command line. Anything unrecognised is an error: a mistyped
+/// flag or a stray word must not silently plan for the defaults.
+fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         command: String::new(),
         model: None,
@@ -40,17 +46,30 @@ fn parse_args() -> Args {
         gen: 32,
         gpus: 1,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--prompt" => args.prompt = it.next().and_then(|v| v.parse().ok()).unwrap_or(64),
-            "--gen" => args.gen = it.next().and_then(|v| v.parse().ok()).unwrap_or(32),
-            "--gpus" => args.gpus = it.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            other if args.command.is_empty() => args.command = other.to_string(),
-            other => args.model = Some(other.to_string()),
+    let mut positional = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(a) = rest.next() {
+        let Some((key, inline)) = split_flag(a) else {
+            positional.push(a);
+            continue;
+        };
+        let rest = &mut rest;
+        match key {
+            "prompt" => {
+                args.prompt = flag_value(key, inline, rest, "an integer", |v| v.parse().ok())?
+            }
+            "gen" => args.gen = flag_value(key, inline, rest, "an integer", |v| v.parse().ok())?,
+            "gpus" => args.gpus = flag_value(key, inline, rest, "an integer", |v| v.parse().ok())?,
+            _ => return Err(format!("unknown flag '{a}'")),
         }
     }
-    args
+    let mut positional = positional.into_iter();
+    args.command = positional.next().ok_or("no command given")?.clone();
+    args.model = positional.next().cloned();
+    if let Some(stray) = positional.next() {
+        return Err(format!("unexpected argument '{stray}'"));
+    }
+    Ok(args)
 }
 
 fn resolve_model(name: Option<&str>) -> ModelConfig {
@@ -259,7 +278,11 @@ fn cmd_whatif(model: &ModelConfig, prompt: u64, gen: u64) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     match args.command.as_str() {
         "models" => cmd_models(),
         "advise" => cmd_advise(&resolve_model(args.model.as_deref()), args.prompt, args.gen),
@@ -272,12 +295,8 @@ fn main() {
             args.gen,
             args.gpus,
         ),
-        "" => {
-            eprintln!("usage: lmoffload <advise|plan|capacity|compare|whatif|models> [model] [--prompt N] [--gen N] [--gpus G]");
-            std::process::exit(2);
-        }
         other => {
-            eprintln!("unknown command '{other}'");
+            eprintln!("error: unknown command '{other}'\n{USAGE}");
             std::process::exit(2);
         }
     }

@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 
+use lm_bench::cli::{flag_value, split_flag};
 use lm_bench::experiments::*;
 use lm_bench::table::{f, print_rows};
 use lm_fault::StormProfile;
@@ -73,7 +74,7 @@ const LANES: &[Lane] = &[
     Lane { name: "chaos", in_all: true, run: run_chaos, title: "Chaos: a fault storm over the continuous scheduler" },
     Lane { name: "slo", in_all: true, run: run_slo, title: "SLO: observe vs enforcing under overload" },
     Lane { name: "obs", in_all: true, run: run_obs, title: "Observability: serve-path drift audit, exposition, flight recorder" },
-    Lane { name: "verify", in_all: true, run: run_verify, title: "Verification: planner-space sweep + protocol model checking (DESIGN.md §15)" },
+    Lane { name: "verify", in_all: true, run: run_verify, title: "Verification: planner-space sweep + protocol model checking (DESIGN.md §10)" },
     Lane { name: "async", in_all: true, run: run_async, title: "Async serving: real-time streaming over the continuous scheduler" },
     Lane { name: "summary", in_all: false, run: run_summary, title: "§5.2 headline speedups alone (re-runs Table 3)" },
 ];
@@ -723,21 +724,6 @@ fn usage() -> String {
     text
 }
 
-/// The value of flag `--key`, from `--key=v` (`inline`) or the next
-/// argument, checked by `validate`; `expects` words the error.
-fn flag_value<'a, T>(
-    key: &str,
-    inline: Option<&'a str>,
-    rest: &mut impl Iterator<Item = &'a String>,
-    expects: &str,
-    validate: impl Fn(&str) -> Option<T>,
-) -> Result<T, String> {
-    let v = inline
-        .or_else(|| rest.next().map(String::as_str))
-        .ok_or_else(|| format!("--{key} expects {expects}, got nothing"))?;
-    validate(v).ok_or_else(|| format!("--{key} expects {expects}, got '{v}'"))
-}
-
 /// Parse the command line into the lanes to run, in order, and their
 /// inputs. Anything unrecognised is an error: a mistyped flag must not
 /// silently run the default experiment.
@@ -753,7 +739,7 @@ fn parse(argv: &[String]) -> Result<(Vec<&'static Lane>, Args), String> {
     let mut lanes: Vec<&'static Lane> = Vec::new();
     let mut rest = argv.iter();
     while let Some(a) = rest.next() {
-        let Some(flag) = a.strip_prefix("--") else {
+        let Some((key, inline)) = split_flag(a) else {
             if a == "all" {
                 lanes.extend(LANES.iter().filter(|l| l.in_all));
             } else {
@@ -761,10 +747,6 @@ fn parse(argv: &[String]) -> Result<(Vec<&'static Lane>, Args), String> {
                 lanes.push(lane.ok_or_else(|| format!("unknown lane '{a}'"))?);
             }
             continue;
-        };
-        let (key, inline) = match flag.split_once('=') {
-            Some((k, v)) => (k, Some(v)),
-            None => (flag, None),
         };
         let rest = &mut rest;
         match key {

@@ -9,17 +9,16 @@
 //! shape under `LMA30x`. Shipped presets must produce zero
 //! `Error` diagnostics; warnings are reported but allowed.
 
-use lm_analyze::{
-    analyze_deployment, lint_async, lint_paging, lint_serve, lint_slo, lint_verify, Deployment,
-    Diagnostic, Report,
-};
+use lm_analyze::{analyze_deployment, lint_verify, Deployment, Diagnostic, Report};
 use lm_hardware::presets;
 use lm_models::{presets as models, ModelConfig, Workload};
 use lm_offload::{transfer_tasks, try_derive_plan, DEFAULT_HEAD_GROUPS};
 use lm_parallelism::{attention_graph, SearchConfig};
+use lm_serve::preflight::{
+    async_report, paging_report, preflight, serve_report, slo_report, ttft_floor_s,
+};
 use lm_serve::{
-    async_probe, plan_admission, slo_probe, AnalyticBackend, AsyncConfig, DegradeLadder,
-    ServeBackend, ServeConfig, ServeError, ServePlan, SloPolicy,
+    AnalyticBackend, AsyncConfig, DegradeLadder, ServeConfig, ServeError, ServePlan, SloPolicy,
 };
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
@@ -100,8 +99,8 @@ fn preset_row(
 /// - `LMA30x` the async session shape `ServeSession::run_async` ships
 ///   with (columns: per-request channel capacity / slots).
 fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) -> [AnalyzeRow; 4] {
-    let floor = backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
-    let policy = SloPolicy::enforcing(floor * super::slo::SLO_FLOOR_HEADROOM);
+    let policy =
+        SloPolicy::enforcing(ttft_floor_s(plan, backend) * super::slo::SLO_FLOOR_HEADROOM);
     let ladder: Arc<dyn DegradeLadder> = Arc::new(super::slo::model_guided_ladder(backend));
     let acfg = AsyncConfig::default();
     [
@@ -109,25 +108,25 @@ fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) ->
             "opt-30b/serve/default-plan",
             plan.kahn_width as u32,
             plan.slots as u32,
-            lint_serve(&plan.probe()),
+            serve_report(plan),
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-paging",
             plan.pages_total as u32,
             plan.pages_per_slot as u32,
-            lint_paging(&plan.paging_probe()),
+            paging_report(plan),
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-slo",
             plan.kahn_width as u32,
             plan.slots as u32,
-            lint_slo(&slo_probe(plan, backend, &policy, Some(&ladder))),
+            slo_report(plan, backend, &policy, Some(&ladder)),
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-async",
             acfg.channel_capacity as u32,
             plan.slots as u32,
-            lint_async(&async_probe(plan, backend, cfg, &acfg)),
+            async_report(plan, backend, cfg, &acfg),
         ),
     ]
 }
@@ -190,7 +189,7 @@ pub fn run() -> Vec<AnalyzeRow> {
     ];
     let backend = AnalyticBackend::opt_30b();
     let cfg = ServeConfig::default();
-    match plan_admission(&backend, &cfg) {
+    match preflight(&backend, &cfg, None) {
         Ok(plan) => {
             rows.extend(serve_rows(&backend, &cfg, &plan));
             // Committed row order: the LMA29x row sits before the async one.

@@ -1,4 +1,4 @@
-//! `repro async` — the real-time serving lane (DESIGN.md §16): drive
+//! `repro async` — the real-time serving lane (DESIGN.md §9.4): drive
 //! the continuous scheduler through `ServeSession::run_async` on the
 //! *real* miniature engine, with per-request tokio token streams
 //! consumed concurrently on a worker runtime, and prove that going

@@ -1,4 +1,4 @@
-//! `repro chaos` — the deterministic chaos harness (DESIGN.md §12): the
+//! `repro chaos` — the deterministic chaos harness (DESIGN.md §9.2): the
 //! continuous-batching scheduler is driven under a seeded fault storm
 //! (pool pressure, transfer stalls, client disconnects, slot crashes)
 //! and the run is judged on hard invariants rather than throughput:

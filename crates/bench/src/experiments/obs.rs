@@ -1,10 +1,10 @@
-//! `repro obs` — the serve-path observability gate (DESIGN.md §13):
+//! `repro obs` — the serve-path observability gate (DESIGN.md §8):
 //! one default continuous-batching run is audited end to end through
 //! every observability surface this repo ships, and the experiment
 //! exits non-zero unless all four verdicts hold:
 //!
 //! 1. **Drift** — the scheduler's own `ServeObs` record is audited
-//!    against the `TtftModel`/`plan_admission` predictions; every
+//!    against the `TtftModel`/admission-plan predictions; every
 //!    metric's obs/pred ratio must land within its documented tolerance
 //!    at the default seed;
 //! 2. **Exposition** — the run's metrics registry renders to
@@ -18,14 +18,15 @@
 //! `results/obs.json` carries all the evidence; the Perfetto serve
 //! timeline of the audited run goes to `results/serve_timeline.json`.
 
+use lm_serve::preflight::{obs_report, preflight, ttft_floor_s};
 use lm_serve::{
-    obs_probe, plan_admission, serve_timeline, synth_traffic, AnalyticBackend, ServeBackend,
-    ServeConfig, ServePlan, ServeSession, SloPolicy,
+    serve_timeline, synth_traffic, AnalyticBackend, ServeBackend, ServeConfig, ServePlan,
+    ServeSession, SloPolicy,
 };
 use lm_trace::{expo, FlightDump, FlightRecorder, ServeDriftReport, Tracer};
 use serde::{Deserialize, Serialize};
 
-/// Per-metric drift tolerances (DESIGN.md §13). The TTFT predictor is a
+/// Per-metric drift tolerances (DESIGN.md §8). The TTFT predictor is a
 /// queueing estimate, not a replay, so the bars are documented per
 /// metric rather than a single epsilon: tails are noisier than means,
 /// and Little's-law queue depth inherits the TTFT error twice.
@@ -111,10 +112,9 @@ fn flight_pass(seed: u64, rps: f64, n: usize) -> FlightDump {
         max_slots: 2,
         ..ServeConfig::default()
     };
-    let plan = plan_admission(&backend, &cfg)
+    let plan = preflight(&backend, &cfg, None)
         .unwrap_or_else(|e| panic!("flight-pass planning failed: {e}"));
-    let floor = backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
-    cfg.slo = Some(SloPolicy::observe(floor * 1.01));
+    cfg.slo = Some(SloPolicy::observe(ttft_floor_s(&plan, &backend) * 1.01));
     ServeSession::new(&backend)
         .config(cfg)
         .run(traffic)
@@ -160,7 +160,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String) {
         .is_some_and(|back| back == flight);
 
     // 4. The audited config itself lints clean.
-    let lint = lm_analyze::lint_obs(&obs_probe(&cfg));
+    let lint = obs_report(&cfg);
     let lint_errors = lint.error_count();
     let lint_warnings = lint.warning_count();
 

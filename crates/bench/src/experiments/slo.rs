@@ -1,4 +1,4 @@
-//! `repro slo` — SLO enforcement under overload (DESIGN.md §12): the
+//! `repro slo` — SLO enforcement under overload (DESIGN.md §9.2): the
 //! same seeded traffic trace is served twice under an aggressive TTFT
 //! objective — once in *observe* mode (the monitor predicts violations
 //! but never acts) and once *enforcing* with every actuator armed
@@ -13,6 +13,7 @@
 //! histograms, so the verdicts are sharp.
 
 use lm_offload::{DegradationController, QuantCostParams, ServeDegradeLadder};
+use lm_serve::preflight::{preflight, ttft_floor_s};
 use lm_serve::{
     synth_traffic, AnalyticBackend, RejectReason, ServeBackend, ServeConfig, ServeMode,
     ServeOutcome, ServePlan, ServeSession, SloPolicy,
@@ -124,10 +125,9 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
     let ladder_rungs = ladder.rungs().len();
 
     // Derive the floor from the same plan both modes share.
-    let base_plan = lm_serve::plan_admission(&backend, &ServeConfig::default())
+    let base_plan = preflight(&backend, &ServeConfig::default(), None)
         .unwrap_or_else(|e| panic!("admission planning failed: {e}"));
-    let floor_ttft_s = backend.prefill_seconds(base_plan.slot_context, base_plan.slots)
-        + base_plan.est_step_seconds;
+    let floor_ttft_s = ttft_floor_s(&base_plan, &backend);
     let slo_s = floor_ttft_s * SLO_FLOOR_HEADROOM;
 
     let observe_cfg = ServeConfig {

@@ -1,4 +1,4 @@
-//! `repro verify` — exhaustive bounded verification (DESIGN.md §15):
+//! `repro verify` — exhaustive bounded verification (DESIGN.md §10):
 //! the `lm-verify` planner-space sweep proves lint/ground-truth
 //! consistency over the whole bounded lattice, the protocol model
 //! checker explores the paged-KV and scheduler state machines under a

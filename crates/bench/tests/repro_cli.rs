@@ -44,6 +44,8 @@ fn usage_errors_exit_2_and_run_nothing() {
         assert!(stderr(&out).contains("usage: repro"), "{bad:?} prints the usage text");
         assert!(out.stdout.is_empty(), "{bad:?} must not start a lane");
     }
+    let typo = repro(&dir, &["slo", "--sede", "9"]);
+    assert!(stderr(&typo).contains("unknown flag '--sede'"), "the error names the flag");
     assert!(!dir.join("results").exists(), "a usage error writes nothing");
 }
 

@@ -73,7 +73,7 @@ pub use report::{normalise, speedup_over, FaultReport, Speedup, Table3Row};
 pub use traffic::{per_token_traffic, TokenTraffic};
 pub use whatif::{sweep as whatif_sweep, Axis, WhatIfCurve, WhatIfPoint};
 
-/// The unified serving front door (DESIGN.md §16), re-exported so
+/// The unified serving front door (DESIGN.md §9.1), re-exported so
 /// deployments that depend on the root crate reach the serve API
 /// without naming `lm-serve` directly.
 pub use lm_serve::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};

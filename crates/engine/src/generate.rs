@@ -50,7 +50,7 @@ pub struct EngineOptions {
     /// per (layer, batch), and the fault injector's event log is stamped
     /// on the tracer's clock so faults align with spans in Perfetto.
     pub tracer: Tracer,
-    /// Flight recorder (DESIGN.md §13): injected faults tee into its
+    /// Flight recorder (DESIGN.md §8): injected faults tee into its
     /// ring, and any [`EngineError`] surfacing from [`Engine::run`]
     /// freezes it into a post-mortem dump. Disabled by default.
     pub flight: lm_trace::FlightRecorder,
@@ -236,35 +236,9 @@ impl Engine {
         if options.strict {
             preflight(cfg, &options)?;
         }
-        let host = MemPool::new("host", options.host_capacity);
-        let device = MemPool::new("device", options.device_capacity);
-        // Pools see pressure spikes only on the *device* side: the device
-        // budget is the scarce resource the degradation machinery defends.
-        device.attach_fault(options.fault.clone());
-        let at_rest = weights_at_rest(&options);
-        let mut store = OffloadStore::from_layers(
-            (0..cfg.num_layers).map(|i| crate::model::LayerWeights::synthesize(cfg, i, seed)),
-            at_rest,
-            Arc::clone(&host),
-            Arc::clone(&device),
-        )?;
-        store.fault = options.fault.clone();
-        // One time base: fault events are stamped on the tracer's clock
-        // so injected faults line up with spans in the Perfetto view.
-        if let Some(clock) = options.tracer.clock() {
-            options.fault.set_clock(clock);
-        }
-        if options.flight.is_enabled() {
-            options.fault.set_flight(options.flight.clone());
-        }
-        Ok(Engine {
-            cfg: cfg.clone(),
-            store: Arc::new(store),
-            embedding: Embedding::synthesize(cfg, seed ^ 0xE5CA_1ADE),
-            options,
-            device,
-            host,
-        })
+        let layers =
+            (0..cfg.num_layers).map(|i| crate::model::LayerWeights::synthesize(cfg, i, seed));
+        Self::assemble(cfg, layers, seed ^ 0xE5CA_1ADE, options)
     }
 
     /// Build an engine whose weights come from a disk checkpoint — the
@@ -293,35 +267,12 @@ impl Engine {
                 "checkpoint family does not match config".into(),
             )));
         }
-        let host = MemPool::new("host", options.host_capacity);
-        let device = MemPool::new("device", options.device_capacity);
-        device.attach_fault(options.fault.clone());
         let mut layers = Vec::with_capacity(ck.num_layers());
         for i in 0..ck.num_layers() {
             layers.push(ck.load_layer_with_retry(i, &options.fault, &options.retry)?);
         }
-        let mut store = OffloadStore::from_layers(
-            layers,
-            weights_at_rest(&options),
-            Arc::clone(&host),
-            Arc::clone(&device),
-        )?;
-        store.fault = options.fault.clone();
-        if let Some(clock) = options.tracer.clock() {
-            options.fault.set_clock(clock);
-        }
-        if options.flight.is_enabled() {
-            options.fault.set_flight(options.flight.clone());
-        }
         let bytes_read = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        let engine = Engine {
-            cfg: cfg.clone(),
-            store: Arc::new(store),
-            embedding: Embedding::synthesize(cfg, 0xD15C ^ cfg.num_layers as u64),
-            options,
-            device,
-            host,
-        };
+        let engine = Self::assemble(cfg, layers, 0xD15C ^ cfg.num_layers as u64, options)?;
         Ok((
             engine,
             InitReport {
@@ -329,6 +280,44 @@ impl Engine {
                 bytes_read,
             },
         ))
+    }
+
+    /// The wiring both constructors share: pools, the store over
+    /// `layers`, and the fault injector's clock and flight recorder.
+    fn assemble(
+        cfg: &ModelConfig,
+        layers: impl IntoIterator<Item = crate::model::LayerWeights>,
+        embedding_seed: u64,
+        options: EngineOptions,
+    ) -> Result<Self, EngineError> {
+        let host = MemPool::new("host", options.host_capacity);
+        let device = MemPool::new("device", options.device_capacity);
+        // Pools see pressure spikes only on the *device* side: the device
+        // budget is the scarce resource the degradation machinery defends.
+        device.attach_fault(options.fault.clone());
+        let mut store = OffloadStore::from_layers(
+            layers,
+            weights_at_rest(&options),
+            Arc::clone(&host),
+            Arc::clone(&device),
+        )?;
+        store.fault = options.fault.clone();
+        // One time base: fault events are stamped on the tracer's clock
+        // so injected faults line up with spans in the Perfetto view.
+        if let Some(clock) = options.tracer.clock() {
+            options.fault.set_clock(clock);
+        }
+        if options.flight.is_enabled() {
+            options.fault.set_flight(options.flight.clone());
+        }
+        Ok(Engine {
+            cfg: cfg.clone(),
+            store: Arc::new(store),
+            embedding: Embedding::synthesize(cfg, embedding_seed),
+            options,
+            device,
+            host,
+        })
     }
 
     pub fn model(&self) -> &ModelConfig {

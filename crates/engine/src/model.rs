@@ -53,39 +53,34 @@ impl LayerWeights {
         }
     }
 
+    /// The weight matrices in slot order: `q, k, v, o`, then `mlp`.
+    pub fn linears(&self) -> impl Iterator<Item = &Linear> {
+        [&self.q, &self.k, &self.v, &self.o].into_iter().chain(&self.mlp)
+    }
+
+    /// [`LayerWeights::linears`], mutably.
+    pub fn linears_mut(&mut self) -> impl Iterator<Item = &mut Linear> {
+        [&mut self.q, &mut self.k, &mut self.v, &mut self.o]
+            .into_iter()
+            .chain(&mut self.mlp)
+    }
+
     /// Bytes this layer occupies at rest.
     pub fn bytes(&self) -> usize {
         let lin = |l: &Linear| l.weight.bytes() + l.bias.as_ref().map_or(0, |b| b.len() * 4);
         let norm = (self.ln1_gamma.len() + self.ln1_beta.len()) * 4 * 2;
-        lin(&self.q)
-            + lin(&self.k)
-            + lin(&self.v)
-            + lin(&self.o)
-            + self.mlp.iter().map(lin).sum::<usize>()
-            + norm
+        self.linears().map(lin).sum::<usize>() + norm
     }
 
     /// Quantize every projection in place (at-rest compression).
     pub fn quantize(&mut self, config: QuantConfig) {
-        self.q.quantize_weights(config);
-        self.k.quantize_weights(config);
-        self.v.quantize_weights(config);
-        self.o.quantize_weights(config);
-        for m in &mut self.mlp {
-            m.quantize_weights(config);
-        }
+        self.linears_mut().for_each(|l| l.quantize_weights(config));
     }
 
     /// Convert every projection to half precision in place (the fp16
     /// baseline format).
     pub fn halve(&mut self) {
-        self.q.halve_weights();
-        self.k.halve_weights();
-        self.v.halve_weights();
-        self.o.halve_weights();
-        for m in &mut self.mlp {
-            m.halve_weights();
-        }
+        self.linears_mut().for_each(Linear::halve_weights);
     }
 
     fn norm1(&self, x: &mut Tensor) {

@@ -14,14 +14,13 @@
 use crate::model::LayerWeights;
 use crate::pools::{Lease, MemPool, PoolExhausted};
 use lm_fault::{FaultInjector, RetryPolicy};
-use lm_models::ModelConfig;
 use lm_tensor::{dequantize_into, Linear, QuantConfig, Tensor, WeightStore as LinearStore};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The weight-matrix buffers of one fetched layer, in `q, k, v, o, mlp..`
-/// order.
+/// The weight-matrix buffers of one fetched layer, in
+/// [`LayerWeights::linears`] order.
 type Slot = Vec<Vec<f32>>;
 
 /// A layer materialised into the device pool.
@@ -37,10 +36,9 @@ impl Drop for FetchedLayer {
     /// before the device bytes are released, so whoever is granted them
     /// finds it there.
     fn drop(&mut self) {
-        let w = &mut self.weights;
-        let slot = [&mut w.q, &mut w.k, &mut w.v, &mut w.o]
-            .into_iter()
-            .chain(&mut w.mlp)
+        let slot = self
+            .weights
+            .linears_mut()
             .map(|l| {
                 let hollow = LinearStore::Full(Tensor::zeros([0]));
                 match std::mem::replace(&mut l.weight, hollow) {
@@ -112,24 +110,6 @@ fn fill_linear(l: &Linear, mut buf: Vec<f32>) -> Linear {
 }
 
 impl OffloadStore {
-    /// Build synthetic weights for `cfg`, optionally quantized at rest,
-    /// charging the host pool.
-    pub fn synthesize(
-        cfg: &ModelConfig,
-        seed: u64,
-        quantize_at_rest: Option<QuantConfig>,
-        host: Arc<MemPool>,
-        device: Arc<MemPool>,
-    ) -> Result<Self, PoolExhausted> {
-        let at_rest = match quantize_at_rest {
-            Some(q) => WeightsAtRest::Quantized(q),
-            None => WeightsAtRest::F32,
-        };
-        let layers =
-            (0..cfg.num_layers).map(|i| LayerWeights::synthesize(cfg, i, seed));
-        OffloadStore::from_layers(layers, at_rest, host, device)
-    }
-
     /// Build from an explicit layer source (e.g. a disk checkpoint) at the
     /// requested at-rest precision, charging the host pool.
     pub fn from_layers(
@@ -175,12 +155,7 @@ impl OffloadStore {
             x.in_features * x.out_features * 4 + x.bias.as_ref().map_or(0, |b| b.len() * 4)
         };
         let norms = (l.ln1_gamma.len() + l.ln1_beta.len()) * 4 * 2;
-        lin(&l.q)
-            + lin(&l.k)
-            + lin(&l.v)
-            + lin(&l.o)
-            + l.mlp.iter().map(lin).sum::<usize>()
-            + norms
+        l.linears().map(lin).sum::<usize>() + norms
     }
 
     /// Total host→device weight traffic so far, in bytes. At rest the
@@ -257,7 +232,20 @@ impl OffloadStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lm_models::presets;
+    use lm_models::{presets, ModelConfig};
+
+    /// Synthetic layers for `cfg` at `at_rest`, through the one
+    /// constructor.
+    fn synth_store(
+        cfg: &ModelConfig,
+        seed: u64,
+        at_rest: WeightsAtRest,
+        host: Arc<MemPool>,
+        device: Arc<MemPool>,
+    ) -> OffloadStore {
+        let layers = (0..cfg.num_layers).map(|i| LayerWeights::synthesize(cfg, i, seed));
+        OffloadStore::from_layers(layers, at_rest, host, device).unwrap()
+    }
 
     fn pools(device_cap: usize) -> (Arc<MemPool>, Arc<MemPool>) {
         (
@@ -270,12 +258,10 @@ mod tests {
     fn quantized_at_rest_is_smaller_on_host() {
         let cfg = presets::tiny_test();
         let (h1, d1) = pools(1 << 30);
-        let full =
-            OffloadStore::synthesize(&cfg, 1, None, h1.clone(), d1).unwrap();
+        let full = synth_store(&cfg, 1, WeightsAtRest::F32, h1.clone(), d1);
         let (h2, d2) = pools(1 << 30);
-        let quant =
-            OffloadStore::synthesize(&cfg, 1, Some(QuantConfig::int4()), h2.clone(), d2)
-                .unwrap();
+        let int4 = WeightsAtRest::Quantized(QuantConfig::int4());
+        let quant = synth_store(&cfg, 1, int4, h2.clone(), d2);
         assert!(quant.host_bytes() * 3 < full.host_bytes());
         assert_eq!(h1.used(), full.host_bytes());
         assert_eq!(h2.used(), quant.host_bytes());
@@ -285,9 +271,8 @@ mod tests {
     fn fetch_charges_and_frees_device_pool() {
         let cfg = presets::tiny_test();
         let (host, device) = pools(16 << 20);
-        let store =
-            OffloadStore::synthesize(&cfg, 2, Some(QuantConfig::int8()), host, device.clone())
-                .unwrap();
+        let int8 = WeightsAtRest::Quantized(QuantConfig::int8());
+        let store = synth_store(&cfg, 2, int8, host, device.clone());
         assert_eq!(device.used(), 0);
         {
             let f = store.fetch(0).unwrap();
@@ -301,7 +286,7 @@ mod tests {
     fn fetch_fails_when_device_too_small() {
         let cfg = presets::tiny_test();
         let (host, device) = pools(1024); // far too small for a layer
-        let store = OffloadStore::synthesize(&cfg, 3, None, host, device).unwrap();
+        let store = synth_store(&cfg, 3, WeightsAtRest::F32, host, device);
         assert!(store.fetch(0).is_err());
     }
 
@@ -310,7 +295,7 @@ mod tests {
         use lm_tensor::{KvCache, Tensor};
         let cfg = presets::tiny_test();
         let (host, device) = pools(64 << 20);
-        let store = OffloadStore::synthesize(&cfg, 4, None, host, device).unwrap();
+        let store = synth_store(&cfg, 4, WeightsAtRest::F32, host, device);
         let fetched = store.fetch(1).unwrap();
         let reference = LayerWeights::synthesize(&cfg, 1, 4);
         let x = Tensor::randn([2, 64], 1.0, 8);
@@ -332,7 +317,7 @@ mod tests {
             ..FaultConfig::quiescent(11)
         });
         device.attach_fault(fault.clone());
-        let mut store = OffloadStore::synthesize(&cfg, 6, None, host, device).unwrap();
+        let mut store = synth_store(&cfg, 6, WeightsAtRest::F32, host, device);
         store.fault = fault.clone();
         let policy = lm_fault::RetryPolicy {
             max_attempts: 32,
@@ -445,7 +430,7 @@ mod tests {
     fn double_buffering_needs_two_layer_budget() {
         let cfg = presets::tiny_test();
         let (host, device) = pools(0);
-        let store = OffloadStore::synthesize(&cfg, 5, None, host, device.clone()).unwrap();
+        let store = synth_store(&cfg, 5, WeightsAtRest::F32, host, device.clone());
         let one = store.fetched_bytes(0);
         // Rebuild device pool sized for exactly two layers.
         let device2 = MemPool::new("device", 2 * one);

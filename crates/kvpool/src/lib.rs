@@ -1,7 +1,7 @@
 //! # lm-kvpool
 //!
 //! A block-granular paged KV allocator with cross-request prefix
-//! sharing (DESIGN.md §14). Instead of leasing one contiguous
+//! sharing (DESIGN.md §9.3). Instead of leasing one contiguous
 //! worst-case slab per sequence, KV residency is split into fixed-size
 //! *pages* of `page_tokens` tokens each:
 //!

@@ -6,14 +6,15 @@
 //! because each decode step pays one shared layer fetch plus per-slot
 //! terms, modelled tokens/s (`k / step(k)`) is non-decreasing in `k`, so
 //! the argmax is the largest `k` the KV pool's pages admit at the
-//! expected per-sequence residency. The resulting plan is linted by
-//! `lm-analyze`'s `LMA25x` family before any request is served — an
-//! infeasible plan is a typed error carrying the diagnostic report, the
-//! same contract as the engine's strict pre-flight.
+//! expected per-sequence residency. The plan is judged in
+//! [`crate::preflight`] before any request is served — an infeasible
+//! plan is a typed error carrying the diagnostic report, the same
+//! contract as the engine's strict pre-flight.
 
 use crate::backend::ServeBackend;
+use crate::preflight::plan_report;
 use crate::slo::{DegradeLadder, SloPolicy};
-use lm_analyze::{lint_paging, lint_serve, PagingProbe, Report, ServeProbe, SloProbe};
+use lm_analyze::Report;
 use lm_engine::EngineError;
 use lm_fault::{FaultInjector, RetryPolicy};
 use lm_parallelism::{analyze, attention_block_graph};
@@ -39,7 +40,7 @@ pub struct ServeConfig {
     /// Head groups of the per-sequence attention graph (the Kahn-width
     /// bound input).
     pub head_groups: usize,
-    /// Tokens per KV page (DESIGN.md §14); `0` derives the largest
+    /// Tokens per KV page (DESIGN.md §9.3); `0` derives the largest
     /// divisor of the planning context not exceeding 16, so pages
     /// always tile the KV block exactly (`LMA280`).
     pub page_tokens: usize,
@@ -57,7 +58,7 @@ pub struct ServeConfig {
     pub ladder: Option<Arc<dyn DegradeLadder>>,
     /// Flight recorder teed into scheduler decisions and injected
     /// faults; frozen into a post-mortem dump on the first observed SLO
-    /// breach (DESIGN.md §13). Disabled by default.
+    /// breach (DESIGN.md §8). Disabled by default.
     pub flight: lm_trace::FlightRecorder,
 }
 
@@ -108,40 +109,6 @@ pub struct ServePlan {
     pub pages_per_slot: u64,
 }
 
-impl ServePlan {
-    /// The observation `lm-analyze`'s `LMA25x` lints judge. Per slot it
-    /// reports the *planned page residency* of one sequence (half the
-    /// envelope, the statistical bound admission banks on), because that
-    /// — not the worst case — is what `slots` of them must fit in the
-    /// pool.
-    pub fn probe(&self) -> ServeProbe {
-        ServeProbe {
-            slots: self.slots as u64,
-            kv_bytes_per_slot: self.pages_per_slot.div_ceil(2).max(1) * self.page_bytes,
-            kv_pool_bytes: self.kv_pool_bytes,
-            block_size: self.slots as u64,
-            kahn_width: self.kahn_width,
-        }
-    }
-
-    /// The static half of the `LMA28x` observation: geometry only, with
-    /// the runtime counters at their quiescent values. The scheduler
-    /// fills the live counters from the pool at block boundaries.
-    pub fn paging_probe(&self) -> PagingProbe {
-        PagingProbe {
-            page_tokens: self.page_tokens,
-            page_bytes: self.page_bytes,
-            bytes_per_token: self.page_bytes.checked_div(self.page_tokens).unwrap_or(0),
-            kv_block_tokens: self.slot_context as u64,
-            pages_total: self.pages_total,
-            pages_in_use: 0,
-            page_refcount_sum: 0,
-            seq_mapped_pages: 0,
-            shared_write_violations: 0,
-        }
-    }
-}
-
 /// Largest page size not exceeding 16 tokens that tiles `context`
 /// exactly. 16 matches FlexGen's block granularity at the default
 /// contexts (512 → 16, 128 → 16) and degrades to smaller divisors —
@@ -153,38 +120,11 @@ fn derive_page_tokens(context: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Sample the `LMA26x` lint observation for an SLO policy paired with a
-/// plan: the floor is the cost model's one worst-case-padded group
-/// prefill plus one full-occupancy decode step — the fastest any
-/// admitted request can reach its first token under this plan.
-pub fn slo_probe(
-    plan: &ServePlan,
-    backend: &dyn ServeBackend,
-    slo: &SloPolicy,
-    ladder: Option<&std::sync::Arc<dyn DegradeLadder>>,
-) -> SloProbe {
-    // A ladder is finite in practice; cap the census so a buggy
-    // implementation cannot hang the pre-flight.
-    let degrade_rungs = ladder.map_or(0, |l| {
-        (1..=64).take_while(|&i| l.rung(i).is_some()).count() as u64
-    });
-    SloProbe {
-        ttft_p99_slo_s: slo.ttft_p99_s,
-        floor_ttft_s: backend.prefill_seconds(plan.slot_context, plan.slots)
-            + plan.est_step_seconds,
-        slots: plan.slots as u64,
-        enforce: slo.enforce,
-        preempt: slo.preempt,
-        shed: slo.shed,
-        degrade_rungs,
-    }
-}
-
 /// Serving-layer failures.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The plan failed its `LMA25x` pre-flight; the report names each
-    /// violation with stable codes.
+    /// The run failed its pre-flight ([`crate::preflight`]); the report
+    /// names each violation with stable codes.
     Plan(Report),
     /// The backend failed (engine construction, materialization).
     Engine(EngineError),
@@ -221,12 +161,10 @@ impl From<lm_kvpool::KvProtocolError> for ServeError {
     }
 }
 
-/// Derive the slot plan for `backend` under `cfg` and lint it, without
-/// gating on the verdict. This is the planner's full arithmetic —
-/// [`plan_admission`] is the gated wrapper serving uses; `lm-verify`
-/// calls this directly so executable ground truth can be evaluated even
-/// on configs the lints reject (the lint-incompleteness half of the
-/// sweep needs the plan the lints said no to).
+/// Derive the slot plan for `backend` under `cfg` and lint it
+/// (`LMA25x` + `LMA28x`), without gating on the verdict. This is the
+/// planner's full arithmetic; [`preflight`](crate::preflight::preflight)
+/// is the gate serving runs behind.
 pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan, Report) {
     let model = backend.model();
     let context = if cfg.slot_context > 0 {
@@ -288,28 +226,15 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
         pages_total: pages_total as u64,
         pages_per_slot: pages_per_slot as u64,
     };
-    let mut report = lint_serve(&plan.probe());
-    report.extend(lint_paging(&plan.paging_probe()));
+    let report = plan_report(&plan);
     (plan, report)
-}
-
-/// Derive and lint the slot plan for `backend` under `cfg`, rejecting
-/// on any `Error`-severity finding.
-pub fn plan_admission(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-) -> Result<ServePlan, ServeError> {
-    let (plan, report) = derive_plan(backend, cfg);
-    if !report.is_clean() {
-        return Err(ServeError::Plan(report));
-    }
-    Ok(plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
+    use crate::preflight::{paging_report, preflight, serve_report};
     use lm_analyze::LintCode;
 
     #[test]
@@ -317,19 +242,19 @@ mod tests {
         let b = AnalyticBackend::opt_30b();
         // The default pool of 8 worst-case envelopes admits 16
         // statistical slots at the expected half-envelope residency.
-        let plan = plan_admission(&b, &ServeConfig::default()).unwrap();
+        let plan = preflight(&b, &ServeConfig::default(), None).unwrap();
         assert_eq!(plan.slots, 16);
         assert!(plan.est_step_seconds > 0.0);
         assert!(plan.est_tokens_per_s > 0.0);
         assert!(plan.kahn_width >= plan.slots as u64);
-        assert!(lint_serve(&plan.probe()).is_clean());
+        assert!(serve_report(&plan).is_clean());
     }
 
     #[test]
     fn pool_bound_caps_slots_below_ceiling() {
         let b = AnalyticBackend::opt_30b();
         let per_slot = {
-            let p = plan_admission(&b, &ServeConfig::default()).unwrap();
+            let p = preflight(&b, &ServeConfig::default(), None).unwrap();
             p.kv_bytes_per_slot as usize
         };
         // A 3.5-envelope pool is 112 pages; over an expected residency
@@ -338,7 +263,7 @@ mod tests {
             kv_pool_bytes: 3 * per_slot + per_slot / 2,
             ..ServeConfig::default()
         };
-        let plan = plan_admission(&b, &cfg).unwrap();
+        let plan = preflight(&b, &cfg, None).unwrap();
         assert_eq!(plan.slots, 7, "page residency outpacks worst-case envelopes");
     }
 
@@ -349,7 +274,7 @@ mod tests {
             kv_pool_bytes: 1024, // far below one lease
             ..ServeConfig::default()
         };
-        match plan_admission(&b, &cfg) {
+        match preflight(&b, &cfg, None) {
             Err(ServeError::Plan(report)) => {
                 assert!(report.has(LintCode::Lma250SlotsExceedPool), "{report}")
             }
@@ -360,7 +285,7 @@ mod tests {
     #[test]
     fn default_plan_page_geometry_tiles_the_block() {
         let b = AnalyticBackend::opt_30b();
-        let plan = plan_admission(&b, &ServeConfig::default()).unwrap();
+        let plan = preflight(&b, &ServeConfig::default(), None).unwrap();
         assert_eq!(plan.page_tokens, 16, "512-token context derives 16-token pages");
         assert_eq!(plan.slot_context as u64 % plan.page_tokens, 0);
         assert_eq!(
@@ -378,7 +303,7 @@ mod tests {
             plan.pages_total,
             plan.pages_per_slot.div_ceil(2) * plan.slots as u64
         );
-        assert!(lint_paging(&plan.paging_probe()).is_clean());
+        assert!(paging_report(&plan).is_clean());
     }
 
     #[test]
@@ -398,7 +323,7 @@ mod tests {
             page_tokens: 11, // 512 % 11 != 0
             ..ServeConfig::default()
         };
-        match plan_admission(&b, &cfg) {
+        match preflight(&b, &cfg, None) {
             Err(ServeError::Plan(report)) => {
                 assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{report}")
             }
@@ -409,15 +334,16 @@ mod tests {
     #[test]
     fn bigger_blocks_estimate_higher_throughput() {
         let b = AnalyticBackend::opt_30b();
-        let one = plan_admission(
+        let one = preflight(
             &b,
             &ServeConfig {
                 max_slots: 1,
                 ..ServeConfig::default()
             },
+            None,
         )
         .unwrap();
-        let eight = plan_admission(&b, &ServeConfig::default()).unwrap();
+        let eight = preflight(&b, &ServeConfig::default(), None).unwrap();
         assert!(
             eight.est_tokens_per_s > one.est_tokens_per_s * 2.0,
             "amortised weights must show up in the estimate: {} vs {}",

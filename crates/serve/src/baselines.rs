@@ -2,7 +2,7 @@
 //! sequential one-call-per-request and naive static batching.
 //!
 //! They are separate loops on purpose, not policies of the continuous
-//! state machine (DESIGN.md §11): they are the reference the dominance
+//! state machine (DESIGN.md §9): they are the reference the dominance
 //! gate compares against, and sharing the machine would make it branch
 //! on its caller for batch formation, generation padding, whole-batch
 //! release, report-only deadlines and the context a step is charged at.

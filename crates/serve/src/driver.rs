@@ -1,4 +1,4 @@
-//! The clock/transport split (DESIGN.md §16): the continuous-batching
+//! The clock/transport split (DESIGN.md §9.4): the continuous-batching
 //! state machine in [`scheduler`](crate::scheduler) is pure — arrivals,
 //! fates, admission, SLO actuation and retirement are all functions of
 //! its virtual clock — and everything *impure* (how time advances, where

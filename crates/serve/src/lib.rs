@@ -1,7 +1,7 @@
 //! # lm-serve
 //!
 //! A deterministic continuous-batching serving layer over the offloading
-//! engine (DESIGN.md §11): independent, ragged-length requests are
+//! engine (DESIGN.md §9): independent, ragged-length requests are
 //! admitted into the zig-zag block schedule so the per-layer weight
 //! stream — the dominant cost of offloaded generation (Eq. 2) — is
 //! amortised across whoever is active, instead of being re-paid per
@@ -17,9 +17,13 @@
 //!   equivalence tests), timing comes from the analytic cost model —
 //!   with [`AnalyticBackend`] (OPT-30B-class) and [`EngineBackend`]
 //!   (real miniature engine) implementations;
-//! - [`admission`]: the model-guided admission controller producing an
-//!   `LMA25x`-linted [`ServePlan`] (slots vs KV pool headroom vs the
-//!   block graph's Kahn width);
+//! - [`admission`]: the model-guided admission controller producing a
+//!   [`ServePlan`] (slots vs KV pool headroom vs the block graph's Kahn
+//!   width);
+//! - [`preflight`]: the one gate every run passes and the only place the
+//!   serve side builds `lm-analyze` probes — [`preflight::preflight`]
+//!   derives the plan once and rejects an infeasible plan, SLO policy or
+//!   async front end with a typed report;
 //! - [`scheduler`]: the continuous scheduler — a boundary state machine
 //!   over paged KV, parameterized over the [`driver`] clock/transport
 //!   split — with the sequential and static-batching baselines it is
@@ -30,15 +34,15 @@
 //!   [`ServeSession::run_streaming`]) and in real time
 //!   ([`ServeSession::run_async`]): wall-clock pacing
 //!   ([`AsyncConfig::time_scale`]), per-request bounded tokio token
-//!   channels, disconnect-on-drop, and `LMA30x` pre-flight;
-//! - [`slo`]: the overload-protection layer (DESIGN.md §12) — the
+//!   channels and disconnect-on-drop;
+//! - [`slo`]: the overload-protection layer (DESIGN.md §9.2) — the
 //!   [`SloPolicy`] objective, the model-driven [`TtftModel`] predictor,
 //!   and the [`DegradeLadder`] the scheduler climbs when preemption
 //!   alone cannot hold the objective. Cancellation
 //!   ([`CancelToken`] → terminal [`Cancellation`]) and slot crashes
 //!   reclaim KV leases mid-generation; chaos storms drive all of it
 //!   deterministically;
-//! - [`obs`]: serve-path observability (DESIGN.md §13) — the per-request
+//! - [`obs`]: serve-path observability (DESIGN.md §8) — the per-request
 //!   lifecycle record and per-boundary samples collected into
 //!   [`ServeObs`], the predicted-vs-observed drift audit
 //!   ([`ServeObs::audit`]), and the Perfetto serve timeline
@@ -58,17 +62,14 @@ pub mod backend;
 mod baselines;
 pub mod driver;
 pub mod obs;
+pub mod preflight;
 pub mod request;
 pub mod scheduler;
 pub mod session;
 pub mod slo;
 
-pub use admission::{
-    derive_plan, plan_admission, slo_probe, ServeConfig, ServeError, ServePlan,
-};
-pub use obs::{
-    obs_probe, serve_timeline, BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample,
-};
+pub use admission::{derive_plan, ServeConfig, ServeError, ServePlan};
+pub use obs::{serve_timeline, BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
 pub use backend::{AnalyticBackend, EngineBackend, ServeBackend};
 pub use request::{
     synth_shared_prefix_traffic, synth_traffic, ArrivalQueue, CancelReason, CancelToken,
@@ -76,5 +77,5 @@ pub use request::{
 };
 pub use driver::{Delivery, ServeDriver, VirtualDriver};
 pub use scheduler::{ServeOutcome, ServeStats, TokenEvent};
-pub use session::{async_probe, AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
+pub use session::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
 pub use slo::{DegradeLadder, DegradeRung, SloPolicy, StaticLadder, TtftModel};

@@ -1,4 +1,4 @@
-//! Serve-path observability (DESIGN.md §13): the per-request lifecycle
+//! Serve-path observability (DESIGN.md §8): the per-request lifecycle
 //! record, per-boundary state observations, the model-vs-observed drift
 //! audit, and the Perfetto serve timeline.
 //!
@@ -185,7 +185,7 @@ impl ServeObs {
             }
         };
         // Occupancy is audited in the binding resource's units: pages
-        // (DESIGN.md §14). The prediction is the analytic geometry
+        // (DESIGN.md §9.3). The prediction is the analytic geometry
         // applied to the resident requests' metadata (`pages_demand`),
         // capped by the pool — eager reservation makes realized
         // residency track it exactly, so drift here means
@@ -216,20 +216,6 @@ impl ServeObs {
             ("slot_occupancy_mean", occ_pred, occ_obs),
             ("queue_depth_mean", depth_pred, depth_obs),
         ])
-    }
-}
-
-/// Sample an [`lm_analyze::ObsProbe`] from a serving configuration, for
-/// the `LMA27x` observability lints: whether an enforced SLO can see its
-/// breaches (the tracer that carries the `serve.ttft_s` histogram) and
-/// whether an armed flight recorder can hold evidence.
-pub fn obs_probe(cfg: &crate::admission::ServeConfig) -> lm_analyze::ObsProbe {
-    lm_analyze::ObsProbe {
-        slo_enforce: cfg.slo.as_ref().is_some_and(|s| s.enforce),
-        ttft_histogram_registered: cfg.tracer.is_enabled(),
-        flight_enabled: cfg.flight.is_enabled(),
-        flight_capacity: cfg.flight.capacity().unwrap_or(0) as u64,
-        chaos_faults_armed: cfg.fault.is_enabled(),
     }
 }
 
@@ -446,10 +432,13 @@ mod tests {
     #[test]
     fn obs_probe_samples_config_wiring() {
         use crate::admission::ServeConfig;
-        let quiet = obs_probe(&ServeConfig::default());
-        assert!(!quiet.slo_enforce && !quiet.flight_enabled && !quiet.chaos_faults_armed);
-        assert!(lm_analyze::lint_obs(&quiet).is_clean());
-        // Enforced SLO with a disabled tracer: LMA270 fires.
+        use crate::preflight::obs_report;
+        use lm_analyze::LintCode;
+        let quiet = obs_report(&ServeConfig::default());
+        assert!(quiet.diagnostics.is_empty(), "{quiet}");
+        // Enforced SLO with a disabled tracer, and a zero-capacity
+        // recorder under a fault storm: both findings come from the
+        // config's own wiring.
         let cfg = ServeConfig {
             slo: Some(crate::slo::SloPolicy::enforcing(100.0)),
             flight: lm_trace::FlightRecorder::new(0),
@@ -459,13 +448,17 @@ mod tests {
             )),
             ..ServeConfig::default()
         };
-        let probe = obs_probe(&cfg);
-        assert!(probe.slo_enforce && !probe.ttft_histogram_registered);
-        assert_eq!(probe.flight_capacity, 0);
-        assert!(probe.chaos_faults_armed);
-        let report = lm_analyze::lint_obs(&probe);
-        assert!(report.has(lm_analyze::LintCode::Lma270SloWithoutTtftHistogram));
-        assert!(report.has(lm_analyze::LintCode::Lma271FlightRecorderZeroCapacity));
+        let report = obs_report(&cfg);
+        assert!(report.has(LintCode::Lma270SloWithoutTtftHistogram));
+        assert!(report.has(LintCode::Lma271FlightRecorderZeroCapacity));
+        // A registered histogram clears LMA270 only.
+        let traced = ServeConfig {
+            tracer: lm_trace::Tracer::new(),
+            ..cfg
+        };
+        let report = obs_report(&traced);
+        assert!(!report.has(LintCode::Lma270SloWithoutTtftHistogram));
+        assert!(report.has(LintCode::Lma271FlightRecorderZeroCapacity));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! name, documented there): `pop_arrivals` → `sweep_slots` (cancels,
 //! disconnects, crashes of resident sequences) → `sweep_queue` (queued
 //! cancels, expired deadlines) → `audit_ttft` → `slo_monitor` (preempt
-//! or degrade, DESIGN.md §12) → `shed` → `admit` (page-table grants from
+//! or degrade, DESIGN.md §9.2) → `shed` → `admit` (page-table grants from
 //! the shared [`PagedKvPool`] with copy-on-write prefix sharing,
-//! DESIGN.md §14, deadline rescue, one group prefill) →
+//! DESIGN.md §9.3, deadline rescue, one group prefill) →
 //! `sample_boundary` → `decode_step` (one token to every resident
 //! sequence, through the [`ServeDriver`]) → `retire`.
 //!
@@ -23,7 +23,7 @@
 //! cancellation — because `Scheduler::resolve` is the only code that
 //! records a terminal state and retires the request at the driver.
 
-use crate::admission::{plan_admission, slo_probe, ServeConfig, ServeError, ServePlan};
+use crate::admission::{ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
 use crate::driver::{Delivery, ServeDriver};
 use crate::obs::{BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
@@ -135,7 +135,7 @@ pub struct ServeOutcome {
     /// Copy-on-write forks taken when a shared page saw its first
     /// divergent write.
     pub cow_forks: u64,
-    /// Observability record (DESIGN.md §13): request lifecycle events,
+    /// Observability record (DESIGN.md §8): request lifecycle events,
     /// per-boundary state samples, and TTFT prediction audit pairs.
     /// Pure virtual-clock data, so it is as replay-deterministic as the
     /// rest of the outcome. Baselines leave it empty.
@@ -289,35 +289,27 @@ enum Terminal {
 }
 
 /// The continuous-batching core, parameterized over the clock/transport
-/// [`ServeDriver`] (DESIGN.md §16). With a virtual driver `pace` is the
-/// identity and every delivery succeeds, so outcomes are a pure function
-/// of `(requests, backend, config)`. A real-time driver may stretch the
+/// [`ServeDriver`], over a plan that already passed
+/// [`preflight`](crate::preflight::preflight). With a virtual driver
+/// `pace` is the identity and every delivery succeeds, so outcomes are a
+/// pure function of `(requests, backend, config)`. A real-time driver may stretch the
 /// clock (wall jitter feeds the same deadline/SLO machinery) and may
 /// report a token undeliverable, which resolves at the next boundary
 /// through the scheduler's client-disconnect vocabulary.
 pub(crate) fn run_continuous(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
+    plan: &ServePlan,
     requests: Vec<Request>,
     driver: &mut dyn ServeDriver,
-) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    let plan = plan_admission(backend, cfg)?;
-    // SLO pre-flight: an unmeetable or actuator-less policy is a typed
-    // error before any request is served, mirroring the LMA25x plan gate.
-    if let Some(slo) = cfg.slo.as_ref() {
-        let report = lm_analyze::lint_slo(&slo_probe(&plan, backend, slo, cfg.ladder.as_ref()));
-        if !report.is_clean() {
-            return Err(ServeError::Plan(report));
-        }
-    }
+) -> Result<ServeOutcome, ServeError> {
     if cfg.flight.is_enabled() {
         // Tee injected faults into the same ring as scheduler decisions.
         cfg.fault.set_flight(cfg.flight.clone());
     }
-    let mut sched = Scheduler::new(&plan, cfg, backend, driver, requests);
+    let mut sched = Scheduler::new(plan, cfg, backend, driver, requests);
     while sched.boundary()? {}
-    let outcome = sched.finish();
-    Ok((plan, outcome))
+    Ok(sched.finish())
 }
 
 /// The scheduler's whole state between two boundaries.
@@ -344,7 +336,8 @@ struct Scheduler<'a> {
     /// Decode-step ordinal, keying the per-step stall draw.
     steps: u64,
     /// The outcome under construction: terminal states, admission
-    /// accounting and the observability record (§13) accumulate here.
+    /// accounting and the observability record (DESIGN.md §8) accumulate
+    /// here.
     out: ServeOutcome,
     /// Predicted TTFT (relative to arrival, µs) sampled once per request
     /// the first time it is seen in the wait queue.
@@ -1055,7 +1048,7 @@ impl<'a> Scheduler<'a> {
     /// run predicts it.
     ///
     /// The plan's slot count is only a ceiling: pages are the binding
-    /// resource (DESIGN.md §14). The predictor therefore prices
+    /// resource (DESIGN.md §9.3). The predictor therefore prices
     /// `free_slots` by walking the wait queue in admission order until
     /// the pool's free pages run out, and caps turnover concurrency at
     /// what the pool can hold at the *observed* per-sequence page
@@ -1124,25 +1117,14 @@ impl<'a> Scheduler<'a> {
             self.out.stats.admissions_balanced(),
             "admissions must conserve"
         );
-        // Live LMA28x check: with every sequence retired, refcounts,
-        // page residency, and MemPool byte accounting must all be back
-        // at quiescence, and no write may ever have landed on a shared
-        // page.
         debug_assert!(pages.accounting_balanced(), "page/byte accounting diverged");
-        let counters = pages.counters();
-        let paging = pages.stats();
-        let probe = lm_analyze::PagingProbe {
-            pages_in_use: counters.pages_in_use,
-            page_refcount_sum: counters.refcount_sum,
-            seq_mapped_pages: counters.refcount_sum,
-            shared_write_violations: paging.shared_write_violations,
-            ..plan.paging_probe()
-        };
+        // The live half of LMA28x, with every sequence retired.
         debug_assert!(
-            lm_analyze::lint_paging(&probe).is_clean(),
+            crate::preflight::quiescence_report(plan, pages).is_clean(),
             "{}",
-            lm_analyze::lint_paging(&probe)
+            crate::preflight::quiescence_report(plan, pages)
         );
+        let paging = pages.stats();
         ServeOutcome {
             kv_peak_bytes: self.pool.peak(),
             kv_leaked_bytes: self.pool.used(),
@@ -1159,6 +1141,7 @@ impl<'a> Scheduler<'a> {
 mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
+    use crate::preflight::{preflight, ttft_floor_s};
     use crate::request::synth_traffic;
     use crate::session::{ServeMode, ServeSession};
 
@@ -1332,12 +1315,12 @@ mod tests {
         // one sequence.
         let lo = Request::new(0, vec![1, 2], 4).with_priority(0);
         let hi = Request::new(1, vec![3, 4], 4).with_priority(2);
-        let envelope = plan_admission(&b, &ServeConfig::default()).unwrap().kv_bytes_per_slot;
+        let envelope = preflight(&b, &ServeConfig::default(), None).unwrap().kv_bytes_per_slot;
         let cfg = ServeConfig {
             kv_pool_bytes: envelope as usize / 2,
             ..ServeConfig::default()
         };
-        assert_eq!(plan_admission(&b, &cfg).unwrap().slots, 1);
+        assert_eq!(preflight(&b, &cfg, None).unwrap().slots, 1);
         let (_, out) = continuous(&b, &cfg, vec![lo, hi]).unwrap();
         let finish = |id: u64| {
             out.responses
@@ -1429,10 +1412,7 @@ mod tests {
     /// plan's physical floor, so the policy is feasible but any real
     /// queueing predicts a violation.
     fn tight_slo(b: &AnalyticBackend, cfg: &ServeConfig, headroom: f64) -> f64 {
-        let plan = plan_admission(b, cfg).unwrap();
-        let floor =
-            b.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds;
-        floor * headroom
+        ttft_floor_s(&preflight(b, cfg, None).unwrap(), b) * headroom
     }
 
     #[test]
@@ -1577,7 +1557,8 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut counting = CountingDriver::default();
-        let (_, out) = run_continuous(&b, &cfg, reqs, &mut counting).unwrap();
+        let plan = preflight(&b, &cfg, None).unwrap();
+        let out = run_continuous(&b, &cfg, &plan, reqs, &mut counting).unwrap();
         assert!(
             !out.cancellations.is_empty() && out.stats.slot_crashes > 0,
             "the storm must exercise more than the happy path: {:?}",
@@ -1656,7 +1637,7 @@ mod tests {
         let report = out.obs.audit(&plan);
         let ttft = report.metric("ttft_mean_s").unwrap();
         assert!(ttft.predicted > 0.0 && ttft.observed > 0.0);
-        // DESIGN.md §13 documents the serve-path tolerance: the TTFT
+        // DESIGN.md §8 documents the serve-path tolerance: the TTFT
         // queueing estimate must land within 35% of the realized mean.
         let r = ttft.ratio.unwrap();
         assert!((r - 1.0).abs() <= 0.35, "ttft drift ratio {r}");

@@ -1,4 +1,4 @@
-//! The serve API (DESIGN.md §16): one builder — [`ServeSession`] over a
+//! The serve API (DESIGN.md §9.1): one builder — [`ServeSession`] over a
 //! backend, a [`ServeConfig`] and a [`ServeMode`] — is the only way into
 //! the serving layer, on either clock.
 //!
@@ -18,10 +18,11 @@
 //!   completions against solo `Engine::run` — only timing and delivery
 //!   move to wall clocks.
 
-use crate::admission::{derive_plan, ServeConfig, ServeError, ServePlan};
+use crate::admission::{ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
 use crate::baselines::{run_sequential, run_static};
 use crate::driver::{Delivery, ServeDriver, VirtualDriver};
+use crate::preflight::preflight;
 use crate::request::Request;
 use crate::scheduler::{run_continuous, ServeOutcome, TokenEvent};
 use std::collections::BTreeMap;
@@ -46,8 +47,8 @@ pub enum ServeMode {
 /// continuous scheduler; the baselines don't plan) and the outcome.
 #[derive(Debug, Clone)]
 pub struct ServeRun {
-    /// The `LMA25x`-linted admission plan; `None` for the baselines,
-    /// which admit without planning.
+    /// The admission plan that passed pre-flight; `None` for the
+    /// baselines, which admit without planning.
     pub plan: Option<ServePlan>,
     pub outcome: ServeOutcome,
 }
@@ -68,8 +69,8 @@ impl ServeRun {
     }
 }
 
-/// Knobs for the real-time front end, judged by `lm-analyze`'s `LMA30x`
-/// family before the session starts.
+/// Knobs for the real-time front end, judged by the `LMA30x` family in
+/// [`crate::preflight`] before the session starts.
 #[derive(Debug, Clone)]
 pub struct AsyncConfig {
     /// Capacity of each request's bounded token channel (`LMA300`
@@ -93,25 +94,6 @@ impl Default for AsyncConfig {
             time_scale: 1.0,
             backpressure_grace: Duration::from_millis(50),
         }
-    }
-}
-
-/// Sample the `LMA30x` lint observation for an async session: the
-/// channel and clock knobs of `acfg`, the SLO of `cfg` (if any), and the
-/// same physical TTFT floor [`slo_probe`](crate::slo_probe) judges the
-/// virtual path by.
-pub fn async_probe(
-    plan: &ServePlan,
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    acfg: &AsyncConfig,
-) -> lm_analyze::AsyncProbe {
-    lm_analyze::AsyncProbe {
-        channel_capacity: acfg.channel_capacity as u64,
-        time_scale: acfg.time_scale,
-        ttft_p99_slo_s: cfg.slo.as_ref().map(|s| s.ttft_p99_s),
-        floor_ttft_s: backend.prefill_seconds(plan.slot_context, plan.slots)
-            + plan.est_step_seconds,
     }
 }
 
@@ -144,8 +126,7 @@ impl TokenStreams {
 
 /// Builder over a backend + [`ServeConfig`] + [`ServeMode`]: the one
 /// serving entry point. Construction is infallible; feasibility is
-/// judged at `run*` time (`LMA25x`/`LMA26x` on the plan, `LMA30x` on the
-/// async front end).
+/// judged once per `run*` call by [`crate::preflight::preflight`].
 pub struct ServeSession<'b> {
     backend: &'b dyn ServeBackend,
     cfg: ServeConfig,
@@ -191,8 +172,9 @@ impl<'b> ServeSession<'b> {
         let (backend, cfg) = (self.backend, &self.cfg);
         let (plan, outcome) = match self.mode {
             ServeMode::Continuous => {
+                let plan = preflight(backend, cfg, None)?;
                 let mut driver = VirtualDriver::new(on_token);
-                let (plan, outcome) = run_continuous(backend, cfg, requests, &mut driver)?;
+                let outcome = run_continuous(backend, cfg, &plan, requests, &mut driver)?;
                 (Some(plan), outcome)
             }
             ServeMode::Sequential => (None, run_sequential(backend, cfg, requests)?),
@@ -229,15 +211,9 @@ impl<'b> ServeSession<'b> {
         R: Send,
         F: FnOnce(TokenStreams) -> R + Send,
     {
-        // LMA30x pre-flight: reject configurations that cannot work at
-        // runtime before any thread spawns, mirroring the LMA25x plan
-        // gate. The plan floor comes from the same arithmetic LMA260
-        // judges the virtual path by.
-        let (plan, _) = derive_plan(self.backend, &self.cfg);
-        let report = lm_analyze::lint_async(&async_probe(&plan, self.backend, &self.cfg, acfg));
-        if !report.is_clean() {
-            return Err(ServeError::Plan(report));
-        }
+        // Reject configurations that cannot work at runtime before any
+        // thread spawns.
+        let plan = preflight(self.backend, &self.cfg, Some(acfg))?;
 
         let mut senders = BTreeMap::new();
         let mut receivers = BTreeMap::new();
@@ -248,8 +224,7 @@ impl<'b> ServeSession<'b> {
         }
         let streams = TokenStreams { rx: receivers };
 
-        let backend = self.backend;
-        let cfg = &self.cfg;
+        let (backend, cfg, planned) = (self.backend, &self.cfg, &plan);
         let (sched, client_out) = std::thread::scope(|s| {
             let sched = s.spawn(move || {
                 let mut driver = AsyncDriver {
@@ -258,7 +233,7 @@ impl<'b> ServeSession<'b> {
                     scale: acfg.time_scale,
                     backpressure_grace: acfg.backpressure_grace,
                 };
-                run_continuous(backend, cfg, requests, &mut driver)
+                run_continuous(backend, cfg, planned, requests, &mut driver)
             });
             // The client consumes on the calling thread; when it drops
             // receivers the scheduler sees closed channels and cancels.
@@ -266,7 +241,7 @@ impl<'b> ServeSession<'b> {
             (sched.join(), client_out)
         });
         match sched {
-            Ok(Ok((plan, outcome))) => Ok((
+            Ok(Ok(outcome)) => Ok((
                 ServeRun {
                     plan: Some(plan),
                     outcome,
@@ -357,6 +332,64 @@ mod tests {
         let b = AnalyticBackend::opt_30b();
         let reqs = synth_traffic(7, 4.0, n, b.model());
         (b, reqs)
+    }
+
+    /// Counts `decode_step_seconds` calls. With no requests the scheduler
+    /// never steps, so every call is the planner quoting a full block.
+    struct CountingBackend {
+        inner: AnalyticBackend,
+        step_quotes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ServeBackend for CountingBackend {
+        fn model(&self) -> &lm_models::ModelConfig {
+            self.inner.model()
+        }
+        fn materialize(&self, req: &Request) -> Result<Vec<u32>, lm_engine::EngineError> {
+            self.inner.materialize(req)
+        }
+        fn prefill_seconds(&self, padded_prompt_len: usize, batch: usize) -> f64 {
+            self.inner.prefill_seconds(padded_prompt_len, batch)
+        }
+        fn decode_step_seconds(&self, contexts: &[u64]) -> f64 {
+            self.step_quotes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.decode_step_seconds(contexts)
+        }
+        fn kv_bytes_at(&self, context: usize) -> usize {
+            self.inner.kv_bytes_at(context)
+        }
+    }
+
+    #[test]
+    fn every_entry_point_plans_exactly_once() {
+        let b = CountingBackend {
+            inner: AnalyticBackend::opt_30b(),
+            step_quotes: Default::default(),
+        };
+        let quotes = || b.step_quotes.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let session = ServeSession::new(&b);
+        session.run(Vec::new()).unwrap();
+        assert_eq!(quotes(), 1, "run");
+        session.run_streaming(Vec::new(), &mut |_| {}).unwrap();
+        assert_eq!(quotes(), 1, "run_streaming");
+        session.run_async(Vec::new(), &AsyncConfig::default(), |_| ()).unwrap();
+        assert_eq!(quotes(), 1, "run_async");
+    }
+
+    #[test]
+    fn enforcing_slo_without_a_tracer_is_reported_not_refused() {
+        // LMA27x is `repro obs`'s verdict, not a run gate: the scheduler
+        // simulator enforces an SLO with no tracer attached.
+        let (b, reqs) = traffic(6);
+        let cfg = ServeConfig {
+            slo: Some(crate::slo::SloPolicy::enforcing(1e4)),
+            ..ServeConfig::default()
+        };
+        let report = crate::preflight::obs_report(&cfg);
+        assert!(report.has(LintCode::Lma270SloWithoutTtftHistogram), "{report}");
+        let n = reqs.len();
+        let run = ServeSession::new(&b).config(cfg).run(reqs).unwrap();
+        assert_eq!(run.outcome.terminal_count(), n);
     }
 
     #[test]

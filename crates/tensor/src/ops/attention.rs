@@ -5,7 +5,6 @@
 use crate::ops::elementwise::softmax_slice;
 use crate::ops::matmul::dot;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Key/value cache for one transformer layer: `[batch, seq, hidden]` for
 /// keys and values, growing along `seq` as tokens are generated — the
@@ -97,8 +96,8 @@ impl KvCache {
 /// Decode-phase attention: one query token per batch item against the whole
 /// cache. `q` is `[batch, hidden]`; returns `[batch, hidden]`.
 ///
-/// One (batch, head) pair at a time — independent work, no sharing; the
-/// `par_` iterator is `vendor/rayon`'s sequential stand-in.
+/// One (batch, head) pair at a time, on the calling thread — independent
+/// work, no sharing.
 pub fn mha_decode(q: &Tensor, cache: &KvCache, num_heads: usize) -> Tensor {
     assert_eq!(q.rank(), 2, "decode query must be [batch, hidden]");
     let batch = q.dim(0);
@@ -112,7 +111,7 @@ pub fn mha_decode(q: &Tensor, cache: &KvCache, num_heads: usize) -> Tensor {
     let scale = 1.0 / (hd as f32).sqrt();
 
     let mut out = vec![0.0f32; batch * hidden];
-    out.par_chunks_mut(hd)
+    out.chunks_mut(hd)
         .enumerate()
         .for_each(|(idx, out_head)| {
             let b = idx / num_heads;
@@ -152,7 +151,6 @@ pub fn mha_prefill(q: &Tensor, k: &Tensor, v: &Tensor, num_heads: usize) -> Tens
     // One (batch, head) at a time; each owns a [s, hd] output strip that
     // is strided in the output buffer, so collect locally then scatter.
     let strips: Vec<((usize, usize), Vec<f32>)> = (0..batch * num_heads)
-        .into_par_iter()
         .map(|idx| {
             let b = idx / num_heads;
             let h = idx % num_heads;

@@ -1,14 +1,13 @@
 //! Elementwise and row-wise kernels: activations, softmax, normalisation.
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// In-place numerically-stable softmax over the last dimension of a rank-2
 /// tensor (each row sums to 1).
 pub fn softmax_rows(t: &mut Tensor) {
     assert_eq!(t.rank(), 2, "softmax_rows requires a rank-2 tensor");
     let cols = t.dim(1);
-    t.data_mut().par_chunks_mut(cols).for_each(softmax_slice);
+    t.data_mut().chunks_mut(cols).for_each(softmax_slice);
 }
 
 /// Numerically-stable softmax of one slice in place.
@@ -29,7 +28,7 @@ pub fn softmax_slice(row: &mut [f32]) {
 
 /// GELU activation (tanh approximation, as used by OPT).
 pub fn gelu(t: &mut Tensor) {
-    t.data_mut().par_iter_mut().for_each(|x| {
+    t.data_mut().iter_mut().for_each(|x| {
         let v = *x;
         let inner = 0.797_884_6 * (v + 0.044715 * v * v * v);
         *x = 0.5 * v * (1.0 + inner.tanh());
@@ -38,12 +37,12 @@ pub fn gelu(t: &mut Tensor) {
 
 /// ReLU activation.
 pub fn relu(t: &mut Tensor) {
-    t.data_mut().par_iter_mut().for_each(|x| *x = x.max(0.0));
+    t.data_mut().iter_mut().for_each(|x| *x = x.max(0.0));
 }
 
 /// SiLU/Swish activation (as used by LLaMA's SwiGLU MLP).
 pub fn silu(t: &mut Tensor) {
-    t.data_mut().par_iter_mut().for_each(|x| {
+    t.data_mut().iter_mut().for_each(|x| {
         let v = *x;
         *x = v / (1.0 + (-v).exp());
     });
@@ -53,8 +52,8 @@ pub fn silu(t: &mut Tensor) {
 pub fn add_assign(a: &mut Tensor, b: &Tensor) {
     assert_eq!(a.shape(), b.shape(), "add_assign shape mismatch");
     a.data_mut()
-        .par_iter_mut()
-        .zip(b.data().par_iter())
+        .iter_mut()
+        .zip(b.data().iter())
         .for_each(|(x, &y)| *x += y);
 }
 
@@ -62,14 +61,14 @@ pub fn add_assign(a: &mut Tensor, b: &Tensor) {
 pub fn mul_assign(a: &mut Tensor, b: &Tensor) {
     assert_eq!(a.shape(), b.shape(), "mul_assign shape mismatch");
     a.data_mut()
-        .par_iter_mut()
-        .zip(b.data().par_iter())
+        .iter_mut()
+        .zip(b.data().iter())
         .for_each(|(x, &y)| *x *= y);
 }
 
 /// Scale every element by `s`.
 pub fn scale(t: &mut Tensor, s: f32) {
-    t.data_mut().par_iter_mut().for_each(|x| *x *= s);
+    t.data_mut().iter_mut().for_each(|x| *x *= s);
 }
 
 /// Add a bias vector to every row of a rank-2 tensor.
@@ -77,7 +76,7 @@ pub fn add_bias(t: &mut Tensor, bias: &[f32]) {
     assert_eq!(t.rank(), 2, "add_bias requires a rank-2 tensor");
     let cols = t.dim(1);
     assert_eq!(bias.len(), cols, "bias length mismatch");
-    t.data_mut().par_chunks_mut(cols).for_each(|row| {
+    t.data_mut().chunks_mut(cols).for_each(|row| {
         for (x, &b) in row.iter_mut().zip(bias) {
             *x += b;
         }
@@ -91,7 +90,7 @@ pub fn layernorm_rows(t: &mut Tensor, gamma: &[f32], beta: &[f32], eps: f32) {
     let cols = t.dim(1);
     assert_eq!(gamma.len(), cols, "gamma length mismatch");
     assert_eq!(beta.len(), cols, "beta length mismatch");
-    t.data_mut().par_chunks_mut(cols).for_each(|row| {
+    t.data_mut().chunks_mut(cols).for_each(|row| {
         let mean: f32 = row.iter().sum::<f32>() / cols as f32;
         let var: f32 = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / cols as f32;
         let inv = 1.0 / (var + eps).sqrt();
@@ -106,7 +105,7 @@ pub fn rmsnorm_rows(t: &mut Tensor, gamma: &[f32], eps: f32) {
     assert_eq!(t.rank(), 2, "rmsnorm_rows requires a rank-2 tensor");
     let cols = t.dim(1);
     assert_eq!(gamma.len(), cols, "gamma length mismatch");
-    t.data_mut().par_chunks_mut(cols).for_each(|row| {
+    t.data_mut().chunks_mut(cols).for_each(|row| {
         let ms: f32 = row.iter().map(|x| x * x).sum::<f32>() / cols as f32;
         let inv = 1.0 / (ms + eps).sqrt();
         for (x, &g) in row.iter_mut().zip(gamma) {

@@ -1,6 +1,5 @@
-//! Matrix multiplication kernels — single-threaded (`vendor/rayon` is a
-//! sequential stand-in), with the hot kernel, [`matmul_transb`],
-//! register-tiled and dispatched by CPU capability.
+//! Matrix multiplication kernels — single-threaded, with the hot kernel,
+//! [`matmul_transb`], register-tiled and dispatched by CPU capability.
 
 use crate::tensor::Tensor;
 

@@ -16,7 +16,7 @@ pub mod pack;
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Quantization parameters: target bit width and group size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +67,9 @@ impl QuantConfig {
 pub struct QuantizedTensor {
     shape: Shape,
     config: QuantConfig,
-    /// Packed codes, `bits`-wide each, padded tail included.
-    packed: Bytes,
+    /// Packed codes, `bits`-wide each, padded tail included. Shared, so
+    /// cloning a quantized tensor copies no codes.
+    packed: Arc<[u8]>,
     /// Per-group minimum.
     mins: Vec<f32>,
     /// Per-group range (`max - min`).
@@ -175,7 +176,7 @@ fn quantize_groups(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
     QuantizedTensor {
         shape: t.shape().clone(),
         config,
-        packed: Bytes::from(packed),
+        packed: packed.into(),
         mins,
         ranges,
     }

@@ -104,7 +104,7 @@ pub fn drift_report(predicted: &[(TaskKind, f64)], spans: &[Span]) -> DriftRepor
 pub struct MetricDrift {
     /// Metric name (e.g. `ttft_mean_s`, `slot_occupancy_mean`).
     pub metric: String,
-    /// Model-predicted value (TtftModel / plan_admission).
+    /// Model-predicted value (TtftModel / the admission plan).
     pub predicted: f64,
     /// Value observed by the scheduler's boundary instrumentation.
     pub observed: f64,
@@ -115,7 +115,7 @@ pub struct MetricDrift {
 }
 
 /// Predicted-vs-observed drift across the serve path's audited metrics
-/// (DESIGN.md §13). Unlike [`DriftReport`] the tolerance is per-run and
+/// (DESIGN.md §8). Unlike [`DriftReport`] the tolerance is per-run and
 /// documented, not exactly 1.0: the TTFT predictor is a queueing
 /// estimate, not a replay of the scheduler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

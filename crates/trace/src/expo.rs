@@ -1,5 +1,5 @@
 //! Prometheus / OpenMetrics text exposition for a [`MetricsSnapshot`]
-//! (DESIGN.md §13): counters render as `counter` families, gauges as
+//! (DESIGN.md §8): counters render as `counter` families, gauges as
 //! `gauge`, and histogram digests as `summary` families (quantile series
 //! plus `_sum`/`_count`), with the digest's min/max carried as adjacent
 //! gauges so a summary round-trips losslessly through the text form.

@@ -1,4 +1,4 @@
-//! The flight recorder (DESIGN.md §13): a bounded ring buffer of recent
+//! The flight recorder (DESIGN.md §8): a bounded ring buffer of recent
 //! spans, fault events, and scheduler decisions that survives a crash of
 //! the *run* (not the process — everything is in memory) as a post-mortem
 //! JSON dump, so a chaos-invariant violation, SLO breach, or

@@ -1,7 +1,7 @@
 //! # lm-trace
 //!
 //! Unified tracing and metrics for every execution layer of the
-//! LM-Offload reproduction (DESIGN.md §9): the engine, the event-driven
+//! LM-Offload reproduction (DESIGN.md §8): the engine, the event-driven
 //! simulator, the parallelism executor, and the fault injector all speak
 //! one span vocabulary, so a single timeline shows what the system
 //! actually did — and the drift report shows how far that is from what

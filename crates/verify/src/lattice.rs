@@ -3,10 +3,10 @@
 //! consistent with *executable* ground truth.
 //!
 //! For each lattice point the sweep derives the slot plan twice over:
-//! once through `lm-serve`'s linted planner ([`derive_plan`]), and once
+//! once through `lm-serve`'s pre-flight ([`preflight_reports`]), and once
 //! by actually *executing* the planned admissions against a real
 //! [`PagedKvPool`] backed by a real byte-accounted `MemPool`. The
-//! invariant catalogue (DESIGN.md §15):
+//! invariant catalogue (DESIGN.md §10):
 //!
 //! - `geometry_tiles` (I3): pages tile the plan's KV block exactly and
 //!   page bytes equal `page_tokens · bytes_per_token`;
@@ -40,7 +40,8 @@ use lm_analyze::UnsoundnessWitness;
 use lm_engine::MemPool;
 use lm_kvpool::{PageConfig, PagedKvPool};
 use lm_models::{presets, ModelConfig};
-use lm_serve::{derive_plan, slo_probe, AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
+use lm_serve::preflight::preflight_reports;
+use lm_serve::{AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
 use lm_serve::{DegradeLadder, ServePlan, StaticLadder, TtftModel};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
@@ -386,20 +387,10 @@ pub fn run_sweep(depth: SweepDepth, mutation: Mutation) -> SweepReport {
                             ladder: ladder.ladder(),
                             ..ServeConfig::default()
                         };
-                        let (plan, mut lint_report) = derive_plan(&backend, &cfg);
                         // The plan-time verdict the sweep judges is the
-                        // whole shipped pre-flight: LMA25x/LMA28x from
-                        // `derive_plan` plus the LMA26x SLO lints the
-                        // serve path runs when a policy is configured.
-                        if let Some(slo) = cfg.slo.as_ref() {
-                            lint_report.extend(lm_analyze::lint_slo(&slo_probe(
-                                &plan,
-                                &backend,
-                                slo,
-                                cfg.ladder.as_ref(),
-                            )));
-                        }
-                        let lint_clean = lint_report.is_clean();
+                        // whole shipped virtual-clock pre-flight.
+                        let (plan, reports) = preflight_reports(&backend, &cfg, None);
+                        let lint_clean = reports.iter().all(|r| r.is_clean());
                         let failed = ground_truth(&backend, &cfg, &plan, mutation);
                         let truth_ok = failed.is_empty();
                         report.configs += 1;
@@ -511,10 +502,10 @@ mod tests {
                     page_tokens,
                     ..ServeConfig::default()
                 };
-                let (plan, lint_report) = derive_plan(&backend, &cfg);
+                let (plan, reports) = preflight_reports(&backend, &cfg, None);
                 let failed = ground_truth(&backend, &cfg, &plan, mutation);
                 report.configs += 1;
-                match (lint_report.is_clean(), failed.is_empty()) {
+                match (reports.iter().all(|r| r.is_clean()), failed.is_empty()) {
                     (true, false) => report.unsoundness.push(UnsoundnessWitness {
                         config: format!("opt-30b/pool={pool_mult}x/page={page_tokens}"),
                         invariant: failed.join("+"),

@@ -1,5 +1,5 @@
 //! `lm-verify` — exhaustive bounded verification of the planning and
-//! serving stack (DESIGN.md §15).
+//! serving stack (DESIGN.md §10).
 //!
 //! Two complementary instruments, both deterministic:
 //!

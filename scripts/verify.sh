@@ -1,12 +1,27 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, workspace tests, lint-clean, the
-# loom lanes, and `repro all` reproducing the committed results/ bytes.
+# Full verification gate: release build (workspace and the frozen
+# scoreboard against it), workspace tests, lint-clean, the loom lanes, and
+# `repro all` reproducing the committed results/ bytes.
 # Run from anywhere; operates on the repo the script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
+
+# `benchmark/` is a package of its own that compiles against the crates'
+# public surface (EngineOptions, OffloadStore, ServeSession, derive_plan,
+# matmul_transb, ...) and is frozen with BENCHMARK.json: a change that
+# breaks that surface must fail here, not in the pipeline. Frozen includes
+# its lockfile: cargo rewrites it when a vendored crate it names is gone,
+# so put the committed bytes back.
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    || { cp "$lock" benchmark/Cargo.lock; exit 1; }
+cp "$lock" benchmark/Cargo.lock
+rm -f "$lock"
 
 echo "==> cargo test (default-members = the whole workspace)"
 cargo test -q

@@ -1,4 +1,4 @@
-//! Property battery for the paged KV allocator (DESIGN.md §14): random
+//! Property battery for the paged KV allocator (DESIGN.md §9.3): random
 //! interleavings of admit / append / drop — with prompt families chosen
 //! to collide on prefixes so the sharing index and COW fork paths are
 //! exercised constantly — must preserve every allocator invariant after

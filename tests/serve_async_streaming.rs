@@ -1,4 +1,4 @@
-//! The serve API contract (DESIGN.md §16), end to end:
+//! The serve API contract (DESIGN.md §9.4), end to end:
 //!
 //! 1. The virtual path is a pure function of its inputs — regenerating
 //!    the `repro serve --shared-prefix` artifact through `ServeSession`

@@ -1,5 +1,5 @@
 //! End-to-end tests of the lm-serve continuous-batching layer
-//! (DESIGN.md §11): dominance over the baselines on OPT-30B-class
+//! (DESIGN.md §9): dominance over the baselines on OPT-30B-class
 //! traffic, byte-level determinism, output transparency against solo
 //! `Engine::run` calls on the real miniature engine, and conservation of
 //! requests (every one is answered or rejected with a typed reason).
@@ -94,7 +94,7 @@ fn scheduled_outputs_equal_solo_engine_runs() {
     }
 }
 
-/// Output transparency under prefix sharing (DESIGN.md §14): requests
+/// Output transparency under prefix sharing (DESIGN.md §9.3): requests
 /// funneled through the paged pool's prefix index — both fully
 /// identical prompts (which share the open tail page copy-on-write and
 /// fork it mid-decode) and prompts that only share whole prefix pages —

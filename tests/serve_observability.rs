@@ -1,5 +1,5 @@
 //! Serve-path observability on the *real* miniature engine (DESIGN.md
-//! §13): the drift audit must hold on the `EngineBackend`, not just on
+//! §8): the drift audit must hold on the `EngineBackend`, not just on
 //! the analytic backend the scheduler was tuned against — the TTFT
 //! predictor reads the backend's own cost quotes, so its error must not
 //! grow when those quotes come from the engine's offloading plan.
@@ -13,7 +13,7 @@ use lm_trace::Tracer;
 
 const SEED: u64 = 7;
 
-/// The documented serve-path TTFT tolerance (DESIGN.md §13): the
+/// The documented serve-path TTFT tolerance (DESIGN.md §8): the
 /// queueing estimate must land within 35% of the realized mean.
 const TTFT_TOLERANCE: f64 = 0.35;
 

@@ -1,4 +1,4 @@
-//! End-to-end overload-resilience tests (DESIGN.md §12): for *any*
+//! End-to-end overload-resilience tests (DESIGN.md §9.2): for *any*
 //! storm seed and profile the continuous scheduler must return every KV
 //! lease to the serve pool and resolve every request exactly once; and
 //! a request whose deadline expires while it is still queued must be
