@@ -9,7 +9,7 @@
 use crate::diag::{Diagnostic, LintCode, Report};
 use lm_hardware::Platform;
 use lm_models::{footprint, DType, ModelConfig, Workload};
-use lm_sim::{t_gen, BaseCostModel, CostProvider, Policy};
+use lm_sim::{t_gen, BaseCostModel, CostProvider, Policy, TaskKind};
 use serde::{Deserialize, Serialize};
 
 /// Observations sampled from a deployment's cost model at one decode
@@ -58,19 +58,20 @@ impl ModelProbe {
         token: u64,
     ) -> ModelProbe {
         let base = BaseCostModel::new(platform, model, workload, *policy);
+        let tasks = base.tasks(token);
         ModelProbe {
             h2d_bw: platform.h2d_bw(),
             d2h_bw: platform.d2h_bw(),
             weight_bytes: base.weight_bytes_per_layer() as f64,
             token,
             num_batches: workload.num_batches,
-            load_weight_time: base.load_weight(token),
-            load_cache_time: base.load_cache(token),
-            load_activation_time: base.load_activation(token),
-            store_cache_time: base.store_cache(token),
-            store_activation_time: base.store_activation(token),
-            compute_cpu_time: base.compute_cpu(token),
-            compute_gpu_time: base.compute_gpu(token),
+            load_weight_time: tasks[TaskKind::LoadWeight],
+            load_cache_time: tasks[TaskKind::LoadCache],
+            load_activation_time: tasks[TaskKind::LoadActivation],
+            store_cache_time: tasks[TaskKind::StoreCache],
+            store_activation_time: tasks[TaskKind::StoreActivation],
+            compute_cpu_time: tasks[TaskKind::ComputeCpu],
+            compute_gpu_time: tasks[TaskKind::ComputeGpu],
             t_gen: t_gen(&base, token, workload.num_batches),
             weights_at_rest_bytes: footprint::weights_bytes(model, policy.weights_dtype) as f64,
             weights_f16_bytes: footprint::weights_bytes(model, DType::F16) as f64,

@@ -48,8 +48,8 @@ pub fn run() -> Fig8 {
     let tasks = TaskKind::ALL
         .iter()
         .filter_map(|&k| {
-            let d = default.breakdown.get(k);
-            let c = controlled.breakdown.get(k);
+            let d = default.breakdown[k];
+            let c = controlled.breakdown[k];
             if d == 0.0 && c == 0.0 {
                 return None; // task absent under this policy
             }

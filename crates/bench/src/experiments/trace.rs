@@ -7,8 +7,8 @@
 //! 1. **Sim drift golden** (`results/trace_drift.json`): run the
 //!    event-driven simulator with span tracing on a paper-scale policy
 //!    that exercises all six decode tasks (GPU attention, so the KV
-//!    cache crosses the links), replay the analytic model over the same
-//!    schedule with `predicted_task_totals`, and report per-task
+//!    cache crosses the links), take the analytic model's closed-form
+//!    per-task busy time (`predicted_task_totals`), and report per-task
 //!    observed/predicted ratios. Because the simulator *is* the model
 //!    executed against FIFO resources, every ratio must be 1.0 — the
 //!    golden property the integration tests pin. Against the real engine
@@ -112,8 +112,8 @@ pub fn engine_trace(tokens: u64) -> (EngineTracePhase, String) {
             tokens_generated: g.tokens.iter().map(|r| r.len() as u64).sum(),
             spans: report.spans.len(),
             scopes: report.scopes.len(),
-            load_weight_s: totals[TaskKind::LoadWeight.index()],
-            compute_s: totals[TaskKind::ComputeCpu.index()] + totals[TaskKind::ComputeGpu.index()],
+            load_weight_s: totals[TaskKind::LoadWeight],
+            compute_s: totals[TaskKind::ComputeCpu] + totals[TaskKind::ComputeGpu],
             perfetto_events: perfetto.event_count(),
             metrics: report.metrics,
         },

@@ -5,7 +5,7 @@ use crate::provider::{quant_aware_provider, ThreadFactors};
 use crate::quant_model::QuantCostParams;
 use lm_hardware::Platform;
 use lm_models::{DType, ModelConfig, Workload};
-use lm_sim::tasks::CostProvider;
+use lm_sim::tasks::{CostProvider, TaskCosts};
 use lm_sim::{AttentionPlacement, Policy};
 use serde::{Deserialize, Serialize};
 
@@ -121,16 +121,16 @@ impl Advisor {
 
     /// Direct per-task comparison for reporting: the six-task costs of a
     /// policy at a given decode step.
-    pub fn task_costs(&self, policy: Policy, token: u64) -> [(String, f64); 7] {
-        let p = quant_aware_provider(
+    pub fn task_costs(&self, policy: Policy, token: u64) -> TaskCosts {
+        quant_aware_provider(
             &self.platform,
             &self.model,
             &self.workload,
             policy,
             self.params,
             self.threads,
-        );
-        lm_trace::TaskKind::ALL.map(|k| (k.name().to_string(), p.cost(k, token)))
+        )
+        .tasks(token)
     }
 }
 
@@ -196,11 +196,14 @@ mod tests {
 
     #[test]
     fn task_costs_cover_all_kinds() {
+        use lm_sim::TaskKind;
         let a = advisor();
         let costs = a.task_costs(Policy::flexgen_default(), 4);
-        assert_eq!(costs.len(), 7);
-        let lw = costs.iter().find(|(n, _)| n == "load_weight").unwrap();
-        assert!(lw.1 > 0.0);
+        // Offloaded attention: no cache traffic, every other kind present.
+        for kind in TaskKind::ALL {
+            let absent = matches!(kind, TaskKind::LoadCache | TaskKind::StoreCache);
+            assert_eq!(costs[kind] == 0.0, absent, "{}", kind.name());
+        }
     }
 
     #[test]

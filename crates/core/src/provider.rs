@@ -95,7 +95,7 @@ mod tests {
     use lm_hardware::presets;
     use lm_models::presets as models;
     use lm_models::DType;
-    use lm_sim::tasks::CostProvider;
+    use lm_sim::tasks::{CostProvider, TaskKind};
 
     fn build(policy: Policy, threads: ThreadFactors) -> BaseCostModel {
         quant_aware_provider(
@@ -156,7 +156,7 @@ mod tests {
         let plain = build(p, ThreadFactors::Default);
         p.kv_dtype = DType::Int4;
         let compressed = build(p, ThreadFactors::Default);
-        assert!(compressed.compute_cpu(8) > plain.compute_cpu(8));
+        assert!(compressed.tasks(8)[TaskKind::ComputeCpu] > plain.tasks(8)[TaskKind::ComputeCpu]);
         assert!(compressed.throughput() < plain.throughput());
     }
 
@@ -164,8 +164,9 @@ mod tests {
     fn controlled_threads_speed_up_cpu_attention() {
         let d = build(Policy::flexgen_default(), ThreadFactors::Default);
         let c = build(Policy::flexgen_default(), ThreadFactors::Controlled);
-        assert!(c.compute_cpu(8) < d.compute_cpu(8));
-        assert!(c.load_weight(8) < d.load_weight(8));
+        let (c, d) = (c.tasks(8), d.tasks(8));
+        assert!(c[TaskKind::ComputeCpu] < d[TaskKind::ComputeCpu]);
+        assert!(c[TaskKind::LoadWeight] < d[TaskKind::LoadWeight]);
     }
 
     #[test]

@@ -7,53 +7,11 @@
 //! pipelining (loading layer `j+1`'s weights while layer `j` computes).
 //! The integration tests check the analytic model against this timeline.
 
-use crate::tasks::CostProvider;
-use lm_trace::{Span, TaskKind};
+use crate::tasks::{CostProvider, Resource, TaskCosts, TaskKind};
 use lm_fault::FaultInjector;
 use lm_models::Workload;
+use lm_trace::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// A serially-reusable hardware resource with FIFO semantics.
-#[derive(Debug, Clone, Default)]
-struct Resource {
-    free_at: f64,
-    busy: f64,
-}
-
-impl Resource {
-    /// Occupy the resource for `dur` seconds no earlier than `ready`;
-    /// returns the completion time.
-    fn acquire(&mut self, ready: f64, dur: f64) -> f64 {
-        let start = ready.max(self.free_at);
-        self.free_at = start + dur;
-        self.busy += dur;
-        self.free_at
-    }
-
-}
-
-/// Busy-time accounting per task kind (Fig. 8's bars).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TaskBreakdown {
-    pub busy: HashMap<String, f64>,
-}
-
-impl TaskBreakdown {
-    fn add(&mut self, kind: TaskKind, dur: f64) {
-        *self.busy.entry(kind.name().to_string()).or_insert(0.0) += dur;
-    }
-
-    pub fn get(&self, kind: TaskKind) -> f64 {
-        self.busy.get(kind.name()).copied().unwrap_or(0.0)
-    }
-
-    /// Total busy time across all kinds (the serial-execution time the
-    /// §5.4 study reports per task).
-    pub fn total(&self) -> f64 {
-        self.busy.values().sum()
-    }
-}
 
 /// Result of a simulated run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,8 +22,8 @@ pub struct SimReport {
     pub prefill_time: f64,
     /// Tokens generated (block size × generation length).
     pub tokens: u64,
-    /// Per-task busy time.
-    pub breakdown: TaskBreakdown,
+    /// Per-task busy time (Fig. 8's bars).
+    pub breakdown: TaskCosts,
     /// tokens / (prefill + decode).
     pub throughput: f64,
 }
@@ -80,7 +38,7 @@ pub struct SimReport {
 /// - stores follow their batch's compute;
 /// - loads/stores queue FIFO on the links, compute queues on CPU/GPU.
 pub fn simulate(provider: &impl CostProvider, w: &Workload, num_layers: u32) -> SimReport {
-    simulate_impl(provider, w, num_layers, None, None).0
+    simulate_impl(provider, w, num_layers, None, None)
 }
 
 /// Like [`simulate`], but with an attached fault injector: per
@@ -97,7 +55,7 @@ pub fn simulate_faulted(
     num_layers: u32,
     fault: &FaultInjector,
 ) -> SimReport {
-    simulate_impl(provider, w, num_layers, None, Some(fault)).0
+    simulate_impl(provider, w, num_layers, None, Some(fault))
 }
 
 /// Like [`simulate`], additionally recording per-task [`Span`]s for the
@@ -110,209 +68,183 @@ pub fn simulate_traced(
     trace_steps: u64,
 ) -> (SimReport, Vec<Span>) {
     let mut spans = Vec::new();
-    let report = simulate_impl(provider, w, num_layers, Some((&mut spans, trace_steps)), None).0;
+    let report = simulate_impl(provider, w, num_layers, Some((&mut spans, trace_steps)), None);
     (report, spans)
 }
 
 /// Per-task busy seconds the analytic cost model predicts for the first
-/// `steps` decode steps — the "predicted" side of an `lm_trace`
-/// drift report against the spans from [`simulate_traced`]. The loop
-/// structure, zero-cost elisions and floating-point accumulation order
-/// mirror [`simulate`] exactly, so replaying the model against the
-/// simulator's own timeline yields drift ratios of 1.0 by construction
-/// (pinned by the drift golden test).
+/// `steps` decode steps — the "predicted" side of an `lm_trace` drift
+/// report against the spans from [`simulate_traced`]: per step, every
+/// layer streams its weights once and runs each per-batch task once per
+/// batch, `Σᵢ l·(weights + nb·per-batch)`.
 pub fn predicted_task_totals(
     provider: &impl CostProvider,
     w: &Workload,
     num_layers: u32,
     steps: u64,
-) -> Vec<(TaskKind, f64)> {
-    let mut totals = [0.0f64; 7];
-    let decode_steps = w.gen_len.saturating_sub(1).min(steps);
-    for i in 0..decode_steps {
-        for _j in 0..num_layers {
-            totals[TaskKind::LoadWeight.index()] += provider.load_weight(i);
-            for _k in 0..w.num_batches {
-                let lc = provider.load_cache(i);
-                if lc > 0.0 {
-                    totals[TaskKind::LoadCache.index()] += lc;
-                }
-                let la = provider.load_activation(i);
-                if la > 0.0 {
-                    totals[TaskKind::LoadActivation.index()] += la;
-                }
-                let cc = provider.compute_cpu(i);
-                if cc > 0.0 {
-                    totals[TaskKind::ComputeCpu.index()] += cc;
-                }
-                totals[TaskKind::ComputeGpu.index()] += provider.compute_gpu(i);
-                let sc = provider.store_cache(i);
-                if sc > 0.0 {
-                    totals[TaskKind::StoreCache.index()] += sc;
-                }
-                let sa = provider.store_activation(i);
-                if sa > 0.0 {
-                    totals[TaskKind::StoreActivation.index()] += sa;
-                }
-            }
+) -> TaskCosts {
+    let l = num_layers as f64;
+    let nb = w.num_batches as f64;
+    let mut totals = TaskCosts::default();
+    for i in 0..w.gen_len.saturating_sub(1).min(steps) {
+        let tasks = provider.tasks(i);
+        for kind in TaskKind::ALL {
+            let runs = if kind == TaskKind::LoadWeight { l } else { l * nb };
+            totals[kind] += runs * tasks[kind];
         }
     }
-    TaskKind::ALL
-        .iter()
-        .map(|&k| (k, totals[k.index()]))
-        .collect()
+    totals
 }
 
-#[allow(unused_mut)]
+/// `tasks` as one fault window sees them, and the seconds the weight
+/// stream stalls in it: a degraded link stretches every transfer in the
+/// window by the inverse bandwidth factor, a stall adds fixed latency on
+/// top. With faults off the stretches are exactly 1.0 and the stall 0.0,
+/// so the arithmetic they enter is bit-identical to a clean run.
+pub(crate) fn link_faults(
+    tasks: TaskCosts,
+    fault: Option<&FaultInjector>,
+    key: u64,
+) -> (TaskCosts, f64) {
+    let Some(fi) = fault else {
+        return (tasks, 0.0);
+    };
+    let stretch = |site| {
+        fi.bandwidth_factor(site, key)
+            .map_or(1.0, |factor| 1.0 / factor.max(1e-9))
+    };
+    let (h2d, d2h) = (stretch("sim.h2d"), stretch("sim.d2h"));
+    let stall = fi.transfer_stall("sim.h2d", key);
+    (tasks.stretched(h2d, d2h), stall.map_or(0.0, |s| s.as_secs_f64()))
+}
+
+/// Algorithm 1's per-batch body in issue order: prefetch the batch's
+/// cache and activations, compute (the CPU half, offloaded attention,
+/// first), write back. `LoadWeight` precedes it once per layer.
+const PER_BATCH: [TaskKind; 6] = [
+    TaskKind::LoadCache,
+    TaskKind::LoadActivation,
+    TaskKind::ComputeCpu,
+    TaskKind::ComputeGpu,
+    TaskKind::StoreCache,
+    TaskKind::StoreActivation,
+];
+
+/// The four serially-reusable hardware resources (FIFO each), with the
+/// busy-time ledger and the optional span recorder every task passes.
+struct Timeline<'a> {
+    /// When each [`Resource`] next falls idle.
+    free_at: [f64; Resource::ALL.len()],
+    breakdown: TaskCosts,
+    /// Span sink and the number of leading decode steps it records.
+    trace: Option<(&'a mut Vec<Span>, u64)>,
+}
+
+impl Timeline<'_> {
+    /// Occupy `kind`'s resource for `dur` seconds no earlier than
+    /// `ready`; returns the completion time.
+    fn run(
+        &mut self,
+        kind: TaskKind,
+        (step, layer, batch): (u64, u32, Option<u32>),
+        ready: f64,
+        dur: f64,
+    ) -> f64 {
+        let free_at = &mut self.free_at[kind.resource() as usize];
+        let end = ready.max(*free_at) + dur;
+        *free_at = end;
+        self.breakdown[kind] += dur;
+        if let Some((spans, cap)) = &mut self.trace {
+            if step < *cap {
+                spans.push(Span {
+                    kind,
+                    step,
+                    layer,
+                    batch,
+                    start: end - dur,
+                    end,
+                });
+            }
+        }
+        end
+    }
+}
+
 fn simulate_impl(
     provider: &impl CostProvider,
     w: &Workload,
     num_layers: u32,
-    mut trace: Option<(&mut Vec<Span>, u64)>,
+    trace: Option<(&mut Vec<Span>, u64)>,
     fault: Option<&FaultInjector>,
-) -> (SimReport,) {
-    let l = num_layers as usize;
-    let nb = w.num_batches as usize;
+) -> SimReport {
     let decode_steps = w.gen_len.saturating_sub(1);
-
-    let mut h2d = Resource::default();
-    let mut d2h = Resource::default();
-    let mut cpu = Resource::default();
-    let mut gpu = Resource::default();
-    let mut breakdown = TaskBreakdown::default();
+    let mut timeline = Timeline {
+        free_at: [0.0; Resource::ALL.len()],
+        breakdown: TaskCosts::default(),
+        trace,
+    };
 
     // Prefill: layer-sequential on the GPU (all batches together).
-    let prefill_time = provider.prefill_layer() * l as f64;
-    let mut clock = prefill_time;
+    let prefill_time = provider.prefill_layer() * num_layers as f64;
 
     // compute_done[k]: completion time of batch k's previous-layer GPU
     // compute (the activation dependency chain).
-    let mut compute_done = vec![clock; nb];
+    let mut compute_done = vec![prefill_time; w.num_batches as usize];
 
     for i in 0..decode_steps {
-        for j in 0..l {
-            let mut record = |spans: &mut Option<(&mut Vec<Span>, u64)>,
-                              kind: TaskKind,
-                              batch: Option<u32>,
-                              end: f64,
-                              dur: f64| {
-                if let Some((spans, cap)) = spans {
-                    if i < *cap {
-                        spans.push(Span {
-                            kind,
-                            step: i,
-                            layer: j as u32,
-                            batch,
-                            start: end - dur,
-                            end,
-                        });
-                    }
-                }
-            };
-            // Injected link misbehaviour for this (step, layer) window: a
-            // degraded link stretches every transfer in the window by the
-            // inverse bandwidth factor; a stall adds fixed latency to the
-            // weight stream. With faults off the multipliers are exactly
-            // 1.0 and the arithmetic below is bit-identical to clean runs.
-            let mut h2d_stretch = 1.0;
-            let mut d2h_stretch = 1.0;
-            let mut stall_s = 0.0;
-            if let Some(fi) = fault {
-                let key = i * l as u64 + j as u64;
-                if let Some(factor) = fi.bandwidth_factor("sim.h2d", key) {
-                    h2d_stretch = 1.0 / factor.max(1e-9);
-                }
-                if let Some(factor) = fi.bandwidth_factor("sim.d2h", key) {
-                    d2h_stretch = 1.0 / factor.max(1e-9);
-                }
-                if let Some(stall) = fi.transfer_stall("sim.h2d", key) {
-                    stall_s = stall.as_secs_f64();
-                }
-            }
+        let clean = provider.tasks(i);
+        for j in 0..num_layers {
+            let (tasks, stall_s) = link_faults(clean, fault, i * num_layers as u64 + j as u64);
             // Weights for this layer stream once per (step, layer); they
             // were prefetchable since the previous layer started, so they
             // queue on the link as soon as it frees.
-            let lw = provider.load_weight(i) * h2d_stretch + stall_s;
-            let weights_ready = h2d.acquire(0.0, lw);
-            breakdown.add(TaskKind::LoadWeight, lw);
-            record(&mut trace, TaskKind::LoadWeight, None, weights_ready, lw);
+            let lw = tasks[TaskKind::LoadWeight] + stall_s;
+            let weights_ready = timeline.run(TaskKind::LoadWeight, (i, j, None), 0.0, lw);
 
             for (k, batch_done) in compute_done.iter_mut().enumerate() {
-                let k32 = Some(k as u32);
-                // Prefetch this batch's cache and activations.
-                let lc = provider.load_cache(i) * h2d_stretch;
-                let cache_ready = if lc > 0.0 {
-                    breakdown.add(TaskKind::LoadCache, lc);
-                    let t = h2d.acquire(0.0, lc);
-                    record(&mut trace, TaskKind::LoadCache, k32, t, lc);
-                    t
-                } else {
-                    0.0
-                };
-                let la = provider.load_activation(i) * h2d_stretch;
-                let act_ready = if la > 0.0 {
-                    breakdown.add(TaskKind::LoadActivation, la);
-                    let t = h2d.acquire(0.0, la);
-                    record(&mut trace, TaskKind::LoadActivation, k32, t, la);
-                    t
-                } else {
-                    0.0
-                };
-
-                // Compute: CPU part (offloaded attention) then GPU part.
-                let ready = weights_ready
-                    .max(cache_ready)
-                    .max(act_ready)
-                    .max(*batch_done);
-                let cc = provider.compute_cpu(i);
-                let cpu_done = if cc > 0.0 {
-                    breakdown.add(TaskKind::ComputeCpu, cc);
-                    let t = cpu.acquire(ready, cc);
-                    record(&mut trace, TaskKind::ComputeCpu, k32, t, cc);
-                    t
-                } else {
-                    ready
-                };
-                let cg = provider.compute_gpu(i);
-                breakdown.add(TaskKind::ComputeGpu, cg);
-                let gpu_done = gpu.acquire(cpu_done, cg);
-                record(&mut trace, TaskKind::ComputeGpu, k32, gpu_done, cg);
-                *batch_done = gpu_done;
-
-                // Stores trail the compute on the D2H link.
-                let sc = provider.store_cache(i) * d2h_stretch;
-                if sc > 0.0 {
-                    breakdown.add(TaskKind::StoreCache, sc);
-                    let t = d2h.acquire(gpu_done, sc);
-                    record(&mut trace, TaskKind::StoreCache, k32, t, sc);
+                // `at`: when this batch's next dependent task may start.
+                let mut at = weights_ready.max(*batch_done);
+                for kind in PER_BATCH {
+                    let dur = tasks[kind];
+                    // A zero cost means the policy has no such task.
+                    if dur > 0.0 {
+                        let id = (i, j, Some(k as u32));
+                        match kind.resource() {
+                            // Loads prefetch: they queue as soon as the
+                            // link frees, and compute waits for them.
+                            Resource::H2d => at = at.max(timeline.run(kind, id, 0.0, dur)),
+                            // The compute halves chain.
+                            Resource::Cpu | Resource::Gpu => at = timeline.run(kind, id, at, dur),
+                            // Stores trail the compute on the D2H link.
+                            Resource::D2h => {
+                                timeline.run(kind, id, at, dur);
+                            }
+                        }
+                    }
                 }
-                let sa = provider.store_activation(i) * d2h_stretch;
-                if sa > 0.0 {
-                    breakdown.add(TaskKind::StoreActivation, sa);
-                    let t = d2h.acquire(gpu_done, sa);
-                    record(&mut trace, TaskKind::StoreActivation, k32, t, sa);
-                }
+                *batch_done = at;
             }
         }
     }
 
-    // The run ends when every batch's last compute and all stores drain.
-    clock = compute_done
+    // The run ends when every batch's last compute and all transfers
+    // drain.
+    let end = compute_done
         .iter()
         .copied()
-        .fold(clock, f64::max)
-        .max(d2h.free_at)
-        .max(h2d.free_at.min(f64::MAX));
-    let decode_time = (clock - prefill_time).max(0.0);
+        .fold(prefill_time, f64::max)
+        .max(timeline.free_at[Resource::D2h as usize])
+        .max(timeline.free_at[Resource::H2d as usize]);
+    let decode_time = (end - prefill_time).max(0.0);
     let tokens = w.tokens_generated();
     let total = prefill_time + decode_time;
-    (SimReport {
+    SimReport {
         decode_time,
         prefill_time,
         tokens,
-        breakdown,
+        breakdown: timeline.breakdown,
         throughput: tokens as f64 / total.max(f64::MIN_POSITIVE),
-    },)
+    }
 }
 
 #[cfg(test)]
@@ -355,26 +287,19 @@ mod tests {
         p.attention = AttentionPlacement::Gpu;
         let w = Workload::new(16, 4, 8, 2);
         let (report, _) = run(p, w);
-        for kind in [
-            TaskKind::LoadWeight,
-            TaskKind::LoadCache,
-            TaskKind::LoadActivation,
-            TaskKind::StoreCache,
-            TaskKind::StoreActivation,
-            TaskKind::ComputeGpu,
-        ] {
-            assert!(report.breakdown.get(kind) > 0.0, "{}", kind.name());
+        for kind in TaskKind::ALL {
+            let absent = kind == TaskKind::ComputeCpu;
+            assert_eq!(report.breakdown[kind] == 0.0, absent, "{}", kind.name());
         }
-        assert_eq!(report.breakdown.get(TaskKind::ComputeCpu), 0.0);
     }
 
     #[test]
     fn cpu_attention_has_no_cache_tasks() {
         let w = Workload::new(16, 4, 8, 2);
         let (report, _) = run(Policy::flexgen_default(), w);
-        assert_eq!(report.breakdown.get(TaskKind::LoadCache), 0.0);
-        assert_eq!(report.breakdown.get(TaskKind::StoreCache), 0.0);
-        assert!(report.breakdown.get(TaskKind::ComputeCpu) > 0.0);
+        assert_eq!(report.breakdown[TaskKind::LoadCache], 0.0);
+        assert_eq!(report.breakdown[TaskKind::StoreCache], 0.0);
+        assert!(report.breakdown[TaskKind::ComputeCpu] > 0.0);
     }
 
     #[test]
@@ -445,12 +370,9 @@ mod tests {
         let steps = 3;
         let (_, spans) = simulate_traced(&m, &w, 6, steps);
         let predicted = predicted_task_totals(&m, &w, 6, steps);
-        let mut observed = [0.0f64; 7];
-        for s in &spans {
-            observed[s.kind.index()] += s.duration();
-        }
-        for (kind, pred) in predicted {
-            let obs = observed[kind.index()];
+        let observed = TaskCosts::from_spans(&spans);
+        for kind in TaskKind::ALL {
+            let (pred, obs) = (predicted[kind], observed[kind]);
             assert!(
                 (obs - pred).abs() <= 1e-9 * pred.max(1.0),
                 "{}: predicted {pred} vs observed {obs}",

@@ -6,8 +6,9 @@
 //! - [`policy`]: offloading policies — the `(wg, cg, hg)` placements,
 //!   per-tensor precisions and attention placement of Table 3, with
 //!   memory-feasibility checks;
-//! - [`tasks`]: the six decode tasks of Algorithm 1, the [`tasks::CostProvider`]
-//!   abstraction, and the analytic Eq. 1/2 aggregation;
+//! - [`tasks`]: the [`tasks::CostProvider`] abstraction — one
+//!   [`TaskCosts`] vector per decode step — and the analytic Eq. 1/2
+//!   aggregation over it ([`StepLoad`]);
 //! - [`analytic`]: the base (quantization-free) cost model — FlexGen's
 //!   accounting — that `lm-offload` extends with Eq. 3-7 overheads;
 //! - [`exec`]: an event-driven executor of the decode loop against FIFO
@@ -25,11 +26,12 @@ pub mod policy;
 pub mod tasks;
 
 pub use analytic::{BaseCostModel, DISK_BW, TASK_OVERHEAD};
-pub use exec::{
-    predicted_task_totals, simulate, simulate_faulted, simulate_traced, SimReport, TaskBreakdown,
-};
+pub use exec::{predicted_task_totals, simulate, simulate_faulted, simulate_traced, SimReport};
 pub use pipeline::{
     host_contention, simulate_pipeline, simulate_pipeline_faulted, PipelineReport,
 };
 pub use policy::{fits, max_gpu_batch, memory_plan, AttentionPlacement, MemoryPlan, Policy};
-pub use tasks::{t_gen, total_latency, CostProvider, DegradedLink, TaskExtras};
+pub use tasks::{
+    step_load, t_gen, total_latency, CostProvider, Resource, StepLoad, TaskCosts, TaskExtras,
+    TaskKind,
+};

@@ -7,7 +7,8 @@
 //! per-stage thread partitioning from FlexGen's default threading as the
 //! GPU count grows.
 
-use crate::tasks::CostProvider;
+use crate::exec::link_faults;
+use crate::tasks::{CostProvider, Resource, StepLoad, TaskKind};
 use lm_fault::FaultInjector;
 use lm_models::Workload;
 use serde::{Deserialize, Serialize};
@@ -109,32 +110,17 @@ fn pipeline_impl(
     let bubble = (num_gpus as f64 - 1.0) / nb;
     let mut decode_time = 0.0;
     for i in 0..decode_steps {
-        // Injected link misbehaviour for this step (bit-identical no-op
-        // multipliers when faults are off).
-        let mut h2d_stretch = 1.0;
-        let mut d2h_stretch = 1.0;
-        let mut stall_s = 0.0;
-        if let Some(fi) = fault {
-            if let Some(factor) = fi.bandwidth_factor("sim.h2d", i) {
-                h2d_stretch = 1.0 / factor.max(1e-9);
-            }
-            if let Some(factor) = fi.bandwidth_factor("sim.d2h", i) {
-                d2h_stretch = 1.0 / factor.max(1e-9);
-            }
-            if let Some(stall) = fi.transfer_stall("sim.h2d", i) {
-                stall_s = stall.as_secs_f64();
-            }
-        }
-        // Per-(layer, batch) task times; CPU-side tasks pay contention.
-        // Every host-side task — offloaded attention *and* the transfer
-        // staging copies feeding the links — contends for the shared CPU.
-        let cpu_side = provider.compute_cpu(i) * contention;
-        let link_loads =
-            (provider.load_cache(i) + provider.load_activation(i)) * contention * h2d_stretch;
-        let link_stores =
-            (provider.store_cache(i) + provider.store_activation(i)) * contention * d2h_stretch;
-        let gpu_side = provider.compute_gpu(i);
-        let weights = provider.load_weight(i) * contention * h2d_stretch + stall_s;
+        let (tasks, stall_s) = link_faults(provider.tasks(i), fault, i);
+        // One batch's load per resource. Every host-side task — offloaded
+        // attention *and* the transfer staging copies feeding the links —
+        // contends for the shared CPU.
+        let mut batch = StepLoad::default();
+        batch.add_batches(&tasks, 1.0);
+        let cpu_side = batch[Resource::Cpu] * contention;
+        let link_loads = batch[Resource::H2d] * contention;
+        let link_stores = batch[Resource::D2h] * contention;
+        let gpu_side = batch[Resource::Gpu];
+        let weights = tasks[TaskKind::LoadWeight] * contention + stall_s;
         // Per-stage step time: per-batch tasks serialise over nb batches,
         // weights stream once per layer.
         let stage = layers_per_stage

@@ -5,24 +5,25 @@
 //! shared ground truth that executes any policy. A [`CostProvider`] maps
 //! each task instance to a duration; `lm-offload` layers the paper's
 //! quantization overheads (Eq. 3-7) on top of the base transfer/compute
-//! costs via [`TaskExtras`].
+//! costs via [`TaskExtras`]. The costs travel as one [`TaskCosts`] vector
+//! (declared next to [`TaskKind`] in `lm-trace`, re-exported here);
+//! [`t_gen`] is its [`StepLoad`] reduction (Eq. 2) and [`total_latency`]
+//! Eq. 1 over that.
 
 use serde::{Deserialize, Serialize};
 
-use lm_trace::TaskKind;
+pub use lm_trace::{Resource, StepLoad, TaskCosts, TaskKind};
 
 /// Additive per-task overheads in seconds — how quantization costs enter
 /// the six-task model (Eq. 4, 6, 7): `load_weight += dequan_wgt`,
 /// `load_cache += dequan_old_cache`, `store_cache += quan_new_cache`.
-/// `load_cache`/`store_cache` extras may grow with the decode step, so
-/// they are per-step slopes plus constants.
+/// The KV extras are per-element costs: the provider multiplies them by
+/// the exact element counts, so `load_cache`'s grows with the decode step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskExtras {
     /// Constant addition to load_weight per layer (weight dequantization).
     pub load_weight: f64,
-    /// load_cache addition at decode step i: `base + slope·(s+i)/(s+1)`
-    /// is overkill; the provider computes exact sizes, so this is the
-    /// per-KV-element dequant cost instead (seconds per cached element).
+    /// Dequantization cost per old-KV element loaded (seconds/element).
     pub dequant_per_kv_elem: f64,
     /// Quantization cost per newly generated KV element (seconds/element).
     pub quant_per_kv_elem: f64,
@@ -40,125 +41,33 @@ pub struct TaskExtras {
 }
 
 /// A provider of task durations. All durations are seconds.
-///
-/// Granularity: `load_weight` is per *layer* (weights are shared by every
-/// batch in the zig-zag block); the cache/activation/compute tasks are per
-/// *(layer, batch)*. `token` is the 0-based decode step.
 pub trait CostProvider {
-    /// Time to bring one layer's streamed weights to the GPU (including
-    /// any dequantization serialised into the task, per Eq. 4).
-    fn load_weight(&self, token: u64) -> f64;
-    /// Time to load one batch's old KV cache (zero when attention runs on
-    /// the CPU).
-    fn load_cache(&self, token: u64) -> f64;
-    /// Time to load one batch's activations.
-    fn load_activation(&self, token: u64) -> f64;
-    /// Time to store one batch's new KV entries (incl. quantization).
-    fn store_cache(&self, token: u64) -> f64;
-    /// Time to store one batch's activations.
-    fn store_activation(&self, token: u64) -> f64;
-    /// CPU part of the compute task (offloaded attention; zero otherwise).
-    fn compute_cpu(&self, token: u64) -> f64;
-    /// GPU part of the compute task (projections, MLP, and attention when
-    /// it is not offloaded).
-    fn compute_gpu(&self, token: u64) -> f64;
+    /// The six-task vector at 0-based decode step `token`: `LoadWeight`
+    /// per *layer* (streamed weights, including any dequantization
+    /// serialised into the task, Eq. 4), every other kind per
+    /// *(layer, batch)* — zero when the policy has no such task (cache
+    /// traffic under CPU attention, `ComputeCpu` under GPU attention).
+    fn tasks(&self, token: u64) -> TaskCosts;
 
     /// Prefill time for one layer (whole block).
     fn prefill_layer(&self) -> f64;
     /// One-time initialisation (loading weights from disk, quantizing
     /// them — Eq. 3).
     fn init_time(&self) -> f64;
-
-    /// Convenience: duration of `kind` at `token`.
-    fn cost(&self, kind: TaskKind, token: u64) -> f64 {
-        match kind {
-            TaskKind::LoadWeight => self.load_weight(token),
-            TaskKind::LoadCache => self.load_cache(token),
-            TaskKind::LoadActivation => self.load_activation(token),
-            TaskKind::StoreCache => self.store_cache(token),
-            TaskKind::StoreActivation => self.store_activation(token),
-            TaskKind::ComputeCpu => self.compute_cpu(token),
-            TaskKind::ComputeGpu => self.compute_gpu(token),
-        }
-    }
 }
 
-/// A [`CostProvider`] wrapper modelling a *persistently* degraded
-/// interconnect: transfer durations stretch by the inverse of the
-/// observed bandwidth multiplier while compute and prefill costs pass
-/// through untouched. The degradation controller scores fallback
-/// policies against this wrapper (equivalently: a platform whose link
-/// bandwidths are scaled by the observed factors) to pick the policy
-/// the analytic model ranks cheapest *on the degraded hardware*.
-#[derive(Debug, Clone)]
-pub struct DegradedLink<P> {
-    pub inner: P,
-    /// Effective H2D bandwidth multiplier in (0, 1].
-    pub h2d_factor: f64,
-    /// Effective D2H bandwidth multiplier in (0, 1].
-    pub d2h_factor: f64,
+/// One layer's per-resource load at decode step `token` for a block of
+/// `num_batches` identical batches.
+pub fn step_load(provider: &impl CostProvider, token: u64, num_batches: u64) -> StepLoad {
+    let tasks = provider.tasks(token);
+    let mut load = StepLoad::weights(&tasks);
+    load.add_batches(&tasks, num_batches as f64);
+    load
 }
 
-impl<P> DegradedLink<P> {
-    pub fn new(inner: P, h2d_factor: f64, d2h_factor: f64) -> Self {
-        assert!(
-            h2d_factor > 0.0 && h2d_factor <= 1.0 && d2h_factor > 0.0 && d2h_factor <= 1.0,
-            "bandwidth factors must be in (0, 1]"
-        );
-        DegradedLink {
-            inner,
-            h2d_factor,
-            d2h_factor,
-        }
-    }
-}
-
-impl<P: CostProvider> CostProvider for DegradedLink<P> {
-    fn load_weight(&self, token: u64) -> f64 {
-        self.inner.load_weight(token) / self.h2d_factor
-    }
-    fn load_cache(&self, token: u64) -> f64 {
-        self.inner.load_cache(token) / self.h2d_factor
-    }
-    fn load_activation(&self, token: u64) -> f64 {
-        self.inner.load_activation(token) / self.h2d_factor
-    }
-    fn store_cache(&self, token: u64) -> f64 {
-        self.inner.store_cache(token) / self.d2h_factor
-    }
-    fn store_activation(&self, token: u64) -> f64 {
-        self.inner.store_activation(token) / self.d2h_factor
-    }
-    fn compute_cpu(&self, token: u64) -> f64 {
-        self.inner.compute_cpu(token)
-    }
-    fn compute_gpu(&self, token: u64) -> f64 {
-        self.inner.compute_gpu(token)
-    }
-    fn prefill_layer(&self) -> f64 {
-        self.inner.prefill_layer()
-    }
-    fn init_time(&self) -> f64 {
-        self.inner.init_time()
-    }
-}
-
-/// Per-step analytic decode latency for one layer, Eq. 2:
-/// `T_gen = max(load_weight, load_cache, load_activation, store_cache,
-/// store_activation, compute)` — refined so that tasks sharing a physical
-/// resource *sum* before the max: all three load tasks occupy the H2D
-/// link, both stores the D2H link, and the compute halves their
-/// processors. (The paper's per-task max is the limit where each task has
-/// its own channel; a single PCIe link serialises the loads, which is
-/// also how the event-driven simulator behaves.)
+/// Per-step analytic decode latency for one layer, Eq. 2.
 pub fn t_gen(provider: &impl CostProvider, token: u64, num_batches: u64) -> f64 {
-    let nb = num_batches as f64;
-    let h2d = provider.load_weight(token)
-        + nb * (provider.load_cache(token) + provider.load_activation(token));
-    let d2h = nb * (provider.store_cache(token) + provider.store_activation(token));
-    let cpu = nb * provider.compute_cpu(token);
-    let gpu = nb * provider.compute_gpu(token);
-    h2d.max(d2h).max(cpu).max(gpu)
+    step_load(provider, token, num_batches).time()
 }
 
 /// Whole-inference analytic latency, Eq. 1:
@@ -187,26 +96,16 @@ mod tests {
     /// A provider with fixed costs for exercising the aggregation logic.
     struct Fixed;
     impl CostProvider for Fixed {
-        fn load_weight(&self, _: u64) -> f64 {
-            0.10
-        }
-        fn load_cache(&self, t: u64) -> f64 {
-            0.01 * (1.0 + t as f64)
-        }
-        fn load_activation(&self, _: u64) -> f64 {
-            0.001
-        }
-        fn store_cache(&self, _: u64) -> f64 {
-            0.002
-        }
-        fn store_activation(&self, _: u64) -> f64 {
-            0.001
-        }
-        fn compute_cpu(&self, _: u64) -> f64 {
-            0.004
-        }
-        fn compute_gpu(&self, _: u64) -> f64 {
-            0.003
+        fn tasks(&self, t: u64) -> TaskCosts {
+            let mut c = TaskCosts::default();
+            c[TaskKind::LoadWeight] = 0.10;
+            c[TaskKind::LoadCache] = 0.01 * (1.0 + t as f64);
+            c[TaskKind::LoadActivation] = 0.001;
+            c[TaskKind::StoreCache] = 0.002;
+            c[TaskKind::StoreActivation] = 0.001;
+            c[TaskKind::ComputeCpu] = 0.004;
+            c[TaskKind::ComputeGpu] = 0.003;
+            c
         }
         fn prefill_layer(&self) -> f64 {
             0.5
@@ -246,34 +145,10 @@ mod tests {
     #[test]
     fn cost_dispatch_matches_methods() {
         for kind in TaskKind::ALL {
-            let direct = Fixed.cost(kind, 3);
-            assert!(direct >= 0.0);
+            assert!(Fixed.tasks(3)[kind] > 0.0, "{}", kind.name());
         }
-        assert_eq!(Fixed.cost(TaskKind::LoadWeight, 0), 0.10);
-        assert_eq!(Fixed.cost(TaskKind::ComputeCpu, 9), 0.004);
-    }
-
-    #[test]
-    fn degraded_link_stretches_transfers_only() {
-        let d = DegradedLink::new(Fixed, 0.5, 0.25);
-        assert!((d.load_weight(0) - 0.20).abs() < 1e-12);
-        assert!((d.load_cache(0) - 0.02).abs() < 1e-12);
-        assert!((d.store_cache(0) - 0.008).abs() < 1e-12);
-        assert_eq!(d.compute_cpu(0), Fixed.compute_cpu(0));
-        assert_eq!(d.compute_gpu(0), Fixed.compute_gpu(0));
-        assert_eq!(d.prefill_layer(), Fixed.prefill_layer());
-        // Identity factors pass everything through untouched.
-        let id = DegradedLink::new(Fixed, 1.0, 1.0);
-        for kind in TaskKind::ALL {
-            assert_eq!(id.cost(kind, 2), Fixed.cost(kind, 2));
-        }
-        // A degraded link raises the analytic step latency.
-        assert!(t_gen(&d, 0, 4) > t_gen(&Fixed, 0, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth factors")]
-    fn degraded_link_rejects_zero_factor() {
-        let _ = DegradedLink::new(Fixed, 0.0, 1.0);
+        assert_eq!(Fixed.tasks(0)[TaskKind::LoadWeight], 0.10);
+        assert_eq!(Fixed.tasks(9)[TaskKind::ComputeCpu], 0.004);
+        assert_eq!(Fixed.tasks(9)[TaskKind::LoadCache], 0.01 * 10.0);
     }
 }

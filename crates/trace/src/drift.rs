@@ -10,7 +10,7 @@
 //! paper argues stays small.
 
 use crate::span::Span;
-use crate::task::TaskKind;
+use crate::task::{TaskCosts, TaskKind};
 use serde::{Deserialize, Serialize};
 
 /// Drift for one of the paper's six decode tasks.
@@ -57,21 +57,18 @@ impl DriftReport {
 /// measured span timeline. Both sides are grouped by
 /// [`TaskKind::paper_task`], merging the two compute halves, and every
 /// paper task gets a row (zeros when neither side saw it).
-pub fn drift_report(predicted: &[(TaskKind, f64)], spans: &[Span]) -> DriftReport {
-    let mut pred = [0.0f64; 6];
-    let mut obs = [0.0f64; 6];
-    let paper_index = |kind: TaskKind| -> usize {
-        TaskKind::PAPER_TASKS
-            .iter()
-            .position(|t| *t == kind.paper_task())
-            .unwrap_or(0)
+pub fn drift_report(predicted: &TaskCosts, spans: &[Span]) -> DriftReport {
+    let observed = TaskCosts::from_spans(spans);
+    let by_paper_task = |costs: &TaskCosts| {
+        TaskKind::PAPER_TASKS.map(|task| {
+            TaskKind::ALL
+                .into_iter()
+                .filter(|k| k.paper_task() == task)
+                .map(|k| costs[k])
+                .sum::<f64>()
+        })
     };
-    for &(kind, s) in predicted {
-        pred[paper_index(kind)] += s;
-    }
-    for sp in spans {
-        obs[paper_index(sp.kind)] += sp.duration();
-    }
+    let (pred, obs) = (by_paper_task(predicted), by_paper_task(&observed));
 
     let mut tasks = Vec::with_capacity(6);
     let mut max_ratio_error = 0.0f64;
@@ -173,6 +170,14 @@ pub fn serve_drift_report(rows: &[(&str, f64, f64)]) -> ServeDriftReport {
 mod tests {
     use super::*;
 
+    fn costs(pairs: &[(TaskKind, f64)]) -> TaskCosts {
+        let mut t = TaskCosts::default();
+        for &(kind, s) in pairs {
+            t[kind] = s;
+        }
+        t
+    }
+
     fn span(kind: TaskKind, start: f64, end: f64) -> Span {
         Span {
             kind,
@@ -186,7 +191,7 @@ mod tests {
 
     #[test]
     fn perfect_match_gives_unit_ratios() {
-        let predicted = vec![(TaskKind::LoadWeight, 2.0), (TaskKind::ComputeGpu, 1.0)];
+        let predicted = costs(&[(TaskKind::LoadWeight, 2.0), (TaskKind::ComputeGpu, 1.0)]);
         let spans = vec![
             span(TaskKind::LoadWeight, 0.0, 1.5),
             span(TaskKind::LoadWeight, 1.5, 2.0),
@@ -202,7 +207,7 @@ mod tests {
 
     #[test]
     fn compute_halves_merge() {
-        let predicted = vec![(TaskKind::ComputeCpu, 1.0), (TaskKind::ComputeGpu, 3.0)];
+        let predicted = costs(&[(TaskKind::ComputeCpu, 1.0), (TaskKind::ComputeGpu, 3.0)]);
         let spans = vec![
             span(TaskKind::ComputeCpu, 0.0, 1.0),
             span(TaskKind::ComputeGpu, 1.0, 4.0),
@@ -216,7 +221,7 @@ mod tests {
 
     #[test]
     fn drift_is_reported() {
-        let predicted = vec![(TaskKind::LoadCache, 1.0)];
+        let predicted = costs(&[(TaskKind::LoadCache, 1.0)]);
         let spans = vec![span(TaskKind::LoadCache, 0.0, 1.3)];
         let r = drift_report(&predicted, &spans);
         let t = r.task("load_cache").unwrap();
@@ -230,7 +235,7 @@ mod tests {
     #[test]
     fn zero_predicted_with_observation_fails_ok_within() {
         let spans = vec![span(TaskKind::StoreCache, 0.0, 0.5)];
-        let r = drift_report(&[], &spans);
+        let r = drift_report(&TaskCosts::default(), &spans);
         let t = r.task("store_cache").unwrap();
         assert_eq!(t.ratio, None);
         assert_eq!(t.abs_error_s, 0.5);
@@ -242,7 +247,7 @@ mod tests {
     #[test]
     fn report_serde_round_trip() {
         let r = drift_report(
-            &[(TaskKind::LoadWeight, 1.0)],
+            &costs(&[(TaskKind::LoadWeight, 1.0)]),
             &[span(TaskKind::LoadWeight, 0.0, 1.1)],
         );
         let v = serde::Serialize::serialize(&r);

@@ -9,9 +9,10 @@
 //!
 //! Pieces:
 //!
-//! - [`task`]: the six decode tasks of Algorithm 1 ([`TaskKind`]) and
-//!   their hardware-resource mapping — migrated here from `lm-sim` so
-//!   every crate shares one vocabulary;
+//! - [`task`]: the six decode tasks of Algorithm 1 ([`TaskKind`], one
+//!   table row each), their costs as one vector ([`TaskCosts`]) and the
+//!   per-[`Resource`] Eq. 2 reduction ([`StepLoad`]) — here rather than
+//!   in `lm-sim` so every crate shares one vocabulary;
 //! - [`span`]: the [`Span`] record (virtual or wall-clock), the
 //!   resource-exclusivity checker and the ASCII Gantt renderer;
 //! - [`clock`]: [`TraceClock`], a run-origin monotonic clock shared by
@@ -67,5 +68,5 @@ pub use flight::{FlightDump, FlightEvent, FlightRecorder};
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use perfetto::PerfettoTrace;
 pub use span::{render_gantt, resource_overlaps, Span};
-pub use task::TaskKind;
+pub use task::{Resource, StepLoad, TaskCosts, TaskKind};
 pub use tracer::{InstantEvent, ScopeEvent, ScopeGuard, TaskSpanGuard, TraceReport, Tracer};

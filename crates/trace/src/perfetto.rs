@@ -13,20 +13,16 @@
 //! - instants (fault injections, retries) land on their thread's row.
 
 use crate::span::Span;
+use crate::task::Resource;
 use crate::tracer::{InstantEvent, ScopeEvent, TraceReport};
 use serde::{Map, Value};
 
 const PID: u64 = 1;
 /// Thread ids 1..=4 are the resource rows; scope/instant rows follow.
-const RESOURCES: [&str; 4] = ["H2D", "D2H", "CPU", "GPU"];
 const SCOPE_TID_BASE: u64 = 10;
 
-fn resource_tid(resource: &str) -> u64 {
-    RESOURCES
-        .iter()
-        .position(|r| *r == resource)
-        .map(|i| i as u64 + 1)
-        .unwrap_or(9)
+fn resource_tid(resource: Resource) -> u64 {
+    resource as u64 + 1
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -51,8 +47,8 @@ impl PerfettoTrace {
     pub fn new(process_name: &str) -> Self {
         let mut t = PerfettoTrace { events: Vec::new() };
         t.metadata("process_name", PID, None, process_name);
-        for r in RESOURCES {
-            t.metadata("thread_name", PID, Some(resource_tid(r)), r);
+        for r in Resource::ALL {
+            t.metadata("thread_name", PID, Some(resource_tid(r)), r.name());
         }
         t
     }

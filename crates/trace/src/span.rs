@@ -3,7 +3,7 @@
 //! real engine, via [`crate::Tracer`]). Includes the resource-exclusivity
 //! checker and the ASCII Gantt renderer migrated from `lm-sim::timeline`.
 
-use crate::task::TaskKind;
+use crate::task::{Resource, TaskKind};
 use serde::{Deserialize, Serialize};
 
 /// One executed task instance. `start`/`end` are seconds since the run
@@ -28,14 +28,14 @@ impl Span {
     }
 
     /// The hardware resource this task occupies.
-    pub fn resource(&self) -> &'static str {
+    pub fn resource(&self) -> Resource {
         self.kind.resource()
     }
 }
 
 /// Check the physical invariant: spans on the same resource never overlap.
 pub fn resource_overlaps(spans: &[Span]) -> Vec<(Span, Span)> {
-    let mut by_resource: std::collections::HashMap<&str, Vec<Span>> = Default::default();
+    let mut by_resource: std::collections::HashMap<Resource, Vec<Span>> = Default::default();
     for &s in spans {
         by_resource.entry(s.resource()).or_default().push(s);
     }
@@ -62,31 +62,21 @@ pub fn render_gantt(spans: &[Span], width: usize) -> String {
     let t1 = spans.iter().map(|s| s.end).fold(0.0f64, f64::max);
     let dt = ((t1 - t0) / width as f64).max(f64::MIN_POSITIVE);
 
-    let glyph = |k: TaskKind| match k {
-        TaskKind::LoadWeight => 'W',
-        TaskKind::LoadCache => 'C',
-        TaskKind::LoadActivation => 'a',
-        TaskKind::StoreCache => 'c',
-        TaskKind::StoreActivation => 's',
-        TaskKind::ComputeCpu => '#',
-        TaskKind::ComputeGpu => '%',
-    };
-
     let mut out = String::new();
     out.push_str(&format!(
         "t0 = {t0:.3}s, t1 = {t1:.3}s, column = {:.3}ms\n",
         dt * 1e3
     ));
-    for resource in ["H2D", "D2H", "CPU", "GPU"] {
+    for resource in Resource::ALL {
         let mut row = vec!['.'; width];
         for s in spans.iter().filter(|s| s.resource() == resource) {
             let a = (((s.start - t0) / dt) as usize).min(width - 1);
             let b = (((s.end - t0) / dt).ceil() as usize).clamp(a + 1, width);
             for cell in &mut row[a..b] {
-                *cell = glyph(s.kind);
+                *cell = s.kind.glyph();
             }
         }
-        out.push_str(&format!("{resource:>4} |{}|\n", row.iter().collect::<String>()));
+        out.push_str(&format!("{:>4} |{}|\n", resource.name(), row.iter().collect::<String>()));
     }
     out.push_str("     W=load_weight C=load_cache a=load_act c=store_cache s=store_act #=cpu %=gpu\n");
     out
@@ -109,10 +99,10 @@ mod tests {
 
     #[test]
     fn resources_map_correctly() {
-        assert_eq!(span(TaskKind::LoadWeight, 0.0, 1.0).resource(), "H2D");
-        assert_eq!(span(TaskKind::StoreCache, 0.0, 1.0).resource(), "D2H");
-        assert_eq!(span(TaskKind::ComputeCpu, 0.0, 1.0).resource(), "CPU");
-        assert_eq!(span(TaskKind::ComputeGpu, 0.0, 1.0).resource(), "GPU");
+        assert_eq!(span(TaskKind::LoadWeight, 0.0, 1.0).resource(), Resource::H2d);
+        assert_eq!(span(TaskKind::StoreCache, 0.0, 1.0).resource(), Resource::D2h);
+        assert_eq!(span(TaskKind::ComputeCpu, 0.0, 1.0).resource(), Resource::Cpu);
+        assert_eq!(span(TaskKind::ComputeGpu, 0.0, 1.0).resource(), Resource::Gpu);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::clock::TraceClock;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::span::Span;
-use crate::task::TaskKind;
+use crate::task::{TaskCosts, TaskKind};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -59,13 +59,9 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Total span-busy seconds per task kind, in [`TaskKind::ALL`] order.
-    pub fn observed_task_totals(&self) -> [f64; 7] {
-        let mut totals = [0.0f64; 7];
-        for s in &self.spans {
-            totals[s.kind.index()] += s.duration();
-        }
-        totals
+    /// Total span-busy seconds per task kind.
+    pub fn observed_task_totals(&self) -> TaskCosts {
+        TaskCosts::from_spans(&self.spans)
     }
 }
 
@@ -124,18 +120,6 @@ impl Inner {
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
-}
-
-fn task_hist_name(kind: TaskKind) -> &'static str {
-    match kind {
-        TaskKind::LoadWeight => "task.load_weight.seconds",
-        TaskKind::LoadCache => "task.load_cache.seconds",
-        TaskKind::LoadActivation => "task.load_activation.seconds",
-        TaskKind::StoreCache => "task.store_cache.seconds",
-        TaskKind::StoreActivation => "task.store_activation.seconds",
-        TaskKind::ComputeCpu => "task.compute_cpu.seconds",
-        TaskKind::ComputeGpu => "task.compute_gpu.seconds",
-    }
 }
 
 impl Tracer {
@@ -298,7 +282,7 @@ impl Drop for TaskSpanGuard {
             let end = c.inner.clock.now_s();
             c.inner
                 .metrics
-                .histogram_record(task_hist_name(c.kind), end - c.start);
+                .histogram_record(c.kind.hist_name(), end - c.start);
             let buf = c.inner.thread_buf();
             buf.buf.lock().spans.push(Span {
                 kind: c.kind,
@@ -454,9 +438,9 @@ mod tests {
             let _b = t.task_span(TaskKind::ComputeGpu, 0, 0, None);
         }
         let totals = t.snapshot().observed_task_totals();
-        assert!(totals[TaskKind::LoadWeight.index()] >= 0.001);
-        assert!(totals[TaskKind::ComputeGpu.index()] >= 0.0);
-        assert_eq!(totals[TaskKind::StoreCache.index()], 0.0);
+        assert!(totals[TaskKind::LoadWeight] >= 0.001);
+        assert!(totals[TaskKind::ComputeGpu] >= 0.0);
+        assert_eq!(totals[TaskKind::StoreCache], 0.0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gate: release build (workspace and the frozen
-# scoreboard against it), workspace tests, lint-clean, the loom lanes, and
-# `repro all` reproducing the committed results/ bytes.
+# scoreboard against it, with the scoreboard's own tests), workspace tests,
+# lint-clean, the loom lanes, and `repro all` reproducing the committed
+# results/ bytes.
 # Run from anywhere; operates on the repo the script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,13 +13,16 @@ cargo build --release --workspace
 # `benchmark/` is a package of its own that compiles against the crates'
 # public surface (EngineOptions, OffloadStore, ServeSession, derive_plan,
 # matmul_transb, ...) and is frozen with BENCHMARK.json: a change that
-# breaks that surface must fail here, not in the pipeline. Frozen includes
-# its lockfile: cargo rewrites it when a vendored crate it names is gone,
-# so put the committed bytes back.
-echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+# breaks that surface must fail here, not in the pipeline — at build time,
+# or in the harness's own tests (`timed::tests` wraps a `ServeBackend`,
+# `spec::tests` holds BENCHMARK.json to the tables). Frozen includes its
+# lockfile: cargo rewrites it when a vendored crate it names is gone, so
+# put the committed bytes back.
+echo "==> cargo build + test --release --offline --manifest-path benchmark/Cargo.toml"
 lock=$(mktemp)
 cp benchmark/Cargo.lock "$lock"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+{ cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    && cargo test --release --offline -q --manifest-path benchmark/Cargo.toml; } \
     || { cp "$lock" benchmark/Cargo.lock; exit 1; }
 cp "$lock" benchmark/Cargo.lock
 rm -f "$lock"
