@@ -2,11 +2,16 @@
 //! layer-streamed weights, bounded device memory, and an asynchronous
 //! prefetcher — the `load_weight`-overlapped-with-`compute` structure of
 //! Algorithm 1, executed for real on `lm-tensor`.
+//!
+//! [`Engine::run`] has the cost model's shape (Eq. 1): one prefill sweep,
+//! then `gen_len − 1` decode steps — one *between* each pair of samples —
+//! over a `Block` that owns everything a later step needs. The engine
+//! holds no per-run state, so blocks stepped alternately equal solo runs.
 
 use crate::disk::{Checkpoint, CheckpointError};
 use crate::kvquant::CacheStore;
-use crate::model::Embedding;
-use crate::pools::{MemPool, PoolExhausted};
+use crate::model::{Embedding, LayerWeights};
+use crate::pools::{Lease, MemPool, PoolExhausted};
 use crate::request::GenerateRequest;
 use crate::sampler::Sampler;
 use crate::store::{FetchedLayer, OffloadStore, WeightsAtRest};
@@ -220,10 +225,24 @@ fn preflight(cfg: &ModelConfig, options: &EngineOptions) -> Result<(), EngineErr
     }
 }
 
+/// One request between steps. Private while [`Engine::run`] is the only
+/// caller; its batches share a prompt length and advance together.
+struct Block {
+    /// One KV store per (layer, batch), `caches[layer][batch]`, host-side.
+    caches: Vec<Vec<CacheStore>>,
+    /// Per batch: the hidden state the next sample reads, `[per, hidden]`
+    /// (the `[per, s, hidden]` prompt activations while prefill runs).
+    hidden: Vec<Tensor>,
+    /// Absolute position the next sweep writes K/V from.
+    pos: usize,
+    /// Host-pool charge for `caches`, released with the block.
+    _kv_lease: Lease,
+}
+
 /// The offloading inference engine.
 pub struct Engine {
     cfg: ModelConfig,
-    store: Arc<OffloadStore>,
+    store: OffloadStore,
     embedding: Embedding,
     options: EngineOptions,
     device: Arc<MemPool>,
@@ -237,7 +256,7 @@ impl Engine {
             preflight(cfg, &options)?;
         }
         let layers =
-            (0..cfg.num_layers).map(|i| crate::model::LayerWeights::synthesize(cfg, i, seed));
+            (0..cfg.num_layers).map(|i| LayerWeights::synthesize(cfg, i, seed));
         Self::assemble(cfg, layers, seed ^ 0xE5CA_1ADE, options)
     }
 
@@ -286,7 +305,7 @@ impl Engine {
     /// `layers`, and the fault injector's clock and flight recorder.
     fn assemble(
         cfg: &ModelConfig,
-        layers: impl IntoIterator<Item = crate::model::LayerWeights>,
+        layers: impl IntoIterator<Item = LayerWeights>,
         embedding_seed: u64,
         options: EngineOptions,
     ) -> Result<Self, EngineError> {
@@ -312,7 +331,7 @@ impl Engine {
         }
         Ok(Engine {
             cfg: cfg.clone(),
-            store: Arc::new(store),
+            store,
             embedding: Embedding::synthesize(cfg, embedding_seed),
             options,
             device,
@@ -335,10 +354,12 @@ impl Engine {
         &self.device
     }
 
-    /// Fetch one layer, retrying transient device-pool pressure when a
-    /// fault injector is attached. Without one this is a plain fetch —
-    /// no retry bookkeeping touches the hot path.
-    fn fetch_layer(&self, j: u32) -> Result<FetchedLayer, PoolExhausted> {
+    /// Fetch layer `j` for a sweep: a `load_weight` span when `step` names
+    /// a decode step (on the loader's own trace buffer when prefetching,
+    /// so recording is contention-free). Retries only when a fault
+    /// injector is attached — no retry bookkeeping on the clean hot path.
+    fn fetch_traced(&self, step: Option<u64>, j: u32) -> Result<FetchedLayer, PoolExhausted> {
+        let _span = step.map(|i| self.options.tracer.task_span(TaskKind::LoadWeight, i, j, None));
         if self.options.fault.is_enabled() {
             self.store.fetch_with_retry(j, &self.options.retry)
         } else {
@@ -346,89 +367,61 @@ impl Engine {
         }
     }
 
-    /// Run one layer-sweep over `f`, streaming weights with or without
-    /// the prefetcher. When a tracer is enabled and `step` names the
-    /// decode step, each layer fetch is recorded as a `load_weight` span
-    /// (on the loader thread's buffer when prefetching — the per-thread
-    /// trace buffers make that contention-free).
-    fn sweep_layers<F>(&self, step: Option<u64>, mut f: F) -> Result<(), EngineError>
+    /// One layer sweep: `f(j, &layer)` sees every layer once, in order.
+    /// Serial mode drives the consumer straight from the producer;
+    /// prefetch mode moves the producer onto a loader thread one layer
+    /// ahead. The rendezvous channel (capacity 0) hands layers over
+    /// directly, so at most two exist at once.
+    fn sweep_layers<F>(&self, step: Option<u64>, f: F) -> Result<(), EngineError>
     where
-        F: FnMut(&FetchedLayer),
+        F: FnMut(u32, &FetchedLayer),
     {
-        let l = self.store.num_layers() as u32;
+        let producer = (0..self.store.num_layers() as u32).map(|j| self.fetch_traced(step, j));
         if !self.options.prefetch {
-            for j in 0..l {
-                let fetched = {
-                    let _span =
-                        step.map(|i| self.options.tracer.task_span(TaskKind::LoadWeight, i, j, None));
-                    self.fetch_layer(j)?
-                };
-                f(&fetched);
-            }
-            return Ok(());
+            return self.consume_layers(step, producer, f);
         }
-        // Double-buffered prefetch: a loader thread stays one layer ahead.
-        // The rendezvous channel (capacity 0) hands layers over directly,
-        // so at most two layers exist at once: the one being computed and
-        // the one the loader fetched ahead.
-        let store = Arc::clone(&self.store);
-        let fault = self.options.fault.clone();
-        let retry = self.options.retry.clone();
-        let tracer = self.options.tracer.clone();
-        let (tx, rx) = crossbeam::channel::bounded::<Result<FetchedLayer, PoolExhausted>>(0);
-        let loader = std::thread::spawn(move || {
-            for j in 0..l {
-                let fetched = {
-                    let _span = step.map(|i| tracer.task_span(TaskKind::LoadWeight, i, j, None));
-                    if fault.is_enabled() {
-                        store.fetch_with_retry(j, &retry)
-                    } else {
-                        store.fetch(j)
-                    }
-                };
-                let failed = fetched.is_err();
-                if tx.send(fetched).is_err() || failed {
-                    break;
-                }
-            }
-        });
-        let mut result = Ok(());
-        for j in 0..l {
-            match rx.recv() {
-                Ok(Ok(fetched)) => {
-                    // A prefetch-channel drop loses the handed-over layer
-                    // (backpressure glitch); recover with an on-demand
-                    // refetch so the sweep still sees every layer once.
-                    if self.options.fault.prefetch_drop("engine.prefetch", j as u64) {
-                        drop(fetched);
-                        let refetch = {
-                            let _span = step.map(|i| {
-                                self.options.tracer.task_span(TaskKind::LoadWeight, i, j, None)
-                            });
-                            self.fetch_layer(j)
-                        };
-                        match refetch {
-                            Ok(refetched) => f(&refetched),
-                            Err(e) => {
-                                result = Err(EngineError::Pool(e));
-                                break;
-                            }
-                        }
-                    } else {
-                        f(&fetched);
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::sync_channel(0);
+            let loader = scope.spawn(move || {
+                for fetched in producer {
+                    let failed = fetched.is_err();
+                    if tx.send(fetched).is_err() || failed {
+                        break;
                     }
                 }
-                Ok(Err(e)) => {
-                    result = Err(EngineError::Pool(e));
-                    break;
-                }
-                Err(_) => break,
+            });
+            // The consumer owns the receiver, so it is gone before the
+            // join: a loader parked in `send` behind a failed sweep sees
+            // the disconnect and exits instead of being waited on forever.
+            let result = self.consume_layers(step, rx.into_iter(), f);
+            // Joined by hand: a loader panic is an error, not a re-panic.
+            loader.join().map_err(|_| {
+                EngineError::Io(std::io::Error::other("prefetch loader thread panicked"))
+            })?;
+            result
+        })
+    }
+
+    /// The consumer half of a sweep, in both modes.
+    fn consume_layers(
+        &self,
+        step: Option<u64>,
+        layers: impl Iterator<Item = Result<FetchedLayer, PoolExhausted>>,
+        mut f: impl FnMut(u32, &FetchedLayer),
+    ) -> Result<(), EngineError> {
+        for (j, fetched) in (0u32..).zip(layers) {
+            let mut layer = fetched?;
+            // A prefetch-channel drop loses the handed-over layer
+            // (backpressure glitch); recover with an on-demand refetch so
+            // the sweep still sees every layer once.
+            if self.options.prefetch && self.options.fault.prefetch_drop("engine.prefetch", j as u64)
+            {
+                drop(layer);
+                layer = self.fetch_traced(step, j)?;
             }
+            f(j, &layer);
         }
-        loader
-            .join()
-            .map_err(|_| EngineError::Io(std::io::Error::other("prefetch loader thread panicked")))?;
-        result
+        Ok(())
     }
 
     /// Validate `request` against this engine's model without running it
@@ -450,9 +443,7 @@ impl Engine {
     /// [`Generation::weight_bytes_streamed`] exposes. Malformed requests
     /// return [`EngineError::InvalidRequest`] instead of panicking.
     pub fn run(&self, request: &GenerateRequest) -> Result<Generation, EngineError> {
-        let result = self
-            .validate(request)
-            .and_then(|()| self.run_block(&request.prompts, request.gen_len, request.num_batches));
+        let result = self.validate(request).and_then(|()| self.generate(request));
         if let Err(e) = &result {
             // Freeze the flight recorder on the first surfaced engine
             // error: the ring holds the faults and decisions leading up
@@ -474,118 +465,26 @@ impl Engine {
         result
     }
 
-    /// The validated block schedule: prompts are well-formed and divide
-    /// into `num_batches` equal batches (enforced by [`Self::run`]).
-    fn run_block(
-        &self,
-        prompts: &[Vec<u32>],
-        gen_len: usize,
-        num_batches: usize,
-    ) -> Result<Generation, EngineError> {
-        let per = prompts.len() / num_batches;
-        let s = prompts[0].len();
-        // Single-batch runs keep the historical span shape of `generate`
-        // (no batch index); blocks tag each compute span with its batch.
-        let span_batch = |k: usize| (num_batches > 1).then_some(k as u32);
-        let h = self.cfg.hidden as usize;
-        let heads = self.cfg.num_heads as usize;
-        let l = self.store.num_layers();
-        let capacity = s + gen_len;
-
-        // One KV cache per (layer, batch), all in host memory.
-        let full_kv_bytes =
-            2 * prompts.len() * capacity * h * std::mem::size_of::<f32>() * l;
-        let kv_bytes = match self.options.kv_quantize_at_rest {
-            None => full_kv_bytes,
-            Some(q) => full_kv_bytes * q.bits as usize / 32 * 5 / 4,
-        };
-        let _kv_lease = self.host.alloc(kv_bytes)?;
-        let mut caches: Vec<Vec<CacheStore>> = (0..l)
-            .map(|_| {
-                (0..num_batches)
-                    .map(|_| match self.options.kv_quantize_at_rest {
-                        None => CacheStore::new_full(per, h, capacity),
-                        Some(q) => CacheStore::new_quantized(per, h, capacity, q),
-                    })
-                    .collect()
-            })
-            .collect();
-
+    /// A validated request, step by step: one decode step *between*
+    /// consecutive samples. The last token is returned, never fed back.
+    fn generate(&self, request: &GenerateRequest) -> Result<Generation, EngineError> {
+        let (prompts, gen_len) = (&request.prompts, request.gen_len);
         let start = Instant::now();
         let fetched_before = self.store.total_fetched_bytes();
+        let mut block = self.prefill(request)?;
 
-        // ---- Prefill: the whole block crosses each layer together ------
-        let positions: Vec<usize> = (0..per).flat_map(|_| 0..s).collect();
-        let mut xs: Vec<Tensor> = (0..num_batches)
-            .map(|k| {
-                let flat: Vec<u32> = prompts[k * per..(k + 1) * per]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                self.embedding.embed(&flat, &positions).reshape([per, s, h])
-            })
-            .collect();
-        {
-            let _prefill = self.options.tracer.scope("prefill");
-            let mut j = 0usize;
-            let caches = &mut caches;
-            let xs = &mut xs;
-            self.sweep_layers(None, |fetched| {
-                for (k, x) in xs.iter_mut().enumerate() {
-                    *x = caches[j][k]
-                        .with_full(|c| fetched.weights.forward_prefill(x, c, heads, 0));
-                }
-                j += 1;
-            })?;
-        }
-        let mut last_hidden: Vec<Tensor> = xs
-            .iter()
-            .map(|x| {
-                let mut data = Vec::with_capacity(per * h);
-                for bi in 0..per {
-                    data.extend_from_slice(&x.data()[(bi * s + (s - 1)) * h..][..h]);
-                }
-                Tensor::from_vec([per, h], data)
-            })
-            .collect();
-
-        // ---- Decode: weights fetched once per (step, layer) ------------
-        let _decode = self.options.tracer.scope("decode");
+        let decode = self.options.tracer.scope("decode");
         let mut tokens: Vec<Vec<u32>> = vec![Vec::with_capacity(gen_len); prompts.len()];
         for step in 0..gen_len {
-            let pos = s + step;
-            let mut xds: Vec<Tensor> = Vec::with_capacity(num_batches);
-            for (k, hidden_k) in last_hidden.iter().enumerate() {
-                let logits = self.embedding.unembed(hidden_k);
-                let next = self.options.sampler.sample(&logits);
-                for (row, &t) in tokens[k * per..(k + 1) * per].iter_mut().zip(&next) {
-                    row.push(t);
-                }
-                xds.push(self.embedding.embed(&next, &vec![pos; per]));
+            let next = self.sample(&block);
+            for (row, &t) in tokens.iter_mut().zip(next.iter().flatten()) {
+                row.push(t);
             }
-            {
-                let tracer = &self.options.tracer;
-                let mut j = 0usize;
-                let caches = &mut caches;
-                let xds = &mut xds;
-                self.sweep_layers(Some(step as u64), |fetched| {
-                    for (k, xd) in xds.iter_mut().enumerate() {
-                        let _span = tracer.task_span(
-                            TaskKind::ComputeGpu,
-                            step as u64,
-                            j as u32,
-                            span_batch(k),
-                        );
-                        *xd = caches[j][k]
-                            .with_full(|c| fetched.weights.forward_decode(xd, c, heads, pos));
-                    }
-                    j += 1;
-                })?;
+            if step + 1 < gen_len {
+                self.decode_step(&mut block, step as u64, &next)?;
             }
-            last_hidden = xds;
         }
-        drop(_decode);
+        drop(decode);
 
         let elapsed = start.elapsed().as_secs_f64();
         let generation = Generation {
@@ -594,14 +493,105 @@ impl Engine {
             device_peak: self.device.peak(),
             host_peak: self.host.peak(),
             weight_bytes_streamed: self.store.total_fetched_bytes() - fetched_before,
-            kv_bytes_at_rest: caches
-                .iter()
-                .flatten()
-                .map(CacheStore::bytes)
-                .sum(),
+            kv_bytes_at_rest: block.caches.iter().flatten().map(CacheStore::bytes).sum(),
         };
         self.record_run_metrics(&generation);
         Ok(generation)
+    }
+
+    /// Prefill: lease the block's KV, embed the prompts and cross every
+    /// layer once. `request` is validated (enforced by [`Self::run`]).
+    fn prefill(&self, request: &GenerateRequest) -> Result<Block, EngineError> {
+        let GenerateRequest { prompts, gen_len, num_batches } = request;
+        let per = prompts.len() / num_batches;
+        let s = prompts[0].len();
+        let h = self.cfg.hidden as usize;
+        let l = self.store.num_layers();
+        // The last sampled token is never written back: s + n - 1 rows.
+        let capacity = s + gen_len.saturating_sub(1);
+
+        let full_kv_bytes = 2 * prompts.len() * capacity * h * std::mem::size_of::<f32>() * l;
+        let quant = self.options.kv_quantize_at_rest;
+        let kv_lease = self.host.alloc(match quant {
+            None => full_kv_bytes,
+            Some(q) => full_kv_bytes * q.bits as usize / 32 * 5 / 4,
+        })?;
+        let new_cache = |_| match quant {
+            None => CacheStore::new_full(per, h, capacity),
+            Some(q) => CacheStore::new_quantized(per, h, capacity, q),
+        };
+        let caches = (0..l).map(|_| (0..*num_batches).map(new_cache).collect()).collect();
+
+        let positions: Vec<usize> = (0..per).flat_map(|_| 0..s).collect();
+        let hidden = prompts
+            .chunks(per)
+            .map(|batch| {
+                let flat: Vec<u32> = batch.iter().flatten().copied().collect();
+                self.embedding.embed(&flat, &positions).reshape([per, s, h])
+            })
+            .collect();
+        let mut block = Block { caches, hidden, pos: 0, _kv_lease: kv_lease };
+        {
+            let _prefill = self.options.tracer.scope("prefill");
+            self.cross_layers(&mut block, None)?;
+        }
+        block.pos = s;
+        // Only the last position's hidden state feeds the first sample.
+        for x in &mut block.hidden {
+            let mut data = Vec::with_capacity(per * h);
+            for bi in 0..per {
+                data.extend_from_slice(&x.data()[(bi * s + (s - 1)) * h..][..h]);
+            }
+            *x = Tensor::from_vec([per, h], data);
+        }
+        Ok(block)
+    }
+
+    /// Unembed each batch's last hidden state and sample its next tokens.
+    fn sample(&self, block: &Block) -> Vec<Vec<u32>> {
+        block
+            .hidden
+            .iter()
+            .map(|x| self.options.sampler.sample(&self.embedding.unembed(x)))
+            .collect()
+    }
+
+    /// Decode step `step`: embed the tokens just sampled (one `Vec` per
+    /// batch) at the block's next position and cross every layer once,
+    /// appending one K/V row per (layer, batch).
+    fn decode_step(
+        &self,
+        block: &mut Block,
+        step: u64,
+        last_tokens: &[Vec<u32>],
+    ) -> Result<(), EngineError> {
+        for (x, toks) in block.hidden.iter_mut().zip(last_tokens) {
+            *x = self.embedding.embed(toks, &vec![block.pos; toks.len()]);
+        }
+        self.cross_layers(block, Some(step))?;
+        block.pos += 1;
+        Ok(())
+    }
+
+    /// One sweep: every batch of `block` crosses each fetched layer
+    /// together, writing K/V from `block.pos` on. A decode step (`step` is
+    /// `Some`) records a compute span per (layer, batch), tagged with the
+    /// batch only in multi-batch blocks; prefill (`None`) only its scope.
+    fn cross_layers(&self, block: &mut Block, step: Option<u64>) -> Result<(), EngineError> {
+        let heads = self.cfg.num_heads as usize;
+        let tracer = &self.options.tracer;
+        let Block { caches, hidden, pos, .. } = block;
+        let tagged = hidden.len() > 1;
+        self.sweep_layers(step, |j, fetched| {
+            for (k, (x, cache)) in hidden.iter_mut().zip(&mut caches[j as usize]).enumerate() {
+                let batch = tagged.then_some(k as u32);
+                let _span = step.map(|i| tracer.task_span(TaskKind::ComputeGpu, i, j, batch));
+                *x = cache.with_full(|c| match step {
+                    None => fetched.weights.forward_prefill(x, c, heads, *pos),
+                    Some(_) => fetched.weights.forward_decode(x, c, heads, *pos),
+                });
+            }
+        })
     }
 
     /// Fold one run's headline numbers into the tracer's metrics
@@ -810,12 +800,13 @@ mod tests {
 
     #[test]
     fn weight_traffic_matches_sweep_count() {
-        // One prefill sweep plus one sweep per generated token, each
-        // streaming every at-rest layer byte exactly once.
+        // One prefill sweep plus one decode sweep between each pair of
+        // samples — gen_len in all — each streaming every at-rest layer
+        // byte exactly once.
         let e = engine_with(256 << 20, true);
         let gen_len = 3;
         let g = e.run(&GenerateRequest::new(prompts(), gen_len)).unwrap();
-        let expected = (1 + gen_len as u64) * e.store.host_bytes() as u64;
+        let expected = gen_len as u64 * e.store.host_bytes() as u64;
         assert_eq!(g.weight_bytes_streamed, expected);
         // Quantized at rest: 4x fewer bytes cross the "link".
         let cfg = presets::tiny_test();
@@ -904,8 +895,10 @@ mod tests {
         let g = e.run(&GenerateRequest::new(prompts(), gen_len).with_batches(2)).unwrap();
         let report = tracer.snapshot();
         let l = cfg.num_layers as usize;
-        // One load_weight span per (token, layer); one compute span per
-        // (token, layer, batch). Prefill contributes scopes, not spans.
+        // One load_weight span per (decode step, layer); one compute span
+        // per (decode step, layer, batch); gen_len - 1 decode steps.
+        // Prefill contributes scopes, not spans.
+        let steps = gen_len - 1;
         let lw = report
             .spans
             .iter()
@@ -916,8 +909,9 @@ mod tests {
             .iter()
             .filter(|s| s.kind == TaskKind::ComputeGpu)
             .count();
-        assert_eq!(lw, gen_len * l);
-        assert_eq!(cg, gen_len * l * 2);
+        assert_eq!(lw, steps * l);
+        assert_eq!(cg, steps * l * 2);
+        assert!(report.spans.iter().all(|s| s.step < steps as u64));
         assert!(report
             .spans
             .iter()
@@ -944,6 +938,43 @@ mod tests {
         let clean = engine_with(256 << 20, true);
         let untraced = clean.run(&GenerateRequest::new(prompts(), gen_len).with_batches(2)).unwrap();
         assert_eq!(g.tokens, untraced.tokens);
+    }
+
+    #[test]
+    fn interleaved_blocks_equal_solo_runs() {
+        // The engine holds no per-run state: two blocks over different
+        // prompts, advanced alternately one step each, generate exactly
+        // what two separate runs do.
+        let cfg = presets::tiny_test();
+        let (pa, pb) = (prompts(), vec![vec![5, 5, 5, 5, 5], vec![2, 7, 1, 8, 2]]);
+        let gen_len = 4;
+        for (prefetch, kv) in [(true, None), (false, None), (true, Some(QuantConfig::int4()))] {
+            let e = Engine::new(
+                &cfg,
+                42,
+                EngineOptions { prefetch, kv_quantize_at_rest: kv, ..EngineOptions::default() },
+            )
+            .unwrap();
+            let (ra, rb) = (
+                GenerateRequest::new(pa.clone(), gen_len),
+                GenerateRequest::new(pb.clone(), gen_len).with_batches(2),
+            );
+            let mut blocks = [e.prefill(&ra).unwrap(), e.prefill(&rb).unwrap()];
+            let mut tokens = [vec![Vec::new(); pa.len()], vec![Vec::new(); pb.len()]];
+            for step in 0..gen_len {
+                for (block, rows) in blocks.iter_mut().zip(&mut tokens) {
+                    let next = e.sample(block);
+                    for (row, &t) in rows.iter_mut().zip(next.iter().flatten()) {
+                        row.push(t);
+                    }
+                    if step + 1 < gen_len {
+                        e.decode_step(block, step as u64, &next).unwrap();
+                    }
+                }
+            }
+            assert_eq!(tokens[0], e.run(&ra).unwrap().tokens, "prefetch {prefetch} kv {kv:?}");
+            assert_eq!(tokens[1], e.run(&rb).unwrap().tokens, "prefetch {prefetch} kv {kv:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! let engine = Engine::new(&presets::tiny_test(), 7, EngineOptions::default()).unwrap();
 //! let out = engine.run(&GenerateRequest::new(vec![vec![1, 2, 3]], 4)).unwrap();
 //! assert_eq!(out.tokens[0].len(), 4);
-//! assert!(out.weight_bytes_streamed > 0); // every layer streamed per sweep
+//! // 4 sweeps stream every layer: prefill, then a decode step between samples.
+//! assert!(out.weight_bytes_streamed > 0);
 //! ```
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

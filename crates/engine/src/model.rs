@@ -83,17 +83,10 @@ impl LayerWeights {
         self.linears_mut().for_each(Linear::halve_weights);
     }
 
-    fn norm1(&self, x: &mut Tensor) {
+    fn norm(&self, x: &mut Tensor, gamma: &[f32], beta: &[f32]) {
         match self.family {
-            Family::Llama => rmsnorm_rows(x, &self.ln1_gamma, 1e-6),
-            _ => layernorm_rows(x, &self.ln1_gamma, &self.ln1_beta, 1e-5),
-        }
-    }
-
-    fn norm2(&self, x: &mut Tensor) {
-        match self.family {
-            Family::Llama => rmsnorm_rows(x, &self.ln2_gamma, 1e-6),
-            _ => layernorm_rows(x, &self.ln2_gamma, &self.ln2_beta, 1e-5),
+            Family::Llama => rmsnorm_rows(x, gamma, 1e-6),
+            _ => layernorm_rows(x, gamma, beta, 1e-5),
         }
     }
 
@@ -114,6 +107,26 @@ impl LayerWeights {
         }
     }
 
+    /// The layer body over `[rows, hidden]` activations. `attend` is the
+    /// only part that knows whether the rows are one new position per
+    /// sequence or a whole prompt: it rotates (RoPE), appends K/V to the
+    /// cache and returns the attention output, `[rows, hidden]` again.
+    fn forward(&self, x: &Tensor, attend: impl FnOnce(Tensor, Tensor, Tensor) -> Tensor) -> Tensor {
+        let mut normed = x.clone();
+        self.norm(&mut normed, &self.ln1_gamma, &self.ln1_beta);
+        let q = self.q.forward(&normed);
+        let k = self.k.forward(&normed);
+        let v = self.v.forward(&normed);
+        let mut x1 = self.o.forward(&attend(q, k, v));
+        add_assign(&mut x1, x);
+
+        let mut normed2 = x1.clone();
+        self.norm(&mut normed2, &self.ln2_gamma, &self.ln2_beta);
+        let mut out = self.mlp_forward(&normed2);
+        add_assign(&mut out, &x1);
+        out
+    }
+
     /// Decode step: `x` is `[batch, hidden]` at absolute position `pos`;
     /// appends this token's K/V to `cache` and returns the layer output.
     /// LLaMA-family layers rotate Q/K with RoPE; cached keys are stored
@@ -125,25 +138,14 @@ impl LayerWeights {
         num_heads: usize,
         pos: usize,
     ) -> Tensor {
-        let mut normed = x.clone();
-        self.norm1(&mut normed);
-        let mut q = self.q.forward(&normed);
-        let mut k = self.k.forward(&normed);
-        let v = self.v.forward(&normed);
-        if self.family == Family::Llama {
-            apply_rope_decode(&mut q, num_heads, pos);
-            apply_rope_decode(&mut k, num_heads, pos);
-        }
-        cache.append(&k, &v);
-        let attn = mha_decode(&q, cache, num_heads);
-        let mut x1 = self.o.forward(&attn);
-        add_assign(&mut x1, x);
-
-        let mut normed2 = x1.clone();
-        self.norm2(&mut normed2);
-        let mut out = self.mlp_forward(&normed2);
-        add_assign(&mut out, &x1);
-        out
+        self.forward(x, |mut q, mut k, v| {
+            if self.family == Family::Llama {
+                apply_rope_decode(&mut q, num_heads, pos);
+                apply_rope_decode(&mut k, num_heads, pos);
+            }
+            cache.append(&k, &v);
+            mha_decode(&q, cache, num_heads)
+        })
     }
 
     /// Prefill step: `x` is `[batch, s, hidden]` (flattened internally)
@@ -158,25 +160,16 @@ impl LayerWeights {
     ) -> Tensor {
         let (b, s, h) = (x.dim(0), x.dim(1), x.dim(2));
         let flat = x.clone().reshape([b * s, h]);
-        let mut normed = flat.clone();
-        self.norm1(&mut normed);
-        let mut q = self.q.forward(&normed).reshape([b, s, h]);
-        let mut k = self.k.forward(&normed).reshape([b, s, h]);
-        let v = self.v.forward(&normed).reshape([b, s, h]);
-        if self.family == Family::Llama {
-            apply_rope_prefill(&mut q, num_heads, start_pos);
-            apply_rope_prefill(&mut k, num_heads, start_pos);
-        }
-        cache.append(&k, &v);
-        let attn = mha_prefill(&q, &k, &v, num_heads).reshape([b * s, h]);
-        let mut x1 = self.o.forward(&attn);
-        add_assign(&mut x1, &flat);
-
-        let mut normed2 = x1.clone();
-        self.norm2(&mut normed2);
-        let mut out = self.mlp_forward(&normed2);
-        add_assign(&mut out, &x1);
-        out.reshape([b, s, h])
+        self.forward(&flat, |q, k, v| {
+            let [mut q, mut k, v] = [q, k, v].map(|t| t.reshape([b, s, h]));
+            if self.family == Family::Llama {
+                apply_rope_prefill(&mut q, num_heads, start_pos);
+                apply_rope_prefill(&mut k, num_heads, start_pos);
+            }
+            cache.append(&k, &v);
+            mha_prefill(&q, &k, &v, num_heads).reshape([b * s, h])
+        })
+        .reshape([b, s, h])
     }
 }
 

@@ -3,17 +3,43 @@
 //! demonstrate and test the parallelism-control decisions on actual
 //! hardware.
 //!
-//! `inter_op` worker threads pull ready operators from a shared queue
-//! (crossbeam channel); each operator may split its own work across
-//! `intra_op` threads via [`split_work`]. Dependency tracking uses atomic
-//! in-degree counters, so completion of the last predecessor is what
-//! publishes a node to the queue — no locks on the hot path.
+//! `inter_op` scoped worker threads pull ready operators from a shared
+//! [`Queue`]; each operator may split its own work across `intra_op`
+//! threads via [`split_work`]. Dependency tracking uses atomic in-degree
+//! counters, so completion of the last predecessor is what publishes a
+//! node to the queue.
 
 use crate::graph::OpGraph;
 use crate::kahn;
-use crossbeam::channel;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The ready queue: an unbounded FIFO with a blocking pop. Every worker
+/// shares it for the whole run, so it never closes — shutdown is the
+/// POISON broadcast. `tests/loom_executor.rs` model-checks this queue and
+/// the worker loop below over loom's instrumented `Mutex`/`Condvar`.
+struct Queue {
+    items: Mutex<VecDeque<usize>>,
+    ready: Condvar,
+}
+
+impl Queue {
+    fn send(&self, u: usize) {
+        self.items.lock().push_back(u);
+        self.ready.notify_one();
+    }
+
+    fn recv(&self) -> usize {
+        let mut items = self.items.lock();
+        loop {
+            if let Some(u) = items.pop_front() {
+                return u;
+            }
+            self.ready.wait(&mut items);
+        }
+    }
+}
 
 /// Why an executor could not be built or could not run a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,61 +153,44 @@ impl Executor {
             let cycle = kahn::find_cycle(graph).unwrap_or_default();
             return Err(ExecError::CyclicGraph { cycle });
         }
-        /// Shutdown sentinel: every worker holds a sender while blocked in
-        /// `recv()`, so the channel can never close itself — the worker
-        /// that completes the final node wakes the others explicitly.
+        /// Shutdown sentinel: the queue never closes under a worker
+        /// blocked in `recv()`, so the worker that completes the final
+        /// node wakes the others explicitly.
         const POISON: usize = usize::MAX;
-        let indeg: Vec<AtomicUsize> = graph
-            .in_degrees()
-            .into_iter()
-            .map(AtomicUsize::new)
-            .collect();
-        let (tx, rx) = channel::unbounded::<usize>();
-        for (i, d) in indeg.iter().enumerate() {
-            if d.load(Ordering::Relaxed) == 0 {
-                tx.send(i).expect("queue open");
-            }
-        }
+        let degrees = graph.in_degrees();
+        let sources = (0..n).filter(|&i| degrees[i] == 0).collect();
+        let queue = Queue { items: Mutex::new(sources), ready: Condvar::new() };
+        let indeg: Vec<AtomicUsize> = degrees.into_iter().map(AtomicUsize::new).collect();
         let completed = AtomicUsize::new(0);
         let order = Mutex::new(Vec::with_capacity(n));
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..self.inter_op {
-                let rx = rx.clone();
-                let tx = tx.clone();
-                let indeg = &indeg;
-                let completed = &completed;
-                let order = &order;
-                let work = &work;
-                scope.spawn(move |_| {
-                    while let Ok(u) = rx.recv() {
-                        if u == POISON {
-                            break;
+                scope.spawn(|| loop {
+                    let u = queue.recv();
+                    if u == POISON {
+                        break;
+                    }
+                    {
+                        let _op = tracer.scope(&graph.nodes[u].name);
+                        work(u, self.intra_op);
+                    }
+                    order.lock().push(u);
+                    for &v in &graph.edges[u] {
+                        if indeg[v].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            queue.send(v);
                         }
-                        {
-                            let _op = tracer.scope(&graph.nodes[u].name);
-                            work(u, self.intra_op);
+                    }
+                    if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
+                        // All done: wake every other worker.
+                        for _ in 0..self.inter_op {
+                            queue.send(POISON);
                         }
-                        order.lock().push(u);
-                        for &v in &graph.edges[u] {
-                            if indeg[v].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                tx.send(v).expect("queue open");
-                            }
-                        }
-                        if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            // All done: wake every other worker.
-                            for _ in 0..self.inter_op {
-                                let _ = tx.send(POISON);
-                            }
-                            break;
-                        }
+                        break;
                     }
                 });
             }
-            drop(tx);
-            drop(rx);
-        })
-        .expect("worker panicked");
+        });
 
         let order = order.into_inner();
         debug_assert_eq!(order.len(), n, "acyclic graph must complete fully");
@@ -202,17 +211,16 @@ where
     }
     let threads = threads.min(total);
     let chunk = total.div_ceil(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let f = &f;
             let start = t * chunk;
             let end = ((t + 1) * chunk).min(total);
             if start < end {
-                scope.spawn(move |_| f(start..end));
+                scope.spawn(move || f(start..end));
             }
         }
-    })
-    .expect("intra-op worker panicked");
+    });
 }
 
 /// A CPU-burning workload of roughly `flops` floating-point operations,

@@ -5,10 +5,11 @@
 //! mechanisms: an atomic in-degree counter per node (the last predecessor
 //! to finish — the one whose `fetch_sub` returns 1 — publishes the node),
 //! a shared ready queue, and a POISON broadcast sent by whichever worker
-//! completes the final node (each worker holds a queue sender, so the
-//! queue can never close itself). crossbeam channels are not
-//! instrumentable, so these tests re-state the exact same protocol over
-//! loom's `Mutex`/`Condvar`/atomics and let the checker enumerate the
+//! completes the final node (every worker shares the queue for the whole
+//! run, so it can never close itself). The queue that ships is a
+//! `Mutex<VecDeque>` + `Condvar` with a blocking `recv`; these tests hold
+//! the same queue and the same worker loop over loom's instrumented
+//! `Mutex`/`Condvar`/atomics and let the checker enumerate the
 //! interleavings: every schedule must run each node once, respect the
 //! dependency edges, and terminate every worker. A deliberately broken
 //! variant (no POISON broadcast) must be caught as a deadlock — the bug
@@ -25,8 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const POISON: usize = usize::MAX;
 
-/// The executor's ready queue: crossbeam's unbounded channel reduced to
-/// the blocking-pop protocol the workers rely on.
+/// The executor's ready queue (`executor.rs::Queue`) on loom's types.
 struct Queue {
     items: Mutex<VecDeque<usize>>,
     ready: Condvar,

@@ -7,6 +7,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Test lanes run under a deadline: a deadlock fails the gate, naming the
+# lane, instead of wedging it. Bounds are generous (a cold lane takes a
+# few minutes on 2 cores).
+lane() {
+    local name=$1 minutes=$2 rc=0
+    shift 2
+    timeout "${minutes}m" "$@" || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "verify: lane '$name' still running after $minutes min (deadlock?)" >&2
+    fi
+    return "$rc"
+}
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -16,19 +29,20 @@ cargo build --release --workspace
 # breaks that surface must fail here, not in the pipeline — at build time,
 # or in the harness's own tests (`timed::tests` wraps a `ServeBackend`,
 # `spec::tests` holds BENCHMARK.json to the tables). Frozen includes its
-# lockfile: cargo rewrites it when a vendored crate it names is gone, so
-# put the committed bytes back.
+# lockfile: cargo rewrites it when a vendored crate it names is gone
+# (`rayon`, `bytes`, `crossbeam`), so put the committed bytes back.
 echo "==> cargo build + test --release --offline --manifest-path benchmark/Cargo.toml"
 lock=$(mktemp)
 cp benchmark/Cargo.lock "$lock"
 { cargo build --release --offline --manifest-path benchmark/Cargo.toml \
-    && cargo test --release --offline -q --manifest-path benchmark/Cargo.toml; } \
+    && lane "benchmark tests" 10 \
+        cargo test --release --offline -q --manifest-path benchmark/Cargo.toml; } \
     || { cp "$lock" benchmark/Cargo.lock; exit 1; }
 cp "$lock" benchmark/Cargo.lock
 rm -f "$lock"
 
 echo "==> cargo test (default-members = the whole workspace)"
-cargo test -q
+lane "cargo test" 30 cargo test -q
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -38,8 +52,8 @@ else
 fi
 
 echo "==> loom model checking"
-cargo test -q -p lm-parallelism --features loom --test loom_executor
-cargo test -q -p lm-engine --features loom --test loom_pools
+lane "loom_executor" 10 cargo test -q -p lm-parallelism --features loom --test loom_executor
+lane "loom_pools" 10 cargo test -q -p lm-engine --features loom --test loom_pools
 
 if [ "${MIRI:-0}" = "1" ]; then
     if cargo miri --version >/dev/null 2>&1; then

@@ -176,3 +176,43 @@ fn unrecoverable_pressure_degrades_and_completes() {
     // The run finished under a cheaper policy than it started with.
     assert!(out.policy.weights_dtype.bits() < Policy::flexgen_default().weights_dtype.bits());
 }
+
+/// A prefetch drop whose on-demand refetch fails while the loader still
+/// has a layer to hand over: the sweep must surface the error. The
+/// loader is then parked in a rendezvous `send`, so joining it while the
+/// receiver is alive never returns — each run gets its own thread and a
+/// deadline so a deadlock fails the test instead of wedging it.
+#[test]
+fn failed_refetch_returns_an_error_instead_of_hanging() {
+    let cfg = presets::tiny_test();
+    let mut failed = 0;
+    for seed in 0..40u64 {
+        let cfg = cfg.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let engine = Engine::new(
+                &cfg,
+                42,
+                EngineOptions {
+                    fault: FaultInjector::new(FaultConfig {
+                        prefetch_drop_rate: 1.0,
+                        pool_pressure_rate: 0.3,
+                        pool_pressure_bytes: 1 << 40,
+                        ..FaultConfig::quiescent(seed)
+                    }),
+                    retry: RetryPolicy::none(),
+                    ..EngineOptions::default()
+                },
+            )
+            .unwrap();
+            let out = engine.run(&GenerateRequest::new(vec![vec![1, 2, 3, 4]], 2));
+            tx.send((out.is_err(), engine.device_pool().used())).ok();
+        });
+        let (is_err, device_used) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("seed {seed}: Engine::run never returned"));
+        assert_eq!(device_used, 0, "seed {seed}: a fetched layer outlived the run");
+        failed += usize::from(is_err);
+    }
+    assert!(failed > 0, "no refetch ever failed: the recipe no longer reaches the path");
+}

@@ -1,8 +1,8 @@
 //! Acceptance tests for the unified observability layer (`lm-trace`):
 //!
-//! - A traced `Engine::generate` emits exactly one task span per
-//!   (token, layer, task) and the Perfetto export round-trips through the
-//!   JSON parser with the right event shapes.
+//! - A traced `Engine::run` emits exactly one task span per
+//!   (decode step, layer, task) and the Perfetto export round-trips
+//!   through the JSON parser with the right event shapes.
 //! - Drift golden: replaying the analytic model against the simulator's
 //!   own traced timeline yields observed/predicted ratios of 1.0 for all
 //!   six paper decode tasks.
@@ -24,7 +24,8 @@ fn prompts() -> Vec<Vec<u32>> {
     vec![vec![1, 2, 3, 4], vec![9, 8, 7, 6]]
 }
 
-/// One load_weight span and one compute span per (token, layer), and the
+/// One load_weight span and one compute span per (decode step, layer) —
+/// `gen_len - 1` steps, one between each pair of samples — and the
 /// Perfetto document round-trips serde_json with complete events carrying
 /// step/layer args.
 #[test]
@@ -55,10 +56,11 @@ fn traced_generate_spans_cover_every_token_layer_and_roundtrip_perfetto() {
         .iter()
         .filter(|s| s.kind == TaskKind::ComputeGpu)
         .collect();
-    assert_eq!(lw.len(), gen_len * l, "one load_weight per (token, layer)");
-    assert_eq!(cg.len(), gen_len * l, "one compute per (token, layer)");
+    let steps = gen_len - 1;
+    assert_eq!(lw.len(), steps * l, "one load_weight per (decode step, layer)");
+    assert_eq!(cg.len(), steps * l, "one compute per (decode step, layer)");
     // Every (step, layer) pair appears exactly once per task.
-    for step in 0..gen_len as u64 {
+    for step in 0..steps as u64 {
         for layer in 0..cfg.num_layers {
             for (name, spans) in [("load_weight", &lw), ("compute_gpu", &cg)] {
                 let n = spans
