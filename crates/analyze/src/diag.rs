@@ -118,9 +118,8 @@ lint_codes! {
     /// Sum of page refcounts disagrees with the live page tables, or
     /// more pages are in use than the pool holds.
     Lma281PageRefcountImbalance = "LMA281",
-    /// A page was written in place while mapped by more than one
-    /// sequence — the copy-on-write discipline was bypassed.
-    Lma282DoubleMappedWritablePage = "LMA282",
+    // LMA282 (a shared page written in place) is retired: only full
+    // prompt pages are shared and none is ever written. Never reuse 282.
     /// The verification sweep's config lattice is degenerate: an axis
     /// holds fewer than two distinct values or the total point count is
     /// below the coverage floor, so "zero witnesses" is vacuous.
@@ -296,8 +295,8 @@ mod tests {
             "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
             "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA109",
             "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA251", "LMA252",
-            "LMA260", "LMA261", "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA282",
-            "LMA290", "LMA291", "LMA292", "LMA300", "LMA301", "LMA302",
+            "LMA260", "LMA261", "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA290",
+            "LMA291", "LMA292", "LMA300", "LMA301", "LMA302",
         ];
         let shipped: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(shipped, GOLDEN, "LMA registry drifted from the golden list");

@@ -1,9 +1,8 @@
 //! `LMA28x` — the paged KV allocator's failure modes are silent: a page
-//! size that does not divide the plan's KV block reintroduces padding, a
-//! refcount drift leaks pages only under churn, and a missed COW fork
-//! corrupts a *different* request's context. A [`PagingProbe`] carries
-//! the geometry (judged at plan time) and the pool's live counters
-//! (judged when a run ends).
+//! size that does not divide the plan's KV block reintroduces padding,
+//! and a refcount drift leaks pages only under churn. A [`PagingProbe`]
+//! carries the geometry (judged at plan time) and the pool's live
+//! counters (judged when a run ends).
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
@@ -29,9 +28,6 @@ pub struct PagingProbe {
     /// Page-table entries summed over all live sequences (each entry is
     /// one mapping, shared or private).
     pub seq_mapped_pages: u64,
-    /// In-place writes observed on a page whose refcount was > 1. Any
-    /// nonzero value means the COW discipline was bypassed.
-    pub shared_write_violations: u64,
 }
 
 /// Run every paged-KV lint over a sampled probe.
@@ -85,21 +81,6 @@ pub fn lint_paging(probe: &PagingProbe) -> Report {
         ));
     }
 
-    // LMA282: copy-on-write bypass. The pool counts every in-place
-    // write that landed on a page with refcount > 1; a single one means
-    // some other sequence's KV history was silently overwritten.
-    if probe.shared_write_violations > 0 {
-        out.push(Diagnostic::error(
-            LintCode::Lma282DoubleMappedWritablePage,
-            "paging.cow".to_string(),
-            format!(
-                "{} in-place write(s) hit a page mapped by more than one \
-                 sequence — copy-on-write fork was bypassed",
-                probe.shared_write_violations
-            ),
-        ));
-    }
-
     Report::new(out)
 }
 
@@ -117,7 +98,6 @@ mod tests {
             pages_in_use: 40,
             page_refcount_sum: 48,
             seq_mapped_pages: 48,
-            shared_write_violations: 0,
         }
     }
 
@@ -171,15 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_write_violation_caught() {
-        let mut p = sound();
-        p.shared_write_violations = 1;
-        let r = lint_paging(&p);
-        assert!(r.has(LintCode::Lma282DoubleMappedWritablePage), "{r}");
-        assert!(!r.is_clean());
-    }
-
-    #[test]
     fn saturating_geometry_math_does_not_wrap() {
         let mut p = sound();
         p.page_tokens = u64::MAX;
@@ -191,6 +162,6 @@ mod tests {
     #[test]
     fn probe_serializes() {
         let json = serde_json::to_string(&sound()).expect("serialize");
-        assert!(json.contains("shared_write_violations"), "{json}");
+        assert!(json.contains("seq_mapped_pages"), "{json}");
     }
 }

@@ -124,8 +124,8 @@ mod tests {
             configs_explored: 288,
             configs_floor: 200,
             unsoundness_witnesses: Vec::new(),
-            declared_transitions: vec!["admit/fresh".into(), "append/cow-fork".into()],
-            exercised_transitions: vec!["admit/fresh".into(), "append/cow-fork".into()],
+            declared_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
+            exercised_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
             interleavings: 12_000,
         }
     }

@@ -173,7 +173,6 @@ fn paging(defect: fn(&mut PagingProbe)) -> (Report, Report) {
         pages_in_use: 64,
         page_refcount_sum: 80,
         seq_mapped_pages: 80,
-        shared_write_violations: 0,
     };
     probed(sound, lint_paging, defect)
 }
@@ -190,8 +189,8 @@ fn verify(defect: fn(&mut VerifyProbe)) -> (Report, Report) {
         configs_explored: 288,
         configs_floor: 200,
         unsoundness_witnesses: Vec::new(),
-        declared_transitions: vec!["admit/fresh".into(), "append/cow-fork".into()],
-        exercised_transitions: vec!["admit/fresh".into(), "append/cow-fork".into()],
+        declared_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
+        exercised_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
         interleavings: 12_000,
     };
     probed(sound, lint_verify, defect)
@@ -337,9 +336,6 @@ mutations! {
     lma281_refcount_sum_drifts_from_page_tables: Lma281PageRefcountImbalance => |_| paging(|p| {
         p.page_refcount_sum -= 1;
     }),
-    lma282_in_place_write_on_shared_page: Lma282DoubleMappedWritablePage => |_| paging(|p| {
-        p.shared_write_violations = 2;
-    }),
     lma290_sweep_axis_collapsed_to_a_point: Lma290SweepDomainDegenerate => |_| verify(|p| {
         p.axes[2].1 = 1;
     }),
@@ -351,7 +347,7 @@ mutations! {
         });
     }),
     lma292_declared_transition_never_exercised: Lma292UncheckedProtocolTransition => |_| {
-        verify(|p| p.exercised_transitions.retain(|t| t != "append/cow-fork"))
+        verify(|p| p.exercised_transitions.retain(|t| t != "append/new-page"))
     },
     lma300_zero_capacity_token_channel: Lma300AsyncZeroChannelCapacity => |_| asynch(|p| {
         p.channel_capacity = 0;

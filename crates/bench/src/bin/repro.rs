@@ -492,11 +492,10 @@ fn run_serve(a: &Args) -> Vec<Gate> {
         );
         print_serve_modes(&sp.modes);
         println!(
-            "effective speedup vs unshared control: {:.3}x ({} prefix hits, {} shared tokens, {} COW forks, {} paged rejections)",
+            "effective speedup vs unshared control: {:.3}x ({} shared-page hits, {} shared tokens, {} paged rejections)",
             sp.effective_speedup,
             sp.modes[0].shared_prefix_hits,
             sp.modes[0].shared_tokens,
-            sp.modes[0].cow_forks,
             sp.paged_rejections
         );
         gates.push(gate("serve", "superlinear_ok", sp.superlinear_ok));

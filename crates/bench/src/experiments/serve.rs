@@ -8,7 +8,7 @@
 //! The run also carries the cross-request prefix-sharing study: the
 //! same arrival process and generation lengths are served once with a
 //! common system-prompt prefix and once with unique control prefixes;
-//! the paged pool maps the shared pages copy-on-write, skips their
+//! the paged pool maps the shared full pages read-only, skips their
 //! prefill, and must deliver super-linear effective throughput relative
 //! to the unshared control (with zero admission rejections).
 
@@ -78,8 +78,6 @@ pub struct ModeRow {
     pub shared_prefix_hits: u64,
     /// Prompt tokens covered by those shared mappings.
     pub shared_tokens: u64,
-    /// Copy-on-write forks taken on first divergent write.
-    pub cow_forks: u64,
     /// Deadline misses — *reported* by every mode, enforced by none
     /// here: the continuous scheduler counts deadline-reason rejections,
     /// the baselines count requests whose service started past their
@@ -160,7 +158,6 @@ fn mode_row(mode: &str, tracer: &Tracer, out: &ServeOutcome) -> ModeRow {
         kv_pages_peak: out.kv_pages_peak,
         shared_prefix_hits: out.shared_prefix_hits,
         shared_tokens: out.shared_tokens,
-        cow_forks: out.cow_forks,
         deadline_misses: out.deadline_misses,
         ttft: histogram(tracer, "serve.ttft_s"),
         latency: histogram(tracer, "serve.latency_s"),

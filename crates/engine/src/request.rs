@@ -27,8 +27,8 @@ use lm_models::ModelConfig;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenerateRequest {
     /// Prompt token ids, one row per sequence. All rows must share a
-    /// length; ragged traffic is padded by the `lm-serve` scheduler, not
-    /// by the engine.
+    /// length: nothing pads for the engine, and `lm-serve` runs each
+    /// ragged request alone as its own one-row batch.
     pub prompts: Vec<Vec<u32>>,
     /// Tokens to generate per row (beyond the prompt).
     pub gen_len: usize,
@@ -95,8 +95,8 @@ pub fn validate_request(
     }
     if !prompts.iter().all(|p| p.len() == s) {
         return invalid(
-            "prompts must share a length (ragged requests are padded by the \
-             lm-serve scheduler, not the engine)"
+            "prompts must share a length (nothing pads a batch; run ragged \
+             prompts as separate requests)"
                 .into(),
         );
     }

@@ -15,16 +15,17 @@
 //!   lets a request whose prompt shares a prefix with a resident
 //!   sequence map the *same physical pages* instead of recomputing and
 //!   re-storing them;
-//! - shared pages are **refcounted copy-on-write**: a page mapped by
-//!   more than one sequence is read-only, and the first divergent
-//!   write forks it — the writer copies the shared prefix of the page
-//!   into a private page and remaps, leaving every other reader intact.
+//! - shared pages are **full, immutable prompt pages**: only a whole
+//!   page of a known prefix is ever mapped by more than one sequence,
+//!   and no sequence writes it again. A sequence's open tail page and
+//!   every growth page are private, so appends write in place and
+//!   sharing never has to copy anything.
 //!
 //! Pages store their actual token content. That is deliberate: it is
 //! what makes sharing *checkable* — the property suite asserts that a
 //! sequence's logical token stream survives any interleaving of
-//! sharing, forking and freeing, which would catch a write-through to
-//! a shared page immediately.
+//! sharing and freeing, and that a page mapped by two sequences is full
+//! and never changes while shared.
 //!
 //! Determinism contract: the allocator has no clocks, no RNG and no
 //! hash-order dependence (the index is a `BTreeMap`); page ids are
@@ -82,13 +83,10 @@ pub enum KvProtocolError {
         capacity_tokens: usize,
     },
     /// The growth reserve was empty where the admission contract says a
-    /// page must be banked (fresh growth page, COW fork target, or the
-    /// collapsed-fork spare).
+    /// fresh growth page must be banked.
     ReserveExhausted {
         /// Tokens already written when the draw failed.
         len: usize,
-        /// What the page was needed for.
-        needed_for: &'static str,
     },
 }
 
@@ -99,10 +97,9 @@ impl std::fmt::Display for KvProtocolError {
                 f,
                 "append past reserved capacity: {len} tokens written of {capacity_tokens} admitted"
             ),
-            KvProtocolError::ReserveExhausted { len, needed_for } => write!(
+            KvProtocolError::ReserveExhausted { len } => write!(
                 f,
-                "growth reserve empty at token {len} (needed for {needed_for}); \
-                 admission should have banked this page"
+                "growth reserve empty at token {len}; admission should have banked this page"
             ),
         }
     }
@@ -121,19 +118,9 @@ pub struct PagingStats {
     /// Page mappings served from the prefix index instead of a fresh
     /// allocation — each one is a whole page of prefill skipped.
     pub shared_hits: u64,
-    /// Prompt tokens covered by shared mappings at admission.
+    /// Prompt tokens covered by shared mappings at admission — always
+    /// `shared_hits · page_tokens`, since only full pages are shared.
     pub shared_tokens: u64,
-    /// Copy-on-write forks: first divergent write into a shared page.
-    pub cow_forks: u64,
-    /// Tokens copied by those forks (the only data movement sharing
-    /// ever costs).
-    pub copied_tokens: u64,
-    /// In-place writes that landed on a page mapped by another
-    /// sequence — the double-mapped-writable hazard `LMA282` trips on.
-    /// The COW discipline makes this permanently zero; the counter is
-    /// measured independently of the fork decision so a future
-    /// regression in that decision fires the lint in every serve run.
-    pub shared_write_violations: u64,
 }
 
 /// Point-in-time pool state for invariant checks and the `LMA28x`
@@ -153,15 +140,12 @@ pub struct PoolCounters {
 
 struct PageState {
     refs: u32,
-    /// Actual token content; append-only except COW truncation by a
-    /// sole owner reclaiming a forked-away writer's tail.
+    /// Actual token content; append-only, and only while private.
     content: Vec<u32>,
     /// The byte lease this page charges while alive.
     lease: Option<Lease>,
     /// Aligned-prefix key registered in the full-page index.
     full_key: Option<Vec<u32>>,
-    /// Exact-prefix key registered in the partial-tail index.
-    partial_key: Option<Vec<u32>>,
 }
 
 impl PageState {
@@ -171,7 +155,6 @@ impl PageState {
             content: Vec::new(),
             lease: None,
             full_key: None,
-            partial_key: None,
         }
     }
 }
@@ -186,10 +169,6 @@ struct PoolInner {
     /// `k` implies chunks `1..k` are registered), which is what makes
     /// the longest-match walk below correct.
     full_index: BTreeMap<Vec<u32>, usize>,
-    /// Exact known-prefix key → the open (partially filled) tail page,
-    /// shareable only by a request with the *identical* prefix; the
-    /// first divergent append forks it (COW).
-    partial_index: BTreeMap<Vec<u32>, usize>,
     in_use: usize,
     peak: usize,
     stats: PagingStats,
@@ -216,7 +195,6 @@ impl PagedKvPool {
                 pages: Vec::new(),
                 free: Vec::new(),
                 full_index: BTreeMap::new(),
-                partial_index: BTreeMap::new(),
                 in_use: 0,
                 peak: 0,
                 stats: PagingStats::default(),
@@ -233,9 +211,8 @@ impl PagedKvPool {
         self.mem.capacity() / self.cfg.page_bytes().max(1)
     }
 
-    /// Worst-case pages a sequence of `known_tokens + gen_len` tokens
-    /// can come to own after full divergence (what admission must be
-    /// able to satisfy even if every shared mapping forks).
+    /// Pages a sequence of `known_tokens + gen_len` tokens maps in full
+    /// (shared and private) — its residency when nothing is shared.
     pub fn required_pages(&self, known_tokens: usize, gen_len: usize) -> usize {
         self.cfg.pages_for(known_tokens + gen_len)
     }
@@ -273,14 +250,16 @@ impl PagedKvPool {
     /// front (prompt, plus any resumed generated prefix) and which will
     /// append at most `gen_len` more.
     ///
-    /// Walks the prefix index for the longest shared prefix: whole
-    /// matching pages are mapped refcounted instead of allocated, and
-    /// an exactly-matching open tail page is mapped copy-on-write.
-    /// Everything the sequence could come to own after full divergence
-    /// is reserved eagerly — `pages_for(known + gen_len)` minus the
-    /// fully shared pages — so appends (including COW forks) can never
-    /// run out of memory mid-decode. Atomic: on exhaustion nothing is
-    /// mapped and nothing stays allocated.
+    /// Walks the prefix index for the longest shared prefix of whole
+    /// pages and maps those refcounted instead of allocating them. That
+    /// is the one sharing rule: only full prompt pages are shared, and a
+    /// shared page is never written again. Every other page the sequence
+    /// can come to own — `pages_for(known + gen_len)` minus the shared
+    /// ones — is private and reserved eagerly: the unshared full chunks
+    /// are laid and registered in the index, the open tail stays
+    /// unregistered, and the rest is banked as the growth reserve, so
+    /// appends can never run out of memory mid-decode. Atomic: on
+    /// exhaustion nothing is mapped and nothing stays allocated.
     pub fn admit(
         self: &Arc<Self>,
         known: &[u32],
@@ -292,39 +271,14 @@ impl PagedKvPool {
 
         // Longest-prefix walk over full pages (keys are prefix-closed,
         // so the first miss ends the match).
-        let full_chunks = known.len() / page;
-        let mut shared_full: Vec<usize> = Vec::new();
-        for k in 1..=full_chunks {
+        let mut shared: Vec<usize> = Vec::new();
+        for k in 1..=known.len() / page {
             match inner.full_index.get(&known[..k * page]) {
-                Some(&pid) => shared_full.push(pid),
+                Some(&pid) => shared.push(pid),
                 None => break,
             }
         }
-        // The open tail is shareable only when the entire known prefix
-        // matches a registered one (same full pages, same partial
-        // content) — anything less would alias divergent tokens.
-        let tail_fill = known.len() % page;
-        let shared_tail = (tail_fill > 0 && shared_full.len() == full_chunks)
-            .then(|| inner.partial_index.get(known).copied())
-            .flatten();
-
-        // A shared tail still needs a private replacement on the first
-        // append (the fork), so only gen_len == 0 lets it reduce the
-        // reservation. The fork obligation rides with the *sharer*: the
-        // page's creator reserved no fork page and never needs one — it
-        // may write in place past the registered fill, because every
-        // sharer's logical view stops at that fill and reads are sliced
-        // by each sequence's own length.
-        let pending_tail_fork = shared_tail.is_some() && gen_len > 0;
-        let reserve_discount = usize::from(gen_len == 0 && shared_tail.is_some());
-        let private_needed = total_pages - shared_full.len() - reserve_discount;
-        // How the private pages will be spent, fixed up front so the
-        // commit below can split `fresh` by construction instead of
-        // drawing from an iterator that could (if the arithmetic ever
-        // drifted) run dry mid-commit.
-        let unshared_fulls = full_chunks - shared_full.len();
-        let needs_private_tail = tail_fill > 0 && shared_tail.is_none();
-        debug_assert!(unshared_fulls + usize::from(needs_private_tail) <= private_needed);
+        let private_needed = total_pages - shared.len();
 
         // Allocate every private page up front; roll back on failure.
         let mut fresh: Vec<usize> = Vec::with_capacity(private_needed);
@@ -353,46 +307,29 @@ impl PagedKvPool {
         }
         inner.peak = inner.peak.max(inner.in_use);
 
-        // Commit: map shared pages (refcount++), lay the unshared part
-        // of the prompt into fresh pages, and bank the rest as the
-        // growth reserve.
+        // Commit: map shared pages (refcount++), lay the rest of the
+        // known tokens into fresh pages — full chunks registered, the
+        // open tail private — and bank what is left as the reserve.
+        // `pages_for(known) <= pages_for(known + gen_len)`, so the split
+        // point is within `fresh` by construction.
         let mut pages: Vec<usize> = Vec::with_capacity(total_pages);
-        for &pid in &shared_full {
+        for &pid in &shared {
             inner.pages[pid].refs += 1;
             inner.stats.shared_hits += 1;
             pages.push(pid);
         }
-        let mut shared_tokens = shared_full.len() * page;
-        // Partition the fresh pages: unshared full chunks, then the
-        // optional private tail, then the growth reserve. The split
-        // points are the counts fixed above, so every branch gets
-        // exactly the pages its arithmetic claimed — no fallible draws.
-        let reserve: Vec<usize> =
-            fresh.split_off((unshared_fulls + usize::from(needs_private_tail)).min(fresh.len()));
-        let private_tail = if needs_private_tail { fresh.pop() } else { None };
-        for (k, pid) in (shared_full.len()..full_chunks).zip(fresh) {
-            let chunk = &known[k * page..(k + 1) * page];
-            inner.pages[pid].content.extend_from_slice(chunk);
-            let key = known[..(k + 1) * page].to_vec();
-            inner.pages[pid].full_key = Some(key.clone());
-            inner.full_index.insert(key, pid);
+        let reserve = fresh.split_off(self.cfg.pages_for(known.len()) - shared.len());
+        for (k, pid) in (shared.len()..).zip(fresh) {
+            let end = ((k + 1) * page).min(known.len());
+            inner.pages[pid].content.extend_from_slice(&known[k * page..end]);
+            if end == (k + 1) * page {
+                let key = known[..end].to_vec();
+                inner.pages[pid].full_key = Some(key.clone());
+                inner.full_index.insert(key, pid);
+            }
             pages.push(pid);
         }
-        if tail_fill > 0 {
-            if let Some(pid) = shared_tail {
-                inner.pages[pid].refs += 1;
-                inner.stats.shared_hits += 1;
-                shared_tokens += tail_fill;
-                pages.push(pid);
-            } else if let Some(pid) = private_tail {
-                inner.pages[pid]
-                    .content
-                    .extend_from_slice(&known[full_chunks * page..]);
-                inner.pages[pid].partial_key = Some(known.to_vec());
-                inner.partial_index.insert(known.to_vec(), pid);
-                pages.push(pid);
-            }
-        }
+        let shared_tokens = shared.len() * page;
         inner.stats.shared_tokens += shared_tokens as u64;
         drop(inner);
 
@@ -403,12 +340,11 @@ impl PagedKvPool {
             len: known.len(),
             shared_tokens,
             capacity_tokens: known.len() + gen_len,
-            pending_tail_fork,
         })
     }
 
     /// Drop one reference to `pid`; at zero the page is unregistered
-    /// from both indices, its lease drops, and its id returns to the
+    /// from the index, its lease drops, and its id returns to the
     /// free list.
     fn release_locked(inner: &mut PoolInner, pid: usize) {
         let page = &mut inner.pages[pid];
@@ -417,9 +353,6 @@ impl PagedKvPool {
         if page.refs == 0 {
             if let Some(key) = page.full_key.take() {
                 inner.full_index.remove(&key);
-            }
-            if let Some(key) = page.partial_key.take() {
-                inner.partial_index.remove(&key);
             }
             let page = &mut inner.pages[pid];
             page.lease = None; // lease drop returns the bytes
@@ -449,7 +382,7 @@ pub struct SeqKv {
     /// Physical pages in logical order; `pages[i]` covers tokens
     /// `[i·page_tokens, (i+1)·page_tokens)`.
     pages: Vec<usize>,
-    /// Pre-allocated private pages appends (and COW forks) draw from.
+    /// Pre-allocated private pages appends draw from.
     reserve: Vec<usize>,
     /// Logical tokens written.
     len: usize,
@@ -457,10 +390,6 @@ pub struct SeqKv {
     /// scheduler does not have to re-pay.
     shared_tokens: usize,
     capacity_tokens: usize,
-    /// This sequence mapped another sequence's open tail page at
-    /// admission and must fork it (or return the provisioned fork page)
-    /// before its first divergent write.
-    pending_tail_fork: bool,
 }
 
 impl SeqKv {
@@ -491,13 +420,16 @@ impl SeqKv {
         self.pages.iter().chain(self.reserve.iter()).copied().collect()
     }
 
-    /// Append one generated token. The admission reservation covers
-    /// every page this sequence can come to own, so under the protocol
-    /// this cannot fail; a broken caller (appending past capacity, or a
+    /// Append one generated token: onto a fresh page from the reserve
+    /// at a page boundary, otherwise in place at the end of this
+    /// sequence's own last page — its open tail or an earlier growth
+    /// page, private by construction since only full prompt pages are
+    /// shared. The admission reservation covers every page this
+    /// sequence can come to own, so under the protocol this cannot
+    /// fail; a broken caller (appending past capacity, or a
     /// reservation-arithmetic regression draining the reserve) gets a
     /// typed [`KvProtocolError`] instead of a panic, with the pool left
-    /// untouched. Writing into a page mapped by another sequence forks
-    /// it first (copy-on-write), so no shared page is ever mutated.
+    /// untouched.
     pub fn append(&mut self, token: u32) -> Result<(), KvProtocolError> {
         if self.len >= self.capacity_tokens {
             return Err(KvProtocolError::AppendPastCapacity {
@@ -506,81 +438,26 @@ impl SeqKv {
             });
         }
         let page = self.pool.cfg.page_tokens;
-        let off = self.len % page;
         let mut inner = self.pool.inner.lock();
-        if off == 0 {
-            // Token starts a fresh page: take one from the reserve.
+        let pid = if self.len.is_multiple_of(page) {
             let Some(pid) = self.reserve.pop() else {
-                return Err(KvProtocolError::ReserveExhausted {
-                    len: self.len,
-                    needed_for: "a fresh growth page",
-                });
+                return Err(KvProtocolError::ReserveExhausted { len: self.len });
             };
             debug_assert!(self.len / page == self.pages.len());
-            inner.pages[pid].content.push(token);
             self.pages.push(pid);
+            pid
         } else {
-            let idx = self.pages.len() - 1;
-            let pid = self.pages[idx];
-            let must_fork = self.pending_tail_fork;
-            if must_fork && inner.pages[pid].refs > 1 {
-                // COW fork: copy the shared prefix of the open page
-                // into a private one and remap; other readers keep the
-                // original untouched. The fork target was reserved at
-                // admission (a tail sharer always carries one).
-                let Some(fork) = self.reserve.pop() else {
-                    return Err(KvProtocolError::ReserveExhausted {
-                        len: self.len,
-                        needed_for: "the copy-on-write fork target",
-                    });
-                };
-                let prefix: Vec<u32> = inner.pages[pid].content[..off].to_vec();
-                inner.stats.cow_forks += 1;
-                inner.stats.copied_tokens += off as u64;
-                let dst = &mut inner.pages[fork];
-                dst.content.clear();
-                dst.content.extend_from_slice(&prefix);
-                dst.content.push(token);
-                self.pages[idx] = fork;
-                PagedKvPool::release_locked(&mut inner, pid);
-            } else {
-                if must_fork {
-                    // Sharing collapsed before the first divergent
-                    // write; the provisioned fork page goes straight
-                    // back to the pool instead of idling in reserve.
-                    let Some(spare) = self.reserve.pop() else {
-                        return Err(KvProtocolError::ReserveExhausted {
-                            len: self.len,
-                            needed_for: "the collapsed-fork spare",
-                        });
-                    };
-                    PagedKvPool::release_locked(&mut inner, spare);
-                }
-                // In-place write. Safe even while shared: the page's
-                // creator extends past the registered fill, and every
-                // sharer's view is sliced to its own length. The
-                // sensor measures corruption independently of the fork
-                // decision (`LMA282`): truncating *materialized*
-                // content on a page others still reference would be
-                // observable damage, not a legal extension.
-                if inner.pages[pid].refs > 1 && off < inner.pages[pid].content.len() {
-                    inner.stats.shared_write_violations += 1;
-                }
-                // Truncation reclaims the tail a forked-away writer may
-                // have left behind — our logical view ends at `off`.
-                let dst = &mut inner.pages[pid].content;
-                dst.truncate(off);
-                dst.push(token);
-            }
-            self.pending_tail_fork = false;
-        }
+            self.pages[self.pages.len() - 1]
+        };
+        debug_assert_eq!(inner.pages[pid].refs, 1, "append into shared page {pid}");
+        inner.pages[pid].content.push(token);
         self.len += 1;
         Ok(())
     }
 
     /// Reconstruct the logical token stream from the page table. The
-    /// property suite's ground truth: sharing and forking must never
-    /// change what a sequence reads back.
+    /// property suite's ground truth: sharing must never change what a
+    /// sequence reads back.
     pub fn tokens(&self) -> Vec<u32> {
         let page = self.pool.cfg.page_tokens;
         let inner = self.pool.inner.lock();
@@ -648,50 +525,49 @@ mod tests {
         assert!(p.accounting_balanced());
     }
 
+    /// Physical ids both sequences reference.
+    fn common(a: &SeqKv, b: &SeqKv) -> Vec<usize> {
+        let theirs = b.page_ids();
+        a.page_ids().into_iter().filter(|id| theirs.contains(id)).collect()
+    }
+
     #[test]
-    fn identical_prompts_share_full_and_tail_pages() {
+    fn identical_prompts_share_only_full_pages() {
         let p = pool(32);
         let prompt: Vec<u32> = (0..10).collect();
         let a = p.admit(&prompt, 4).unwrap();
         let before = p.pages_in_use();
         let b = p.admit(&prompt, 4).unwrap();
-        // b shares 2 full pages + the open tail; it allocates only the
-        // 2 pages it could come to own beyond the shared fulls... i.e.
-        // required 4 minus 2 shared fulls.
+        // b maps the 2 full pages and owns the rest: required 4 minus 2.
         assert_eq!(p.pages_in_use(), before + 2);
-        assert_eq!(b.shared_tokens(), 10);
+        assert_eq!(b.shared_tokens(), 8);
         assert_eq!(a.tokens(), b.tokens());
-        let shared: Vec<usize> = a
-            .page_ids()
-            .into_iter()
-            .filter(|id| b.page_ids().contains(id))
-            .collect();
-        assert_eq!(shared.len(), 3, "2 full + 1 tail shared: {shared:?}");
+        assert_eq!(common(&a, &b), a.page_ids()[..2], "only the full pages");
+        assert_ne!(a.page_ids()[2], b.page_ids()[2], "tails stay private");
     }
 
     #[test]
-    fn divergent_append_forks_the_shared_tail_copy_on_write() {
+    fn identical_prompts_append_to_private_tails() {
         let p = pool(32);
         let prompt: Vec<u32> = (0..6).collect(); // 1 full page + tail fill 2
         let mut a = p.admit(&prompt, 4).unwrap();
         let mut b = p.admit(&prompt, 4).unwrap();
-        assert_eq!(p.stats().cow_forks, 0);
-        // The tail's creator extends in place — sharers only cover the
-        // registered fill, so nothing they can read changes.
+        let shared = common(&a, &b);
+        assert_eq!(shared, [a.page_ids()[0]]);
+        let in_use = p.pages_in_use();
+        // Both write in place into their own tails...
         a.append(77).unwrap();
-        assert_eq!(p.stats().cow_forks, 0);
-        // The sharer's first divergent write forks the tail it mapped,
-        // using the fork page its admission reserved.
         b.append(88).unwrap();
-        assert_eq!(p.stats().cow_forks, 1);
-        assert_eq!(p.stats().copied_tokens, 2);
-        let mut want_a = prompt.clone();
-        want_a.push(77);
-        let mut want_b = prompt.clone();
-        want_b.push(88);
-        assert_eq!(a.tokens(), want_a);
-        assert_eq!(b.tokens(), want_b);
-        assert_eq!(p.stats().shared_write_violations, 0);
+        assert_eq!(p.pages_in_use(), in_use);
+        // ...and on into growth pages; the shared page is never written.
+        for t in 1..4 {
+            a.append(77 + t).unwrap();
+            b.append(88 + t).unwrap();
+        }
+        assert_eq!(common(&a, &b), shared);
+        let want = |first: u32| prompt.iter().copied().chain(first..first + 4).collect::<Vec<_>>();
+        assert_eq!(a.tokens(), want(77));
+        assert_eq!(b.tokens(), want(88));
         assert!(p.accounting_balanced());
     }
 
@@ -708,12 +584,7 @@ mod tests {
         sys.extend([60, 61, 62]);
         let b = p.admit(&sys, 2).unwrap();
         assert_eq!(b.shared_tokens(), 8, "only the aligned prefix shares");
-        let shared: Vec<usize> = a
-            .page_ids()
-            .into_iter()
-            .filter(|id| b.page_ids().contains(id))
-            .collect();
-        assert_eq!(shared.len(), 2);
+        assert_eq!(common(&a, &b).len(), 2);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! # lm-serve
 //!
 //! A deterministic continuous-batching serving layer over the offloading
-//! engine (DESIGN.md §9): independent, ragged-length requests are
-//! admitted into the zig-zag block schedule so the per-layer weight
-//! stream — the dominant cost of offloaded generation (Eq. 2) — is
-//! amortised across whoever is active, instead of being re-paid per
-//! request.
+//! engine (DESIGN.md §9): independent, ragged-length requests share the
+//! modelled clock's decode steps, where the per-layer weight stream —
+//! the dominant cost of offloaded generation (Eq. 2) — is charged once
+//! for whoever is active instead of once per request. The tokens come
+//! from running each request alone ([`ServeBackend::materialize`]), so
+//! nothing is padded; only the static baseline pads, in modelled time.
 //!
 //! Pieces:
 //!

@@ -105,15 +105,13 @@ pub fn paging_report(plan: &ServePlan) -> Report {
 
 /// The live half of `LMA28x`: the same geometry with the pool's counters
 /// filled in. With every sequence retired, refcounts and page residency
-/// must be back at zero and no write may ever have landed on a shared
-/// page.
+/// must be back at zero.
 pub(crate) fn quiescence_report(plan: &ServePlan, pages: &PagedKvPool) -> Report {
     let counters = pages.counters();
     lint_paging(&PagingProbe {
         pages_in_use: counters.pages_in_use,
         page_refcount_sum: counters.refcount_sum,
         seq_mapped_pages: counters.refcount_sum,
-        shared_write_violations: pages.stats().shared_write_violations,
         ..paging_probe(plan)
     })
 }
@@ -128,7 +126,6 @@ fn paging_probe(plan: &ServePlan) -> PagingProbe {
         pages_in_use: 0,
         page_refcount_sum: 0,
         seq_mapped_pages: 0,
-        shared_write_violations: 0,
     }
 }
 

@@ -14,8 +14,8 @@
 //! disconnects, crashes of resident sequences) → `sweep_queue` (queued
 //! cancels, expired deadlines) → `audit_ttft` → `slo_monitor` (preempt
 //! or degrade, DESIGN.md §9.2) → `shed` → `admit` (page-table grants from
-//! the shared [`PagedKvPool`] with copy-on-write prefix sharing,
-//! DESIGN.md §9.3, deadline rescue, one group prefill) →
+//! the shared [`PagedKvPool`], which shares full prompt pages across
+//! requests, DESIGN.md §9.3, deadline rescue, one group prefill) →
 //! `sample_boundary` → `decode_step` (one token to every resident
 //! sequence, through the [`ServeDriver`]) → `retire`.
 //!
@@ -126,15 +126,12 @@ pub struct ServeOutcome {
     /// invariant demands zero, and the chaos harness gates on it
     /// independently of `kv_leaked_bytes`.
     pub kv_pages_leaked: u64,
-    /// Admissions that mapped at least one already-resident page
-    /// (prompt-prefix sharing).
+    /// Page mappings served from the prefix index at admission (one per
+    /// already-resident full prompt page, summed over admissions).
     pub shared_prefix_hits: u64,
     /// Prompt tokens whose KV was already resident at admission — the
     /// prefill work sharing skipped.
     pub shared_tokens: u64,
-    /// Copy-on-write forks taken when a shared page saw its first
-    /// divergent write.
-    pub cow_forks: u64,
     /// Observability record (DESIGN.md §8): request lifecycle events,
     /// per-boundary state samples, and TTFT prediction audit pairs.
     /// Pure virtual-clock data, so it is as replay-deterministic as the
@@ -863,7 +860,7 @@ impl<'a> Scheduler<'a> {
         let id = seq.req.id;
         let shared = kv.shared_tokens();
         if shared > 0 {
-            self.tracer.counter_add("serve.shared_prefix_hits", 1);
+            self.tracer.counter_add("serve.shared_prefix_admissions", 1);
             self.tracer
                 .counter_add("serve.shared_tokens", shared as u64);
         }
@@ -966,8 +963,8 @@ impl<'a> Scheduler<'a> {
                 // client disconnect.
                 self.transport_drops.entry(id).or_insert(delivery);
             }
-            // Land the token's KV in the page table; a page still shared
-            // with another sequence forks copy-on-write here.
+            // Land the token's KV in the sequence's own (never shared)
+            // last page, or a fresh one from its reserve.
             if let Some(seat) = seq.seat.as_mut() {
                 seat.kv.append(token)?;
             }
@@ -1132,7 +1129,6 @@ impl<'a> Scheduler<'a> {
             kv_pages_leaked: pages.pages_in_use() as u64,
             shared_prefix_hits: paging.shared_hits,
             shared_tokens: paging.shared_tokens,
-            cow_forks: paging.cow_forks,
             ..self.out.close(self.clock_us)
         }
     }

@@ -17,7 +17,7 @@
 //!
 //! 2. **Protocol model checking** ([`protocol`]): bounded-interleaving
 //!    exploration (vendored loom, CHESS-style preemption bound) of the
-//!    paged-KV grant/append/COW-fork/drop protocol and the scheduler
+//!    paged-KV grant/append/drop protocol and the scheduler
 //!    admit/preempt/shed/cancel lifecycle, with refcount conservation,
 //!    no-double-grant, zero-leak quiescence, and terminal-state
 //!    totality asserted on every interleaving, plus transition-coverage

@@ -1,7 +1,7 @@
 //! Protocol model checking under bounded interleavings.
 //!
 //! Two state machines are explored with the vendored loom checker
-//! ([`loom::explore`]): the **paged-KV pool** grant/append/COW-fork/drop
+//! ([`loom::explore`]): the **paged-KV pool** grant/append/drop
 //! protocol (the *real* [`PagedKvPool`], not a model — its internal
 //! `parking_lot` lock is not loom-instrumented, so explicit
 //! [`loom::thread::yield_now`] calls between protocol operations are the
@@ -73,16 +73,13 @@ fn record(trace: &Trace, transition: &str) {
 const PAGE_TOKENS: usize = 4;
 const BYTES_PER_TOKEN: usize = 8;
 
-/// Transitions of the paged-KV grant/append/fork/drop protocol.
+/// Transitions of the paged-KV grant/append/drop protocol.
 pub fn kvpool_declared() -> Vec<String> {
     [
         "kvpool:admit/fresh",
         "kvpool:admit/shared-full",
-        "kvpool:admit/shared-tail",
         "kvpool:append/in-place",
         "kvpool:append/new-page",
-        "kvpool:append/cow-fork",
-        "kvpool:append/fork-collapsed",
         "kvpool:drop/release",
     ]
     .map(String::from)
@@ -105,8 +102,8 @@ pub fn scheduler_declared() -> Vec<String> {
 }
 
 /// One sequence's worth of protocol operations: admit (classifying the
-/// grant path), generate `gen` tokens (classifying each append from the
-/// pool's counter deltas), verify readback, drop.
+/// grant path), generate `gen` tokens (classifying each append by where
+/// it lands in the page), verify readback, drop.
 fn run_seq(pool: &Arc<PagedKvPool>, prompt: &[u32], gen: &[u32], trace: &Trace) {
     let Ok(mut seq) = pool.admit(prompt, gen.len()) else {
         panic!("admission must succeed: the pool is sized for all sequences");
@@ -118,37 +115,22 @@ fn run_seq(pool: &Arc<PagedKvPool>, prompt: &[u32], gen: &[u32], trace: &Trace) 
     if shared >= PAGE_TOKENS {
         record(trace, "kvpool:admit/shared-full");
     }
-    if shared % PAGE_TOKENS != 0 {
-        record(trace, "kvpool:admit/shared-tail");
-    }
     assert!(pool.accounting_balanced(), "byte/page accounting drifted at admit");
     loom::thread::yield_now();
 
     for &token in gen {
-        let off = seq.len() % PAGE_TOKENS;
-        let before = pool.stats();
+        let new_page = seq.len() % PAGE_TOKENS == 0;
         if let Err(e) = seq.append(token) {
             panic!("reserved append failed: {e}");
         }
-        let after = pool.stats();
-        if off == 0 {
+        if new_page {
             record(trace, "kvpool:append/new-page");
-        } else if after.cow_forks > before.cow_forks {
-            record(trace, "kvpool:append/cow-fork");
-        } else if after.pages_freed > before.pages_freed {
-            // `pending_tail_fork` resolved with the sharer already gone:
-            // the provisioned fork page went straight back to the pool.
-            record(trace, "kvpool:append/fork-collapsed");
         } else {
             record(trace, "kvpool:append/in-place");
         }
         assert!(
             pool.accounting_balanced(),
             "byte/page accounting drifted at append"
-        );
-        assert_eq!(
-            after.shared_write_violations, 0,
-            "in-place write landed on a shared page"
         );
         loom::thread::yield_now();
     }
@@ -181,10 +163,9 @@ pub fn check_kvpool_protocol(opts: Options) -> ProtocolReport {
             },
         );
         // 6-token prompt = one full page + a 2-token open tail, so a
-        // later admit can share the full page (always) and the tail
-        // (when it is still open), and the first divergent append either
-        // COW-forks the tail or collapses the fork if the peer already
-        // dropped.
+        // later admit shares the full page while a peer still holds it
+        // and every sequence appends in place into its private tail
+        // before its growth page.
         let prompt: Vec<u32> = vec![1, 2, 3, 4, 5, 6];
         let handles: Vec<_> = [
             vec![101, 102, 103],
@@ -210,11 +191,6 @@ pub fn check_kvpool_protocol(opts: Options) -> ProtocolReport {
         assert_eq!(c.pages_in_use, 0, "pages leaked at quiescence");
         assert_eq!(c.refcount_sum, 0, "refcounts leaked at quiescence");
         assert_eq!(mem.used(), 0, "backing bytes leaked at quiescence");
-        assert_eq!(
-            pool.stats().shared_write_violations,
-            0,
-            "COW discipline violated"
-        );
     });
     let exercised = trace
         .lock()

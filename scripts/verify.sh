@@ -80,5 +80,11 @@ echo "==> git diff --exit-code (results/ are the committed bytes)"
 git diff --exit-code -- results \
     ':!results/async.json' ':!results/trace.json' ':!results/trace_drift.json' \
     || { echo "verify: a deterministic result drifted from its committed bytes" >&2; exit 1; }
+# `git diff` ignores untracked files: an artifact nobody committed fails too.
+untracked=$(git ls-files --others --exclude-standard -- results)
+if [ -n "$untracked" ]; then
+    echo "verify: uncommitted result artifact(s): $untracked" >&2
+    exit 1
+fi
 
 echo "verify: OK"

@@ -1,22 +1,22 @@
 //! Property battery for the paged KV allocator (DESIGN.md §9.3): random
 //! interleavings of admit / append / drop — with prompt families chosen
-//! to collide on prefixes so the sharing index and COW fork paths are
-//! exercised constantly — must preserve every allocator invariant after
-//! every single operation:
+//! to collide on prefixes so the sharing index is exercised constantly —
+//! must preserve every allocator invariant after every single operation:
 //!
 //! - the free list matches the backing `MemPool`'s byte accounting
-//!   exactly (`in_use · page_bytes == mem.used()`, the `LMA283` gauge);
+//!   exactly (`in_use · page_bytes == mem.used()`);
 //! - the per-page refcount sum equals the number of live page-table
 //!   mappings (`LMA281`);
-//! - no in-place write ever lands on a page another sequence has
-//!   materialized content on (`LMA282`'s double-mapped-writable hazard);
+//! - a page mapped by two or more live sequences is full and holds the
+//!   tokens it held when it first became shared (the one sharing rule);
 //! - every live sequence reads back exactly its own logical tokens,
-//!   regardless of what sharing or forking happened around it;
+//!   regardless of what sharing happened around it;
 //! - when the last sequence drops, every refcount and every byte
 //!   returns to zero.
 
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lm_engine::MemPool;
@@ -43,10 +43,37 @@ struct Live {
     appends_left: usize,
 }
 
+/// Page ids mapped by two or more live sequences, with the tokens each
+/// held when it first became shared.
+type Shared = BTreeMap<usize, Vec<u32>>;
+
+/// The one sharing rule, read back through the public page tables: every
+/// page id mapped by ≥ 2 live sequences is full in each of them and
+/// still holds the tokens it held when it first became shared.
+fn assert_shared_pages_immutable(live: &[&lm_kvpool::SeqKv], shared: &mut Shared) {
+    let mut views: BTreeMap<usize, Vec<Vec<u32>>> = BTreeMap::new();
+    for seq in live {
+        let tokens = seq.tokens();
+        // `page_ids` lists mapped pages first, one per token chunk.
+        for (pid, chunk) in seq.page_ids().into_iter().zip(tokens.chunks(PAGE_TOKENS)) {
+            views.entry(pid).or_default().push(chunk.to_vec());
+        }
+    }
+    views.retain(|_, v| v.len() >= 2);
+    shared.retain(|pid, _| views.contains_key(pid));
+    for (pid, v) in views {
+        let first = shared.entry(pid).or_insert_with(|| v[0].clone());
+        for chunk in &v {
+            assert_eq!(chunk.len(), PAGE_TOKENS, "shared page {pid} is not full");
+            assert_eq!(chunk, first, "shared page {pid} changed while shared");
+        }
+    }
+}
+
 /// Every invariant that must hold between operations, checked in one
 /// place so each script step audits the full set (panic-based, like the
 /// vendored `prop_assert!`).
-fn assert_invariants(pool: &Arc<PagedKvPool>, live: &[Live]) {
+fn assert_invariants(pool: &Arc<PagedKvPool>, live: &[Live], shared: &mut Shared) {
     assert!(
         pool.accounting_balanced(),
         "page free list out of sync with MemPool bytes: {:?}",
@@ -60,11 +87,8 @@ fn assert_invariants(pool: &Arc<PagedKvPool>, live: &[Live]) {
         c.refcount_sum, mapped,
         "refcount sum must equal live page-table mappings (LMA281)"
     );
-    assert_eq!(
-        pool.stats().shared_write_violations,
-        0,
-        "a write landed on a double-mapped page (LMA282)"
-    );
+    let seqs: Vec<_> = live.iter().map(|l| &l.seq).collect();
+    assert_shared_pages_immutable(&seqs, shared);
     for (i, l) in live.iter().enumerate() {
         assert_eq!(l.seq.len(), l.expected.len());
         assert_eq!(
@@ -88,6 +112,7 @@ proptest! {
     ) {
         let pool = small_pool();
         let mut live: Vec<Live> = Vec::new();
+        let mut shared = Shared::new();
         let mut fresh_token: u32 = 7_000_000;
 
         for op in ops {
@@ -95,8 +120,8 @@ proptest! {
             match sel % 3 {
                 0 => {
                     // Admit: prompts within a family are prefixes of one
-                    // token stream, so admissions constantly hit the
-                    // full-page and partial-tail sharing paths.
+                    // token stream, so admissions constantly share full
+                    // pages — and often whole identical prompts.
                     let family = u32::from(a % 3);
                     let plen = (b % 21) as usize;
                     let gen_len = (c % 9) as usize;
@@ -136,7 +161,7 @@ proptest! {
                     }
                 }
             }
-            assert_invariants(&pool, &live);
+            assert_invariants(&pool, &live, &mut shared);
         }
 
         live.clear();
@@ -164,8 +189,8 @@ proptest! {
         let full_pages = plen / PAGE_TOKENS;
         prop_assert_eq!(
             pool.stats().shared_tokens as usize,
-            full_pages * PAGE_TOKENS + plen % PAGE_TOKENS,
-            "the whole known prefix must be served by the index"
+            full_pages * PAGE_TOKENS,
+            "every full page, and nothing else, must be served by the index"
         );
         prop_assert!(
             pool.pages_in_use() < 2 * solo,
@@ -179,10 +204,9 @@ proptest! {
         prop_assert!(pool.accounting_balanced());
     }
 
-    /// Directed COW property: two sequences sharing a prompt then
+    /// Directed isolation property: two sequences sharing a prompt then
     /// appending divergent tokens stay logically isolated — each reads
-    /// back its own continuation and the divergence is what the fork
-    /// counter records.
+    /// back its own continuation, and the pages they share never change.
     #[test]
     fn divergent_continuations_stay_isolated(
         plen in 1usize..(4 * PAGE_TOKENS),
@@ -194,15 +218,17 @@ proptest! {
         let mut b = pool.admit(&prompt, steps).unwrap();
         let mut ea = prompt.clone();
         let mut eb = prompt.clone();
+        let mut shared = Shared::new();
+        assert_shared_pages_immutable(&[&a, &b], &mut shared);
         for i in 0..steps as u32 {
             a.append(100_000 + i).unwrap();
             ea.push(100_000 + i);
             b.append(200_000 + i).unwrap();
             eb.push(200_000 + i);
+            assert_shared_pages_immutable(&[&a, &b], &mut shared);
         }
         prop_assert_eq!(a.tokens(), ea);
         prop_assert_eq!(b.tokens(), eb);
-        prop_assert_eq!(pool.stats().shared_write_violations, 0);
         drop(a);
         drop(b);
         let end = pool.counters();
