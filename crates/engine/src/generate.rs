@@ -9,7 +9,6 @@
 //! holds no per-run state, so blocks stepped alternately equal solo runs.
 
 use crate::disk::{Checkpoint, CheckpointError};
-use crate::kvquant::CacheStore;
 use crate::model::{Embedding, LayerWeights};
 use crate::pools::{Lease, MemPool, PoolExhausted};
 use crate::request::GenerateRequest;
@@ -17,7 +16,7 @@ use crate::sampler::Sampler;
 use crate::store::{FetchedLayer, OffloadStore, WeightsAtRest};
 use lm_fault::{FaultInjector, RetryPolicy};
 use lm_models::ModelConfig;
-use lm_tensor::{QuantConfig, Tensor};
+use lm_tensor::{KvCache, QuantConfig, Tensor};
 use lm_trace::{TaskKind, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,9 +33,10 @@ pub struct EngineOptions {
     pub quantize_at_rest: Option<QuantConfig>,
     /// Store weights at half precision (the paper's fp16 baseline).
     pub f16_at_rest: bool,
-    /// Quantize the KV cache at rest (FlexGen's `compress_cache`): new
-    /// entries are quantized as produced, the old cache is dequantized at
-    /// every attention step — the real Eq. 5-7 cycle.
+    /// Quantize the KV cache at rest (FlexGen's `compress_cache`): the
+    /// step that writes a row attends it at f32, the next one quantizes
+    /// it once, and attention dequantizes the old cache page by page as it
+    /// reads it — the real Eq. 5-7 cycle.
     pub kv_quantize_at_rest: Option<QuantConfig>,
     /// Overlap next-layer weight fetches with compute (double buffering).
     pub prefetch: bool,
@@ -229,7 +229,7 @@ fn preflight(cfg: &ModelConfig, options: &EngineOptions) -> Result<(), EngineErr
 /// caller; its batches share a prompt length and advance together.
 struct Block {
     /// One KV store per (layer, batch), `caches[layer][batch]`, host-side.
-    caches: Vec<Vec<CacheStore>>,
+    caches: Vec<Vec<KvCache>>,
     /// Per batch: the hidden state the next sample reads, `[per, hidden]`
     /// (the `[per, s, hidden]` prompt activations while prefill runs).
     hidden: Vec<Tensor>,
@@ -493,7 +493,7 @@ impl Engine {
             device_peak: self.device.peak(),
             host_peak: self.host.peak(),
             weight_bytes_streamed: self.store.total_fetched_bytes() - fetched_before,
-            kv_bytes_at_rest: block.caches.iter().flatten().map(CacheStore::bytes).sum(),
+            kv_bytes_at_rest: block.caches.iter().flatten().map(KvCache::bytes).sum(),
         };
         self.record_run_metrics(&generation);
         Ok(generation)
@@ -510,17 +510,16 @@ impl Engine {
         // The last sampled token is never written back: s + n - 1 rows.
         let capacity = s + gen_len.saturating_sub(1);
 
-        let full_kv_bytes = 2 * prompts.len() * capacity * h * std::mem::size_of::<f32>() * l;
-        let quant = self.options.kv_quantize_at_rest;
-        let kv_lease = self.host.alloc(match quant {
-            None => full_kv_bytes,
-            Some(q) => full_kv_bytes * q.bits as usize / 32 * 5 / 4,
-        })?;
-        let new_cache = |_| match quant {
-            None => CacheStore::new_full(per, h, capacity),
-            Some(q) => CacheStore::new_quantized(per, h, capacity, q),
+        let new_cache = |_| match self.options.kv_quantize_at_rest {
+            None => KvCache::new(per, h, capacity),
+            Some(q) => KvCache::new_quantized(per, h, capacity, q),
         };
-        let caches = (0..l).map(|_| (0..*num_batches).map(new_cache).collect()).collect();
+        let caches: Vec<Vec<KvCache>> = (0..l)
+            .map(|_| (0..*num_batches).map(new_cache).collect())
+            .collect();
+        // What the caches will hold once full, priced as `kv_bytes_at_rest`.
+        let kv_bytes = caches.iter().flatten().map(|c| c.bytes_for(capacity)).sum();
+        let kv_lease = self.host.alloc(kv_bytes)?;
 
         let positions: Vec<usize> = (0..per).flat_map(|_| 0..s).collect();
         let hidden = prompts
@@ -586,10 +585,10 @@ impl Engine {
             for (k, (x, cache)) in hidden.iter_mut().zip(&mut caches[j as usize]).enumerate() {
                 let batch = tagged.then_some(k as u32);
                 let _span = step.map(|i| tracer.task_span(TaskKind::ComputeGpu, i, j, batch));
-                *x = cache.with_full(|c| match step {
-                    None => fetched.weights.forward_prefill(x, c, heads, *pos),
-                    Some(_) => fetched.weights.forward_decode(x, c, heads, *pos),
-                });
+                *x = match step {
+                    None => fetched.weights.forward_prefill(x, cache, heads, *pos),
+                    Some(_) => fetched.weights.forward_decode(x, cache, heads, *pos),
+                };
             }
         })
     }
@@ -944,11 +943,20 @@ mod tests {
     fn interleaved_blocks_equal_solo_runs() {
         // The engine holds no per-run state: two blocks over different
         // prompts, advanced alternately one step each, generate exactly
-        // what two separate runs do.
+        // what two separate runs do. `pb`'s decode steps write positions
+        // 14, 15 and 16: the last opens its second KV page.
         let cfg = presets::tiny_test();
-        let (pa, pb) = (prompts(), vec![vec![5, 5, 5, 5, 5], vec![2, 7, 1, 8, 2]]);
+        let pa = prompts();
+        let pb: Vec<Vec<u32>> = (0..2)
+            .map(|r| (0..14).map(|i| (r * 31 + i * 7) % 500).collect())
+            .collect();
         let gen_len = 4;
-        for (prefetch, kv) in [(true, None), (false, None), (true, Some(QuantConfig::int4()))] {
+        for (prefetch, kv) in [
+            (true, None),
+            (false, None),
+            (true, Some(QuantConfig::int8())),
+            (false, Some(QuantConfig::int4())),
+        ] {
             let e = Engine::new(
                 &cfg,
                 42,
@@ -974,6 +982,30 @@ mod tests {
             }
             assert_eq!(tokens[0], e.run(&ra).unwrap().tokens, "prefetch {prefetch} kv {kv:?}");
             assert_eq!(tokens[1], e.run(&rb).unwrap().tokens, "prefetch {prefetch} kv {kv:?}");
+        }
+    }
+
+    #[test]
+    fn kv_lease_is_what_the_store_holds() {
+        // On a fresh engine the host pool holds the weights, then the KV
+        // lease: after one run that lease must be the at-rest KV bytes.
+        let cfg = presets::tiny_test();
+        for kv in [None, Some(QuantConfig::int8()), Some(QuantConfig::int4())] {
+            let e = Engine::new(
+                &cfg,
+                42,
+                EngineOptions {
+                    kv_quantize_at_rest: kv,
+                    ..EngineOptions::default()
+                },
+            )
+            .unwrap();
+            let g = e.run(&GenerateRequest::new(prompts(), 5)).unwrap();
+            assert_eq!(
+                g.host_peak - e.store.host_bytes(),
+                g.kv_bytes_at_rest,
+                "kv {kv:?}"
+            );
         }
     }
 

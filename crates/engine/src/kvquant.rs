@@ -1,163 +1,21 @@
-//! At-rest KV-cache compression — the real counterpart of FlexGen's
-//! `compress_cache` and the paper's Eq. 5-7 path: new KV entries are
-//! group-quantized as they are produced, and the whole cache is
-//! dequantized for each attention step that consumes it (the
+//! At-rest KV-cache compression — FlexGen's `compress_cache`, the paper's
+//! Eq. 5-7 path — lives in [`KvCache::new_quantized`]: one store for f32
+//! and quantised KV, whose `mha_decode` dequantises page by page (the
 //! continuously-growing dequantization cost of §3.1, Observation 2).
 
-use lm_tensor::{dequantize, quantize, KvCache, QuantConfig, QuantizedTensor, Tensor};
+use lm_tensor::KvCache;
 
-/// KV storage for one layer: full-precision, or group-quantized chunks.
-pub enum CacheStore {
-    Full(KvCache),
-    Quantized(QuantizedKv),
-}
-
-/// A KV cache held as a sequence of quantized `[batch, t, hidden]` chunks.
-pub struct QuantizedKv {
-    batch: usize,
-    hidden: usize,
-    capacity: usize,
-    len: usize,
-    config: QuantConfig,
-    k_chunks: Vec<QuantizedTensor>,
-    v_chunks: Vec<QuantizedTensor>,
-}
-
-impl QuantizedKv {
-    pub fn new(batch: usize, hidden: usize, capacity: usize, config: QuantConfig) -> Self {
-        QuantizedKv {
-            batch,
-            hidden,
-            capacity,
-            len: 0,
-            config,
-            k_chunks: Vec::new(),
-            v_chunks: Vec::new(),
-        }
-    }
-
-    /// Cached token positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// At-rest bytes (packed codes + per-group metadata).
-    pub fn bytes(&self) -> usize {
-        self.k_chunks
-            .iter()
-            .chain(&self.v_chunks)
-            .map(QuantizedTensor::bytes)
-            .sum()
-    }
-
-    /// Dequantize the whole cache into a working [`KvCache`] — the
-    /// `dequan_old_cache` step, paid on every consumption.
-    pub fn materialize(&self) -> KvCache {
-        let mut full = KvCache::new(self.batch, self.hidden, self.capacity);
-        for (kq, vq) in self.k_chunks.iter().zip(&self.v_chunks) {
-            full.append(&dequantize(kq), &dequantize(vq));
-        }
-        debug_assert_eq!(full.len(), self.len);
-        full
-    }
-
-    /// Quantize and append `t` new positions (`quan_new_cache`):
-    /// `k`/`v` are `[batch, t, hidden]` (or `[batch, hidden]` for t=1).
-    pub fn append(&mut self, k: &Tensor, v: &Tensor) {
-        let t = if k.rank() == 2 { 1 } else { k.dim(1) };
-        assert!(
-            self.len + t <= self.capacity,
-            "quantized KV overflow: {} + {t} > {}",
-            self.len,
-            self.capacity
-        );
-        self.k_chunks.push(quantize(k, self.config));
-        self.v_chunks.push(quantize(v, self.config));
-        self.len += t;
-    }
-}
-
-impl CacheStore {
-    /// A full-precision store.
-    pub fn new_full(batch: usize, hidden: usize, capacity: usize) -> Self {
-        CacheStore::Full(KvCache::new(batch, hidden, capacity))
-    }
-
-    /// A quantized-at-rest store.
-    pub fn new_quantized(
-        batch: usize,
-        hidden: usize,
-        capacity: usize,
-        config: QuantConfig,
-    ) -> Self {
-        CacheStore::Quantized(QuantizedKv::new(batch, hidden, capacity, config))
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            CacheStore::Full(c) => c.len(),
-            CacheStore::Quantized(q) => q.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// At-rest bytes of the cached entries.
-    pub fn bytes(&self) -> usize {
-        match self {
-            CacheStore::Full(c) => 2 * c.batch() * c.len() * c.hidden() * 4,
-            CacheStore::Quantized(q) => q.bytes(),
-        }
-    }
-
-    /// Run `f` against a full-precision view of the cache. For the
-    /// quantized store this dequantizes the old entries first and
-    /// re-quantizes whatever `f` appended afterwards — exactly the
-    /// per-step (de)quantization cycle of Eq. 6/7.
-    pub fn with_full<R>(&mut self, f: impl FnOnce(&mut KvCache) -> R) -> R {
-        match self {
-            CacheStore::Full(c) => f(c),
-            CacheStore::Quantized(q) => {
-                let mut full = q.materialize();
-                let before = full.len();
-                let r = f(&mut full);
-                let appended = full.len() - before;
-                if appended > 0 {
-                    let (k_new, v_new) = extract_tail(&full, before, appended);
-                    q.append(&k_new, &v_new);
-                }
-                r
-            }
-        }
-    }
-}
-
-/// Copy positions `[start, start+t)` of a cache into `[batch, t, hidden]`
-/// tensors.
-fn extract_tail(cache: &KvCache, start: usize, t: usize) -> (Tensor, Tensor) {
-    let (b, h) = (cache.batch(), cache.hidden());
-    let mut k = Vec::with_capacity(b * t * h);
-    let mut v = Vec::with_capacity(b * t * h);
-    for bi in 0..b {
-        k.extend_from_slice(&cache.keys(bi)[start * h..(start + t) * h]);
-        v.extend_from_slice(&cache.values(bi)[start * h..(start + t) * h]);
-    }
-    (
-        Tensor::from_vec([b, t, h], k),
-        Tensor::from_vec([b, t, h], v),
-    )
-}
+/// The engine's KV store under the name `benchmark/src/micro.rs` builds
+/// against.
+pub type CacheStore = KvCache;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lm_tensor::{QuantConfig, Tensor};
 
+    /// `steps` single-position appends, the way the micro benchmark makes
+    /// them.
     fn fill(store: &mut CacheStore, hidden: usize, steps: usize, seed: u64) {
         for i in 0..steps {
             store.with_full(|c| {
@@ -170,20 +28,18 @@ mod tests {
 
     #[test]
     fn quantized_store_tracks_length() {
-        let mut s = CacheStore::new_quantized(2, 8, 16, QuantConfig::int8());
+        let mut s = CacheStore::new_quantized(2, 64, 16, QuantConfig::int8());
         assert!(s.is_empty());
-        fill(&mut s, 8, 5, 1);
+        fill(&mut s, 64, 5, 1);
         assert_eq!(s.len(), 5);
     }
 
     #[test]
     fn quantized_at_rest_is_smaller_than_full() {
-        // Hidden large enough that the group padding of tiny chunks is
-        // amortised (a [2, 32] chunk is exactly one 64-element group).
-        let mut full = CacheStore::new_full(2, 32, 64);
-        let mut quant = CacheStore::new_quantized(2, 32, 64, QuantConfig::int8());
-        fill(&mut full, 32, 32, 7);
-        fill(&mut quant, 32, 32, 7);
+        let mut full = CacheStore::new(2, 64, 64);
+        let mut quant = CacheStore::new_quantized(2, 64, 64, QuantConfig::int8());
+        fill(&mut full, 64, 32, 7);
+        fill(&mut quant, 64, 32, 7);
         assert!(
             quant.bytes() * 2 < full.bytes(),
             "quant {} vs full {}",
@@ -194,44 +50,48 @@ mod tests {
 
     #[test]
     fn materialized_values_within_error_bound() {
-        // int8 round trip: each materialized value is within the group
+        // The latest append's row reads back as written; once the next
+        // append has quantized it (int8), each value is within the group
         // quantization bound of what was appended.
-        let mut quant = CacheStore::new_quantized(1, 8, 8, QuantConfig::int8());
-        let k = Tensor::randn([1, 8], 1.0, 11);
-        let v = Tensor::randn([1, 8], 1.0, 12);
-        quant.with_full(|c| c.append(&k, &v));
-        quant.with_full(|c| {
-            for (a, b) in c.keys(0).iter().zip(k.data()) {
-                assert!((a - b).abs() < 0.05, "{a} vs {b}");
-            }
-            for (a, b) in c.values(0).iter().zip(v.data()) {
-                assert!((a - b).abs() < 0.05, "{a} vs {b}");
-            }
-        });
+        let mut quant = CacheStore::new_quantized(1, 64, 8, QuantConfig::int8());
+        let k = Tensor::randn([1, 64], 1.0, 11);
+        let v = Tensor::randn([1, 64], 1.0, 12);
+        quant.append(&k, &v);
+        assert_eq!(quant.keys(0), k.data());
+        quant.append(&v, &k);
+        assert_ne!(quant.keys(0)[..64], k.data()[..]);
+        for (a, b) in quant.keys(0).iter().zip(k.data()) {
+            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        }
+        for (a, b) in quant.values(0).iter().zip(v.data()) {
+            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        }
+        assert_eq!(quant.keys(0)[64..], v.data()[..]);
     }
 
     #[test]
     fn requantization_is_chunk_local() {
-        // Appending later chunks must not change earlier chunks (no
-        // cumulative requantization error: each chunk is quantized once).
-        let mut quant = CacheStore::new_quantized(1, 8, 8, QuantConfig::int4());
-        let k0 = Tensor::randn([1, 8], 1.0, 21);
-        quant.with_full(|c| c.append(&k0, &k0));
-        let first: Vec<f32> = quant.with_full(|c| c.keys(0)[..8].to_vec());
-        for i in 0..3 {
-            let k = Tensor::randn([1, 8], 1.0, 30 + i);
-            quant.with_full(|c| c.append(&k, &k));
+        // Appending later rows must not change earlier rows (no
+        // cumulative requantization error: each row is quantized once,
+        // by the append after its own).
+        let mut quant = CacheStore::new_quantized(1, 64, 8, QuantConfig::int4());
+        for i in 0..2 {
+            let k = Tensor::randn([1, 64], 1.0, 21 + i);
+            quant.append(&k, &k);
         }
-        let first_again: Vec<f32> = quant.with_full(|c| c.keys(0)[..8].to_vec());
-        assert_eq!(first, first_again);
+        let first = quant.keys(0)[..64].to_vec();
+        for i in 0..3 {
+            let k = Tensor::randn([1, 64], 1.0, 30 + i);
+            quant.append(&k, &k);
+        }
+        assert_eq!(first, quant.keys(0)[..64]);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn quantized_capacity_enforced() {
-        // The third append exceeds capacity 2; the materialised working
-        // cache rejects it before the store is touched.
-        let mut s = CacheStore::new_quantized(2, 4, 2, QuantConfig::int8());
-        fill(&mut s, 4, 3, 5);
+        // The third append exceeds capacity 2.
+        let mut s = CacheStore::new_quantized(2, 64, 2, QuantConfig::int8());
+        fill(&mut s, 64, 3, 5);
     }
 }

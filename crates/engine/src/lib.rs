@@ -37,7 +37,8 @@ pub mod store;
 pub use disk::{write_checkpoint, Checkpoint, CheckpointError};
 pub use generate::{Engine, EngineError, EngineOptions, Generation, InitReport};
 pub use request::{validate_request, GenerateRequest};
-pub use kvquant::{CacheStore, QuantizedKv};
+pub use kvquant::CacheStore;
+pub use lm_tensor::KV_PAGE_TOKENS;
 pub use model::{Embedding, LayerWeights};
 pub use pools::{Lease, MemPool, PoolExhausted};
 pub use sampler::Sampler;

@@ -15,7 +15,7 @@ use crate::backend::ServeBackend;
 use crate::preflight::plan_report;
 use crate::slo::{DegradeLadder, SloPolicy};
 use lm_analyze::Report;
-use lm_engine::EngineError;
+use lm_engine::{EngineError, KV_PAGE_TOKENS};
 use lm_fault::{FaultInjector, RetryPolicy};
 use lm_parallelism::{analyze, attention_block_graph};
 use lm_trace::Tracer;
@@ -109,12 +109,11 @@ pub struct ServePlan {
     pub pages_per_slot: u64,
 }
 
-/// Largest page size not exceeding 16 tokens that tiles `context`
-/// exactly. 16 matches FlexGen's block granularity at the default
-/// contexts (512 → 16, 128 → 16) and degrades to smaller divisors —
-/// ultimately 1, which divides everything — for odd contexts.
+/// Largest page size up to the engine's [`KV_PAGE_TOKENS`] (16) that tiles
+/// `context` exactly: a pool page is an engine KV page whenever 16 divides
+/// `context` (512, 368, 128 all do), else a smaller divisor, ultimately 1.
 fn derive_page_tokens(context: usize) -> usize {
-    (1..=context.min(16))
+    (1..=context.min(KV_PAGE_TOKENS))
         .rev()
         .find(|d| context.is_multiple_of(*d))
         .unwrap_or(1)

@@ -58,6 +58,14 @@ impl QuantConfig {
         );
         assert!(self.group_size > 0, "group_size must be positive");
     }
+
+    /// Groups and packed code bytes `n` elements quantize to, the tail
+    /// group padded.
+    pub(crate) fn layout(&self, n: usize) -> (usize, usize) {
+        let groups = n.div_ceil(self.group_size);
+        let code_bits = groups * self.group_size * self.bits as usize;
+        (groups, code_bits.div_ceil(8))
+    }
 }
 
 /// A group-wise quantized tensor: packed codes plus per-group `(min, max)`
@@ -117,37 +125,58 @@ const LANES: usize = 8;
 /// Runs the instance this CPU supports: same arithmetic, but the AVX2 one
 /// has wider vectors and an inlined `round` instead of a libm call.
 pub fn quantize(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
+    // Phase 1: pad to a multiple of the group size. Padding codes are the
+    // zeros the packed buffer starts as.
+    let (num_groups, code_bytes) = config.layout(t.numel());
+    let mut packed = vec![0u8; code_bytes];
+    let mut mins = vec![0.0f32; num_groups];
+    let mut ranges = vec![0.0f32; num_groups];
+    quantize_into(t.data(), config, 0, (&mut packed, &mut mins, &mut ranges));
+    QuantizedTensor {
+        shape: t.shape().clone(),
+        config,
+        packed: packed.into(),
+        mins,
+        ranges,
+    }
+}
+
+/// Packed codes, per-group mins and per-group ranges: a quantized buffer.
+pub(crate) type Codes<'a> = (&'a [u8], &'a [f32], &'a [f32]);
+pub(crate) type CodesMut<'a> = (&'a mut [u8], &'a mut [f32], &'a mut [f32]);
+
+/// [`quantize`] `data` into buffers that already exist, its groups
+/// numbered from `first`: group `g` packs its codes from element
+/// `(first + g)·group_size` (those codes must still be zero) and keeps its
+/// min and range at `first + g`.
+pub(crate) fn quantize_into(data: &[f32], config: QuantConfig, first: usize, out: CodesMut) {
     config.validate();
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: the feature `quantize_avx2` is compiled with was just
         // detected on the running CPU.
         #[allow(unsafe_code)]
-        return unsafe { quantize_avx2(t, config) };
+        return unsafe { quantize_avx2(data, config, first, out) };
     }
-    quantize_groups(t, config)
+    quantize_groups(data, config, first, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn quantize_avx2(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
-    quantize_groups(t, config)
+fn quantize_avx2(data: &[f32], config: QuantConfig, first: usize, out: CodesMut) {
+    quantize_groups(data, config, first, out)
 }
 
-/// The four phases, group by group, codes written straight into the
-/// packed output.
+/// Phases 2-4, group by group, codes written straight into the packed
+/// output.
 #[inline(always)]
-fn quantize_groups(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
+fn quantize_groups(data: &[f32], config: QuantConfig, first: usize, out: CodesMut) {
+    let (packed, mins, ranges) = out;
     let levels = config.levels();
     let gs = config.group_size;
-    // Phase 1: pad to a multiple of the group size. Padding codes are the
-    // zeros the packed buffer starts as.
-    let num_groups = t.numel().div_ceil(gs);
-    let mut packed = vec![0u8; (num_groups * gs * config.bits as usize).div_ceil(8)];
-    let mut mins = vec![0.0f32; num_groups];
-    let mut ranges = vec![0.0f32; num_groups];
-    let stats = mins.iter_mut().zip(ranges.iter_mut());
-    for ((g, group), (min_out, range_out)) in t.data().chunks(gs).enumerate().zip(stats) {
+    let stats = mins[first..].iter_mut().zip(&mut ranges[first..]);
+    let groups = (first..).zip(data.chunks(gs));
+    for ((g, group), (min_out, range_out)) in groups.zip(stats) {
         // Phase 2: find min and max within the group (lines 9-10).
         let (min, max) = min_max(group);
         let range = max - min;
@@ -165,20 +194,13 @@ fn quantize_groups(t: &Tensor, config: QuantConfig) -> QuantizedTensor {
         };
         // Phase 4: pack to the target bit width (lines 16-18).
         match config.bits {
-            4 => pack::pack_nibbles_into(group, g * gs, &mut packed, code),
+            4 => pack::pack_nibbles_into(group, g * gs, packed, code),
             _ => {
                 for (c, &x) in packed[g * gs..].iter_mut().zip(group) {
                     *c = code(x);
                 }
             }
         }
-    }
-    QuantizedTensor {
-        shape: t.shape().clone(),
-        config,
-        packed: packed.into(),
-        mins,
-        ranges,
     }
 }
 
@@ -243,37 +265,41 @@ pub fn dequantize_into(q: &QuantizedTensor, out: &mut [f32]) {
         "dequantize_into: buffer does not match shape {}",
         q.shape
     );
+    dequantize_from((&q.packed, &q.mins, &q.ranges), q.config, 0, out);
+}
+
+/// Fill `out` from groups `first..` of `codes`, laid out as
+/// [`quantize_into`] writes them — the inverse of that call.
+pub(crate) fn dequantize_from(codes: Codes, config: QuantConfig, first: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: the feature `dequantize_avx2` is compiled with was just
         // detected on the running CPU.
         #[allow(unsafe_code)]
-        unsafe {
-            dequantize_avx2(q, out)
-        };
-        return;
+        return unsafe { dequantize_avx2(codes, config, first, out) };
     }
-    dequantize_groups(q, out);
+    dequantize_groups(codes, config, first, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn dequantize_avx2(q: &QuantizedTensor, out: &mut [f32]) {
-    dequantize_groups(q, out);
+fn dequantize_avx2(codes: Codes, config: QuantConfig, first: usize, out: &mut [f32]) {
+    dequantize_groups(codes, config, first, out);
 }
 
 #[inline(always)]
-fn dequantize_groups(q: &QuantizedTensor, out: &mut [f32]) {
-    let levels = q.config.levels();
-    let gs = q.config.group_size;
-    for (g, chunk) in out.chunks_mut(gs).enumerate() {
-        let min = q.mins[g];
-        let scale = q.ranges[g] / levels;
+fn dequantize_groups(codes: Codes, config: QuantConfig, first: usize, out: &mut [f32]) {
+    let (packed, mins, ranges) = codes;
+    let levels = config.levels();
+    let gs = config.group_size;
+    for (g, chunk) in (first..).zip(out.chunks_mut(gs)) {
+        let min = mins[g];
+        let scale = ranges[g] / levels;
         let value = |c: u8| c as f32 * scale + min;
-        match q.config.bits {
-            4 => pack::unpack_nibbles_into(&q.packed, g * gs, chunk, value),
+        match config.bits {
+            4 => pack::unpack_nibbles_into(packed, g * gs, chunk, value),
             _ => {
-                for (x, &c) in chunk.iter_mut().zip(&q.packed[g * gs..]) {
+                for (x, &c) in chunk.iter_mut().zip(&packed[g * gs..]) {
                     *x = value(c);
                 }
             }

@@ -31,15 +31,24 @@ cargo build --release --workspace
 # `spec::tests` holds BENCHMARK.json to the tables). Frozen includes its
 # lockfile: cargo rewrites it when a vendored crate it names is gone
 # (`rayon`, `bytes`, `crossbeam`), so put the committed bytes back.
-echo "==> cargo build + test --release --offline --manifest-path benchmark/Cargo.toml"
+# Then one quick run of every workload, untraced and traced: it exits 1
+# on a failed output check (tokens ≡ reference engine, streamed ≡
+# response ≡ solo `Engine::run`, zero leaked KV) and panics if the micro
+# pass's direct calls (`CacheStore::with_full`, `mha_decode`,
+# `forward_decode`) break.
+echo "==> cargo build + test + run --quick --manifest-path benchmark/Cargo.toml"
 lock=$(mktemp)
+result=$(mktemp)
 cp benchmark/Cargo.lock "$lock"
 { cargo build --release --offline --manifest-path benchmark/Cargo.toml \
     && lane "benchmark tests" 10 \
-        cargo test --release --offline -q --manifest-path benchmark/Cargo.toml; } \
-    || { cp "$lock" benchmark/Cargo.lock; exit 1; }
+        cargo test --release --offline -q --manifest-path benchmark/Cargo.toml \
+    && lane "benchmark quick run" 10 \
+        cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+        run --quick --trace 1 --out "$result"; } \
+    || { cp "$lock" benchmark/Cargo.lock; rm -f "$result"; exit 1; }
 cp "$lock" benchmark/Cargo.lock
-rm -f "$lock"
+rm -f "$lock" "$result"
 
 echo "==> cargo test (default-members = the whole workspace)"
 lane "cargo test" 30 cargo test -q
