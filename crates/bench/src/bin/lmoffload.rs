@@ -2,12 +2,15 @@
 //! what to do for a model on a platform, without running anything.
 //!
 //! Usage:
-//!   lmoffload advise   <model> [--prompt N] [--gen N]
-//!   lmoffload plan     <model> [--prompt N] [--gen N]
-//!   lmoffload capacity <model>
-//!   lmoffload compare  <model> [--prompt N] [--gen N] [--gpus G]
-//!   lmoffload whatif   <model> [--prompt N] [--gen N]
-//!   lmoffload models
+//!
+//! ```text
+//! lmoffload advise   <model> [--prompt N] [--gen N]
+//! lmoffload plan     <model> [--prompt N] [--gen N]
+//! lmoffload capacity <model>
+//! lmoffload compare  <model> [--prompt N] [--gen N] [--gpus G]
+//! lmoffload whatif   <model> [--prompt N] [--gen N]
+//! lmoffload models
+//! ```
 //!
 //! `<model>` is a preset name (case-insensitive), e.g. OPT-30B, LLaMA-65B.
 //! The platform is the paper's single-GPU A100 box unless `--gpus G`

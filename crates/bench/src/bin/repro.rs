@@ -4,7 +4,7 @@
 //! Usage: `repro [<lane>... | all] [--seed S] [--rps R] [--requests N]`
 //! `[--storm P] [--fault-seed N] [--tokens N]`
 //!
-//! The lanes are the rows of [`LANES`]; a usage error prints them, and
+//! The lanes are the rows of `LANES`; a usage error prints them, and
 //! README "Reproducing the paper" says what each one measures and gates.
 //! Every lane writes its artifacts under `results/` and returns its
 //! gates as values; after the last requested lane the runner prints one

@@ -56,7 +56,7 @@ pub struct AsyncReport {
     pub requests: usize,
     pub channel_capacity: usize,
     /// Virtual µs per wall µs, calibrated so the modelled run fits
-    /// [`TARGET_WALL_S`].
+    /// `TARGET_WALL_S` (0.25 s).
     pub time_scale: f64,
     /// The virtual-clock duration of the same traffic (the calibration
     /// run) — deterministic.

@@ -119,7 +119,8 @@ pub struct InitReport {
 pub enum EngineError {
     /// The request failed the shared validation checker
     /// ([`crate::request::validate_request`]): empty batch, empty or
-    /// ragged prompts, context overflow, or a non-dividing batch count.
+    /// ragged prompts, nothing to generate, context overflow, or a
+    /// non-dividing batch count.
     /// Malformed serving traffic surfaces here instead of panicking.
     InvalidRequest { reason: String },
     Pool(PoolExhausted),

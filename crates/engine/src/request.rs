@@ -8,8 +8,7 @@
 //! offline experiments, fatal for a serving process admitting untrusted
 //! traffic. [`crate::Engine::run`] is the sole entry point, and every
 //! check lives in [`validate_request`], which returns a typed
-//! [`EngineError::InvalidRequest`](crate::EngineError::InvalidRequest)
-//! instead of panicking.
+//! [`EngineError::InvalidRequest`] instead of panicking.
 
 use crate::generate::EngineError;
 use lm_models::ModelConfig;
@@ -93,6 +92,9 @@ pub fn validate_request(
     if s == 0 {
         return invalid("empty prompt".into());
     }
+    if gen_len == 0 {
+        return invalid("gen_len must be at least 1".into());
+    }
     if !prompts.iter().all(|p| p.len() == s) {
         return invalid(
             "prompts must share a length (nothing pads a batch; run ragged \
@@ -134,6 +136,7 @@ mod tests {
         let cfg = presets::tiny_test();
         assert!(reason(validate_request(&cfg, &[], 4, 1)).contains("empty batch"));
         assert!(reason(validate_request(&cfg, &[vec![]], 4, 1)).contains("empty prompt"));
+        assert!(reason(validate_request(&cfg, &[vec![1, 2]], 0, 1)).contains("gen_len"));
         assert!(reason(validate_request(&cfg, &[vec![1], vec![2, 3]], 4, 1))
             .contains("share a length"));
         assert!(reason(validate_request(&cfg, &[vec![1, 2], vec![3, 4]], 4, 0))

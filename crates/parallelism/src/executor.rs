@@ -4,7 +4,7 @@
 //! hardware.
 //!
 //! `inter_op` scoped worker threads pull ready operators from a shared
-//! [`Queue`]; each operator may split its own work across `intra_op`
+//! `Queue`; each operator may split its own work across `intra_op`
 //! threads via [`split_work`]. Dependency tracking uses atomic in-degree
 //! counters, so completion of the last predecessor is what publishes a
 //! node to the queue.

@@ -125,7 +125,7 @@ pub enum ServeError {
     /// The run failed its pre-flight ([`crate::preflight`]); the report
     /// names each violation with stable codes.
     Plan(Report),
-    /// The backend failed (engine construction, materialization).
+    /// The backend failed (engine construction, a decode step).
     Engine(EngineError),
     /// A paged-KV sequence broke the admit/append protocol mid-decode
     /// (reserve exhausted, append past admitted capacity). Admission

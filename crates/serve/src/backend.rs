@@ -1,12 +1,15 @@
 //! Serving backends: what produces the tokens and what the virtual clock
 //! charges for them.
 //!
-//! The zig-zag equivalence tests (`tests/zigzag_block_schedule.rs`) prove
-//! the engine's outputs are independent of batch composition — a
-//! sequence generates the same tokens whether it runs alone or inside a
-//! block. That licences the backend split used here: `materialize`
-//! returns a request's full token stream up front (tokens are a function
-//! of the request alone), while the *timing* of their delivery is the
+//! Every scheduler gets its tokens from one call, [`ServeBackend::step`]:
+//! given the sequences that need their next token, it leaves one at each
+//! sequence's `emitted` index; how it produces them is the backend's
+//! business. The provided body runs a sequence alone to completion the first time it
+//! is asked for it ([`ServeBackend::materialize`]) and answers every later
+//! call from that buffer. The zig-zag equivalence tests
+//! (`tests/zigzag_block_schedule.rs`) license this: the engine generates
+//! the same tokens for a sequence alone or inside a block, so tokens are a
+//! function of the request alone. The *timing* of their delivery is the
 //! scheduler's business, charged through [`ServeBackend::prefill_seconds`]
 //! and [`ServeBackend::decode_step_seconds`] from the paper's analytic
 //! cost model (Eq. 1-2, applied per-slot with the layer's weight stream
@@ -19,14 +22,26 @@ use lm_models::{ModelConfig, Workload};
 use lm_sim::{BaseCostModel, CostProvider, Policy, StepLoad};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+/// One sequence as [`ServeBackend::step`] sees it.
+pub struct StepSeq<'a> {
+    /// The request the sequence serves; tokens are a function of it.
+    pub req: &'a Request,
+    /// Tokens already streamed to the client.
+    pub emitted: usize,
+    /// Tokens the backend has produced for this sequence so far, never
+    /// fewer than `emitted`. The scheduler keeps the buffer across a
+    /// crash or preemption, so a resume never generates again.
+    pub tokens: &'a mut Vec<u32>,
+}
+
 /// What the scheduler needs from an execution substrate: tokens,
 /// per-task costs, and KV footprints.
 ///
-/// `Send + Sync` because [`ServeSession::run_async`]
-/// (crate::ServeSession::run_async) drives the scheduler on its own
-/// thread while the caller's client code consumes token streams — both
-/// backends are plain data or `Arc`-shared state, so the bound costs
-/// nothing.
+/// `Send + Sync` because
+/// [`ServeSession::run_async`](crate::ServeSession::run_async) drives the
+/// scheduler on its own thread while the caller's client code consumes
+/// token streams — both backends are plain data or `Arc`-shared state,
+/// so the bound costs nothing.
 pub trait ServeBackend: Send + Sync {
     /// The model configuration requests are validated against.
     fn model(&self) -> &ModelConfig;
@@ -36,9 +51,27 @@ pub trait ServeBackend: Send + Sync {
     /// independence is what makes continuous batching output-transparent).
     fn materialize(&self, req: &Request) -> Result<Vec<u32>, EngineError>;
 
+    /// Produce the next token of every sequence in `seqs`: on `Ok`, each
+    /// buffer holds a token at index `emitted`. The only way a scheduler
+    /// gets tokens. The provided body fills a buffer that has no token
+    /// at `emitted` with the request's whole [`materialize`]d stream and
+    /// leaves every other buffer alone.
+    ///
+    /// [`materialize`]: ServeBackend::materialize
+    fn step(&self, seqs: &mut [StepSeq<'_>]) -> Result<(), EngineError> {
+        for s in seqs {
+            if s.tokens.len() <= s.emitted {
+                *s.tokens = self.materialize(s.req)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Seconds to prefill a freshly admitted group of `batch` sequences
-    /// padded to `padded_prompt_len`.
-    fn prefill_seconds(&self, padded_prompt_len: usize, batch: usize) -> f64;
+    /// whose longest member must prefill `span` tokens. The continuous
+    /// scheduler passes the longest context not already resident as
+    /// shared prefix pages; the baselines pass the (padded) prompt.
+    fn prefill_seconds(&self, span: usize, batch: usize) -> f64;
 
     /// Seconds for one decode step over the active slots, where
     /// `contexts[i]` is slot `i`'s current sequence length. Each layer's
@@ -110,8 +143,8 @@ impl ServeBackend for AnalyticBackend {
             .collect())
     }
 
-    fn prefill_seconds(&self, padded_prompt_len: usize, batch: usize) -> f64 {
-        let w = Workload::new(padded_prompt_len.max(1) as u64, 1, batch.max(1) as u64, 1);
+    fn prefill_seconds(&self, span: usize, batch: usize) -> f64 {
+        let w = Workload::new(span.max(1) as u64, 1, batch.max(1) as u64, 1);
         let m = BaseCostModel::new(&self.platform, &self.cfg, &w, self.policy);
         m.prefill_layer() * self.cfg.num_layers as f64
     }
@@ -180,8 +213,8 @@ impl ServeBackend for EngineBackend {
         Ok(gen.tokens.into_iter().next().unwrap_or_default())
     }
 
-    fn prefill_seconds(&self, padded_prompt_len: usize, batch: usize) -> f64 {
-        self.analytic.prefill_seconds(padded_prompt_len, batch)
+    fn prefill_seconds(&self, span: usize, batch: usize) -> f64 {
+        self.analytic.prefill_seconds(span, batch)
     }
 
     fn decode_step_seconds(&self, contexts: &[u64]) -> f64 {
@@ -194,8 +227,153 @@ impl ServeBackend for EngineBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::admission::ServeConfig;
+    use crate::obs::RequestPhase;
+    use crate::request::synth_traffic;
+    use crate::scheduler::TokenEvent;
+    use crate::session::{ServeMode, ServeSession};
+    use lm_fault::{FaultConfig, FaultInjector, StormProfile};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The analytic backend, counting `materialize` and
+    /// `decode_step_seconds` calls; `step` is the provided body.
+    pub(crate) struct Counting {
+        inner: AnalyticBackend,
+        pub(crate) materialized: AtomicUsize,
+        pub(crate) step_quotes: AtomicUsize,
+    }
+
+    impl Counting {
+        pub(crate) fn opt_30b() -> Self {
+            Counting {
+                inner: AnalyticBackend::opt_30b(),
+                materialized: AtomicUsize::new(0),
+                step_quotes: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl ServeBackend for Counting {
+        fn model(&self) -> &ModelConfig {
+            self.inner.model()
+        }
+        fn materialize(&self, req: &Request) -> Result<Vec<u32>, EngineError> {
+            self.materialized.fetch_add(1, Ordering::Relaxed);
+            self.inner.materialize(req)
+        }
+        fn prefill_seconds(&self, span: usize, batch: usize) -> f64 {
+            self.inner.prefill_seconds(span, batch)
+        }
+        fn decode_step_seconds(&self, contexts: &[u64]) -> f64 {
+            self.step_quotes.fetch_add(1, Ordering::Relaxed);
+            self.inner.decode_step_seconds(contexts)
+        }
+        fn kv_bytes_at(&self, context: usize) -> usize {
+            self.inner.kv_bytes_at(context)
+        }
+    }
+
+    /// A step-wise backend over the analytic stream: `step` produces at
+    /// most one token per sequence per call, and only the one at
+    /// `emitted`. A scheduler that reads past `emitted`, or drops a
+    /// buffer on resume, reads a token this backend never produced.
+    struct OneToken(AnalyticBackend);
+
+    impl ServeBackend for OneToken {
+        fn model(&self) -> &ModelConfig {
+            self.0.model()
+        }
+        fn materialize(&self, req: &Request) -> Result<Vec<u32>, EngineError> {
+            self.0.materialize(req)
+        }
+        fn step(&self, seqs: &mut [StepSeq<'_>]) -> Result<(), EngineError> {
+            for s in seqs {
+                if s.tokens.len() <= s.emitted {
+                    let next = self.0.materialize(s.req)?[s.tokens.len()];
+                    s.tokens.push(next);
+                }
+            }
+            Ok(())
+        }
+        fn prefill_seconds(&self, span: usize, batch: usize) -> f64 {
+            self.0.prefill_seconds(span, batch)
+        }
+        fn decode_step_seconds(&self, contexts: &[u64]) -> f64 {
+            self.0.decode_step_seconds(contexts)
+        }
+        fn kv_bytes_at(&self, context: usize) -> usize {
+            self.0.kv_bytes_at(context)
+        }
+    }
+
+    fn storm(profile: StormProfile) -> ServeConfig {
+        ServeConfig {
+            fault: FaultInjector::new(FaultConfig::storm(4, profile)),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// The outcome as JSON plus every streamed token.
+    fn serve(
+        b: &dyn ServeBackend,
+        cfg: ServeConfig,
+        mode: ServeMode,
+        reqs: Vec<Request>,
+    ) -> (String, Vec<TokenEvent>) {
+        let mut events = Vec::new();
+        let run = ServeSession::new(b)
+            .config(cfg)
+            .mode(mode)
+            .run_streaming(reqs, &mut |e| events.push(e))
+            .unwrap();
+        (serde_json::to_string(&run.outcome).unwrap(), events)
+    }
+
+    #[test]
+    fn a_one_token_step_serves_the_same_bytes_as_the_provided_step() {
+        let whole = AnalyticBackend::opt_30b();
+        let stepwise = OneToken(AnalyticBackend::opt_30b());
+        let reqs = synth_traffic(7, 4.0, 24, whole.model());
+        let cases: [(fn() -> ServeConfig, ServeMode); 5] = [
+            (ServeConfig::default, ServeMode::Continuous),
+            (|| storm(StormProfile::Crashes), ServeMode::Continuous),
+            (|| storm(StormProfile::Default), ServeMode::Continuous),
+            (ServeConfig::default, ServeMode::Sequential),
+            (ServeConfig::default, ServeMode::Static { batch: 4 }),
+        ];
+        for (cfg, mode) in cases {
+            let expected = serve(&whole, cfg(), mode, reqs.clone());
+            let got = serve(&stepwise, cfg(), mode, reqs.clone());
+            assert!(got == expected, "{mode:?}: outcome or stream moved");
+        }
+    }
+
+    #[test]
+    fn materialize_runs_once_per_granted_request_under_crashes() {
+        let b = Counting::opt_30b();
+        let reqs = synth_traffic(7, 4.0, 24, b.model());
+        let run = ServeSession::new(&b)
+            .config(storm(StormProfile::Crashes))
+            .run(reqs)
+            .unwrap();
+        let out = run.outcome;
+        assert!(out.stats.slot_crashes > 0, "the storm must crash a slot");
+        let granted: BTreeSet<u64> = out
+            .obs
+            .lifecycle
+            .iter()
+            .filter(|e| e.phase == RequestPhase::Admitted)
+            .map(|e| e.request)
+            .collect();
+        assert!(
+            out.stats.admitted > granted.len() as u64,
+            "some request resumed"
+        );
+        assert_eq!(b.materialized.load(Ordering::Relaxed), granted.len());
+    }
 
     #[test]
     fn analytic_tokens_are_seed_deterministic() {

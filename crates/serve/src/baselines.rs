@@ -1,23 +1,20 @@
 //! The two baselines the continuous scheduler is measured against:
-//! sequential one-call-per-request and naive static batching.
+//! sequential one-call-per-request and naive static batching. They are
+//! one loop: sequential service is static batching with a batch of one,
+//! where nothing pads and each request pays its own full weight stream
+//! (no amortisation at all).
 //!
-//! They are separate loops on purpose, not policies of the continuous
-//! state machine (DESIGN.md §9): they are the reference the dominance
+//! The loop is separate on purpose, not a policy of the continuous
+//! state machine (DESIGN.md §9): it is the reference the dominance
 //! gate compares against, and sharing the machine would make it branch
 //! on its caller for batch formation, generation padding, whole-batch
 //! release, report-only deadlines and the context a step is charged at.
 
 use crate::admission::{ServeConfig, ServeError};
-use crate::backend::ServeBackend;
-use crate::request::{micros, Rejection, Request, Response};
-use crate::scheduler::{token_stream, ServeOutcome};
+use crate::backend::{ServeBackend, StepSeq};
+use crate::request::{micros, RejectReason, Rejection, Request, Response};
+use crate::scheduler::{admission_step, validate, ServeOutcome};
 use lm_engine::EngineError;
-
-/// Requests in service order: arrival, then id.
-fn by_arrival(mut requests: Vec<Request>) -> Vec<Request> {
-    requests.sort_by_key(|r| (r.arrival_us, r.id));
-    requests
-}
 
 /// Report (never enforce) an admission deadline: service starting past
 /// it counts as a miss, keeping the baselines comparable with the
@@ -33,57 +30,31 @@ fn seconds_since_arrival(req: &Request, t_us: u64) -> f64 {
     t_us.saturating_sub(req.arrival_us) as f64 / 1e6
 }
 
-/// Baseline 1: one call per request, in arrival order — each request
-/// pays its own full weight stream (no amortisation at all).
-pub(crate) fn run_sequential(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    let tracer = &cfg.tracer;
-    let mut out = ServeOutcome::default();
-    let mut clock_us = 0u64;
-    for req in by_arrival(requests) {
-        clock_us = clock_us.max(req.arrival_us);
-        report_deadline(&req, clock_us, cfg, &mut out);
-        let tokens = match token_stream(backend, &req) {
-            Ok(tokens) => tokens,
-            Err(reason) => {
-                out.rejections.push(Rejection { id: req.id, reason });
-                continue;
-            }
-        };
-        clock_us += micros(backend.prefill_seconds(req.prompt.len(), 1));
-        let mut first_token_us = None;
-        for i in 0..tokens.len() {
-            clock_us += micros(backend.decode_step_seconds(&[(req.prompt.len() + i + 1) as u64]));
-            if first_token_us.is_none() {
-                first_token_us = Some(clock_us);
-                tracer.histogram_record("serve.ttft_s", seconds_since_arrival(&req, clock_us));
-            }
-            out.generated_tokens += 1;
-        }
-        tracer.histogram_record("serve.latency_s", seconds_since_arrival(&req, clock_us));
-        out.responses.push(Response {
-            id: req.id,
-            first_token_us: first_token_us.unwrap_or(clock_us),
-            finish_us: clock_us,
-            arrival_us: req.arrival_us,
-            tokens,
-        });
-    }
-    Ok(out.close(clock_us))
+/// A request's admission, as the continuous scheduler does it: the
+/// shared validation, then its first token into a fresh buffer.
+fn admit(backend: &dyn ServeBackend, req: &Request) -> Result<Vec<u32>, RejectReason> {
+    let mut tokens = Vec::new();
+    validate(backend, req)?;
+    admission_step(
+        backend,
+        StepSeq {
+            req,
+            emitted: 0,
+            tokens: &mut tokens,
+        },
+    )?;
+    Ok(tokens)
 }
 
-/// Baseline 2: naive static batching — fixed groups of `batch` in
-/// arrival order; a group waits for its last member to arrive, pads
-/// prompts *and* generation lengths to the group max, and releases every
+/// Naive static batching — fixed groups of `batch` in arrival order
+/// (then id); a group waits for its last member to arrive, pads prompts
+/// *and* generation lengths to the group max, and releases every
 /// response only when the whole group finishes.
 pub(crate) fn run_static(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
     batch: usize,
-    requests: Vec<Request>,
+    mut requests: Vec<Request>,
 ) -> Result<ServeOutcome, ServeError> {
     if batch == 0 {
         return Err(ServeError::Engine(EngineError::InvalidRequest {
@@ -93,7 +64,8 @@ pub(crate) fn run_static(
     let tracer = &cfg.tracer;
     let mut out = ServeOutcome::default();
     let mut clock_us = 0u64;
-    for chunk in by_arrival(requests).chunks(batch) {
+    requests.sort_by_key(|r| (r.arrival_us, r.id));
+    for chunk in requests.chunks(batch) {
         // The batch forms only when its last member has arrived; a
         // deadline passing meanwhile is the static scheduler's signature
         // failure mode.
@@ -104,7 +76,7 @@ pub(crate) fn run_static(
         }
         let mut members: Vec<(&Request, Vec<u32>)> = Vec::new();
         for req in chunk {
-            match token_stream(backend, req) {
+            match admit(backend, req) {
                 Ok(tokens) => members.push((req, tokens)),
                 Err(reason) => out.rejections.push(Rejection { id: req.id, reason }),
             }
@@ -117,27 +89,35 @@ pub(crate) fn run_static(
             .map(|(r, _)| r.prompt.len())
             .max()
             .unwrap_or(1);
-        let max_gen = members.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
-        for (r, t) in &members {
-            out.padding_tokens += (pad_len - r.prompt.len()) as u64 + (max_gen - t.len()) as u64;
+        let max_gen = members.iter().map(|(r, _)| r.gen_len).max().unwrap_or(0);
+        for (r, _) in &members {
+            out.padding_tokens += (pad_len - r.prompt.len()) as u64 + (max_gen - r.gen_len) as u64;
+            out.generated_tokens += r.gen_len as u64;
         }
         clock_us += micros(backend.prefill_seconds(pad_len, members.len()));
-        let mut firsts: Vec<Option<u64>> = vec![None; members.len()];
+        // Every member's first token lands with the first step.
+        let mut first = clock_us;
         for step in 0..max_gen {
+            let mut live: Vec<StepSeq<'_>> = members
+                .iter_mut()
+                .filter(|(req, _)| step < req.gen_len)
+                .map(|(req, tokens)| StepSeq {
+                    req,
+                    emitted: step,
+                    tokens,
+                })
+                .collect();
+            backend.step(&mut live)?;
             // Every slot pays every step at the padded context — the
             // naive part: finished sequences idle inside the batch.
             let contexts: Vec<u64> = vec![(pad_len + step + 1) as u64; members.len()];
             clock_us += micros(backend.decode_step_seconds(&contexts));
-            for (m, (_, tokens)) in members.iter().enumerate() {
-                if step < tokens.len() {
-                    out.generated_tokens += 1;
-                    firsts[m].get_or_insert(clock_us);
-                }
+            if step == 0 {
+                first = clock_us;
             }
         }
         // Naive release: the whole batch returns together.
-        for (m, (req, tokens)) in members.into_iter().enumerate() {
-            let first = firsts[m].unwrap_or(clock_us);
+        for (req, tokens) in members {
             tracer.histogram_record("serve.ttft_s", seconds_since_arrival(req, first));
             tracer.histogram_record("serve.latency_s", seconds_since_arrival(req, clock_us));
             out.responses.push(Response {
@@ -154,7 +134,7 @@ pub(crate) fn run_static(
 #[cfg(test)]
 mod tests {
     use crate::backend::AnalyticBackend;
-    use crate::request::Request;
+    use crate::request::{RejectReason, Request};
     use crate::session::{ServeMode, ServeSession};
     use crate::ServeError;
     use lm_engine::EngineError;
@@ -181,6 +161,20 @@ mod tests {
         let stat = run(ServeMode::Static { batch: 2 }, vec![doomed, late]).unwrap();
         assert_eq!(stat.deadline_misses, 1, "batch forms after the deadline");
         assert_eq!(stat.responses.len(), 2);
+    }
+
+    #[test]
+    fn both_baselines_reject_a_request_with_nothing_to_generate() {
+        for mode in [ServeMode::Sequential, ServeMode::Static { batch: 2 }] {
+            let reqs = vec![Request::new(0, vec![1, 2], 0), Request::new(1, vec![3], 4)];
+            let out = run(mode, reqs).unwrap();
+            assert_eq!(out.responses.len(), 1, "{mode:?}");
+            assert_eq!(out.rejections[0].id, 0, "{mode:?}");
+            assert!(
+                matches!(out.rejections[0].reason, RejectReason::Invalid(_)),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub enum Delivery {
     /// The client got (or will get) the token.
     Delivered,
     /// The client is gone — its receiver dropped. The scheduler resolves
-    /// the request as a [`CancelReason::ClientDisconnect`]
-    /// (crate::CancelReason::ClientDisconnect) cancellation at the next
-    /// boundary and reclaims its KV.
+    /// the request as a
+    /// [`CancelReason::ClientDisconnect`](crate::CancelReason::ClientDisconnect)
+    /// cancellation at the next boundary and reclaims its KV.
     Disconnected,
     /// The client's bounded channel stayed full past the configured
     /// grace: a consumer slower than generation. Treated like a

@@ -4,9 +4,10 @@
 //! engine (DESIGN.md §9): independent, ragged-length requests share the
 //! modelled clock's decode steps, where the per-layer weight stream —
 //! the dominant cost of offloaded generation (Eq. 2) — is charged once
-//! for whoever is active instead of once per request. The tokens come
-//! from running each request alone ([`ServeBackend::materialize`]), so
-//! nothing is padded; only the static baseline pads, in modelled time.
+//! for whoever is active instead of once per request. Every scheduler
+//! gets its tokens from one backend call, [`ServeBackend::step`], whose
+//! provided body runs each request alone, so nothing is padded; only the
+//! static baseline pads, in modelled time.
 //!
 //! Pieces:
 //!
@@ -71,7 +72,7 @@ pub mod slo;
 
 pub use admission::{derive_plan, ServeConfig, ServeError, ServePlan};
 pub use obs::{serve_timeline, BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
-pub use backend::{AnalyticBackend, EngineBackend, ServeBackend};
+pub use backend::{AnalyticBackend, EngineBackend, ServeBackend, StepSeq};
 pub use request::{
     synth_shared_prefix_traffic, synth_traffic, ArrivalQueue, CancelReason, CancelToken,
     Cancellation, RejectReason, Rejection, Request, Response,

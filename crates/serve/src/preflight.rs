@@ -9,7 +9,7 @@
 //! - the `*_report` functions are the same families one at a time, for
 //!   callers that publish a verdict instead of gating on it
 //!   (`repro analyze`, `repro obs`, `lm-verify`'s sweep);
-//! - [`quiescence_report`] is the live half of `LMA28x`, audited by the
+//! - `quiescence_report` is the live half of `LMA28x`, audited by the
 //!   scheduler when a run ends.
 //!
 //! `LMA27x` is deliberately *not* part of the gate: the scheduler

@@ -100,9 +100,10 @@ impl Deserialize for CancelToken {
 pub struct Request {
     pub id: u64,
     /// Prompt token ids. Requests are ragged: prompts of different
-    /// lengths mix freely; the scheduler pads within an admitted group.
+    /// lengths mix freely; the continuous scheduler pages each exact
+    /// context and pads nothing (only the static baseline pads).
     pub prompt: Vec<u32>,
-    /// Tokens to generate beyond the prompt.
+    /// Tokens to generate beyond the prompt; at least 1.
     pub gen_len: usize,
     /// Larger is more urgent; ties broken by arrival then id.
     pub priority: u8,
@@ -231,7 +232,8 @@ pub enum RejectReason {
     /// this plan no matter how long it waits.
     PoolOverCommit { bytes: usize, capacity: usize },
     /// Admission kept failing after the retry budget with no prospect of
-    /// recovery (e.g. injected pool pressure on an otherwise empty pool).
+    /// recovery (e.g. injected pool pressure on an otherwise empty pool),
+    /// or the backend failed the request's first step.
     AdmissionFailed(String),
     /// Shed at admission: the performance model predicts the first token
     /// would land after the request's effective deadline, so queueing it

@@ -13,18 +13,18 @@
 //! name, documented there): `pop_arrivals` → `sweep_slots` (cancels,
 //! disconnects, crashes of resident sequences) → `sweep_queue` (queued
 //! cancels, expired deadlines) → `audit_ttft` → `slo_monitor` (preempt
-//! or degrade, DESIGN.md §9.2) → `shed` → `admit` (page-table grants from
-//! the shared [`PagedKvPool`], which shares full prompt pages across
-//! requests, DESIGN.md §9.3, deadline rescue, one group prefill) →
-//! `sample_boundary` → `decode_step` (one token to every resident
-//! sequence, through the [`ServeDriver`]) → `retire`.
+//! or degrade, DESIGN.md §9.2) → `shed` → `admit` (page grants from the
+//! shared [`PagedKvPool`], DESIGN.md §9.3, deadline rescue, the granted's
+//! first [`ServeBackend::step`], one group prefill) → `sample_boundary` →
+//! `decode_step` (one `step` over the block, then one token to every
+//! resident sequence, through the [`ServeDriver`]) → `retire`.
 //!
 //! Every request resolves exactly once — response, rejection, or
 //! cancellation — because `Scheduler::resolve` is the only code that
 //! records a terminal state and retires the request at the driver.
 
 use crate::admission::{ServeConfig, ServeError, ServePlan};
-use crate::backend::ServeBackend;
+use crate::backend::{ServeBackend, StepSeq};
 use crate::driver::{Delivery, ServeDriver};
 use crate::obs::{BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
 use crate::request::{
@@ -168,11 +168,10 @@ impl ServeOutcome {
 /// again after a crash or preemption) or resident in one.
 struct Seq {
     req: Request,
-    /// The request's token stream, materialized at first admission.
-    /// Tokens are a deterministic function of the request alone, so the
-    /// cache is exact: resumption continues the same stream without
-    /// re-emitting.
-    tokens: Option<Vec<u32>>,
+    /// The tokens the backend has produced so far, never fewer than
+    /// `emitted`. Kept across a crash or preemption, so a resume
+    /// continues the same stream and never generates again.
+    tokens: Vec<u32>,
     /// Tokens already streamed to the client.
     emitted: usize,
     first_token_us: Option<u64>,
@@ -204,7 +203,7 @@ impl Seq {
     fn fresh(req: Request) -> Self {
         Seq {
             req,
-            tokens: None,
+            tokens: Vec::new(),
             emitted: 0,
             first_token_us: None,
             crashes: 0,
@@ -219,23 +218,21 @@ impl Seq {
         self.req.prompt.len() + self.emitted
     }
 
-    fn stream(&self) -> &[u32] {
-        self.tokens.as_deref().unwrap_or_default()
-    }
-
-    /// Tokens of the materialized stream still to emit.
+    /// Decode steps still owed: tokens asked for and not yet emitted.
     fn remaining(&self) -> usize {
-        self.stream().len() - self.emitted
-    }
-
-    /// Decode steps a queued request still asks for (its stream may not
-    /// be materialized yet, so this reads the request).
-    fn owed(&self) -> usize {
-        self.req.gen_len.saturating_sub(self.emitted)
+        self.req.gen_len - self.emitted
     }
 
     fn slot(&self) -> Option<u32> {
         self.seat.as_ref().map(|s| s.slot_idx)
+    }
+
+    fn view(&mut self) -> StepSeq<'_> {
+        StepSeq {
+            req: &self.req,
+            emitted: self.emitted,
+            tokens: &mut self.tokens,
+        }
     }
 }
 
@@ -260,21 +257,22 @@ fn admission_order(ready: &mut [Seq]) {
     });
 }
 
-/// A request's token stream, or why it can never have one: the engine's
-/// shared request checker first, then the backend. Every scheduler admits
-/// through this, so all of them reject the same requests.
-pub(crate) fn token_stream(
-    backend: &dyn ServeBackend,
-    req: &Request,
-) -> Result<Vec<u32>, RejectReason> {
+/// Why a request can never be served, by the engine's shared request
+/// checker. Every scheduler validates through this before it asks the
+/// backend for a token, so all of them reject the same requests.
+pub(crate) fn validate(backend: &dyn ServeBackend, req: &Request) -> Result<(), RejectReason> {
     let prompts = std::slice::from_ref(&req.prompt);
-    if let Err(EngineError::InvalidRequest { reason }) =
-        validate_request(backend.model(), prompts, req.gen_len, 1)
-    {
-        return Err(RejectReason::Invalid(reason));
+    match validate_request(backend.model(), prompts, req.gen_len, 1) {
+        Err(EngineError::InvalidRequest { reason }) => Err(RejectReason::Invalid(reason)),
+        _ => Ok(()),
     }
+}
+
+/// Step one sequence alone as it is admitted: a backend failure here is
+/// the request's `AdmissionFailed` rejection, not the run's error.
+pub(crate) fn admission_step(backend: &dyn ServeBackend, seq: StepSeq) -> Result<(), RejectReason> {
     backend
-        .materialize(req)
+        .step(&mut [seq])
         .map_err(|e| RejectReason::AdmissionFailed(e.to_string()))
 }
 
@@ -513,7 +511,7 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Take a sequence the caller removed from `active` off its slot and
-    /// back into the wait queue with its stream cached — the one path
+    /// back into the wait queue with its tokens kept — the one path
     /// shared by slot crashes, SLO preemption and deadline rescue. (The
     /// caller does the removal because the sweep must keep `active` in
     /// order while the victim picks use `swap_remove`.)
@@ -749,12 +747,12 @@ impl<'a> Scheduler<'a> {
         // resident).
         let mut prefill_span = 0usize;
         let mut admitted: Vec<Seq> = Vec::new();
-        for seq in self.candidates() {
+        for mut seq in self.candidates() {
             // Reserve exactly the pages `known + generation` can touch.
             // A resume's known tokens include its generated prefix,
             // whose re-prefill is the (only) cost of resumption.
             let remaining = seq.remaining();
-            let known = [&seq.req.prompt[..], &seq.stream()[..seq.emitted]].concat();
+            let known = [&seq.req.prompt[..], &seq.tokens[..seq.emitted]].concat();
             let demand_bytes =
                 self.pages.required_pages(known.len(), remaining) * self.pages.cfg().page_bytes();
             let mut grant = self.grant(&known, remaining);
@@ -762,7 +760,7 @@ impl<'a> Scheduler<'a> {
             // behind residents that have no clock on them. Page
             // granularity makes partial eviction cheap, so reclaim pages
             // from the least-invested residents until the grant fits.
-            // The victim re-queues with its stream cached — its own
+            // The victim re-queues with its tokens kept — its own
             // admission deadline (if any) was satisfied the moment it
             // first held a slot, so nothing is lost but the re-prefill
             // of its generated prefix.
@@ -782,6 +780,11 @@ impl<'a> Scheduler<'a> {
             }
             match grant {
                 Ok(kv) => {
+                    if let Err(reason) = admission_step(self.backend, seq.view()) {
+                        // Never admitted: `kv` drops and its pages return.
+                        self.reject(seq.req.id, reason);
+                        continue;
+                    }
                     prefill_span = prefill_span.max(seq.context() - kv.shared_tokens());
                     admitted.push(self.seat(seq, kv, demand_bytes));
                 }
@@ -819,24 +822,17 @@ impl<'a> Scheduler<'a> {
         self.active.extend(admitted);
     }
 
-    /// Pull admission candidates off the head of the wait queue, one per
-    /// free slot, materializing the token stream of first-timers (a
-    /// resume carries its cached stream; it was validated then).
+    /// Pull valid admission candidates off the head of the wait queue,
+    /// one per free slot, rejecting the invalid before any page grant.
     fn candidates(&mut self) -> Vec<Seq> {
         let free = self.plan.slots.saturating_sub(self.active.len());
         let mut picked: Vec<Seq> = Vec::new();
         while picked.len() < free && !self.ready.is_empty() {
-            let mut seq = self.ready.remove(0);
-            if seq.tokens.is_none() {
-                match token_stream(self.backend, &seq.req) {
-                    Ok(tokens) => seq.tokens = Some(tokens),
-                    Err(reason) => {
-                        self.reject(seq.req.id, reason);
-                        continue;
-                    }
-                }
+            let seq = self.ready.remove(0);
+            match validate(self.backend, &seq.req) {
+                Ok(()) => picked.push(seq),
+                Err(reason) => self.reject(seq.req.id, reason),
             }
-            picked.push(seq);
         }
         picked
     }
@@ -927,6 +923,8 @@ impl<'a> Scheduler<'a> {
     /// One decode step over the whole block: one token to every resident
     /// sequence.
     fn decode_step(&mut self) -> Result<(), ServeError> {
+        let mut block: Vec<StepSeq<'_>> = self.active.iter_mut().map(Seq::view).collect();
+        self.backend.step(&mut block)?;
         // Exact residency: attention runs over each real sequence.
         let contexts: Vec<u64> = self.active.iter().map(|s| s.context() as u64).collect();
         let dt = self.backend.decode_step_seconds(&contexts) * self.degrade_factor;
@@ -950,7 +948,7 @@ impl<'a> Scheduler<'a> {
         let mut active = std::mem::take(&mut self.active);
         for seq in &mut active {
             let id = seq.req.id;
-            let token = seq.stream()[seq.emitted];
+            let token = seq.tokens[seq.emitted];
             let delivery = self.driver.deliver(TokenEvent {
                 request_id: id,
                 index: seq.emitted,
@@ -1026,9 +1024,10 @@ impl<'a> Scheduler<'a> {
             // lands before any fate is swept).
             self.transport_drops.remove(&seq.req.id);
             let slot = self.vacate(&mut seq);
+            debug_assert_eq!(seq.tokens.len(), seq.req.gen_len);
             let response = Response {
                 id: seq.req.id,
-                tokens: seq.tokens.unwrap_or_default(),
+                tokens: seq.tokens,
                 arrival_us: seq.req.arrival_us,
                 first_token_us: seq.first_token_us.unwrap_or(self.clock_us),
                 finish_us: self.clock_us,
@@ -1055,7 +1054,7 @@ impl<'a> Scheduler<'a> {
         let (plan, pages) = (self.plan, &self.pages);
         let mut remaining: Vec<u64> = self.active.iter().map(|s| s.remaining() as u64).collect();
         remaining.sort_unstable();
-        let queued_steps: u64 = self.ready.iter().map(|p| p.owed() as u64).sum();
+        let queued_steps: u64 = self.ready.iter().map(|p| p.remaining() as u64).sum();
         let n = (remaining.len() + self.ready.len()).max(1);
         let mean_gen_steps = (remaining.iter().sum::<u64>() + queued_steps) as f64 / n as f64;
         let pad_guess = self.ready.iter().map(Seq::context).max().unwrap_or(1);
@@ -1064,7 +1063,7 @@ impl<'a> Scheduler<'a> {
         let mut pages_free = pages.capacity_pages().saturating_sub(pages.pages_in_use());
         let mut free = 0usize;
         for p in self.ready.iter().take(free_slots) {
-            let need = pages.required_pages(p.context(), p.owed());
+            let need = pages.required_pages(p.context(), p.remaining());
             if need > pages_free {
                 break;
             }
@@ -1278,13 +1277,14 @@ mod tests {
             .with_arrival_us(1_000)
             .with_deadline_us(500);
         let late = Request::new(4, vec![1, 2], 4).with_arrival_us(5_000_000);
+        let nothing = Request::new(5, vec![1, 2, 3], 0);
         let (_, out) = continuous(
             &b,
             &ServeConfig::default(),
-            vec![ok, empty, too_long, expired, late],
+            vec![ok, empty, too_long, expired, late, nothing],
         )
         .unwrap();
-        assert_eq!(out.responses.len() + out.rejections.len(), 5);
+        assert_eq!(out.responses.len() + out.rejections.len(), 6);
         let reason = |id: u64| {
             out.rejections
                 .iter()
@@ -1293,6 +1293,7 @@ mod tests {
         };
         assert!(matches!(reason(1), Some(RejectReason::Invalid(_))));
         assert!(matches!(reason(2), Some(RejectReason::Invalid(_))));
+        assert!(matches!(reason(5), Some(RejectReason::Invalid(_))));
         // Request 3's deadline passes while the first block decodes.
         assert!(matches!(
             reason(3),

@@ -20,7 +20,7 @@
 
 use crate::admission::{ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
-use crate::baselines::{run_sequential, run_static};
+use crate::baselines::run_static;
 use crate::driver::{Delivery, ServeDriver, VirtualDriver};
 use crate::preflight::preflight;
 use crate::request::Request;
@@ -37,7 +37,8 @@ pub enum ServeMode {
     /// admission-planned slots, SLO actuation, paged KV, streaming.
     #[default]
     Continuous,
-    /// Baseline 1: one call per request in arrival order.
+    /// Baseline 1: one call per request in arrival order — static
+    /// batching with a batch of one.
     Sequential,
     /// Baseline 2: naive static batching in fixed groups of `batch`.
     Static { batch: usize },
@@ -177,7 +178,7 @@ impl<'b> ServeSession<'b> {
                 let outcome = run_continuous(backend, cfg, &plan, requests, &mut driver)?;
                 (Some(plan), outcome)
             }
-            ServeMode::Sequential => (None, run_sequential(backend, cfg, requests)?),
+            ServeMode::Sequential => (None, run_static(backend, cfg, 1, requests)?),
             ServeMode::Static { batch } => (None, run_static(backend, cfg, batch, requests)?),
         };
         Ok(ServeRun { plan, outcome })
@@ -334,38 +335,11 @@ mod tests {
         (b, reqs)
     }
 
-    /// Counts `decode_step_seconds` calls. With no requests the scheduler
-    /// never steps, so every call is the planner quoting a full block.
-    struct CountingBackend {
-        inner: AnalyticBackend,
-        step_quotes: std::sync::atomic::AtomicUsize,
-    }
-
-    impl ServeBackend for CountingBackend {
-        fn model(&self) -> &lm_models::ModelConfig {
-            self.inner.model()
-        }
-        fn materialize(&self, req: &Request) -> Result<Vec<u32>, lm_engine::EngineError> {
-            self.inner.materialize(req)
-        }
-        fn prefill_seconds(&self, padded_prompt_len: usize, batch: usize) -> f64 {
-            self.inner.prefill_seconds(padded_prompt_len, batch)
-        }
-        fn decode_step_seconds(&self, contexts: &[u64]) -> f64 {
-            self.step_quotes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.decode_step_seconds(contexts)
-        }
-        fn kv_bytes_at(&self, context: usize) -> usize {
-            self.inner.kv_bytes_at(context)
-        }
-    }
-
     #[test]
     fn every_entry_point_plans_exactly_once() {
-        let b = CountingBackend {
-            inner: AnalyticBackend::opt_30b(),
-            step_quotes: Default::default(),
-        };
+        // With no requests the scheduler never steps, so every
+        // `decode_step_seconds` call is the planner quoting a full block.
+        let b = crate::backend::tests::Counting::opt_30b();
         let quotes = || b.step_quotes.swap(0, std::sync::atomic::Ordering::Relaxed);
         let session = ServeSession::new(&b);
         session.run(Vec::new()).unwrap();

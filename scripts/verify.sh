@@ -60,6 +60,12 @@ else
     echo "==> clippy not installed; skipping lint"
 fi
 
+# A doc link to an item that was renamed, moved or made private fails here
+# instead of rendering as dead text.
+echo "==> cargo doc --no-deps --workspace (intra-doc links resolve)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    lane "rustdoc" 10 cargo doc --no-deps --workspace -q
+
 echo "==> loom model checking"
 lane "loom_executor" 10 cargo test -q -p lm-parallelism --features loom --test loom_executor
 lane "loom_pools" 10 cargo test -q -p lm-engine --features loom --test loom_pools
