@@ -14,10 +14,10 @@
 //!    golden property the integration tests pin. Against the real engine
 //!    the same report form measures genuine model error.
 //! 2. **Engine timeline** (`results/trace.json`): a real traced
-//!    zig-zag `Engine::run` exported as Chrome/Perfetto trace
-//!    JSON — `load_weight` spans from the prefetch loader thread,
-//!    compute spans per (step, layer, batch), prefill/decode scopes, and
-//!    the run's metrics snapshot.
+//!    two-row `Engine::run` exported as Chrome/Perfetto trace
+//!    JSON — `load_weight` spans from the prefetch loader thread, one
+//!    compute span per (step, layer) covering both rows, prefill/decode
+//!    scopes, and the run's metrics snapshot.
 
 use lm_engine::{Engine, EngineOptions, GenerateRequest};
 use lm_models::{presets as models, Workload};
@@ -101,7 +101,7 @@ pub fn engine_trace(tokens: u64) -> (EngineTracePhase, String) {
     .expect("engine construction");
     let prompts = vec![vec![1, 2, 3, 4], vec![9, 8, 7, 6]];
     let g = e
-        .run(&GenerateRequest::new(prompts, tokens as usize).with_batches(2))
+        .run(&GenerateRequest::new(prompts, tokens as usize))
         .expect("traced generation");
     let report = tracer.snapshot();
     let totals = report.observed_task_totals();

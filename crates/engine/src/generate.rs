@@ -51,9 +51,9 @@ pub struct EngineOptions {
     pub retry: RetryPolicy,
     /// Span/metrics recorder. Disabled by default — every probe is an
     /// inlined `None` check, like `fault`. When enabled, each decode
-    /// sweep emits one `load_weight` span per layer and one compute span
-    /// per (layer, batch), and the fault injector's event log is stamped
-    /// on the tracer's clock so faults align with spans in Perfetto.
+    /// sweep emits one `load_weight` span and one compute span per layer,
+    /// and the fault injector's event log is stamped on the tracer's
+    /// clock so faults align with spans in Perfetto.
     pub tracer: Tracer,
     /// Flight recorder (DESIGN.md §8): injected faults tee into its
     /// ring, and any [`EngineError`] surfacing from [`Engine::run`]
@@ -119,8 +119,7 @@ pub struct InitReport {
 pub enum EngineError {
     /// The request failed the shared validation checker
     /// ([`crate::request::validate_request`]): empty batch, empty or
-    /// ragged prompts, nothing to generate, context overflow, or a
-    /// non-dividing batch count.
+    /// ragged prompts, nothing to generate, or context overflow.
     /// Malformed serving traffic surfaces here instead of panicking.
     InvalidRequest { reason: String },
     Pool(PoolExhausted),
@@ -227,15 +226,15 @@ fn preflight(cfg: &ModelConfig, options: &EngineOptions) -> Result<(), EngineErr
 }
 
 /// One request between steps. Private while [`Engine::run`] is the only
-/// caller; its batches share a prompt length and advance together.
+/// caller; its rows share a prompt length and advance together.
 struct Block {
-    /// One KV store per (layer, batch), `caches[layer][batch]`, host-side.
-    caches: Vec<Vec<KvCache>>,
-    /// Per batch: the hidden state the next sample reads, `[per, hidden]`
-    /// (the `[per, s, hidden]` prompt activations while prefill runs).
-    hidden: Vec<Tensor>,
-    /// Absolute position the next sweep writes K/V from.
-    pos: usize,
+    /// One KV store per layer, one row per prompt, host-side. Every layer's
+    /// cache holds the same positions: its `len()` is the position the
+    /// next sweep writes from.
+    caches: Vec<KvCache>,
+    /// The hidden state the next sample reads, `[rows, hidden]` (the
+    /// `[rows, s, hidden]` prompt activations while prefill runs).
+    hidden: Tensor,
     /// Host-pool charge for `caches`, released with the block.
     _kv_lease: Lease,
 }
@@ -432,17 +431,16 @@ impl Engine {
     }
 
     /// The unified generation entry point: validate the request with the
-    /// shared checker, then execute the zig-zag block schedule
-    /// (Algorithm 1). `num_batches == 1` is the plain single-batch
-    /// schedule; `num_batches > 1` splits the prompts into GPU batches
-    /// that traverse each layer *together*, so every layer's weights are
-    /// fetched once per decode step for the whole block — the bandwidth
-    /// amortisation at the heart of the paper's Eq. 2.
+    /// shared checker, then run Algorithm 1 over it. Every row crosses
+    /// each fetched layer in one call, so a layer's weights are fetched
+    /// once per sweep for the whole request — the bandwidth amortisation
+    /// at the heart of the paper's Eq. 2.
     ///
-    /// Outputs are identical to running each batch independently (the
-    /// batches share no state); only the weight traffic changes, which
-    /// [`Generation::weight_bytes_streamed`] exposes. Malformed requests
-    /// return [`EngineError::InvalidRequest`] instead of panicking.
+    /// Each row's tokens are identical to running that row alone (kernels
+    /// are row-wise, attention per sequence); only the weight traffic
+    /// changes, which [`Generation::weight_bytes_streamed`] exposes.
+    /// Malformed requests return [`EngineError::InvalidRequest`] instead
+    /// of panicking.
     pub fn run(&self, request: &GenerateRequest) -> Result<Generation, EngineError> {
         let result = self.validate(request).and_then(|()| self.generate(request));
         if let Err(e) = &result {
@@ -477,8 +475,8 @@ impl Engine {
         let decode = self.options.tracer.scope("decode");
         let mut tokens: Vec<Vec<u32>> = vec![Vec::with_capacity(gen_len); prompts.len()];
         for step in 0..gen_len {
-            let next = self.sample(&block);
-            for (row, &t) in tokens.iter_mut().zip(next.iter().flatten()) {
+            let next = self.sample(&block, step as u64);
+            for (row, &t) in tokens.iter_mut().zip(&next) {
                 row.push(t);
             }
             if step + 1 < gen_len {
@@ -494,7 +492,7 @@ impl Engine {
             device_peak: self.device.peak(),
             host_peak: self.host.peak(),
             weight_bytes_streamed: self.store.total_fetched_bytes() - fetched_before,
-            kv_bytes_at_rest: block.caches.iter().flatten().map(KvCache::bytes).sum(),
+            kv_bytes_at_rest: block.caches.iter().map(KvCache::bytes).sum(),
         };
         self.record_run_metrics(&generation);
         Ok(generation)
@@ -503,94 +501,65 @@ impl Engine {
     /// Prefill: lease the block's KV, embed the prompts and cross every
     /// layer once. `request` is validated (enforced by [`Self::run`]).
     fn prefill(&self, request: &GenerateRequest) -> Result<Block, EngineError> {
-        let GenerateRequest { prompts, gen_len, num_batches } = request;
-        let per = prompts.len() / num_batches;
-        let s = prompts[0].len();
-        let h = self.cfg.hidden as usize;
-        let l = self.store.num_layers();
+        let GenerateRequest { prompts, gen_len } = request;
+        let (rows, s, h) = (prompts.len(), prompts[0].len(), self.cfg.hidden as usize);
         // The last sampled token is never written back: s + n - 1 rows.
         let capacity = s + gen_len.saturating_sub(1);
 
-        let new_cache = |_| match self.options.kv_quantize_at_rest {
-            None => KvCache::new(per, h, capacity),
-            Some(q) => KvCache::new_quantized(per, h, capacity, q),
-        };
-        let caches: Vec<Vec<KvCache>> = (0..l)
-            .map(|_| (0..*num_batches).map(new_cache).collect())
-            .collect();
-        // What the caches will hold once full, priced as `kv_bytes_at_rest`.
-        let kv_bytes = caches.iter().flatten().map(|c| c.bytes_for(capacity)).sum();
-        let kv_lease = self.host.alloc(kv_bytes)?;
-
-        let positions: Vec<usize> = (0..per).flat_map(|_| 0..s).collect();
-        let hidden = prompts
-            .chunks(per)
-            .map(|batch| {
-                let flat: Vec<u32> = batch.iter().flatten().copied().collect();
-                self.embedding.embed(&flat, &positions).reshape([per, s, h])
+        let caches: Vec<KvCache> = (0..self.store.num_layers())
+            .map(|_| match self.options.kv_quantize_at_rest {
+                None => KvCache::new(rows, h, capacity),
+                Some(q) => KvCache::new_quantized(rows, h, capacity, q),
             })
             .collect();
-        let mut block = Block { caches, hidden, pos: 0, _kv_lease: kv_lease };
+        // What the caches will hold once full, priced as `kv_bytes_at_rest`.
+        let kv_bytes = caches.iter().map(|c| c.bytes_for(capacity)).sum();
+        let kv_lease = self.host.alloc(kv_bytes)?;
+
+        let positions: Vec<usize> = (0..rows).flat_map(|_| 0..s).collect();
+        let hidden = self.embedding.embed(&prompts.concat(), &positions).reshape([rows, s, h]);
+        let mut block = Block { caches, hidden, _kv_lease: kv_lease };
         {
             let _prefill = self.options.tracer.scope("prefill");
             self.cross_layers(&mut block, None)?;
         }
-        block.pos = s;
         // Only the last position's hidden state feeds the first sample.
-        for x in &mut block.hidden {
-            let mut data = Vec::with_capacity(per * h);
-            for bi in 0..per {
-                data.extend_from_slice(&x.data()[(bi * s + (s - 1)) * h..][..h]);
-            }
-            *x = Tensor::from_vec([per, h], data);
-        }
+        let x = block.hidden.data();
+        let last = (0..rows).flat_map(|r| &x[(r * s + s - 1) * h..][..h]).copied().collect();
+        block.hidden = Tensor::from_vec([rows, h], last);
         Ok(block)
     }
 
-    /// Unembed each batch's last hidden state and sample its next tokens.
-    fn sample(&self, block: &Block) -> Vec<Vec<u32>> {
-        block
-            .hidden
-            .iter()
-            .map(|x| self.options.sampler.sample(&self.embedding.unembed(x)))
-            .collect()
+    /// Unembed the last hidden state and sample each row's `step`-th token.
+    fn sample(&self, block: &Block, step: u64) -> Vec<u32> {
+        self.options.sampler.sample(&self.embedding.unembed(&block.hidden), step)
     }
 
-    /// Decode step `step`: embed the tokens just sampled (one `Vec` per
-    /// batch) at the block's next position and cross every layer once,
-    /// appending one K/V row per (layer, batch).
-    fn decode_step(
-        &self,
-        block: &mut Block,
-        step: u64,
-        last_tokens: &[Vec<u32>],
-    ) -> Result<(), EngineError> {
-        for (x, toks) in block.hidden.iter_mut().zip(last_tokens) {
-            *x = self.embedding.embed(toks, &vec![block.pos; toks.len()]);
-        }
-        self.cross_layers(block, Some(step))?;
-        block.pos += 1;
-        Ok(())
+    /// Decode step `step`: embed the tokens just sampled, one per row, at
+    /// the block's next position and cross every layer once, appending one
+    /// K/V row per (layer, row).
+    fn decode_step(&self, block: &mut Block, step: u64, last: &[u32]) -> Result<(), EngineError> {
+        let pos = block.caches[0].len();
+        block.hidden = self.embedding.embed(last, &vec![pos; last.len()]);
+        self.cross_layers(block, Some(step))
     }
 
-    /// One sweep: every batch of `block` crosses each fetched layer
-    /// together, writing K/V from `block.pos` on. A decode step (`step` is
-    /// `Some`) records a compute span per (layer, batch), tagged with the
-    /// batch only in multi-batch blocks; prefill (`None`) only its scope.
+    /// One sweep: every row of `block` crosses each fetched layer in one
+    /// call, writing K/V from that layer's cache length on. A decode step
+    /// (`step` is `Some`) records one compute span per layer; prefill
+    /// (`None`) only its scope.
     fn cross_layers(&self, block: &mut Block, step: Option<u64>) -> Result<(), EngineError> {
         let heads = self.cfg.num_heads as usize;
         let tracer = &self.options.tracer;
-        let Block { caches, hidden, pos, .. } = block;
-        let tagged = hidden.len() > 1;
+        let Block { caches, hidden, .. } = block;
         self.sweep_layers(step, |j, fetched| {
-            for (k, (x, cache)) in hidden.iter_mut().zip(&mut caches[j as usize]).enumerate() {
-                let batch = tagged.then_some(k as u32);
-                let _span = step.map(|i| tracer.task_span(TaskKind::ComputeGpu, i, j, batch));
-                *x = match step {
-                    None => fetched.weights.forward_prefill(x, cache, heads, *pos),
-                    Some(_) => fetched.weights.forward_decode(x, cache, heads, *pos),
-                };
-            }
+            let cache = &mut caches[j as usize];
+            let pos = cache.len();
+            let _span = step.map(|i| tracer.task_span(TaskKind::ComputeGpu, i, j, None));
+            *hidden = match step {
+                None => fetched.weights.forward_prefill(hidden, cache, heads, pos),
+                Some(_) => fetched.weights.forward_decode(hidden, cache, heads, pos),
+            };
         })
     }
 
@@ -892,12 +861,12 @@ mod tests {
         )
         .unwrap();
         let gen_len = 3;
-        let g = e.run(&GenerateRequest::new(prompts(), gen_len).with_batches(2)).unwrap();
+        let g = e.run(&GenerateRequest::new(prompts(), gen_len)).unwrap();
         let report = tracer.snapshot();
         let l = cfg.num_layers as usize;
-        // One load_weight span per (decode step, layer); one compute span
-        // per (decode step, layer, batch); gen_len - 1 decode steps.
-        // Prefill contributes scopes, not spans.
+        // One load_weight span and one compute span per (decode step,
+        // layer), however many rows; gen_len - 1 decode steps. Prefill
+        // contributes scopes, not spans.
         let steps = gen_len - 1;
         let lw = report
             .spans
@@ -910,13 +879,9 @@ mod tests {
             .filter(|s| s.kind == TaskKind::ComputeGpu)
             .count();
         assert_eq!(lw, steps * l);
-        assert_eq!(cg, steps * l * 2);
+        assert_eq!(cg, steps * l);
         assert!(report.spans.iter().all(|s| s.step < steps as u64));
-        assert!(report
-            .spans
-            .iter()
-            .filter(|s| s.kind == TaskKind::ComputeGpu)
-            .all(|s| s.batch.is_some()));
+        assert!(report.spans.iter().all(|s| s.batch.is_none()));
         // Scopes: one prefill + one decode.
         assert_eq!(report.scopes.iter().filter(|s| s.name == "prefill").count(), 1);
         assert_eq!(report.scopes.iter().filter(|s| s.name == "decode").count(), 1);
@@ -936,7 +901,7 @@ mod tests {
         );
         // Tracing must not perturb the tokens.
         let clean = engine_with(256 << 20, true);
-        let untraced = clean.run(&GenerateRequest::new(prompts(), gen_len).with_batches(2)).unwrap();
+        let untraced = clean.run(&GenerateRequest::new(prompts(), gen_len)).unwrap();
         assert_eq!(g.tokens, untraced.tokens);
     }
 
@@ -966,14 +931,14 @@ mod tests {
             .unwrap();
             let (ra, rb) = (
                 GenerateRequest::new(pa.clone(), gen_len),
-                GenerateRequest::new(pb.clone(), gen_len).with_batches(2),
+                GenerateRequest::new(pb.clone(), gen_len),
             );
             let mut blocks = [e.prefill(&ra).unwrap(), e.prefill(&rb).unwrap()];
             let mut tokens = [vec![Vec::new(); pa.len()], vec![Vec::new(); pb.len()]];
             for step in 0..gen_len {
                 for (block, rows) in blocks.iter_mut().zip(&mut tokens) {
-                    let next = e.sample(block);
-                    for (row, &t) in rows.iter_mut().zip(next.iter().flatten()) {
+                    let next = e.sample(block, step as u64);
+                    for (row, &t) in rows.iter_mut().zip(&next) {
                         row.push(t);
                     }
                     if step + 1 < gen_len {

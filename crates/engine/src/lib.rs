@@ -9,7 +9,9 @@
 //! The key correctness property (tested): generation under a tight
 //! two-layer device budget is token-for-token identical to unconstrained
 //! generation, while the bounded [`pools::MemPool`] proves the budget was
-//! honoured.
+//! honoured. A request's rows are one block: they cross each fetched layer
+//! in one call, so weights stream once per sweep for all of them, and each
+//! row's tokens equal that row run alone.
 //!
 //! ```
 //! use lm_engine::{Engine, EngineOptions, GenerateRequest};

@@ -18,25 +18,31 @@ pub enum Sampler {
 }
 
 impl Sampler {
-    /// Sample one token per row of a `[batch, vocab]` logits tensor.
-    pub fn sample(&self, logits: &Tensor) -> Vec<u32> {
+    /// Sample one token per row of a `[batch, vocab]` logits tensor, the
+    /// `step`-th token of each row's generation. A seeded sampler draws
+    /// one uniform number per call, keyed by `(seed, step)`, and every row
+    /// uses it: a row's token depends on its own logits, the seed and the
+    /// step — not on which rows share the call or where it sits among them.
+    pub fn sample(&self, logits: &Tensor, step: u64) -> Vec<u32> {
         assert_eq!(logits.rank(), 2, "logits must be [batch, vocab]");
+        let rows = (0..logits.dim(0)).map(|r| logits.row(r));
         match *self {
-            Sampler::Greedy => (0..logits.dim(0)).map(|r| argmax(logits.row(r))).collect(),
+            Sampler::Greedy => rows.map(argmax).collect(),
             Sampler::TopK { k, seed } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                (0..logits.dim(0))
-                    .map(|r| top_k(logits.row(r), k, &mut rng))
-                    .collect()
+                let u = draw(seed, step);
+                rows.map(|row| top_k(row, k, u)).collect()
             }
             Sampler::TopP { p, seed } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                (0..logits.dim(0))
-                    .map(|r| top_p(logits.row(r), p, &mut rng))
-                    .collect()
+                let u = draw(seed, step);
+                rows.map(|row| top_p(row, p, u)).collect()
             }
         }
     }
+}
+
+/// The uniform number in `[0, 1)` a seeded sampler uses at `step`.
+fn draw(seed: u64, step: u64) -> f32 {
+    SmallRng::seed_from_u64(seed ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03)).gen()
 }
 
 fn argmax(row: &[f32]) -> u32 {
@@ -47,7 +53,7 @@ fn argmax(row: &[f32]) -> u32 {
         .expect("non-empty vocab")
 }
 
-fn top_k(row: &[f32], k: usize, rng: &mut SmallRng) -> u32 {
+fn top_k(row: &[f32], k: usize, u: f32) -> u32 {
     assert!(k >= 1, "k must be positive");
     let mut idx: Vec<usize> = (0..row.len()).collect();
     let k = k.min(row.len());
@@ -59,7 +65,7 @@ fn top_k(row: &[f32], k: usize, rng: &mut SmallRng) -> u32 {
     let max = top.iter().map(|&i| row[i]).fold(f32::NEG_INFINITY, f32::max);
     let weights: Vec<f32> = top.iter().map(|&i| (row[i] - max).exp()).collect();
     let total: f32 = weights.iter().sum();
-    let mut draw = rng.gen::<f32>() * total;
+    let mut draw = u * total;
     for (w, &i) in weights.iter().zip(top) {
         draw -= w;
         if draw <= 0.0 {
@@ -69,7 +75,7 @@ fn top_k(row: &[f32], k: usize, rng: &mut SmallRng) -> u32 {
     top[k - 1] as u32
 }
 
-fn top_p(row: &[f32], p: f32, rng: &mut SmallRng) -> u32 {
+fn top_p(row: &[f32], p: f32, u: f32) -> u32 {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     // Softmax over the full row, then take tokens by descending mass
     // until the nucleus covers p.
@@ -91,7 +97,7 @@ fn top_p(row: &[f32], p: f32, rng: &mut SmallRng) -> u32 {
         }
     }
     let nucleus_total: f32 = probs[..nucleus].iter().map(|(_, w)| w).sum();
-    let mut draw = rng.gen::<f32>() * nucleus_total;
+    let mut draw = u * nucleus_total;
     for (i, w) in &probs[..nucleus] {
         draw -= w;
         if draw <= 0.0 {
@@ -108,14 +114,14 @@ mod tests {
     #[test]
     fn greedy_takes_argmax_per_row() {
         let logits = Tensor::from_vec([2, 4], vec![0.1, 3.0, -1.0, 0.0, 9.0, 0.0, 0.0, 0.0]);
-        assert_eq!(Sampler::Greedy.sample(&logits), vec![1, 0]);
+        assert_eq!(Sampler::Greedy.sample(&logits, 0), vec![1, 0]);
     }
 
     #[test]
     fn top1_equals_greedy() {
         let logits = Tensor::randn([3, 50], 2.0, 42);
-        let greedy = Sampler::Greedy.sample(&logits);
-        let top1 = Sampler::TopK { k: 1, seed: 7 }.sample(&logits);
+        let greedy = Sampler::Greedy.sample(&logits, 0);
+        let top1 = Sampler::TopK { k: 1, seed: 7 }.sample(&logits, 0);
         assert_eq!(greedy, top1);
     }
 
@@ -127,7 +133,7 @@ mod tests {
         logits[30] = 4.0;
         let t = Tensor::from_vec([1, 100], logits);
         for seed in 0..20 {
-            let tok = Sampler::TopK { k: 3, seed }.sample(&t)[0];
+            let tok = Sampler::TopK { k: 3, seed }.sample(&t, 0)[0];
             assert!([10, 20, 30].contains(&tok), "got {tok}");
         }
     }
@@ -136,8 +142,8 @@ mod tests {
     fn top_p_zero_equals_greedy() {
         // p = 0 admits only the single most likely token.
         let logits = Tensor::randn([3, 50], 2.0, 11);
-        let greedy = Sampler::Greedy.sample(&logits);
-        let nucleus = Sampler::TopP { p: 0.0, seed: 3 }.sample(&logits);
+        let greedy = Sampler::Greedy.sample(&logits, 0);
+        let nucleus = Sampler::TopP { p: 0.0, seed: 3 }.sample(&logits, 0);
         assert_eq!(greedy, nucleus);
     }
 
@@ -148,23 +154,58 @@ mod tests {
         logits[17] = 10.0;
         let t = Tensor::from_vec([1, 64], logits);
         for seed in 0..10 {
-            assert_eq!(Sampler::TopP { p: 0.5, seed }.sample(&t)[0], 17);
+            assert_eq!(Sampler::TopP { p: 0.5, seed }.sample(&t, 0)[0], 17);
         }
     }
 
     #[test]
     fn top_p_is_seed_deterministic() {
         let logits = Tensor::randn([4, 64], 1.0, 5);
-        let a = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits);
-        let b = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits);
-        assert_eq!(a, b);
+        for step in [0, 1, 17] {
+            let a = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits, step);
+            let b = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits, step);
+            assert_eq!(a, b, "step {step}");
+        }
     }
 
     #[test]
     fn top_k_is_seed_deterministic() {
         let logits = Tensor::randn([4, 64], 1.0, 5);
-        let a = Sampler::TopK { k: 8, seed: 99 }.sample(&logits);
-        let b = Sampler::TopK { k: 8, seed: 99 }.sample(&logits);
-        assert_eq!(a, b);
+        for step in [0, 1, 17] {
+            let a = Sampler::TopK { k: 8, seed: 99 }.sample(&logits, step);
+            let b = Sampler::TopK { k: 8, seed: 99 }.sample(&logits, step);
+            assert_eq!(a, b, "step {step}");
+        }
+    }
+
+    fn seeded() -> [Sampler; 2] {
+        [Sampler::TopK { k: 64, seed: 3 }, Sampler::TopP { p: 1.0, seed: 3 }]
+    }
+
+    #[test]
+    fn successive_steps_draw_afresh() {
+        // Flat logits: the token is the draw alone. One draw reused at
+        // every step would give one token 32 times.
+        let flat = Tensor::from_vec([1, 64], vec![0.0; 64]);
+        for s in seeded() {
+            let mut drawn: Vec<u32> = (0..32).map(|step| s.sample(&flat, step)[0]).collect();
+            drawn.sort_unstable();
+            drawn.dedup();
+            assert!(drawn.len() > 1, "{s:?} drew only {drawn:?}");
+        }
+    }
+
+    #[test]
+    fn a_row_samples_as_it_would_alone() {
+        let logits = Tensor::randn([5, 64], 1.0, 21);
+        for s in seeded() {
+            for step in [0, 6] {
+                let together = s.sample(&logits, step);
+                for (r, &t) in together.iter().enumerate() {
+                    let alone = Tensor::from_vec([1, 64], logits.row(r).to_vec());
+                    assert_eq!(s.sample(&alone, step), [t], "{s:?} row {r} step {step}");
+                }
+            }
+        }
     }
 }

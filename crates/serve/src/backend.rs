@@ -93,7 +93,7 @@ pub struct AnalyticBackend {
     cfg: ModelConfig,
     platform: Platform,
     policy: Policy,
-    /// Per-slot decode model: `gpu_batch = 1`, `prompt_len = 1`, so
+    /// Per-slot decode model: `gpu_batch = 1`, a one-token prompt, so
     /// `kv_elems_at(c - 1)` is one sequence's cache at context `c`.
     decode: BaseCostModel,
     /// One layer's weight stream under `decode`: what every decode

@@ -407,10 +407,10 @@ pub fn synth_traffic(seed: u64, rps: f64, n: usize, cfg: &ModelConfig) -> Vec<Re
         // Exponential inter-arrival: -ln(1-u)/rps.
         let u: f64 = rng.gen();
         t_us += micros(-(1.0 - u).ln() / rps);
-        let prompt_len = rng.gen_range(4usize..max_prompt);
-        let gen_cap = (cfg.max_seq_len as usize - prompt_len).clamp(5, 64);
+        let prompt_tokens = rng.gen_range(4usize..max_prompt);
+        let gen_cap = (cfg.max_seq_len as usize - prompt_tokens).clamp(5, 64);
         let gen_len = rng.gen_range(4usize..gen_cap);
-        let prompt = (0..prompt_len)
+        let prompt = (0..prompt_tokens)
             .map(|_| rng.gen_range(1u32..cfg.vocab_size as u32))
             .collect();
         let mut req = Request::new(id, prompt, gen_len)

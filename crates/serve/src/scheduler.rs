@@ -262,7 +262,7 @@ fn admission_order(ready: &mut [Seq]) {
 /// backend for a token, so all of them reject the same requests.
 pub(crate) fn validate(backend: &dyn ServeBackend, req: &Request) -> Result<(), RejectReason> {
     let prompts = std::slice::from_ref(&req.prompt);
-    match validate_request(backend.model(), prompts, req.gen_len, 1) {
+    match validate_request(backend.model(), prompts, req.gen_len) {
         Err(EngineError::InvalidRequest { reason }) => Err(RejectReason::Invalid(reason)),
         _ => Ok(()),
     }

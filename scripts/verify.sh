@@ -20,8 +20,10 @@ lane() {
     return "$rc"
 }
 
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+# `--locked`: a root Cargo.lock that no longer matches the manifests fails
+# here instead of being rewritten silently.
+echo "==> cargo build --release --workspace --locked"
+cargo build --release --workspace --locked
 
 # `benchmark/` is a package of its own that compiles against the crates'
 # public surface (EngineOptions, OffloadStore, ServeSession, derive_plan,
@@ -50,8 +52,8 @@ cp benchmark/Cargo.lock "$lock"
 cp "$lock" benchmark/Cargo.lock
 rm -f "$lock" "$result"
 
-echo "==> cargo test (default-members = the whole workspace)"
-lane "cargo test" 30 cargo test -q
+echo "==> cargo test --locked (default-members = the whole workspace)"
+lane "cargo test" 30 cargo test -q --locked
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"

@@ -1,11 +1,13 @@
-//! The zig-zag block schedule on the *real* engine: outputs must be
-//! identical to independent per-batch generation while the weight traffic
-//! is amortised across the block — FlexGen's core mechanism, demonstrated
-//! with actual byte accounting rather than a model.
+//! One request is one block on the *real* engine: every row crosses each
+//! fetched layer in the same call, so the weight stream is paid once per
+//! sweep for all of them, while each row's tokens stay bit-identical to
+//! that row run alone — FlexGen's core mechanism, demonstrated with actual
+//! byte accounting rather than a model.
 
 #![allow(clippy::unwrap_used)]
-use lm_engine::{Engine, EngineOptions, GenerateRequest};
-use lm_models::presets;
+use lm_engine::{Engine, EngineOptions, GenerateRequest, Sampler};
+use lm_models::{presets, Family};
+use lm_tensor::QuantConfig;
 
 fn prompts(n: usize) -> Vec<Vec<u32>> {
     (0..n)
@@ -15,39 +17,57 @@ fn prompts(n: usize) -> Vec<Vec<u32>> {
 
 #[test]
 fn zigzag_outputs_equal_independent_batches() {
-    let cfg = presets::tiny_test();
-    let engine = Engine::new(&cfg, 77, EngineOptions::default()).unwrap();
+    // Rows of one request share no state: matmul's tile invariant, the
+    // row-wise norms, GELU and RoPE and per-sequence attention make a row
+    // computed in a block bit-identical to the row computed alone.
+    let mut llama = presets::tiny_test();
+    llama.family = Family::Llama;
     let all = prompts(4);
-    let gen_len = 6;
-
-    let block = engine.run(&GenerateRequest::new(all.to_vec(), gen_len).with_batches(2)).unwrap();
-    // Independent runs of each half must produce the same tokens: the
-    // batches share no state, only the schedule changed.
-    let first = engine.run(&GenerateRequest::new(all[..2].to_vec(), gen_len)).unwrap();
-    let second = engine.run(&GenerateRequest::new(all[2..].to_vec(), gen_len)).unwrap();
-    assert_eq!(&block.tokens[..2], &first.tokens[..]);
-    assert_eq!(&block.tokens[2..], &second.tokens[..]);
+    let gen_len = 4;
+    let weights = [
+        ("f32", None, false),
+        ("f16", None, true),
+        ("int4", Some(QuantConfig::int4()), false),
+    ];
+    for cfg in [presets::tiny_test(), llama] {
+        for (at_rest, quantize_at_rest, f16_at_rest) in weights {
+            for prefetch in [true, false] {
+                for sampler in [Sampler::Greedy, Sampler::TopK { k: 8, seed: 5 }] {
+                    let options = EngineOptions {
+                        quantize_at_rest,
+                        f16_at_rest,
+                        prefetch,
+                        sampler,
+                        ..Default::default()
+                    };
+                    let engine = Engine::new(&cfg, 77, options).unwrap();
+                    let block = engine.run(&GenerateRequest::new(all.clone(), gen_len)).unwrap();
+                    for (row, prompt) in block.tokens.iter().zip(&all) {
+                        let solo = GenerateRequest::new(std::slice::from_ref(prompt), gen_len);
+                        assert_eq!(
+                            engine.run(&solo).unwrap().tokens,
+                            std::slice::from_ref(row),
+                            "{:?} {at_rest} prefetch {prefetch} {sampler:?}",
+                            cfg.family
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn zigzag_amortises_weight_traffic_across_batches() {
-    // The measurable claim behind Eq. 2's load_weight term: one block of
-    // nb batches streams each layer once per sweep; nb independent runs
-    // stream it nb times.
+    // The measurable claim behind Eq. 2's load_weight term: a sweep
+    // streams each layer once whatever it carries, so four rows in one
+    // request cost the weight traffic of one row alone.
     let cfg = presets::tiny_test();
     let engine = Engine::new(&cfg, 78, EngineOptions::default()).unwrap();
-    let all = prompts(4);
     let gen_len = 3;
-
-    let block = engine.run(&GenerateRequest::new(all.to_vec(), gen_len).with_batches(2)).unwrap();
-    let a = engine.run(&GenerateRequest::new(all[..2].to_vec(), gen_len)).unwrap();
-    let b = engine.run(&GenerateRequest::new(all[2..].to_vec(), gen_len)).unwrap();
-    let independent = a.weight_bytes_streamed + b.weight_bytes_streamed;
-    assert_eq!(
-        independent,
-        2 * block.weight_bytes_streamed,
-        "block must halve the weight stream for 2 batches"
-    );
+    let block = engine.run(&GenerateRequest::new(prompts(4), gen_len)).unwrap();
+    let solo = engine.run(&GenerateRequest::new(prompts(1), gen_len)).unwrap();
+    assert_eq!(block.weight_bytes_streamed, solo.weight_bytes_streamed);
 }
 
 #[test]
@@ -55,16 +75,16 @@ fn zigzag_single_batch_equals_generate() {
     let cfg = presets::tiny_test();
     let engine = Engine::new(&cfg, 79, EngineOptions::default()).unwrap();
     let all = prompts(2);
-    let plain = engine.run(&GenerateRequest::new(all.to_vec(), 4)).unwrap();
-    let block = engine.run(&GenerateRequest::new(all.to_vec(), 4).with_batches(1)).unwrap();
-    assert_eq!(plain.tokens, block.tokens);
-    assert_eq!(plain.weight_bytes_streamed, block.weight_bytes_streamed);
+    let block = engine.run(&GenerateRequest::new(all.clone(), 4)).unwrap();
+    let first = engine.run(&GenerateRequest::new(all[..1].to_vec(), 4)).unwrap();
+    assert_eq!(block.tokens[..1], first.tokens[..]);
+    assert_eq!(block.weight_bytes_streamed, first.weight_bytes_streamed);
 }
 
 #[test]
 fn zigzag_respects_tight_device_budget() {
-    // The block schedule must not need more device memory than the
-    // single-batch path: weights still stream two layers at a time.
+    // More rows need no more device memory: weights still stream two
+    // layers at a time.
     let cfg = presets::tiny_test();
     let layer_bytes = cfg.weights_per_layer() as usize * 4 + 64 * 1024;
     let engine = Engine::new(
@@ -76,7 +96,7 @@ fn zigzag_respects_tight_device_budget() {
         },
     )
     .unwrap();
-    let g = engine.run(&GenerateRequest::new(prompts(4).to_vec(), 3).with_batches(2)).unwrap();
+    let g = engine.run(&GenerateRequest::new(prompts(4), 3)).unwrap();
     assert!(g.device_peak <= 2 * layer_bytes);
     assert_eq!(g.tokens.len(), 4);
 }
@@ -85,11 +105,12 @@ fn zigzag_respects_tight_device_budget() {
 fn ragged_block_rejected() {
     let cfg = presets::tiny_test();
     let engine = Engine::new(&cfg, 81, EngineOptions::default()).unwrap();
-    // A prompt count that does not divide into the requested batches is
-    // a typed error now, not a panic.
-    match engine.run(&GenerateRequest::new(prompts(3), 2).with_batches(2)) {
+    // Nothing pads a block: prompts of different lengths are a typed
+    // error, not a panic.
+    let ragged = vec![vec![1, 2, 3], vec![4, 5]];
+    match engine.run(&GenerateRequest::new(ragged, 2)) {
         Err(lm_engine::EngineError::InvalidRequest { reason }) => {
-            assert!(reason.contains("equal batches"), "{reason}")
+            assert!(reason.contains("share a length"), "{reason}")
         }
         other => panic!("expected InvalidRequest, got ok={}", other.is_ok()),
     }
