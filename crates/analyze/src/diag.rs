@@ -93,8 +93,9 @@ lint_codes! {
     Lma204NonFiniteQuantity = "LMA204",
     /// Serve plan leases more KV bytes than its pool holds.
     Lma250SlotsExceedPool = "LMA250",
-    /// Serve block size exceeds the Kahn width bound of its block graph.
-    Lma251BlockExceedsWidth = "LMA251",
+    // LMA251 (serve block beyond its block graph's Kahn width) is
+    // retired: the graph was built `head_groups` wide per slot, so it
+    // could not fire on a derived plan. Never reuse 251.
     /// Serve plan leaves most of the KV pool idle (underutilization).
     Lma252SlotsUnderutilizePool = "LMA252",
     /// SLO target below the physical floor (one prefill + one step):
@@ -294,9 +295,9 @@ mod tests {
         const GOLDEN: &[&str] = &[
             "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
             "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA109",
-            "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA251", "LMA252",
-            "LMA260", "LMA261", "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA290",
-            "LMA291", "LMA292", "LMA300", "LMA301", "LMA302",
+            "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA252", "LMA260",
+            "LMA261", "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA290", "LMA291",
+            "LMA292", "LMA300", "LMA301", "LMA302",
         ];
         let shipped: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(shipped, GOLDEN, "LMA registry drifted from the golden list");

@@ -47,19 +47,27 @@ pub fn lint_paging(probe: &PagingProbe) -> Report {
         || !tiles_block
         || probe.pages_total == 0
     {
+        let mut message = format!(
+            "page of {} tokens / {} B (expected {} B at {} B/token) \
+             against a {}-token KV block and a {}-page pool",
+            probe.page_tokens,
+            probe.page_bytes,
+            probe.page_tokens.saturating_mul(probe.bytes_per_token),
+            probe.bytes_per_token,
+            probe.kv_block_tokens,
+            probe.pages_total
+        );
+        if probe.page_tokens > 0 && !tiles_block {
+            let below = probe.kv_block_tokens - probe.kv_block_tokens % probe.page_tokens;
+            message += &format!(
+                "; the nearest whole-page contexts are {below} and {} tokens",
+                below.saturating_add(probe.page_tokens)
+            );
+        }
         out.push(Diagnostic::error(
             LintCode::Lma280PageGeometryInvalid,
             "paging.geometry".to_string(),
-            format!(
-                "page of {} tokens / {} B (expected {} B at {} B/token) \
-                 against a {}-token KV block and a {}-page pool",
-                probe.page_tokens,
-                probe.page_bytes,
-                probe.page_tokens.saturating_mul(probe.bytes_per_token),
-                probe.bytes_per_token,
-                probe.kv_block_tokens,
-                probe.pages_total
-            ),
+            message,
         ));
     }
 

@@ -16,10 +16,6 @@ pub struct ServeProbe {
     pub kv_bytes_per_slot: u64,
     /// Capacity of the serve-owned KV `MemPool`, bytes.
     pub kv_pool_bytes: u64,
-    /// Sequences composed into one engine block step.
-    pub block_size: u64,
-    /// Kahn width (max concurrency) of the block-level operator graph.
-    pub kahn_width: u64,
 }
 
 /// Run every serving lint over a sampled probe.
@@ -38,21 +34,6 @@ pub fn lint_serve(probe: &ServeProbe) -> Report {
             format!(
                 "{} slots x {} B/slot = {leased} B exceed the {} B KV pool",
                 probe.slots, probe.kv_bytes_per_slot, probe.kv_pool_bytes
-            ),
-        ));
-    }
-
-    // LMA251: the block-level graph bounds how many sequences one step
-    // can actually run concurrently (Algorithm 3's width argument applied
-    // to the serving block). A larger batch only adds padding.
-    if probe.block_size > probe.kahn_width {
-        out.push(Diagnostic::error(
-            LintCode::Lma251BlockExceedsWidth,
-            "plan.block_size".to_string(),
-            format!(
-                "block of {} sequences exceeds the block graph's Kahn \
-                 width {}",
-                probe.block_size, probe.kahn_width
             ),
         ));
     }
@@ -160,8 +141,6 @@ mod tests {
             slots: 8,
             kv_bytes_per_slot: 1 << 20,
             kv_pool_bytes: 10 << 20,
-            block_size: 8,
-            kahn_width: 8,
         }
     }
 
@@ -173,19 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn block_beyond_kahn_width_caught() {
-        let mut p = sound();
-        p.kahn_width = 4;
-        let r = lint_serve(&p);
-        assert!(r.has(LintCode::Lma251BlockExceedsWidth), "{r}");
-        assert!(!r.is_clean());
-    }
-
-    #[test]
     fn idle_pool_warned_but_not_fatal() {
         let mut p = sound();
         p.slots = 2;
-        p.block_size = 2;
         let r = lint_serve(&p);
         assert!(r.has(LintCode::Lma252SlotsUnderutilizePool), "{r}");
         assert!(r.is_clean(), "underutilization is a warning: {r}");
@@ -197,7 +166,6 @@ mod tests {
         // threshold's strict inequality, no finding.
         let mut p = sound();
         p.slots = 5;
-        p.block_size = 5;
         let r = lint_serve(&p);
         assert!(!r.has(LintCode::Lma252SlotsUnderutilizePool), "{r}");
     }
@@ -214,7 +182,7 @@ mod tests {
     #[test]
     fn probe_serializes() {
         let json = serde_json::to_string(&sound()).expect("serialize");
-        assert!(json.contains("kahn_width"), "{json}");
+        assert!(json.contains("kv_pool_bytes"), "{json}");
     }
 
     fn sound_slo() -> SloProbe {

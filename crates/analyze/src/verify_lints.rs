@@ -116,8 +116,8 @@ mod tests {
         VerifyProbe {
             axes: vec![
                 ("model".into(), 3),
-                ("pool_bytes".into(), 4),
-                ("page_tokens".into(), 4),
+                ("max_slots".into(), 4),
+                ("slot_context".into(), 4),
                 ("slo".into(), 3),
                 ("ladder".into(), 2),
             ],

@@ -133,8 +133,6 @@ fn serve(defect: fn(&mut ServeProbe)) -> (Report, Report) {
         slots: 6,
         kv_bytes_per_slot: 4 << 20,
         kv_pool_bytes: 32 << 20,
-        block_size: 6,
-        kahn_width: 6,
     };
     probed(sound, lint_serve, defect)
 }
@@ -181,8 +179,8 @@ fn verify(defect: fn(&mut VerifyProbe)) -> (Report, Report) {
     let sound = VerifyProbe {
         axes: vec![
             ("model".into(), 3),
-            ("pool_bytes".into(), 4),
-            ("page_tokens".into(), 4),
+            ("max_slots".into(), 4),
+            ("slot_context".into(), 4),
             ("slo".into(), 3),
             ("ladder".into(), 2),
         ],
@@ -310,11 +308,7 @@ mutations! {
         p.compute_cpu_time = f64::NAN;
     }),
     lma250_slots_oversubscribe_pool: Lma250SlotsExceedPool => |_| serve(|p| p.slots = 9),
-    lma251_block_beyond_kahn_width: Lma251BlockExceedsWidth => |_| serve(|p| p.kahn_width = 3),
-    lma252_pool_left_idle: Lma252SlotsUnderutilizePool => |_| serve(|p| {
-        p.slots = 2;
-        p.block_size = 2;
-    }),
+    lma252_pool_left_idle: Lma252SlotsUnderutilizePool => |_| serve(|p| p.slots = 2),
     lma260_objective_below_the_floor: Lma260SloBelowFloor => |_| slo(|p| {
         p.ttft_p99_slo_s = p.floor_ttft_s / 2.0;
     }),

@@ -462,14 +462,13 @@ fn run_serve(a: &Args) -> Vec<Gate> {
     print_traffic(a);
     let r = serve::run(a.seed, a.rps, a.requests);
     println!(
-        "plan: {} slots x {} ctx, {:.1} MiB/slot, pool {:.1} MiB = {} pages x {} tok, kahn width {}, est {:.1} tok/s",
+        "plan: {} slots x {} ctx, {:.1} MiB/slot, pool {:.1} MiB = {} pages x {} tok, est {:.1} tok/s",
         r.plan.slots,
         r.plan.slot_context,
         r.plan.kv_bytes_per_slot as f64 / (1 << 20) as f64,
         r.plan.kv_pool_bytes as f64 / (1 << 20) as f64,
         r.plan.pages_total,
         r.plan.page_tokens,
-        r.plan.kahn_width,
         r.plan.est_tokens_per_s
     );
     print_serve_modes(&r.modes);

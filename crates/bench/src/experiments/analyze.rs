@@ -89,13 +89,14 @@ fn preset_row(
 /// Lint the default OPT-30B serving deployment against its one admission
 /// plan, one row per family:
 ///
-/// - `LMA25x` the plan itself (columns: Kahn width / slots);
+/// - `LMA25x` the plan itself (columns: worst-case envelopes the pool
+///   holds / slots);
 /// - `LMA28x` its page geometry — the page size must tile the KV block,
 ///   the pool must hold a page, the quiescent probe must balance
 ///   (columns: pool pages / pages one slot's context spans);
 /// - `LMA26x` the SLO policy `repro slo` enforces — the objective must
 ///   clear the physical TTFT floor with an actuator armed (columns:
-///   Kahn width / slots);
+///   objective in ms / slots);
 /// - `LMA30x` the async session shape `ServeSession::run_async` ships
 ///   with (columns: per-request channel capacity / slots).
 fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) -> [AnalyzeRow; 4] {
@@ -106,7 +107,7 @@ fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) ->
     [
         AnalyzeRow::new(
             "opt-30b/serve/default-plan",
-            plan.kahn_width as u32,
+            (plan.kv_pool_bytes / plan.kv_bytes_per_slot) as u32,
             plan.slots as u32,
             serve_report(plan),
         ),
@@ -118,7 +119,7 @@ fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) ->
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-slo",
-            plan.kahn_width as u32,
+            (policy.ttft_p99_s * 1e3) as u32,
             plan.slots as u32,
             slo_report(plan, backend, &policy, Some(&ladder)),
         ),

@@ -49,7 +49,8 @@ use std::sync::Arc;
 /// bytes_per_token` is the `LMA280` invariant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageConfig {
-    /// Tokens per page. Must divide the plan's KV block (slot context).
+    /// Tokens per page. Serve plans use the engine's `KV_PAGE_TOKENS`,
+    /// so a pool page covers the positions of one engine KV page.
     pub page_tokens: usize,
     /// KV bytes one token occupies across every layer (2 · hidden ·
     /// dtype bytes · layers).

@@ -17,7 +17,6 @@ use crate::slo::{DegradeLadder, SloPolicy};
 use lm_analyze::Report;
 use lm_engine::{EngineError, KV_PAGE_TOKENS};
 use lm_fault::{FaultInjector, RetryPolicy};
-use lm_parallelism::{analyze, attention_block_graph};
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -25,25 +24,17 @@ use std::sync::Arc;
 /// Operator-facing serving knobs.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Worst-case envelopes the derived KV pool is sized for
-    /// (`max_slots` sequences at the full planning context). It is a
-    /// memory budget, not a concurrency ceiling: the slot count comes
-    /// from page residency.
+    /// Worst-case envelopes the KV pool is sized for (`max_slots`
+    /// sequences at the full planning context). It is a memory budget,
+    /// not a concurrency ceiling: the slot count comes from page
+    /// residency.
     pub max_slots: usize,
-    /// KV pool capacity in bytes; `0` derives `max_slots` worst-case
-    /// envelopes.
-    pub kv_pool_bytes: usize,
-    /// Worst-case per-slot context length used to size the pool and the
-    /// plan; `0` derives a quarter of the model's context window (the
-    /// traffic synthesizer's envelope).
+    /// Per-slot context length used to size the pool and the plan; it
+    /// must be a whole number of [`KV_PAGE_TOKENS`] pages (`LMA280`).
+    /// `0` derives a quarter of the model's context window: a
+    /// statistical envelope, not a cap — a request may run past it, and
+    /// admission prices each request's own pages exactly.
     pub slot_context: usize,
-    /// Head groups of the per-sequence attention graph (the Kahn-width
-    /// bound input).
-    pub head_groups: usize,
-    /// Tokens per KV page (DESIGN.md §9.3); `0` derives the largest
-    /// divisor of the planning context not exceeding 16, so pages
-    /// always tile the KV block exactly (`LMA280`).
-    pub page_tokens: usize,
     /// Retry budget for admissions that hit transient pool pressure.
     pub retry: RetryPolicy,
     /// Fault plan attached to the serve KV pool.
@@ -66,10 +57,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_slots: 8,
-            kv_pool_bytes: 0,
             slot_context: 0,
-            head_groups: 7,
-            page_tokens: 0,
             retry: RetryPolicy::none(),
             fault: FaultInjector::disabled(),
             tracer: Tracer::disabled(),
@@ -92,14 +80,13 @@ pub struct ServePlan {
     pub kv_bytes_per_slot: u64,
     /// Serve KV pool capacity, bytes.
     pub kv_pool_bytes: u64,
-    /// Kahn width (max concurrency) of the `slots`-sequence block graph.
-    pub kahn_width: u64,
     /// Modelled seconds per decode step with every slot at the planning
     /// context.
     pub est_step_seconds: f64,
     /// Modelled steady-state throughput, tokens/second.
     pub est_tokens_per_s: f64,
-    /// Tokens per KV page (tiles `slot_context` exactly).
+    /// Tokens per KV page: [`KV_PAGE_TOKENS`], so a pool page covers the
+    /// positions of one engine KV page.
     pub page_tokens: u64,
     /// Bytes one page leases (`page_tokens · kv_bytes_at(1)`).
     pub page_bytes: u64,
@@ -107,16 +94,6 @@ pub struct ServePlan {
     pub pages_total: u64,
     /// Pages one worst-case slot maps (`slot_context / page_tokens`).
     pub pages_per_slot: u64,
-}
-
-/// Largest page size up to the engine's [`KV_PAGE_TOKENS`] (16) that tiles
-/// `context` exactly: a pool page is an engine KV page whenever 16 divides
-/// `context` (512, 368, 128 all do), else a smaller divisor, ultimately 1.
-fn derive_page_tokens(context: usize) -> usize {
-    (1..=context.min(KV_PAGE_TOKENS))
-        .rev()
-        .find(|d| context.is_multiple_of(*d))
-        .unwrap_or(1)
 }
 
 /// Serving-layer failures.
@@ -172,18 +149,9 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
         ((model.max_seq_len / 4) as usize).max(2)
     };
     let per_slot = backend.kv_bytes_at(context).max(1);
-    let pool_bytes = if cfg.kv_pool_bytes > 0 {
-        cfg.kv_pool_bytes
-    } else {
-        cfg.max_slots.max(1) * per_slot
-    };
-    let page_tokens = if cfg.page_tokens > 0 {
-        cfg.page_tokens
-    } else {
-        derive_page_tokens(context)
-    };
-    let page_bytes = page_tokens * backend.kv_bytes_at(1).max(1);
-    let pages_per_slot = context.div_ceil(page_tokens.max(1));
+    let pool_bytes = cfg.max_slots.max(1) * per_slot;
+    let page_bytes = KV_PAGE_TOKENS * backend.kv_bytes_at(1).max(1);
+    let pages_per_slot = context.div_ceil(KV_PAGE_TOKENS);
     // Throughput argmax under the pool: the shared weight stream makes
     // k/step(k) non-decreasing, so take the largest feasible k (and let
     // the lint reject a pool too small for even one).
@@ -199,28 +167,19 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
     // safe to plan on.
     let pages_total = pool_bytes / page_bytes.max(1);
     let slots = (pages_total.max(1) / pages_per_slot.div_ceil(2).max(1)).max(1);
-    let graph = attention_block_graph(
-        1,
-        slots as u64,
-        context as u64,
-        model.hidden,
-        cfg.head_groups.max(1),
-    );
-    let kahn_width = analyze(&graph).map(|a| a.max_concurrency()).unwrap_or(0) as u64;
     let est_step_seconds = backend.decode_step_seconds(&vec![context as u64; slots]);
     let plan = ServePlan {
         slots,
         slot_context: context,
         kv_bytes_per_slot: per_slot as u64,
         kv_pool_bytes: pool_bytes as u64,
-        kahn_width,
         est_step_seconds,
         est_tokens_per_s: if est_step_seconds > 0.0 {
             slots as f64 / est_step_seconds
         } else {
             0.0
         },
-        page_tokens: page_tokens as u64,
+        page_tokens: KV_PAGE_TOKENS as u64,
         page_bytes: page_bytes as u64,
         pages_total: pages_total as u64,
         pages_per_slot: pages_per_slot as u64,
@@ -232,9 +191,11 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::AnalyticBackend;
+    use crate::backend::{AnalyticBackend, EngineBackend};
     use crate::preflight::{paging_report, preflight, serve_report};
     use lm_analyze::LintCode;
+    use lm_engine::MemPool;
+    use lm_kvpool::{PageConfig, PagedKvPool};
 
     #[test]
     fn default_plan_is_clean_and_model_guided() {
@@ -245,32 +206,29 @@ mod tests {
         assert_eq!(plan.slots, 16);
         assert!(plan.est_step_seconds > 0.0);
         assert!(plan.est_tokens_per_s > 0.0);
-        assert!(plan.kahn_width >= plan.slots as u64);
         assert!(serve_report(&plan).is_clean());
     }
 
     #[test]
     fn pool_bound_caps_slots_below_ceiling() {
         let b = AnalyticBackend::opt_30b();
-        let per_slot = {
-            let p = preflight(&b, &ServeConfig::default(), None).unwrap();
-            p.kv_bytes_per_slot as usize
-        };
-        // A 3.5-envelope pool is 112 pages; over an expected residency
-        // of 16 pages per sequence that admits 7.
+        // A 3-envelope pool is 96 pages; over an expected residency of
+        // 16 pages per sequence that admits 6.
         let cfg = ServeConfig {
-            kv_pool_bytes: 3 * per_slot + per_slot / 2,
+            max_slots: 3,
             ..ServeConfig::default()
         };
         let plan = preflight(&b, &cfg, None).unwrap();
-        assert_eq!(plan.slots, 7, "page residency outpacks worst-case envelopes");
+        assert_eq!(plan.slots, 6, "page residency outpacks worst-case envelopes");
     }
 
     #[test]
     fn pool_too_small_for_one_slot_is_rejected_with_lma250() {
         let b = AnalyticBackend::opt_30b();
+        // One 8-token envelope is half a page: the pool holds none.
         let cfg = ServeConfig {
-            kv_pool_bytes: 1024, // far below one lease
+            max_slots: 1,
+            slot_context: 8,
             ..ServeConfig::default()
         };
         match preflight(&b, &cfg, None) {
@@ -281,50 +239,62 @@ mod tests {
         }
     }
 
+    /// A serve page is an engine KV page on every shipped model, at its
+    /// derived context and at the served workloads' 368, and on the real
+    /// engine backend those workloads run.
     #[test]
     fn default_plan_page_geometry_tiles_the_block() {
-        let b = AnalyticBackend::opt_30b();
-        let plan = preflight(&b, &ServeConfig::default(), None).unwrap();
-        assert_eq!(plan.page_tokens, 16, "512-token context derives 16-token pages");
-        assert_eq!(plan.slot_context as u64 % plan.page_tokens, 0);
-        assert_eq!(
-            plan.page_bytes * plan.pages_per_slot,
-            plan.kv_bytes_per_slot,
-            "pages tile the worst-case envelope exactly"
-        );
-        // The plan over-subscribes slots against worst-case envelopes
-        // (that is the point of paging); what it must guarantee is the
-        // *expected* residency — half the per-slot envelope per slot —
-        // with scheduler backpressure absorbing the tail.
-        assert!(
-            plan.pages_total >= plan.pages_per_slot.div_ceil(2) * plan.slots as u64,
-            "paged pool holds the expected residency: {} vs {}",
-            plan.pages_total,
-            plan.pages_per_slot.div_ceil(2) * plan.slots as u64
-        );
-        assert!(paging_report(&plan).is_clean());
-    }
-
-    #[test]
-    fn odd_context_derives_a_dividing_page_size() {
-        assert_eq!(derive_page_tokens(512), 16);
-        assert_eq!(derive_page_tokens(128), 16);
-        assert_eq!(derive_page_tokens(100), 10);
-        assert_eq!(derive_page_tokens(7), 7);
-        assert_eq!(derive_page_tokens(13), 13);
-        assert_eq!(derive_page_tokens(17), 1, "primes above 16 fall back to 1");
+        let analytic = |m| -> Box<dyn ServeBackend> {
+            Box::new(AnalyticBackend::new(
+                lm_hardware::presets::single_gpu_a100(),
+                m,
+                lm_sim::Policy::flexgen_default(),
+            ))
+        };
+        let mut cases: Vec<(Box<dyn ServeBackend>, usize)> = lm_models::presets::all_presets()
+            .into_iter()
+            .flat_map(|m| [(analytic(m.clone()), 0), (analytic(m), 368)])
+            .collect();
+        cases.push((Box::new(EngineBackend::tiny_test(7).unwrap()), 368));
+        for (b, slot_context) in &cases {
+            let cfg = ServeConfig {
+                slot_context: *slot_context,
+                ..ServeConfig::default()
+            };
+            let plan = preflight(b.as_ref(), &cfg, None).unwrap();
+            let at = format!("{} @ {}", b.model().name, plan.slot_context);
+            assert_eq!(plan.page_tokens, KV_PAGE_TOKENS as u64, "{at}");
+            assert_eq!(plan.pages_per_slot * plan.page_tokens, plan.slot_context as u64, "{at}");
+            assert_eq!(plan.page_bytes * plan.pages_per_slot, plan.kv_bytes_per_slot, "{at}");
+            assert!(paging_report(&plan).is_clean(), "{at}");
+            // A pool built from the plan's geometry maps exactly the
+            // pages an engine `KvCache` holding the same positions has.
+            let pool = PagedKvPool::new(
+                MemPool::new("test.kv", plan.kv_pool_bytes as usize),
+                PageConfig {
+                    page_tokens: plan.page_tokens as usize,
+                    bytes_per_token: (plan.page_bytes / plan.page_tokens) as usize,
+                },
+            );
+            for n in 1..=64usize {
+                let known: Vec<u32> = (0..n as u32).collect();
+                let pages = pool.admit(&known, 0).unwrap().mapped_pages();
+                assert_eq!(pages, n.div_ceil(KV_PAGE_TOKENS), "{at}: {n} tokens");
+            }
+        }
     }
 
     #[test]
     fn explicit_non_dividing_page_size_rejected_with_lma280() {
         let b = AnalyticBackend::opt_30b();
         let cfg = ServeConfig {
-            page_tokens: 11, // 512 % 11 != 0
+            slot_context: 100, // 100 % 16 != 0
             ..ServeConfig::default()
         };
         match preflight(&b, &cfg, None) {
             Err(ServeError::Plan(report)) => {
-                assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{report}")
+                assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{report}");
+                assert!(report.to_string().contains("96 and 112"), "{report}");
             }
             other => panic!("expected plan rejection, got ok={}", other.is_ok()),
         }

@@ -20,8 +20,8 @@
 //!   with [`AnalyticBackend`] (OPT-30B-class) and [`EngineBackend`]
 //!   (real miniature engine) implementations;
 //! - [`admission`]: the model-guided admission controller producing a
-//!   [`ServePlan`] (slots vs KV pool headroom vs the block graph's Kahn
-//!   width);
+//!   [`ServePlan`] (slots vs KV pool headroom, in pages of the engine's
+//!   `KV_PAGE_TOKENS`);
 //! - [`preflight`]: the one gate every run passes and the only place the
 //!   serve side builds `lm-analyze` probes — [`preflight::preflight`]
 //!   derives the plan once and rejects an infeasible plan, SLO policy or

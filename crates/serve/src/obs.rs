@@ -308,7 +308,6 @@ mod tests {
             slot_context: 128,
             kv_bytes_per_slot: 1024,
             kv_pool_bytes: 2048,
-            kahn_width: 2,
             est_step_seconds: 0.1,
             est_tokens_per_s: 20.0,
             page_tokens: 16,

@@ -82,18 +82,15 @@ pub(crate) fn plan_report(plan: &ServePlan) -> Report {
     report
 }
 
-/// `LMA25x`: slots against the pool and the block graph's Kahn width.
-/// Per slot the probe carries the *planned page residency* of one
-/// sequence (half the envelope, the statistical bound admission banks
-/// on), because that — not the worst case — is what `slots` of them
-/// must fit in the pool.
+/// `LMA25x`: slots against the pool. Per slot the probe carries the
+/// *planned page residency* of one sequence (half the envelope, the
+/// statistical bound admission banks on), because that — not the worst
+/// case — is what `slots` of them must fit in the pool.
 pub fn serve_report(plan: &ServePlan) -> Report {
     lint_serve(&ServeProbe {
         slots: plan.slots as u64,
         kv_bytes_per_slot: plan.pages_per_slot.div_ceil(2).max(1) * plan.page_bytes,
         kv_pool_bytes: plan.kv_pool_bytes,
-        block_size: plan.slots as u64,
-        kahn_width: plan.kahn_width,
     })
 }
 
@@ -208,7 +205,8 @@ mod tests {
             (
                 Lma250SlotsExceedPool,
                 ServeConfig {
-                    kv_pool_bytes: 1024, // far below one lease
+                    max_slots: 1,
+                    slot_context: 8, // half a page: the pool holds none
                     ..ServeConfig::default()
                 },
                 None,
@@ -216,7 +214,7 @@ mod tests {
             (
                 Lma280PageGeometryInvalid,
                 ServeConfig {
-                    page_tokens: 11, // 512 % 11 != 0
+                    slot_context: 100, // 100 % 16 != 0
                     ..ServeConfig::default()
                 },
                 None,

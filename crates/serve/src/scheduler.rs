@@ -1307,14 +1307,13 @@ mod tests {
     fn priorities_jump_the_queue() {
         let b = AnalyticBackend::opt_30b();
         // One slot, both requests present at t=0: the high-priority one
-        // must be served first despite the larger id. Half a worst-case
-        // envelope of pool is the planner's expected residency of exactly
-        // one sequence.
+        // must be served first despite the larger id. A one-page context
+        // with a one-envelope pool plans exactly one sequence.
         let lo = Request::new(0, vec![1, 2], 4).with_priority(0);
         let hi = Request::new(1, vec![3, 4], 4).with_priority(2);
-        let envelope = preflight(&b, &ServeConfig::default(), None).unwrap().kv_bytes_per_slot;
         let cfg = ServeConfig {
-            kv_pool_bytes: envelope as usize / 2,
+            max_slots: 1,
+            slot_context: 16,
             ..ServeConfig::default()
         };
         assert_eq!(preflight(&b, &cfg, None).unwrap().slots, 1);

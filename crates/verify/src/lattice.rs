@@ -114,20 +114,20 @@ fn model_axis(depth: SweepDepth) -> Vec<ModelAxis> {
     v
 }
 
-/// Pool sizes as worst-case-slab multiples (`0` = planner-derived).
-fn pool_axis(depth: SweepDepth) -> Vec<usize> {
+/// Pool sizes in worst-case envelopes (`8` is the default).
+fn max_slots_axis(depth: SweepDepth) -> Vec<usize> {
     match depth {
-        SweepDepth::Quick => vec![0, 2, 4, 16],
-        SweepDepth::Full => vec![0, 1, 2, 4, 16],
+        SweepDepth::Quick => vec![8, 2, 4, 16],
+        SweepDepth::Full => vec![8, 1, 2, 4, 16],
     }
 }
 
-/// Page sizes in tokens (`0` = planner-derived; `11` does not divide
-/// the default planning contexts, driving the lint-reject region).
-fn page_axis(depth: SweepDepth) -> Vec<usize> {
+/// Planning contexts in tokens (`0` = planner-derived; `100` is not a
+/// whole number of pages, driving the lint-reject region).
+fn slot_context_axis(depth: SweepDepth) -> Vec<usize> {
     match depth {
-        SweepDepth::Quick => vec![0, 8, 16, 11],
-        SweepDepth::Full => vec![0, 4, 8, 16, 11],
+        SweepDepth::Quick => vec![0, 128, 368, 100],
+        SweepDepth::Full => vec![0, 128, 368, 100, 1024],
     }
 }
 
@@ -345,15 +345,15 @@ fn ground_truth(
 /// side of every point.
 pub fn run_sweep(depth: SweepDepth, mutation: Mutation) -> SweepReport {
     let models = model_axis(depth);
-    let pools = pool_axis(depth);
-    let pages = page_axis(depth);
+    let pools = max_slots_axis(depth);
+    let contexts = slot_context_axis(depth);
     let slos = slo_axis(depth);
     let ladders = ladder_axis(depth);
 
     let axes = vec![
         ("model".to_string(), models.len() as u64),
-        ("pool_bytes".to_string(), pools.len() as u64),
-        ("page_tokens".to_string(), pages.len() as u64),
+        ("max_slots".to_string(), pools.len() as u64),
+        ("slot_context".to_string(), contexts.len() as u64),
         ("slo".to_string(), slos.len() as u64),
         ("ladder".to_string(), ladders.len() as u64),
     ];
@@ -372,17 +372,13 @@ pub fn run_sweep(depth: SweepDepth, mutation: Mutation) -> SweepReport {
             m.cfg.clone(),
             Policy::flexgen_default(),
         );
-        // One worst-case slab at the default planning context, used to
-        // express the pool axis in model-relative units.
-        let default_context = ((m.cfg.max_seq_len / 4) as usize).max(2);
-        let slab_bytes = backend.kv_bytes_at(default_context).max(1);
-        for &pool_mult in &pools {
-            for &page_tokens in &pages {
+        for &max_slots in &pools {
+            for &slot_context in &contexts {
                 for &slo in &slos {
                     for &ladder in &ladders {
                         let cfg = ServeConfig {
-                            kv_pool_bytes: pool_mult * slab_bytes,
-                            page_tokens,
+                            max_slots,
+                            slot_context,
                             slo: slo.policy(),
                             ladder: ladder.ladder(),
                             ..ServeConfig::default()
@@ -395,10 +391,10 @@ pub fn run_sweep(depth: SweepDepth, mutation: Mutation) -> SweepReport {
                         let truth_ok = failed.is_empty();
                         report.configs += 1;
                         let config = format!(
-                            "{}/pool={}x/page={}/slo={}/ladder={}",
+                            "{}/max_slots={}/context={}/slo={}/ladder={}",
                             m.name,
-                            pool_mult,
-                            page_tokens,
+                            max_slots,
+                            slot_context,
                             slo.name(),
                             ladder.name()
                         );
@@ -436,8 +432,8 @@ mod tests {
     fn quick_lattice_covers_the_floor_with_no_degenerate_axis() {
         let axes_product: u64 = [
             model_axis(SweepDepth::Quick).len(),
-            pool_axis(SweepDepth::Quick).len(),
-            page_axis(SweepDepth::Quick).len(),
+            max_slots_axis(SweepDepth::Quick).len(),
+            slot_context_axis(SweepDepth::Quick).len(),
             slo_axis(SweepDepth::Quick).len(),
             ladder_axis(SweepDepth::Quick).len(),
         ]
@@ -447,8 +443,8 @@ mod tests {
         assert!(axes_product >= 200, "quick lattice too small: {axes_product}");
         for n in [
             model_axis(SweepDepth::Quick).len(),
-            pool_axis(SweepDepth::Quick).len(),
-            page_axis(SweepDepth::Quick).len(),
+            max_slots_axis(SweepDepth::Quick).len(),
+            slot_context_axis(SweepDepth::Quick).len(),
             slo_axis(SweepDepth::Quick).len(),
             ladder_axis(SweepDepth::Quick).len(),
         ] {
@@ -485,9 +481,6 @@ mod tests {
     /// One-model slice of the quick lattice, for unit-test cost.
     fn run_sweep_single_model(mutation: Mutation) -> SweepReport {
         let backend = AnalyticBackend::opt_30b();
-        let m = presets::opt_30b();
-        let default_context = ((m.max_seq_len / 4) as usize).max(2);
-        let slab_bytes = backend.kv_bytes_at(default_context).max(1);
         let mut report = SweepReport {
             axes: Vec::new(),
             configs: 0,
@@ -495,11 +488,11 @@ mod tests {
             incompleteness: 0,
             consistent: 0,
         };
-        for &pool_mult in &pool_axis(SweepDepth::Quick) {
-            for &page_tokens in &page_axis(SweepDepth::Quick) {
+        for &max_slots in &max_slots_axis(SweepDepth::Quick) {
+            for &slot_context in &slot_context_axis(SweepDepth::Quick) {
                 let cfg = ServeConfig {
-                    kv_pool_bytes: pool_mult * slab_bytes,
-                    page_tokens,
+                    max_slots,
+                    slot_context,
                     ..ServeConfig::default()
                 };
                 let (plan, reports) = preflight_reports(&backend, &cfg, None);
@@ -507,7 +500,7 @@ mod tests {
                 report.configs += 1;
                 match (reports.iter().all(|r| r.is_clean()), failed.is_empty()) {
                     (true, false) => report.unsoundness.push(UnsoundnessWitness {
-                        config: format!("opt-30b/pool={pool_mult}x/page={page_tokens}"),
+                        config: format!("opt-30b/max_slots={max_slots}/context={slot_context}"),
                         invariant: failed.join("+"),
                         detail: String::new(),
                     }),

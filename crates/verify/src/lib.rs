@@ -4,7 +4,7 @@
 //! Two complementary instruments, both deterministic:
 //!
 //! 1. **Planner-space sweep** ([`lattice`]): enumerate a bounded lattice
-//!    of deployment configs (model size × pool bytes × page geometry ×
+//!    of deployment configs (model size × pool envelopes × planning context ×
 //!    SLO policy × degrade ladder) and prove at every point that the
 //!    lint verdict is consistent with *executable* ground truth — the
 //!    planned admissions are actually granted by a real paged pool,

@@ -84,10 +84,12 @@ if [ "${MIRI:-0}" = "1" ]; then
 fi
 
 # Every lane's gates are values inside `repro`: it exits non-zero if any
-# is false or an artifact could not be written.
+# is false or an artifact could not be written. It runs under a deadline
+# like the test lanes (it takes well under a minute), so a hang in a lane
+# — the async one runs threads on the wall clock — fails the gate.
 echo "==> repro all (every table, figure and gate)"
 start=$SECONDS
-cargo run --release -q -p lm-bench --bin repro -- all
+lane "repro all" 10 cargo run --release -q -p lm-bench --bin repro -- all
 echo "==> repro all took $((SECONDS - start)) s"
 
 # Same bytes out: every artifact except the three wall-clock ones is
