@@ -1,7 +1,7 @@
 //! `repro async` — the real-time serving lane (DESIGN.md §9.4): drive
 //! the continuous scheduler through `ServeSession::run_async` on the
-//! *real* miniature engine, with per-request tokio token streams
-//! consumed concurrently on a worker runtime, and prove that going
+//! *real* miniature engine, with per-request bounded token streams,
+//! each consumed by its own client thread, and prove that going
 //! async changes *when* tokens arrive but never *which* tokens arrive:
 //!
 //! 1. **Transparency**: every completed request's response tokens equal
@@ -36,7 +36,7 @@ const TARGET_WALL_S: f64 = 0.25;
 /// mid-generation while KV is still leased.
 const DROP_AFTER_TOKENS: usize = 2;
 
-/// One consumed stream, as the tokio client task saw it.
+/// One consumed stream, as its client thread saw it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamRow {
     pub request_id: u64,
@@ -122,43 +122,40 @@ pub fn run(seed: u64, n: usize) -> AsyncReport {
     let wall_start = Instant::now();
     let (served, mut streams) = session
         .run_async(requests.clone(), &acfg, |mut streams| {
-            let rt = tokio::runtime::Runtime::new()
-                .unwrap_or_else(|e| panic!("tokio runtime failed to start: {e}"));
             let t0 = Instant::now();
-            let handles: Vec<_> = streams
-                .drain()
-                .into_iter()
-                .map(|(id, mut rx)| {
-                    let drop_mid_stream = id % 3 == 2;
-                    let handle = rt.spawn(async move {
-                        let mut tokens: Vec<u32> = Vec::new();
-                        let mut first: Option<f64> = None;
-                        while let Some(ev) = rx.recv().await {
-                            first.get_or_insert_with(|| t0.elapsed().as_secs_f64());
-                            tokens.push(ev.token);
-                            if drop_mid_stream && tokens.len() >= DROP_AFTER_TOKENS {
-                                break; // rx drops here: a mid-stream disconnect
+            std::thread::scope(|s| {
+                let clients: Vec<_> = streams
+                    .drain()
+                    .into_iter()
+                    .map(|(id, mut rx)| {
+                        let client = s.spawn(move || {
+                            let mut row = StreamRow {
+                                request_id: id,
+                                streamed_tokens: Vec::new(),
+                                dropped_mid_stream: id % 3 == 2,
+                                wall_ttft_s: None,
+                            };
+                            while let Some(ev) = rx.blocking_recv() {
+                                row.wall_ttft_s.get_or_insert_with(|| t0.elapsed().as_secs_f64());
+                                row.streamed_tokens.push(ev.token);
+                                if row.dropped_mid_stream
+                                    && row.streamed_tokens.len() >= DROP_AFTER_TOKENS
+                                {
+                                    break; // rx drops here: a mid-stream disconnect
+                                }
                             }
-                        }
-                        (tokens, first)
-                    });
-                    (id, drop_mid_stream, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(id, dropped, h)| {
-                    let (streamed_tokens, wall_ttft_s) = rt
-                        .join(h)
-                        .unwrap_or_else(|e| panic!("stream client task failed: {e}"));
-                    StreamRow {
-                        request_id: id,
-                        streamed_tokens,
-                        dropped_mid_stream: dropped,
-                        wall_ttft_s,
-                    }
-                })
-                .collect::<Vec<StreamRow>>()
+                            row
+                        });
+                        (id, client)
+                    })
+                    .collect();
+                clients
+                    .into_iter()
+                    .map(|(id, client)| {
+                        client.join().unwrap_or_else(|_| panic!("stream client {id} panicked"))
+                    })
+                    .collect::<Vec<StreamRow>>()
+            })
         })
         .unwrap_or_else(|e| panic!("async serving failed: {e}"));
     let wall_seconds = wall_start.elapsed().as_secs_f64();

@@ -126,8 +126,6 @@ pub enum EngineError {
     Checkpoint(CheckpointError),
     /// An I/O-level failure that survived the retry budget.
     Io(std::io::Error),
-    /// A recovery deadline elapsed before the operation could complete.
-    Timeout(String),
     /// Generation could not proceed at the requested policy and no
     /// feasible fallback existed (raised by degradation controllers).
     Degraded(String),
@@ -143,7 +141,6 @@ impl std::fmt::Display for EngineError {
             EngineError::Pool(e) => write!(f, "{e}"),
             EngineError::Checkpoint(e) => write!(f, "{e}"),
             EngineError::Io(e) => write!(f, "engine I/O error: {e}"),
-            EngineError::Timeout(m) => write!(f, "engine timeout: {m}"),
             EngineError::Degraded(m) => write!(f, "degradation failed: {m}"),
             EngineError::Rejected(report) => {
                 write!(f, "strict pre-flight analysis rejected the engine:\n{report}")

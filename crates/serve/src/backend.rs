@@ -178,9 +178,10 @@ pub struct EngineBackend {
 }
 
 impl EngineBackend {
-    /// Build over an engine with the given options; `strict: true`
-    /// reuses the engine's pre-flight model analysis as the serving
-    /// pre-flight (admission inherits the `LMA` gate).
+    /// Build over an engine with the given options. `strict: true` only
+    /// makes `Engine::new` fail with its `LMA109` capacity report when the
+    /// pools cannot hold the model; the serving pre-flight never consults
+    /// the engine's.
     pub fn new(cfg: &ModelConfig, seed: u64, options: EngineOptions) -> Result<Self, EngineError> {
         let engine = Engine::new(cfg, seed, options)?;
         let analytic = AnalyticBackend::new(

@@ -10,7 +10,7 @@
 //!   modelled clock unchanged and `deliver` always succeeds, so a run is
 //!   a pure function of its inputs (the golden `results/serve.json`
 //!   test holds it to the committed bytes).
-//! - `AsyncDriver` (private to [`session`](crate::session)) — the tokio
+//! - `AsyncDriver` (private to [`session`](crate::session)) — the real-time
 //!   front end: `pace` sleeps until scaled wall time catches the
 //!   modelled clock and returns whichever is later (wall deadlines feed
 //!   the same SLO actuators), `deliver` pushes into the request's

@@ -316,8 +316,8 @@ impl ServeDriver for AsyncDriver {
 
     fn retire(&mut self, request_id: u64) {
         // Dropping the sender closes the channel once any buffered
-        // tokens drain: the consumer's `recv` returns `None` as
-        // end-of-stream.
+        // tokens drain: the consumer's `blocking_recv` returns `None`
+        // (`try_recv`, `Disconnected`) as end-of-stream.
         self.senders.remove(&request_id);
     }
 }

@@ -72,6 +72,16 @@ echo "==> loom model checking"
 lane "loom_executor" 10 cargo test -q -p lm-parallelism --features loom --test loom_executor
 lane "loom_pools" 10 cargo test -q -p lm-engine --features loom --test loom_pools
 
+# The vendored stand-ins are trusted base: their own unit tests run too
+# (`serde_derive` has none). Each crate is a package of its own with a
+# committed path-only lockfile; a separate target dir keeps their builds
+# out of the workspace's.
+echo "==> vendored stand-ins' own tests"
+for c in loom parking_lot proptest rand serde serde_json tokio; do
+    CARGO_TARGET_DIR=target/vendor lane "vendored stand-ins" 10 \
+        cargo test -q --offline --locked --manifest-path "vendor/$c/Cargo.toml"
+done
+
 if [ "${MIRI:-0}" = "1" ]; then
     if cargo miri --version >/dev/null 2>&1; then
         echo "==> cargo miri test -p lm-parallelism executor (MIRI=1)"
