@@ -37,12 +37,27 @@ struct Args {
 /// One verdict of one lane; any `ok == false` fails the run.
 struct Gate {
     lane: &'static str,
-    name: &'static str,
+    name: String,
     ok: bool,
 }
 
-fn gate(lane: &'static str, name: &'static str, ok: bool) -> Gate {
+fn gate(lane: &'static str, name: &str, ok: bool) -> Gate {
+    let name = name.to_string();
     Gate { lane, name, ok }
+}
+
+/// One `conform[<run>]` gate per continuous run the lane made, printing
+/// the first violation of any run that broke the lifecycle spec.
+fn conform_gates(lane: &'static str, conformed: &[Conformed]) -> Vec<Gate> {
+    conformed
+        .iter()
+        .map(|(run, verdict)| {
+            if let Err(v) = verdict {
+                println!("{run}: {v:?}");
+            }
+            gate(lane, &format!("conform[{run}]"), verdict.is_ok())
+        })
+        .collect()
 }
 
 struct Lane {
@@ -460,7 +475,7 @@ fn print_traffic(a: &Args) {
 
 fn run_serve(a: &Args) -> Vec<Gate> {
     print_traffic(a);
-    let r = serve::run(a.seed, a.rps, a.requests);
+    let (r, conformed) = serve::run(a.seed, a.rps, a.requests);
     println!(
         "plan: {} slots x {} ctx, {:.1} MiB/slot, pool {:.1} MiB = {} pages x {} tok, est {:.1} tok/s",
         r.plan.slots,
@@ -499,6 +514,7 @@ fn run_serve(a: &Args) -> Vec<Gate> {
         );
         gates.push(gate("serve", "superlinear_ok", sp.superlinear_ok));
     }
+    gates.extend(conform_gates("serve", &conformed));
     gates
 }
 
@@ -547,7 +563,7 @@ fn run_chaos(a: &Args) -> Vec<Gate> {
 
 fn run_slo(a: &Args) -> Vec<Gate> {
     print_traffic(a);
-    let r = slo::run(a.seed, a.rps, a.requests);
+    let (r, conformed) = slo::run(a.seed, a.rps, a.requests);
     println!(
         "objective: p99 TTFT <= {:.1}s (floor {:.1}s x {:.1}); model-guided ladder: {} rungs",
         r.ttft_p99_slo_s,
@@ -576,12 +592,14 @@ fn run_slo(a: &Args) -> Vec<Gate> {
         "throughput: enforcing {:.2} tok/s vs sequential {:.2} tok/s",
         r.enforced.tokens_per_s, r.sequential_tokens_per_s
     );
-    vec![artifact_json("slo", &r), gate("slo", "slo_ok", r.slo_ok)]
+    let mut gates = vec![artifact_json("slo", &r), gate("slo", "slo_ok", r.slo_ok)];
+    gates.extend(conform_gates("slo", &conformed));
+    gates
 }
 
 fn run_obs(a: &Args) -> Vec<Gate> {
     print_traffic(a);
-    let (r, timeline) = obs::run(a.seed, a.rps, a.requests);
+    let (r, timeline, conformed) = obs::run(a.seed, a.rps, a.requests);
     println!(
         "record: {} lifecycle events, {} boundary samples, {} TTFT pairs over {} slots",
         r.lifecycle_events, r.boundary_samples, r.ttft_samples, r.plan.slots
@@ -612,7 +630,7 @@ fn run_obs(a: &Args) -> Vec<Gate> {
         r.lint_errors,
         r.lint_warnings
     );
-    vec![
+    let mut gates = vec![
         artifact_json("obs", &r),
         artifact("obs", "serve_timeline.json", Ok(timeline)),
         // The Perfetto serve timeline (open at https://ui.perfetto.dev)
@@ -620,7 +638,9 @@ fn run_obs(a: &Args) -> Vec<Gate> {
         gate("obs", "timeline_nonempty", r.lifecycle_events > 0),
         gate("obs", "drift_ok", r.drift_ok),
         gate("obs", "obs_ok", r.obs_ok),
-    ]
+    ];
+    gates.extend(conform_gates("obs", &conformed));
+    gates
 }
 
 fn run_verify(_: &Args) -> Vec<Gate> {

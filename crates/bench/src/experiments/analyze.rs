@@ -133,23 +133,24 @@ fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) ->
 }
 
 /// Lint the verification instrument itself with the `LMA29x` family: a
-/// real quick planner-space sweep plus both protocol explorations (at
-/// the cheap unit-suite preemption bound; `repro verify` runs the deep
-/// lane) assembled into a probe that must clear the domain, witness and
-/// transition-coverage lints. The row columns carry the verification
-/// shape: `inter_op_total` the lattice configs explored,
-/// `intra_op_compute` the declared protocol transitions exercised.
+/// real quick planner-space sweep, the kvpool exploration (at the cheap
+/// unit-suite preemption bound; `repro verify` runs the deep lane) and
+/// the scheduler's lifecycle-conformance runs, assembled into a probe
+/// that must clear the domain, witness and transition-coverage lints.
+/// The row columns carry the verification shape: `inter_op_total` the
+/// lattice configs explored, `intra_op_compute` the declared protocol
+/// transitions exercised (5 kvpool + 13 lifecycle edges).
 fn verify_lint_row() -> AnalyzeRow {
     use lm_verify::{
         build_probe, check_kvpool_protocol, check_scheduler_protocol, run_sweep, Mutation,
         SweepDepth,
     };
-    let opts = || loom::Options {
+    let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
+    let kvpool = check_kvpool_protocol(loom::Options {
         preemption_bound: 2,
         max_iterations: 50_000,
-    };
-    let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
-    let protocols = [check_kvpool_protocol(opts()), check_scheduler_protocol(opts())];
+    });
+    let protocols = [kvpool, check_scheduler_protocol()];
     let probe = build_probe(&sweep, &protocols);
     AnalyzeRow::new(
         "verify/lma29x/quick-sweep",

@@ -10,7 +10,8 @@
 //! 2. **Total resolution** — every request reaches exactly one terminal
 //!    state (response, rejection, or cancellation);
 //! 3. **Conservation** — admissions balance completions, in-slot
-//!    cancellations, preemptions and crashes;
+//!    cancellations, preemptions and crashes (2 and 3: the lifecycle
+//!    spec, [`conform`], accepts the storm run);
 //! 4. **Transparency** — on the real miniature engine, every survivor's
 //!    token stream is identical to a solo `Engine::run` of the same
 //!    request, crashes and resumptions notwithstanding;
@@ -23,7 +24,7 @@
 use lm_engine::GenerateRequest;
 use lm_fault::{FaultConfig, FaultInjector, FaultStats, RetryPolicy, StormProfile};
 use lm_serve::{
-    synth_traffic, AnalyticBackend, EngineBackend, Request, ServeBackend, ServeConfig,
+    conform, synth_traffic, AnalyticBackend, EngineBackend, Request, ServeBackend, ServeConfig,
     ServeOutcome, ServePlan, ServeSession, ServeStats,
 };
 use serde::{Deserialize, Serialize};
@@ -38,9 +39,10 @@ pub struct ChaosInvariants {
     /// state (completion, cancellation, preemption, crash) must drop
     /// its whole page table, shared refcounts included.
     pub zero_leaked_pages: bool,
-    /// responses + rejections + cancellations == submitted requests.
+    /// The lifecycle spec accepts the run and it resolved every request.
     pub all_resolved: bool,
-    /// admitted == completed + cancelled_in_slot + preemptions + crashes.
+    /// The lifecycle spec accepts the run (its admission tallies make
+    /// admitted == completed + cancelled_in_slot + preemptions + crashes).
     pub admissions_balanced: bool,
     /// Every engine-backend survivor matches its solo `Engine::run`.
     pub survivors_transparent: bool,
@@ -156,11 +158,12 @@ pub fn run(seed: u64, profile: StormProfile, rps: f64, n: usize) -> ChaosReport 
         .unwrap_or(false);
     let (survivors_checked, survivors_transparent) = engine_transparency_pass(seed, profile);
 
+    let conformed = conform(&plan, &out).ok();
     let invariants = ChaosInvariants {
         zero_leaked_leases: out.kv_leaked_bytes == 0 && replay.kv_leaked_bytes == 0,
         zero_leaked_pages: out.kv_pages_leaked == 0 && replay.kv_pages_leaked == 0,
-        all_resolved: out.terminal_count() == n,
-        admissions_balanced: out.stats.admissions_balanced(),
+        all_resolved: conformed.as_ref().is_some_and(|c| c.requests == n),
+        admissions_balanced: conformed.is_some(),
         survivors_transparent,
         replay_identical,
     };

@@ -27,3 +27,8 @@ pub mod verify;
 pub const DEFAULT_SEED: u64 = 7;
 pub const DEFAULT_RPS: f64 = 4.0;
 pub const DEFAULT_REQUESTS: usize = 32;
+
+/// The lifecycle specification's verdict on one continuous run a lane
+/// made, by run name. `repro` prints one `conform[<run>]` gate per
+/// verdict; none is written to `results/`.
+pub type Conformed = (&'static str, Result<lm_serve::Conformance, lm_serve::Violation>);

@@ -20,9 +20,10 @@
 
 use lm_serve::preflight::{obs_report, preflight, ttft_floor_s};
 use lm_serve::{
-    serve_timeline, synth_traffic, AnalyticBackend, ServeBackend, ServeConfig, ServePlan,
+    conform, serve_timeline, synth_traffic, AnalyticBackend, ServeBackend, ServeConfig, ServePlan,
     ServeSession, SloPolicy,
 };
+use super::Conformed;
 use lm_trace::{expo, FlightDump, FlightRecorder, ServeDriftReport, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +103,7 @@ fn gate_drift(drift: &ServeDriftReport) -> (Vec<DriftGate>, bool) {
 /// Starve the default workload onto two slots under a floor-level
 /// observe-only objective: queueing past the floor is guaranteed, the
 /// first realized breach freezes the recorder, no actuator fires.
-fn flight_pass(seed: u64, rps: f64, n: usize) -> FlightDump {
+fn flight_pass(seed: u64, rps: f64, n: usize) -> (FlightDump, Conformed) {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, backend.model());
     let flight = FlightRecorder::new(256);
@@ -115,18 +116,20 @@ fn flight_pass(seed: u64, rps: f64, n: usize) -> FlightDump {
     let plan = preflight(&backend, &cfg, None)
         .unwrap_or_else(|e| panic!("flight-pass planning failed: {e}"));
     cfg.slo = Some(SloPolicy::observe(ttft_floor_s(&plan, &backend) * 1.01));
-    ServeSession::new(&backend)
+    let (plan, out) = ServeSession::new(&backend)
         .config(cfg)
         .run(traffic)
-        .unwrap_or_else(|e| panic!("flight-pass serving failed: {e}"));
-    flight
+        .unwrap_or_else(|e| panic!("flight-pass serving failed: {e}"))
+        .into_continuous();
+    let dump = flight
         .dump()
-        .unwrap_or_else(|| panic!("injected overload did not freeze the flight recorder"))
+        .unwrap_or_else(|| panic!("injected overload did not freeze the flight recorder"));
+    (dump, ("flight", conform(&plan, &out)))
 }
 
-/// Run the audit. Returns the report and the Perfetto serve timeline of
-/// the audited run as JSON.
-pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String) {
+/// Run the audit. Returns the report, the Perfetto serve timeline of
+/// the audited run as JSON, and the lifecycle verdict on both runs.
+pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String, Vec<Conformed>) {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, backend.model());
     let cfg = ServeConfig {
@@ -153,7 +156,8 @@ pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String) {
 
     // 3. Flight recorder: an injected overload freezes a dump that
     //    survives a JSON round-trip.
-    let flight = flight_pass(seed, rps, n);
+    let (flight, flight_conformed) = flight_pass(seed, rps, n);
+    let conformed = vec![("audited", conform(&plan, &out)), flight_conformed];
     let flight_round_trip_ok = serde_json::to_string(&flight)
         .ok()
         .and_then(|json| serde_json::from_str::<FlightDump>(&json).ok())
@@ -185,7 +189,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String) {
         lint_warnings,
         obs_ok,
     };
-    (report, timeline)
+    (report, timeline, conformed)
 }
 
 #[cfg(test)]
@@ -195,7 +199,10 @@ mod tests {
 
     #[test]
     fn default_seed_passes_every_gate() {
-        let (r, timeline) = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        let (r, timeline, conformed) = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        for (run, verdict) in &conformed {
+            assert!(verdict.is_ok(), "{run}: {verdict:?}");
+        }
         assert!(
             r.obs_ok,
             "drift_ok={} gates={:?} expo={} flight={} lint_errors={}",

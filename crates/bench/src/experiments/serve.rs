@@ -13,9 +13,10 @@
 //! to the unshared control (with zero admission rejections).
 
 use lm_serve::{
-    synth_shared_prefix_traffic, synth_traffic, AnalyticBackend, ServeConfig, ServeMode,
+    conform, synth_shared_prefix_traffic, synth_traffic, AnalyticBackend, ServeConfig, ServeMode,
     ServeOutcome, ServePlan, ServeSession,
 };
+use super::Conformed;
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 
@@ -166,9 +167,9 @@ fn mode_row(mode: &str, tracer: &Tracer, out: &ServeOutcome) -> ModeRow {
 
 fn continuous_row(
     backend: &AnalyticBackend,
-    label: &str,
+    label: &'static str,
     traffic: Vec<lm_serve::Request>,
-) -> (ServePlan, ModeRow) {
+) -> (ServePlan, ModeRow, Conformed) {
     let tracer = Tracer::new();
     let cfg = ServeConfig {
         tracer: tracer.clone(),
@@ -179,16 +180,19 @@ fn continuous_row(
         .run(traffic)
         .unwrap_or_else(|e| panic!("continuous serving ({label}) failed: {e}"))
         .into_continuous();
-    (plan, mode_row(label, &tracer, &out))
+    let conformed = (label, conform(&plan, &out));
+    (plan, mode_row(label, &tracer, &out), conformed)
 }
 
 /// Serve `n` seeded requests at `rps` through all three schedulers, then
-/// run the shared-prefix study on the same trace parameters.
-pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
+/// run the shared-prefix study on the same trace parameters. Returns the
+/// report and the lifecycle verdict on each continuous run.
+pub fn run(seed: u64, rps: f64, n: usize) -> (ServeReport, Vec<Conformed>) {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, lm_serve::ServeBackend::model(&backend));
 
-    let (plan, paged) = continuous_row(&backend, "continuous_paged", traffic.clone());
+    let (plan, paged, paged_conformed) =
+        continuous_row(&backend, "continuous_paged", traffic.clone());
 
     let seq_tracer = Tracer::new();
     let seq_cfg = ServeConfig {
@@ -227,8 +231,10 @@ pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
     let dominance_ok = speedup_vs_sequential >= MIN_SPEEDUP_VS_SEQUENTIAL
         && paged.tokens_per_s > stat.tokens_per_s();
     let paged_zero_rejections = paged.rejected == 0;
+    let (shared_prefix, mut conformed) = run_shared_prefix(seed, rps, n, DEFAULT_PREFIX_LEN);
+    conformed.insert(0, paged_conformed);
 
-    ServeReport {
+    let report = ServeReport {
         seed,
         rps,
         requests: n,
@@ -242,13 +248,20 @@ pub fn run(seed: u64, rps: f64, n: usize) -> ServeReport {
         speedup_vs_static,
         dominance_ok,
         paged_zero_rejections,
-        shared_prefix: Some(run_shared_prefix(seed, rps, n, DEFAULT_PREFIX_LEN)),
-    }
+        shared_prefix: Some(shared_prefix),
+    };
+    (report, conformed)
 }
 
 /// The shared-prefix study: `n` requests sharing one `prefix_len`-
 /// token system prompt vs the same trace with unique control prefixes.
-pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> SharedPrefixReport {
+/// Returns the report and the lifecycle verdict on both runs.
+pub fn run_shared_prefix(
+    seed: u64,
+    rps: f64,
+    n: usize,
+    prefix_len: usize,
+) -> (SharedPrefixReport, Vec<Conformed>) {
     let backend = AnalyticBackend::opt_30b();
     let (shared, control) = synth_shared_prefix_traffic(
         seed,
@@ -258,8 +271,9 @@ pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> Sh
         prefix_len,
     );
 
-    let (_, shared_paged) = continuous_row(&backend, "shared_paged", shared);
-    let (_, unshared_paged) = continuous_row(&backend, "unshared_paged", control);
+    let (_, shared_paged, shared_conformed) = continuous_row(&backend, "shared_paged", shared);
+    let (_, unshared_paged, unshared_conformed) =
+        continuous_row(&backend, "unshared_paged", control);
 
     let effective_speedup = if unshared_paged.tokens_per_s > 0.0 {
         shared_paged.tokens_per_s / unshared_paged.tokens_per_s
@@ -271,7 +285,7 @@ pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> Sh
         && shared_paged.shared_prefix_hits > 0
         && paged_rejections == 0;
 
-    SharedPrefixReport {
+    let report = SharedPrefixReport {
         seed,
         rps,
         requests: n,
@@ -280,7 +294,8 @@ pub fn run_shared_prefix(seed: u64, rps: f64, n: usize, prefix_len: usize) -> Sh
         effective_speedup,
         paged_rejections,
         superlinear_ok,
-    }
+    };
+    (report, vec![shared_conformed, unshared_conformed])
 }
 
 #[cfg(test)]
@@ -290,7 +305,12 @@ mod tests {
 
     #[test]
     fn default_experiment_shows_dominance() {
-        let r = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        let (r, conformed) = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        let runs: Vec<&str> = conformed.iter().map(|c| c.0).collect();
+        assert_eq!(runs, ["continuous_paged", "shared_paged", "unshared_paged"]);
+        for (run, verdict) in &conformed {
+            assert!(verdict.is_ok(), "{run}: {verdict:?}");
+        }
         assert!(
             r.dominance_ok,
             "continuous must dominate: vs seq {:.2}x, vs static {:.2}x",
@@ -309,7 +329,7 @@ mod tests {
 
     #[test]
     fn paged_admission_rejects_nothing_at_default_seed() {
-        let r = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        let (r, _) = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
         assert!(
             r.paged_zero_rejections,
             "paged mode rejected {} requests",
@@ -320,7 +340,7 @@ mod tests {
 
     #[test]
     fn paging_charges_no_padding_and_static_batching_does() {
-        let r = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        let (r, _) = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
         let (paged, stat) = (&r.modes[0], &r.modes[2]);
         assert_eq!(stat.mode, "static");
         assert_eq!(paged.padding_tokens, 0, "pages track the exact context");
@@ -332,7 +352,7 @@ mod tests {
 
     #[test]
     fn shared_prefix_study_is_superlinear_at_default_seed() {
-        let r = run_shared_prefix(DEFAULT_SEED, DEFAULT_RPS, 16, DEFAULT_PREFIX_LEN);
+        let (r, _) = run_shared_prefix(DEFAULT_SEED, DEFAULT_RPS, 16, DEFAULT_PREFIX_LEN);
         assert!(
             r.superlinear_ok,
             "sharing must beat the unshared control: {:.3}x, {} hits, {} rejections",
@@ -354,16 +374,16 @@ mod tests {
 
     #[test]
     fn experiment_is_deterministic() {
-        let a = run(DEFAULT_SEED, DEFAULT_RPS, 16);
-        let b = run(DEFAULT_SEED, DEFAULT_RPS, 16);
+        let (a, _) = run(DEFAULT_SEED, DEFAULT_RPS, 16);
+        let (b, _) = run(DEFAULT_SEED, DEFAULT_RPS, 16);
         assert_eq!(
             a.modes[0].tokens_per_s.to_bits(),
             b.modes[0].tokens_per_s.to_bits()
         );
         assert_eq!(a.modes[0].sim_seconds.to_bits(), b.modes[0].sim_seconds.to_bits());
         assert_eq!(a.modes[0].generated_tokens, b.modes[0].generated_tokens);
-        let sa = run_shared_prefix(DEFAULT_SEED, DEFAULT_RPS, 12, DEFAULT_PREFIX_LEN);
-        let sb = run_shared_prefix(DEFAULT_SEED, DEFAULT_RPS, 12, DEFAULT_PREFIX_LEN);
+        let (sa, _) = run_shared_prefix(DEFAULT_SEED, DEFAULT_RPS, 12, DEFAULT_PREFIX_LEN);
+        let (sb, _) = run_shared_prefix(DEFAULT_SEED, DEFAULT_RPS, 12, DEFAULT_PREFIX_LEN);
         assert_eq!(
             sa.effective_speedup.to_bits(),
             sb.effective_speedup.to_bits()

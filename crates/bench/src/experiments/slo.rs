@@ -15,9 +15,10 @@
 use lm_offload::{DegradationController, QuantCostParams, ServeDegradeLadder};
 use lm_serve::preflight::{preflight, ttft_floor_s};
 use lm_serve::{
-    synth_traffic, AnalyticBackend, RejectReason, ServeBackend, ServeConfig, ServeMode,
+    conform, synth_traffic, AnalyticBackend, RejectReason, ServeBackend, ServeConfig, ServeMode,
     ServeOutcome, ServePlan, ServeSession, SloPolicy,
 };
+use super::Conformed;
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -118,7 +119,8 @@ pub fn model_guided_ladder(backend: &AnalyticBackend) -> ServeDegradeLadder {
 }
 
 /// Serve `n` seeded requests at `rps` in observe and enforcing mode.
-pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
+/// Returns the report and the lifecycle verdict on both runs.
+pub fn run(seed: u64, rps: f64, n: usize) -> (SloReport, Vec<Conformed>) {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, backend.model());
     let ladder = Arc::new(model_guided_ladder(&backend));
@@ -147,7 +149,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
         ladder: Some(ladder),
         ..ServeConfig::default()
     };
-    let (_, enforced_out) = ServeSession::new(&backend)
+    let (enforced_plan, enforced_out) = ServeSession::new(&backend)
         .config(enforced_cfg)
         .run(traffic.clone())
         .unwrap_or_else(|e| panic!("enforcing-mode serving failed: {e}"))
@@ -159,6 +161,10 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
         .unwrap_or_else(|e| panic!("sequential baseline failed: {e}"))
         .outcome;
 
+    let conformed = vec![
+        ("observe", conform(&plan, &observe_out)),
+        ("enforcing", conform(&enforced_plan, &enforced_out)),
+    ];
     let observe = mode_row("observe", slo_s, &observe_out);
     let enforced = mode_row("enforcing", slo_s, &enforced_out);
     let continuous_beats_sequential = enforced.tokens_per_s >= seq.tokens_per_s();
@@ -166,7 +172,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
     let slo_ok =
         !observe.meets_slo && enforced.meets_slo && actuators_fired && continuous_beats_sequential;
 
-    SloReport {
+    let report = SloReport {
         seed,
         rps,
         requests: n,
@@ -179,7 +185,8 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
         sequential_tokens_per_s: seq.tokens_per_s(),
         continuous_beats_sequential,
         slo_ok,
-    }
+    };
+    (report, conformed)
 }
 
 #[cfg(test)]
@@ -189,7 +196,10 @@ mod tests {
 
     #[test]
     fn enforcement_meets_the_slo_observe_mode_violates() {
-        let r = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        let (r, conformed) = run(DEFAULT_SEED, DEFAULT_RPS, DEFAULT_REQUESTS);
+        for (run, verdict) in &conformed {
+            assert!(verdict.is_ok(), "{run}: {verdict:?}");
+        }
         assert!(
             r.slo_ok,
             "observe p99 {:.1}s (meets={}), enforced p99 {:.1}s (meets={}), slo {:.1}s, \
@@ -221,8 +231,8 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let a = serde_json::to_string(&run(DEFAULT_SEED, DEFAULT_RPS, 16)).unwrap();
-        let b = serde_json::to_string(&run(DEFAULT_SEED, DEFAULT_RPS, 16)).unwrap();
+        let a = serde_json::to_string(&run(DEFAULT_SEED, DEFAULT_RPS, 16).0).unwrap();
+        let b = serde_json::to_string(&run(DEFAULT_SEED, DEFAULT_RPS, 16).0).unwrap();
         assert_eq!(a, b);
     }
 }

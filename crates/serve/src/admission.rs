@@ -109,6 +109,10 @@ pub enum ServeError {
     /// reservations make this unreachable; surfacing it as an error
     /// keeps the scheduler panic-free if the arithmetic ever regresses.
     KvProtocol(lm_kvpool::KvProtocolError),
+    /// Two submitted requests share this id. Streams, terminal records
+    /// and the lifecycle log are keyed by id, so a run needs them
+    /// unique.
+    DuplicateRequestId(u64),
 }
 
 impl std::fmt::Display for ServeError {
@@ -119,6 +123,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Engine(e) => write!(f, "backend error: {e}"),
             ServeError::KvProtocol(e) => write!(f, "paged-KV protocol violation: {e}"),
+            ServeError::DuplicateRequestId(id) => write!(f, "request id {id} submitted twice"),
         }
     }
 }

@@ -46,8 +46,9 @@
 //!   deterministically;
 //! - [`obs`]: serve-path observability (DESIGN.md §8) — the per-request
 //!   lifecycle record and per-boundary samples collected into
-//!   [`ServeObs`], the predicted-vs-observed drift audit
-//!   ([`ServeObs::audit`]), and the Perfetto serve timeline
+//!   [`ServeObs`], the lifecycle specification every continuous run is
+//!   checked against ([`conform`]), the predicted-vs-observed drift
+//!   audit ([`ServeObs::audit`]), and the Perfetto serve timeline
 //!   ([`serve_timeline`], one track per slot).
 //!
 //! Everything runs on a virtual clock in integer microseconds; a serving
@@ -71,7 +72,10 @@ pub mod session;
 pub mod slo;
 
 pub use admission::{derive_plan, ServeConfig, ServeError, ServePlan};
-pub use obs::{serve_timeline, BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
+pub use obs::{
+    conform, serve_timeline, BoundaryObs, Conformance, LifecycleEvent, RequestPhase, Rule,
+    ServeObs, Transition, TtftSample, Violation, LIFECYCLE,
+};
 pub use backend::{AnalyticBackend, EngineBackend, ServeBackend, StepSeq};
 pub use request::{
     synth_shared_prefix_traffic, synth_traffic, ArrivalQueue, CancelReason, CancelToken,

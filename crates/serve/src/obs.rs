@@ -15,15 +15,17 @@
 //! *is* the model), the serve audit is a genuine prediction check: the
 //! TTFT estimator guesses queueing waits before admissions, crashes and
 //! stalls happen. Tolerances are therefore per-metric and documented,
-//! not zero.
+//! not zero. The record itself is checked against one executable
+//! specification of the request lifecycle, [`conform`].
 
 use crate::admission::ServePlan;
+use crate::scheduler::ServeOutcome;
 use lm_trace::{serve_drift_report, PerfettoTrace, ServeDriftReport};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Lifecycle phases of one request inside the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum RequestPhase {
     /// Entered (or re-entered, after crash/preemption) the wait queue.
     Queued,
@@ -298,6 +300,178 @@ pub fn serve_timeline(plan: &ServePlan, obs: &ServeObs) -> PerfettoTrace {
     t
 }
 
+// ---- the lifecycle specification -----------------------------------
+
+/// One lifecycle edge; `from` is `None` at a request's first event.
+pub type Transition = (Option<RequestPhase>, RequestPhase);
+
+/// Every edge the scheduler may record.
+#[rustfmt::skip]
+pub const LIFECYCLE: [Transition; 13] = {
+    use RequestPhase::*;
+    [
+        (None, Queued), (Some(Queued), Admitted), (Some(Queued), Shed), (Some(Queued), Cancelled),
+        (Some(Admitted), Prefill), (Some(Prefill), Decode), (Some(Decode), Decode),
+        (Some(Decode), Done), (Some(Decode), Cancelled), (Some(Decode), Preempted),
+        (Some(Decode), Crashed), (Some(Preempted), Queued), (Some(Crashed), Queued),
+    ]
+};
+
+/// The rule of the specification a run broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// An edge outside [`LIFECYCLE`].
+    Transition(Transition),
+    /// An event after the request's terminal one.
+    AfterTerminal,
+    /// An admission into a slot index the plan does not have.
+    SlotOutOfRange,
+    /// An admission into a slot another resident holds.
+    SlotOccupied,
+    /// An event off the slot the request holds (`None` while off-slot).
+    SlotMismatch,
+    /// A clock-stamped event earlier than the one before it.
+    ClockBackwards,
+    /// A request without a terminal event.
+    Unresolved,
+    /// The ids the log ends in this phase are not the outcome's list.
+    TerminalList(RequestPhase),
+    /// Decodes differ from a response's tokens, a cancellation's
+    /// `delivered`, or (whole run) `generated_tokens`.
+    Tokens,
+    /// The named `ServeStats` counter differs from the log's tally.
+    Stats(&'static str),
+    /// KV still leased at the end, or a last boundary not idle.
+    NotQuiescent,
+}
+
+/// Where a run first departs from the specification: the rule, and the
+/// request and `obs.lifecycle` index it concerns where there is one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Violation {
+    pub rule: Rule,
+    pub request: Option<u64>,
+    pub event: Option<usize>,
+}
+
+/// What a conforming run exercised.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Conformance {
+    /// Distinct requests, each resolved exactly once.
+    pub requests: usize,
+    /// Firings of each [`LIFECYCLE`] edge the run took.
+    pub transitions: BTreeMap<Transition, u64>,
+}
+
+impl Conformance {
+    /// Events recorded in `phase`.
+    pub fn count(&self, phase: RequestPhase) -> u64 {
+        let into = self.transitions.iter().filter(|((_, to), _)| *to == phase);
+        into.map(|(_, n)| n).sum()
+    }
+}
+
+/// The serve lifecycle specification (DESIGN.md §8): replay a finished
+/// continuous run through the reference state machine — no timing
+/// model — and return what it exercised, or the first rule it broke.
+pub fn conform(plan: &ServePlan, out: &ServeOutcome) -> Result<Conformance, Violation> {
+    use RequestPhase::*;
+    #[derive(Default)]
+    struct Replay {
+        last: Option<RequestPhase>,
+        slot: Option<u32>,
+        decodes: usize,
+    }
+    let violation = |rule, request, event| Err(Violation { rule, request, event });
+    let mut reqs: BTreeMap<u64, Replay> = BTreeMap::new();
+    let mut residents = std::collections::BTreeSet::new();
+    let (mut clock_us, mut c) = (0, Conformance::default());
+    for (i, ev) in out.obs.lifecycle.iter().enumerate() {
+        let at = |rule| violation(rule, Some(ev.request), Some(i));
+        let Replay { last, slot, decodes } = reqs.entry(ev.request).or_default();
+        let edge = (*last, ev.phase);
+        if last.is_some_and(RequestPhase::is_terminal) {
+            return at(Rule::AfterTerminal);
+        } else if !LIFECYCLE.contains(&edge) {
+            return at(Rule::Transition(edge));
+        } else if last.is_some() && ev.t_us < clock_us {
+            // Only a fresh arrival is stamped before the clock.
+            return at(Rule::ClockBackwards);
+        }
+        if last.is_some() {
+            clock_us = ev.t_us;
+        }
+        match (ev.phase, ev.slot) {
+            (Admitted, None) => return at(Rule::SlotMismatch),
+            (Admitted, Some(s)) if s as usize >= plan.slots => return at(Rule::SlotOutOfRange),
+            (Admitted, Some(s)) if residents.contains(&s) => return at(Rule::SlotOccupied),
+            (Admitted, Some(s)) => {
+                residents.insert(s);
+                *slot = Some(s);
+            }
+            (_, held) if held != *slot => return at(Rule::SlotMismatch),
+            (Done | Cancelled | Preempted | Crashed, Some(s)) => {
+                residents.remove(&s);
+                *slot = None;
+            }
+            _ => {}
+        }
+        *decodes += usize::from(ev.phase == Decode);
+        *last = Some(ev.phase);
+        *c.transitions.entry(edge).or_default() += 1;
+    }
+    c.requests = reqs.len();
+
+    let resolved = |r: &Replay| r.last.is_some_and(RequestPhase::is_terminal);
+    if let Some((&id, _)) = reqs.iter().find(|(_, r)| !resolved(r)) {
+        return violation(Rule::Unresolved, Some(id), None);
+    }
+    let lists: [(RequestPhase, Vec<u64>); 3] = [
+        (Done, out.responses.iter().map(|r| r.id).collect()),
+        (Shed, out.rejections.iter().map(|r| r.id).collect()),
+        (Cancelled, out.cancellations.iter().map(|c| c.id).collect()),
+    ];
+    for (phase, mut listed) in lists {
+        listed.sort_unstable();
+        let ended = reqs.iter().filter(|(_, r)| r.last == Some(phase));
+        let logged: Vec<u64> = ended.map(|(&id, _)| id).collect();
+        if logged != listed {
+            // Name the first id the lists hold a different number of times.
+            let n = |ids: &[u64], id: u64| ids.iter().filter(|&&x| x == id).count();
+            let mut ids = logged.iter().chain(&listed).copied();
+            let id = ids.find(|&id| n(&logged, id) != n(&listed, id));
+            return violation(Rule::TerminalList(phase), id, None);
+        }
+    }
+    let owed = (out.responses.iter().map(|r| (r.id, r.tokens.len())))
+        .chain(out.cancellations.iter().map(|c| (c.id, c.delivered)));
+    for (id, tokens) in owed {
+        if reqs.get(&id).map_or(0, |r| r.decodes) != tokens {
+            return violation(Rule::Tokens, Some(id), None);
+        }
+    }
+    let s = &out.stats;
+    let in_slot_cancels = c.transitions.get(&(Some(Decode), Cancelled)).copied();
+    let tallies = [
+        ("admitted", s.admitted, c.count(Admitted)),
+        ("completed", s.completed, c.count(Done)),
+        ("cancelled_in_slot", s.cancelled_in_slot, in_slot_cancels.unwrap_or(0)),
+        ("preemptions", s.preemptions, c.count(Preempted)),
+        ("slot_crashes", s.slot_crashes, c.count(Crashed)),
+    ];
+    let idle = |b: &BoundaryObs| b.active_slots == 0 && b.pages_in_use == 0;
+    let leased = out.kv_leaked_bytes != 0 || out.kv_pages_leaked != 0;
+    if c.count(Decode) != out.generated_tokens {
+        violation(Rule::Tokens, None, None)
+    } else if let Some((field, ..)) = tallies.into_iter().find(|(_, stat, log)| stat != log) {
+        violation(Rule::Stats(field), None, None)
+    } else if leased || !out.obs.boundaries.last().is_some_and(idle) {
+        violation(Rule::NotQuiescent, None, None)
+    } else {
+        Ok(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +632,93 @@ mod tests {
         let report = obs_report(&traced);
         assert!(!report.has(LintCode::Lma270SloWithoutTtftHistogram));
         assert!(report.has(LintCode::Lma271FlightRecorderZeroCapacity));
+    }
+
+    /// One corruption per rule, applied to a real default run.
+    type Corruption = fn(&ServePlan, &mut ServeOutcome);
+
+    fn first(o: &ServeOutcome, phase: RequestPhase) -> usize {
+        o.obs.lifecycle.iter().position(|e| e.phase == phase).unwrap()
+    }
+
+    #[test]
+    fn spec_names_the_rule_each_corruption_breaks() {
+        use crate::backend::{AnalyticBackend, ServeBackend};
+        use crate::session::ServeSession;
+        use RequestPhase::*;
+        let b = AnalyticBackend::opt_30b();
+        let reqs = crate::request::synth_traffic(7, 4.0, 16, b.model());
+        let (plan, clean) = ServeSession::new(&b).run(reqs).unwrap().into_continuous();
+        assert_eq!(conform(&plan, &clean).unwrap().requests, 16);
+        let rows: [(&str, Corruption, Rule); 8] = [
+            (
+                // The log's last terminal event: nothing follows it.
+                "drop a terminal event",
+                |_, o| {
+                    let i = o.obs.lifecycle.iter().rposition(|e| e.phase.is_terminal());
+                    o.obs.lifecycle.remove(i.unwrap());
+                },
+                Rule::Unresolved,
+            ),
+            (
+                "duplicate a done",
+                |_, o| {
+                    let i = first(o, Done);
+                    o.obs.lifecycle.insert(i + 1, o.obs.lifecycle[i].clone());
+                },
+                Rule::AfterTerminal,
+            ),
+            (
+                "decode after done",
+                |_, o| {
+                    let i = first(o, Done);
+                    let done = o.obs.lifecycle[i].clone();
+                    o.obs.lifecycle.insert(i + 1, LifecycleEvent { phase: Decode, ..done });
+                },
+                Rule::AfterTerminal,
+            ),
+            (
+                "second resident in an occupied slot",
+                |_, o| {
+                    let log = &mut o.obs.lifecycle;
+                    let pair = |w: &[LifecycleEvent]| w.iter().all(|e| e.phase == Admitted);
+                    let i = log.windows(2).position(pair).unwrap();
+                    log[i + 1].slot = log[i].slot;
+                },
+                Rule::SlotOccupied,
+            ),
+            (
+                "slot beyond the plan",
+                |plan, o| {
+                    let i = first(o, Admitted);
+                    o.obs.lifecycle[i].slot = Some(plan.slots as u32);
+                },
+                Rule::SlotOutOfRange,
+            ),
+            (
+                "response one token short",
+                |_, o| {
+                    o.responses[0].tokens.pop();
+                },
+                Rule::Tokens,
+            ),
+            (
+                "preemption miscounted",
+                |_, o| o.stats.preemptions += 1,
+                Rule::Stats("preemptions"),
+            ),
+            (
+                "leaked page at the last boundary",
+                |_, o| o.obs.boundaries.last_mut().unwrap().pages_in_use += 1,
+                Rule::NotQuiescent,
+            ),
+        ];
+        for (name, corrupt, rule) in rows {
+            let mut out = clean.clone();
+            corrupt(&plan, &mut out);
+            let got = conform(&plan, &out).map(drop).map_err(|v| v.rule);
+            assert_eq!(got, Err(rule), "{name}");
+        }
     }
 
     #[test]

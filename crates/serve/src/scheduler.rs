@@ -22,6 +22,8 @@
 //! Every request resolves exactly once — response, rejection, or
 //! cancellation — because `Scheduler::resolve` is the only code that
 //! records a terminal state and retires the request at the driver.
+//! Debug builds check each finished run against the lifecycle
+//! specification, [`conform`](crate::obs::conform).
 
 use crate::admission::{ServeConfig, ServeError, ServePlan};
 use crate::backend::{ServeBackend, StepSeq};
@@ -343,7 +345,6 @@ struct Scheduler<'a> {
     transport_drops: BTreeMap<u64, Delivery>,
     /// Free stable slot indices for the timeline.
     free_slot_ids: Vec<u32>,
-    submitted: usize,
 }
 
 impl<'a> Scheduler<'a> {
@@ -373,7 +374,6 @@ impl<'a> Scheduler<'a> {
             driver,
             pool,
             pages,
-            submitted: requests.len(),
             queue: ArrivalQueue::new(requests),
             ready: Vec::new(),
             active: Vec::new(),
@@ -447,7 +447,6 @@ impl<'a> Scheduler<'a> {
             RequestPhase::Crashed => {
                 self.out.stats.slot_crashes += 1;
                 self.tracer.counter_add("serve.slot_crashes", 1);
-                self.tracer.counter_add("serve.crash_retries", 1);
             }
             RequestPhase::Shed => self.tracer.counter_add("serve.rejected", 1),
             RequestPhase::Queued | RequestPhase::Prefill | RequestPhase::Decode => {}
@@ -1108,11 +1107,6 @@ impl<'a> Scheduler<'a> {
 
     fn finish(self) -> ServeOutcome {
         let (plan, pages) = (self.plan, &self.pages);
-        debug_assert_eq!(self.out.terminal_count(), self.submitted);
-        debug_assert!(
-            self.out.stats.admissions_balanced(),
-            "admissions must conserve"
-        );
         debug_assert!(pages.accounting_balanced(), "page/byte accounting diverged");
         // The live half of LMA28x, with every sequence retired.
         debug_assert!(
@@ -1121,7 +1115,7 @@ impl<'a> Scheduler<'a> {
             crate::preflight::quiescence_report(plan, pages)
         );
         let paging = pages.stats();
-        ServeOutcome {
+        let out = ServeOutcome {
             kv_peak_bytes: self.pool.peak(),
             kv_leaked_bytes: self.pool.used(),
             kv_pages_peak: pages.peak_pages() as u64,
@@ -1129,13 +1123,16 @@ impl<'a> Scheduler<'a> {
             shared_prefix_hits: paging.shared_hits,
             shared_tokens: paging.shared_tokens,
             ..self.out.close(self.clock_us)
-        }
+        };
+        debug_assert_eq!(crate::obs::conform(plan, &out).err(), None);
+        out
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
+    use crate::obs::conform;
     use crate::preflight::{preflight, ttft_floor_s};
     use crate::request::synth_traffic;
     use crate::session::{ServeMode, ServeSession};
@@ -1338,17 +1335,16 @@ mod tests {
         token.cancel_at_us(2_000_000);
         let cancelled = Request::new(0, vec![1, 2, 3], 32).with_cancel(token);
         let survivor = Request::new(1, vec![4, 5], 8);
-        let (_, out) =
+        let (plan, out) =
             continuous(&b, &ServeConfig::default(), vec![cancelled, survivor]).unwrap();
-        assert_eq!(out.terminal_count(), 2);
+        // Resolved once each, the lease returned, admissions balanced.
+        assert_eq!(conform(&plan, &out).unwrap().requests, 2);
         assert_eq!(out.cancellations.len(), 1);
         let c = &out.cancellations[0];
         assert_eq!(c.id, 0);
         assert_eq!(c.reason, crate::request::CancelReason::Explicit);
         assert!(c.cancel_us >= 2_000_000);
-        assert_eq!(out.kv_leaked_bytes, 0, "lease must return on cancel");
         assert!(out.responses.iter().any(|r| r.id == 1));
-        assert!(out.stats.admissions_balanced(), "{:?}", out.stats);
     }
 
     #[test]
@@ -1360,14 +1356,12 @@ mod tests {
             fault: FaultInjector::new(FaultConfig::storm(9, StormProfile::Disconnects)),
             ..ServeConfig::default()
         };
-        let (_, out) = continuous(&b, &cfg, reqs).unwrap();
-        assert_eq!(out.terminal_count(), n);
+        let (plan, out) = continuous(&b, &cfg, reqs).unwrap();
+        assert_eq!(conform(&plan, &out).unwrap().requests, n);
         assert!(
             !out.cancellations.is_empty(),
             "a 40% disconnect rate over 24 requests must cancel some"
         );
-        assert_eq!(out.kv_leaked_bytes, 0);
-        assert!(out.stats.admissions_balanced(), "{:?}", out.stats);
         for c in &out.cancellations {
             assert_eq!(c.reason, crate::request::CancelReason::ClientDisconnect);
         }
@@ -1385,11 +1379,10 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut events: Vec<TokenEvent> = Vec::new();
-        let (_, stormy) =
+        let (plan, stormy) =
             continuous_with(&b, &cfg, reqs, &mut |e| events.push(e)).unwrap();
         assert!(stormy.stats.slot_crashes > 0, "30% crash rate must fire");
-        assert_eq!(stormy.kv_leaked_bytes, 0);
-        assert!(stormy.stats.admissions_balanced(), "{:?}", stormy.stats);
+        conform(&plan, &stormy).unwrap();
         // Completed-under-storm responses carry the exact same tokens as
         // the calm run — resumption re-pays prefill, never re-emits.
         for r in &stormy.responses {
@@ -1435,11 +1428,9 @@ mod tests {
             shed: false, // isolate the preemption actuator
             ..SloPolicy::enforcing(tight_slo(&b, &cfg, 1.05))
         });
-        let (_, out) = continuous(&b, &cfg, reqs).unwrap();
+        let (plan, out) = continuous(&b, &cfg, reqs).unwrap();
         assert!(out.stats.preemptions > 0, "{:?}", out.stats);
-        assert_eq!(out.terminal_count(), 4);
-        assert_eq!(out.kv_leaked_bytes, 0);
-        assert!(out.stats.admissions_balanced(), "{:?}", out.stats);
+        assert_eq!(conform(&plan, &out).unwrap().requests, 4);
         // The hog still finishes (resumed after the urgent work) with an
         // uncorrupted stream.
         let hog_r = out.responses.iter().find(|r| r.id == 0).unwrap();
@@ -1463,15 +1454,14 @@ mod tests {
             ..SloPolicy::enforcing(tight_slo(&b, &cfg, 1.5))
         });
         let n = reqs.len();
-        let (_, out) = continuous(&b, &cfg, reqs).unwrap();
-        assert_eq!(out.terminal_count(), n);
+        let (plan, out) = continuous(&b, &cfg, reqs).unwrap();
+        assert_eq!(conform(&plan, &out).unwrap().requests, n);
         assert!(out.stats.shed > 0, "{:?}", out.stats);
         assert!(out
             .rejections
             .iter()
             .any(|r| matches!(r.reason, RejectReason::WouldMissDeadline { .. })));
         assert_eq!(out.deadline_misses, out.stats.shed, "sheds count as misses");
-        assert_eq!(out.kv_leaked_bytes, 0);
     }
 
     #[test]
@@ -1491,10 +1481,10 @@ mod tests {
             shed: false,
             ..SloPolicy::enforcing(tight_slo(&b, &cfg, 1.5))
         });
-        let (_, out) = continuous(&b, &cfg, reqs).unwrap();
+        let (plan, out) = continuous(&b, &cfg, reqs).unwrap();
         assert!(out.stats.degradations > 0, "{:?}", out.stats);
         assert_eq!(out.stats.preemptions, 0);
-        assert!(out.stats.admissions_balanced(), "{:?}", out.stats);
+        conform(&plan, &out).unwrap();
     }
 
     #[test]
@@ -1547,6 +1537,7 @@ mod tests {
         let (b, reqs) = traffic(32);
         let mut submitted: Vec<u64> = reqs.iter().map(|r| r.id).collect();
         submitted.sort_unstable();
+        let n = submitted.len();
         let cfg = ServeConfig {
             fault: FaultInjector::new(FaultConfig::storm(7, StormProfile::Default)),
             retry: RetryPolicy::fast_test(),
@@ -1560,15 +1551,7 @@ mod tests {
             "the storm must exercise more than the happy path: {:?}",
             out.stats
         );
-        let mut resolved: Vec<u64> = out
-            .responses
-            .iter()
-            .map(|r| r.id)
-            .chain(out.rejections.iter().map(|r| r.id))
-            .chain(out.cancellations.iter().map(|c| c.id))
-            .collect();
-        resolved.sort_unstable();
-        assert_eq!(resolved, submitted, "each id in exactly one terminal state");
+        assert_eq!(conform(&plan, &out).unwrap().requests, n, "each id resolved once");
         let retired: Vec<u64> = counting.retired.keys().copied().collect();
         assert_eq!(retired, submitted, "every id retired at the driver");
         assert!(
@@ -1581,40 +1564,16 @@ mod tests {
     #[test]
     fn lifecycle_record_covers_every_request_and_balances() {
         let (b, reqs) = traffic(16);
-        let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
-        let (_, out) = continuous(&b, &ServeConfig::default(), reqs).unwrap();
+        let n = reqs.len();
+        let (plan, out) = continuous(&b, &ServeConfig::default(), reqs).unwrap();
         let obs = &out.obs;
-        // Every request is queued exactly once per (re-)entry and every
-        // response has matching Admitted/Done events.
-        for id in &ids {
-            assert!(
-                obs.lifecycle
-                    .iter()
-                    .any(|e| e.request == *id && e.phase == RequestPhase::Queued),
-                "request {id} never queued"
-            );
-        }
-        let count = |phase: RequestPhase| {
-            obs.lifecycle.iter().filter(|e| e.phase == phase).count() as u64
-        };
-        assert_eq!(count(RequestPhase::Admitted), out.stats.admitted);
-        assert_eq!(count(RequestPhase::Done), out.stats.completed);
-        assert_eq!(count(RequestPhase::Prefill), out.stats.admitted);
-        assert_eq!(count(RequestPhase::Decode), out.generated_tokens);
-        // Admitted events carry a slot within the plan; timestamps are
-        // non-decreasing (virtual clock only moves forward).
-        // (fresh Queued events are stamped at arrival, which can predate
-        // the boundary that collected them — every other phase is
-        // clock-ordered.)
-        assert!(obs
-            .lifecycle
-            .windows(2)
-            .all(|w| w[0].t_us <= w[1].t_us || w[1].phase == RequestPhase::Queued));
+        // Legal transitions, slots, clock order, totality, token and
+        // admission tallies, an idle last boundary: the lifecycle spec.
+        assert_eq!(conform(&plan, &out).unwrap().requests, n);
         // TTFT audit pairs exist for every first token delivered.
         assert_eq!(obs.ttft.len(), out.responses.len());
-        // Boundary samples close the run: the last one is idle.
+        // Boundary samples close the run at its final clock.
         let last = obs.boundaries.last().unwrap();
-        assert_eq!(last.active_slots, 0);
         assert!((last.t_us as f64 / 1e6 - out.sim_seconds).abs() < 1e-9);
     }
 

@@ -170,6 +170,7 @@ impl<'b> ServeSession<'b> {
         requests: Vec<Request>,
         on_token: &mut dyn FnMut(TokenEvent),
     ) -> Result<ServeRun, ServeError> {
+        unique_ids(&requests)?;
         let (backend, cfg) = (self.backend, &self.cfg);
         let (plan, outcome) = match self.mode {
             ServeMode::Continuous => {
@@ -212,8 +213,9 @@ impl<'b> ServeSession<'b> {
         R: Send,
         F: FnOnce(TokenStreams) -> R + Send,
     {
-        // Reject configurations that cannot work at runtime before any
-        // thread spawns.
+        // Reject inputs that cannot work at runtime before any thread
+        // spawns.
+        unique_ids(&requests)?;
         let plan = preflight(self.backend, &self.cfg, Some(acfg))?;
 
         let mut senders = BTreeMap::new();
@@ -252,6 +254,19 @@ impl<'b> ServeSession<'b> {
             Ok(Err(e)) => Err(e),
             Err(payload) => std::panic::resume_unwind(payload),
         }
+    }
+}
+
+/// Every entry point's first check: request ids key the token streams,
+/// the terminal records and the lifecycle log, so each must be unique.
+/// (One sorted `Vec`, not a set: a set's per-id node allocations cost
+/// the 8k-request scheduler simulation measurably.)
+fn unique_ids(requests: &[Request]) -> Result<(), ServeError> {
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(ServeError::DuplicateRequestId(w[0])),
+        None => Ok(()),
     }
 }
 
@@ -326,8 +341,10 @@ impl ServeDriver for AsyncDriver {
 mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
+    use crate::obs::conform;
     use crate::request::synth_traffic;
     use lm_analyze::LintCode;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn traffic(n: usize) -> (AnalyticBackend, Vec<Request>) {
         let b = AnalyticBackend::opt_30b();
@@ -363,7 +380,8 @@ mod tests {
         assert!(report.has(LintCode::Lma270SloWithoutTtftHistogram), "{report}");
         let n = reqs.len();
         let run = ServeSession::new(&b).config(cfg).run(reqs).unwrap();
-        assert_eq!(run.outcome.terminal_count(), n);
+        let (plan, out) = run.into_continuous();
+        assert_eq!(conform(&plan, &out).unwrap().requests, n);
     }
 
     #[test]
@@ -390,6 +408,35 @@ mod tests {
                 .collect();
             assert_eq!(got, r.tokens, "request {}", r.id);
         }
+    }
+
+    #[test]
+    fn every_entry_point_rejects_a_repeated_request_id() {
+        let b = AnalyticBackend::opt_30b();
+        let reqs = vec![
+            Request::new(5, vec![1, 2], 4),
+            Request::new(4, vec![3], 2),
+            Request::new(5, vec![3, 4], 6),
+        ];
+        let modes = [
+            ServeMode::Continuous,
+            ServeMode::Sequential,
+            ServeMode::Static { batch: 2 },
+        ];
+        for mode in modes {
+            let session = ServeSession::new(&b).mode(mode);
+            match session.run_streaming(reqs.clone(), &mut |_| {}) {
+                Err(ServeError::DuplicateRequestId(5)) => {}
+                other => panic!("{mode:?}: expected the duplicate id, got ok={}", other.is_ok()),
+            }
+        }
+        let client_ran = AtomicBool::new(false);
+        let client = |_| client_ran.store(true, Ordering::Relaxed);
+        match ServeSession::new(&b).run_async(reqs, &AsyncConfig::default(), client) {
+            Err(ServeError::DuplicateRequestId(5)) => {}
+            other => panic!("run_async: expected the duplicate id, got ok={}", other.is_ok()),
+        }
+        assert!(!client_ran.load(Ordering::Relaxed), "rejected before anything runs");
     }
 
     #[test]
@@ -442,14 +489,12 @@ mod tests {
                 got
             })
             .unwrap();
-        assert_eq!(run.outcome.terminal_count(), n, "every request resolves");
-        assert!(run.outcome.stats.admissions_balanced());
-        assert_eq!(run.outcome.kv_leaked_bytes, 0);
-        assert_eq!(run.outcome.kv_pages_leaked, 0);
+        let (plan, out) = run.into_continuous();
+        assert_eq!(conform(&plan, &out).unwrap().requests, n, "every request resolves");
         // Transparency: completed responses streamed exactly their
         // tokens (wall jitter may shed *other* requests via deadlines,
         // never corrupt a stream).
-        for r in &run.outcome.responses {
+        for r in &out.responses {
             assert_eq!(collected.get(&r.id), Some(&r.tokens), "request {}", r.id);
         }
     }
@@ -474,13 +519,13 @@ mod tests {
                 }
             })
             .unwrap();
-        assert_eq!(run.outcome.terminal_count(), n);
-        assert_eq!(run.outcome.kv_leaked_bytes, 0, "disconnect reclaims KV");
-        assert_eq!(run.outcome.kv_pages_leaked, 0);
+        // Every request resolves, and the disconnect reclaims its KV.
+        let (plan, out) = run.into_continuous();
+        assert_eq!(conform(&plan, &out).unwrap().requests, n);
         // The victim must not have completed: its channel was closed
         // from the first delivery.
         assert!(
-            !run.outcome.responses.iter().any(|r| r.id == victim),
+            !out.responses.iter().any(|r| r.id == victim),
             "victim stream should resolve as disconnect/rejection, not a response"
         );
     }

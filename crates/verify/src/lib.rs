@@ -15,13 +15,15 @@
 //!    (`LMA291`); a config the lints reject while every invariant holds
 //!    is **lint incompleteness** (reported, tolerated).
 //!
-//! 2. **Protocol model checking** ([`protocol`]): bounded-interleaving
+//! 2. **Protocol checking** ([`protocol`]): bounded-interleaving
 //!    exploration (vendored loom, CHESS-style preemption bound) of the
-//!    paged-KV grant/append/drop protocol and the scheduler
-//!    admit/preempt/shed/cancel lifecycle, with refcount conservation,
-//!    no-double-grant, zero-leak quiescence, and terminal-state
-//!    totality asserted on every interleaving, plus transition-coverage
-//!    accounting for `LMA292`.
+//!    paged-KV grant/append/drop protocol, with refcount conservation,
+//!    no-double-grant and zero-leak quiescence asserted on every
+//!    interleaving; and the shipped scheduler run over a fixed set of
+//!    storms, SLO overload and cancels, each run's lifecycle log checked
+//!    against `lm-serve`'s executable specification
+//!    ([`lm_serve::conform`]) — plus transition-coverage accounting for
+//!    `LMA292`.
 //!
 //! The outputs of both fold into one [`VerifyProbe`] judged by
 //! `lm-analyze`'s `LMA29x` family; `repro verify` publishes the result
@@ -36,8 +38,7 @@ pub mod protocol;
 
 pub use lattice::{run_sweep, Mutation, SweepDepth, SweepPoint, SweepReport};
 pub use protocol::{
-    check_kvpool_protocol, check_scheduler_protocol, kvpool_declared, scheduler_declared,
-    ProtocolReport,
+    check_kvpool_protocol, check_scheduler_protocol, kvpool_declared, ProtocolReport,
 };
 
 use lm_analyze::VerifyProbe;

@@ -1,33 +1,36 @@
-//! Protocol model checking under bounded interleavings.
+//! Protocol checking of the two state machines the serving path rests
+//! on.
 //!
-//! Two state machines are explored with the vendored loom checker
-//! ([`loom::explore`]): the **paged-KV pool** grant/append/drop
-//! protocol (the *real* [`PagedKvPool`], not a model — its internal
+//! The **paged-KV pool** grant/append/drop protocol is explored under
+//! bounded interleavings with the vendored loom checker
+//! ([`loom::explore`]) on the *real* [`PagedKvPool`] — its internal
 //! `parking_lot` lock is not loom-instrumented, so explicit
 //! [`loom::thread::yield_now`] calls between protocol operations are the
-//! interleaving points), and the **scheduler lifecycle**
-//! admit/preempt/shed/cancel (re-stated over an instrumented
-//! [`loom::sync::Mutex`], the same way `loom_pools.rs` re-states the
-//! `MemPool` protocol).
-//!
-//! Checked on every interleaving:
+//! interleaving points. Checked on every interleaving:
 //!
 //! - **refcount conservation** — the pool's per-page refcount sum and
 //!   page/byte accounting balance after every operation;
 //! - **no double grant** — each sequence reads back exactly the token
 //!   stream it wrote (a page granted to two writers would corrupt one);
 //! - **zero leaks at quiescence** — when all sequences drop, pages in
-//!   use, backing bytes, and the refcount sum all reach zero;
-//! - **terminal-state totality** — every request ends `Completed`,
-//!   `Shed`, or `Cancelled`; none is lost in a queue or slot.
+//!   use, backing bytes, and the refcount sum all reach zero.
 //!
-//! Beyond pass/fail, each harness records which *declared* protocol
-//! transitions the bounded exploration actually drove; `LMA292` rejects
-//! a run whose interleavings never reached a declared transition (an
-//! unexercised transition carries unverified invariants).
+//! The **scheduler lifecycle** runs single-threaded on a virtual clock,
+//! so it is not explored but run: the shipped scheduler's log on a
+//! fixed set of runs is checked against `lm-serve`'s spec, [`conform`].
+//!
+//! Each harness records which *declared* transitions it drove; `LMA292`
+//! rejects a run that never reached one (an unexercised transition
+//! carries unverified invariants).
 
 use lm_engine::MemPool;
+use lm_fault::{FaultConfig, FaultInjector, StormProfile};
 use lm_kvpool::{PageConfig, PagedKvPool};
+use lm_serve::preflight::ttft_floor_s;
+use lm_serve::{
+    conform, derive_plan, synth_traffic, AnalyticBackend, CancelToken, Request, RequestPhase,
+    ServeBackend, ServeConfig, ServeSession, SloPolicy, Transition, LIFECYCLE,
+};
 use loom::{explore, Options};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -81,21 +84,6 @@ pub fn kvpool_declared() -> Vec<String> {
         "kvpool:append/in-place",
         "kvpool:append/new-page",
         "kvpool:drop/release",
-    ]
-    .map(String::from)
-    .to_vec()
-}
-
-/// Transitions of the scheduler request-lifecycle protocol.
-pub fn scheduler_declared() -> Vec<String> {
-    [
-        "sched:enqueue",
-        "sched:admit",
-        "sched:preempt",
-        "sched:requeue",
-        "sched:shed",
-        "sched:cancel",
-        "sched:complete",
     ]
     .map(String::from)
     .to_vec()
@@ -208,219 +196,70 @@ pub fn check_kvpool_protocol(opts: Options) -> ProtocolReport {
     }
 }
 
-/// Terminal request states — totality demands every request reach one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Term {
-    Completed,
-    Shed,
-    Cancelled,
+/// A lifecycle edge as the scheduler report names it.
+fn sched_name((from, to): Transition) -> String {
+    format!("sched:{}->{}", from.map_or("start", RequestPhase::name), to.name())
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Req {
-    id: usize,
-    prio: u8,
-    remaining: u32,
-    sheddable: bool,
-}
-
-/// The scheduler lifecycle state, re-stated over loom's mutex so every
-/// lock acquisition is an interleaving point (the real scheduler's loop
-/// holds no lock — it is single-threaded per virtual step — so the model
-/// checks the *protocol*: the transition rules between queued, running,
-/// and terminal states under concurrent enqueue/cancel).
-struct SchedState {
-    queue: Vec<Req>,
-    running: Vec<Req>,
-    done: Vec<(usize, Term)>,
-    cancels: Vec<usize>,
-}
-
-const SLOTS: usize = 2;
-const SHED_QUEUE_LIMIT: usize = 2;
-const TOTAL_REQS: usize = 5;
-
-fn assert_conserved(st: &SchedState) {
-    assert!(st.running.len() <= SLOTS, "more running requests than slots");
-    let mut seen = BTreeSet::new();
-    for id in st
-        .queue
-        .iter()
-        .map(|r| r.id)
-        .chain(st.running.iter().map(|r| r.id))
-        .chain(st.done.iter().map(|&(id, _)| id))
-    {
-        assert!(id < TOTAL_REQS, "unknown request id {id}");
-        assert!(seen.insert(id), "request {id} present in two states");
-    }
-}
-
-/// One scheduler pump: process cancellations, shed under queue pressure,
-/// preempt for priority, admit into free slots, then advance every
-/// running request one decode step.
-fn pump(st: &mut SchedState, trace: &Trace) {
-    // Cancellation reaches both queued and running requests; a request
-    // already terminal is a no-op (the race the model explores).
-    let cancels = std::mem::take(&mut st.cancels);
-    for id in cancels {
-        if let Some(pos) = st.queue.iter().position(|r| r.id == id) {
-            st.queue.remove(pos);
-            st.done.push((id, Term::Cancelled));
-            record(trace, "sched:cancel");
-        } else if let Some(pos) = st.running.iter().position(|r| r.id == id) {
-            st.running.remove(pos);
-            st.done.push((id, Term::Cancelled));
-            record(trace, "sched:cancel");
-        }
-    }
-    // Shed sheddable work while the queue exceeds its pressure limit.
-    while st.queue.len() > SHED_QUEUE_LIMIT {
-        let Some(pos) = st.queue.iter().position(|r| r.sheddable) else {
-            break;
+/// Check the shipped scheduler against the lifecycle spec on a fixed
+/// set of runs that together fire every [`LIFECYCLE`] edge: each fault
+/// storm at two seeds (disconnects, crashes, pool pressure whose
+/// deadline rescues preempt), an enforcing SLO at 1.5x the TTFT floor
+/// on two slots (shedding), and a single-slot run with an explicit
+/// cancel on the resident and one on a queued request. Each run counts
+/// as one interleaving (on a virtual clock a run is its only schedule);
+/// the first violation or serve error is the failure.
+pub fn check_scheduler_protocol() -> ProtocolReport {
+    let backend = AnalyticBackend::opt_30b();
+    let traffic = synth_traffic(7, 4.0, 48, backend.model());
+    let (mut runs, mut exercised, mut failure) = (0, BTreeSet::new(), None);
+    let mut check = |label: &str, cfg: ServeConfig, requests: Vec<Request>| {
+        runs += 1;
+        let verdict = match ServeSession::new(&backend).config(cfg).run(requests) {
+            Ok(run) => {
+                let (plan, out) = run.into_continuous();
+                conform(&plan, &out).map_err(|v| format!("{v:?}"))
+            }
+            Err(e) => Err(e.to_string()),
         };
-        let r = st.queue.remove(pos);
-        st.done.push((r.id, Term::Shed));
-        record(trace, "sched:shed");
-    }
-    // Preempt: a strictly higher-priority waiter evicts the lowest-
-    // priority running request back into the queue.
-    if st.running.len() == SLOTS {
-        let best_wait = st.queue.iter().map(|r| r.prio).max();
-        let worst_run = st.running.iter().map(|r| r.prio).min();
-        if let (Some(bw), Some(wr)) = (best_wait, worst_run) {
-            if bw > wr {
-                let pos = st
-                    .running
-                    .iter()
-                    .position(|r| r.prio == wr)
-                    .unwrap_or_default();
-                let r = st.running.remove(pos);
-                st.queue.push(r);
-                record(trace, "sched:preempt");
-                record(trace, "sched:requeue");
+        match verdict {
+            Ok(c) => exercised.extend(c.transitions.into_keys().map(sched_name)),
+            Err(e) => {
+                failure.get_or_insert(format!("{label}: {e}"));
             }
         }
-    }
-    // Admit highest-priority waiters into free slots (stable on ties).
-    while st.running.len() < SLOTS && !st.queue.is_empty() {
-        let best = st.queue.iter().map(|r| r.prio).max().unwrap_or_default();
-        let pos = st
-            .queue
-            .iter()
-            .position(|r| r.prio == best)
-            .unwrap_or_default();
-        let r = st.queue.remove(pos);
-        st.running.push(r);
-        record(trace, "sched:admit");
-    }
-    // Step: every running request advances; finished ones complete.
-    let mut i = 0;
-    while i < st.running.len() {
-        st.running[i].remaining -= 1;
-        if st.running[i].remaining == 0 {
-            let r = st.running.remove(i);
-            st.done.push((r.id, Term::Completed));
-            record(trace, "sched:complete");
-        } else {
-            i += 1;
+    };
+    for profile in StormProfile::ALL {
+        for seed in [7, 1234] {
+            let fault = FaultInjector::new(FaultConfig::storm(seed, profile));
+            let cfg = ServeConfig { fault, ..ServeConfig::default() };
+            check(&format!("{} storm seed {seed}", profile.name()), cfg, traffic.clone());
         }
     }
-    assert_conserved(st);
-}
-
-/// Model-check the scheduler admit/preempt/shed/cancel lifecycle: a
-/// pump loop races a client enqueueing a high-priority request and a
-/// sheddable request, and a canceller racing a request that may be
-/// queued, running, or already complete.
-pub fn check_scheduler_protocol(opts: Options) -> ProtocolReport {
-    let trace: Trace = Arc::new(StdMutex::new(BTreeSet::new()));
-    let t = Arc::clone(&trace);
-    let outcome = explore(opts, move || {
-        let req = |id, prio, remaining, sheddable| Req {
-            id,
-            prio,
-            remaining,
-            sheddable,
-        };
-        let state = loom::sync::Arc::new(loom::sync::Mutex::new(SchedState {
-            queue: vec![req(0, 1, 2, false), req(1, 1, 2, false), req(2, 1, 1, false)],
-            running: Vec::new(),
-            done: Vec::new(),
-            cancels: Vec::new(),
-        }));
-
-        let client = {
-            let state = loom::sync::Arc::clone(&state);
-            let trace = Arc::clone(&t);
-            loom::thread::spawn(move || {
-                // A high-priority arrival (preemption trigger) ...
-                {
-                    let mut st = state.lock();
-                    st.queue.push(req(3, 2, 1, false));
-                    record(&trace, "sched:enqueue");
-                    assert_conserved(&st);
-                }
-                // ... a sheddable arrival (queue-pressure trigger) ...
-                {
-                    let mut st = state.lock();
-                    st.queue.push(req(4, 0, 3, true));
-                    record(&trace, "sched:enqueue");
-                    assert_conserved(&st);
-                }
-                // ... and a cancellation racing request 1's lifecycle.
-                state.lock().cancels.push(1);
-            })
-        };
-
-        let pumper = {
-            let state = loom::sync::Arc::clone(&state);
-            let trace = Arc::clone(&t);
-            loom::thread::spawn(move || {
-                // Enough pumps to drain every request in any interleaving:
-                // 5 requests, max 3 steps each, 2 slots — 9 pumps covers
-                // the worst serialization with slack.
-                for _ in 0..9 {
-                    pump(&mut state.lock(), &trace);
-                }
-            })
-        };
-
-        let Ok(()) = client.join() else {
-            panic!("client thread panicked");
-        };
-        let Ok(()) = pumper.join() else {
-            panic!("pump thread panicked");
-        };
-
-        // The pump loop may have drained before the client's last
-        // arrival; with both threads joined the backlog is final, so a
-        // bounded quiescent drain models the scheduler outliving its
-        // clients (and adds no interleaving branches — one thread).
-        for _ in 0..9 {
-            pump(&mut state.lock(), &t);
-        }
-
-        // Terminal-state totality: nothing is left queued or running,
-        // and every request reached exactly one terminal state.
-        let st = state.lock();
-        assert!(st.queue.is_empty(), "requests stranded in queue: {:?}", st.queue);
-        assert!(st.running.is_empty(), "requests stranded running");
-        assert_eq!(st.done.len(), TOTAL_REQS, "lost request: {:?}", st.done);
-        assert_conserved(&st);
-    });
-    let exercised = trace
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .cloned()
-        .collect();
+    let mut slo = ServeConfig { max_slots: 2, ..ServeConfig::default() };
+    let floor_s = ttft_floor_s(&derive_plan(&backend, &slo).0, &backend);
+    slo.slo = Some(SloPolicy::enforcing(1.5 * floor_s));
+    check("enforcing slo", slo, traffic);
+    // A 48-token context over a one-slot pool plans exactly one slot.
+    let single = ServeConfig { max_slots: 1, slot_context: 48, ..ServeConfig::default() };
+    let cancel_at = |t_us| {
+        let token = CancelToken::never();
+        token.cancel_at_us(t_us);
+        token
+    };
+    let mut requests = vec![
+        Request::new(0, vec![1, 2, 3], 32).with_cancel(cancel_at(2_000_000)),
+        Request::new(1, vec![4, 5], 8).with_cancel(cancel_at(1_000_000)),
+    ];
+    requests.extend((2..12).map(|id| Request::new(id, vec![6, 7], 40)));
+    check("single-slot cancels", single, requests);
     ProtocolReport {
         name: "scheduler".to_string(),
-        interleavings: outcome.executions as u64,
-        truncated: outcome.truncated,
-        failure: outcome.failure,
-        declared: scheduler_declared(),
-        exercised,
+        interleavings: runs,
+        truncated: false,
+        failure,
+        declared: LIFECYCLE.map(sched_name).to_vec(),
+        exercised: exercised.into_iter().collect(),
     }
 }
 
@@ -450,22 +289,19 @@ mod tests {
 
     #[test]
     fn scheduler_protocol_holds_and_exercises_every_declared_transition() {
-        let report = check_scheduler_protocol(Options::default());
+        let report = check_scheduler_protocol();
         assert!(report.passed(), "{:?}", report.failure);
-        assert!(report.interleavings > 1, "exploration degenerate");
-        for t in &report.declared {
-            assert!(
-                report.exercised.contains(t),
-                "declared transition never exercised: {t} (got {:?})",
-                report.exercised
-            );
-        }
+        let mut exercised = report.exercised.clone();
+        let mut declared = report.declared.clone();
+        exercised.sort();
+        declared.sort();
+        assert_eq!(exercised, declared, "every lifecycle edge, and no other");
     }
 
     #[test]
     fn exploration_counts_are_deterministic() {
-        let a = check_scheduler_protocol(Options::default());
-        let b = check_scheduler_protocol(Options::default());
+        let a = check_scheduler_protocol();
+        let b = check_scheduler_protocol();
         assert_eq!(a.interleavings, b.interleavings);
         assert_eq!(a.exercised, b.exercised);
     }

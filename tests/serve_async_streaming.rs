@@ -12,7 +12,7 @@
 
 use lm_bench::experiments::serve;
 use lm_engine::GenerateRequest;
-use lm_serve::{AsyncConfig, EngineBackend, Request, ServeSession};
+use lm_serve::{conform, AsyncConfig, EngineBackend, Request, ServeSession};
 use proptest::prelude::*;
 
 /// Regenerate the default serve artifact (both the plain run and the
@@ -23,13 +23,8 @@ use proptest::prelude::*;
 /// virtual-clock byte fails here.
 #[test]
 fn virtual_clock_serve_artifact_matches_the_committed_golden_bytes() {
-    let mut r = serve::run(7, 4.0, 32);
-    r.shared_prefix = Some(serve::run_shared_prefix(
-        7,
-        4.0,
-        32,
-        serve::DEFAULT_PREFIX_LEN,
-    ));
+    let (mut r, _) = serve::run(7, 4.0, 32);
+    r.shared_prefix = Some(serve::run_shared_prefix(7, 4.0, 32, serve::DEFAULT_PREFIX_LEN).0);
     let regenerated = serde_json::to_string_pretty(&r).unwrap();
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -89,10 +84,8 @@ proptest! {
                 collected
             })
             .unwrap();
-        let out = run.outcome;
-        prop_assert_eq!(out.terminal_count(), n);
-        prop_assert_eq!(out.kv_leaked_bytes, 0);
-        prop_assert_eq!(out.kv_pages_leaked, 0);
+        let (plan, out) = run.into_continuous();
+        prop_assert_eq!(conform(&plan, &out).map(|c| c.requests), Ok(n));
         for r in &out.responses {
             let req = &requests[r.id as usize];
             let solo = backend

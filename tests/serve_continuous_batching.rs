@@ -7,7 +7,7 @@
 
 use lm_engine::GenerateRequest;
 use lm_serve::{
-    synth_traffic, AnalyticBackend, EngineBackend, RejectReason, Request, ServeBackend,
+    conform, synth_traffic, AnalyticBackend, EngineBackend, RejectReason, Request, ServeBackend,
     ServeConfig, ServeMode, ServeSession,
 };
 use proptest::prelude::*;
@@ -118,7 +118,7 @@ fn shared_prompt_outputs_equal_solo_runs() {
     let prompts: Vec<Vec<u32>> = requests.iter().map(|r| r.prompt.clone()).collect();
     let gens: Vec<usize> = requests.iter().map(|r| r.gen_len).collect();
 
-    let out = ServeSession::new(&backend).run(requests).unwrap().outcome;
+    let (plan, out) = ServeSession::new(&backend).run(requests).unwrap().into_continuous();
     assert_eq!(out.responses.len(), 6, "rejections: {:?}", out.rejections);
     assert!(
         out.shared_prefix_hits > 0,
@@ -127,7 +127,7 @@ fn shared_prompt_outputs_equal_solo_runs() {
     // Each of the five later admissions maps exactly the two full
     // pages: two hits and 32 tokens apiece.
     assert_eq!((out.shared_prefix_hits, out.shared_tokens), (5 * 2, 5 * 32));
-    assert_eq!(out.kv_pages_leaked, 0);
+    conform(&plan, &out).unwrap();
     for r in &out.responses {
         let solo = backend
             .engine()

@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use lm_serve::{
-    serve_timeline, synth_traffic, EngineBackend, RequestPhase, ServeBackend, ServeConfig,
+    conform, serve_timeline, synth_traffic, EngineBackend, ServeBackend, ServeConfig,
     ServeSession,
 };
 use lm_trace::Tracer;
@@ -57,17 +57,7 @@ fn engine_backend_lifecycle_balances_and_exports_a_timeline() {
     let backend = EngineBackend::tiny_test(SEED).unwrap();
     let traffic = synth_traffic(SEED, 4.0, 12, backend.model());
     let (plan, out) = ServeSession::new(&backend).run(traffic).unwrap().into_continuous();
-
-    let count = |phase: RequestPhase| {
-        out.obs
-            .lifecycle
-            .iter()
-            .filter(|e| e.phase == phase)
-            .count() as u64
-    };
-    assert_eq!(count(RequestPhase::Admitted), out.stats.admitted);
-    assert_eq!(count(RequestPhase::Done), out.stats.completed);
-    assert_eq!(count(RequestPhase::Decode), out.generated_tokens);
+    assert_eq!(conform(&plan, &out).unwrap().requests, 12);
 
     let v = serve_timeline(&plan, &out.obs).to_value();
     let events = v["traceEvents"].as_array().unwrap();

@@ -1,9 +1,10 @@
 //! End-to-end exercise of the `lm-verify` pipeline exactly as `repro
 //! verify` runs it: the quick planner-space sweep must clear its floor
 //! with zero lint-unsoundness witnesses, the seeded over-grant mutation
-//! must surface as an `LMA291` witness, both protocol explorations must
-//! cover every declared transition, and the assembled probe must pass
-//! the `LMA29x` lints cleanly — deterministically, twice.
+//! must surface as an `LMA291` witness, the kvpool exploration and the
+//! scheduler's lifecycle-conformance runs must cover every declared
+//! transition, and the assembled probe must pass the `LMA29x` lints
+//! cleanly — deterministically, twice.
 
 #![allow(clippy::unwrap_used)]
 
@@ -55,7 +56,7 @@ fn seeded_overgrant_mutation_becomes_an_lma291_witness() {
     );
     let protocols = [
         check_kvpool_protocol(lane_opts()),
-        check_scheduler_protocol(lane_opts()),
+        check_scheduler_protocol(),
     ];
     let probe = build_probe(&sweep, &protocols);
     let report = lint_verify(&probe);
@@ -69,7 +70,7 @@ fn seeded_overgrant_mutation_becomes_an_lma291_witness() {
 fn protocol_explorations_cover_every_declared_transition() {
     for report in [
         check_kvpool_protocol(lane_opts()),
-        check_scheduler_protocol(lane_opts()),
+        check_scheduler_protocol(),
     ] {
         assert!(report.passed(), "{}: {:?}", report.name, report.failure);
         for t in &report.declared {
@@ -95,7 +96,7 @@ fn assembled_probe_passes_the_lma29x_lints_and_is_deterministic() {
         let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
         let protocols = [
             check_kvpool_protocol(lane_opts()),
-            check_scheduler_protocol(lane_opts()),
+            check_scheduler_protocol(),
         ];
         build_probe(&sweep, &protocols)
     };
