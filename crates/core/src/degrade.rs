@@ -23,7 +23,6 @@ use lm_engine::{Engine, EngineError, EngineOptions, GenerateRequest, Generation}
 use lm_hardware::Platform;
 use lm_models::{DType, ModelConfig, Workload};
 use lm_sim::{AttentionPlacement, Policy};
-use lm_tensor::QuantConfig;
 use serde::{Deserialize, Serialize};
 
 /// What went wrong, in the terms the performance model understands.
@@ -281,25 +280,6 @@ fn describe_policy(p: &Policy) -> String {
     )
 }
 
-/// Map a policy's at-rest precisions onto real-engine options. The
-/// placement fractions have no engine analogue (the mini engine always
-/// streams every layer); precisions do.
-pub fn engine_options_for_policy(policy: &Policy, base: &EngineOptions) -> EngineOptions {
-    let mut o = base.clone();
-    o.quantize_at_rest = match policy.weights_dtype {
-        DType::Int4 => Some(QuantConfig::int4()),
-        DType::Int8 => Some(QuantConfig::int8()),
-        DType::F16 | DType::F32 => None,
-    };
-    o.f16_at_rest = policy.weights_dtype == DType::F16;
-    o.kv_quantize_at_rest = match policy.kv_dtype {
-        DType::Int4 => Some(QuantConfig::int4()),
-        DType::Int8 => Some(QuantConfig::int8()),
-        DType::F16 | DType::F32 => None,
-    };
-    o
-}
-
 /// Result of a degradation-aware generation run.
 #[derive(Debug)]
 pub struct DegradedGeneration {
@@ -333,8 +313,9 @@ pub fn generate_with_degradation(
     gen_len: usize,
 ) -> Result<DegradedGeneration, EngineError> {
     let fault = base_options.fault.clone();
+    let options_for = |p: &Policy| base_options.clone().with_dtypes(p.weights_dtype, p.kv_dtype);
     let mut policy = initial_policy;
-    let mut options = engine_options_for_policy(&policy, base_options);
+    let mut options = options_for(&policy);
     let mut switches: Vec<PolicySwitch> = Vec::new();
     // One attempt per ladder rung plus the initial try.
     let max_attempts = controller.fallback_ladder(&initial_policy).len() + 1;
@@ -377,7 +358,7 @@ pub fn generate_with_degradation(
                     predicted_throughput,
                 });
                 policy = next;
-                options = engine_options_for_policy(&policy, base_options);
+                options = options_for(&policy);
                 // Backpressure response: stop prefetching so only one
                 // layer occupies the squeezed pool at a time.
                 options.prefetch = false;
@@ -522,19 +503,13 @@ mod tests {
 
     #[test]
     fn engine_options_map_precisions() {
-        let base = EngineOptions::default();
-        let mut p = Policy::flexgen_default();
-        p.weights_dtype = DType::Int4;
-        p.kv_dtype = DType::Int8;
-        let o = engine_options_for_policy(&p, &base);
-        assert_eq!(o.quantize_at_rest, Some(QuantConfig::int4()));
-        assert_eq!(o.kv_quantize_at_rest, Some(QuantConfig::int8()));
-        assert!(!o.f16_at_rest);
-        p.weights_dtype = DType::F16;
-        p.kv_dtype = DType::F16;
-        let o = engine_options_for_policy(&p, &base);
-        assert_eq!(o.quantize_at_rest, None);
-        assert!(o.f16_at_rest);
-        assert_eq!(o.kv_quantize_at_rest, None);
+        // The one mapping lives on `EngineOptions`; f16 K/V is held at f32.
+        for ((w, kv), held) in [
+            ((DType::Int4, DType::Int8), DType::Int8),
+            ((DType::F16, DType::F16), DType::F32),
+        ] {
+            let o = EngineOptions::default().with_dtypes(w, kv);
+            assert_eq!((o.weights_dtype(), o.kv_dtype()), (w, held));
+        }
     }
 }

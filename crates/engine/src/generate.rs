@@ -15,7 +15,7 @@ use crate::request::GenerateRequest;
 use crate::sampler::Sampler;
 use crate::store::{FetchedLayer, OffloadStore, WeightsAtRest};
 use lm_fault::{FaultInjector, RetryPolicy};
-use lm_models::ModelConfig;
+use lm_models::{DType, ModelConfig};
 use lm_tensor::{KvCache, QuantConfig, Tensor};
 use lm_trace::{TaskKind, Tracer};
 use std::sync::Arc;
@@ -29,7 +29,8 @@ pub struct EngineOptions {
     /// Host pool capacity in bytes.
     pub host_capacity: usize,
     /// Quantize weights at rest (FlexGen's compressed format). Takes
-    /// precedence over `f16_at_rest`.
+    /// precedence over `f16_at_rest`; [`EngineOptions::weights_dtype`]
+    /// reads the two as one precision.
     pub quantize_at_rest: Option<QuantConfig>,
     /// Store weights at half precision (the paper's fp16 baseline).
     pub f16_at_rest: bool,
@@ -87,6 +88,59 @@ impl Default for EngineOptions {
     }
 }
 
+/// The engine's precisions, as the cost model names them: the one mapping
+/// between [`DType`] and the options' `QuantConfig`s.
+impl EngineOptions {
+    /// The precision weights are held at rest: `quantize_at_rest` takes
+    /// precedence over `f16_at_rest`, and neither set means f32.
+    pub fn weights_dtype(&self) -> DType {
+        match self.weights_at_rest() {
+            WeightsAtRest::F32 => DType::F32,
+            WeightsAtRest::F16 => DType::F16,
+            WeightsAtRest::Quantized(q) => quant_dtype(q),
+        }
+    }
+
+    /// The store's form of [`Self::weights_dtype`], group size kept.
+    fn weights_at_rest(&self) -> WeightsAtRest {
+        match (self.quantize_at_rest, self.f16_at_rest) {
+            (Some(q), _) => WeightsAtRest::Quantized(q),
+            (None, true) => WeightsAtRest::F16,
+            (None, false) => WeightsAtRest::F32,
+        }
+    }
+
+    /// The precision K/V is held at rest: f32 unless `kv_quantize_at_rest`
+    /// is set.
+    pub fn kv_dtype(&self) -> DType {
+        self.kv_quantize_at_rest.map_or(DType::F32, quant_dtype)
+    }
+
+    /// These options holding weights at `weights` and K/V at `kv`, every
+    /// other field kept. The engine has no f16 cache: f16 K/V is held at
+    /// f32, so [`Self::kv_dtype`] reads it back as `F32`.
+    pub fn with_dtypes(mut self, weights: DType, kv: DType) -> Self {
+        let quant = |d| match d {
+            DType::Int4 => Some(QuantConfig::int4()),
+            DType::Int8 => Some(QuantConfig::int8()),
+            DType::F16 | DType::F32 => None,
+        };
+        self.quantize_at_rest = quant(weights);
+        self.f16_at_rest = weights == DType::F16;
+        self.kv_quantize_at_rest = quant(kv);
+        self
+    }
+}
+
+/// A group-quantised precision: 4-bit is `Int4`, any other width `Int8`.
+fn quant_dtype(q: QuantConfig) -> DType {
+    if q.bits == 4 {
+        DType::Int4
+    } else {
+        DType::Int8
+    }
+}
+
 /// Result of a generation run.
 #[derive(Debug, Clone)]
 pub struct Generation {
@@ -119,7 +173,8 @@ pub struct InitReport {
 pub enum EngineError {
     /// The request failed the shared validation checker
     /// ([`crate::request::validate_request`]): empty batch, empty or
-    /// ragged prompts, nothing to generate, or context overflow.
+    /// ragged prompts, nothing to generate, context overflow, or a prompt
+    /// token outside the vocabulary.
     /// Malformed serving traffic surfaces here instead of panicking.
     InvalidRequest { reason: String },
     Pool(PoolExhausted),
@@ -163,22 +218,12 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// Resolve the at-rest weight precision from the options.
-fn weights_at_rest(options: &EngineOptions) -> WeightsAtRest {
-    match (options.quantize_at_rest, options.f16_at_rest) {
-        (Some(q), _) => WeightsAtRest::Quantized(q),
-        (None, true) => WeightsAtRest::F16,
-        (None, false) => WeightsAtRest::F32,
-    }
-}
-
 /// Strict-mode pre-flight: check the pool budgets against hard lower
 /// bounds of the streaming layout before any allocation happens. The
 /// bounds are conservative (packed payload only, no per-group metadata),
 /// so every reported `Error` is a configuration that *must* fail later.
 fn preflight(cfg: &ModelConfig, options: &EngineOptions) -> Result<(), EngineError> {
     use lm_analyze::{Diagnostic, LintCode, Report};
-    use lm_models::DType;
 
     let mut findings = Vec::new();
     // Fetched layers are dequantized to f32 on the device; prefetching
@@ -197,12 +242,7 @@ fn preflight(cfg: &ModelConfig, options: &EngineOptions) -> Result<(), EngineErr
             ),
         ));
     }
-    let at_rest_dtype = match weights_at_rest(options) {
-        WeightsAtRest::F32 => DType::F32,
-        WeightsAtRest::F16 => DType::F16,
-        WeightsAtRest::Quantized(q) if q.bits == 4 => DType::Int4,
-        WeightsAtRest::Quantized(_) => DType::Int8,
-    };
+    let at_rest_dtype = options.weights_dtype();
     let at_rest = lm_models::footprint::weights_bytes(cfg, at_rest_dtype);
     if (options.host_capacity as u64) < at_rest {
         findings.push(Diagnostic::error(
@@ -313,7 +353,7 @@ impl Engine {
         device.attach_fault(options.fault.clone());
         let mut store = OffloadStore::from_layers(
             layers,
-            weights_at_rest(&options),
+            options.weights_at_rest(),
             Arc::clone(&host),
             Arc::clone(&device),
         )?;
@@ -349,6 +389,26 @@ impl Engine {
 
     pub fn device_pool(&self) -> &Arc<MemPool> {
         &self.device
+    }
+
+    /// The host pool: the weights at rest, then each block's KV lease.
+    pub fn host_pool(&self) -> &Arc<MemPool> {
+        &self.host
+    }
+
+    /// At-rest K/V bytes one sequence holds at `positions` positions,
+    /// every layer: what a block leases per row for its full capacity.
+    pub fn kv_bytes_at(&self, positions: usize) -> usize {
+        self.store.num_layers() * self.kv_cache(1, 0).bytes_for(positions)
+    }
+
+    /// An empty one-layer cache at the options' K/V precision.
+    fn kv_cache(&self, rows: usize, capacity: usize) -> KvCache {
+        let h = self.cfg.hidden as usize;
+        match self.options.kv_quantize_at_rest {
+            None => KvCache::new(rows, h, capacity),
+            Some(q) => KvCache::new_quantized(rows, h, capacity, q),
+        }
     }
 
     /// Fetch layer `j` for a sweep: a `load_weight` span when `step` names
@@ -503,15 +563,10 @@ impl Engine {
         // The last sampled token is never written back: s + n - 1 rows.
         let capacity = s + gen_len.saturating_sub(1);
 
-        let caches: Vec<KvCache> = (0..self.store.num_layers())
-            .map(|_| match self.options.kv_quantize_at_rest {
-                None => KvCache::new(rows, h, capacity),
-                Some(q) => KvCache::new_quantized(rows, h, capacity, q),
-            })
-            .collect();
+        let caches: Vec<KvCache> =
+            (0..self.store.num_layers()).map(|_| self.kv_cache(rows, capacity)).collect();
         // What the caches will hold once full, priced as `kv_bytes_at_rest`.
-        let kv_bytes = caches.iter().map(|c| c.bytes_for(capacity)).sum();
-        let kv_lease = self.host.alloc(kv_bytes)?;
+        let kv_lease = self.host.alloc(rows * self.kv_bytes_at(capacity))?;
 
         let positions: Vec<usize> = (0..rows).flat_map(|_| 0..s).collect();
         let hidden = self.embedding.embed(&prompts.concat(), &positions).reshape([rows, s, h]);
@@ -970,6 +1025,19 @@ mod tests {
                 "kv {kv:?}"
             );
         }
+    }
+
+    #[test]
+    fn dtypes_round_trip_through_the_options() {
+        use DType::*;
+        for w in [F32, F16, Int8, Int4] {
+            for kv in [F32, Int8, Int4] {
+                let o = EngineOptions::default().with_dtypes(w, kv);
+                assert_eq!((o.weights_dtype(), o.kv_dtype()), (w, kv));
+            }
+        }
+        // The engine has no f16 cache.
+        assert_eq!(EngineOptions::default().with_dtypes(F16, F16).kv_dtype(), F32);
     }
 
     #[test]

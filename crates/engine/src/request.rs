@@ -48,7 +48,8 @@ impl GenerateRequest {
 
 /// The one request checker: every malformed shape that used to trip an
 /// `assert!` in the pre-0.2 entry-point preambles surfaces here
-/// as [`EngineError::InvalidRequest`]. The `lm-serve` admission
+/// as [`EngineError::InvalidRequest`], as does a prompt token the
+/// embedding has no row for. The `lm-serve` admission
 /// controller calls this per request before leasing a slot, so bad
 /// serving traffic is rejected instead of panicking the engine.
 pub fn validate_request(
@@ -78,6 +79,12 @@ pub fn validate_request(
         return invalid(format!(
             "context {s} + {gen_len} exceeds max_seq_len {}",
             cfg.max_seq_len
+        ));
+    }
+    if let Some(t) = prompts.iter().flatten().find(|&&t| u64::from(t) >= cfg.vocab_size) {
+        return invalid(format!(
+            "prompt token {t} is outside the vocabulary of {}",
+            cfg.vocab_size
         ));
     }
     Ok(())
@@ -111,6 +118,8 @@ mod tests {
             .contains("share a length"));
         let long = vec![vec![7u32; 500]];
         assert!(reason(validate_request(&cfg, &long, 100)).contains("max_seq_len"));
+        let unknown = reason(validate_request(&cfg, &[vec![1, 600, 2]], 4));
+        assert!(unknown.contains("token 600") && unknown.contains("512"), "{unknown}");
     }
 
     #[test]

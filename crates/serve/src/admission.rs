@@ -199,8 +199,9 @@ mod tests {
     use crate::backend::{AnalyticBackend, EngineBackend};
     use crate::preflight::{paging_report, preflight, serve_report};
     use lm_analyze::LintCode;
-    use lm_engine::MemPool;
+    use lm_engine::{EngineOptions, MemPool};
     use lm_kvpool::{PageConfig, PagedKvPool};
+    use lm_models::DType;
 
     #[test]
     fn default_plan_is_clean_and_model_guided() {
@@ -261,6 +262,11 @@ mod tests {
             .flat_map(|m| [(analytic(m.clone()), 0), (analytic(m), 368)])
             .collect();
         cases.push((Box::new(EngineBackend::tiny_test(7).unwrap()), 368));
+        for kv in [DType::Int8, DType::Int4] {
+            let options = EngineOptions::default().with_dtypes(DType::F32, kv);
+            let tiny = lm_models::presets::tiny_test();
+            cases.push((Box::new(EngineBackend::new(&tiny, 7, options).unwrap()), 368));
+        }
         for (b, slot_context) in &cases {
             let cfg = ServeConfig {
                 slot_context: *slot_context,

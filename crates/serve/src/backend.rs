@@ -14,6 +14,9 @@
 //! and [`ServeBackend::decode_step_seconds`] from the paper's analytic
 //! cost model (Eq. 1-2, applied per-slot with the layer's weight stream
 //! shared across the whole block — the amortisation serving exists for).
+//! [`EngineBackend`] prices those at its engine's own weight and K/V
+//! precisions, on the A100 preset, and leases exactly the K/V bytes the
+//! engine holds.
 
 use crate::request::Request;
 use lm_engine::{Engine, EngineError, EngineOptions, GenerateRequest};
@@ -170,8 +173,10 @@ impl ServeBackend for AnalyticBackend {
 
 /// A backend over the *real* miniature engine: tokens come from actual
 /// `Engine::run` execution (so scheduler outputs are checkable against
-/// solo runs token-for-token), while step timing reuses the analytic
-/// model at the engine's model scale.
+/// solo runs token-for-token), the KV lease is the engine's own
+/// ([`Engine::kv_bytes_at`]), and step timing reuses the analytic model at
+/// the engine's model scale and its own weight and K/V precisions, on the
+/// A100 preset.
 pub struct EngineBackend {
     engine: Engine,
     analytic: AnalyticBackend,
@@ -181,14 +186,17 @@ impl EngineBackend {
     /// Build over an engine with the given options. `strict: true` only
     /// makes `Engine::new` fail with its `LMA109` capacity report when the
     /// pools cannot hold the model; the serving pre-flight never consults
-    /// the engine's.
+    /// the engine's. The priced policy keeps FlexGen's placement fractions:
+    /// the engine streams every layer and keeps K/V on the host.
     pub fn new(cfg: &ModelConfig, seed: u64, options: EngineOptions) -> Result<Self, EngineError> {
+        let policy = Policy {
+            weights_dtype: options.weights_dtype(),
+            kv_dtype: options.kv_dtype(),
+            ..Policy::flexgen_default()
+        };
         let engine = Engine::new(cfg, seed, options)?;
-        let analytic = AnalyticBackend::new(
-            lm_hardware::presets::single_gpu_a100(),
-            cfg.clone(),
-            Policy::flexgen_default(),
-        );
+        let analytic =
+            AnalyticBackend::new(lm_hardware::presets::single_gpu_a100(), cfg.clone(), policy);
         Ok(EngineBackend { engine, analytic })
     }
 
@@ -199,6 +207,11 @@ impl EngineBackend {
 
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// The policy step timing is priced at: the engine's precisions.
+    pub fn policy(&self) -> &Policy {
+        self.analytic.policy()
     }
 }
 
@@ -223,7 +236,7 @@ impl ServeBackend for EngineBackend {
     }
 
     fn kv_bytes_at(&self, context: usize) -> usize {
-        self.analytic.kv_bytes_at(context)
+        self.engine.kv_bytes_at(context)
     }
 }
 
@@ -454,6 +467,26 @@ pub(crate) mod tests {
             .run(&GenerateRequest::new(vec![vec![1, 2, 3, 4]], 5))
             .unwrap();
         assert_eq!(tokens, solo.tokens[0]);
+    }
+
+    #[test]
+    fn engine_backend_lease_is_the_engine_lease() {
+        use lm_models::DType::*;
+        for w in [F32, F16, Int8, Int4] {
+            for kv in [F32, Int8, Int4] {
+                let options = EngineOptions::default().with_dtypes(w, kv);
+                let b = EngineBackend::new(&lm_models::presets::tiny_test(), 3, options).unwrap();
+                assert_eq!((b.policy().weights_dtype, b.policy().kv_dtype), (w, kv));
+                // The host pool holds the weights, then one run's lease:
+                // ascending `n` makes each run's lease the new peak.
+                let weights = b.engine().host_pool().used();
+                for n in [1, 15, 16, 17, 33] {
+                    let solo = GenerateRequest::new(vec![vec![1; n]], 1);
+                    let g = b.engine().run(&solo).unwrap();
+                    assert_eq!(b.kv_bytes_at(n), g.host_peak - weights, "{w:?}/{kv:?} @ {n}");
+                }
+            }
+        }
     }
 
     #[test]

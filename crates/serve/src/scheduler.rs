@@ -1275,13 +1275,14 @@ mod tests {
             .with_deadline_us(500);
         let late = Request::new(4, vec![1, 2], 4).with_arrival_us(5_000_000);
         let nothing = Request::new(5, vec![1, 2, 3], 0);
+        let out_of_vocab = Request::new(6, vec![1, b.model().vocab_size as u32, 3], 4);
         let (_, out) = continuous(
             &b,
             &ServeConfig::default(),
-            vec![ok, empty, too_long, expired, late, nothing],
+            vec![ok, empty, too_long, expired, late, nothing, out_of_vocab],
         )
         .unwrap();
-        assert_eq!(out.responses.len() + out.rejections.len(), 6);
+        assert_eq!(out.responses.len() + out.rejections.len(), 7);
         let reason = |id: u64| {
             out.rejections
                 .iter()
@@ -1291,6 +1292,7 @@ mod tests {
         assert!(matches!(reason(1), Some(RejectReason::Invalid(_))));
         assert!(matches!(reason(2), Some(RejectReason::Invalid(_))));
         assert!(matches!(reason(5), Some(RejectReason::Invalid(_))));
+        assert!(matches!(reason(6), Some(RejectReason::Invalid(_))));
         // Request 3's deadline passes while the first block decodes.
         assert!(matches!(
             reason(3),
