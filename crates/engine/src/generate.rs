@@ -4,9 +4,10 @@
 //! Algorithm 1, executed for real on `lm-tensor`.
 //!
 //! [`Engine::run`] has the cost model's shape (Eq. 1): one prefill sweep,
-//! then `gen_len − 1` decode steps — one *between* each pair of samples —
-//! over a `Block` that owns everything a later step needs. The engine
-//! holds no per-run state, so blocks stepped alternately equal solo runs.
+//! then `gen_len − 1` decode sweeps, one *between* each pair of samples,
+//! over `Seq`s that own everything a later step needs. The engine holds no
+//! per-run state, so sequences of any lengths and start times share sweeps
+//! and each equals its solo run.
 
 use crate::disk::{Checkpoint, CheckpointError};
 use crate::model::{Embedding, LayerWeights};
@@ -172,9 +173,9 @@ pub struct InitReport {
 #[derive(Debug)]
 pub enum EngineError {
     /// The request failed the shared validation checker
-    /// ([`crate::request::validate_request`]): empty batch, empty or
-    /// ragged prompts, nothing to generate, context overflow, or a prompt
-    /// token outside the vocabulary.
+    /// ([`crate::request::validate_request`]): empty batch, an empty
+    /// prompt, nothing to generate, context overflow, or a prompt token
+    /// outside the vocabulary.
     /// Malformed serving traffic surfaces here instead of panicking.
     InvalidRequest { reason: String },
     Pool(PoolExhausted),
@@ -262,17 +263,19 @@ fn preflight(cfg: &ModelConfig, options: &EngineOptions) -> Result<(), EngineErr
     }
 }
 
-/// One request between steps. Private while [`Engine::run`] is the only
-/// caller; its rows share a prompt length and advance together.
-struct Block {
-    /// One KV store per layer, one row per prompt, host-side. Every layer's
-    /// cache holds the same positions: its `len()` is the position the
-    /// next sweep writes from.
+/// One sequence between steps. Its caches, step and lease are its own, so
+/// sequences of any lengths and steps share a sweep. Crate-private while
+/// [`Engine::run`] is the only caller.
+pub(crate) struct Seq {
+    /// One one-row KV store per layer, host-side; its `len()` is the
+    /// position the next sweep writes from.
     caches: Vec<KvCache>,
-    /// The hidden state the next sample reads, `[rows, hidden]` (the
-    /// `[rows, s, hidden]` prompt activations while prefill runs).
+    /// The hidden row the next sample reads, `[1, hidden]`.
     hidden: Tensor,
-    /// Host-pool charge for `caches`, released with the block.
+    /// The step sampled next, of `gen_len`; the last token is never fed back.
+    step: u64,
+    gen_len: u64,
+    /// Host-pool charge for `caches` at full capacity.
     _kv_lease: Lease,
 }
 
@@ -391,23 +394,23 @@ impl Engine {
         &self.device
     }
 
-    /// The host pool: the weights at rest, then each block's KV lease.
+    /// The host pool: the weights at rest, then each sequence's KV lease.
     pub fn host_pool(&self) -> &Arc<MemPool> {
         &self.host
     }
 
     /// At-rest K/V bytes one sequence holds at `positions` positions,
-    /// every layer: what a block leases per row for its full capacity.
+    /// every layer: what a sequence leases for its full capacity.
     pub fn kv_bytes_at(&self, positions: usize) -> usize {
-        self.store.num_layers() * self.kv_cache(1, 0).bytes_for(positions)
+        self.store.num_layers() * self.kv_cache(0).bytes_for(positions)
     }
 
-    /// An empty one-layer cache at the options' K/V precision.
-    fn kv_cache(&self, rows: usize, capacity: usize) -> KvCache {
+    /// An empty one-layer, one-row cache at the options' K/V precision.
+    fn kv_cache(&self, capacity: usize) -> KvCache {
         let h = self.cfg.hidden as usize;
         match self.options.kv_quantize_at_rest {
-            None => KvCache::new(rows, h, capacity),
-            Some(q) => KvCache::new_quantized(rows, h, capacity, q),
+            None => KvCache::new(1, h, capacity),
+            Some(q) => KvCache::new_quantized(1, h, capacity, q),
         }
     }
 
@@ -521,23 +524,20 @@ impl Engine {
         result
     }
 
-    /// A validated request, step by step: one decode step *between*
-    /// consecutive samples. The last token is returned, never fed back.
+    /// A validated request, step by step: one decode step per sample,
+    /// its sweep *between* consecutive samples.
     fn generate(&self, request: &GenerateRequest) -> Result<Generation, EngineError> {
         let (prompts, gen_len) = (&request.prompts, request.gen_len);
         let start = Instant::now();
         let fetched_before = self.store.total_fetched_bytes();
-        let mut block = self.prefill(request)?;
+        let mut seqs = self.prefill(prompts, gen_len)?;
 
         let decode = self.options.tracer.scope("decode");
         let mut tokens: Vec<Vec<u32>> = vec![Vec::with_capacity(gen_len); prompts.len()];
-        for step in 0..gen_len {
-            let next = self.sample(&block, step as u64);
-            for (row, &t) in tokens.iter_mut().zip(&next) {
+        for _ in 0..gen_len {
+            let next = self.decode(&mut seqs.iter_mut().collect::<Vec<_>>())?;
+            for (row, t) in tokens.iter_mut().zip(next) {
                 row.push(t);
-            }
-            if step + 1 < gen_len {
-                self.decode_step(&mut block, step as u64, &next)?;
             }
         }
         drop(decode);
@@ -549,70 +549,93 @@ impl Engine {
             device_peak: self.device.peak(),
             host_peak: self.host.peak(),
             weight_bytes_streamed: self.store.total_fetched_bytes() - fetched_before,
-            kv_bytes_at_rest: block.caches.iter().map(KvCache::bytes).sum(),
+            kv_bytes_at_rest: seqs.iter().flat_map(|s| &s.caches).map(KvCache::bytes).sum(),
         };
         self.record_run_metrics(&generation);
         Ok(generation)
     }
 
-    /// Prefill: lease the block's KV, embed the prompts and cross every
-    /// layer once. `request` is validated (enforced by [`Self::run`]).
-    fn prefill(&self, request: &GenerateRequest) -> Result<Block, EngineError> {
-        let GenerateRequest { prompts, gen_len } = request;
-        let (rows, s, h) = (prompts.len(), prompts[0].len(), self.cfg.hidden as usize);
-        // The last sampled token is never written back: s + n - 1 rows.
-        let capacity = s + gen_len.saturating_sub(1);
-
-        let caches: Vec<KvCache> =
-            (0..self.store.num_layers()).map(|_| self.kv_cache(rows, capacity)).collect();
-        // What the caches will hold once full, priced as `kv_bytes_at_rest`.
-        let kv_lease = self.host.alloc(rows * self.kv_bytes_at(capacity))?;
-
-        let positions: Vec<usize> = (0..rows).flat_map(|_| 0..s).collect();
-        let hidden = self.embedding.embed(&prompts.concat(), &positions).reshape([rows, s, h]);
-        let mut block = Block { caches, hidden, _kv_lease: kv_lease };
-        {
-            let _prefill = self.options.tracer.scope("prefill");
-            self.cross_layers(&mut block, None)?;
+    /// Prefill: lease each sequence's KV, embed the prompts and cross every
+    /// layer once with all of them stacked. The prompts and `gen_len` are
+    /// validated (enforced by [`Self::run`]).
+    pub(crate) fn prefill(
+        &self,
+        prompts: &[Vec<u32>],
+        gen_len: usize,
+    ) -> Result<Vec<Seq>, EngineError> {
+        let mut seqs = Vec::with_capacity(prompts.len());
+        for prompt in prompts {
+            // The last sampled token is never written back: s + n - 1 positions.
+            let capacity = prompt.len() + gen_len.saturating_sub(1);
+            seqs.push(Seq {
+                caches: (0..self.store.num_layers()).map(|_| self.kv_cache(capacity)).collect(),
+                hidden: Tensor::zeros([1, self.cfg.hidden as usize]),
+                step: 0,
+                gen_len: gen_len as u64,
+                // What the caches will hold once full, priced as `kv_bytes_at_rest`.
+                _kv_lease: self.host.alloc(self.kv_bytes_at(capacity))?,
+            });
         }
-        // Only the last position's hidden state feeds the first sample.
-        let x = block.hidden.data();
-        let last = (0..rows).flat_map(|r| &x[(r * s + s - 1) * h..][..h]).copied().collect();
-        block.hidden = Tensor::from_vec([rows, h], last);
-        Ok(block)
+        let positions: Vec<usize> = prompts.iter().flat_map(|p| 0..p.len()).collect();
+        let x = self.embedding.embed(&prompts.concat(), &positions);
+        let lens: Vec<usize> = prompts.iter().map(Vec::len).collect();
+        let _prefill = self.options.tracer.scope("prefill");
+        self.cross_layers(&mut seqs.iter_mut().collect::<Vec<_>>(), x, &lens, None)?;
+        Ok(seqs)
     }
 
-    /// Unembed the last hidden state and sample each row's `step`-th token.
-    fn sample(&self, block: &Block, step: u64) -> Vec<u32> {
-        self.options.sampler.sample(&self.embedding.unembed(&block.hidden), step)
+    /// One decode step for every sequence of `seqs`, whatever its length
+    /// or step: one stacked unembed samples each sequence's next token at
+    /// its own step, then every sequence with a token still to come feeds
+    /// that token back through one sweep. Returns one token per sequence.
+    pub(crate) fn decode(&self, seqs: &mut [&mut Seq]) -> Result<Vec<u32>, EngineError> {
+        let hidden: Vec<&Tensor> = seqs.iter().map(|s| &s.hidden).collect();
+        let steps: Vec<u64> = seqs.iter().map(|s| s.step).collect();
+        let logits = self.embedding.unembed(&Tensor::concat_rows(&hidden));
+        let next = self.options.sampler.sample(&logits, &steps);
+        let (mut live, mut fed, mut positions) = (Vec::new(), Vec::new(), Vec::new());
+        for (seq, &t) in seqs.iter_mut().zip(&next) {
+            seq.step += 1;
+            if seq.step < seq.gen_len {
+                fed.push(t);
+                positions.push(seq.caches[0].len());
+                live.push(&mut **seq);
+            }
+        }
+        // The sweep's spans carry the step its first sequence just sampled.
+        if let Some(step) = live.first().map(|s| s.step - 1) {
+            let x = self.embedding.embed(&fed, &positions);
+            self.cross_layers(&mut live, x, &vec![1; fed.len()], Some(step))?;
+        }
+        Ok(next)
     }
 
-    /// Decode step `step`: embed the tokens just sampled, one per row, at
-    /// the block's next position and cross every layer once, appending one
-    /// K/V row per (layer, row).
-    fn decode_step(&self, block: &mut Block, step: u64, last: &[u32]) -> Result<(), EngineError> {
-        let pos = block.caches[0].len();
-        block.hidden = self.embedding.embed(last, &vec![pos; last.len()]);
-        self.cross_layers(block, Some(step))
-    }
-
-    /// One sweep: every row of `block` crosses each fetched layer in one
-    /// call, writing K/V from that layer's cache length on. A decode step
-    /// (`step` is `Some`) records one compute span per layer; prefill
-    /// (`None`) only its scope.
-    fn cross_layers(&self, block: &mut Block, step: Option<u64>) -> Result<(), EngineError> {
+    /// One sweep: the stacked new rows `x`, `new[i]` of them for `seqs[i]`,
+    /// cross each fetched layer in one call, K/V written from each cache's
+    /// `len()` on; each sequence keeps its last row as the hidden state its
+    /// next sample reads. A decode step (`step` is `Some`) records one
+    /// compute span per layer; prefill (`None`) only its scope.
+    fn cross_layers(
+        &self,
+        seqs: &mut [&mut Seq],
+        mut x: Tensor,
+        new: &[usize],
+        step: Option<u64>,
+    ) -> Result<(), EngineError> {
         let heads = self.cfg.num_heads as usize;
         let tracer = &self.options.tracer;
-        let Block { caches, hidden, .. } = block;
         self.sweep_layers(step, |j, fetched| {
-            let cache = &mut caches[j as usize];
-            let pos = cache.len();
+            let caches = seqs.iter_mut().map(|s| &mut s.caches[j as usize]);
+            let mut rows: Vec<_> = caches.zip(new).map(|(c, &n)| (c.len(), n, c)).collect();
             let _span = step.map(|i| tracer.task_span(TaskKind::ComputeGpu, i, j, None));
-            *hidden = match step {
-                None => fetched.weights.forward_prefill(hidden, cache, heads, pos),
-                Some(_) => fetched.weights.forward_decode(hidden, cache, heads, pos),
-            };
-        })
+            x = fetched.weights.forward(&x, &mut rows, heads);
+        })?;
+        let mut end = 0;
+        for (seq, n) in seqs.iter_mut().zip(new) {
+            end += n;
+            seq.hidden = Tensor::from_vec([1, x.dim(1)], x.row(end - 1).to_vec());
+        }
+        Ok(())
     }
 
     /// Fold one run's headline numbers into the tracer's metrics
@@ -813,13 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn ragged_prompts_rejected_as_typed_error() {
-        let e = engine_with(256 << 20, true);
-        let reason = invalid_reason(e.run(&GenerateRequest::new(vec![vec![1, 2], vec![3]], 2)));
-        assert!(reason.contains("share a length"), "{reason}");
-    }
-
-    #[test]
     fn weight_traffic_matches_sweep_count() {
         // One prefill sweep plus one decode sweep between each pair of
         // samples — gen_len in all — each streaming every at-rest layer
@@ -959,47 +975,44 @@ mod tests {
 
     #[test]
     fn interleaved_blocks_equal_solo_runs() {
-        // The engine holds no per-run state: two blocks over different
-        // prompts, advanced alternately one step each, generate exactly
-        // what two separate runs do. `pb`'s decode steps write positions
-        // 14, 15 and 16: the last opens its second KV page.
+        // The engine holds no per-run state: ragged prompts of 4, 14 and 17
+        // tokens prefilled in one sweep, and a fourth sequence prefilled two
+        // steps later and then decoded in the same sweeps as the others,
+        // each generate exactly what its solo run does. Their decode steps
+        // open the pages at positions 16 and 32.
         let cfg = presets::tiny_test();
-        let pa = prompts();
-        let pb: Vec<Vec<u32>> = (0..2)
-            .map(|r| (0..14).map(|i| (r * 31 + i * 7) % 500).collect())
-            .collect();
-        let gen_len = 4;
-        for (prefetch, kv) in [
-            (true, None),
-            (false, None),
-            (true, Some(QuantConfig::int8())),
-            (false, Some(QuantConfig::int4())),
-        ] {
-            let e = Engine::new(
-                &cfg,
-                42,
-                EngineOptions { prefetch, kv_quantize_at_rest: kv, ..EngineOptions::default() },
-            )
-            .unwrap();
-            let (ra, rb) = (
-                GenerateRequest::new(pa.clone(), gen_len),
-                GenerateRequest::new(pb.clone(), gen_len),
-            );
-            let mut blocks = [e.prefill(&ra).unwrap(), e.prefill(&rb).unwrap()];
-            let mut tokens = [vec![Vec::new(); pa.len()], vec![Vec::new(); pb.len()]];
-            for step in 0..gen_len {
-                for (block, rows) in blocks.iter_mut().zip(&mut tokens) {
-                    let next = e.sample(block, step as u64);
-                    for (row, &t) in rows.iter_mut().zip(&next) {
-                        row.push(t);
+        let prompt = |len: u32, r: u32| -> Vec<u32> {
+            (0..len).map(|i| (r * 31 + i * 7) % 500).collect()
+        };
+        let first = vec![prompt(4, 0), prompt(14, 1), prompt(17, 2)];
+        let (late, gen_len, late_gen) = (prompt(9, 3), 17, 8);
+        for kv in [None, Some(QuantConfig::int8()), Some(QuantConfig::int4())] {
+            for prefetch in [true, false] {
+                let options =
+                    EngineOptions { prefetch, kv_quantize_at_rest: kv, ..EngineOptions::default() };
+                let e = Engine::new(&cfg, 42, options).unwrap();
+                let mut seqs = e.prefill(&first, gen_len).unwrap();
+                let mut tokens = vec![Vec::new(); 4];
+                for step in 0.. {
+                    if step == 2 {
+                        seqs.extend(e.prefill(std::slice::from_ref(&late), late_gen).unwrap());
                     }
-                    if step + 1 < gen_len {
-                        e.decode_step(block, step as u64, &next).unwrap();
+                    let active = seqs.iter_mut().enumerate().filter(|(_, s)| s.step < s.gen_len);
+                    let (rows, mut active): (Vec<usize>, Vec<&mut Seq>) = active.unzip();
+                    if active.is_empty() {
+                        break;
+                    }
+                    for (r, t) in rows.into_iter().zip(e.decode(&mut active).unwrap()) {
+                        tokens[r].push(t);
                     }
                 }
+                let solo = |p: &Vec<u32>, n| {
+                    e.run(&GenerateRequest::new(vec![p.clone()], n)).unwrap().tokens.remove(0)
+                };
+                let mut expected: Vec<Vec<u32>> = first.iter().map(|p| solo(p, gen_len)).collect();
+                expected.push(solo(&late, late_gen));
+                assert_eq!(tokens, expected, "prefetch {prefetch} kv {kv:?}");
             }
-            assert_eq!(tokens[0], e.run(&ra).unwrap().tokens, "prefetch {prefetch} kv {kv:?}");
-            assert_eq!(tokens[1], e.run(&rb).unwrap().tokens, "prefetch {prefetch} kv {kv:?}");
         }
     }
 

@@ -9,9 +9,10 @@
 //! The key correctness property (tested): generation under a tight
 //! two-layer device budget is token-for-token identical to unconstrained
 //! generation, while the bounded [`pools::MemPool`] proves the budget was
-//! honoured. A request's rows are one block: they cross each fetched layer
-//! in one call, so weights stream once per sweep for all of them, and each
-//! row's tokens equal that row run alone.
+//! honoured. The engine steps sequences of any lengths, prefilled together
+//! or later: every sequence of a sweep crosses each fetched layer in one
+//! call, so weights stream once per sweep for all of them, and each
+//! sequence's tokens equal it run alone.
 //!
 //! ```
 //! use lm_engine::{Engine, EngineOptions, GenerateRequest};

@@ -5,7 +5,7 @@ use lm_models::{Family, ModelConfig};
 use lm_tensor::ops::elementwise::{
     add_assign, gelu, layernorm_rows, mul_assign, rmsnorm_rows, silu,
 };
-use lm_tensor::ops::rope::{apply_rope_decode, apply_rope_prefill};
+use lm_tensor::ops::rope::apply_rope_prefill;
 use lm_tensor::{mha_decode, mha_prefill, KvCache, Linear, QuantConfig, Tensor};
 
 /// All weights of one transformer layer.
@@ -107,17 +107,44 @@ impl LayerWeights {
         }
     }
 
-    /// The layer body over `[rows, hidden]` activations. `attend` is the
-    /// only part that knows whether the rows are one new position per
-    /// sequence or a whole prompt: it rotates (RoPE), appends K/V to the
-    /// cache and returns the attention output, `[rows, hidden]` again.
-    fn forward(&self, x: &Tensor, attend: impl FnOnce(Tensor, Tensor, Tensor) -> Tensor) -> Tensor {
+    /// The layer body over the stacked new rows of several sequences. `x`
+    /// is `[rows, hidden]`; each `(pos, new, cache)` of `seqs` owns the next
+    /// `cache.batch() × new` rows in `[batch, new, hidden]` order, the first
+    /// at absolute position `pos`. Norms, projections and the MLP run once
+    /// over every row; per sequence, LLaMA rotates Q/K (RoPE; keys are
+    /// cached rotated), the new K/V are appended, and the rows attend: one
+    /// new position against the whole cache (`mha_decode`), several — a
+    /// prompt — causally among themselves (`mha_prefill`).
+    pub(crate) fn forward(
+        &self,
+        x: &Tensor,
+        seqs: &mut [(usize, usize, &mut KvCache)],
+        num_heads: usize,
+    ) -> Tensor {
         let mut normed = x.clone();
         self.norm(&mut normed, &self.ln1_gamma, &self.ln1_beta);
-        let q = self.q.forward(&normed);
-        let k = self.k.forward(&normed);
-        let v = self.v.forward(&normed);
-        let mut x1 = self.o.forward(&attend(q, k, v));
+        let mut qkv = [&self.q, &self.k, &self.v].map(|l| l.forward(&normed).into_vec());
+        let (mut attended, h) = (vec![0.0; x.numel()], x.dim(1));
+        // Last sequence first: each takes its rows off the end of the
+        // projections, and the first — or only — takes the buffers whole.
+        for (pos, new, cache) in seqs.iter_mut().rev() {
+            let (b, t) = (cache.batch(), *new);
+            let at = qkv[0].len() - b * t * h;
+            let [mut q, mut k, v] = qkv.each_mut().map(|m| {
+                Tensor::from_vec([b, t, h], if at == 0 { std::mem::take(m) } else { m.split_off(at) })
+            });
+            if self.family == Family::Llama {
+                apply_rope_prefill(&mut q, num_heads, *pos);
+                apply_rope_prefill(&mut k, num_heads, *pos);
+            }
+            cache.append(&k, &v);
+            let out = match t {
+                1 => mha_decode(&q.reshape([b, h]), cache, num_heads),
+                _ => mha_prefill(&q, &k, &v, num_heads),
+            };
+            attended[at..][..b * t * h].copy_from_slice(out.data());
+        }
+        let mut x1 = self.o.forward(&Tensor::from_vec([x.dim(0), h], attended));
         add_assign(&mut x1, x);
 
         let mut normed2 = x1.clone();
@@ -128,9 +155,8 @@ impl LayerWeights {
     }
 
     /// Decode step: `x` is `[batch, hidden]` at absolute position `pos`;
-    /// appends this token's K/V to `cache` and returns the layer output.
-    /// LLaMA-family layers rotate Q/K with RoPE; cached keys are stored
-    /// rotated.
+    /// appends this token's K/V to `cache` and returns the layer output —
+    /// the layer body over one sequence.
     pub fn forward_decode(
         &self,
         x: &Tensor,
@@ -138,19 +164,12 @@ impl LayerWeights {
         num_heads: usize,
         pos: usize,
     ) -> Tensor {
-        self.forward(x, |mut q, mut k, v| {
-            if self.family == Family::Llama {
-                apply_rope_decode(&mut q, num_heads, pos);
-                apply_rope_decode(&mut k, num_heads, pos);
-            }
-            cache.append(&k, &v);
-            mha_decode(&q, cache, num_heads)
-        })
+        self.forward(x, &mut [(pos, 1, cache)], num_heads)
     }
 
-    /// Prefill step: `x` is `[batch, s, hidden]` (flattened internally)
-    /// starting at absolute position `start_pos`; populates `cache` with
-    /// all `s` positions.
+    /// Prefill step: `x` is `[batch, s, hidden]` starting at absolute
+    /// position `start_pos`; populates `cache` with all `s` positions —
+    /// the layer body over one sequence.
     pub fn forward_prefill(
         &self,
         x: &Tensor,
@@ -160,16 +179,7 @@ impl LayerWeights {
     ) -> Tensor {
         let (b, s, h) = (x.dim(0), x.dim(1), x.dim(2));
         let flat = x.clone().reshape([b * s, h]);
-        self.forward(&flat, |q, k, v| {
-            let [mut q, mut k, v] = [q, k, v].map(|t| t.reshape([b, s, h]));
-            if self.family == Family::Llama {
-                apply_rope_prefill(&mut q, num_heads, start_pos);
-                apply_rope_prefill(&mut k, num_heads, start_pos);
-            }
-            cache.append(&k, &v);
-            mha_prefill(&q, &k, &v, num_heads).reshape([b * s, h])
-        })
-        .reshape([b, s, h])
+        self.forward(&flat, &mut [(start_pos, s, cache)], num_heads).reshape([b, s, h])
     }
 }
 

@@ -14,10 +14,10 @@ use crate::generate::EngineError;
 use lm_models::ModelConfig;
 
 /// A validated-on-entry generation request: the single argument of
-/// [`crate::Engine::run`]. Its rows are one batch: every row crosses each
-/// fetched layer in the same call, so a layer's weights are streamed once
-/// per sweep for all of them, and each row's tokens equal that row run
-/// alone.
+/// [`crate::Engine::run`]. Its rows are one batch of any prompt lengths:
+/// every row crosses each fetched layer in the same call, so a layer's
+/// weights are streamed once per sweep for all of them, and each row's
+/// tokens equal that row run alone.
 ///
 /// ```
 /// use lm_engine::GenerateRequest;
@@ -26,9 +26,8 @@ use lm_models::ModelConfig;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenerateRequest {
-    /// Prompt token ids, one row per sequence. All rows must share a
-    /// length: nothing pads for the engine, and `lm-serve` runs each
-    /// ragged request alone as its own one-row request.
+    /// Prompt token ids, one row per sequence, of any lengths: nothing
+    /// pads, each row's K/V and positions are its own.
     pub prompts: Vec<Vec<u32>>,
     /// Tokens to generate per row (beyond the prompt).
     pub gen_len: usize,
@@ -58,23 +57,16 @@ pub fn validate_request(
     gen_len: usize,
 ) -> Result<(), EngineError> {
     let invalid = |reason: String| Err(EngineError::InvalidRequest { reason });
-    if prompts.is_empty() {
+    let Some(s) = prompts.iter().map(Vec::len).max() else {
         return invalid("empty batch".into());
-    }
-    let s = prompts[0].len();
-    if s == 0 {
+    };
+    if prompts.iter().any(Vec::is_empty) {
         return invalid("empty prompt".into());
     }
     if gen_len == 0 {
         return invalid("gen_len must be at least 1".into());
     }
-    if !prompts.iter().all(|p| p.len() == s) {
-        return invalid(
-            "prompts must share a length (nothing pads a batch; run ragged \
-             prompts as separate requests)"
-                .into(),
-        );
-    }
+    // The longest prompt bounds the context every row must fit.
     if (s + gen_len) as u64 > cfg.max_seq_len {
         return invalid(format!(
             "context {s} + {gen_len} exceeds max_seq_len {}",
@@ -113,11 +105,12 @@ mod tests {
         let cfg = presets::tiny_test();
         assert!(reason(validate_request(&cfg, &[], 4)).contains("empty batch"));
         assert!(reason(validate_request(&cfg, &[vec![]], 4)).contains("empty prompt"));
+        assert!(reason(validate_request(&cfg, &[vec![1, 2], vec![]], 4)).contains("empty prompt"));
         assert!(reason(validate_request(&cfg, &[vec![1, 2]], 0)).contains("gen_len"));
-        assert!(reason(validate_request(&cfg, &[vec![1], vec![2, 3]], 4))
-            .contains("share a length"));
         let long = vec![vec![7u32; 500]];
         assert!(reason(validate_request(&cfg, &long, 100)).contains("max_seq_len"));
+        let later_long = vec![vec![1], vec![7u32; 500]];
+        assert!(reason(validate_request(&cfg, &later_long, 100)).contains("max_seq_len"));
         let unknown = reason(validate_request(&cfg, &[vec![1, 600, 2]], 4));
         assert!(unknown.contains("token 600") && unknown.contains("512"), "{unknown}");
     }
@@ -126,6 +119,7 @@ mod tests {
     fn well_formed_requests_pass() {
         let cfg = presets::tiny_test();
         assert!(validate_request(&cfg, &[vec![1, 2], vec![3, 4], vec![5, 6]], 8).is_ok());
+        assert!(validate_request(&cfg, &[vec![1], vec![2, 3, 4]], 8).is_ok());
         let req = GenerateRequest::new(vec![vec![1, 2, 3]], 4);
         assert!(req.validate_for(&cfg).is_ok());
     }

@@ -18,23 +18,23 @@ pub enum Sampler {
 }
 
 impl Sampler {
-    /// Sample one token per row of a `[batch, vocab]` logits tensor, the
-    /// `step`-th token of each row's generation. A seeded sampler draws
-    /// one uniform number per call, keyed by `(seed, step)`, and every row
-    /// uses it: a row's token depends on its own logits, the seed and the
-    /// step — not on which rows share the call or where it sits among them.
-    pub fn sample(&self, logits: &Tensor, step: u64) -> Vec<u32> {
+    /// Sample one token per row of a `[batch, vocab]` logits tensor, row
+    /// `r` the `steps[r]`-th token of its generation. A seeded sampler
+    /// draws one uniform number per row, keyed by `(seed, steps[r])`: a
+    /// row's token depends on its own logits, the seed and its step — not
+    /// on which rows share the call, where it sits among them or at which
+    /// steps they are.
+    pub fn sample(&self, logits: &Tensor, steps: &[u64]) -> Vec<u32> {
         assert_eq!(logits.rank(), 2, "logits must be [batch, vocab]");
-        let rows = (0..logits.dim(0)).map(|r| logits.row(r));
+        assert_eq!(logits.dim(0), steps.len(), "one step per row");
+        let rows = (0..logits.dim(0)).map(|r| logits.row(r)).zip(steps);
         match *self {
-            Sampler::Greedy => rows.map(argmax).collect(),
+            Sampler::Greedy => rows.map(|(row, _)| argmax(row)).collect(),
             Sampler::TopK { k, seed } => {
-                let u = draw(seed, step);
-                rows.map(|row| top_k(row, k, u)).collect()
+                rows.map(|(row, &step)| top_k(row, k, draw(seed, step))).collect()
             }
             Sampler::TopP { p, seed } => {
-                let u = draw(seed, step);
-                rows.map(|row| top_p(row, p, u)).collect()
+                rows.map(|(row, &step)| top_p(row, p, draw(seed, step))).collect()
             }
         }
     }
@@ -114,14 +114,14 @@ mod tests {
     #[test]
     fn greedy_takes_argmax_per_row() {
         let logits = Tensor::from_vec([2, 4], vec![0.1, 3.0, -1.0, 0.0, 9.0, 0.0, 0.0, 0.0]);
-        assert_eq!(Sampler::Greedy.sample(&logits, 0), vec![1, 0]);
+        assert_eq!(Sampler::Greedy.sample(&logits, &[0, 0]), vec![1, 0]);
     }
 
     #[test]
     fn top1_equals_greedy() {
         let logits = Tensor::randn([3, 50], 2.0, 42);
-        let greedy = Sampler::Greedy.sample(&logits, 0);
-        let top1 = Sampler::TopK { k: 1, seed: 7 }.sample(&logits, 0);
+        let greedy = Sampler::Greedy.sample(&logits, &[0; 3]);
+        let top1 = Sampler::TopK { k: 1, seed: 7 }.sample(&logits, &[0; 3]);
         assert_eq!(greedy, top1);
     }
 
@@ -133,7 +133,7 @@ mod tests {
         logits[30] = 4.0;
         let t = Tensor::from_vec([1, 100], logits);
         for seed in 0..20 {
-            let tok = Sampler::TopK { k: 3, seed }.sample(&t, 0)[0];
+            let tok = Sampler::TopK { k: 3, seed }.sample(&t, &[0])[0];
             assert!([10, 20, 30].contains(&tok), "got {tok}");
         }
     }
@@ -142,8 +142,8 @@ mod tests {
     fn top_p_zero_equals_greedy() {
         // p = 0 admits only the single most likely token.
         let logits = Tensor::randn([3, 50], 2.0, 11);
-        let greedy = Sampler::Greedy.sample(&logits, 0);
-        let nucleus = Sampler::TopP { p: 0.0, seed: 3 }.sample(&logits, 0);
+        let greedy = Sampler::Greedy.sample(&logits, &[0; 3]);
+        let nucleus = Sampler::TopP { p: 0.0, seed: 3 }.sample(&logits, &[0; 3]);
         assert_eq!(greedy, nucleus);
     }
 
@@ -154,7 +154,7 @@ mod tests {
         logits[17] = 10.0;
         let t = Tensor::from_vec([1, 64], logits);
         for seed in 0..10 {
-            assert_eq!(Sampler::TopP { p: 0.5, seed }.sample(&t, 0)[0], 17);
+            assert_eq!(Sampler::TopP { p: 0.5, seed }.sample(&t, &[0])[0], 17);
         }
     }
 
@@ -162,8 +162,8 @@ mod tests {
     fn top_p_is_seed_deterministic() {
         let logits = Tensor::randn([4, 64], 1.0, 5);
         for step in [0, 1, 17] {
-            let a = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits, step);
-            let b = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits, step);
+            let a = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits, &[step; 4]);
+            let b = Sampler::TopP { p: 0.9, seed: 99 }.sample(&logits, &[step; 4]);
             assert_eq!(a, b, "step {step}");
         }
     }
@@ -172,8 +172,8 @@ mod tests {
     fn top_k_is_seed_deterministic() {
         let logits = Tensor::randn([4, 64], 1.0, 5);
         for step in [0, 1, 17] {
-            let a = Sampler::TopK { k: 8, seed: 99 }.sample(&logits, step);
-            let b = Sampler::TopK { k: 8, seed: 99 }.sample(&logits, step);
+            let a = Sampler::TopK { k: 8, seed: 99 }.sample(&logits, &[step; 4]);
+            let b = Sampler::TopK { k: 8, seed: 99 }.sample(&logits, &[step; 4]);
             assert_eq!(a, b, "step {step}");
         }
     }
@@ -188,7 +188,7 @@ mod tests {
         // every step would give one token 32 times.
         let flat = Tensor::from_vec([1, 64], vec![0.0; 64]);
         for s in seeded() {
-            let mut drawn: Vec<u32> = (0..32).map(|step| s.sample(&flat, step)[0]).collect();
+            let mut drawn: Vec<u32> = (0..32).map(|step| s.sample(&flat, &[step])[0]).collect();
             drawn.sort_unstable();
             drawn.dedup();
             assert!(drawn.len() > 1, "{s:?} drew only {drawn:?}");
@@ -197,13 +197,15 @@ mod tests {
 
     #[test]
     fn a_row_samples_as_it_would_alone() {
+        // Rows at one step, and rows each at a step of its own: every row's
+        // token is that row sampled alone at its step.
         let logits = Tensor::randn([5, 64], 1.0, 21);
         for s in seeded() {
-            for step in [0, 6] {
-                let together = s.sample(&logits, step);
-                for (r, &t) in together.iter().enumerate() {
+            for steps in [[0; 5], [6; 5], [0, 6, 3, 17, 6]] {
+                let together = s.sample(&logits, &steps);
+                for ((r, &t), step) in together.iter().enumerate().zip(steps) {
                     let alone = Tensor::from_vec([1, 64], logits.row(r).to_vec());
-                    assert_eq!(s.sample(&alone, step), [t], "{s:?} row {r} step {step}");
+                    assert_eq!(s.sample(&alone, &[step]), [t], "{s:?} row {r} step {step}");
                 }
             }
         }

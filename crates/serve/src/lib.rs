@@ -6,8 +6,9 @@
 //! the dominant cost of offloaded generation (Eq. 2) — is charged once
 //! for whoever is active instead of once per request. Every scheduler
 //! gets its tokens from one backend call, [`ServeBackend::step`], whose
-//! provided body runs each request alone, so nothing is padded; only the
-//! static baseline pads, in modelled time.
+//! provided body still runs each request alone, although the engine now
+//! steps sequences of any lengths in one sweep; nothing is padded, and
+//! only the static baseline pads, in modelled time.
 //!
 //! Pieces:
 //!

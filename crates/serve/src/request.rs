@@ -99,9 +99,9 @@ impl Deserialize for CancelToken {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
     pub id: u64,
-    /// Prompt token ids. Requests are ragged: prompts of different
-    /// lengths mix freely; the continuous scheduler pages each exact
-    /// context and pads nothing (only the static baseline pads).
+    /// Prompt token ids. Requests are ragged: prompts of any lengths mix
+    /// freely, paged at their exact context and stepped by the engine at
+    /// their own lengths; only the static baseline pads.
     pub prompt: Vec<u32>,
     /// Tokens to generate beyond the prompt; at least 1.
     pub gen_len: usize,

@@ -111,6 +111,11 @@ impl KvCache {
         }
     }
 
+    /// Sequences the cache holds, one row each.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
     /// Cached token positions so far.
     pub fn len(&self) -> usize {
         self.len

@@ -28,26 +28,9 @@ fn rotate_head(x: &mut [f32], pos: usize) {
     }
 }
 
-/// Apply RoPE in place to a `[batch, hidden]` tensor whose rows are all at
-/// position `pos` (the decode case).
-pub fn apply_rope_decode(x: &mut Tensor, num_heads: usize, pos: usize) {
-    assert_eq!(x.rank(), 2, "decode RoPE expects [batch, hidden]");
-    let hidden = x.dim(1);
-    assert_eq!(hidden % num_heads, 0, "hidden not divisible by heads");
-    let hd = hidden / num_heads;
-    assert_eq!(hd % 2, 0, "head_dim must be even for RoPE");
-    let batch = x.dim(0);
-    let data = x.data_mut();
-    for b in 0..batch {
-        for h in 0..num_heads {
-            let base = b * hidden + h * hd;
-            rotate_head(&mut data[base..base + hd], pos);
-        }
-    }
-}
-
 /// Apply RoPE in place to a `[batch, s, hidden]` tensor whose sequence
-/// dimension starts at absolute position `start_pos` (the prefill case).
+/// dimension starts at absolute position `start_pos`: a prompt, or with
+/// `s = 1` one decode position per sequence.
 pub fn apply_rope_prefill(x: &mut Tensor, num_heads: usize, start_pos: usize) {
     assert_eq!(x.rank(), 3, "prefill RoPE expects [batch, s, hidden]");
     let (batch, s, hidden) = (x.dim(0), x.dim(1), x.dim(2));
@@ -69,6 +52,14 @@ pub fn apply_rope_prefill(x: &mut Tensor, num_heads: usize, start_pos: usize) {
 mod tests {
     use super::*;
     use crate::ops::matmul::dot;
+
+    /// RoPE over `[batch, hidden]` rows all at position `pos`.
+    fn apply_rope_decode(x: &mut Tensor, num_heads: usize, pos: usize) {
+        let (b, h) = (x.dim(0), x.dim(1));
+        let mut rows = x.clone().reshape([b, 1, h]);
+        apply_rope_prefill(&mut rows, num_heads, pos);
+        *x = rows.reshape([b, h]);
+    }
 
     #[test]
     fn position_zero_is_identity() {

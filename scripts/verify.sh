@@ -63,10 +63,10 @@ else
 fi
 
 # A doc link to an item that was renamed, moved or made private fails here
-# instead of rendering as dead text.
-echo "==> cargo doc --no-deps --workspace (intra-doc links resolve)"
+# instead of rendering as dead text; private items' docs are checked too.
+echo "==> cargo doc --no-deps --workspace --document-private-items (intra-doc links resolve)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
-    lane "rustdoc" 10 cargo doc --no-deps --workspace -q
+    lane "rustdoc" 10 cargo doc --no-deps --workspace --document-private-items -q
 
 echo "==> loom model checking"
 lane "loom_executor" 10 cargo test -q -p lm-parallelism --features loom --test loom_executor

@@ -102,3 +102,95 @@ fn top_k_sampling_is_reproducible_across_engines() {
         e2.run(&GenerateRequest::new(prompts().to_vec(), 5)).unwrap().tokens
     );
 }
+
+/// Tokens `engine_tokens_are_pinned` expects, one block per case in its
+/// order: OPT then LLaMA, f32 then int4 weights + int4 K/V, greedy then
+/// top-k; four rows of six tokens each. Recorded on an x86-64 host where
+/// `matmul_transb` runs its AVX2+FMA instance; the portable instance rounds
+/// each multiply-add twice and may pick other tokens.
+const PINNED: [[[u32; 6]; 4]; 8] = [
+    // OPT f32 greedy
+    [
+        [116, 116, 153, 482, 482, 374],
+        [482, 166, 334, 482, 166, 482],
+        [334, 334, 334, 334, 334, 334],
+        [170, 170, 170, 170, 170, 170],
+    ],
+    // OPT f32 top-k
+    [
+        [233, 322, 456, 337, 153, 322],
+        [322, 225, 379, 65, 203, 65],
+        [95, 334, 238, 15, 262, 508],
+        [9, 9, 81, 98, 98, 170],
+    ],
+    // OPT int4 greedy
+    [
+        [210, 114, 86, 114, 153, 153],
+        [482, 166, 334, 482, 345, 334],
+        [334, 334, 334, 334, 334, 334],
+        [170, 170, 170, 170, 170, 170],
+    ],
+    // OPT int4 top-k
+    [
+        [233, 153, 337, 16, 337, 153],
+        [345, 334, 108, 379, 497, 345],
+        [364, 334, 449, 83, 66, 179],
+        [9, 170, 477, 50, 170, 50],
+    ],
+    // LLaMA f32 greedy
+    [
+        [28, 28, 490, 99, 99, 242],
+        [298, 298, 298, 298, 298, 298],
+        [449, 449, 449, 449, 449, 449],
+        [149, 170, 170, 170, 412, 399],
+    ],
+    // LLaMA f32 top-k
+    [
+        [409, 28, 409, 396, 37, 396],
+        [298, 298, 271, 166, 207, 166],
+        [248, 449, 127, 171, 334, 334],
+        [369, 138, 474, 201, 170, 399],
+    ],
+    // LLaMA int4 greedy
+    [
+        [134, 409, 28, 28, 28, 287],
+        [298, 298, 207, 418, 298, 298],
+        [449, 449, 449, 449, 449, 449],
+        [62, 32, 474, 369, 149, 369],
+    ],
+    // LLaMA int4 top-k
+    [
+        [28, 287, 134, 409, 19, 242],
+        [102, 298, 272, 207, 58, 272],
+        [44, 449, 291, 238, 498, 100],
+        [4, 170, 405, 242, 212, 113],
+    ],
+];
+
+#[test]
+fn engine_tokens_are_pinned() {
+    // Every other engine test compares the engine with itself; these
+    // constants hold it to the tokens it generated before the last change
+    // to its step structure, so a refactor that moves every bit alike
+    // still fails here.
+    let prompts: Vec<Vec<u32>> = (0..4u32)
+        .map(|r| (0..12).map(|i| (r * 97 + i * 31 + 3) % 512).collect())
+        .collect();
+    let mut actual = Vec::new();
+    for family in [lm_models::Family::Opt, lm_models::Family::Llama] {
+        let cfg = lm_models::ModelConfig { family, ..presets::tiny_test() };
+        for (weights, kv) in [(None, None), (Some(QuantConfig::int4()), Some(QuantConfig::int4()))] {
+            for sampler in [Sampler::Greedy, Sampler::TopK { k: 8, seed: 11 }] {
+                let options = EngineOptions {
+                    quantize_at_rest: weights,
+                    kv_quantize_at_rest: kv,
+                    sampler,
+                    ..Default::default()
+                };
+                let engine = Engine::new(&cfg, 17, options).unwrap();
+                actual.push(engine.run(&GenerateRequest::new(prompts.clone(), 6)).unwrap().tokens);
+            }
+        }
+    }
+    assert_eq!(actual, PINNED.map(|case| case.map(Vec::from).to_vec()), "{actual:?}");
+}
