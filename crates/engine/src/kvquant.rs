@@ -1,6 +1,6 @@
 //! At-rest KV-cache compression — FlexGen's `compress_cache`, the paper's
 //! Eq. 5-7 path — lives in [`KvCache::new_quantized`]: one store for f32
-//! and quantised KV, whose `mha_decode` dequantises page by page (the
+//! and quantised KV, which `attend` dequantises page by page (the
 //! continuously-growing dequantization cost of §3.1, Observation 2).
 
 use lm_tensor::KvCache;

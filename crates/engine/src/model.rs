@@ -5,8 +5,7 @@ use lm_models::{Family, ModelConfig};
 use lm_tensor::ops::elementwise::{
     add_assign, gelu, layernorm_rows, mul_assign, rmsnorm_rows, silu,
 };
-use lm_tensor::ops::rope::apply_rope_prefill;
-use lm_tensor::{mha_decode, mha_prefill, KvCache, Linear, QuantConfig, Tensor};
+use lm_tensor::{apply_rope, attend, KvCache, Linear, QuantConfig, Tensor};
 
 /// All weights of one transformer layer.
 #[derive(Debug, Clone)]
@@ -112,9 +111,9 @@ impl LayerWeights {
     /// `cache.batch() × new` rows in `[batch, new, hidden]` order, the first
     /// at absolute position `pos`. Norms, projections and the MLP run once
     /// over every row; per sequence, LLaMA rotates Q/K (RoPE; keys are
-    /// cached rotated), the new K/V are appended, and the rows attend: one
-    /// new position against the whole cache (`mha_decode`), several — a
-    /// prompt — causally among themselves (`mha_prefill`).
+    /// cached rotated), the new K/V are appended, and each new row attends
+    /// every cached position up to its own (`attend`) — one decode row, a
+    /// whole prompt, or a chunk fed onto an earlier one alike.
     pub(crate) fn forward(
         &self,
         x: &Tensor,
@@ -134,14 +133,11 @@ impl LayerWeights {
                 Tensor::from_vec([b, t, h], if at == 0 { std::mem::take(m) } else { m.split_off(at) })
             });
             if self.family == Family::Llama {
-                apply_rope_prefill(&mut q, num_heads, *pos);
-                apply_rope_prefill(&mut k, num_heads, *pos);
+                apply_rope(&mut q, num_heads, *pos);
+                apply_rope(&mut k, num_heads, *pos);
             }
             cache.append(&k, &v);
-            let out = match t {
-                1 => mha_decode(&q.reshape([b, h]), cache, num_heads),
-                _ => mha_prefill(&q, &k, &v, num_heads),
-            };
+            let out = attend(&q, cache, num_heads);
             attended[at..][..b * t * h].copy_from_slice(out.data());
         }
         let mut x1 = self.o.forward(&Tensor::from_vec([x.dim(0), h], attended));
@@ -168,8 +164,10 @@ impl LayerWeights {
     }
 
     /// Prefill step: `x` is `[batch, s, hidden]` starting at absolute
-    /// position `start_pos`; populates `cache` with all `s` positions —
-    /// the layer body over one sequence.
+    /// position `start_pos`; appends all `s` positions to `cache` — the
+    /// layer body over one sequence. At `start_pos > 0` the rows attend the
+    /// positions already cached too, so a prompt fed in chunks equals one
+    /// fed whole.
     pub fn forward_prefill(
         &self,
         x: &Tensor,

@@ -35,8 +35,8 @@ pub mod shape;
 pub mod tensor;
 
 pub use f16::{f16_bits_to_f32, f32_to_f16_bits, F16Tensor};
-pub use ops::attention::{mha_decode, mha_prefill, KvCache, KV_PAGE_TOKENS};
-pub use ops::rope::{apply_rope_prefill, ROPE_THETA};
+pub use ops::attention::{attend, mha_decode, mha_prefill, KvCache, KV_PAGE_TOKENS};
+pub use ops::rope::{apply_rope, ROPE_THETA};
 pub use ops::linear::{Linear, WeightStore};
 pub use quant::{dequantize, dequantize_into, quantize, QuantConfig, QuantizedTensor};
 pub use shape::Shape;

@@ -1,11 +1,12 @@
 //! Multi-head self-attention with a KV cache — the computation of Figure 1:
-//! scores `QKᵀ/√d_k`, softmax, then the value mixdown. Prefill processes all
-//! prompt tokens causally; decode attends one new token against the cache.
+//! scores `QKᵀ/√d_k`, softmax, then the value mixdown. One kernel,
+//! [`attend`], serves prefill and decode: the new rows' K/V are appended
+//! first, and each new row attends every cached position up to its own.
 //!
 //! The cache keeps each sequence's K and V in pages of [`KV_PAGE_TOKENS`]
 //! positions, f32 or group-quantised row by row (FlexGen's `compress_cache`,
 //! Eq. 5-7); as in FlexGen's `mha_gen`, the step that writes a row attends it
-//! at full precision and the next append quantises it, once. [`mha_decode`]
+//! at full precision and the next append quantises it, once. [`attend`]
 //! reads the pages in place, dequantising one page at a time.
 
 use crate::ops::elementwise::softmax_slice;
@@ -144,11 +145,7 @@ impl KvCache {
     /// Append `t` new token positions: `k_new`/`v_new` are
     /// `[batch, t, hidden]` (or `[batch, hidden]` for `t = 1`).
     pub fn append(&mut self, k_new: &Tensor, v_new: &Tensor) {
-        let (b, t, h) = match k_new.rank() {
-            2 => (k_new.dim(0), 1, k_new.dim(1)),
-            3 => (k_new.dim(0), k_new.dim(1), k_new.dim(2)),
-            r => panic!("KvCache::append expects rank 2 or 3, got {r}"),
-        };
+        let (b, t, h) = new_rows(k_new, "KvCache::append");
         assert_eq!(b, self.batch, "batch mismatch");
         assert_eq!(h, self.hidden, "hidden mismatch");
         assert_eq!(k_new.shape(), v_new.shape(), "K/V shape mismatch");
@@ -200,113 +197,99 @@ impl KvCache {
     }
 }
 
-/// Decode-phase attention: one query token per batch item against the whole
-/// cache. `q` is `[batch, hidden]`; returns `[batch, hidden]`.
+/// `(batch, t, hidden)` of `t` new rows per sequence: `x` is
+/// `[batch, t, hidden]`, or `[batch, hidden]` for `t = 1`.
+fn new_rows(x: &Tensor, caller: &str) -> (usize, usize, usize) {
+    match x.rank() {
+        2 => (x.dim(0), 1, x.dim(1)),
+        3 => (x.dim(0), x.dim(1), x.dim(2)),
+        r => panic!("{caller} expects rank 2 or 3, got {r}"),
+    }
+}
+
+/// Attention for the `t` newest positions of every sequence in `cache`,
+/// whose K/V the cache already holds last: `q` is `[batch, t, hidden]`, or
+/// `[batch, hidden]` for `t = 1` (the rank rule of [`KvCache::append`]), and
+/// the output has `q`'s shape. Row `i` sits at position `len − t + i` and
+/// attends positions `0..=len − t + i` — causal among the new rows, and
+/// every earlier position of the cache.
 ///
-/// Per sequence, on the calling thread: every head's scores page by page,
-/// a softmax per head, then the value mixdown page by page — each output
-/// element sums its positions in order, so pages change no bit, and each
-/// quantised page is dequantised once for K and once for V. The rows of
-/// the latest append are read at f32, as written. The scores and one
-/// dequantised page (none for f32) are the call's only scratch.
-pub fn mha_decode(q: &Tensor, cache: &KvCache, num_heads: usize) -> Tensor {
-    assert_eq!(q.rank(), 2, "decode query must be [batch, hidden]");
-    let (batch, hidden) = (q.dim(0), q.dim(1));
+/// Per sequence and row, on the calling thread: every head's scores page
+/// by page up to the row's own position, a softmax per head, then the
+/// value mixdown page by page — each output element sums its positions in
+/// order, so pages change no bit. A quantised page's sealed rows are
+/// dequantised once per new row for K and once for V; the rows of the
+/// latest append are read at f32, as written, so a prefill onto an empty
+/// cache dequantises nothing. The scores (`heads × len`) and one
+/// dequantised page are the call's only scratch.
+pub fn attend(q: &Tensor, cache: &KvCache, num_heads: usize) -> Tensor {
+    let (batch, t, hidden) = new_rows(q, "attend");
     assert_eq!(batch, cache.batch, "batch mismatch");
     assert_eq!(hidden, cache.hidden, "hidden mismatch");
     assert_eq!(hidden % num_heads, 0, "hidden not divisible by heads");
+    let len = cache.len();
+    assert!(
+        (1..=len).contains(&t),
+        "the new rows must be in the cache: {t} rows attending {len} cached positions"
+    );
     let hd = hidden / num_heads;
-    let seq = cache.len();
-    assert!(seq > 0, "attention against an empty cache");
     let scale = 1.0 / (hd as f32).sqrt();
 
-    let mut out = vec![0.0f32; batch * hidden];
-    // `scores[h * seq + t]`: head `h`'s weight on position `t`.
-    let mut scores = vec![0.0f32; num_heads * seq];
+    let mut out = vec![0.0f32; batch * t * hidden];
+    let mut scores = vec![0.0f32; num_heads * len];
     let mut scratch = Vec::new();
-    let rows = q.data().chunks(hidden).zip(out.chunks_mut(hidden));
-    for ((q_row, out_row), (k_pages, v_pages)) in rows.zip(cache.k.iter().zip(&cache.v)) {
-        for (p, page) in k_pages.iter().enumerate() {
-            let keys = page.read(cache, &mut scratch);
-            for (h, head_scores) in scores.chunks_mut(seq).enumerate() {
-                let q_head = &q_row[h * hd..(h + 1) * hd];
-                let page_scores = head_scores[p * KV_PAGE_TOKENS..].iter_mut();
-                for (s, k_row) in page_scores.zip(keys.chunks_exact(hidden)) {
-                    *s = dot(q_head, &k_row[h * hd..(h + 1) * hd]) * scale;
+    let seqs = q.data().chunks(t * hidden).zip(out.chunks_mut(t * hidden));
+    for ((q_rows, out_rows), (k_pages, v_pages)) in seqs.zip(cache.k.iter().zip(&cache.v)) {
+        // Each row attends `n` positions; `scores[h * n + p]` is head
+        // `h`'s weight on position `p`.
+        let rows = q_rows.chunks(hidden).zip(out_rows.chunks_mut(hidden));
+        for (n, (q_row, out_row)) in (len - t + 1..).zip(rows) {
+            let (scores, pages) = (&mut scores[..num_heads * n], n.div_ceil(KV_PAGE_TOKENS));
+            for (p, page) in k_pages[..pages].iter().enumerate() {
+                let keys = page.read(cache, &mut scratch);
+                for (h, head_scores) in scores.chunks_mut(n).enumerate() {
+                    let q_head = &q_row[h * hd..(h + 1) * hd];
+                    let page_scores = head_scores[p * KV_PAGE_TOKENS..].iter_mut();
+                    for (s, k_row) in page_scores.zip(keys.chunks_exact(hidden)) {
+                        *s = dot(q_head, &k_row[h * hd..(h + 1) * hd]) * scale;
+                    }
                 }
             }
-        }
-        scores.chunks_mut(seq).for_each(softmax_slice);
-        for (p, page) in v_pages.iter().enumerate() {
-            let values = page.read(cache, &mut scratch);
-            for (h, head_scores) in scores.chunks(seq).enumerate() {
-                let out_head = &mut out_row[h * hd..(h + 1) * hd];
-                let page_scores = head_scores[p * KV_PAGE_TOKENS..].iter();
-                for (&w, v_row) in page_scores.zip(values.chunks_exact(hidden)) {
-                    for (o, &v) in out_head.iter_mut().zip(&v_row[h * hd..(h + 1) * hd]) {
-                        *o += w * v;
+            scores.chunks_mut(n).for_each(softmax_slice);
+            for (p, page) in v_pages[..pages].iter().enumerate() {
+                let values = page.read(cache, &mut scratch);
+                for (h, head_scores) in scores.chunks(n).enumerate() {
+                    let out_head = &mut out_row[h * hd..(h + 1) * hd];
+                    let page_scores = head_scores[p * KV_PAGE_TOKENS..].iter();
+                    for (&w, v_row) in page_scores.zip(values.chunks_exact(hidden)) {
+                        for (o, &v) in out_head.iter_mut().zip(&v_row[h * hd..(h + 1) * hd]) {
+                            *o += w * v;
+                        }
                     }
                 }
             }
         }
     }
 
-    Tensor::from_vec([batch, hidden], out)
+    Tensor::from_vec(q.shape().clone(), out)
 }
 
-/// Prefill-phase causal attention: `q`, `k`, `v` are `[batch, s, hidden]`;
-/// position `i` attends to positions `0..=i`. Returns `[batch, s, hidden]`.
+/// [`attend`] for one new row per sequence, `q` `[batch, hidden]`; kept
+/// because `benchmark/src/micro.rs` calls it.
+pub fn mha_decode(q: &Tensor, cache: &KvCache, num_heads: usize) -> Tensor {
+    assert_eq!(q.rank(), 2, "decode query must be [batch, hidden]");
+    attend(q, cache, num_heads)
+}
+
+/// [`attend`] over a fresh f32 cache holding `k`/`v`: causal attention
+/// among `s` positions, all `[batch, s, hidden]`; kept because
+/// `benchmark/src/micro.rs` calls it.
 pub fn mha_prefill(q: &Tensor, k: &Tensor, v: &Tensor, num_heads: usize) -> Tensor {
     assert_eq!(q.rank(), 3, "prefill tensors must be [batch, s, hidden]");
     assert_eq!(q.shape(), k.shape(), "Q/K shape mismatch");
-    assert_eq!(q.shape(), v.shape(), "Q/V shape mismatch");
-    let (batch, s, hidden) = (q.dim(0), q.dim(1), q.dim(2));
-    assert_eq!(hidden % num_heads, 0, "hidden not divisible by heads");
-    let hd = hidden / num_heads;
-    let scale = 1.0 / (hd as f32).sqrt();
-
-    let mut out = vec![0.0f32; batch * s * hidden];
-    // One (batch, head) at a time; each owns a [s, hd] output strip that
-    // is strided in the output buffer, so collect locally then scatter.
-    let strips: Vec<((usize, usize), Vec<f32>)> = (0..batch * num_heads)
-        .map(|idx| {
-            let b = idx / num_heads;
-            let h = idx % num_heads;
-            fn head_of(
-                t: &Tensor,
-                i: usize,
-                (b, s, hidden, h, hd): (usize, usize, usize, usize, usize),
-            ) -> &[f32] {
-                let base = (b * s + i) * hidden + h * hd;
-                &t.data()[base..base + hd]
-            }
-            let geom = (b, s, hidden, h, hd);
-            let mut strip = vec![0.0f32; s * hd];
-            let mut scores = vec![0.0f32; s];
-            for i in 0..s {
-                let q_i = head_of(q, i, geom);
-                for (t, sc) in scores[..=i].iter_mut().enumerate() {
-                    *sc = dot(q_i, head_of(k, t, geom)) * scale;
-                }
-                softmax_slice(&mut scores[..=i]);
-                let out_i = &mut strip[i * hd..(i + 1) * hd];
-                for (t, &w) in scores[..=i].iter().enumerate() {
-                    for (o, &vv) in out_i.iter_mut().zip(head_of(v, t, geom)) {
-                        *o += w * vv;
-                    }
-                }
-            }
-            ((b, h), strip)
-        })
-        .collect();
-    for ((b, h), strip) in strips {
-        for i in 0..s {
-            let dst = (b * s + i) * hidden + h * hd;
-            out[dst..dst + hd].copy_from_slice(&strip[i * hd..(i + 1) * hd]);
-        }
-    }
-
-    Tensor::from_vec([batch, s, hidden], out)
+    let mut cache = KvCache::new(q.dim(0), q.dim(2), q.dim(1));
+    cache.append(k, v);
+    attend(q, &cache, num_heads)
 }
 
 #[cfg(test)]
@@ -556,6 +539,89 @@ mod tests {
         let t = Tensor::zeros([1, 2]);
         c.append(&t, &t);
         c.append(&t, &t);
+    }
+
+    #[test]
+    #[should_panic(expected = "the new rows must be in the cache")]
+    fn attend_needs_its_rows_in_the_cache() {
+        let mut c = KvCache::new(1, 4, 4);
+        let t = Tensor::zeros([1, 2, 4]);
+        c.append(&Tensor::zeros([1, 4]), &Tensor::zeros([1, 4]));
+        attend(&t, &c, 1);
+    }
+
+    #[test]
+    fn attend_onto_earlier_rows_equals_feeding_them_one_at_a_time() {
+        // `t` rows appended and attended at once onto `earlier` cached
+        // positions equal the same rows appended and attended one by one,
+        // bit for bit, across page boundaries.
+        let shapes = [(1, 1, 1, 1), (1, 12, 8, 4), (2, 13, 20, 2), (3, 16, 17, 4)];
+        for (batch, earlier, t, heads) in shapes {
+            let (h, len) = (16, earlier + t);
+            let rows = |seed| Tensor::randn([batch, earlier, h], 1.0, seed);
+            let [q, k, v] = [1, 2, 3].map(|s| Tensor::randn([batch, t, h], 1.0, s));
+            let mut chunked = KvCache::new(batch, h, len);
+            chunked.append(&rows(4), &rows(5));
+            let mut single = chunked.clone();
+            chunked.append(&k, &v);
+            let at_once = attend(&q, &chunked, heads);
+            let row = |x: &Tensor, i: usize| {
+                let rows = (0..batch).flat_map(|b| x.data()[(b * t + i) * h..][..h].to_vec());
+                Tensor::from_vec([batch, h], rows.collect())
+            };
+            for i in 0..t {
+                single.append(&row(&k, i), &row(&v, i));
+                let one = attend(&row(&q, i), &single, heads);
+                assert_eq!(bits(&one), bits(&row(&at_once, i)), "{batch}x{earlier}+{t} row {i}");
+            }
+        }
+    }
+
+    /// `mha_prefill` before it became `attend` over a fresh cache, copied
+    /// verbatim: one `scores` vector per (batch, head) over the new `k`/`v`.
+    fn per_head_prefill(q: &Tensor, k: &Tensor, v: &Tensor, num_heads: usize) -> Tensor {
+        let (batch, s, hidden) = (q.dim(0), q.dim(1), q.dim(2));
+        let hd = hidden / num_heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let head_of = |t: &Tensor, b: usize, i: usize, h: usize| {
+            let base = (b * s + i) * hidden + h * hd;
+            t.data()[base..base + hd].to_vec()
+        };
+        let mut out = vec![0.0f32; batch * s * hidden];
+        for (b, h) in (0..batch).flat_map(|b| (0..num_heads).map(move |h| (b, h))) {
+            let mut scores = vec![0.0f32; s];
+            for i in 0..s {
+                let q_i = head_of(q, b, i, h);
+                for (t, sc) in scores[..=i].iter_mut().enumerate() {
+                    *sc = dot(&q_i, &head_of(k, b, t, h)) * scale;
+                }
+                softmax_slice(&mut scores[..=i]);
+                let out_i = &mut out[(b * s + i) * hidden + h * hd..][..hd];
+                for (t, &w) in scores[..=i].iter().enumerate() {
+                    for (o, &vv) in out_i.iter_mut().zip(&head_of(v, b, t, h)) {
+                        *o += w * vv;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec([batch, s, hidden], out)
+    }
+
+    #[test]
+    fn prefill_equals_the_per_head_reference() {
+        // A prompt attended onto an empty cache, f32 or int4, equals the
+        // old per-(batch, head) body bit for bit: its rows are all fresh,
+        // so none is dequantised.
+        for (batch, s) in [(1, 1), (1, 17), (2, 33), (1, 330), (3, 5)] {
+            let (h, heads) = (64, 4);
+            let seed = |i: u64| i * 100 + s as u64;
+            let [q, k, v] = [1, 2, 3].map(|i| Tensor::randn([batch, s, h], 1.0, seed(i)));
+            let expected = bits(&per_head_prefill(&q, &k, &v, heads));
+            assert_eq!(bits(&mha_prefill(&q, &k, &v, heads)), expected, "{batch}x{s}");
+            let mut int4 = KvCache::new_quantized(batch, h, s, QuantConfig::int4());
+            int4.append(&k, &v);
+            assert_eq!(bits(&attend(&q, &int4, heads)), expected, "{batch}x{s} int4");
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ fn rotate_head(x: &mut [f32], pos: usize) {
 /// Apply RoPE in place to a `[batch, s, hidden]` tensor whose sequence
 /// dimension starts at absolute position `start_pos`: a prompt, or with
 /// `s = 1` one decode position per sequence.
-pub fn apply_rope_prefill(x: &mut Tensor, num_heads: usize, start_pos: usize) {
-    assert_eq!(x.rank(), 3, "prefill RoPE expects [batch, s, hidden]");
+pub fn apply_rope(x: &mut Tensor, num_heads: usize, start_pos: usize) {
+    assert_eq!(x.rank(), 3, "RoPE expects [batch, s, hidden]");
     let (batch, s, hidden) = (x.dim(0), x.dim(1), x.dim(2));
     assert_eq!(hidden % num_heads, 0, "hidden not divisible by heads");
     let hd = hidden / num_heads;
@@ -57,7 +57,7 @@ mod tests {
     fn apply_rope_decode(x: &mut Tensor, num_heads: usize, pos: usize) {
         let (b, h) = (x.dim(0), x.dim(1));
         let mut rows = x.clone().reshape([b, 1, h]);
-        apply_rope_prefill(&mut rows, num_heads, pos);
+        apply_rope(&mut rows, num_heads, pos);
         *x = rows.reshape([b, h]);
     }
 
@@ -107,7 +107,7 @@ mod tests {
         let (b, s, h, heads) = (2usize, 4usize, 16usize, 2usize);
         let x = Tensor::randn([b, s, h], 1.0, 5);
         let mut pre = x.clone();
-        apply_rope_prefill(&mut pre, heads, 3);
+        apply_rope(&mut pre, heads, 3);
         for t in 0..s {
             // Extract position t and apply the decode path at 3 + t.
             let mut rows = Vec::with_capacity(b * h);

@@ -37,7 +37,8 @@ cargo build --release --workspace --locked
 # on a failed output check (tokens ≡ reference engine, streamed ≡
 # response ≡ solo `Engine::run`, zero leaked KV) and panics if the micro
 # pass's direct calls (`CacheStore::with_full`, `mha_decode`,
-# `forward_decode`) break.
+# `forward_decode`, and `mha_prefill` / `forward_prefill`, wrappers of the
+# one attention kernel and layer body kept only for it) break.
 echo "==> cargo build + test + run --quick --manifest-path benchmark/Cargo.toml"
 lock=$(mktemp)
 result=$(mktemp)
