@@ -101,10 +101,11 @@ lint_codes! {
     /// SLO target below the physical floor (one prefill + one step):
     /// unmeetable by any policy.
     Lma260SloBelowFloor = "LMA260",
-    /// SLO enforcement enabled with every actuator disabled.
-    Lma261SloNoActuator = "LMA261",
-    /// Preemption armed on a single-slot plan (evicting the only slot
-    /// thrashes without adding service capacity).
+    // LMA261 (SLO enforcement with every actuator disabled) is retired:
+    // enforcing arms every actuator, so no policy can build the case.
+    // Never reuse 261.
+    /// SLO enforcement (which arms preemption) on a single-slot plan:
+    /// evicting the only slot thrashes without adding service capacity.
     Lma262PreemptSingleSlot = "LMA262",
     /// SLO enforcement enabled without a TTFT histogram registered:
     /// breaches can neither be observed nor post-mortemed.
@@ -296,8 +297,8 @@ mod tests {
             "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
             "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA109",
             "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA252", "LMA260",
-            "LMA261", "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA290", "LMA291",
-            "LMA292", "LMA300", "LMA301", "LMA302",
+            "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA290", "LMA291", "LMA292",
+            "LMA300", "LMA301", "LMA302",
         ];
         let shipped: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(shipped, GOLDEN, "LMA registry drifted from the golden list");
@@ -343,6 +344,24 @@ mod tests {
             };
             assert_eq!(claimed, family_of(n), "{s} ({name}) strays from its family");
         }
+    }
+
+    /// Retired codes stay retired: none is shipped again, and the list
+    /// matches the "Never reuse" rows of `lint_codes!` one for one.
+    #[test]
+    fn retired_codes_are_never_reused() {
+        const RETIRED: &[&str] = &["LMA251", "LMA261", "LMA282"];
+        for code in LintCode::ALL {
+            assert!(!RETIRED.contains(&code.as_str()), "{} is retired", code.as_str());
+        }
+        // Spelled in two parts so this line does not match itself.
+        let needle = concat!("Never", " reuse ");
+        let marked: Vec<String> = include_str!("diag.rs")
+            .split(needle)
+            .skip(1)
+            .map(|rest| format!("LMA{}", &rest[..3]))
+            .collect();
+        assert_eq!(marked, RETIRED, "retirement rows and RETIRED drifted apart");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! policies ([`SloProbe`]). A bad plan does not crash: it deadlocks
 //! admission (leases that can never all be granted) or quietly serves
 //! below capacity; a bad SLO policy makes the actuators flail on every
-//! boundary or promises a reaction it has no lever for.
+//! boundary or pulls a lever that cannot help.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
@@ -72,14 +72,9 @@ pub struct SloProbe {
     pub floor_ttft_s: f64,
     /// Slots in the admission plan.
     pub slots: u64,
-    /// Whether the policy acts on predicted violations at all.
+    /// Whether the policy acts on predicted violations (enforcing arms
+    /// shedding, preemption and the degrade ladder together).
     pub enforce: bool,
-    /// Preemption actuator armed.
-    pub preempt: bool,
-    /// Load-shedding actuator armed.
-    pub shed: bool,
-    /// Rungs available on the attached degrade ladder (0 = none).
-    pub degrade_rungs: u64,
 }
 
 /// Run every SLO-policy lint over a sampled probe.
@@ -101,29 +96,17 @@ pub fn lint_slo(probe: &SloProbe) -> Report {
         ));
     }
 
-    // LMA261: enforcement with no actuator is a misconfiguration — the
-    // monitor predicts violations and then has no lever to pull.
-    if probe.enforce && !probe.preempt && !probe.shed && probe.degrade_rungs == 0 {
-        out.push(Diagnostic::error(
-            LintCode::Lma261SloNoActuator,
-            "slo.enforce".to_string(),
-            "SLO enforcement enabled but preemption, shedding, and the \
-             degrade ladder are all disabled"
-                .to_string(),
-        ));
-    }
-
     // LMA262: with one slot, preemption evicts the only running request
     // to admit another of the same service time — pure churn. Warning:
     // the policy still terminates (resumes are exact), it just cannot
     // help.
-    if probe.preempt && probe.slots <= 1 {
+    if probe.enforce && probe.slots <= 1 {
         out.push(Diagnostic::warn(
             LintCode::Lma262PreemptSingleSlot,
-            "slo.preempt".to_string(),
+            "slo.enforce".to_string(),
             format!(
-                "preemption armed on a {}-slot plan: evicting the only \
-                 slot adds churn, not capacity",
+                "enforcement arms preemption on a {}-slot plan: evicting \
+                 the only slot adds churn, not capacity",
                 probe.slots
             ),
         ));
@@ -191,9 +174,6 @@ mod tests {
             floor_ttft_s: 12.0,
             slots: 8,
             enforce: true,
-            preempt: true,
-            shed: true,
-            degrade_rungs: 4,
         }
     }
 
@@ -217,30 +197,20 @@ mod tests {
     }
 
     #[test]
-    fn enforcement_without_actuators_caught() {
-        let mut p = sound_slo();
-        p.preempt = false;
-        p.shed = false;
-        p.degrade_rungs = 0;
-        let r = lint_slo(&p);
-        assert!(r.has(LintCode::Lma261SloNoActuator), "{r}");
-        // Observe mode with no actuators is fine — nothing was promised.
-        p.enforce = false;
-        assert!(lint_slo(&p).is_clean());
-    }
-
-    #[test]
     fn single_slot_preemption_warned_not_fatal() {
         let mut p = sound_slo();
         p.slots = 1;
         let r = lint_slo(&p);
         assert!(r.has(LintCode::Lma262PreemptSingleSlot), "{r}");
         assert!(r.is_clean(), "churn warning must not be fatal: {r}");
+        // Observe mode pulls no lever, so one slot is fine.
+        p.enforce = false;
+        assert_eq!(lint_slo(&p).warning_count(), 0);
     }
 
     #[test]
     fn slo_probe_serializes() {
         let json = serde_json::to_string(&sound_slo()).expect("serialize");
-        assert!(json.contains("degrade_rungs"), "{json}");
+        assert!(json.contains("enforce"), "{json}");
     }
 }

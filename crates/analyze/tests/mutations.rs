@@ -143,9 +143,6 @@ fn slo(defect: fn(&mut SloProbe)) -> (Report, Report) {
         floor_ttft_s: 20.0,
         slots: 8,
         enforce: true,
-        preempt: true,
-        shed: true,
-        degrade_rungs: 4,
     };
     probed(sound, lint_slo, defect)
 }
@@ -311,11 +308,6 @@ mutations! {
     lma252_pool_left_idle: Lma252SlotsUnderutilizePool => |_| serve(|p| p.slots = 2),
     lma260_objective_below_the_floor: Lma260SloBelowFloor => |_| slo(|p| {
         p.ttft_p99_slo_s = p.floor_ttft_s / 2.0;
-    }),
-    lma261_enforcement_with_no_actuator: Lma261SloNoActuator => |_| slo(|p| {
-        p.preempt = false;
-        p.shed = false;
-        p.degrade_rungs = 0;
     }),
     lma262_preemption_on_a_single_slot: Lma262PreemptSingleSlot => |_| slo(|p| p.slots = 1),
     lma270_enforcement_without_ttft_histogram: Lma270SloWithoutTtftHistogram => |_| obs(|p| {

@@ -17,12 +17,9 @@ use lm_parallelism::{attention_graph, SearchConfig};
 use lm_serve::preflight::{
     async_report, paging_report, preflight, serve_report, slo_report, ttft_floor_s,
 };
-use lm_serve::{
-    AnalyticBackend, AsyncConfig, DegradeLadder, ServeConfig, ServeError, ServePlan, SloPolicy,
-};
+use lm_serve::{AnalyticBackend, AsyncConfig, ServeConfig, ServeError, ServePlan, SloPolicy};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// FLOP threshold for the bundling lint — the same order of magnitude the
 /// runtime uses to decide which operators are bundling candidates.
@@ -95,14 +92,12 @@ fn preset_row(
 ///   the pool must hold a page, the quiescent probe must balance
 ///   (columns: pool pages / pages one slot's context spans);
 /// - `LMA26x` the SLO policy `repro slo` enforces — the objective must
-///   clear the physical TTFT floor with an actuator armed (columns:
-///   objective in ms / slots);
+///   clear the physical TTFT floor (columns: objective in ms / slots);
 /// - `LMA30x` the async session shape `ServeSession::run_async` ships
 ///   with (columns: per-request channel capacity / slots).
 fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) -> [AnalyzeRow; 4] {
     let policy =
         SloPolicy::enforcing(ttft_floor_s(plan, backend) * super::slo::SLO_FLOOR_HEADROOM);
-    let ladder: Arc<dyn DegradeLadder> = Arc::new(super::slo::model_guided_ladder(backend));
     let acfg = AsyncConfig::default();
     [
         AnalyzeRow::new(
@@ -121,7 +116,7 @@ fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) ->
             "opt-30b/serve/default-slo",
             (policy.ttft_p99_s * 1e3) as u32,
             plan.slots as u32,
-            slo_report(plan, backend, &policy, Some(&ladder)),
+            slo_report(plan, backend, &policy),
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-async",

@@ -12,16 +12,15 @@
 //! timestamps (nearest rank), not from the ~9%-error log-scale trace
 //! histograms, so the verdicts are sharp.
 
-use lm_offload::{DegradationController, QuantCostParams, ServeDegradeLadder};
+use lm_offload::{DegradationController, QuantCostParams};
 use lm_serve::preflight::{preflight, ttft_floor_s};
 use lm_serve::{
-    conform, synth_traffic, AnalyticBackend, RejectReason, ServeBackend, ServeConfig, ServeMode,
-    ServeOutcome, ServePlan, ServeSession, SloPolicy,
+    conform, synth_traffic, AnalyticBackend, DegradeRung, RejectReason, ServeBackend, ServeConfig,
+    ServeMode, ServeOutcome, ServePlan, ServeSession, SloPolicy,
 };
 use super::Conformed;
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// SLO target as a multiple of the plan's physical TTFT floor (one
 /// padded-group prefill plus one full-occupancy decode step). Low enough
@@ -108,14 +107,14 @@ fn mode_row(mode: &str, slo_s: f64, out: &ServeOutcome) -> SloModeRow {
 
 /// The model-guided ladder for the analytic backend's own policy,
 /// scored by the same evaluator that ranks engine fallbacks.
-pub fn model_guided_ladder(backend: &AnalyticBackend) -> ServeDegradeLadder {
+pub fn model_guided_ladder(backend: &AnalyticBackend) -> Vec<DegradeRung> {
     let controller = DegradationController::new(
         &lm_hardware::presets::single_gpu_a100(),
         backend.model(),
         &lm_models::Workload::motivation(),
         QuantCostParams::lm_offload_kernels(),
     );
-    ServeDegradeLadder::model_guided(&controller, backend.policy())
+    controller.serve_ladder(backend.policy())
 }
 
 /// Serve `n` seeded requests at `rps` in observe and enforcing mode.
@@ -123,8 +122,8 @@ pub fn model_guided_ladder(backend: &AnalyticBackend) -> ServeDegradeLadder {
 pub fn run(seed: u64, rps: f64, n: usize) -> (SloReport, Vec<Conformed>) {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(seed, rps, n, backend.model());
-    let ladder = Arc::new(model_guided_ladder(&backend));
-    let ladder_rungs = ladder.rungs().len();
+    let ladder = model_guided_ladder(&backend);
+    let ladder_rungs = ladder.len();
 
     // Derive the floor from the same plan both modes share.
     let base_plan = preflight(&backend, &ServeConfig::default(), None)
@@ -146,7 +145,7 @@ pub fn run(seed: u64, rps: f64, n: usize) -> (SloReport, Vec<Conformed>) {
     let enforced_cfg = ServeConfig {
         tracer: Tracer::new(),
         slo: Some(SloPolicy::enforcing(slo_s)),
-        ladder: Some(ladder),
+        ladder,
         ..ServeConfig::default()
     };
     let (enforced_plan, enforced_out) = ServeSession::new(&backend)
@@ -224,7 +223,7 @@ mod tests {
     #[test]
     fn model_guided_ladder_has_usable_rungs() {
         let ladder = model_guided_ladder(&AnalyticBackend::opt_30b());
-        for rung in ladder.rungs() {
+        for rung in &ladder {
             assert!(rung.step_time_factor > 0.0 && rung.step_time_factor < 1.0);
         }
     }

@@ -198,41 +198,31 @@ impl DegradationController {
         }
         best
     }
-}
 
-/// The serving-side view of the fallback ladder: each rung of
-/// [`DegradationController::fallback_ladder`] is re-scored by the
-/// analytic evaluator on the *healthy* platform, and rungs the model
-/// ranks faster than the base policy become [`lm_serve::DegradeRung`]s
-/// whose `step_time_factor` is the modelled step-time ratio
-/// `base_tput / rung_tput` (< 1 — quantized streams shrink the shared
-/// weight fetch, Eq. 2). Rungs are ordered mildest-first so the
-/// scheduler's one-way ratchet climbs from least to most degraded;
-/// rungs the model cannot score, or scores no faster than the base,
-/// are dropped.
-#[derive(Debug, Clone)]
-pub struct ServeDegradeLadder {
-    rungs: Vec<lm_serve::DegradeRung>,
-}
-
-impl ServeDegradeLadder {
-    /// Build the ladder for `base` policy using `controller`'s analytic
-    /// context. An empty ladder (no rung outruns the base) is valid:
-    /// `lm-serve`'s LMA261 pre-flight then requires another actuator.
-    pub fn model_guided(controller: &DegradationController, base: &Policy) -> Self {
+    /// The serving-side view of [`Self::fallback_ladder`]: each rung is
+    /// re-scored by the analytic evaluator on the *healthy* platform,
+    /// and rungs the model ranks faster than `base` become
+    /// [`lm_serve::DegradeRung`]s whose `step_time_factor` is the
+    /// modelled step-time ratio `base_tput / rung_tput` (< 1 — quantized
+    /// streams shrink the shared weight fetch, Eq. 2). Rungs the model
+    /// cannot score, or scores no faster than the base, are dropped; the
+    /// rest are ordered mildest-first, so the scheduler's one-way
+    /// ratchet climbs from least to most degraded. An empty ladder (no
+    /// rung outruns the base) leaves shedding and preemption.
+    pub fn serve_ladder(&self, base: &Policy) -> Vec<lm_serve::DegradeRung> {
         let score = |p: &Policy| {
             lm_offload_evaluator(
-                &controller.platform,
-                &controller.model,
-                &controller.workload,
+                &self.platform,
+                &self.model,
+                &self.workload,
                 p,
-                controller.params,
-                controller.threads,
+                self.params,
+                self.threads,
             )
         };
         let mut rungs: Vec<lm_serve::DegradeRung> = Vec::new();
         if let Some(base_tput) = score(base) {
-            for rung in controller.fallback_ladder(base) {
+            for rung in self.fallback_ladder(base) {
                 let Some(tput) = score(&rung) else { continue };
                 let factor = base_tput / tput;
                 if factor < 1.0 {
@@ -250,21 +240,7 @@ impl ServeDegradeLadder {
                 .total_cmp(&a.step_time_factor)
                 .then_with(|| a.name.cmp(&b.name))
         });
-        ServeDegradeLadder { rungs }
-    }
-
-    /// The rungs, mildest first.
-    pub fn rungs(&self) -> &[lm_serve::DegradeRung] {
-        &self.rungs
-    }
-}
-
-impl lm_serve::DegradeLadder for ServeDegradeLadder {
-    fn rung(&self, level: usize) -> Option<lm_serve::DegradeRung> {
-        if level == 0 {
-            return None;
-        }
-        self.rungs.get(level - 1).cloned()
+        rungs
     }
 }
 
@@ -466,13 +442,13 @@ mod tests {
         // A fully-resident FP16 base leaves plenty of modelled headroom
         // for quantized fallbacks to outrun it.
         let base = Policy::flexgen_default();
-        let ladder = ServeDegradeLadder::model_guided(&c, &base);
+        let ladder = c.serve_ladder(&base);
         assert!(
-            !ladder.rungs().is_empty(),
+            !ladder.is_empty(),
             "quantized rungs must outrun the fp16 base in the model"
         );
         let mut prev = 1.0f64;
-        for r in ladder.rungs() {
+        for r in &ladder {
             assert!(
                 r.step_time_factor > 0.0 && r.step_time_factor < 1.0,
                 "{}: factor {} outside (0, 1)",
@@ -489,16 +465,22 @@ mod tests {
 
     #[test]
     fn serve_ladder_is_one_based_like_the_trait_contract() {
-        use lm_serve::DegradeLadder as _;
         let c = controller();
-        let ladder = ServeDegradeLadder::model_guided(&c, &Policy::flexgen_default());
-        let n = ladder.rungs().len();
-        assert!(ladder.rung(0).is_none(), "level 0 is 'no degradation'");
+        let ladder = c.serve_ladder(&Policy::flexgen_default());
+        // Level 0 is "no degradation"; level `i` is in force once the
+        // scheduler has climbed the first `i` rungs.
+        assert_eq!(lm_serve::degrade_factor(&ladder, 0), 1.0);
         assert_eq!(
-            ladder.rung(1).map(|r| r.name),
-            ladder.rungs().first().map(|r| r.name.clone())
+            lm_serve::degrade_factor(&ladder, 1),
+            ladder[0].step_time_factor,
+            "level 1 is the first, mildest rung"
         );
-        assert!(ladder.rung(n + 1).is_none());
+        let n = ladder.len();
+        assert_eq!(
+            lm_serve::degrade_factor(&ladder, n),
+            ladder[n - 1].step_time_factor,
+            "the top level is the last, fastest rung"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use advisor::{Advisor, Verdict};
 pub use controller::{derive_plan, transfer_tasks, try_derive_plan, ControllerOutput, DEFAULT_HEAD_GROUPS};
 pub use degrade::{
     generate_with_degradation, DegradationController, DegradationTrigger, DegradedGeneration,
-    PolicySwitch, ServeDegradeLadder,
+    PolicySwitch,
 };
 pub use engine::{run_framework, run_pipeline, EngineConfig, Framework, FrameworkRun};
 pub use policy_search::{lm_offload_evaluator, lm_offload_search, lm_offload_search_in_space};

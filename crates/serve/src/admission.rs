@@ -13,13 +13,12 @@
 
 use crate::backend::ServeBackend;
 use crate::preflight::plan_report;
-use crate::slo::{DegradeLadder, SloPolicy};
+use crate::slo::{DegradeRung, SloPolicy};
 use lm_analyze::Report;
 use lm_engine::{EngineError, KV_PAGE_TOKENS};
 use lm_fault::{FaultInjector, RetryPolicy};
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Operator-facing serving knobs.
 #[derive(Clone)]
@@ -44,9 +43,9 @@ pub struct ServeConfig {
     /// Optional TTFT objective; `None` keeps the pre-SLO behaviour
     /// (no prediction, no shedding, no preemption).
     pub slo: Option<SloPolicy>,
-    /// Fallback ladder the scheduler climbs when the SLO monitor calls
-    /// for degradation; `None` disables that actuator.
-    pub ladder: Option<Arc<dyn DegradeLadder>>,
+    /// Fallback rungs the scheduler climbs, mildest first, when the SLO
+    /// monitor calls for degradation; empty disables that actuator.
+    pub ladder: Vec<DegradeRung>,
     /// Flight recorder teed into scheduler decisions and injected
     /// faults; frozen into a post-mortem dump on the first observed SLO
     /// breach (DESIGN.md §8). Disabled by default.
@@ -62,7 +61,7 @@ impl Default for ServeConfig {
             fault: FaultInjector::disabled(),
             tracer: Tracer::disabled(),
             slo: None,
-            ladder: None,
+            ladder: Vec::new(),
             flight: lm_trace::FlightRecorder::disabled(),
         }
     }

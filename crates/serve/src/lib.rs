@@ -39,8 +39,9 @@
 //!   ([`AsyncConfig::time_scale`]), per-request bounded tokio token
 //!   channels and disconnect-on-drop;
 //! - [`slo`]: the overload-protection layer (DESIGN.md §9.2) — the
-//!   [`SloPolicy`] objective, the model-driven [`TtftModel`] predictor,
-//!   and the [`DegradeLadder`] the scheduler climbs when preemption
+//!   [`SloPolicy`] objective and switch, the model-driven [`TtftModel`]
+//!   predictor, and the ladder — a list of [`DegradeRung`]s in
+//!   [`ServeConfig::ladder`] — the scheduler climbs when preemption
 //!   alone cannot hold the objective. Cancellation
 //!   ([`CancelToken`] → terminal [`Cancellation`]) and slot crashes
 //!   reclaim KV leases mid-generation; chaos storms drive all of it
@@ -85,4 +86,4 @@ pub use request::{
 pub use driver::{Delivery, ServeDriver, VirtualDriver};
 pub use scheduler::{ServeOutcome, ServeStats, TokenEvent};
 pub use session::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
-pub use slo::{DegradeLadder, DegradeRung, SloPolicy, StaticLadder, TtftModel};
+pub use slo::{degrade_factor, geometric_ladder, DegradeRung, SloPolicy, TtftModel};

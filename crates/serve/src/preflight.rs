@@ -8,9 +8,12 @@
 //!   spawned, and hands the plan it returns to the scheduler;
 //! - the `*_report` functions are the same families one at a time, for
 //!   callers that publish a verdict instead of gating on it
-//!   (`repro analyze`, `repro obs`, `lm-verify`'s sweep);
-//! - `quiescence_report` is the live half of `LMA28x`, audited by the
-//!   scheduler when a run ends.
+//!   (`repro analyze`, `repro obs`, `lm-verify`'s sweep).
+//!
+//! `LMA28x` judges page geometry only, with the live counters at their
+//! quiescent values: a leak at the end of a run is caught by the
+//! lifecycle check ([`conform`](crate::conform)'s `NotQuiescent`) and the
+//! pool's own `accounting_balanced`, not by a lint.
 //!
 //! `LMA27x` is deliberately *not* part of the gate: the scheduler
 //! simulator and the scheduler's own tests enforce an SLO with no tracer
@@ -20,13 +23,11 @@
 use crate::admission::{derive_plan, ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
 use crate::session::AsyncConfig;
-use crate::slo::{DegradeLadder, SloPolicy};
+use crate::slo::SloPolicy;
 use lm_analyze::{
     lint_async, lint_obs, lint_paging, lint_serve, lint_slo, AsyncProbe, ObsProbe, PagingProbe,
     Report, ServeProbe, SloProbe,
 };
-use lm_kvpool::PagedKvPool;
-use std::sync::Arc;
 
 /// Derive the plan for `backend` under `cfg` once and judge it by every
 /// family that gates a run: `LMA25x` + `LMA28x` always, `LMA26x` when
@@ -61,7 +62,7 @@ pub fn preflight_reports(
     }
     reports.push(plan_report);
     if let Some(slo) = cfg.slo.as_ref() {
-        reports.push(slo_report(&plan, backend, slo, cfg.ladder.as_ref()));
+        reports.push(slo_report(&plan, backend, slo));
     }
     (plan, reports)
 }
@@ -94,27 +95,10 @@ pub fn serve_report(plan: &ServePlan) -> Report {
     })
 }
 
-/// The static half of `LMA28x`: page geometry, with the live counters at
-/// their quiescent values.
+/// `LMA28x`: page geometry, with the live counters at their quiescent
+/// values.
 pub fn paging_report(plan: &ServePlan) -> Report {
-    lint_paging(&paging_probe(plan))
-}
-
-/// The live half of `LMA28x`: the same geometry with the pool's counters
-/// filled in. With every sequence retired, refcounts and page residency
-/// must be back at zero.
-pub(crate) fn quiescence_report(plan: &ServePlan, pages: &PagedKvPool) -> Report {
-    let counters = pages.counters();
     lint_paging(&PagingProbe {
-        pages_in_use: counters.pages_in_use,
-        page_refcount_sum: counters.refcount_sum,
-        seq_mapped_pages: counters.refcount_sum,
-        ..paging_probe(plan)
-    })
-}
-
-fn paging_probe(plan: &ServePlan) -> PagingProbe {
-    PagingProbe {
         page_tokens: plan.page_tokens,
         page_bytes: plan.page_bytes,
         bytes_per_token: plan.page_bytes.checked_div(plan.page_tokens).unwrap_or(0),
@@ -123,30 +107,16 @@ fn paging_probe(plan: &ServePlan) -> PagingProbe {
         pages_in_use: 0,
         page_refcount_sum: 0,
         seq_mapped_pages: 0,
-    }
+    })
 }
 
-/// `LMA26x`: an SLO policy against the plan's TTFT floor and its own
-/// actuators.
-pub fn slo_report(
-    plan: &ServePlan,
-    backend: &dyn ServeBackend,
-    slo: &SloPolicy,
-    ladder: Option<&Arc<dyn DegradeLadder>>,
-) -> Report {
-    // A ladder is finite in practice; cap the census so a buggy
-    // implementation cannot hang the pre-flight.
-    let degrade_rungs = ladder.map_or(0, |l| {
-        (1..=64).take_while(|&i| l.rung(i).is_some()).count() as u64
-    });
+/// `LMA26x`: an SLO policy against the plan's TTFT floor and slots.
+pub fn slo_report(plan: &ServePlan, backend: &dyn ServeBackend, slo: &SloPolicy) -> Report {
     lint_slo(&SloProbe {
         ttft_p99_slo_s: slo.ttft_p99_s,
         floor_ttft_s: ttft_floor_s(plan, backend),
         slots: plan.slots as u64,
         enforce: slo.enforce,
-        preempt: slo.preempt,
-        shed: slo.shed,
-        degrade_rungs,
     })
 }
 
@@ -231,7 +201,7 @@ mod tests {
             let (plan, plan_report) = derive_plan(&b, &cfg);
             let expected = match (code, acfg, cfg.slo.as_ref()) {
                 (Lma250SlotsExceedPool | Lma280PageGeometryInvalid, ..) => plan_report,
-                (Lma260SloBelowFloor, _, Some(slo)) => slo_report(&plan, &b, slo, None),
+                (Lma260SloBelowFloor, _, Some(slo)) => slo_report(&plan, &b, slo),
                 (_, Some(acfg), _) => async_report(&plan, &b, &cfg, acfg),
                 _ => unreachable!("row {} names no family", code.as_str()),
             };

@@ -12,8 +12,8 @@
 //!   behind an `AsyncDriver`: wall time (scaled by
 //!   [`AsyncConfig::time_scale`]) paces the modelled clock, each request
 //!   streams through its own bounded tokio mpsc channel, a dropped
-//!   receiver is a client disconnect, and a channel full past the
-//!   backpressure grace is shed the same way. Token *values* are
+//!   receiver is a client disconnect, and a channel full past
+//!   [`BACKPRESSURE_GRACE`] is shed the same way. Token *values* are
 //!   untouched — the `repro async` experiment property-tests streamed
 //!   completions against solo `Engine::run` — only timing and delivery
 //!   move to wall clocks.
@@ -29,6 +29,10 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use tokio::sync::mpsc;
 use tokio::sync::mpsc::error::TrySendError;
+
+/// Wall-clock grace a full token channel gets before the token is
+/// declared undeliverable and the stream is shed as a client disconnect.
+pub const BACKPRESSURE_GRACE: Duration = Duration::from_millis(50);
 
 /// Which scheduler a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,17 +79,14 @@ impl ServeRun {
 #[derive(Debug, Clone)]
 pub struct AsyncConfig {
     /// Capacity of each request's bounded token channel (`LMA300`
-    /// rejects 0). Sends past this block the scheduler into the
-    /// backpressure grace, then shed the stream.
+    /// rejects 0). Sends past this block the scheduler for up to
+    /// [`BACKPRESSURE_GRACE`], then shed the stream.
     pub channel_capacity: usize,
     /// Virtual microseconds per wall microsecond (`LMA302` rejects
     /// non-finite or ≤ 0). `1.0` is real time; large values compress a
     /// long modelled run into a short wall run while keeping relative
     /// timing.
     pub time_scale: f64,
-    /// Wall-clock grace a full channel gets before the token is declared
-    /// undeliverable and the stream is shed as a disconnect.
-    pub backpressure_grace: Duration,
 }
 
 impl Default for AsyncConfig {
@@ -93,7 +94,6 @@ impl Default for AsyncConfig {
         AsyncConfig {
             channel_capacity: 32,
             time_scale: 1.0,
-            backpressure_grace: Duration::from_millis(50),
         }
     }
 }
@@ -202,7 +202,7 @@ impl<'b> ServeSession<'b> {
     /// deadline machinery), a dropped receiver resolves the stream as a
     /// [`CancelReason::ClientDisconnect`](crate::CancelReason)
     /// cancellation at the next boundary, and a channel full past
-    /// [`AsyncConfig::backpressure_grace`] is shed the same way.
+    /// [`BACKPRESSURE_GRACE`] is shed the same way.
     pub fn run_async<R, F>(
         &self,
         requests: Vec<Request>,
@@ -234,7 +234,6 @@ impl<'b> ServeSession<'b> {
                     senders,
                     start: Instant::now(),
                     scale: acfg.time_scale,
-                    backpressure_grace: acfg.backpressure_grace,
                 };
                 run_continuous(backend, cfg, planned, requests, &mut driver)
             });
@@ -277,7 +276,6 @@ struct AsyncDriver {
     start: Instant,
     /// Virtual microseconds per wall microsecond.
     scale: f64,
-    backpressure_grace: Duration,
 }
 
 impl AsyncDriver {
@@ -313,7 +311,7 @@ impl ServeDriver for AsyncDriver {
             return Delivery::Delivered;
         };
         let mut ev = event;
-        let deadline = Instant::now() + self.backpressure_grace;
+        let deadline = Instant::now() + BACKPRESSURE_GRACE;
         loop {
             match tx.try_send(ev) {
                 Ok(()) => return Delivery::Delivered,
@@ -528,5 +526,44 @@ mod tests {
             !out.responses.iter().any(|r| r.id == victim),
             "victim stream should resolve as disconnect/rejection, not a response"
         );
+    }
+
+    #[test]
+    fn async_unread_full_channel_sheds_after_the_grace() {
+        let b = AnalyticBackend::opt_30b();
+        let (a_id, b_id) = (0, 1);
+        let reqs = vec![Request::new(a_id, vec![1, 2], 8), Request::new(b_id, vec![3, 4], 8)];
+        let cfg = ServeConfig {
+            tracer: lm_trace::Tracer::new(),
+            ..ServeConfig::default()
+        };
+        let acfg = AsyncConfig {
+            channel_capacity: 1,
+            time_scale: 5e5,
+        };
+        let session = ServeSession::new(&b).config(cfg.clone());
+        let (run, (a_tokens, b_tokens)) = session
+            .run_async(reqs, &acfg, |mut streams| {
+                // Drain A to its end before B is read at all: both decode
+                // in lockstep, so B's one-slot channel is still full when
+                // its second token waits out the grace.
+                let read = |rx: Option<mpsc::Receiver<TokenEvent>>| {
+                    let mut rx = rx.expect("stream");
+                    std::iter::from_fn(|| rx.blocking_recv()).count()
+                };
+                let a = read(streams.take(a_id));
+                (a, read(streams.take(b_id)))
+            })
+            .unwrap();
+        let (plan, out) = run.into_continuous();
+        assert_eq!(conform(&plan, &out).unwrap().requests, 2, "no KV leaked");
+        let a = out.responses.iter().find(|r| r.id == a_id).expect("A completes");
+        assert_eq!((a.tokens.len(), a_tokens), (8, 8), "A streams in full");
+        assert!(out.responses.iter().all(|r| r.id != b_id));
+        let cancelled: Vec<_> = out.cancellations.iter().map(|c| (c.id, c.reason)).collect();
+        assert_eq!(cancelled, [(b_id, crate::request::CancelReason::ClientDisconnect)]);
+        assert_eq!(b_tokens, 1, "B keeps only the token its channel held");
+        let counters = cfg.tracer.snapshot().metrics.counters;
+        assert_eq!(counters.get("serve.backpressure_disconnects"), Some(&1));
     }
 }

@@ -15,34 +15,33 @@
 //!    re-queues and later resumes from its generated prefix (token
 //!    streams are deterministic, so nothing is re-emitted).
 //! 3. **Degradation** (boundary-time): when there is nothing useful to
-//!    preempt, the scheduler climbs one rung of a [`DegradeLadder`] —
-//!    the model-guided fallback policies of `lm_offload::degrade` —
-//!    trading per-token quality/placement for step latency.
+//!    preempt, the scheduler climbs one rung of the configured ladder —
+//!    a plain list of [`DegradeRung`]s, mildest first, such as the
+//!    model-guided fallbacks of `lm_offload::degrade` — trading
+//!    per-token quality/placement for step latency.
 //!
+//! Enforcing arms all three; an empty ladder leaves degradation out.
 //! Everything here is pure arithmetic over the virtual clock: SLO
 //! decisions replay bit-identically from the traffic seed.
 
 use crate::request::micros;
 use serde::{Deserialize, Serialize};
 
-/// The serving objective and which actuators may fire for it.
+/// Fraction of the objective a request without a deadline of its own
+/// may wait for its predicted first token before shedding rejects it.
+/// Kept below 1 because the log-scale trace histograms carry ~9% bucket
+/// error, so enforcement needs margin to show up in measured p99.
+pub const SHED_SLACK: f64 = 0.8;
+
+/// The serving objective and whether the scheduler acts on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloPolicy {
     /// Target p99 time-to-first-token, in virtual seconds.
     pub ttft_p99_s: f64,
-    /// Master switch: `false` records predicted violations in lm-trace
-    /// but never acts on them (observe mode).
+    /// `true` arms shedding, preemption and the ladder; `false` records
+    /// predicted violations in lm-trace but never acts on them (observe
+    /// mode).
     pub enforce: bool,
-    /// Allow preempting the lowest-priority running slot.
-    pub preempt: bool,
-    /// Allow deadline-aware admission shedding.
-    pub shed: bool,
-    /// Synthetic admission deadline applied when shedding: a request
-    /// with no deadline of its own is shed if its predicted first token
-    /// lands more than this many seconds after arrival. Keep below
-    /// `ttft_p99_s` (the log-scale trace histograms carry ~9% bucket
-    /// error, so enforcement needs margin to show up in measured p99).
-    pub shed_slack_s: f64,
 }
 
 impl SloPolicy {
@@ -51,9 +50,6 @@ impl SloPolicy {
         SloPolicy {
             ttft_p99_s,
             enforce: false,
-            preempt: false,
-            shed: false,
-            shed_slack_s: 0.8 * ttft_p99_s,
         }
     }
 
@@ -62,9 +58,6 @@ impl SloPolicy {
         SloPolicy {
             ttft_p99_s,
             enforce: true,
-            preempt: true,
-            shed: true,
-            shed_slack_s: 0.8 * ttft_p99_s,
         }
     }
 
@@ -82,50 +75,31 @@ pub struct DegradeRung {
     /// Multiplier on prefill/decode step time relative to the *baseline*
     /// (rung 0) policy — absolute, not incremental. A model-guided
     /// ladder yields factors ≤ 1 (degraded placements exist to be
-    /// faster under pressure); factors are clamped to be monotone
-    /// non-increasing by the scheduler.
+    /// faster under pressure); [`degrade_factor`] makes the effective
+    /// factor monotone non-increasing whatever the rungs say.
     pub step_time_factor: f64,
 }
 
-/// A source of fallback execution policies, ordered mildest-first.
-/// `lm-core` implements this over `DegradationController::fallback_ladder`
-/// so the serving layer degrades along the same model-guided rungs as
-/// the offload engine; tests use [`StaticLadder`].
-pub trait DegradeLadder: Send + Sync {
-    /// The `level`-th fallback (1-based; level 0 is the baseline policy
-    /// and is not a rung). `None` once the ladder is exhausted.
-    fn rung(&self, level: usize) -> Option<DegradeRung>;
+/// The step-time factor in force after climbing the first `level` rungs
+/// of `ladder` (`1.0` at level 0; `level ≤ ladder.len()`): a one-way
+/// ratchet that never lets a rung slow steps down, with each rung's
+/// factor floored at `0.01`.
+pub fn degrade_factor(ladder: &[DegradeRung], level: usize) -> f64 {
+    ladder[..level]
+        .iter()
+        .fold(1.0, |f, r| f.min(r.step_time_factor.max(0.01)))
 }
 
-/// A fixed in-memory ladder, for tests and synthetic experiments.
-#[derive(Debug, Clone, Default)]
-pub struct StaticLadder {
-    pub rungs: Vec<DegradeRung>,
-}
-
-impl StaticLadder {
-    /// A geometric ladder: `n` rungs, each scaling step time by `factor`
-    /// more than the last (factor < 1 speeds steps up, as a model-guided
-    /// degraded placement would under memory pressure).
-    pub fn geometric(n: usize, factor: f64) -> Self {
-        StaticLadder {
-            rungs: (1..=n)
-                .map(|i| DegradeRung {
-                    name: format!("static-rung-{i}"),
-                    step_time_factor: factor.powi(i as i32),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl DegradeLadder for StaticLadder {
-    fn rung(&self, level: usize) -> Option<DegradeRung> {
-        if level == 0 {
-            return None;
-        }
-        self.rungs.get(level - 1).cloned()
-    }
+/// A geometric ladder: `n` rungs, each scaling step time by `factor`
+/// more than the last (factor < 1 speeds steps up, as a model-guided
+/// degraded placement would under memory pressure).
+pub fn geometric_ladder(n: usize, factor: f64) -> Vec<DegradeRung> {
+    (1..=n)
+        .map(|i| DegradeRung {
+            name: format!("static-rung-{i}"),
+            step_time_factor: factor.powi(i as i32),
+        })
+        .collect()
 }
 
 /// A per-boundary snapshot of the scheduler's state, from which the
@@ -273,21 +247,25 @@ mod tests {
 
     #[test]
     fn policy_constructors_arm_the_right_actuators() {
-        let obs = SloPolicy::observe(2.0);
-        assert!(!obs.enforce && !obs.preempt && !obs.shed);
+        assert!(!SloPolicy::observe(2.0).enforce);
         let enf = SloPolicy::enforcing(2.0);
-        assert!(enf.enforce && enf.preempt && enf.shed);
-        assert!(enf.shed_slack_s < enf.ttft_p99_s);
+        assert!(enf.enforce);
+        assert!(SHED_SLACK * enf.ttft_p99_s < enf.ttft_p99_s);
         assert_eq!(enf.ttft_p99_us(), 2_000_000);
     }
 
     #[test]
     fn static_ladder_levels_are_one_based_and_finite() {
-        let l = StaticLadder::geometric(3, 0.8);
-        assert_eq!(l.rung(0), None);
-        assert!((l.rung(1).unwrap().step_time_factor - 0.8).abs() < 1e-12);
-        assert!((l.rung(3).unwrap().step_time_factor - 0.512).abs() < 1e-12);
-        assert_eq!(l.rung(4), None);
+        let l = geometric_ladder(3, 0.8);
+        assert_eq!(l.len(), 3);
+        assert_eq!(degrade_factor(&l, 0), 1.0, "level 0 is the baseline");
+        assert!((degrade_factor(&l, 1) - 0.8).abs() < 1e-12);
+        assert!((degrade_factor(&l, 3) - 0.512).abs() < 1e-12);
+        // A rung that would slow steps down leaves the factor alone, and
+        // none drives it below the floor.
+        let inverted = geometric_ladder(2, 1.3);
+        assert_eq!(degrade_factor(&inverted, 2), 1.0);
+        assert_eq!(degrade_factor(&geometric_ladder(1, 0.0), 1), 0.01);
     }
 
     #[test]

@@ -101,6 +101,9 @@ impl Histogram {
         bucket_value(BUCKETS - 1)
     }
 
+    /// Count, sum, mean, min, max and p50/p95/p99. The quantiles are
+    /// bucket centres clamped to `[min, max]`: a centre can lie outside
+    /// the observed range, a quantile cannot.
     pub fn summary(&self) -> HistogramSummary {
         let count = self.count();
         let (min, max) = if count == 0 {
@@ -117,9 +120,11 @@ impl Histogram {
             mean: if count == 0 { 0.0 } else { self.sum() / count as f64 },
             min,
             max,
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
+            // `max`/`min`, not `clamp`: a racing `record` can leave
+            // min > max for an instant, and `clamp` panics on that.
+            p50: self.quantile(0.50).max(min).min(max),
+            p95: self.quantile(0.95).max(min).min(max),
+            p99: self.quantile(0.99).max(min).min(max),
         }
     }
 }
@@ -253,6 +258,16 @@ mod tests {
         assert!(s.max > 0.9e3);
         // p50 is the middle sample (1e-3) to bucket accuracy.
         assert!((h.quantile(0.5) / 1e-3 - 1.0).abs() < 0.10);
+    }
+
+    #[test]
+    fn quantiles_stay_inside_the_observed_range() {
+        // One sample: every quantile is the sample, not its bucket centre.
+        let h = Histogram::new();
+        h.record(441.1);
+        let s = h.summary();
+        assert_ne!(h.quantile(0.5), 441.1, "the raw bucket centre differs");
+        assert_eq!((s.p50, s.p95, s.p99), (441.1, 441.1, 441.1));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   protocol error;
 //! - `zero_leaks` (I1''): tearing every sequence down returns the pool
 //!   to exactly zero pages and zero bytes;
-//! - `ladder_monotone` (I4): the scheduler's clamped effective degrade
-//!   factors are positive and non-increasing, so predicted step time
-//!   never *rises* while climbing the ladder;
+//! - `ladder_monotone` (I4): the effective degrade factors the scheduler
+//!   applies ([`lm_serve::degrade_factor`]) are positive and
+//!   non-increasing, so predicted step time never *rises* while climbing
+//!   the ladder;
 //! - `ttft_floor` (I5): the TTFT predictor never predicts below the
 //!   physical floor (one prefill + one step) and is monotone in queue
 //!   position;
@@ -42,7 +43,7 @@ use lm_kvpool::{PageConfig, PagedKvPool};
 use lm_models::{presets, ModelConfig};
 use lm_serve::preflight::preflight_reports;
 use lm_serve::{AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
-use lm_serve::{DegradeLadder, ServePlan, StaticLadder, TtftModel};
+use lm_serve::{degrade_factor, geometric_ladder, DegradeRung, ServePlan, TtftModel};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -192,11 +193,11 @@ impl LadderAxis {
         }
     }
 
-    fn ladder(self) -> Option<Arc<dyn DegradeLadder>> {
+    fn ladder(self) -> Vec<DegradeRung> {
         match self {
-            LadderAxis::None => None,
-            LadderAxis::Geometric => Some(Arc::new(StaticLadder::geometric(3, 0.8))),
-            LadderAxis::Inverted => Some(Arc::new(StaticLadder::geometric(2, 1.3))),
+            LadderAxis::None => Vec::new(),
+            LadderAxis::Geometric => geometric_ladder(3, 0.8),
+            LadderAxis::Inverted => geometric_ladder(2, 1.3),
         }
     }
 }
@@ -291,21 +292,17 @@ fn ground_truth(
         }
     }
 
-    // I4 ladder_monotone — replicate the scheduler's clamp and require
-    // the effective predicted step time never rises along the ladder.
-    if let Some(ladder) = cfg.ladder.as_ref() {
-        let mut eff = 1.0f64;
-        let mut prev_step = plan.est_step_seconds;
-        for level in 1..=64 {
-            let Some(rung) = ladder.rung(level) else { break };
-            eff = eff.min(rung.step_time_factor);
-            let step = plan.est_step_seconds * eff;
-            if eff.is_nan() || eff <= 0.0 || step > prev_step + 1e-12 {
-                fail(&mut failed, "ladder_monotone");
-                break;
-            }
-            prev_step = step;
+    // I4 ladder_monotone — the effective predicted step time, by the
+    // scheduler's own ratchet, never rises along the ladder.
+    let mut prev_step = plan.est_step_seconds;
+    for level in 1..=cfg.ladder.len() {
+        let eff = degrade_factor(&cfg.ladder, level);
+        let step = plan.est_step_seconds * eff;
+        if eff.is_nan() || eff <= 0.0 || step > prev_step + 1e-12 {
+            fail(&mut failed, "ladder_monotone");
+            break;
         }
+        prev_step = step;
     }
 
     // I5 ttft_floor — the predictor must respect the physical floor
