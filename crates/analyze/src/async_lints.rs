@@ -1,7 +1,9 @@
 //! `LMA30x` — `ServeSession::run_async` drives the same scheduler with a
 //! wall-clock driver and per-request bounded token channels; these are
-//! the misconfigurations that survive type checking but can never work
-//! at runtime, judged on an [`AsyncProbe`] before any thread spawns.
+//! the channel and clock settings that survive type checking but can
+//! never work at runtime, judged on an [`AsyncProbe`] before any thread
+//! spawns. An async run's SLO is judged like a virtual run's, by
+//! `LMA260` against the same TTFT floor.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
@@ -13,14 +15,6 @@ pub struct AsyncProbe {
     pub channel_capacity: u64,
     /// Virtual microseconds per wall microsecond (`1.0` = real time).
     pub time_scale: f64,
-    /// Configured p99 TTFT objective, seconds; `None` when the session
-    /// runs without an SLO policy.
-    pub ttft_p99_slo_s: Option<f64>,
-    /// Physical service floor under the session's admission plan: one
-    /// worst-case group prefill plus one full-occupancy decode step,
-    /// seconds — the same arithmetic `LMA260` judges the virtual path
-    /// by.
-    pub floor_ttft_s: f64,
 }
 
 /// Run every async-runtime lint over a sampled probe.
@@ -39,24 +33,6 @@ pub fn lint_async(probe: &AsyncProbe) -> Report {
              disconnect"
                 .to_string(),
         ));
-    }
-
-    // LMA301: the same floor argument as LMA260, restated for wall
-    // clocks: if the modelled best case already misses the objective,
-    // wall jitter (which only ever adds) certainly will.
-    if let Some(slo_s) = probe.ttft_p99_slo_s {
-        if slo_s <= probe.floor_ttft_s || !slo_s.is_finite() {
-            out.push(Diagnostic::error(
-                LintCode::Lma301AsyncSloBelowFloor,
-                "async.ttft_p99_s".to_string(),
-                format!(
-                    "wall-clock p99 TTFT objective {:.3}s is at or below \
-                     the physical service floor {:.3}s (one prefill + one \
-                     step); wall jitter only adds latency",
-                    slo_s, probe.floor_ttft_s
-                ),
-            ));
-        }
     }
 
     // LMA302: the pacer computes `wall_elapsed · time_scale` virtual
@@ -86,8 +62,6 @@ mod tests {
         AsyncProbe {
             channel_capacity: 32,
             time_scale: 1.0,
-            ttft_p99_slo_s: Some(400.0),
-            floor_ttft_s: 12.0,
         }
     }
 
@@ -107,29 +81,6 @@ mod tests {
         assert!(!r.is_clean());
         // Capacity one is the smallest workable channel.
         p.channel_capacity = 1;
-        assert!(lint_async(&p).is_clean());
-    }
-
-    #[test]
-    fn wall_slo_below_floor_caught() {
-        let mut p = sound();
-        p.ttft_p99_slo_s = Some(10.0);
-        let r = lint_async(&p);
-        assert!(r.has(LintCode::Lma301AsyncSloBelowFloor), "{r}");
-        assert!(!r.is_clean());
-        // Exactly at the floor is still unmeetable (<=, like LMA260).
-        p.ttft_p99_slo_s = Some(12.0);
-        assert!(lint_async(&p).has(LintCode::Lma301AsyncSloBelowFloor));
-        // Non-finite objectives land in the same bucket.
-        p.ttft_p99_slo_s = Some(f64::NAN);
-        assert!(lint_async(&p).has(LintCode::Lma301AsyncSloBelowFloor));
-    }
-
-    #[test]
-    fn no_slo_means_no_floor_check() {
-        let mut p = sound();
-        p.ttft_p99_slo_s = None;
-        p.floor_ttft_s = 1e9; // would fail any objective
         assert!(lint_async(&p).is_clean());
     }
 
@@ -155,6 +106,6 @@ mod tests {
         assert!(json.contains("channel_capacity"), "{json}");
         let back: AsyncProbe = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back.channel_capacity, 32);
-        assert_eq!(back.ttft_p99_slo_s, Some(400.0));
+        assert_eq!(back.time_scale, 1.0);
     }
 }

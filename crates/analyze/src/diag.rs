@@ -12,9 +12,9 @@
 //! | `LMA25x` | `serve_lints`  | `lm-serve` slot plans, a `ServeProbe`         |
 //! | `LMA26x` | `serve_lints`  | SLO / overload policies, a `SloProbe`         |
 //! | `LMA27x` | `obs_lints`    | observability wiring, an `ObsProbe`           |
-//! | `LMA28x` | `paging_lints` | paged-KV geometry and counters, a `PagingProbe` |
+//! | `LMA28x` | `paging_lints` | paged-KV geometry, a `PagingProbe`            |
 //! | `LMA29x` | `verify_lints` | `lm-verify` runs, a `VerifyProbe`             |
-//! | `LMA30x` | `async_lints`  | async serving sessions, an `AsyncProbe`       |
+//! | `LMA30x` | `async_lints`  | async channel and clock, an `AsyncProbe`      |
 //!
 //! What a code means is written once: the doc comment on its row of
 //! `lint_codes!` below ([`LintCode`]). A code, once shipped, keeps its
@@ -96,8 +96,9 @@ lint_codes! {
     // LMA251 (serve block beyond its block graph's Kahn width) is
     // retired: the graph was built `head_groups` wide per slot, so it
     // could not fire on a derived plan. Never reuse 251.
-    /// Serve plan leaves most of the KV pool idle (underutilization).
-    Lma252SlotsUnderutilizePool = "LMA252",
+    // LMA252 (a plan leaving most of the KV pool idle) is retired: the
+    // planner takes `pages_total / ⌈pages_per_slot / 2⌉` slots, so less
+    // than one planned residency ever sits idle. Never reuse 252.
     /// SLO target below the physical floor (one prefill + one step):
     /// unmeetable by any policy.
     Lma260SloBelowFloor = "LMA260",
@@ -117,9 +118,10 @@ lint_codes! {
     /// `page_tokens · bytes_per_token`, a page size that does not divide
     /// the plan's KV block, or a pool too small for one page.
     Lma280PageGeometryInvalid = "LMA280",
-    /// Sum of page refcounts disagrees with the live page tables, or
-    /// more pages are in use than the pool holds.
-    Lma281PageRefcountImbalance = "LMA281",
+    // LMA281 (page refcounts disagreeing with the live page tables) is
+    // retired: the one probe constructor is a plan-time one, where every
+    // counter is zero; the pool's own tests and loom exploration check
+    // conservation at runtime. Never reuse 281.
     // LMA282 (a shared page written in place) is retired: only full
     // prompt pages are shared and none is ever written. Never reuse 282.
     /// The verification sweep's config lattice is degenerate: an axis
@@ -139,11 +141,9 @@ lint_codes! {
     /// every delivery would stall into the backpressure path and every
     /// stream would resolve as a spurious disconnect.
     Lma300AsyncZeroChannelCapacity = "LMA300",
-    /// A wall-clock SLO on an async session sits at or below the cost
-    /// model's physical TTFT floor (one worst-case group prefill plus
-    /// one full-occupancy decode step): no scheduling decision can meet
-    /// it, and wall jitter only pushes further past it.
-    Lma301AsyncSloBelowFloor = "LMA301",
+    // LMA301 (an async session's SLO at or below the TTFT floor) is
+    // retired: it was LMA260's test against the same floor, and an async
+    // run is judged by LMA260 like a virtual one. Never reuse 301.
     /// The async session's virtual-per-wall time scale is non-finite or
     /// non-positive, so wall time can never map onto the modelled clock.
     Lma302AsyncBadTimeScale = "LMA302",
@@ -296,9 +296,8 @@ mod tests {
         const GOLDEN: &[&str] = &[
             "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
             "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA109",
-            "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA252", "LMA260",
-            "LMA262", "LMA270", "LMA271", "LMA280", "LMA281", "LMA290", "LMA291", "LMA292",
-            "LMA300", "LMA301", "LMA302",
+            "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA260", "LMA262",
+            "LMA270", "LMA271", "LMA280", "LMA290", "LMA291", "LMA292", "LMA300", "LMA302",
         ];
         let shipped: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(shipped, GOLDEN, "LMA registry drifted from the golden list");
@@ -350,7 +349,7 @@ mod tests {
     /// matches the "Never reuse" rows of `lint_codes!` one for one.
     #[test]
     fn retired_codes_are_never_reused() {
-        const RETIRED: &[&str] = &["LMA251", "LMA261", "LMA282"];
+        const RETIRED: &[&str] = &["LMA251", "LMA252", "LMA261", "LMA281", "LMA282", "LMA301"];
         for code in LintCode::ALL {
             assert!(!RETIRED.contains(&code.as_str()), "{} is retired", code.as_str());
         }

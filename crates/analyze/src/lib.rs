@@ -11,7 +11,10 @@
 //! none of the crates it judges: `lm-serve`'s `preflight` module and
 //! `lm-verify` sample the probes from live objects, and
 //! `tests/mutations.rs` breaks one field at a time to prove every code
-//! fires.
+//! fires. A probe carries only what its shipped constructor sets, and a
+//! code kept in the registry is one a shipped path can fire: `lm-serve`'s
+//! preflight tests drive every serve-side code from a configuration, and
+//! a code no configuration can reach is retired.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -1,8 +1,8 @@
 //! `LMA25x` / `LMA26x` — `lm-serve` slot plans ([`ServeProbe`]) and SLO
 //! policies ([`SloProbe`]). A bad plan does not crash: it deadlocks
-//! admission (leases that can never all be granted) or quietly serves
-//! below capacity; a bad SLO policy makes the actuators flail on every
-//! boundary or pulls a lever that cannot help.
+//! admission (leases that can never all be granted); a bad SLO policy
+//! makes the actuators flail on every boundary or pulls a lever that
+//! cannot help.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
@@ -12,7 +12,8 @@ use serde::{Deserialize, Serialize};
 pub struct ServeProbe {
     /// Concurrent sequences the plan admits (each holds one KV lease).
     pub slots: u64,
-    /// Worst-case KV bytes one slot leases (prompt + full generation).
+    /// KV bytes the plan budgets per slot (the serve pre-flight passes
+    /// the half-envelope page residency admission banks on).
     pub kv_bytes_per_slot: u64,
     /// Capacity of the serve-owned KV `MemPool`, bytes.
     pub kv_pool_bytes: u64,
@@ -34,26 +35,6 @@ pub fn lint_serve(probe: &ServeProbe) -> Report {
             format!(
                 "{} slots x {} B/slot = {leased} B exceed the {} B KV pool",
                 probe.slots, probe.kv_bytes_per_slot, probe.kv_pool_bytes
-            ),
-        ));
-    }
-
-    // LMA252: the dual of LMA250 — admission chose so few slots that more
-    // than half the pool sits idle even though at least one more lease
-    // would fit. Not an error (the operator may be reserving headroom for
-    // longer contexts), but worth surfacing.
-    if probe.kv_bytes_per_slot > 0
-        && leased <= probe.kv_pool_bytes
-        && leased < probe.kv_pool_bytes / 2
-        && probe.kv_pool_bytes - leased >= probe.kv_bytes_per_slot
-    {
-        out.push(Diagnostic::warn(
-            LintCode::Lma252SlotsUnderutilizePool,
-            "plan.slots".to_string(),
-            format!(
-                "{} slots lease {leased} B of a {} B pool (< 50%) while \
-                 another {} B slot would fit",
-                probe.slots, probe.kv_pool_bytes, probe.kv_bytes_per_slot
             ),
         ));
     }
@@ -135,22 +116,17 @@ mod tests {
     }
 
     #[test]
-    fn idle_pool_warned_but_not_fatal() {
-        let mut p = sound();
-        p.slots = 2;
-        let r = lint_serve(&p);
-        assert!(r.has(LintCode::Lma252SlotsUnderutilizePool), "{r}");
-        assert!(r.is_clean(), "underutilization is a warning: {r}");
-    }
-
-    #[test]
     fn tight_fit_is_not_underutilization() {
-        // 5 slots of a 10-slot pool is exactly 50% — below the warning
-        // threshold's strict inequality, no finding.
+        // 10 slots of 1 MiB fill the 10 MiB pool exactly: LMA250's
+        // comparison is a strict `>`, so a plan that uses every byte is
+        // clean.
         let mut p = sound();
-        p.slots = 5;
+        p.slots = 10;
         let r = lint_serve(&p);
-        assert!(!r.has(LintCode::Lma252SlotsUnderutilizePool), "{r}");
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.warning_count(), 0, "{r}");
+        p.slots = 11;
+        assert!(lint_serve(&p).has(LintCode::Lma250SlotsExceedPool));
     }
 
     #[test]

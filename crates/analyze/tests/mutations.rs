@@ -165,9 +165,6 @@ fn paging(defect: fn(&mut PagingProbe)) -> (Report, Report) {
         bytes_per_token: 2048,
         kv_block_tokens: 512,
         pages_total: 256,
-        pages_in_use: 64,
-        page_refcount_sum: 80,
-        seq_mapped_pages: 80,
     };
     probed(sound, lint_paging, defect)
 }
@@ -195,8 +192,6 @@ fn asynch(defect: fn(&mut AsyncProbe)) -> (Report, Report) {
     let sound = AsyncProbe {
         channel_capacity: 32,
         time_scale: 1.0,
-        ttft_p99_slo_s: Some(300.0),
-        floor_ttft_s: 12.0,
     };
     probed(sound, lint_async, defect)
 }
@@ -305,7 +300,6 @@ mutations! {
         p.compute_cpu_time = f64::NAN;
     }),
     lma250_slots_oversubscribe_pool: Lma250SlotsExceedPool => |_| serve(|p| p.slots = 9),
-    lma252_pool_left_idle: Lma252SlotsUnderutilizePool => |_| serve(|p| p.slots = 2),
     lma260_objective_below_the_floor: Lma260SloBelowFloor => |_| slo(|p| {
         p.ttft_p99_slo_s = p.floor_ttft_s / 2.0;
     }),
@@ -318,9 +312,6 @@ mutations! {
     },
     lma280_page_does_not_tile_kv_block: Lma280PageGeometryInvalid => |_| paging(|p| {
         p.kv_block_tokens = 500; // 500 % 16 != 0
-    }),
-    lma281_refcount_sum_drifts_from_page_tables: Lma281PageRefcountImbalance => |_| paging(|p| {
-        p.page_refcount_sum -= 1;
     }),
     lma290_sweep_axis_collapsed_to_a_point: Lma290SweepDomainDegenerate => |_| verify(|p| {
         p.axes[2].1 = 1;
@@ -337,9 +328,6 @@ mutations! {
     },
     lma300_zero_capacity_token_channel: Lma300AsyncZeroChannelCapacity => |_| asynch(|p| {
         p.channel_capacity = 0;
-    }),
-    lma301_wall_slo_at_or_below_physical_floor: Lma301AsyncSloBelowFloor => |_| asynch(|p| {
-        p.ttft_p99_slo_s = Some(p.floor_ttft_s);
     }),
     lma302_degenerate_time_scale: Lma302AsyncBadTimeScale => |_| asynch(|p| {
         p.time_scale = f64::NAN;

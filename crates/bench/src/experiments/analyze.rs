@@ -89,13 +89,13 @@ fn preset_row(
 /// - `LMA25x` the plan itself (columns: worst-case envelopes the pool
 ///   holds / slots);
 /// - `LMA28x` its page geometry — the page size must tile the KV block,
-///   the pool must hold a page, the quiescent probe must balance
-///   (columns: pool pages / pages one slot's context spans);
+///   the pool must hold a page (columns: pool pages / pages one slot's
+///   context spans);
 /// - `LMA26x` the SLO policy `repro slo` enforces — the objective must
 ///   clear the physical TTFT floor (columns: objective in ms / slots);
 /// - `LMA30x` the async session shape `ServeSession::run_async` ships
 ///   with (columns: per-request channel capacity / slots).
-fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) -> [AnalyzeRow; 4] {
+fn serve_rows(backend: &AnalyticBackend, plan: &ServePlan) -> [AnalyzeRow; 4] {
     let policy =
         SloPolicy::enforcing(ttft_floor_s(plan, backend) * super::slo::SLO_FLOOR_HEADROOM);
     let acfg = AsyncConfig::default();
@@ -122,7 +122,7 @@ fn serve_rows(backend: &AnalyticBackend, cfg: &ServeConfig, plan: &ServePlan) ->
             "opt-30b/serve/default-async",
             acfg.channel_capacity as u32,
             plan.slots as u32,
-            async_report(plan, backend, cfg, &acfg),
+            async_report(&acfg),
         ),
     ]
 }
@@ -185,10 +185,9 @@ pub fn run() -> Vec<AnalyzeRow> {
         ),
     ];
     let backend = AnalyticBackend::opt_30b();
-    let cfg = ServeConfig::default();
-    match preflight(&backend, &cfg, None) {
+    match preflight(&backend, &ServeConfig::default(), None) {
         Ok(plan) => {
-            rows.extend(serve_rows(&backend, &cfg, &plan));
+            rows.extend(serve_rows(&backend, &plan));
             // Committed row order: the LMA29x row sits before the async one.
             rows.insert(rows.len() - 1, verify_lint_row());
         }

@@ -124,8 +124,7 @@ pub struct PagingStats {
     pub shared_tokens: u64,
 }
 
-/// Point-in-time pool state for invariant checks and the `LMA28x`
-/// paging probe.
+/// Point-in-time pool state for invariant checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolCounters {
     /// Capacity of the backing pool, in whole pages.
@@ -135,7 +134,7 @@ pub struct PoolCounters {
     /// High-water mark of `pages_in_use`.
     pub pages_peak: u64,
     /// Sum of per-page refcounts (must equal the sum of live page-table
-    /// mappings — `LMA281`).
+    /// mappings: refcount conservation).
     pub refcount_sum: u64,
 }
 
@@ -411,7 +410,7 @@ impl SeqKv {
     }
 
     /// Pages this sequence currently references (mapped + reserve) —
-    /// the page-table side of the `LMA281` refcount balance.
+    /// the page-table side of refcount conservation.
     pub fn mapped_pages(&self) -> usize {
         self.pages.len() + self.reserve.len()
     }

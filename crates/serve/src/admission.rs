@@ -200,7 +200,17 @@ mod tests {
     use lm_analyze::LintCode;
     use lm_engine::{EngineOptions, MemPool};
     use lm_kvpool::{PageConfig, PagedKvPool};
-    use lm_models::DType;
+    use lm_models::{DType, ModelConfig};
+
+    /// `m` on the analytic backend at the A100 preset and FlexGen's
+    /// default policy.
+    fn analytic(m: ModelConfig) -> Box<dyn ServeBackend> {
+        Box::new(AnalyticBackend::new(
+            lm_hardware::presets::single_gpu_a100(),
+            m,
+            lm_sim::Policy::flexgen_default(),
+        ))
+    }
 
     #[test]
     fn default_plan_is_clean_and_model_guided() {
@@ -249,13 +259,6 @@ mod tests {
     /// engine backend those workloads run.
     #[test]
     fn default_plan_page_geometry_tiles_the_block() {
-        let analytic = |m| -> Box<dyn ServeBackend> {
-            Box::new(AnalyticBackend::new(
-                lm_hardware::presets::single_gpu_a100(),
-                m,
-                lm_sim::Policy::flexgen_default(),
-            ))
-        };
         let mut cases: Vec<(Box<dyn ServeBackend>, usize)> = lm_models::presets::all_presets()
             .into_iter()
             .flat_map(|m| [(analytic(m.clone()), 0), (analytic(m), 368)])
@@ -297,16 +300,55 @@ mod tests {
     #[test]
     fn explicit_non_dividing_page_size_rejected_with_lma280() {
         let b = AnalyticBackend::opt_30b();
-        let cfg = ServeConfig {
-            slot_context: 100, // 100 % 16 != 0
-            ..ServeConfig::default()
-        };
-        match preflight(&b, &cfg, None) {
-            Err(ServeError::Plan(report)) => {
-                assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{report}");
-                assert!(report.to_string().contains("96 and 112"), "{report}");
+        // Below one page the only whole-page neighbour is one page: a
+        // context of 0 would ask the planner to derive one instead.
+        for (slot_context, nearest) in [
+            (100, "contexts are 96 and 112 tokens"),
+            (8, "context is 16 tokens"),
+        ] {
+            let cfg = ServeConfig {
+                slot_context,
+                ..ServeConfig::default()
+            };
+            match preflight(&b, &cfg, None) {
+                Err(ServeError::Plan(report)) => {
+                    assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{report}");
+                    assert!(report.to_string().contains(nearest), "{report}");
+                }
+                other => panic!("expected plan rejection, got ok={}", other.is_ok()),
             }
-            other => panic!("expected plan rejection, got ok={}", other.is_ok()),
+        }
+    }
+
+    /// The planner takes `pages_total / h` slots at the half-envelope
+    /// residency `h = ⌈pages_per_slot / 2⌉`, so a plan neither
+    /// oversubscribes its pool nor leaves a whole residency of it idle —
+    /// why no lint looks for an underused pool.
+    #[test]
+    fn derived_plans_fill_the_pool_to_within_one_residency() {
+        let mut backends: Vec<Box<dyn ServeBackend>> =
+            lm_models::presets::all_presets().into_iter().map(analytic).collect();
+        for kv in [DType::F32, DType::Int4] {
+            let options = EngineOptions::default().with_dtypes(DType::F32, kv);
+            let tiny = lm_models::presets::tiny_test();
+            backends.push(Box::new(EngineBackend::new(&tiny, 7, options).unwrap()));
+        }
+        for b in &backends {
+            for max_slots in [1, 2, 3, 8, 16] {
+                for slot_context in [0, 16, 32, 48, 128, 368, 1024] {
+                    let cfg = ServeConfig {
+                        max_slots,
+                        slot_context,
+                        ..ServeConfig::default()
+                    };
+                    let (plan, _) = derive_plan(b.as_ref(), &cfg);
+                    let h = plan.pages_per_slot.div_ceil(2);
+                    let at = format!("{} x{max_slots} @ {}", b.model().name, plan.slot_context);
+                    let planned = plan.slots as u64 * h;
+                    assert!(planned <= plan.pages_total, "{at}: oversubscribed");
+                    assert!(plan.pages_total - planned < h, "{at}: a residency sits idle");
+                }
+            }
         }
     }
 

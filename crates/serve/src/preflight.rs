@@ -10,10 +10,10 @@
 //!   callers that publish a verdict instead of gating on it
 //!   (`repro analyze`, `repro obs`, `lm-verify`'s sweep).
 //!
-//! `LMA28x` judges page geometry only, with the live counters at their
-//! quiescent values: a leak at the end of a run is caught by the
-//! lifecycle check ([`conform`](crate::conform)'s `NotQuiescent`) and the
-//! pool's own `accounting_balanced`, not by a lint.
+//! `LMA28x` judges page geometry only: a leak at the end of a run is
+//! caught by the lifecycle check ([`conform`](crate::conform)'s
+//! `NotQuiescent`) and the pool's own `accounting_balanced`, not by a
+//! lint.
 //!
 //! `LMA27x` is deliberately *not* part of the gate: the scheduler
 //! simulator and the scheduler's own tests enforce an SLO with no tracer
@@ -46,10 +46,10 @@ pub fn preflight(
 }
 
 /// What [`preflight`] judges, ungated: the plan and its reports in gate
-/// order — the async session's own knobs first (so a wall-clock SLO
-/// below the floor reads as `LMA301`, not `LMA260`), then the plan, then
-/// the SLO policy. `lm-verify` classifies lattice points by this verdict
-/// and still needs the plan of a configuration the lints refuse.
+/// order — the async session's channel and clock first, then the plan,
+/// then the SLO policy, which judges an async run's objective exactly as
+/// it does a virtual run's. `lm-verify` classifies lattice points by this
+/// verdict and still needs the plan of a configuration the lints refuse.
 pub fn preflight_reports(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
@@ -58,7 +58,7 @@ pub fn preflight_reports(
     let (plan, plan_report) = derive_plan(backend, cfg);
     let mut reports = Vec::new();
     if let Some(acfg) = acfg {
-        reports.push(async_report(&plan, backend, cfg, acfg));
+        reports.push(async_report(acfg));
     }
     reports.push(plan_report);
     if let Some(slo) = cfg.slo.as_ref() {
@@ -69,8 +69,8 @@ pub fn preflight_reports(
 
 /// The physical TTFT floor of a plan: one worst-case-padded group
 /// prefill plus one full-occupancy decode step — the fastest any
-/// admitted request can reach its first token. `LMA260` and `LMA301`
-/// both judge an objective against it.
+/// admitted request can reach its first token. `LMA260` judges an
+/// objective against it.
 pub fn ttft_floor_s(plan: &ServePlan, backend: &dyn ServeBackend) -> f64 {
     backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds
 }
@@ -95,8 +95,7 @@ pub fn serve_report(plan: &ServePlan) -> Report {
     })
 }
 
-/// `LMA28x`: page geometry, with the live counters at their quiescent
-/// values.
+/// `LMA28x`: page geometry.
 pub fn paging_report(plan: &ServePlan) -> Report {
     lint_paging(&PagingProbe {
         page_tokens: plan.page_tokens,
@@ -104,9 +103,6 @@ pub fn paging_report(plan: &ServePlan) -> Report {
         bytes_per_token: plan.page_bytes.checked_div(plan.page_tokens).unwrap_or(0),
         kv_block_tokens: plan.slot_context as u64,
         pages_total: plan.pages_total,
-        pages_in_use: 0,
-        page_refcount_sum: 0,
-        seq_mapped_pages: 0,
     })
 }
 
@@ -133,19 +129,11 @@ pub fn obs_report(cfg: &ServeConfig) -> Report {
     })
 }
 
-/// `LMA30x`: the channel and clock knobs of `acfg`, and the SLO of `cfg`
-/// (if any) against the same floor `LMA260` uses.
-pub fn async_report(
-    plan: &ServePlan,
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    acfg: &AsyncConfig,
-) -> Report {
+/// `LMA30x`: the channel and clock knobs of `acfg`.
+pub fn async_report(acfg: &AsyncConfig) -> Report {
     lint_async(&AsyncProbe {
         channel_capacity: acfg.channel_capacity as u64,
         time_scale: acfg.time_scale,
-        ttft_p99_slo_s: cfg.slo.as_ref().map(|s| s.ttft_p99_s),
-        floor_ttft_s: ttft_floor_s(plan, backend),
     })
 }
 
@@ -155,9 +143,10 @@ mod tests {
     use crate::backend::AnalyticBackend;
     use lm_analyze::LintCode;
 
-    /// One seeded defect per gated family: `preflight` refuses it with
-    /// exactly the report that family gives for the derived plan — what
-    /// the three separate gate sites used to return.
+    /// One seeded defect per gated family, the SLO one on both clocks:
+    /// `preflight` refuses it with exactly the report that family gives
+    /// for the derived plan — what the three separate gate sites used to
+    /// return.
     #[test]
     fn each_gated_family_rejects_with_its_own_report() {
         use LintCode::*;
@@ -190,7 +179,8 @@ mod tests {
                 None,
             ),
             (Lma260SloBelowFloor, below_floor(), None),
-            (Lma301AsyncSloBelowFloor, below_floor(), Some(&acfg)),
+            // An async run's SLO is judged like a virtual run's.
+            (Lma260SloBelowFloor, below_floor(), Some(&acfg)),
             (
                 Lma300AsyncZeroChannelCapacity,
                 ServeConfig::default(),
@@ -202,7 +192,7 @@ mod tests {
             let expected = match (code, acfg, cfg.slo.as_ref()) {
                 (Lma250SlotsExceedPool | Lma280PageGeometryInvalid, ..) => plan_report,
                 (Lma260SloBelowFloor, _, Some(slo)) => slo_report(&plan, &b, slo),
-                (_, Some(acfg), _) => async_report(&plan, &b, &cfg, acfg),
+                (_, Some(acfg), _) => async_report(acfg),
                 _ => unreachable!("row {} names no family", code.as_str()),
             };
             match preflight(&b, &cfg, acfg) {
@@ -217,5 +207,107 @@ mod tests {
                 ),
             }
         }
+    }
+
+    /// The registry guard: every kept serve-side code (`LMA25x`–`LMA28x`
+    /// and `LMA30x`) fires from a shipped configuration through
+    /// [`preflight_reports`] or [`obs_report`], with no hand-built probe.
+    /// A new serve-side code with no row here fails the final assertion;
+    /// one that no configuration can fire has no row to give, and is
+    /// retired instead.
+    #[test]
+    fn every_serve_side_code_fires_from_a_shipped_config() {
+        use LintCode::*;
+        let b = AnalyticBackend::opt_30b();
+        let enforcing = |ttft_p99_s| Some(SloPolicy::enforcing(ttft_p99_s));
+        let storm = lm_fault::FaultInjector::new(lm_fault::FaultConfig::storm(
+            7,
+            lm_fault::StormProfile::Default,
+        ));
+        let rows: [(LintCode, ServeConfig, Option<AsyncConfig>); 8] = [
+            (
+                Lma250SlotsExceedPool,
+                ServeConfig {
+                    max_slots: 1,
+                    slot_context: 8, // half a page: the pool holds none
+                    ..ServeConfig::default()
+                },
+                None,
+            ),
+            (
+                Lma260SloBelowFloor,
+                ServeConfig {
+                    slo: enforcing(1e-3),
+                    ..ServeConfig::default()
+                },
+                None,
+            ),
+            (
+                Lma262PreemptSingleSlot,
+                ServeConfig {
+                    max_slots: 1,
+                    slot_context: 16, // one page: one slot
+                    slo: enforcing(1e6),
+                    ..ServeConfig::default()
+                },
+                None,
+            ),
+            (
+                Lma270SloWithoutTtftHistogram,
+                ServeConfig {
+                    slo: enforcing(1e6),
+                    ..ServeConfig::default()
+                },
+                None,
+            ),
+            (
+                Lma271FlightRecorderZeroCapacity,
+                ServeConfig {
+                    flight: lm_trace::FlightRecorder::new(0),
+                    fault: storm,
+                    ..ServeConfig::default()
+                },
+                None,
+            ),
+            (
+                Lma280PageGeometryInvalid,
+                ServeConfig {
+                    slot_context: 100, // 100 % 16 != 0
+                    ..ServeConfig::default()
+                },
+                None,
+            ),
+            (
+                Lma300AsyncZeroChannelCapacity,
+                ServeConfig::default(),
+                Some(AsyncConfig {
+                    channel_capacity: 0,
+                    ..AsyncConfig::default()
+                }),
+            ),
+            (
+                Lma302AsyncBadTimeScale,
+                ServeConfig::default(),
+                Some(AsyncConfig {
+                    time_scale: 0.0,
+                    ..AsyncConfig::default()
+                }),
+            ),
+        ];
+        for (code, cfg, acfg) in &rows {
+            let (_, mut reports) = preflight_reports(&b, cfg, acfg.as_ref());
+            reports.push(obs_report(cfg));
+            assert!(
+                reports.iter().any(|r| r.has(*code)),
+                "{} does not fire from its shipped config: {reports:?}",
+                code.as_str()
+            );
+        }
+        let serve_side = |code: &LintCode| {
+            matches!(code.as_str()[3..].parse::<u32>(), Ok(250..=289 | 300..=309))
+        };
+        let kept: Vec<LintCode> = LintCode::ALL.into_iter().filter(serve_side).collect();
+        let fired: Vec<LintCode> = rows.iter().map(|row| row.0).collect();
+        assert_eq!(fired, kept, "one shipped config per kept serve-side code");
     }
 }

@@ -75,7 +75,8 @@ impl ServeRun {
 }
 
 /// Knobs for the real-time front end, judged by the `LMA30x` family in
-/// [`crate::preflight`] before the session starts.
+/// [`crate::preflight`] before the session starts. The session's SLO is
+/// [`ServeConfig::slo`], judged by `LMA260` as on the virtual clock.
 #[derive(Debug, Clone)]
 pub struct AsyncConfig {
     /// Capacity of each request's bounded token channel (`LMA300`

@@ -6,7 +6,8 @@
 //! - the free list matches the backing `MemPool`'s byte accounting
 //!   exactly (`in_use · page_bytes == mem.used()`);
 //! - the per-page refcount sum equals the number of live page-table
-//!   mappings (`LMA281`);
+//!   mappings (refcount conservation), and no more pages are in use
+//!   than the pool holds;
 //! - a page mapped by two or more live sequences is full and holds the
 //!   tokens it held when it first became shared (the one sharing rule);
 //! - every live sequence reads back exactly its own logical tokens,
@@ -85,7 +86,7 @@ fn assert_invariants(pool: &Arc<PagedKvPool>, live: &[Live], shared: &mut Shared
     let mapped: u64 = live.iter().map(|l| l.seq.mapped_pages() as u64).sum();
     assert_eq!(
         c.refcount_sum, mapped,
-        "refcount sum must equal live page-table mappings (LMA281)"
+        "refcount sum must equal live page-table mappings (refcount conservation)"
     );
     let seqs: Vec<_> = live.iter().map(|l| &l.seq).collect();
     assert_shared_pages_immutable(&seqs, shared);

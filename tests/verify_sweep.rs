@@ -1,9 +1,10 @@
 //! End-to-end exercise of the `lm-verify` pipeline exactly as `repro
 //! verify` runs it: the quick planner-space sweep must clear its floor
 //! with zero lint-unsoundness witnesses, the seeded over-grant mutation
-//! must surface as an `LMA291` witness, the kvpool exploration and the
-//! scheduler's lifecycle-conformance runs must cover every declared
-//! transition, and the assembled probe must pass the `LMA29x` lints
+//! must surface as an `LMA291` witness, a kvpool exploration too
+//! shallow to share a page must surface as `LMA292`, the lane's kvpool
+//! exploration and the scheduler's lifecycle-conformance runs must cover
+//! every declared transition, and the assembled probe must pass the `LMA29x` lints
 //! cleanly — deterministically, twice.
 
 #![allow(clippy::unwrap_used)]
@@ -63,6 +64,30 @@ fn seeded_overgrant_mutation_becomes_an_lma291_witness() {
     assert!(
         report.has(LintCode::Lma291LintUnsoundnessWitness),
         "the witness must surface as LMA291: {report}"
+    );
+}
+
+/// A one-interleaving, preemption-free exploration runs the three
+/// sequences in order with no peer holding the prompt page, so no admit
+/// shares it: the shipped probe assembly must report that gap as
+/// `LMA292`.
+#[test]
+fn truncated_kvpool_exploration_becomes_an_lma292_finding() {
+    let kvpool = check_kvpool_protocol(Options {
+        preemption_bound: 0,
+        max_iterations: 1,
+    });
+    assert!(
+        !kvpool.exercised.iter().any(|t| t == "kvpool:admit/shared-full"),
+        "the bound was meant to leave the shared admit unexercised: {:?}",
+        kvpool.exercised
+    );
+    let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
+    let probe = build_probe(&sweep, &[kvpool, check_scheduler_protocol()]);
+    let report = lint_verify(&probe);
+    assert!(
+        report.has(LintCode::Lma292UncheckedProtocolTransition),
+        "the unexercised transition must surface as LMA292: {report}"
     );
 }
 
