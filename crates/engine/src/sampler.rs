@@ -1,5 +1,6 @@
 //! Token samplers for the decode loop.
 
+use lm_tensor::ops::elementwise::exp_slice;
 use lm_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -63,7 +64,8 @@ fn top_k(row: &[f32], k: usize, u: f32) -> u32 {
     let top = &idx[..k];
     // Softmax over the top-k logits.
     let max = top.iter().map(|&i| row[i]).fold(f32::NEG_INFINITY, f32::max);
-    let weights: Vec<f32> = top.iter().map(|&i| (row[i] - max).exp()).collect();
+    let mut weights: Vec<f32> = top.iter().map(|&i| row[i] - max).collect();
+    exp_slice(&mut weights);
     let total: f32 = weights.iter().sum();
     let mut draw = u * total;
     for (w, &i) in weights.iter().zip(top) {
@@ -80,11 +82,9 @@ fn top_p(row: &[f32], p: f32, u: f32) -> u32 {
     // Softmax over the full row, then take tokens by descending mass
     // until the nucleus covers p.
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut probs: Vec<(usize, f32)> = row
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i, (x - max).exp()))
-        .collect();
+    let mut weights: Vec<f32> = row.iter().map(|&x| x - max).collect();
+    exp_slice(&mut weights);
+    let mut probs: Vec<(usize, f32)> = weights.into_iter().enumerate().collect();
     let total: f32 = probs.iter().map(|(_, w)| w).sum();
     probs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     let mut mass = 0.0;

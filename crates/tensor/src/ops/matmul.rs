@@ -91,8 +91,10 @@ fn transb_portable(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut
     transb_tiled::<false>(a, b, m, n, k, out);
 }
 
+/// `a·b + c`: one fused instruction in the `avx2,fma` instances of the
+/// dispatched kernels, a multiply then an add in the portable ones.
 #[inline(always)]
-fn fmadd<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
+pub(super) fn fmadd<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
     if FUSED {
         a.mul_add(b, c)
     } else {
