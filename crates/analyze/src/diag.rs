@@ -6,9 +6,9 @@
 //!
 //! | range    | module         | judges                                        |
 //! |----------|----------------|-----------------------------------------------|
-//! | `LMA0xx` | `graph_lints`  | operator-graph structure                      |
-//! | `LMA1xx` | `plan_lints`   | Algorithm 3 plans and offloading policies     |
-//! | `LMA20x` | `model_lints`  | the cost model (Eq. 1-24), a `ModelProbe`     |
+//! | `LMA0xx` | (retired)      | operator graphs: the builders and Algorithm 3 |
+//! | `LMA1xx` | `plan_lints`   | policy placements and operator bundling       |
+//! | `LMA20x` | (retired)      | the cost model's own arithmetic               |
 //! | `LMA25x` | `serve_lints`  | `lm-serve` slot plans, a `ServeProbe`         |
 //! | `LMA26x` | `serve_lints`  | SLO / overload policies, a `SloProbe`         |
 //! | `LMA27x` | `obs_lints`    | observability wiring, an `ObsProbe`           |
@@ -48,49 +48,51 @@ macro_rules! lint_codes {
 }
 
 lint_codes! {
-    /// Graph has a dependency cycle.
-    Lma001CyclicGraph = "LMA001",
-    /// Node unreachable from any source and feeding no sink (isolated).
-    Lma002OrphanNode = "LMA002",
-    /// The same edge is recorded more than once.
-    Lma003DuplicateEdge = "LMA003",
-    /// Compute node carries zero FLOPs *and* zero bytes.
-    Lma004ZeroCostNode = "LMA004",
-    /// An edge endpoint is not a node of the graph.
-    Lma005EdgeOutOfBounds = "LMA005",
-    /// A node depends on itself.
-    Lma006SelfEdge = "LMA006",
-    /// A `Transfer` node shares a wavefront with compute operators.
-    Lma007TransferOffBoundary = "LMA007",
-    /// Plan's inter-op parallelism exceeds the graph's Kahn width.
-    Lma101InterOpExceedsWidth = "LMA101",
-    /// Compute + transfer threads exceed the hardware thread budget.
-    Lma102ThreadBudgetExceeded = "LMA102",
-    /// Transfer-thread vector does not cover the five load/store tasks.
-    Lma103WrongTransferVector = "LMA103",
-    /// A transfer task was granted zero threads.
-    Lma104ZeroTransferThreads = "LMA104",
-    /// Thread grants invert the transfer-volume ordering.
-    Lma105DisproportionalTransfer = "LMA105",
-    /// `inter_op_total` ≠ compute inter-op + five transfer tasks.
-    Lma106InterOpTotalMismatch = "LMA106",
-    /// Step-time estimate is below the compute-time estimate.
-    Lma107StepBelowCompute = "LMA107",
-    /// Offloading policy fails validation (fractions, placement).
-    Lma108InvalidPolicy = "LMA108",
+    // The graph family (LMA0xx) is retired whole: the shipped builders
+    // emit DAGs and Algorithm 3 refuses any other graph.
+    // LMA001 (a dependency cycle) is retired: the search returns
+    // `SearchError::CyclicGraph` and the executor refuses it. Never reuse 001.
+    // LMA002 (an isolated node) is retired: `attention_graph` wires every
+    // node. Never reuse 002.
+    // LMA003 (a duplicate edge) is retired: `try_depend` dedupes.
+    // Never reuse 003.
+    // LMA004 (a zero-cost compute node) is retired: `Workload::new` asserts
+    // positive dimensions, so every compute node has FLOPs. Never reuse 004.
+    // LMA005 (an edge endpoint outside the graph) is retired: `try_depend`
+    // rejects it. Never reuse 005.
+    // LMA006 (a self edge) is retired: `try_depend` rejects it.
+    // Never reuse 006.
+    // LMA007 (a transfer node in a compute wavefront) is retired: no
+    // builder made a transfer node, and `OpKind` has none. Never reuse 007.
+    // LMA101 (inter-op beyond the Kahn width) is retired: Algorithm 3 sets
+    // inter-op to the Kahn width. Never reuse 101.
+    // LMA102 (a blown thread budget) is retired: intra-op is enumerated
+    // only while five threads stay free. Never reuse 102.
+    // LMA103 (a transfer vector not of five tasks) is retired: the search
+    // returns `SearchError::WrongTransferCount`. Never reuse 103.
+    // LMA104 (a transfer task granted no thread) is retired:
+    // `assign_transfer_threads` grants each at least one. Never reuse 104.
+    // LMA105 (grants against the volume order) is retired: the grants are
+    // largest-remainder shares of the volumes. Never reuse 105.
+    // LMA106 (`inter_op_total` not compute + 5) is retired: the search
+    // builds it as that sum. Never reuse 106.
+    // LMA107 (a step below its compute time) is retired: the step is the
+    // max of compute and the slowest transfer. Never reuse 107.
+    // LMA108 (an invalid policy) is retired: the shipped callers price the
+    // policy first, and `BaseCostModel::new` refuses an invalid one.
+    // Never reuse 108.
     /// Memory plan exceeds a device or host pool capacity.
     Lma109CapacityExceeded = "LMA109",
     /// A bundled operator's working set exceeds the LLC capacity.
     Lma110BundleExceedsCache = "LMA110",
-    /// A sampled task time disagrees with bytes / bandwidth dimensional
-    /// bounds.
-    Lma201DimensionalMismatch = "LMA201",
-    /// `T_gen` is not the max of the six task aggregates (Eq. 2).
-    Lma202TgenNotMax = "LMA202",
-    /// Quantized footprint exceeds the fp16 footprint.
-    Lma203QuantizedLargerThanF16 = "LMA203",
-    /// A sampled quantity is negative, NaN or infinite.
-    Lma204NonFiniteQuantity = "LMA204",
+    // The cost-model family (LMA20x) is retired whole: it re-checked
+    // `BaseCostModel`'s own arithmetic on a probe sampled from it.
+    // LMA201 (a task time below bytes / bandwidth) is retired. Never reuse 201.
+    // LMA202 (`T_gen` not the max of Eq. 2) is retired; its independent
+    // body is the reference of a `t_gen` test. Never reuse 202.
+    // LMA203 (a footprint above fp16) is retired: it fired only on
+    // unquantised f32 policies, always falsely. Never reuse 203.
+    // LMA204 (a non-finite sampled quantity) is retired. Never reuse 204.
     /// Serve plan leases more KV bytes than its pool holds.
     Lma250SlotsExceedPool = "LMA250",
     // LMA251 (serve block beyond its block graph's Kahn width) is
@@ -124,10 +126,9 @@ lint_codes! {
     // conservation at runtime. Never reuse 281.
     // LMA282 (a shared page written in place) is retired: only full
     // prompt pages are shared and none is ever written. Never reuse 282.
-    /// The verification sweep's config lattice is degenerate: an axis
-    /// holds fewer than two distinct values or the total point count is
-    /// below the coverage floor, so "zero witnesses" is vacuous.
-    Lma290SweepDomainDegenerate = "LMA290",
+    // LMA290 (a degenerate sweep lattice) is retired: `run_sweep` takes one
+    // of two constant lattices, and `repro verify` gates on the point
+    // count itself. Never reuse 290.
     /// A deployment config passed its planner lints but an executable
     /// ground-truth invariant failed on the same config — the lint is
     /// unsound at that point and must be tightened.
@@ -294,10 +295,8 @@ mod tests {
     #[test]
     fn code_registry_is_stable_against_golden_list() {
         const GOLDEN: &[&str] = &[
-            "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
-            "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA109",
-            "LMA110", "LMA201", "LMA202", "LMA203", "LMA204", "LMA250", "LMA260", "LMA262",
-            "LMA270", "LMA271", "LMA280", "LMA290", "LMA291", "LMA292", "LMA300", "LMA302",
+            "LMA109", "LMA110", "LMA250", "LMA260", "LMA262", "LMA270", "LMA271", "LMA280",
+            "LMA291", "LMA292", "LMA300", "LMA302",
         ];
         let shipped: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(shipped, GOLDEN, "LMA registry drifted from the golden list");
@@ -310,9 +309,7 @@ mod tests {
     #[test]
     fn codes_stay_in_their_family_ranges() {
         let family_of = |n: u32| match n {
-            1..=99 => "graph",
             100..=199 => "plan",
-            200..=249 => "model",
             250..=259 => "serve",
             260..=269 => "slo",
             270..=279 => "obs",
@@ -325,14 +322,19 @@ mod tests {
         for code in LintCode::ALL {
             let s = code.as_str();
             let n: u32 = s[3..].parse().unwrap_or_else(|_| panic!("bad code {s}"));
-            assert!(n > prev, "{s}: registry not strictly ascending (codes reused)");
+            assert!(
+                n > prev,
+                "{s}: registry not strictly ascending (codes reused)"
+            );
             prev = n;
-            assert_ne!(family_of(n), "unassigned", "{s} falls outside every family range");
+            assert_ne!(
+                family_of(n),
+                "unassigned",
+                "{s} falls outside every family range"
+            );
             let name = format!("{code:?}");
             let claimed = match &name {
-                _ if name.starts_with("Lma0") => "graph",
                 _ if name.starts_with("Lma1") => "plan",
-                _ if name.starts_with("Lma20") => "model",
                 _ if name.starts_with("Lma25") => "serve",
                 _ if name.starts_with("Lma26") => "slo",
                 _ if name.starts_with("Lma27") => "obs",
@@ -349,9 +351,18 @@ mod tests {
     /// matches the "Never reuse" rows of `lint_codes!` one for one.
     #[test]
     fn retired_codes_are_never_reused() {
-        const RETIRED: &[&str] = &["LMA251", "LMA252", "LMA261", "LMA281", "LMA282", "LMA301"];
+        const RETIRED: &[&str] = &[
+            "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
+            "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA201",
+            "LMA202", "LMA203", "LMA204", "LMA251", "LMA252", "LMA261", "LMA281", "LMA282",
+            "LMA290", "LMA301",
+        ];
         for code in LintCode::ALL {
-            assert!(!RETIRED.contains(&code.as_str()), "{} is retired", code.as_str());
+            assert!(
+                !RETIRED.contains(&code.as_str()),
+                "{} is retired",
+                code.as_str()
+            );
         }
         // Spelled in two parts so this line does not match itself.
         let needle = concat!("Never", " reuse ");
@@ -367,34 +378,40 @@ mod tests {
     fn report_counts_and_cleanliness() {
         let mut r = Report::default();
         assert!(r.is_clean());
-        r.diagnostics
-            .push(Diagnostic::warn(LintCode::Lma002OrphanNode, "node 3", "isolated"));
+        r.diagnostics.push(Diagnostic::warn(
+            LintCode::Lma110BundleExceedsCache,
+            "bundle 3",
+            "working set over the LLC",
+        ));
         assert!(r.is_clean());
-        assert!(r.has(LintCode::Lma002OrphanNode));
+        assert!(r.has(LintCode::Lma110BundleExceedsCache));
         r.diagnostics.push(Diagnostic::error(
-            LintCode::Lma001CyclicGraph,
-            "graph",
-            "cycle 1 -> 2 -> 1",
+            LintCode::Lma109CapacityExceeded,
+            "policy",
+            "GPU placement over capacity",
         ));
         assert!(!r.is_clean());
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warning_count(), 1);
         let text = r.to_string();
-        assert!(text.contains("error[LMA001]") && text.contains("warning[LMA002]"), "{text}");
+        assert!(
+            text.contains("error[LMA109]") && text.contains("warning[LMA110]"),
+            "{text}"
+        );
     }
 
     #[test]
     fn report_round_trips_through_json() {
         let r = Report::new(vec![Diagnostic::error(
-            LintCode::Lma102ThreadBudgetExceeded,
-            "plan",
-            "7*16+9 > 112",
+            LintCode::Lma109CapacityExceeded,
+            "policy",
+            "host placement over capacity",
         )]);
         let json = r.to_json();
-        assert!(json.contains("Lma102ThreadBudgetExceeded"), "{json}");
+        assert!(json.contains("Lma109CapacityExceeded"), "{json}");
         let back: Report = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back.diagnostics.len(), 1);
-        assert_eq!(back.diagnostics[0].code, LintCode::Lma102ThreadBudgetExceeded);
+        assert_eq!(back.diagnostics[0].code, LintCode::Lma109CapacityExceeded);
         assert_eq!(back.diagnostics[0].severity, Severity::Error);
     }
 

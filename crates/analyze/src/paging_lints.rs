@@ -34,7 +34,8 @@ pub fn lint_paging(probe: &PagingProbe) -> Report {
     // nonzero, byte-consistent, and tile the KV block exactly; check
     // them together so a broken derivation surfaces as one finding with
     // all the offending values inline.
-    let bytes_consistent = probe.page_bytes == probe.page_tokens.saturating_mul(probe.bytes_per_token);
+    let bytes_consistent =
+        probe.page_bytes == probe.page_tokens.saturating_mul(probe.bytes_per_token);
     let tiles_block =
         probe.page_tokens > 0 && probe.kv_block_tokens.is_multiple_of(probe.page_tokens);
     if probe.page_tokens == 0

@@ -1,8 +1,7 @@
-//! `LMA29x` — the *verification run itself*: a sweep whose lattice
-//! collapsed proves nothing, a lint that passed where executable ground
-//! truth failed is unsound, and a declared protocol transition the
-//! exploration never drove is unverified. `lm-verify` fills the
-//! [`VerifyProbe`] from a finished sweep + exploration.
+//! `LMA29x` — the *verification run itself*: a lint that passed where
+//! executable ground truth failed is unsound, and a declared protocol
+//! transition the exploration never drove is unverified. `lm-verify` fills
+//! the [`VerifyProbe`] from a finished sweep + exploration.
 
 use crate::diag::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
@@ -23,12 +22,6 @@ pub struct UnsoundnessWitness {
 /// Observations sampled from one `lm-verify` run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VerifyProbe {
-    /// `(axis name, distinct values swept)` for every lattice axis.
-    pub axes: Vec<(String, u64)>,
-    /// Lattice points actually explored.
-    pub configs_explored: u64,
-    /// Minimum point count for the sweep to count as coverage.
-    pub configs_floor: u64,
     /// Configs where lints passed but ground truth failed.
     pub unsoundness_witnesses: Vec<UnsoundnessWitness>,
     /// Transitions the protocol state machines declare.
@@ -42,27 +35,6 @@ pub struct VerifyProbe {
 /// Run every verification lint over a sampled probe.
 pub fn lint_verify(probe: &VerifyProbe) -> Report {
     let mut out = Vec::new();
-
-    // LMA290: a degenerate lattice. Every axis must actually vary and
-    // the point count must clear the floor, otherwise downstream "zero
-    // witnesses" claims are vacuously true.
-    let flat_axes: Vec<&str> = probe
-        .axes
-        .iter()
-        .filter(|(_, n)| *n < 2)
-        .map(|(name, _)| name.as_str())
-        .collect();
-    if !flat_axes.is_empty() || probe.configs_explored < probe.configs_floor {
-        out.push(Diagnostic::error(
-            LintCode::Lma290SweepDomainDegenerate,
-            "verify.sweep".to_string(),
-            format!(
-                "lattice explored {} of >= {} required configs; axes with \
-                 fewer than two values: {:?}",
-                probe.configs_explored, probe.configs_floor, flat_axes
-            ),
-        ));
-    }
 
     // LMA291: unsoundness witnesses. One finding per witness so every
     // offending config is visible in the report.
@@ -114,15 +86,6 @@ mod tests {
 
     fn sound() -> VerifyProbe {
         VerifyProbe {
-            axes: vec![
-                ("model".into(), 3),
-                ("max_slots".into(), 4),
-                ("slot_context".into(), 4),
-                ("slo".into(), 3),
-                ("ladder".into(), 2),
-            ],
-            configs_explored: 288,
-            configs_floor: 200,
             unsoundness_witnesses: Vec::new(),
             declared_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
             exercised_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
@@ -138,23 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_axis_caught() {
-        let mut p = sound();
-        p.axes[1].1 = 1;
-        let r = lint_verify(&p);
-        assert!(r.has(LintCode::Lma290SweepDomainDegenerate), "{r}");
-        assert!(!r.is_clean());
-    }
-
-    #[test]
-    fn point_count_below_floor_caught() {
-        let mut p = sound();
-        p.configs_explored = p.configs_floor - 1;
-        let r = lint_verify(&p);
-        assert!(r.has(LintCode::Lma290SweepDomainDegenerate), "{r}");
-    }
-
-    #[test]
     fn unsoundness_witness_caught() {
         let mut p = sound();
         p.unsoundness_witnesses.push(UnsoundnessWitness {
@@ -166,7 +112,10 @@ mod tests {
         assert!(r.has(LintCode::Lma291LintUnsoundnessWitness), "{r}");
         assert!(!r.is_clean());
         let text = r.to_string();
-        assert!(text.contains("pool_capacity") && text.contains("opt-30b"), "{text}");
+        assert!(
+            text.contains("pool_capacity") && text.contains("opt-30b"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1,29 +1,25 @@
 //! `repro analyze` — run the `lm-analyze` static linter over the shipped
 //! deployment presets: for each (platform, model, workload, policy)
 //! combination the harness derives the real parallelism plan with the
-//! controller, then lints the graph, the plan, the policy placements, the
-//! bundling decision and a sampled cost-model probe. The default serving
-//! plan rides along under the `LMA25x` family, its page geometry under
-//! `LMA28x`, the default SLO policy under `LMA26x`, the verification
-//! instrument itself under `LMA29x`, and the default async session
-//! shape under `LMA30x`. Shipped presets must produce zero
-//! `Error` diagnostics; warnings are reported but allowed.
+//! controller (its shape fills the row's columns; Algorithm 3 refuses what
+//! it cannot build), then lints the policy placements and the bundling
+//! decision. The default serving plan rides along under the `LMA25x`
+//! family, its page geometry under `LMA28x`, the default SLO policy under
+//! `LMA26x`, the verification instrument itself under `LMA29x`, and the
+//! default async session shape under `LMA30x`. Shipped presets must
+//! produce zero `Error` diagnostics; warnings are reported but allowed.
 
 use lm_analyze::{analyze_deployment, lint_verify, Deployment, Diagnostic, Report};
 use lm_hardware::presets;
 use lm_models::{presets as models, ModelConfig, Workload};
-use lm_offload::{transfer_tasks, try_derive_plan, DEFAULT_HEAD_GROUPS};
-use lm_parallelism::{attention_graph, SearchConfig};
+use lm_offload::{try_derive_plan, DEFAULT_HEAD_GROUPS};
+use lm_parallelism::attention_graph;
 use lm_serve::preflight::{
     async_report, paging_report, preflight, serve_report, slo_report, ttft_floor_s,
 };
 use lm_serve::{AnalyticBackend, AsyncConfig, ServeConfig, ServeError, ServePlan, SloPolicy};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
-
-/// FLOP threshold for the bundling lint — the same order of magnitude the
-/// runtime uses to decide which operators are bundling candidates.
-pub const BUNDLE_MIN_FLOPS: f64 = 1e7;
 
 /// Analysis outcome for one shipped preset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,8 +61,6 @@ fn preset_row(
         model.hidden,
         DEFAULT_HEAD_GROUPS,
     );
-    let cfg = SearchConfig::for_platform(&platform);
-    let transfers = transfer_tasks(&platform, model, workload, policy);
     let out = try_derive_plan(&platform, model, workload, policy)
         .unwrap_or_else(|e| panic!("preset '{name}' is infeasible: {e}"));
     let report = analyze_deployment(&Deployment {
@@ -75,10 +69,6 @@ fn preset_row(
         workload,
         policy,
         graph: &graph,
-        cfg: &cfg,
-        plan: &out.plan,
-        transfers: &transfers,
-        bundle_min_flops: BUNDLE_MIN_FLOPS,
     });
     AnalyzeRow::new(name, out.plan.inter_op_total, out.plan.intra_op_compute, report)
 }
@@ -131,7 +121,7 @@ fn serve_rows(backend: &AnalyticBackend, plan: &ServePlan) -> [AnalyzeRow; 4] {
 /// real quick planner-space sweep, the kvpool exploration (at the cheap
 /// unit-suite preemption bound; `repro verify` runs the deep lane) and
 /// the scheduler's lifecycle-conformance runs, assembled into a probe
-/// that must clear the domain, witness and transition-coverage lints.
+/// that must clear the witness and transition-coverage lints.
 /// The row columns carry the verification shape: `inter_op_total` the
 /// lattice configs explored, `intra_op_compute` the declared protocol
 /// transitions exercised (5 kvpool + 13 lifecycle edges).
@@ -149,16 +139,16 @@ fn verify_lint_row() -> AnalyzeRow {
     let probe = build_probe(&sweep, &protocols);
     AnalyzeRow::new(
         "verify/lma29x/quick-sweep",
-        probe.configs_explored as u32,
+        sweep.configs as u32,
         probe.exercised_transitions.len() as u32,
         lint_verify(&probe),
     )
 }
 
-/// Lint every shipped preset configuration plus the default serve plan.
-pub fn run() -> Vec<AnalyzeRow> {
+/// Lint the four shipped deployment presets.
+fn preset_rows() -> Vec<AnalyzeRow> {
     let flexgen = Policy::flexgen_default();
-    let mut rows = vec![
+    vec![
         preset_row(
             "opt-30b/parallelism-study/flexgen-default",
             &models::opt_30b(),
@@ -183,7 +173,12 @@ pub fn run() -> Vec<AnalyzeRow> {
             &Workload::parallelism_study(),
             &flexgen,
         ),
-    ];
+    ]
+}
+
+/// Lint every shipped preset configuration plus the default serve plan.
+pub fn run() -> Vec<AnalyzeRow> {
+    let mut rows = preset_rows();
     let backend = AnalyticBackend::opt_30b();
     match preflight(&backend, &ServeConfig::default(), None) {
         Ok(plan) => {
@@ -211,6 +206,95 @@ mod tests {
                 row.errors, 0,
                 "preset '{}' has {} error diagnostics: {:?}",
                 row.preset, row.errors, row.diagnostics
+            );
+        }
+    }
+
+    /// The deployment side's registry guard, beside `lm-serve`'s
+    /// `every_serve_side_code_fires_from_a_shipped_config`: each kept
+    /// code below the serve range fires from a shipped entry point on a
+    /// shipped configuration, with no hand-built probe. A new
+    /// deployment-side code with no row here fails the final assertion;
+    /// one that nothing shipped can fire has no row to give, and is
+    /// retired instead.
+    #[test]
+    fn every_deployment_side_code_fires_from_a_shipped_config() {
+        use lm_analyze::LintCode::{self, *};
+        use lm_engine::{Engine, EngineError, EngineOptions};
+        let all_gpu_f16 = || {
+            let policy = Policy {
+                wg: 1.0,
+                cg: 1.0,
+                hg: 1.0,
+                weights_dtype: lm_models::DType::F16,
+                kv_dtype: lm_models::DType::F16,
+                attention: lm_sim::AttentionPlacement::Gpu,
+            };
+            let row = preset_row(
+                "all-gpu",
+                &models::opt_30b(),
+                &Workload::motivation(),
+                &policy,
+            );
+            Report::new(row.diagnostics)
+        };
+        let strict_engine = || {
+            let options = EngineOptions {
+                strict: true,
+                device_capacity: 1024,
+                ..EngineOptions::default()
+            };
+            match Engine::new(&models::tiny_test(), 7, options) {
+                Err(EngineError::Rejected(report)) => report,
+                other => panic!("strict engine not rejected (built: {})", other.is_ok()),
+            }
+        };
+        let shipped_preset = || Report::new(preset_rows().swap_remove(0).diagnostics);
+        let rows: [(LintCode, fn() -> Report); 3] = [
+            (Lma109CapacityExceeded, all_gpu_f16),
+            (Lma109CapacityExceeded, strict_engine),
+            (Lma110BundleExceedsCache, shipped_preset),
+        ];
+        for (code, fire) in &rows {
+            let report = fire();
+            assert!(
+                report.has(*code),
+                "{} does not fire: {report}",
+                code.as_str()
+            );
+        }
+        let deployment_side =
+            |code: &LintCode| matches!(code.as_str()[3..].parse::<u32>(), Ok(0..=249));
+        let kept: Vec<LintCode> = LintCode::ALL.into_iter().filter(deployment_side).collect();
+        let mut fired: Vec<LintCode> = rows.iter().map(|row| row.0).collect();
+        fired.dedup();
+        assert_eq!(
+            fired, kept,
+            "a shipped config per kept deployment-side code"
+        );
+    }
+
+    /// A preset row's columns are the plan Algorithm 3 searched for it:
+    /// the analysis no longer reads the plan, so the row is where it shows.
+    #[test]
+    fn preset_rows_carry_the_searched_plan() {
+        let platform = presets::single_gpu_a100();
+        let policy = Policy::flexgen_default();
+        let shipped = [
+            (models::opt_30b(), Workload::parallelism_study()),
+            (models::opt_30b(), Workload::motivation()),
+            (models::opt_66b(), Workload::parallelism_study()),
+            (models::opt_13b(), Workload::parallelism_study()),
+        ];
+        for (row, (model, workload)) in preset_rows().iter().zip(&shipped) {
+            let plan = try_derive_plan(&platform, model, workload, &policy)
+                .unwrap()
+                .plan;
+            assert_eq!(
+                (row.inter_op_total, row.intra_op_compute),
+                (plan.inter_op_total, plan.intra_op_compute),
+                "{}",
+                row.preset
             );
         }
     }

@@ -148,14 +148,14 @@ mod tests {
             assert!(t.predicted_s > 0.0, "{} predicted nothing", t.task);
             let r = t.ratio.expect("ratio defined");
             assert!(
-                (r - 1.0).abs() < 1e-6,
+                (r - 1.0).abs() < 1e-9,
                 "{}: ratio {r} (predicted {} observed {})",
                 t.task,
                 t.predicted_s,
                 t.observed_s
             );
         }
-        assert!(phase.drift.ok_within(1e-6));
+        assert!(phase.drift.ok_within(1e-9));
         assert!(phase.spans > 0);
     }
 

@@ -8,9 +8,8 @@
 //! admission) that MUST come back as an `LMA291` witness. Gates, all
 //! deterministic:
 //!
-//! 1. the sweep clears its config floor with no degenerate axis
-//!    (`LMA290` clean) and **zero** unsoundness witnesses on the
-//!    shipped planner (`LMA291` clean);
+//! 1. the sweep clears its config floor ([`CONFIGS_FLOOR`]) with **zero**
+//!    unsoundness witnesses on the shipped planner (`LMA291` clean);
 //! 2. the seeded mutation IS caught (the instrument detects the defect
 //!    class it exists for);
 //! 3. the kvpool exploration finishes its bounded tree untruncated, every

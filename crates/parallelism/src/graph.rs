@@ -18,8 +18,6 @@ pub enum OpKind {
     Concat,
     /// Elementwise glue (scale, mask, view, copy).
     Elementwise,
-    /// Host↔device transfer staging copy.
-    Transfer,
 }
 
 /// One operator node.
@@ -250,6 +248,7 @@ pub fn attention_block_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn block_graph_replicates_batches() {
@@ -320,6 +319,57 @@ mod tests {
         for (from, outs) in g.edges.iter().enumerate() {
             for &t in outs {
                 assert!(preds[t].contains(&from));
+            }
+        }
+    }
+
+    proptest! {
+        /// The shipped builders, at any positive shape: acyclic, every
+        /// node wired to another, and FLOPs on every compute node.
+        #[test]
+        fn prop_attention_graphs_wire_every_node_and_price_compute(
+            batch in 1u64..1024,
+            seq in 1u64..4096,
+            hidden in 1u64..16_384,
+            groups in 1usize..9,
+            batches in 1u64..5,
+        ) {
+            for g in [
+                attention_graph(batch, seq, hidden, groups),
+                attention_block_graph(batch, batches, seq, hidden, groups),
+            ] {
+                prop_assert!(crate::kahn::analyze(&g).is_some());
+                let degrees = g.in_degrees();
+                for (u, node) in g.nodes.iter().enumerate() {
+                    prop_assert!(degrees[u] > 0 || !g.edges[u].is_empty(), "{}", node.name);
+                    if matches!(node.kind, OpKind::Addmm | OpKind::Bmm | OpKind::Softmax) {
+                        prop_assert!(node.flops > 0.0, "{} carries no FLOPs", node.name);
+                    }
+                }
+            }
+        }
+
+        /// Whatever edges are requested, the adjacency stays a set of
+        /// in-bounds, non-self edges: `try_depend` refuses the rest.
+        #[test]
+        fn prop_try_depend_keeps_the_adjacency_a_set(
+            n in 1usize..12,
+            requests in collection::vec(0usize..256, 0..64),
+        ) {
+            let mut g = OpGraph::new();
+            for i in 0..n {
+                g.add(format!("n{i}"), OpKind::Elementwise, 1.0, 1.0);
+            }
+            // Each request encodes an edge between indices 0..16.
+            for (from, to) in requests.iter().map(|r| (r / 16, r % 16)) {
+                let accepted = g.try_depend(from, to).is_ok();
+                prop_assert_eq!(accepted, from < n && to < n && from != to);
+            }
+            for (from, outs) in g.edges.iter().enumerate() {
+                let mut seen = std::collections::HashSet::new();
+                for &to in outs {
+                    prop_assert!(to < n && to != from && seen.insert(to), "{from}->{to}");
+                }
             }
         }
     }

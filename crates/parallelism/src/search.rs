@@ -273,6 +273,7 @@ mod tests {
     use super::*;
     use crate::graph::attention_graph;
     use lm_hardware::presets;
+    use proptest::prelude::*;
 
     fn setup(head_groups: usize) -> (OpGraph, ProfileTable, CpuScalingModel, SearchConfig) {
         let platform = presets::single_gpu_a100();
@@ -406,6 +407,67 @@ mod tests {
         let b = find_optimal_parallelism(&g, &p, &m, &cfg, &transfers());
         assert_eq!(a.intra_op_compute, b.intra_op_compute);
         assert_eq!(a.inter_op_total, b.inter_op_total);
+    }
+
+    proptest! {
+        /// Line 9's grant, for any volumes and any free-thread count: all
+        /// free threads handed out, none starved, and strictly more bytes
+        /// never get strictly fewer threads.
+        #[test]
+        fn prop_transfer_grants_follow_volume(
+            free in 5u32..200,
+            volumes in collection::vec(0u64..4_000_000_000, 5..6),
+        ) {
+            let tasks: Vec<TransferTask> = volumes
+                .iter()
+                .map(|&bytes| TransferTask { name: String::new(), bytes })
+                .collect();
+            let grant = assign_transfer_threads(free, &tasks);
+            prop_assert_eq!(grant.iter().sum::<u32>(), free);
+            prop_assert!(grant.iter().all(|&g| g >= 1), "{grant:?}");
+            for (i, a) in volumes.iter().enumerate() {
+                for (j, b) in volumes.iter().enumerate() {
+                    prop_assert!(a <= b || grant[i] >= grant[j], "{volumes:?} -> {grant:?}");
+                }
+            }
+        }
+
+        /// Algorithm 3 builds its rules into every plan it returns —
+        /// inter-op = the Kahn width, `inter·intra + Σ transfer` within
+        /// the budget, `inter_op_total` = inter-op + 5, the step = max of
+        /// compute and the slowest transfer — and refuses exactly when the
+        /// budget cannot cover the width plus five transfer threads.
+        #[test]
+        fn prop_search_builds_algorithm_3_rules_or_refuses(
+            groups in 1usize..9,
+            max_threads in 1u32..64,
+            load_weight in 0u64..2_000_000_000,
+        ) {
+            let (g, p, m, base) = setup(groups);
+            let cfg = SearchConfig { max_threads, ..base };
+            let mut ts = transfers();
+            ts[0].bytes = load_weight;
+            let width = analyze(&g).unwrap().max_concurrency() as u32;
+            match try_find_optimal_parallelism(&g, &p, &m, &cfg, &ts) {
+                Ok(plan) => {
+                    prop_assert_eq!(plan.inter_op_compute, width);
+                    prop_assert_eq!(plan.inter_op_total, width + NUM_TRANSFER_TASKS as u32);
+                    prop_assert_eq!(plan.transfer_threads.len(), NUM_TRANSFER_TASKS);
+                    let transfer: u32 = plan.transfer_threads.iter().sum();
+                    prop_assert!(width * plan.intra_op_compute + transfer <= max_threads);
+                    let slowest = ts
+                        .iter()
+                        .zip(&plan.transfer_threads)
+                        .map(|(t, &thr)| transfer_time(&cfg, t.bytes, thr))
+                        .fold(0.0f64, f64::max);
+                    prop_assert_eq!(plan.est_step_time, plan.est_compute_time.max(slowest));
+                }
+                Err(err) => {
+                    prop_assert!(max_threads < width + NUM_TRANSFER_TASKS as u32, "{err}");
+                    prop_assert_eq!(err, SearchError::NoFeasibleSetting { max_threads });
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! Property: the graph-lint verdict agrees with Kahn's algorithm. A
+//! Property: Algorithm 3's cycle refusal agrees with Kahn's algorithm. A
 //! random graph built from forward edges only (producer index < consumer
 //! index) is acyclic by construction, so `kahn::analyze` succeeds and the
-//! lints must report no errors; closing any existing edge backwards makes
-//! a cycle, `analyze` fails, and `LMA001` must fire with a genuine
-//! witness walk.
+//! search returns a plan; closing any existing edge backwards makes a
+//! cycle, `analyze` fails, and the search refuses with
+//! `SearchError::CyclicGraph` carrying a genuine witness walk.
 
 #![allow(clippy::unwrap_used)]
 
-use lm_analyze::{lint_graph, LintCode};
-use lm_parallelism::{kahn, OpGraph, OpKind};
+use lm_hardware::presets;
+use lm_parallelism::{
+    find_cycle, kahn, try_find_optimal_parallelism, CpuScalingModel, OpGraph, OpKind, ProfileTable,
+    SearchConfig, SearchError, TransferTask, NUM_TRANSFER_TASKS,
+};
 use proptest::prelude::*;
 
 /// Deterministic xorshift so a failing case replays from its seed.
@@ -48,6 +51,30 @@ fn random_dag(n: usize, seed: u64, density_pct: u64) -> OpGraph {
     g
 }
 
+/// Algorithm 3 over `g` on the paper's platform (112 threads: any Kahn
+/// width of these graphs leaves five free), with equal transfer volumes.
+fn search(g: &OpGraph) -> Result<(), SearchError> {
+    let platform = presets::single_gpu_a100();
+    let scaling = CpuScalingModel::from_cpu(&platform.cpu);
+    let profile = ProfileTable::synthesize(g, &scaling, 20e9, 12e9, platform.cpu.total_threads());
+    let cfg = SearchConfig::for_platform(&platform);
+    let transfers: Vec<TransferTask> = (0..NUM_TRANSFER_TASKS)
+        .map(|i| TransferTask {
+            name: format!("t{i}"),
+            bytes: 1 << 20,
+        })
+        .collect();
+    try_find_optimal_parallelism(g, &profile, &scaling, &cfg, &transfers).map(|_| ())
+}
+
+/// `cycle` is a closed walk over `g`'s edges.
+fn is_closed_walk(g: &OpGraph, cycle: &[usize]) -> bool {
+    let Some((&first, &last)) = cycle.first().zip(cycle.last()) else {
+        return false;
+    };
+    cycle.windows(2).all(|w| g.edges[w[0]].contains(&w[1])) && g.edges[last].contains(&first)
+}
+
 proptest! {
     #[test]
     fn forward_edge_graphs_pass_error_lints(
@@ -57,12 +84,8 @@ proptest! {
     ) {
         let g = random_dag(n, seed, density);
         prop_assert!(kahn::analyze(&g).is_some(), "forward edges must be acyclic");
-        let r = lint_graph(&g);
-        prop_assert!(
-            r.is_clean(),
-            "lints disagree with Kahn on a DAG:\n{r}"
-        );
-        prop_assert!(!r.has(LintCode::Lma001CyclicGraph));
+        prop_assert!(find_cycle(&g).is_none());
+        prop_assert_eq!(search(&g), Ok(()));
     }
 
     #[test]
@@ -78,16 +101,13 @@ proptest! {
         if let Some((from, to)) = back {
             g.depend(from, to);
             prop_assert!(kahn::analyze(&g).is_none(), "2-cycle must defeat Kahn");
-            let r = lint_graph(&g);
-            prop_assert!(r.has(LintCode::Lma001CyclicGraph), "{r}");
-            prop_assert!(!r.is_clean());
-            // The witness is a real closed walk over graph edges.
-            let cycle = kahn::find_cycle(&g).unwrap();
-            for w in cycle.windows(2) {
-                prop_assert!(g.edges[w[0]].contains(&w[1]), "{cycle:?}");
+            // The refusal carries a real closed walk over graph edges.
+            match search(&g) {
+                Err(SearchError::CyclicGraph { cycle }) => {
+                    prop_assert!(is_closed_walk(&g, &cycle), "{cycle:?}");
+                }
+                other => prop_assert!(false, "cyclic graph searched: {other:?}"),
             }
-            let (first, last) = (cycle[0], *cycle.last().unwrap());
-            prop_assert!(g.edges[last].contains(&first), "{cycle:?}");
         }
     }
 
@@ -100,21 +120,17 @@ proptest! {
         extra_to in 0usize..20,
     ) {
         // An arbitrary extra edge (any direction, possibly cyclic) keeps
-        // the equivalence: errors present iff Kahn fails. Self-edges and
-        // out-of-range indices are excluded — they are separate lints
-        // (LMA005/006) that Kahn's counting cannot see.
+        // the equivalence: the search refuses iff Kahn fails, and
+        // `find_cycle` names a walk exactly then. Self-edges are excluded —
+        // `try_depend` refuses them before any graph holds one.
         let mut g = random_dag(n, seed, density);
         let (from, to) = (extra_from % n, extra_to % n);
         if from != to {
             g.depend(from, to);
         }
         let kahn_ok = kahn::analyze(&g).is_some();
-        let r = lint_graph(&g);
-        prop_assert_eq!(
-            r.is_clean(),
-            kahn_ok,
-            "lint errors and Kahn disagree:\n{}",
-            r
-        );
+        prop_assert_eq!(find_cycle(&g).is_none(), kahn_ok);
+        let refused = matches!(search(&g), Err(SearchError::CyclicGraph { .. }));
+        prop_assert_eq!(refused, !kahn_ok);
     }
 }

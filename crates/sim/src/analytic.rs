@@ -232,6 +232,7 @@ mod tests {
     use crate::tasks::{step_load, t_gen, Resource};
     use lm_hardware::presets;
     use lm_models::presets as models;
+    use proptest::prelude::*;
 
     fn motivation(policy: Policy) -> BaseCostModel {
         BaseCostModel::new(
@@ -338,6 +339,50 @@ mod tests {
         p.weights_dtype = DType::Int4;
         let i4 = motivation(p);
         assert!((f16.init_time() / i4.init_time() - 4.0).abs() < 0.1);
+    }
+
+    /// Every shipped caller prices a policy before linting it, so this
+    /// refusal is what keeps an invalid one out of the lints.
+    #[test]
+    #[should_panic(expected = "invalid policy")]
+    fn new_refuses_an_invalid_policy() {
+        motivation(Policy {
+            wg: 1.5,
+            ..Policy::flexgen_default()
+        });
+    }
+
+    proptest! {
+        /// For any valid placement, precision and step: every task time is
+        /// finite and non-negative, and the weight stream takes at least
+        /// its bytes over the link bandwidth (seconds, not milliseconds).
+        #[test]
+        fn prop_tasks_are_finite_and_move_their_bytes(
+            wg in 0.0f64..1.0,
+            cg in 0.0f64..1.0,
+            gpu_attention in 0u8..2,
+            dtypes in 0usize..16,
+            token in 0u64..32,
+        ) {
+            let dtype = [DType::F32, DType::F16, DType::Int8, DType::Int4];
+            let attention = [AttentionPlacement::Cpu, AttentionPlacement::Gpu];
+            let attention = attention[gpu_attention as usize];
+            let policy = Policy {
+                wg,
+                cg: if attention == AttentionPlacement::Gpu { cg } else { 0.0 },
+                hg: 0.0,
+                weights_dtype: dtype[dtypes / 4],
+                kv_dtype: dtype[dtypes % 4],
+                attention,
+            };
+            let m = motivation(policy);
+            let t = m.tasks(token);
+            for kind in TaskKind::ALL {
+                prop_assert!(t[kind].is_finite() && t[kind] >= 0.0, "{kind:?}: {}", t[kind]);
+            }
+            let moved = t[TaskKind::LoadWeight] * m.platform.h2d_bw();
+            prop_assert!(moved >= m.weight_bytes_per_layer() as f64, "{moved} B moved");
+        }
     }
 
     #[test]

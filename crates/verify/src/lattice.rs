@@ -56,6 +56,23 @@ pub enum SweepDepth {
     Full,
 }
 
+impl SweepDepth {
+    /// `(axis, distinct values)` of this depth's lattice, in sweep order;
+    /// their product is the number of points [`run_sweep`] explores.
+    pub fn axes(self) -> Vec<(String, u64)> {
+        [
+            ("model", model_axis(self).len()),
+            ("max_slots", max_slots_axis(self).len()),
+            ("slot_context", slot_context_axis(self).len()),
+            ("slo", slo_axis(self).len()),
+            ("ladder", ladder_axis(self).len()),
+        ]
+        .into_iter()
+        .map(|(axis, n)| (axis.to_string(), n as u64))
+        .collect()
+    }
+}
+
 /// Seeded defect injected into the *executable* side of the sweep (the
 /// lints never see it — which is exactly what makes it a soundness
 /// probe: a mutated execution that fails ground truth while the lints
@@ -86,7 +103,8 @@ pub struct SweepPoint {
 /// Aggregated sweep outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepReport {
-    /// `(axis, distinct values)` for the `LMA290` degeneracy lint.
+    /// `(axis, distinct values)` of the lattice, as [`SweepDepth::axes`]
+    /// gives it; `results/verify.json` publishes it.
     pub axes: Vec<(String, u64)>,
     /// Lattice points explored.
     pub configs: u64,
@@ -347,16 +365,8 @@ pub fn run_sweep(depth: SweepDepth, mutation: Mutation) -> SweepReport {
     let slos = slo_axis(depth);
     let ladders = ladder_axis(depth);
 
-    let axes = vec![
-        ("model".to_string(), models.len() as u64),
-        ("max_slots".to_string(), pools.len() as u64),
-        ("slot_context".to_string(), contexts.len() as u64),
-        ("slo".to_string(), slos.len() as u64),
-        ("ladder".to_string(), ladders.len() as u64),
-    ];
-
     let mut report = SweepReport {
-        axes,
+        axes: depth.axes(),
         configs: 0,
         unsoundness: Vec::new(),
         incompleteness: 0,
@@ -427,26 +437,20 @@ mod tests {
 
     #[test]
     fn quick_lattice_covers_the_floor_with_no_degenerate_axis() {
-        let axes_product: u64 = [
-            model_axis(SweepDepth::Quick).len(),
-            max_slots_axis(SweepDepth::Quick).len(),
-            slot_context_axis(SweepDepth::Quick).len(),
-            slo_axis(SweepDepth::Quick).len(),
-            ladder_axis(SweepDepth::Quick).len(),
-        ]
-        .iter()
-        .map(|&n| n as u64)
-        .product();
-        assert!(axes_product >= 200, "quick lattice too small: {axes_product}");
-        for n in [
-            model_axis(SweepDepth::Quick).len(),
-            max_slots_axis(SweepDepth::Quick).len(),
-            slot_context_axis(SweepDepth::Quick).len(),
-            slo_axis(SweepDepth::Quick).len(),
-            ladder_axis(SweepDepth::Quick).len(),
-        ] {
-            assert!(n >= 2, "degenerate axis in the quick lattice");
-        }
+        let axes = SweepDepth::Quick.axes();
+        assert!(axes.iter().all(|&(_, n)| n >= 2), "degenerate axis: {axes:?}");
+        let points: u64 = axes.iter().map(|&(_, n)| n).product();
+        assert!(points >= crate::CONFIGS_FLOOR, "quick lattice too small: {points}");
+    }
+
+    /// `SweepDepth::axes` is the lattice `run_sweep` walks: the report
+    /// carries it, and the points explored are its product.
+    #[test]
+    fn sweep_explores_the_product_of_its_axes() {
+        let report = run_sweep(SweepDepth::Quick, Mutation::None);
+        assert_eq!(report.axes, SweepDepth::Quick.axes());
+        let points: u64 = report.axes.iter().map(|&(_, n)| n).product();
+        assert_eq!(report.configs, points);
     }
 
     #[test]

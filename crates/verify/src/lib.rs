@@ -44,8 +44,8 @@ pub use protocol::{
 use lm_analyze::VerifyProbe;
 use std::collections::BTreeSet;
 
-/// Minimum lattice points for a sweep to count as coverage (`LMA290`
-/// fires below this floor).
+/// Minimum lattice points for a sweep to count as coverage: both
+/// [`SweepDepth`] lattices clear it, and `repro verify` gates on it.
 pub const CONFIGS_FLOOR: u64 = 200;
 
 /// Fold a finished sweep and the protocol explorations into the probe
@@ -60,9 +60,6 @@ pub fn build_probe(sweep: &SweepReport, protocols: &[ProtocolReport]) -> VerifyP
         .flat_map(|p| p.exercised.iter().cloned())
         .collect();
     VerifyProbe {
-        axes: sweep.axes.clone(),
-        configs_explored: sweep.configs,
-        configs_floor: CONFIGS_FLOOR,
         unsoundness_witnesses: sweep.unsoundness.clone(),
         declared_transitions: declared.into_iter().collect(),
         exercised_transitions: exercised.into_iter().collect(),
@@ -99,7 +96,6 @@ mod tests {
             ],
         );
         assert_eq!(probe.interleavings, 11_000);
-        assert_eq!(probe.configs_explored, 288);
         assert_eq!(
             probe.declared_transitions,
             vec!["k:a".to_string(), "k:b".to_string(), "s:a".to_string()]

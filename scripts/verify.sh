@@ -56,6 +56,12 @@ rm -f "$lock" "$result"
 echo "==> cargo test --locked (default-members = the whole workspace)"
 lane "cargo test" 30 cargo test -q --locked
 
+# rustfmt-clean crates stay clean. The list grows as crates are formatted;
+# a workspace-wide `cargo fmt` would rewrite unrelated code, vendored
+# stand-ins included.
+echo "==> cargo fmt --check (lm-analyze)"
+cargo fmt -p lm-analyze -- --check
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -q -- -D warnings
