@@ -407,42 +407,38 @@ fn run_trace(a: &Args) -> Vec<Gate> {
     println!("{} tokens", a.tokens);
     let (r, perfetto_json) = trace::run(a.tokens);
     println!(
-        "sim: {} spans over {} decode steps ({:.3}s simulated decode)",
-        r.sim.spans, r.sim.steps, r.sim.decode_s
+        "engine: {} tokens, {} task spans + {} scopes; predicted on {}",
+        r.tokens_generated, r.spans, r.scopes, r.platform
     );
     print_rows(
         &["task", "predicted (s)", "observed (s)", "obs/pred"],
-        &r.sim.drift.tasks,
+        &r.drift.metrics,
         |t| {
             vec![
-                t.task.clone(),
-                f(t.predicted_s, 4),
-                f(t.observed_s, 4),
+                t.metric.clone(),
+                f(t.predicted, 6),
+                f(t.observed, 6),
                 t.ratio.map(|x| f(x, 4)).unwrap_or_else(|| "-".into()),
             ]
         },
     );
     println!(
-        "max ratio error: {:.2e} (simulator replays the model: must be ~0)",
-        r.sim.drift.max_ratio_error
-    );
-    println!(
-        "engine: {} tokens, {} task spans + {} scopes, load_weight {:.4}s / compute {:.4}s busy",
-        r.engine.tokens_generated,
-        r.engine.spans,
-        r.engine.scopes,
-        r.engine.load_weight_s,
-        r.engine.compute_s
-    );
-    println!(
         "results/trace.json: {} events (open at https://ui.perfetto.dev)",
-        r.engine.perfetto_events
+        r.perfetto_events
     );
+    // Defined, not within a tolerance: the priced platform is a preset,
+    // not this host, so the ratios carry the model's error.
+    let drift_defined = ["load_weight", "compute"].iter().all(|task| {
+        r.drift
+            .metric(task)
+            .and_then(|m| m.ratio)
+            .is_some_and(f64::is_finite)
+    });
     vec![
         artifact("trace", "trace.json", Ok(perfetto_json)),
         artifact("trace", "trace_drift.json", serde_json::to_string_pretty(&r)),
-        gate("trace", "perfetto_events_nonzero", r.engine.perfetto_events > 0),
-        gate("trace", "max_ratio_error_finite", r.sim.drift.max_ratio_error.is_finite()),
+        gate("trace", "perfetto_events_nonzero", r.perfetto_events > 0),
+        gate("trace", "engine_drift_defined", drift_defined),
     ]
 }
 
@@ -785,8 +781,8 @@ fn parse(argv: &[String]) -> Result<(Vec<&'static Lane>, Args), String> {
                 })?
             }
             "tokens" => {
-                args.tokens = flag_value(key, inline, rest, "a positive integer", |v| {
-                    v.parse().ok().filter(|t| *t >= 1)
+                args.tokens = flag_value(key, inline, rest, "an integer of at least 2", |v| {
+                    v.parse().ok().filter(|t| *t >= 2)
                 })?
             }
             "storm" => {

@@ -24,7 +24,7 @@ use lm_serve::{
     ServeSession, SloPolicy,
 };
 use super::Conformed;
-use lm_trace::{expo, FlightDump, FlightRecorder, ServeDriftReport, Tracer};
+use lm_trace::{expo, DriftReport, FlightDump, FlightRecorder, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// Per-metric drift tolerances (DESIGN.md §8). The TTFT predictor is a
@@ -60,7 +60,7 @@ pub struct ObsReport {
     pub boundary_samples: usize,
     pub ttft_samples: usize,
     /// The full predicted-vs-observed audit.
-    pub drift: ServeDriftReport,
+    pub drift: DriftReport,
     pub drift_gates: Vec<DriftGate>,
     /// The `repro obs` drift gate: every metric within its tolerance.
     pub drift_ok: bool,
@@ -80,7 +80,7 @@ pub struct ObsReport {
 /// Gate the audit's ratios against [`DRIFT_TOLERANCES`]. A metric with
 /// an undefined ratio (zero prediction) fails its gate: at the default
 /// seed every audited metric must be live.
-fn gate_drift(drift: &ServeDriftReport) -> (Vec<DriftGate>, bool) {
+fn gate_drift(drift: &DriftReport) -> (Vec<DriftGate>, bool) {
     let gates: Vec<DriftGate> = DRIFT_TOLERANCES
         .iter()
         .map(|&(metric, tolerance)| {
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn drift_gate_fails_on_undefined_ratio() {
-        let empty = lm_trace::serve_drift_report(&[("ttft_mean_s", 0.0, 1.0)]);
+        let empty = lm_trace::drift_report(&[("ttft_mean_s", 0.0, 1.0)]);
         let (gates, ok) = gate_drift(&empty);
         assert!(!ok);
         assert!(gates.iter().any(|g| !g.ok && g.metric == "ttft_mean_s"));

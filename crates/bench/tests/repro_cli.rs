@@ -38,6 +38,7 @@ fn usage_errors_exit_2_and_run_nothing() {
         &["serve", "--rps=-1"],
         &["serve", "--requests", "0"],
         &["chaos", "--storm", "hurricane"],
+        &["trace", "--tokens", "1"],
     ] {
         let out = repro(&dir, bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr(&out));

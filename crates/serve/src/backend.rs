@@ -132,6 +132,12 @@ impl AnalyticBackend {
     pub fn policy(&self) -> &Policy {
         &self.policy
     }
+
+    /// The analytic model this backend prices `w` by: its platform,
+    /// model and policy (what [`ServeBackend::prefill_seconds`] charges).
+    pub fn cost_model(&self, w: &Workload) -> BaseCostModel {
+        BaseCostModel::new(&self.platform, &self.cfg, w, self.policy)
+    }
 }
 
 impl ServeBackend for AnalyticBackend {
@@ -148,8 +154,7 @@ impl ServeBackend for AnalyticBackend {
 
     fn prefill_seconds(&self, span: usize, batch: usize) -> f64 {
         let w = Workload::new(span.max(1) as u64, 1, batch.max(1) as u64, 1);
-        let m = BaseCostModel::new(&self.platform, &self.cfg, &w, self.policy);
-        m.prefill_layer() * self.cfg.num_layers as f64
+        self.cost_model(&w).prefill_layer() * self.cfg.num_layers as f64
     }
 
     fn decode_step_seconds(&self, contexts: &[u64]) -> f64 {
@@ -212,6 +217,13 @@ impl EngineBackend {
     /// The policy step timing is priced at: the engine's precisions.
     pub fn policy(&self) -> &Policy {
         self.analytic.policy()
+    }
+
+    /// The analytic model the engine is priced by for `w`
+    /// ([`AnalyticBackend::cost_model`] at the engine's precisions):
+    /// what `repro trace` sets beside the engine's measured spans.
+    pub fn cost_model(&self, w: &Workload) -> BaseCostModel {
+        self.analytic.cost_model(w)
     }
 }
 

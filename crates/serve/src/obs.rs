@@ -20,7 +20,7 @@
 
 use crate::admission::ServePlan;
 use crate::scheduler::ServeOutcome;
-use lm_trace::{serve_drift_report, PerfettoTrace, ServeDriftReport};
+use lm_trace::{drift_report, DriftReport, PerfettoTrace};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -172,7 +172,7 @@ impl ServeObs {
     /// (`min(pages_demand, pool)/pool` against realized
     /// `pages_in_use/pool`, both time-weighted), and mean ready-queue
     /// depth via Little's law (`λ · mean predicted wait`).
-    pub fn audit(&self, plan: &ServePlan) -> ServeDriftReport {
+    pub fn audit(&self, plan: &ServePlan) -> DriftReport {
         let n = self.ttft.len();
         let (pred_ttft, obs_ttft): (Vec<f64>, Vec<f64>) = self
             .ttft
@@ -208,7 +208,7 @@ impl ServeObs {
             .unwrap_or(0.0);
         let lambda = if span_s > 0.0 { n as f64 / span_s } else { 0.0 };
         let depth_pred = lambda * mean(&pred_ttft);
-        serve_drift_report(&[
+        drift_report(&[
             ("ttft_mean_s", mean(&pred_ttft), mean(&obs_ttft)),
             (
                 "ttft_p99_s",

@@ -1,130 +1,50 @@
-//! Model-vs-measured drift: replay the analytic cost model's predicted
-//! per-task busy time against a measured span timeline and report, per
-//! paper task, the observed/predicted ratio.
+//! Model-vs-measured drift: put what a model predicted beside what ran
+//! and report, per row, the observed/predicted ratio.
 //!
-//! A ratio of 1.0 means the performance model (Eq. 2's `max(...)` terms)
-//! matches what actually ran; against the event-driven simulator it must
-//! be exactly 1.0 (the simulator *is* the model), which the golden test
-//! in `tests/trace_observability.rs` pins. Against the real engine the
-//! ratio quantifies model error per task — the quantity Fig. 6 of the
-//! paper argues stays small.
+//! One report type serves both comparisons. [`task_drift`] builds the
+//! six paper-task rows from the analytic cost model's predicted busy
+//! seconds and a measured span timeline; `repro trace` feeds it the real
+//! engine's spans and the model the engine is priced by, so a ratio of
+//! 1.0 means the performance model (Eq. 2's `max(...)` terms) describes
+//! the pipeline that ran. Replayed against the event-driven simulator's
+//! own timeline every ratio is 1.0 by construction (the simulator *is*
+//! the model), which the golden test in `tests/trace_observability.rs`
+//! pins. [`drift_report`] takes arbitrary rows: the serve path's audit
+//! (`ServeObs::audit`) feeds it TTFT, occupancy and queue depth.
 
 use crate::span::Span;
 use crate::task::{TaskCosts, TaskKind};
 use serde::{Deserialize, Serialize};
 
-/// Drift for one of the paper's six decode tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskDrift {
-    /// Paper task name (one of [`TaskKind::PAPER_TASKS`]).
-    pub task: String,
-    /// Model-predicted busy seconds.
-    pub predicted_s: f64,
-    /// Busy seconds summed from measured spans.
-    pub observed_s: f64,
-    /// `observed / predicted`; `None` when the model predicts zero
-    /// (ratio undefined — `abs_error_s` still carries the miss).
-    pub ratio: Option<f64>,
-    /// `observed - predicted`, always defined.
-    pub abs_error_s: f64,
-}
-
-/// Predicted-vs-observed drift across all six paper tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DriftReport {
-    pub tasks: Vec<TaskDrift>,
-    /// Max over tasks of `|ratio - 1|` (tasks with a defined ratio).
-    pub max_ratio_error: f64,
-}
-
-impl DriftReport {
-    /// True when every task with a defined ratio is within `eps` of 1.0
-    /// and no zero-predicted task observed more than `eps` seconds.
-    pub fn ok_within(&self, eps: f64) -> bool {
-        self.tasks.iter().all(|t| match t.ratio {
-            Some(r) => (r - 1.0).abs() <= eps,
-            None => t.observed_s.abs() <= eps,
-        })
-    }
-
-    /// The row for `task`, if present.
-    pub fn task(&self, task: &str) -> Option<&TaskDrift> {
-        self.tasks.iter().find(|t| t.task == task)
-    }
-}
-
-/// Build a drift report from per-kind predicted busy seconds and a
-/// measured span timeline. Both sides are grouped by
-/// [`TaskKind::paper_task`], merging the two compute halves, and every
-/// paper task gets a row (zeros when neither side saw it).
-pub fn drift_report(predicted: &TaskCosts, spans: &[Span]) -> DriftReport {
-    let observed = TaskCosts::from_spans(spans);
-    let by_paper_task = |costs: &TaskCosts| {
-        TaskKind::PAPER_TASKS.map(|task| {
-            TaskKind::ALL
-                .into_iter()
-                .filter(|k| k.paper_task() == task)
-                .map(|k| costs[k])
-                .sum::<f64>()
-        })
-    };
-    let (pred, obs) = (by_paper_task(predicted), by_paper_task(&observed));
-
-    let mut tasks = Vec::with_capacity(6);
-    let mut max_ratio_error = 0.0f64;
-    for (i, name) in TaskKind::PAPER_TASKS.iter().enumerate() {
-        let ratio = if pred[i] > 0.0 {
-            let r = obs[i] / pred[i];
-            max_ratio_error = max_ratio_error.max((r - 1.0).abs());
-            Some(r)
-        } else {
-            None
-        };
-        tasks.push(TaskDrift {
-            task: (*name).to_string(),
-            predicted_s: pred[i],
-            observed_s: obs[i],
-            ratio,
-            abs_error_s: obs[i] - pred[i],
-        });
-    }
-    DriftReport {
-        tasks,
-        max_ratio_error,
-    }
-}
-
-/// Drift for one serve-path metric (TTFT, queue depth, occupancy …) —
-/// the serving analogue of [`TaskDrift`], keyed by metric name instead
-/// of paper task.
+/// Drift for one row: a paper task's busy seconds, or a serve-path
+/// metric (TTFT, queue depth, occupancy …).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricDrift {
-    /// Metric name (e.g. `ttft_mean_s`, `slot_occupancy_mean`).
+    /// Row name (a paper task such as `load_weight`, or a serve metric
+    /// such as `ttft_mean_s`).
     pub metric: String,
-    /// Model-predicted value (TtftModel / the admission plan).
+    /// Model-predicted value.
     pub predicted: f64,
-    /// Value observed by the scheduler's boundary instrumentation.
+    /// Measured value.
     pub observed: f64,
-    /// `observed / predicted`; `None` when the prediction is zero.
+    /// `observed / predicted`; `None` when the prediction is zero (ratio
+    /// undefined — `abs_error` still carries the miss).
     pub ratio: Option<f64>,
     /// `observed - predicted`, always defined.
     pub abs_error: f64,
 }
 
-/// Predicted-vs-observed drift across the serve path's audited metrics
-/// (DESIGN.md §8). Unlike [`DriftReport`] the tolerance is per-run and
-/// documented, not exactly 1.0: the TTFT predictor is a queueing
-/// estimate, not a replay of the scheduler.
+/// Predicted-vs-observed drift over a list of rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeDriftReport {
+pub struct DriftReport {
     pub metrics: Vec<MetricDrift>,
-    /// Max over metrics of `|ratio - 1|` (metrics with a defined ratio).
+    /// Max over rows of `|ratio - 1|` (rows with a defined ratio).
     pub max_ratio_error: f64,
 }
 
-impl ServeDriftReport {
-    /// True when every metric with a defined ratio is within `eps` of
-    /// 1.0 and no zero-predicted metric observed more than `eps`.
+impl DriftReport {
+    /// True when every row with a defined ratio is within `eps` of 1.0
+    /// and no zero-predicted row observed more than `eps`.
     pub fn ok_within(&self, eps: f64) -> bool {
         self.metrics.iter().all(|m| match m.ratio {
             Some(r) => (r - 1.0).abs() <= eps,
@@ -138,10 +58,10 @@ impl ServeDriftReport {
     }
 }
 
-/// Build a serve drift report from `(metric, predicted, observed)`
-/// rows. Rows keep their given order; ratios are `observed/predicted`
-/// where the prediction is nonzero.
-pub fn serve_drift_report(rows: &[(&str, f64, f64)]) -> ServeDriftReport {
+/// Build a drift report from `(metric, predicted, observed)` rows. Rows
+/// keep their given order; ratios are `observed/predicted` where the
+/// prediction is nonzero.
+pub fn drift_report(rows: &[(&str, f64, f64)]) -> DriftReport {
     let mut metrics = Vec::with_capacity(rows.len());
     let mut max_ratio_error = 0.0f64;
     for &(name, predicted, observed) in rows {
@@ -160,10 +80,33 @@ pub fn serve_drift_report(rows: &[(&str, f64, f64)]) -> ServeDriftReport {
             abs_error: observed - predicted,
         });
     }
-    ServeDriftReport {
+    DriftReport {
         metrics,
         max_ratio_error,
     }
+}
+
+/// The six paper-task rows, in [`TaskKind::PAPER_TASKS`] order, from
+/// per-kind predicted busy seconds and a measured span timeline. Both
+/// sides are grouped by [`TaskKind::paper_task`], merging the two
+/// compute halves; a task neither side saw gets a zero row.
+pub fn task_drift(predicted: &TaskCosts, spans: &[Span]) -> DriftReport {
+    let observed = TaskCosts::from_spans(spans);
+    let paper_task_total = |costs: &TaskCosts, task: &str| {
+        TaskKind::ALL
+            .into_iter()
+            .filter(|k| k.paper_task() == task)
+            .map(|k| costs[k])
+            .sum::<f64>()
+    };
+    let rows = TaskKind::PAPER_TASKS.map(|task| {
+        (
+            task,
+            paper_task_total(predicted, task),
+            paper_task_total(&observed, task),
+        )
+    });
+    drift_report(&rows)
 }
 
 #[cfg(test)]
@@ -197,10 +140,10 @@ mod tests {
             span(TaskKind::LoadWeight, 1.5, 2.0),
             span(TaskKind::ComputeGpu, 2.0, 3.0),
         ];
-        let r = drift_report(&predicted, &spans);
-        assert_eq!(r.tasks.len(), 6, "every paper task gets a row");
-        assert_eq!(r.task("load_weight").unwrap().ratio, Some(1.0));
-        assert_eq!(r.task("compute").unwrap().ratio, Some(1.0));
+        let r = task_drift(&predicted, &spans);
+        assert_eq!(r.metrics.len(), 6, "every paper task gets a row");
+        assert_eq!(r.metric("load_weight").unwrap().ratio, Some(1.0));
+        assert_eq!(r.metric("compute").unwrap().ratio, Some(1.0));
         assert!(r.ok_within(1e-9));
         assert_eq!(r.max_ratio_error, 0.0);
     }
@@ -212,10 +155,10 @@ mod tests {
             span(TaskKind::ComputeCpu, 0.0, 1.0),
             span(TaskKind::ComputeGpu, 1.0, 4.0),
         ];
-        let r = drift_report(&predicted, &spans);
-        let c = r.task("compute").unwrap();
-        assert_eq!(c.predicted_s, 4.0);
-        assert_eq!(c.observed_s, 4.0);
+        let r = task_drift(&predicted, &spans);
+        let c = r.metric("compute").unwrap();
+        assert_eq!(c.predicted, 4.0);
+        assert_eq!(c.observed, 4.0);
         assert_eq!(c.ratio, Some(1.0));
     }
 
@@ -223,10 +166,10 @@ mod tests {
     fn drift_is_reported() {
         let predicted = costs(&[(TaskKind::LoadCache, 1.0)]);
         let spans = vec![span(TaskKind::LoadCache, 0.0, 1.3)];
-        let r = drift_report(&predicted, &spans);
-        let t = r.task("load_cache").unwrap();
+        let r = task_drift(&predicted, &spans);
+        let t = r.metric("load_cache").unwrap();
         assert!((t.ratio.unwrap() - 1.3).abs() < 1e-9);
-        assert!((t.abs_error_s - 0.3).abs() < 1e-9);
+        assert!((t.abs_error - 0.3).abs() < 1e-9);
         assert!((r.max_ratio_error - 0.3).abs() < 1e-9);
         assert!(!r.ok_within(0.1));
         assert!(r.ok_within(0.5));
@@ -235,18 +178,18 @@ mod tests {
     #[test]
     fn zero_predicted_with_observation_fails_ok_within() {
         let spans = vec![span(TaskKind::StoreCache, 0.0, 0.5)];
-        let r = drift_report(&TaskCosts::default(), &spans);
-        let t = r.task("store_cache").unwrap();
+        let r = task_drift(&TaskCosts::default(), &spans);
+        let t = r.metric("store_cache").unwrap();
         assert_eq!(t.ratio, None);
-        assert_eq!(t.abs_error_s, 0.5);
+        assert_eq!(t.abs_error, 0.5);
         assert!(!r.ok_within(0.1));
         // Tasks absent on both sides stay within any epsilon.
-        assert_eq!(r.task("load_weight").unwrap().observed_s, 0.0);
+        assert_eq!(r.metric("load_weight").unwrap().observed, 0.0);
     }
 
     #[test]
     fn report_serde_round_trip() {
-        let r = drift_report(
+        let r = task_drift(
             &costs(&[(TaskKind::LoadWeight, 1.0)]),
             &[span(TaskKind::LoadWeight, 0.0, 1.1)],
         );
@@ -257,7 +200,7 @@ mod tests {
 
     #[test]
     fn serve_drift_ratios_and_tolerance() {
-        let r = serve_drift_report(&[
+        let r = drift_report(&[
             ("ttft_mean_s", 0.5, 0.6),
             ("slot_occupancy_mean", 0.8, 0.8),
             ("queue_depth_mean", 0.0, 0.0),
@@ -275,11 +218,11 @@ mod tests {
 
     #[test]
     fn serve_drift_zero_predicted_with_observation_fails() {
-        let r = serve_drift_report(&[("queue_depth_mean", 0.0, 2.0)]);
+        let r = drift_report(&[("queue_depth_mean", 0.0, 2.0)]);
         assert!(!r.ok_within(0.5));
         assert!(r.ok_within(2.5), "abs slack covers the miss");
         let v = serde::Serialize::serialize(&r);
-        let back: ServeDriftReport = serde::Deserialize::deserialize(&v).unwrap();
+        let back: DriftReport = serde::Deserialize::deserialize(&v).unwrap();
         assert_eq!(back, r);
     }
 }

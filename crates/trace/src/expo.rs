@@ -230,7 +230,11 @@ pub fn parse(text: &str) -> Result<MetricsSnapshot, ExpoError> {
             HistogramSummary {
                 count: p.count,
                 sum: p.sum,
-                mean: if p.count == 0 { 0.0 } else { p.sum / p.count as f64 },
+                mean: if p.count == 0 {
+                    0.0
+                } else {
+                    p.sum / p.count as f64
+                },
                 min,
                 max,
                 p50: p.p50,

@@ -133,7 +133,9 @@ impl FlightRecorder {
     /// whether *this* call captured it (`false` when disabled or when a
     /// dump already exists).
     pub fn trigger(&self, reason: &str, t_us: u64, metrics: MetricsSnapshot) -> bool {
-        let Some(inner) = &self.inner else { return false };
+        let Some(inner) = &self.inner else {
+            return false;
+        };
         let mut st = inner.state.lock();
         if st.dump.is_some() {
             return false;
@@ -153,12 +155,16 @@ impl FlightRecorder {
 
     /// The frozen dump, if any trigger fired.
     pub fn dump(&self) -> Option<FlightDump> {
-        self.inner.as_ref().and_then(|i| i.state.lock().dump.clone())
+        self.inner
+            .as_ref()
+            .and_then(|i| i.state.lock().dump.clone())
     }
 
     /// Events currently held in the ring.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.state.lock().events.len())
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.state.lock().events.len())
     }
 
     pub fn is_empty(&self) -> bool {

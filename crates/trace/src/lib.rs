@@ -28,9 +28,10 @@
 //!   frozen into a post-mortem [`FlightDump`] on first failure;
 //! - [`perfetto`]: Chrome/Perfetto `trace.json` export (open in
 //!   <https://ui.perfetto.dev>);
-//! - [`drift`]: per-task predicted-vs-observed ratios — the number that
-//!   says whether the cost model still describes the pipeline — plus
-//!   the serve-path metric audit ([`ServeDriftReport`]).
+//! - [`drift`]: predicted-vs-observed ratios in one [`DriftReport`] —
+//!   per paper task ([`task_drift`]: the number that says whether the
+//!   cost model still describes the pipeline) and per serve-path metric
+//!   ([`drift_report`]).
 //!
 //! ```
 //! use lm_trace::{TaskKind, Tracer};
@@ -60,9 +61,7 @@ pub mod task;
 pub mod tracer;
 
 pub use clock::TraceClock;
-pub use drift::{
-    drift_report, serve_drift_report, DriftReport, MetricDrift, ServeDriftReport, TaskDrift,
-};
+pub use drift::{drift_report, task_drift, DriftReport, MetricDrift};
 pub use expo::ExpoError;
 pub use flight::{FlightDump, FlightEvent, FlightRecorder};
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};

@@ -61,10 +61,12 @@ impl Histogram {
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .sum_bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match self.sum_bits.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
                 Ok(_) => break,
                 Err(seen) => cur = seen,
             }
@@ -117,7 +119,11 @@ impl Histogram {
         HistogramSummary {
             count,
             sum: self.sum(),
-            mean: if count == 0 { 0.0 } else { self.sum() / count as f64 },
+            mean: if count == 0 {
+                0.0
+            } else {
+                self.sum() / count as f64
+            },
             min,
             max,
             // `max`/`min`, not `clamp`: a racing `record` can leave
@@ -156,7 +162,11 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn intern<T>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    fn intern<T>(
+        map: &Mutex<BTreeMap<String, Arc<T>>>,
+        name: &str,
+        make: impl FnOnce() -> T,
+    ) -> Arc<T> {
         let mut m = map.lock();
         if let Some(v) = m.get(name) {
             return Arc::clone(v);
@@ -173,7 +183,8 @@ impl MetricsRegistry {
 
     /// Set gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        Self::intern(&self.gauges, name, || AtomicU64::new(0)).store(v.to_bits(), Ordering::Relaxed);
+        Self::intern(&self.gauges, name, || AtomicU64::new(0))
+            .store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// The histogram `name`, registering it on first use.
@@ -237,9 +248,21 @@ mod tests {
         assert!((h.sum() - 280.0).abs() < 1e-9);
         // Bucket centers are within ~9% of the true value.
         let rel = |got: f64, want: f64| (got / want - 1.0).abs();
-        assert!(rel(h.quantile(0.50), 1.0) < 0.10, "p50 {}", h.quantile(0.50));
-        assert!(rel(h.quantile(0.95), 10.0) < 0.10, "p95 {}", h.quantile(0.95));
-        assert!(rel(h.quantile(0.99), 100.0) < 0.10, "p99 {}", h.quantile(0.99));
+        assert!(
+            rel(h.quantile(0.50), 1.0) < 0.10,
+            "p50 {}",
+            h.quantile(0.50)
+        );
+        assert!(
+            rel(h.quantile(0.95), 10.0) < 0.10,
+            "p95 {}",
+            h.quantile(0.95)
+        );
+        assert!(
+            rel(h.quantile(0.99), 100.0) < 0.10,
+            "p99 {}",
+            h.quantile(0.99)
+        );
         let s = h.summary();
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);

@@ -58,10 +58,7 @@ impl PerfettoTrace {
             ("name", Value::String(kind.to_string())),
             ("ph", Value::String("M".to_string())),
             ("pid", Value::PosInt(pid)),
-            (
-                "args",
-                obj(vec![("name", Value::String(name.to_string()))]),
-            ),
+            ("args", obj(vec![("name", Value::String(name.to_string()))])),
         ];
         if let Some(tid) = tid {
             fields.push(("tid", Value::PosInt(tid)));
@@ -102,7 +99,12 @@ impl PerfettoTrace {
         for sc in scopes {
             let tid = SCOPE_TID_BASE + sc.track as u64;
             if named_tracks.insert(sc.track) {
-                self.metadata("thread_name", PID, Some(tid), &format!("scope:{}", sc.track));
+                self.metadata(
+                    "thread_name",
+                    PID,
+                    Some(tid),
+                    &format!("scope:{}", sc.track),
+                );
             }
             self.events.push(obj(vec![
                 ("name", Value::String(sc.name.clone())),
@@ -112,10 +114,7 @@ impl PerfettoTrace {
                 ("tid", Value::PosInt(tid)),
                 ("ts", us(sc.start)),
                 ("dur", us(sc.end - sc.start)),
-                (
-                    "args",
-                    obj(vec![("depth", Value::PosInt(sc.depth as u64))]),
-                ),
+                ("args", obj(vec![("depth", Value::PosInt(sc.depth as u64))])),
             ]));
         }
     }

@@ -76,9 +76,15 @@ pub fn render_gantt(spans: &[Span], width: usize) -> String {
                 *cell = s.kind.glyph();
             }
         }
-        out.push_str(&format!("{:>4} |{}|\n", resource.name(), row.iter().collect::<String>()));
+        out.push_str(&format!(
+            "{:>4} |{}|\n",
+            resource.name(),
+            row.iter().collect::<String>()
+        ));
     }
-    out.push_str("     W=load_weight C=load_cache a=load_act c=store_cache s=store_act #=cpu %=gpu\n");
+    out.push_str(
+        "     W=load_weight C=load_cache a=load_act c=store_cache s=store_act #=cpu %=gpu\n",
+    );
     out
 }
 
@@ -99,10 +105,22 @@ mod tests {
 
     #[test]
     fn resources_map_correctly() {
-        assert_eq!(span(TaskKind::LoadWeight, 0.0, 1.0).resource(), Resource::H2d);
-        assert_eq!(span(TaskKind::StoreCache, 0.0, 1.0).resource(), Resource::D2h);
-        assert_eq!(span(TaskKind::ComputeCpu, 0.0, 1.0).resource(), Resource::Cpu);
-        assert_eq!(span(TaskKind::ComputeGpu, 0.0, 1.0).resource(), Resource::Gpu);
+        assert_eq!(
+            span(TaskKind::LoadWeight, 0.0, 1.0).resource(),
+            Resource::H2d
+        );
+        assert_eq!(
+            span(TaskKind::StoreCache, 0.0, 1.0).resource(),
+            Resource::D2h
+        );
+        assert_eq!(
+            span(TaskKind::ComputeCpu, 0.0, 1.0).resource(),
+            Resource::Cpu
+        );
+        assert_eq!(
+            span(TaskKind::ComputeGpu, 0.0, 1.0).resource(),
+            Resource::Gpu
+        );
     }
 
     #[test]

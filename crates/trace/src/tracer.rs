@@ -17,7 +17,7 @@
 use crate::clock::TraceClock;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::span::Span;
-use crate::task::{TaskCosts, TaskKind};
+use crate::task::TaskKind;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -56,13 +56,6 @@ pub struct TraceReport {
     pub scopes: Vec<ScopeEvent>,
     pub instants: Vec<InstantEvent>,
     pub metrics: MetricsSnapshot,
-}
-
-impl TraceReport {
-    /// Total span-busy seconds per task kind.
-    pub fn observed_task_totals(&self) -> TaskCosts {
-        TaskCosts::from_spans(&self.spans)
-    }
 }
 
 #[derive(Default)]
@@ -156,7 +149,13 @@ impl Tracer {
     /// Open a task span; it records itself (and its duration histogram)
     /// when the guard drops.
     #[inline]
-    pub fn task_span(&self, kind: TaskKind, step: u64, layer: u32, batch: Option<u32>) -> TaskSpanGuard {
+    pub fn task_span(
+        &self,
+        kind: TaskKind,
+        step: u64,
+        layer: u32,
+        batch: Option<u32>,
+    ) -> TaskSpanGuard {
         TaskSpanGuard {
             ctx: self.inner.as_ref().map(|inner| TaskCtx {
                 inner: Arc::clone(inner),
@@ -330,6 +329,7 @@ impl Drop for ScopeGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskCosts;
 
     #[test]
     fn disabled_tracer_records_nothing() {
@@ -371,7 +371,10 @@ mod tests {
         assert!(inner.start >= outer.start && inner.end <= outer.end);
         assert_eq!(r.spans.len(), 1);
         let s = r.spans[0];
-        assert_eq!((s.kind, s.step, s.layer, s.batch), (TaskKind::ComputeGpu, 3, 7, Some(1)));
+        assert_eq!(
+            (s.kind, s.step, s.layer, s.batch),
+            (TaskKind::ComputeGpu, 3, 7, Some(1))
+        );
         assert!(s.end >= s.start);
         // Task spans auto-record their duration histogram.
         assert_eq!(r.metrics.histograms["task.compute_gpu.seconds"].count, 1);
@@ -437,7 +440,7 @@ mod tests {
         {
             let _b = t.task_span(TaskKind::ComputeGpu, 0, 0, None);
         }
-        let totals = t.snapshot().observed_task_totals();
+        let totals = TaskCosts::from_spans(&t.snapshot().spans);
         assert!(totals[TaskKind::LoadWeight] >= 0.001);
         assert!(totals[TaskKind::ComputeGpu] >= 0.0);
         assert_eq!(totals[TaskKind::StoreCache], 0.0);

@@ -4,8 +4,8 @@
 //!   (decode step, layer, task) and the Perfetto export round-trips
 //!   through the JSON parser with the right event shapes.
 //! - Drift golden: replaying the analytic model against the simulator's
-//!   own traced timeline yields observed/predicted ratios of 1.0 for all
-//!   six paper decode tasks.
+//!   own traced timeline yields observed/predicted ratios of 1.0 (within
+//!   1e-9) for all six paper decode tasks.
 //! - Tracing disabled is the default and must stay (near) zero-cost: the
 //!   disabled handle changes neither tokens nor wall-clock beyond noise.
 //! - Fault events are stamped on the tracer's clock, so instants and
@@ -17,7 +17,7 @@ use lm_fault::{FaultConfig, FaultInjector};
 use lm_models::{presets, Workload};
 use lm_sim::policy::AttentionPlacement;
 use lm_sim::{predicted_task_totals, simulate_traced, BaseCostModel, Policy};
-use lm_trace::{drift_report, PerfettoTrace, TaskKind, Tracer};
+use lm_trace::{task_drift, PerfettoTrace, TaskKind, Tracer};
 use std::time::Instant;
 
 fn prompts() -> Vec<Vec<u32>> {
@@ -113,22 +113,22 @@ fn drift_golden_sim_ratios_are_unity_for_all_six_tasks() {
     let steps = w.gen_len - 1;
     let (_, spans) = simulate_traced(&m, &w, model.num_layers, steps);
     let predicted = predicted_task_totals(&m, &w, model.num_layers, steps);
-    let report = drift_report(&predicted, &spans);
+    let report = task_drift(&predicted, &spans);
 
-    assert_eq!(report.tasks.len(), 6, "one row per paper decode task");
+    assert_eq!(report.metrics.len(), 6, "one row per paper decode task");
     for name in TaskKind::PAPER_TASKS {
-        let row = report.task(name).unwrap_or_else(|| panic!("missing {name}"));
-        assert!(row.predicted_s > 0.0, "{name} predicted nothing");
+        let row = report.metric(name).unwrap_or_else(|| panic!("missing {name}"));
+        assert!(row.predicted > 0.0, "{name} predicted nothing");
         let ratio = row.ratio.expect("observed and predicted both nonzero");
         assert!(
-            (ratio - 1.0).abs() < 1e-6,
+            (ratio - 1.0).abs() < 1e-9,
             "{name}: ratio {ratio} (predicted {} observed {})",
-            row.predicted_s,
-            row.observed_s
+            row.predicted,
+            row.observed
         );
     }
-    assert!(report.ok_within(1e-6));
-    assert!(report.max_ratio_error < 1e-6);
+    assert!(report.ok_within(1e-9));
+    assert!(report.max_ratio_error < 1e-9);
 }
 
 /// The default (disabled) tracer is a `None` handle: token output is
