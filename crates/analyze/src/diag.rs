@@ -4,17 +4,17 @@
 //!
 //! Code ranges are stable API:
 //!
-//! | range    | module         | judges                                        |
-//! |----------|----------------|-----------------------------------------------|
-//! | `LMA0xx` | (retired)      | operator graphs: the builders and Algorithm 3 |
-//! | `LMA1xx` | `plan_lints`   | policy placements and operator bundling       |
-//! | `LMA20x` | (retired)      | the cost model's own arithmetic               |
-//! | `LMA25x` | `serve_lints`  | `lm-serve` slot plans, a `ServeProbe`         |
-//! | `LMA26x` | `serve_lints`  | SLO / overload policies, a `SloProbe`         |
-//! | `LMA27x` | `obs_lints`    | observability wiring, an `ObsProbe`           |
-//! | `LMA28x` | `paging_lints` | paged-KV geometry, a `PagingProbe`            |
-//! | `LMA29x` | `verify_lints` | `lm-verify` runs, a `VerifyProbe`             |
-//! | `LMA30x` | `async_lints`  | async channel and clock, an `AsyncProbe`      |
+//! | range    | home                           | judges                                         |
+//! |----------|--------------------------------|------------------------------------------------|
+//! | `LMA0xx` | (retired)                      | operator graphs: the builders and Algorithm 3  |
+//! | `LMA1xx` | `plan_lints`                   | policy placements and operator bundling        |
+//! | `LMA20x` | (retired)                      | the cost model's own arithmetic                |
+//! | `LMA25x` | (retired)                      | slots against the KV pool: the planner         |
+//! | `LMA26x` | `lm_serve::SloPolicy::check`   | an SLO objective against the plan's TTFT floor |
+//! | `LMA27x` | `lm_serve::obs::obs_report`    | a `ServeConfig`'s observability wiring         |
+//! | `LMA28x` | `lm_serve::derive_plan`        | the planning context against the page size     |
+//! | `LMA29x` | `lm_verify::verify_report`     | a finished sweep and protocol exploration      |
+//! | `LMA30x` | `lm_serve::AsyncConfig::check` | the async channel and clock                    |
 //!
 //! What a code means is written once: the doc comment on its row of
 //! `lint_codes!` below ([`LintCode`]). A code, once shipped, keeps its
@@ -93,8 +93,10 @@ lint_codes! {
     // LMA203 (a footprint above fp16) is retired: it fired only on
     // unquantised f32 policies, always falsely. Never reuse 203.
     // LMA204 (a non-finite sampled quantity) is retired. Never reuse 204.
-    /// Serve plan leases more KV bytes than its pool holds.
-    Lma250SlotsExceedPool = "LMA250",
+    // LMA250 (a plan leasing more KV bytes than its pool holds) is
+    // retired: the planner takes `pages_total / ⌈pages_per_slot / 2⌉`
+    // slots, so a context that tiles cannot oversubscribe the pool, and
+    // one that does not is refused by LMA280. Never reuse 250.
     // LMA251 (serve block beyond its block graph's Kahn width) is
     // retired: the graph was built `head_groups` wide per slot, so it
     // could not fire on a derived plan. Never reuse 251.
@@ -116,14 +118,13 @@ lint_codes! {
     /// Flight recorder armed with zero capacity while chaos faults are
     /// active: the post-mortem dump would always be empty.
     Lma271FlightRecorderZeroCapacity = "LMA271",
-    /// Page geometry broken: zero-size pages, `page_bytes` not equal to
-    /// `page_tokens · bytes_per_token`, a page size that does not divide
-    /// the plan's KV block, or a pool too small for one page.
+    /// The planning context is not a whole number of KV pages, so every
+    /// slot's last page would be padding.
     Lma280PageGeometryInvalid = "LMA280",
     // LMA281 (page refcounts disagreeing with the live page tables) is
-    // retired: the one probe constructor is a plan-time one, where every
-    // counter is zero; the pool's own tests and loom exploration check
-    // conservation at runtime. Never reuse 281.
+    // retired: it was judged at plan time, where every counter is zero;
+    // the pool's own tests and loom exploration check conservation at
+    // runtime. Never reuse 281.
     // LMA282 (a shared page written in place) is retired: only full
     // prompt pages are shared and none is ever written. Never reuse 282.
     // LMA290 (a degenerate sweep lattice) is retired: `run_sweep` takes one
@@ -295,8 +296,8 @@ mod tests {
     #[test]
     fn code_registry_is_stable_against_golden_list() {
         const GOLDEN: &[&str] = &[
-            "LMA109", "LMA110", "LMA250", "LMA260", "LMA262", "LMA270", "LMA271", "LMA280",
-            "LMA291", "LMA292", "LMA300", "LMA302",
+            "LMA109", "LMA110", "LMA260", "LMA262", "LMA270", "LMA271", "LMA280", "LMA291",
+            "LMA292", "LMA300", "LMA302",
         ];
         let shipped: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(shipped, GOLDEN, "LMA registry drifted from the golden list");
@@ -310,7 +311,6 @@ mod tests {
     fn codes_stay_in_their_family_ranges() {
         let family_of = |n: u32| match n {
             100..=199 => "plan",
-            250..=259 => "serve",
             260..=269 => "slo",
             270..=279 => "obs",
             280..=289 => "paging",
@@ -335,7 +335,6 @@ mod tests {
             let name = format!("{code:?}");
             let claimed = match &name {
                 _ if name.starts_with("Lma1") => "plan",
-                _ if name.starts_with("Lma25") => "serve",
                 _ if name.starts_with("Lma26") => "slo",
                 _ if name.starts_with("Lma27") => "obs",
                 _ if name.starts_with("Lma28") => "paging",
@@ -354,8 +353,8 @@ mod tests {
         const RETIRED: &[&str] = &[
             "LMA001", "LMA002", "LMA003", "LMA004", "LMA005", "LMA006", "LMA007", "LMA101",
             "LMA102", "LMA103", "LMA104", "LMA105", "LMA106", "LMA107", "LMA108", "LMA201",
-            "LMA202", "LMA203", "LMA204", "LMA251", "LMA252", "LMA261", "LMA281", "LMA282",
-            "LMA290", "LMA301",
+            "LMA202", "LMA203", "LMA204", "LMA250", "LMA251", "LMA252", "LMA261", "LMA281",
+            "LMA282", "LMA290", "LMA301",
         ];
         for code in LintCode::ALL {
             assert!(

@@ -1,24 +1,24 @@
 //! Mutation coverage: every stable lint code has a seeded defect that
 //! provably fires it — the analyzer's own regression harness, as one
 //! table. Each row starts from a known-clean artifact (default policy,
-//! shipped attention graph, a sound serve-side probe), injects exactly
-//! one defect, and returns the report before and after; one assertion
-//! judges every row, and the table's code set must equal
-//! `LintCode::ALL`.
+//! shipped attention graph, a clean serving configuration, a clean
+//! verification run), injects exactly one defect, and returns the report
+//! before and after; one assertion judges every row, and the table's code
+//! set must equal `LintCode::ALL`.
 //!
 //! Beside it, one row per retired code keeps that code's test name and
 //! asserts the guarantee that retired it, in the code that now rules the
 //! defect out: the graph builders and `try_depend` (`LMA0xx`), Algorithm
 //! 3's search (`LMA101`–`LMA107`), `Policy::validate` (`LMA108`), the
-//! cost model (`LMA20x`) and the sweep lattices (`LMA290`).
+//! cost model (`LMA20x`), the serve planner (`LMA250`) and the sweep
+//! lattices (`LMA290`).
 
 #![allow(clippy::unwrap_used)]
 
 use lm_analyze::{
-    analyze_deployment, lint_async, lint_bundles, lint_obs, lint_paging, lint_policy, lint_serve,
-    lint_slo, lint_verify, AsyncProbe, Deployment, LintCode, ObsProbe, PagingProbe, Report,
-    ServeProbe, SloProbe, UnsoundnessWitness, VerifyProbe, BUNDLE_MIN_FLOPS,
+    analyze_deployment, lint_bundles, lint_policy, Deployment, LintCode, Report, BUNDLE_MIN_FLOPS,
 };
+use lm_fault::{FaultConfig, FaultInjector, StormProfile};
 use lm_hardware::{presets, Platform};
 use lm_models::{footprint, presets as models, DType, ModelConfig, Workload};
 use lm_parallelism::{
@@ -26,8 +26,16 @@ use lm_parallelism::{
     CpuScalingModel, ExecError, Executor, GraphError, OpGraph, OpKind, ParallelismPlan,
     ProfileTable, SearchConfig, SearchError, TransferTask, NUM_TRANSFER_TASKS,
 };
+use lm_serve::obs::obs_report;
+use lm_serve::preflight::preflight_reports;
+use lm_serve::{
+    derive_plan, AnalyticBackend, AsyncConfig, EngineBackend, ServeBackend, ServeConfig, SloPolicy,
+};
 use lm_sim::{t_gen, AttentionPlacement, BaseCostModel, CostProvider, Policy, TaskKind};
-use lm_verify::{SweepDepth, CONFIGS_FLOOR};
+use lm_trace::{FlightRecorder, Tracer};
+use lm_verify::{
+    verify_report, ProtocolReport, SweepDepth, SweepReport, UnsoundnessWitness, CONFIGS_FLOOR,
+};
 
 struct Fixture {
     platform: Platform,
@@ -99,70 +107,71 @@ macro_rules! mutations {
     };
 }
 
-/// Lint `probe` as is and with `defect` applied to a copy.
-fn probed<P: Clone>(probe: P, lint: fn(&P) -> Report, defect: fn(&mut P)) -> (Report, Report) {
-    let mut broken = probe.clone();
-    defect(&mut broken);
-    (lint(&probe), lint(&broken))
+/// Every report the serve gate gives `cfg` on OPT-30B, merged.
+fn gate(cfg: &ServeConfig) -> Report {
+    let (_, reports) = preflight_reports(&AnalyticBackend::opt_30b(), cfg, None);
+    let mut all = Report::default();
+    reports.into_iter().for_each(|r| all.extend(r));
+    all
 }
 
-fn serve(defect: fn(&mut ServeProbe)) -> (Report, Report) {
-    let sound = ServeProbe {
-        slots: 6,
-        kv_bytes_per_slot: 4 << 20,
-        kv_pool_bytes: 32 << 20,
+/// `gate` on `clean` and on `broken`.
+fn gated(clean: ServeConfig, broken: ServeConfig) -> (Report, Report) {
+    (gate(&clean), gate(&broken))
+}
+
+fn enforcing(ttft_p99_s: f64) -> ServeConfig {
+    ServeConfig {
+        slo: Some(SloPolicy::enforcing(ttft_p99_s)),
+        ..ServeConfig::default()
+    }
+}
+
+/// A chaos storm recorded by a flight recorder of `capacity` events.
+fn storm_recorded(capacity: usize) -> ServeConfig {
+    ServeConfig {
+        flight: FlightRecorder::new(capacity),
+        fault: FaultInjector::new(FaultConfig::storm(7, StormProfile::Default)),
+        ..ServeConfig::default()
+    }
+}
+
+/// A finished verification run: a sweep with no witness and one
+/// exploration that drove exactly the transitions it declares.
+fn verified() -> (SweepReport, Vec<ProtocolReport>) {
+    let both = vec!["admit/fresh".to_string(), "append/new-page".to_string()];
+    let sweep = SweepReport {
+        axes: SweepDepth::Quick.axes(),
+        configs: 288,
+        unsoundness: Vec::new(),
+        incompleteness: 0,
+        consistent: 288,
     };
-    probed(sound, lint_serve, defect)
-}
-
-fn slo(defect: fn(&mut SloProbe)) -> (Report, Report) {
-    let sound = SloProbe {
-        ttft_p99_slo_s: 300.0,
-        floor_ttft_s: 20.0,
-        slots: 8,
-        enforce: true,
-    };
-    probed(sound, lint_slo, defect)
-}
-
-fn obs(defect: fn(&mut ObsProbe)) -> (Report, Report) {
-    let sound = ObsProbe {
-        slo_enforce: true,
-        ttft_histogram_registered: true,
-        flight_enabled: true,
-        flight_capacity: 256,
-        chaos_faults_armed: true,
-    };
-    probed(sound, lint_obs, defect)
-}
-
-fn paging(defect: fn(&mut PagingProbe)) -> (Report, Report) {
-    let sound = PagingProbe {
-        page_tokens: 16,
-        page_bytes: 16 * 2048,
-        bytes_per_token: 2048,
-        kv_block_tokens: 512,
-        pages_total: 256,
-    };
-    probed(sound, lint_paging, defect)
-}
-
-fn verify(defect: fn(&mut VerifyProbe)) -> (Report, Report) {
-    let sound = VerifyProbe {
-        unsoundness_witnesses: Vec::new(),
-        declared_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
-        exercised_transitions: vec!["admit/fresh".into(), "append/new-page".into()],
+    let kvpool = ProtocolReport {
+        name: "kvpool".into(),
         interleavings: 12_000,
+        truncated: false,
+        failure: None,
+        declared: both.clone(),
+        exercised: both,
     };
-    probed(sound, lint_verify, defect)
+    (sweep, vec![kvpool])
 }
 
-fn asynch(defect: fn(&mut AsyncProbe)) -> (Report, Report) {
-    let sound = AsyncProbe {
-        channel_capacity: 32,
-        time_scale: 1.0,
-    };
-    probed(sound, lint_async, defect)
+/// `verify_report` on the clean run and on the run `defect` breaks.
+fn verify(defect: fn(&mut SweepReport, &mut Vec<ProtocolReport>)) -> (Report, Report) {
+    let (sweep, protocols) = verified();
+    let (mut broken_sweep, mut broken_protocols) = verified();
+    defect(&mut broken_sweep, &mut broken_protocols);
+    (
+        verify_report(&sweep, &protocols),
+        verify_report(&broken_sweep, &broken_protocols),
+    )
+}
+
+/// `AsyncConfig::check` on the default shape and on one `defect` breaks.
+fn asynch(defect: AsyncConfig) -> (Report, Report) {
+    (AsyncConfig::default().check(), defect.check())
 }
 
 mutations! {
@@ -194,36 +203,58 @@ mutations! {
             lint_bundles(&g, BUNDLE_MIN_FLOPS, &f.platform), // merges the chain
         )
     },
-    lma250_slots_oversubscribe_pool: Lma250SlotsExceedPool => |_| serve(|p| p.slots = 9),
-    lma260_objective_below_the_floor: Lma260SloBelowFloor => |_| slo(|p| {
-        p.ttft_p99_slo_s = p.floor_ttft_s / 2.0;
-    }),
-    lma262_preemption_on_a_single_slot: Lma262PreemptSingleSlot => |_| slo(|p| p.slots = 1),
-    lma270_enforcement_without_ttft_histogram: Lma270SloWithoutTtftHistogram => |_| obs(|p| {
-        p.ttft_histogram_registered = false;
-    }),
+    lma260_objective_below_the_floor: Lma260SloBelowFloor => |_| {
+        gated(enforcing(1e6), enforcing(1e-3))
+    },
+    lma262_preemption_on_a_single_slot: Lma262PreemptSingleSlot => |_| {
+        let one_slot = ServeConfig {
+            max_slots: 1,
+            slot_context: 16, // one page: one slot
+            ..enforcing(1e6)
+        };
+        gated(enforcing(1e6), one_slot)
+    },
+    lma270_enforcement_without_ttft_histogram: Lma270SloWithoutTtftHistogram => |_| {
+        let traced = ServeConfig {
+            tracer: Tracer::new(),
+            ..enforcing(1e6)
+        };
+        (obs_report(&traced), obs_report(&enforcing(1e6)))
+    },
     lma271_armed_flight_recorder_with_zero_capacity: Lma271FlightRecorderZeroCapacity => |_| {
-        obs(|p| p.flight_capacity = 0)
+        (obs_report(&storm_recorded(256)), obs_report(&storm_recorded(0)))
     },
-    lma280_page_does_not_tile_kv_block: Lma280PageGeometryInvalid => |_| paging(|p| {
-        p.kv_block_tokens = 500; // 500 % 16 != 0
-    }),
-    lma291_lint_passed_where_ground_truth_failed: Lma291LintUnsoundnessWitness => |_| verify(|p| {
-        p.unsoundness_witnesses.push(UnsoundnessWitness {
-            config: "opt-30b/pool=8GiB/page=16/slo=none/ladder=flat".into(),
-            invariant: "pool_capacity".into(),
-            detail: "admission granted 257 of 256 pages".into(),
-        });
-    }),
+    lma280_page_does_not_tile_kv_block: Lma280PageGeometryInvalid => |_| {
+        let at = |slot_context| ServeConfig {
+            slot_context,
+            ..ServeConfig::default()
+        };
+        gated(at(96), at(100)) // 100 % 16 != 0
+    },
+    lma291_lint_passed_where_ground_truth_failed: Lma291LintUnsoundnessWitness => |_| {
+        verify(|sweep, _| {
+            sweep.unsoundness.push(UnsoundnessWitness {
+                config: "opt-30b/pool=8GiB/page=16/slo=none/ladder=flat".into(),
+                invariant: "pool_capacity".into(),
+                detail: "admission granted 257 of 256 pages".into(),
+            });
+        })
+    },
     lma292_declared_transition_never_exercised: Lma292UncheckedProtocolTransition => |_| {
-        verify(|p| p.exercised_transitions.retain(|t| t != "append/new-page"))
+        verify(|_, protocols| protocols[0].exercised.retain(|t| t != "append/new-page"))
     },
-    lma300_zero_capacity_token_channel: Lma300AsyncZeroChannelCapacity => |_| asynch(|p| {
-        p.channel_capacity = 0;
-    }),
-    lma302_degenerate_time_scale: Lma302AsyncBadTimeScale => |_| asynch(|p| {
-        p.time_scale = f64::NAN;
-    }),
+    lma300_zero_capacity_token_channel: Lma300AsyncZeroChannelCapacity => |_| {
+        asynch(AsyncConfig {
+            channel_capacity: 0,
+            ..AsyncConfig::default()
+        })
+    },
+    lma302_degenerate_time_scale: Lma302AsyncBadTimeScale => |_| {
+        asynch(AsyncConfig {
+            time_scale: 0.0,
+            ..AsyncConfig::default()
+        })
+    },
 }
 
 /// Declares the retired codes' rows. Each `name: "LMAnnn" => guarantee`
@@ -517,6 +548,39 @@ retired! {
             let total = t_gen(base, token, batches);
             assert!(total.is_finite() && total > 0.0, "T_gen at {token}: {total}");
         });
+    },
+    // The planner takes `pages_total / ⌈pages_per_slot / 2⌉` slots: over
+    // every model preset at two K/V widths and the real tiny engine, pool
+    // sizes and contexts, a context that tiles never leases more than its
+    // pool at the half-envelope residency, and one that does not is
+    // refused by LMA280.
+    lma250_slots_oversubscribe_pool: "LMA250" => || {
+        let mut backends: Vec<Box<dyn ServeBackend>> =
+            vec![Box::new(EngineBackend::tiny_test(7).unwrap())];
+        for model in models::all_presets() {
+            for kv_dtype in [DType::F16, DType::Int4] {
+                let policy = Policy { kv_dtype, ..Policy::flexgen_default() };
+                let platform = presets::single_gpu_a100();
+                backends.push(Box::new(AnalyticBackend::new(platform, model.clone(), policy)));
+            }
+        }
+        let contexts = (0..=48).chain((64..=2048).step_by(16));
+        for b in &backends {
+            for max_slots in [0, 1, 2, 3, 5, 8, 16] {
+                for slot_context in contexts.clone() {
+                    let cfg = ServeConfig { max_slots, slot_context, ..ServeConfig::default() };
+                    let (plan, report) = derive_plan(b.as_ref(), &cfg);
+                    let at = format!("{} x{max_slots} @ {}", b.model().name, plan.slot_context);
+                    if (plan.slot_context as u64).is_multiple_of(plan.page_tokens) {
+                        let residency = plan.pages_per_slot.div_ceil(2).max(1) * plan.page_bytes;
+                        assert!(plan.slots as u64 * residency <= plan.kv_pool_bytes, "{at}");
+                        assert!(report.is_clean(), "{at}: {report}");
+                    } else {
+                        assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{at}: {report}");
+                    }
+                }
+            }
+        }
     },
     lma290_sweep_axis_collapsed_to_a_point: "LMA290" => || {
         for depth in [SweepDepth::Quick, SweepDepth::Full] {

@@ -71,7 +71,7 @@ struct Lane {
 
 #[rustfmt::skip]
 const LANES: &[Lane] = &[
-    Lane { name: "analyze", in_all: true, run: run_analyze, title: "Static analysis: lm-analyze lints over the shipped presets" },
+    Lane { name: "analyze", in_all: true, run: run_analyze, title: "Static analysis: pre-flight checks over the shipped presets" },
     Lane { name: "table4", in_all: true, run: run_table4, title: "Table 4: evaluation platforms" },
     Lane { name: "whatif", in_all: true, run: run_whatif, title: "What-if sensitivity (OPT-66B, s=64, n=16; policy re-searched per point)" },
     Lane { name: "table1", in_all: true, run: run_table1, title: "Table 1: I/O traffic per generated token (OPT-30B, s=64, n=128, bls=640)" },
@@ -781,8 +781,10 @@ fn parse(argv: &[String]) -> Result<(Vec<&'static Lane>, Args), String> {
                 })?
             }
             "tokens" => {
-                args.tokens = flag_value(key, inline, rest, "an integer of at least 2", |v| {
-                    v.parse().ok().filter(|t| *t >= 2)
+                let max = trace::max_tokens();
+                let expects = format!("an integer from 2 to {max}");
+                args.tokens = flag_value(key, inline, rest, &expects, |v| {
+                    v.parse().ok().filter(|t| (2..=max).contains(t))
                 })?
             }
             "storm" => {

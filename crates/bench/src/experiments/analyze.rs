@@ -1,25 +1,25 @@
-//! `repro analyze` — run the `lm-analyze` static linter over the shipped
+//! `repro analyze` — run the pre-flight checks over the shipped
 //! deployment presets: for each (platform, model, workload, policy)
 //! combination the harness derives the real parallelism plan with the
 //! controller (its shape fills the row's columns; Algorithm 3 refuses what
 //! it cannot build), then lints the policy placements and the bundling
-//! decision. The default serving plan rides along under the `LMA25x`
-//! family, its page geometry under `LMA28x`, the default SLO policy under
-//! `LMA26x`, the verification instrument itself under `LMA29x`, and the
-//! default async session shape under `LMA30x`. Shipped presets must
-//! produce zero `Error` diagnostics; warnings are reported but allowed.
+//! decision. The default serving deployment rides along — the serve
+//! gate's verdict on it, its plan's page geometry (`LMA28x`), its SLO
+//! policy (`LMA26x`) and its async session shape (`LMA30x`) — and so does
+//! the verification instrument's own verdict (`LMA29x`). Shipped presets
+//! must produce zero `Error` diagnostics; warnings are reported but
+//! allowed.
 
-use lm_analyze::{analyze_deployment, lint_verify, Deployment, Diagnostic, Report};
+use lm_analyze::{analyze_deployment, Deployment, Diagnostic, Report};
 use lm_hardware::presets;
 use lm_models::{presets as models, ModelConfig, Workload};
 use lm_offload::{try_derive_plan, DEFAULT_HEAD_GROUPS};
 use lm_parallelism::attention_graph;
-use lm_serve::preflight::{
-    async_report, paging_report, preflight, serve_report, slo_report, ttft_floor_s,
-};
-use lm_serve::{AnalyticBackend, AsyncConfig, ServeConfig, ServeError, ServePlan, SloPolicy};
+use lm_serve::preflight::{preflight_reports, slo_report, ttft_floor_s};
+use lm_serve::{derive_plan, AnalyticBackend, AsyncConfig, ServeConfig, SloPolicy};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// Analysis outcome for one shipped preset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -73,61 +73,72 @@ fn preset_row(
     AnalyzeRow::new(name, out.plan.inter_op_total, out.plan.intra_op_compute, report)
 }
 
-/// Lint the default OPT-30B serving deployment against its one admission
-/// plan, one row per family:
+/// Lint the default OPT-30B serving deployment — the default
+/// configuration with the SLO policy `repro slo` enforces, run through
+/// the async session shape `ServeSession::run_async` ships with — one
+/// row per check:
 ///
-/// - `LMA25x` the plan itself (columns: worst-case envelopes the pool
-///   holds / slots);
-/// - `LMA28x` its page geometry — the page size must tile the KV block,
-///   the pool must hold a page (columns: pool pages / pages one slot's
+/// - the serve gate's whole verdict on it (columns: worst-case envelopes
+///   the pool holds / slots);
+/// - `LMA28x` the plan's page geometry — the planning context must be a
+///   whole number of pages (columns: pool pages / pages one slot's
 ///   context spans);
-/// - `LMA26x` the SLO policy `repro slo` enforces — the objective must
-///   clear the physical TTFT floor (columns: objective in ms / slots);
-/// - `LMA30x` the async session shape `ServeSession::run_async` ships
-///   with (columns: per-request channel capacity / slots).
-fn serve_rows(backend: &AnalyticBackend, plan: &ServePlan) -> [AnalyzeRow; 4] {
+/// - `LMA26x` the SLO policy — the objective must clear the physical TTFT
+///   floor (columns: objective in ms / slots);
+/// - `LMA30x` the async session shape (columns: per-request channel
+///   capacity / slots).
+fn serve_rows(backend: &AnalyticBackend) -> [AnalyzeRow; 4] {
+    let (plan, plan_report) = derive_plan(backend, &ServeConfig::default());
     let policy =
-        SloPolicy::enforcing(ttft_floor_s(plan, backend) * super::slo::SLO_FLOOR_HEADROOM);
+        SloPolicy::enforcing(ttft_floor_s(&plan, backend) * super::slo::SLO_FLOOR_HEADROOM);
     let acfg = AsyncConfig::default();
+    let deployment = ServeConfig {
+        slo: Some(policy.clone()),
+        ..ServeConfig::default()
+    };
+    let mut gate = Report::default();
+    for report in preflight_reports(backend, &deployment, Some(&acfg)).1 {
+        gate.extend(report);
+    }
     [
         AnalyzeRow::new(
             "opt-30b/serve/default-plan",
             (plan.kv_pool_bytes / plan.kv_bytes_per_slot) as u32,
             plan.slots as u32,
-            serve_report(plan),
+            gate,
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-paging",
             plan.pages_total as u32,
             plan.pages_per_slot as u32,
-            paging_report(plan),
+            plan_report,
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-slo",
             (policy.ttft_p99_s * 1e3) as u32,
             plan.slots as u32,
-            slo_report(plan, backend, &policy),
+            slo_report(&plan, backend, &policy),
         ),
         AnalyzeRow::new(
             "opt-30b/serve/default-async",
             acfg.channel_capacity as u32,
             plan.slots as u32,
-            async_report(&acfg),
+            acfg.check(),
         ),
     ]
 }
 
-/// Lint the verification instrument itself with the `LMA29x` family: a
+/// Lint the verification instrument itself with the `LMA29x` checks: a
 /// real quick planner-space sweep, the kvpool exploration (at the cheap
 /// unit-suite preemption bound; `repro verify` runs the deep lane) and
-/// the scheduler's lifecycle-conformance runs, assembled into a probe
-/// that must clear the witness and transition-coverage lints.
+/// the scheduler's lifecycle-conformance runs must clear the witness and
+/// transition-coverage checks.
 /// The row columns carry the verification shape: `inter_op_total` the
 /// lattice configs explored, `intra_op_compute` the declared protocol
 /// transitions exercised (5 kvpool + 13 lifecycle edges).
 fn verify_lint_row() -> AnalyzeRow {
     use lm_verify::{
-        build_probe, check_kvpool_protocol, check_scheduler_protocol, run_sweep, Mutation,
+        check_kvpool_protocol, check_scheduler_protocol, run_sweep, verify_report, Mutation,
         SweepDepth,
     };
     let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
@@ -136,12 +147,12 @@ fn verify_lint_row() -> AnalyzeRow {
         max_iterations: 50_000,
     });
     let protocols = [kvpool, check_scheduler_protocol()];
-    let probe = build_probe(&sweep, &protocols);
+    let exercised: BTreeSet<&String> = protocols.iter().flat_map(|p| &p.exercised).collect();
     AnalyzeRow::new(
         "verify/lma29x/quick-sweep",
         sweep.configs as u32,
-        probe.exercised_transitions.len() as u32,
-        lint_verify(&probe),
+        exercised.len() as u32,
+        verify_report(&sweep, &protocols),
     )
 }
 
@@ -176,22 +187,12 @@ fn preset_rows() -> Vec<AnalyzeRow> {
     ]
 }
 
-/// Lint every shipped preset configuration plus the default serve plan.
+/// Lint every shipped preset configuration plus the default serving
+/// deployment and the verification instrument.
 pub fn run() -> Vec<AnalyzeRow> {
     let mut rows = preset_rows();
-    let backend = AnalyticBackend::opt_30b();
-    match preflight(&backend, &ServeConfig::default(), None) {
-        Ok(plan) => {
-            rows.extend(serve_rows(&backend, &plan));
-            // Committed row order: the LMA29x row sits before the async one.
-            rows.insert(rows.len() - 1, verify_lint_row());
-        }
-        // An infeasible default plan surfaces its LMA25x report as rows.
-        Err(ServeError::Plan(report)) => {
-            rows.push(AnalyzeRow::new("opt-30b/serve/default-plan", 0, 0, report))
-        }
-        Err(e) => panic!("default serve plan failed outside analysis: {e}"),
-    }
+    let [plan, paging, slo, asynch] = serve_rows(&AnalyticBackend::opt_30b());
+    rows.extend([plan, paging, slo, verify_lint_row(), asynch]);
     rows
 }
 
@@ -213,8 +214,8 @@ mod tests {
     /// The deployment side's registry guard, beside `lm-serve`'s
     /// `every_serve_side_code_fires_from_a_shipped_config`: each kept
     /// code below the serve range fires from a shipped entry point on a
-    /// shipped configuration, with no hand-built probe. A new
-    /// deployment-side code with no row here fails the final assertion;
+    /// shipped configuration. A new deployment-side code with no row
+    /// here fails the final assertion;
     /// one that nothing shipped can fire has no row to give, and is
     /// retired instead.
     #[test]

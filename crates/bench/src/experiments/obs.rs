@@ -12,13 +12,14 @@
 //! 3. **Flight recorder** — an injected overload (floor-level TTFT
 //!    objective on a starved two-slot config) must freeze a post-mortem
 //!    dump whose JSON round-trips losslessly;
-//! 4. **Lints** — the audited config passes `lm-analyze`'s `LMA27x`
-//!    observability lints clean.
+//! 4. **Lints** — the audited config passes `obs_report`'s `LMA27x`
+//!    observability checks clean.
 //!
 //! `results/obs.json` carries all the evidence; the Perfetto serve
 //! timeline of the audited run goes to `results/serve_timeline.json`.
 
-use lm_serve::preflight::{obs_report, preflight, ttft_floor_s};
+use lm_serve::obs::obs_report;
+use lm_serve::preflight::{preflight, ttft_floor_s};
 use lm_serve::{
     conform, serve_timeline, synth_traffic, AnalyticBackend, ServeBackend, ServeConfig, ServePlan,
     ServeSession, SloPolicy,

@@ -115,7 +115,7 @@ pub struct ServeReport {
     pub seed: u64,
     pub rps: f64,
     pub requests: usize,
-    /// The `LMA25x`/`LMA28x`-linted admission plan every mode shares.
+    /// The `LMA280`-checked admission plan every mode shares.
     pub plan: ServePlan,
     pub modes: Vec<ModeRow>,
     pub speedup_vs_sequential: f64,

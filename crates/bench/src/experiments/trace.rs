@@ -30,6 +30,17 @@ use serde::{Deserialize, Serialize};
 /// Default token count when `--tokens` is not given.
 pub const DEFAULT_TOKENS: u64 = 8;
 
+/// The traced run's prompts: two rows of four tokens.
+fn prompts() -> Vec<Vec<u32>> {
+    vec![vec![1, 2, 3, 4], vec![9, 8, 7, 6]]
+}
+
+/// The most tokens [`run`] can generate per row: the tiny test model's
+/// context window less the prompt.
+pub fn max_tokens() -> u64 {
+    models::tiny_test().max_seq_len - prompts()[0].len() as u64
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceResult {
     pub tokens: u64,
@@ -48,7 +59,8 @@ pub struct TraceResult {
 }
 
 /// Run the traced generation of `tokens` tokens per row (at least 2: one
-/// token has no decode step and so no task span). Returns the result
+/// token has no decode step and so no task span; at most
+/// [`max_tokens`]). Returns the result
 /// plus the Perfetto JSON (written to `results/trace.json` by the
 /// `repro` binary).
 pub fn run(tokens: u64) -> (TraceResult, String) {
@@ -63,10 +75,9 @@ pub fn run(tokens: u64) -> (TraceResult, String) {
         },
     )
     .expect("engine construction");
-    let prompts = vec![vec![1, 2, 3, 4], vec![9, 8, 7, 6]];
     let g = backend
         .engine()
-        .run(&GenerateRequest::new(prompts, tokens as usize))
+        .run(&GenerateRequest::new(prompts(), tokens as usize))
         .expect("traced generation");
     let report = tracer.snapshot();
 

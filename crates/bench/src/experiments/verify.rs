@@ -26,11 +26,11 @@
 //! `results/verify.json`; `SweepDepth::Quick` is for debug-mode tests.
 
 use super::{serve, DEFAULT_REQUESTS, DEFAULT_RPS, DEFAULT_SEED};
-use lm_analyze::{lint_verify, Diagnostic, UnsoundnessWitness};
+use lm_analyze::{Diagnostic, LintCode};
 use lm_serve::{synth_traffic, AnalyticBackend, ServeBackend, ServeSession};
 use lm_verify::{
-    build_probe, check_kvpool_protocol, check_scheduler_protocol, run_sweep, Mutation,
-    ProtocolReport, SweepDepth, CONFIGS_FLOOR,
+    check_kvpool_protocol, check_scheduler_protocol, run_sweep, verify_report, Mutation,
+    ProtocolReport, SweepDepth, UnsoundnessWitness, CONFIGS_FLOOR,
 };
 use serde::{Deserialize, Serialize};
 
@@ -84,11 +84,11 @@ pub struct VerifyReport {
     pub protocols: Vec<ProtocolReport>,
     pub interleavings_total: u64,
     pub interleavings_floor: u64,
-    /// `LMA29x` verdict over the assembled probe (gated clean).
+    /// `LMA29x` verdict over the sweep and explorations (gated clean).
     pub lint_errors: usize,
     pub lint_warnings: usize,
     pub diagnostics: Vec<Diagnostic>,
-    /// The mutated run's probe must trip `LMA291`.
+    /// The mutated sweep's verdict must carry `LMA291`.
     pub mutated_lint_has_lma291: bool,
     pub zero_cost: ZeroCostCheck,
     pub verify_ok: bool,
@@ -164,13 +164,9 @@ pub fn run(depth: SweepDepth, serve_json: &str) -> VerifyReport {
     ];
     let interleavings_total: u64 = protocols.iter().map(|p| p.interleavings).sum();
 
-    let probe = build_probe(&sweep, &protocols);
-    let report = lint_verify(&probe);
-
-    let mutated_probe = build_probe(&mutated, &protocols);
-    let mutated_report = lint_verify(&mutated_probe);
+    let report = verify_report(&sweep, &protocols);
     let mutated_lint_has_lma291 =
-        mutated_report.has(lm_analyze::LintCode::Lma291LintUnsoundnessWitness);
+        verify_report(&mutated, &protocols).has(LintCode::Lma291LintUnsoundnessWitness);
 
     let zero_cost = zero_cost_check(serve_json);
 

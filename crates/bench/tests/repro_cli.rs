@@ -39,6 +39,7 @@ fn usage_errors_exit_2_and_run_nothing() {
         &["serve", "--requests", "0"],
         &["chaos", "--storm", "hurricane"],
         &["trace", "--tokens", "1"],
+        &["trace", "--tokens", "600"],
     ] {
         let out = repro(&dir, bad);
         assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr(&out));

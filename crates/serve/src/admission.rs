@@ -6,15 +6,15 @@
 //! because each decode step pays one shared layer fetch plus per-slot
 //! terms, modelled tokens/s (`k / step(k)`) is non-decreasing in `k`, so
 //! the argmax is the largest `k` the KV pool's pages admit at the
-//! expected per-sequence residency. The plan is judged in
-//! [`crate::preflight`] before any request is served — an infeasible
-//! plan is a typed error carrying the diagnostic report, the same
-//! contract as the engine's strict pre-flight.
+//! expected per-sequence residency. The planner judges its own plan
+//! (`LMA280`, a context that is not a whole number of pages), and
+//! [`crate::preflight`] gates on that verdict before any request is
+//! served — an infeasible plan is a typed error carrying the diagnostic
+//! report, the same contract as the engine's strict pre-flight.
 
 use crate::backend::ServeBackend;
-use crate::preflight::plan_report;
 use crate::slo::{DegradeRung, SloPolicy};
-use lm_analyze::Report;
+use lm_analyze::{Diagnostic, LintCode, Report};
 use lm_engine::{EngineError, KV_PAGE_TOKENS};
 use lm_fault::{FaultInjector, RetryPolicy};
 use lm_trace::Tracer;
@@ -141,10 +141,14 @@ impl From<lm_kvpool::KvProtocolError> for ServeError {
     }
 }
 
-/// Derive the slot plan for `backend` under `cfg` and lint it
-/// (`LMA25x` + `LMA28x`), without gating on the verdict. This is the
-/// planner's full arithmetic; [`preflight`](crate::preflight::preflight)
-/// is the gate serving runs behind.
+/// Derive the slot plan for `backend` under `cfg` and judge it
+/// (`LMA280`), without gating on the verdict. This is the planner's full
+/// arithmetic; [`preflight`](crate::preflight::preflight) is the gate
+/// serving runs behind.
+///
+/// A context that tiles cannot oversubscribe the pool: `slots` is
+/// `pages_total / ⌈pages_per_slot / 2⌉`, so the plan's half-envelope
+/// residencies always fit (why `LMA250` is retired).
 pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan, Report) {
     let model = backend.model();
     let context = if cfg.slot_context > 0 {
@@ -188,16 +192,35 @@ pub fn derive_plan(backend: &dyn ServeBackend, cfg: &ServeConfig) -> (ServePlan,
         pages_total: pages_total as u64,
         pages_per_slot: pages_per_slot as u64,
     };
-    let report = plan_report(&plan);
-    (plan, report)
+    // LMA280: a context that is not a whole number of pages leaves every
+    // slot's last page part padding. A context of 0 asks the planner to
+    // derive one, so it is no neighbour to suggest.
+    let mut diagnostics = Vec::new();
+    if !context.is_multiple_of(KV_PAGE_TOKENS) {
+        let below = context - context % KV_PAGE_TOKENS;
+        let above = below + KV_PAGE_TOKENS;
+        let nearest = if below == 0 {
+            format!("the nearest whole-page context is {above} tokens")
+        } else {
+            format!("the nearest whole-page contexts are {below} and {above} tokens")
+        };
+        diagnostics.push(Diagnostic::error(
+            LintCode::Lma280PageGeometryInvalid,
+            "paging.geometry",
+            format!(
+                "a {context}-token planning context is not a whole number of \
+                 {KV_PAGE_TOKENS}-token pages; {nearest}"
+            ),
+        ));
+    }
+    (plan, Report::new(diagnostics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{AnalyticBackend, EngineBackend};
-    use crate::preflight::{paging_report, preflight, serve_report};
-    use lm_analyze::LintCode;
+    use crate::preflight::preflight;
     use lm_engine::{EngineOptions, MemPool};
     use lm_kvpool::{PageConfig, PagedKvPool};
     use lm_models::{DType, ModelConfig};
@@ -221,7 +244,7 @@ mod tests {
         assert_eq!(plan.slots, 16);
         assert!(plan.est_step_seconds > 0.0);
         assert!(plan.est_tokens_per_s > 0.0);
-        assert!(serve_report(&plan).is_clean());
+        assert!(plan.slots as u64 * plan.pages_per_slot.div_ceil(2) <= plan.pages_total);
     }
 
     #[test]
@@ -234,9 +257,15 @@ mod tests {
             ..ServeConfig::default()
         };
         let plan = preflight(&b, &cfg, None).unwrap();
-        assert_eq!(plan.slots, 6, "page residency outpacks worst-case envelopes");
+        assert_eq!(
+            plan.slots, 6,
+            "page residency outpacks worst-case envelopes"
+        );
     }
 
+    /// A pool too small for one slot needs a context of less than one
+    /// page, which is not a whole number of pages: `LMA280` refuses it
+    /// (`LMA250` is retired).
     #[test]
     fn pool_too_small_for_one_slot_is_rejected_with_lma250() {
         let b = AnalyticBackend::opt_30b();
@@ -246,9 +275,11 @@ mod tests {
             slot_context: 8,
             ..ServeConfig::default()
         };
+        assert_eq!(derive_plan(&b, &cfg).0.pages_total, 0);
         match preflight(&b, &cfg, None) {
             Err(ServeError::Plan(report)) => {
-                assert!(report.has(LintCode::Lma250SlotsExceedPool), "{report}")
+                assert!(report.has(LintCode::Lma280PageGeometryInvalid), "{report}");
+                assert_eq!(report.error_count(), 1, "{report}");
             }
             other => panic!("expected plan rejection, got ok={}", other.is_ok()),
         }
@@ -267,7 +298,10 @@ mod tests {
         for kv in [DType::Int8, DType::Int4] {
             let options = EngineOptions::default().with_dtypes(DType::F32, kv);
             let tiny = lm_models::presets::tiny_test();
-            cases.push((Box::new(EngineBackend::new(&tiny, 7, options).unwrap()), 368));
+            cases.push((
+                Box::new(EngineBackend::new(&tiny, 7, options).unwrap()),
+                368,
+            ));
         }
         for (b, slot_context) in &cases {
             let cfg = ServeConfig {
@@ -277,9 +311,16 @@ mod tests {
             let plan = preflight(b.as_ref(), &cfg, None).unwrap();
             let at = format!("{} @ {}", b.model().name, plan.slot_context);
             assert_eq!(plan.page_tokens, KV_PAGE_TOKENS as u64, "{at}");
-            assert_eq!(plan.pages_per_slot * plan.page_tokens, plan.slot_context as u64, "{at}");
-            assert_eq!(plan.page_bytes * plan.pages_per_slot, plan.kv_bytes_per_slot, "{at}");
-            assert!(paging_report(&plan).is_clean(), "{at}");
+            assert_eq!(
+                plan.pages_per_slot * plan.page_tokens,
+                plan.slot_context as u64,
+                "{at}"
+            );
+            assert_eq!(
+                plan.page_bytes * plan.pages_per_slot,
+                plan.kv_bytes_per_slot,
+                "{at}"
+            );
             // A pool built from the plan's geometry maps exactly the
             // pages an engine `KvCache` holding the same positions has.
             let pool = PagedKvPool::new(
@@ -326,8 +367,10 @@ mod tests {
     /// why no lint looks for an underused pool.
     #[test]
     fn derived_plans_fill_the_pool_to_within_one_residency() {
-        let mut backends: Vec<Box<dyn ServeBackend>> =
-            lm_models::presets::all_presets().into_iter().map(analytic).collect();
+        let mut backends: Vec<Box<dyn ServeBackend>> = lm_models::presets::all_presets()
+            .into_iter()
+            .map(analytic)
+            .collect();
         for kv in [DType::F32, DType::Int4] {
             let options = EngineOptions::default().with_dtypes(DType::F32, kv);
             let tiny = lm_models::presets::tiny_test();
@@ -346,7 +389,10 @@ mod tests {
                     let at = format!("{} x{max_slots} @ {}", b.model().name, plan.slot_context);
                     let planned = plan.slots as u64 * h;
                     assert!(planned <= plan.pages_total, "{at}: oversubscribed");
-                    assert!(plan.pages_total - planned < h, "{at}: a residency sits idle");
+                    assert!(
+                        plan.pages_total - planned < h,
+                        "{at}: a residency sits idle"
+                    );
                 }
             }
         }

@@ -207,7 +207,11 @@ impl EngineBackend {
 
     /// The tiny test model — the configuration integration tests serve.
     pub fn tiny_test(seed: u64) -> Result<Self, EngineError> {
-        EngineBackend::new(&lm_models::presets::tiny_test(), seed, EngineOptions::default())
+        EngineBackend::new(
+            &lm_models::presets::tiny_test(),
+            seed,
+            EngineOptions::default(),
+        )
     }
 
     pub fn engine(&self) -> &Engine {
@@ -495,7 +499,11 @@ pub(crate) mod tests {
                 for n in [1, 15, 16, 17, 33] {
                     let solo = GenerateRequest::new(vec![vec![1; n]], 1);
                     let g = b.engine().run(&solo).unwrap();
-                    assert_eq!(b.kv_bytes_at(n), g.host_peak - weights, "{w:?}/{kv:?} @ {n}");
+                    assert_eq!(
+                        b.kv_bytes_at(n),
+                        g.host_peak - weights,
+                        "{w:?}/{kv:?} @ {n}"
+                    );
                 }
             }
         }

@@ -141,7 +141,10 @@ mod tests {
 
     fn run(mode: ServeMode, reqs: Vec<Request>) -> Result<crate::ServeOutcome, ServeError> {
         let b = AnalyticBackend::opt_30b();
-        ServeSession::new(&b).mode(mode).run(reqs).map(|r| r.outcome)
+        ServeSession::new(&b)
+            .mode(mode)
+            .run(reqs)
+            .map(|r| r.outcome)
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //!   (real miniature engine) implementations;
 //! - [`admission`]: the model-guided admission controller producing a
 //!   [`ServePlan`] (slots vs KV pool headroom, in pages of the engine's
-//!   `KV_PAGE_TOKENS`);
-//! - [`preflight`]: the one gate every run passes and the only place the
-//!   serve side builds `lm-analyze` probes — [`preflight::preflight`]
-//!   derives the plan once and rejects an infeasible plan, SLO policy or
-//!   async front end with a typed report;
+//!   `KV_PAGE_TOKENS`) and judging it (`LMA280`);
+//! - [`preflight`]: the one gate every run passes —
+//!   [`preflight::preflight`] derives the plan once and rejects an
+//!   infeasible plan, SLO policy ([`SloPolicy::check`]) or async front end
+//!   ([`AsyncConfig::check`]) with a typed report; `lm-analyze` supplies
+//!   only the codes and the report type;
 //! - [`scheduler`]: the continuous scheduler — a boundary state machine
 //!   over paged KV, parameterized over the [`driver`] clock/transport
 //!   split — with the sequential and static-batching baselines it is
@@ -73,17 +74,28 @@ pub mod scheduler;
 pub mod session;
 pub mod slo;
 
+// The serve-side checks' unit tests, under the module names they have
+// always been reported by.
+#[cfg(test)]
+mod async_lints;
+#[cfg(test)]
+mod obs_lints;
+#[cfg(test)]
+mod paging_lints;
+#[cfg(test)]
+mod serve_lints;
+
 pub use admission::{derive_plan, ServeConfig, ServeError, ServePlan};
+pub use backend::{AnalyticBackend, EngineBackend, ServeBackend, StepSeq};
+pub use driver::{Delivery, ServeDriver, VirtualDriver};
 pub use obs::{
     conform, serve_timeline, BoundaryObs, Conformance, LifecycleEvent, RequestPhase, Rule,
     ServeObs, Transition, TtftSample, Violation, LIFECYCLE,
 };
-pub use backend::{AnalyticBackend, EngineBackend, ServeBackend, StepSeq};
 pub use request::{
     synth_shared_prefix_traffic, synth_traffic, ArrivalQueue, CancelReason, CancelToken,
     Cancellation, RejectReason, Rejection, Request, Response,
 };
-pub use driver::{Delivery, ServeDriver, VirtualDriver};
 pub use scheduler::{ServeOutcome, ServeStats, TokenEvent};
 pub use session::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
 pub use slo::{degrade_factor, geometric_ladder, DegradeRung, SloPolicy, TtftModel};

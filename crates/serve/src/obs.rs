@@ -17,9 +17,13 @@
 //! stalls happen. Tolerances are therefore per-metric and documented,
 //! not zero. The record itself is checked against one executable
 //! specification of the request lifecycle, [`conform`].
+//!
+//! Whether a configuration can leave that evidence at all is
+//! [`obs_report`]'s `LMA27x` verdict.
 
-use crate::admission::ServePlan;
+use crate::admission::{ServeConfig, ServePlan};
 use crate::scheduler::ServeOutcome;
+use lm_analyze::{Diagnostic, LintCode, Report};
 use lm_trace::{drift_report, DriftReport, PerfettoTrace};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -221,6 +225,36 @@ impl ServeObs {
     }
 }
 
+/// `LMA27x`: whether an enforced SLO can see its breaches (the tracer
+/// carries the `serve.ttft_s` histogram) and whether an armed flight
+/// recorder can hold evidence of a chaos run. Reported by `repro obs`,
+/// never a run gate: the scheduler simulator and the scheduler's own
+/// tests enforce an SLO with no tracer attached.
+pub fn obs_report(cfg: &ServeConfig) -> Report {
+    let mut out = Vec::new();
+    let enforce = cfg.slo.as_ref().is_some_and(|s| s.enforce);
+    if enforce && !cfg.tracer.is_enabled() {
+        out.push(Diagnostic::error(
+            LintCode::Lma270SloWithoutTtftHistogram,
+            "obs.ttft_histogram",
+            "SLO enforcement is enabled but no TTFT histogram is \
+             registered: realized breaches would be invisible",
+        ));
+    }
+    // A disabled recorder is the documented null object; an armed,
+    // empty one accepts triggers but can never carry evidence. A
+    // warning: the run itself is unaffected.
+    if cfg.flight.capacity() == Some(0) && cfg.fault.is_enabled() {
+        out.push(Diagnostic::warn(
+            LintCode::Lma271FlightRecorderZeroCapacity,
+            "obs.flight_capacity",
+            "flight recorder armed with zero capacity while chaos faults \
+             are active: any post-mortem dump will be empty",
+        ));
+    }
+    Report::new(out)
+}
+
 /// Thread id of slot `i`'s track in the serve timeline.
 const SLOT_TID_BASE: u64 = 100;
 /// Track for off-slot terminal markers (sheds, queued cancellations).
@@ -382,13 +416,23 @@ pub fn conform(plan: &ServePlan, out: &ServeOutcome) -> Result<Conformance, Viol
         slot: Option<u32>,
         decodes: usize,
     }
-    let violation = |rule, request, event| Err(Violation { rule, request, event });
+    let violation = |rule, request, event| {
+        Err(Violation {
+            rule,
+            request,
+            event,
+        })
+    };
     let mut reqs: BTreeMap<u64, Replay> = BTreeMap::new();
     let mut residents = std::collections::BTreeSet::new();
     let (mut clock_us, mut c) = (0, Conformance::default());
     for (i, ev) in out.obs.lifecycle.iter().enumerate() {
         let at = |rule| violation(rule, Some(ev.request), Some(i));
-        let Replay { last, slot, decodes } = reqs.entry(ev.request).or_default();
+        let Replay {
+            last,
+            slot,
+            decodes,
+        } = reqs.entry(ev.request).or_default();
         let edge = (*last, ev.phase);
         if last.is_some_and(RequestPhase::is_terminal) {
             return at(Rule::AfterTerminal);
@@ -455,7 +499,11 @@ pub fn conform(plan: &ServePlan, out: &ServeOutcome) -> Result<Conformance, Viol
     let tallies = [
         ("admitted", s.admitted, c.count(Admitted)),
         ("completed", s.completed, c.count(Done)),
-        ("cancelled_in_slot", s.cancelled_in_slot, in_slot_cancels.unwrap_or(0)),
+        (
+            "cancelled_in_slot",
+            s.cancelled_in_slot,
+            in_slot_cancels.unwrap_or(0),
+        ),
         ("preemptions", s.preemptions, c.count(Preempted)),
         ("slot_crashes", s.slot_crashes, c.count(Crashed)),
     ];
@@ -512,10 +560,22 @@ mod tests {
     fn audit_on_perfect_predictions_is_unit_ratio() {
         let obs = ServeObs {
             lifecycle: Vec::new(),
-            boundaries: vec![boundary(0, 1, 1), boundary(1_000_000, 1, 2), boundary(2_000_000, 0, 0)],
+            boundaries: vec![
+                boundary(0, 1, 1),
+                boundary(1_000_000, 1, 2),
+                boundary(2_000_000, 0, 0),
+            ],
             ttft: vec![
-                TtftSample { request: 0, predicted_us: 200_000, observed_us: 200_000 },
-                TtftSample { request: 1, predicted_us: 400_000, observed_us: 400_000 },
+                TtftSample {
+                    request: 0,
+                    predicted_us: 200_000,
+                    observed_us: 200_000,
+                },
+                TtftSample {
+                    request: 1,
+                    predicted_us: 400_000,
+                    observed_us: 400_000,
+                },
             ],
         };
         let r = obs.audit(&plan());
@@ -560,12 +620,48 @@ mod tests {
     fn timeline_builds_slot_tracks_and_counters() {
         let obs = ServeObs {
             lifecycle: vec![
-                LifecycleEvent { t_us: 0, dur_us: 0, request: 5, slot: None, phase: RequestPhase::Queued },
-                LifecycleEvent { t_us: 10, dur_us: 0, request: 5, slot: Some(1), phase: RequestPhase::Admitted },
-                LifecycleEvent { t_us: 10, dur_us: 40, request: 5, slot: Some(1), phase: RequestPhase::Prefill },
-                LifecycleEvent { t_us: 50, dur_us: 25, request: 5, slot: Some(1), phase: RequestPhase::Decode },
-                LifecycleEvent { t_us: 75, dur_us: 0, request: 5, slot: Some(1), phase: RequestPhase::Done },
-                LifecycleEvent { t_us: 75, dur_us: 0, request: 6, slot: None, phase: RequestPhase::Shed },
+                LifecycleEvent {
+                    t_us: 0,
+                    dur_us: 0,
+                    request: 5,
+                    slot: None,
+                    phase: RequestPhase::Queued,
+                },
+                LifecycleEvent {
+                    t_us: 10,
+                    dur_us: 0,
+                    request: 5,
+                    slot: Some(1),
+                    phase: RequestPhase::Admitted,
+                },
+                LifecycleEvent {
+                    t_us: 10,
+                    dur_us: 40,
+                    request: 5,
+                    slot: Some(1),
+                    phase: RequestPhase::Prefill,
+                },
+                LifecycleEvent {
+                    t_us: 50,
+                    dur_us: 25,
+                    request: 5,
+                    slot: Some(1),
+                    phase: RequestPhase::Decode,
+                },
+                LifecycleEvent {
+                    t_us: 75,
+                    dur_us: 0,
+                    request: 5,
+                    slot: Some(1),
+                    phase: RequestPhase::Done,
+                },
+                LifecycleEvent {
+                    t_us: 75,
+                    dur_us: 0,
+                    request: 6,
+                    slot: None,
+                    phase: RequestPhase::Shed,
+                },
             ],
             boundaries: vec![boundary(10, 1, 1), boundary(75, 0, 0)],
             ttft: Vec::new(),
@@ -604,9 +700,6 @@ mod tests {
 
     #[test]
     fn obs_probe_samples_config_wiring() {
-        use crate::admission::ServeConfig;
-        use crate::preflight::obs_report;
-        use lm_analyze::LintCode;
         let quiet = obs_report(&ServeConfig::default());
         assert!(quiet.diagnostics.is_empty(), "{quiet}");
         // Enforced SLO with a disabled tracer, and a zero-capacity
@@ -638,7 +731,11 @@ mod tests {
     type Corruption = fn(&ServePlan, &mut ServeOutcome);
 
     fn first(o: &ServeOutcome, phase: RequestPhase) -> usize {
-        o.obs.lifecycle.iter().position(|e| e.phase == phase).unwrap()
+        o.obs
+            .lifecycle
+            .iter()
+            .position(|e| e.phase == phase)
+            .unwrap()
     }
 
     #[test]
@@ -673,7 +770,13 @@ mod tests {
                 |_, o| {
                     let i = first(o, Done);
                     let done = o.obs.lifecycle[i].clone();
-                    o.obs.lifecycle.insert(i + 1, LifecycleEvent { phase: Decode, ..done });
+                    o.obs.lifecycle.insert(
+                        i + 1,
+                        LifecycleEvent {
+                            phase: Decode,
+                            ..done
+                        },
+                    );
                 },
                 Rule::AfterTerminal,
             ),
@@ -732,7 +835,11 @@ mod tests {
                 phase: RequestPhase::Crashed,
             }],
             boundaries: vec![boundary(1, 2, 1)],
-            ttft: vec![TtftSample { request: 3, predicted_us: 10, observed_us: 12 }],
+            ttft: vec![TtftSample {
+                request: 3,
+                predicted_us: 10,
+                observed_us: 12,
+            }],
         };
         let v = serde::Serialize::serialize(&obs);
         let back: ServeObs = serde::Deserialize::deserialize(&v).unwrap();

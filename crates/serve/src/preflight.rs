@@ -1,38 +1,34 @@
-//! The serve pre-flight: the one place a serving configuration meets
-//! `lm-analyze`. Every probe is built here and every `lint_*` call on
-//! the serve side is made here, so what a run is judged by is read in
-//! one file:
+//! The serve pre-flight: the one gate every serving run passes.
+//! [`ServeSession`](crate::ServeSession) calls [`preflight`] once per run,
+//! before any request is served or thread spawned, and hands the plan it
+//! returns to the scheduler. Each check it gates on lives beside the
+//! value it judges:
 //!
-//! - [`preflight`] is the run gate — [`ServeSession`](crate::ServeSession)
-//!   calls it once per run, before any request is served or thread
-//!   spawned, and hands the plan it returns to the scheduler;
-//! - the `*_report` functions are the same families one at a time, for
-//!   callers that publish a verdict instead of gating on it
-//!   (`repro analyze`, `repro obs`, `lm-verify`'s sweep).
+//! - `LMA280`, the planning context against the page size, in
+//!   [`derive_plan`], which judges the plan it builds;
+//! - `LMA26x`, an SLO objective against the plan's TTFT floor, in
+//!   [`SloPolicy::check`];
+//! - `LMA30x`, the async front end's channel and clock, in
+//!   [`AsyncConfig::check`].
 //!
-//! `LMA28x` judges page geometry only: a leak at the end of a run is
-//! caught by the lifecycle check ([`conform`](crate::conform)'s
-//! `NotQuiescent`) and the pool's own `accounting_balanced`, not by a
-//! lint.
-//!
-//! `LMA27x` is deliberately *not* part of the gate: the scheduler
-//! simulator and the scheduler's own tests enforce an SLO with no tracer
-//! attached and must keep running, so observability wiring is reported
-//! (`repro obs`), never refused.
+//! A leak at the end of a run is caught by the lifecycle check
+//! ([`conform`](crate::conform)'s `NotQuiescent`) and the pool's own
+//! `accounting_balanced`, not by a lint. `LMA27x`
+//! ([`obs_report`](crate::obs::obs_report)) is deliberately *not* part of
+//! the gate: the scheduler simulator and the scheduler's own tests
+//! enforce an SLO with no tracer attached and must keep running, so
+//! observability wiring is reported (`repro obs`), never refused.
 
 use crate::admission::{derive_plan, ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
 use crate::session::AsyncConfig;
 use crate::slo::SloPolicy;
-use lm_analyze::{
-    lint_async, lint_obs, lint_paging, lint_serve, lint_slo, AsyncProbe, ObsProbe, PagingProbe,
-    Report, ServeProbe, SloProbe,
-};
+use lm_analyze::Report;
 
 /// Derive the plan for `backend` under `cfg` once and judge it by every
-/// family that gates a run: `LMA25x` + `LMA28x` always, `LMA26x` when
-/// `cfg.slo` is set, `LMA30x` when the run is asynchronous. The first
-/// report with an `Error` finding rejects the run.
+/// check that gates a run: the plan's own always, the SLO policy's when
+/// `cfg.slo` is set, the async front end's when the run is asynchronous.
+/// The first report with an `Error` finding rejects the run.
 pub fn preflight(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
@@ -49,7 +45,7 @@ pub fn preflight(
 /// order — the async session's channel and clock first, then the plan,
 /// then the SLO policy, which judges an async run's objective exactly as
 /// it does a virtual run's. `lm-verify` classifies lattice points by this
-/// verdict and still needs the plan of a configuration the lints refuse.
+/// verdict and still needs the plan of a configuration the gate refuses.
 pub fn preflight_reports(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
@@ -58,7 +54,7 @@ pub fn preflight_reports(
     let (plan, plan_report) = derive_plan(backend, cfg);
     let mut reports = Vec::new();
     if let Some(acfg) = acfg {
-        reports.push(async_report(acfg));
+        reports.push(acfg.check());
     }
     reports.push(plan_report);
     if let Some(slo) = cfg.slo.as_ref() {
@@ -75,78 +71,21 @@ pub fn ttft_floor_s(plan: &ServePlan, backend: &dyn ServeBackend) -> f64 {
     backend.prefill_seconds(plan.slot_context, plan.slots) + plan.est_step_seconds
 }
 
-/// `LMA25x` + `LMA28x` over a freshly derived plan: the report
-/// [`derive_plan`] returns.
-pub(crate) fn plan_report(plan: &ServePlan) -> Report {
-    let mut report = serve_report(plan);
-    report.extend(paging_report(plan));
-    report
-}
-
-/// `LMA25x`: slots against the pool. Per slot the probe carries the
-/// *planned page residency* of one sequence (half the envelope, the
-/// statistical bound admission banks on), because that — not the worst
-/// case — is what `slots` of them must fit in the pool.
-pub fn serve_report(plan: &ServePlan) -> Report {
-    lint_serve(&ServeProbe {
-        slots: plan.slots as u64,
-        kv_bytes_per_slot: plan.pages_per_slot.div_ceil(2).max(1) * plan.page_bytes,
-        kv_pool_bytes: plan.kv_pool_bytes,
-    })
-}
-
-/// `LMA28x`: page geometry.
-pub fn paging_report(plan: &ServePlan) -> Report {
-    lint_paging(&PagingProbe {
-        page_tokens: plan.page_tokens,
-        page_bytes: plan.page_bytes,
-        bytes_per_token: plan.page_bytes.checked_div(plan.page_tokens).unwrap_or(0),
-        kv_block_tokens: plan.slot_context as u64,
-        pages_total: plan.pages_total,
-    })
-}
-
-/// `LMA26x`: an SLO policy against the plan's TTFT floor and slots.
+/// `LMA26x`: `slo` against the plan's TTFT floor and slots.
 pub fn slo_report(plan: &ServePlan, backend: &dyn ServeBackend, slo: &SloPolicy) -> Report {
-    lint_slo(&SloProbe {
-        ttft_p99_slo_s: slo.ttft_p99_s,
-        floor_ttft_s: ttft_floor_s(plan, backend),
-        slots: plan.slots as u64,
-        enforce: slo.enforce,
-    })
-}
-
-/// `LMA27x`: whether an enforced SLO can see its breaches (the tracer
-/// carries the `serve.ttft_s` histogram) and whether an armed flight
-/// recorder can hold evidence. Reported, not gated (module docs).
-pub fn obs_report(cfg: &ServeConfig) -> Report {
-    lint_obs(&ObsProbe {
-        slo_enforce: cfg.slo.as_ref().is_some_and(|s| s.enforce),
-        ttft_histogram_registered: cfg.tracer.is_enabled(),
-        flight_enabled: cfg.flight.is_enabled(),
-        flight_capacity: cfg.flight.capacity().unwrap_or(0) as u64,
-        chaos_faults_armed: cfg.fault.is_enabled(),
-    })
-}
-
-/// `LMA30x`: the channel and clock knobs of `acfg`.
-pub fn async_report(acfg: &AsyncConfig) -> Report {
-    lint_async(&AsyncProbe {
-        channel_capacity: acfg.channel_capacity as u64,
-        time_scale: acfg.time_scale,
-    })
+    slo.check(ttft_floor_s(plan, backend), plan.slots)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
+    use crate::obs::obs_report;
     use lm_analyze::LintCode;
 
-    /// One seeded defect per gated family, the SLO one on both clocks:
-    /// `preflight` refuses it with exactly the report that family gives
-    /// for the derived plan — what the three separate gate sites used to
-    /// return.
+    /// One seeded defect per gated check, the SLO one on both clocks:
+    /// `preflight` refuses it with exactly the report that check gives
+    /// for the derived plan.
     #[test]
     fn each_gated_family_rejects_with_its_own_report() {
         use LintCode::*;
@@ -160,16 +99,7 @@ mod tests {
             slo: Some(SloPolicy::enforcing(1e-3)),
             ..ServeConfig::default()
         };
-        let rows: [(LintCode, ServeConfig, Option<&AsyncConfig>); 5] = [
-            (
-                Lma250SlotsExceedPool,
-                ServeConfig {
-                    max_slots: 1,
-                    slot_context: 8, // half a page: the pool holds none
-                    ..ServeConfig::default()
-                },
-                None,
-            ),
+        let rows: [(LintCode, ServeConfig, Option<&AsyncConfig>); 4] = [
             (
                 Lma280PageGeometryInvalid,
                 ServeConfig {
@@ -190,10 +120,10 @@ mod tests {
         for (code, cfg, acfg) in rows {
             let (plan, plan_report) = derive_plan(&b, &cfg);
             let expected = match (code, acfg, cfg.slo.as_ref()) {
-                (Lma250SlotsExceedPool | Lma280PageGeometryInvalid, ..) => plan_report,
+                (Lma280PageGeometryInvalid, ..) => plan_report,
                 (Lma260SloBelowFloor, _, Some(slo)) => slo_report(&plan, &b, slo),
-                (_, Some(acfg), _) => async_report(acfg),
-                _ => unreachable!("row {} names no family", code.as_str()),
+                (_, Some(acfg), _) => acfg.check(),
+                _ => unreachable!("row {} names no check", code.as_str()),
             };
             match preflight(&b, &cfg, acfg) {
                 Err(ServeError::Plan(report)) => {
@@ -209,12 +139,11 @@ mod tests {
         }
     }
 
-    /// The registry guard: every kept serve-side code (`LMA25x`–`LMA28x`
+    /// The registry guard: every kept serve-side code (`LMA26x`–`LMA28x`
     /// and `LMA30x`) fires from a shipped configuration through
-    /// [`preflight_reports`] or [`obs_report`], with no hand-built probe.
-    /// A new serve-side code with no row here fails the final assertion;
-    /// one that no configuration can fire has no row to give, and is
-    /// retired instead.
+    /// [`preflight_reports`] or [`obs_report`]. A new serve-side code with
+    /// no row here fails the final assertion; one that no configuration
+    /// can fire has no row to give, and is retired instead.
     #[test]
     fn every_serve_side_code_fires_from_a_shipped_config() {
         use LintCode::*;
@@ -224,16 +153,7 @@ mod tests {
             7,
             lm_fault::StormProfile::Default,
         ));
-        let rows: [(LintCode, ServeConfig, Option<AsyncConfig>); 8] = [
-            (
-                Lma250SlotsExceedPool,
-                ServeConfig {
-                    max_slots: 1,
-                    slot_context: 8, // half a page: the pool holds none
-                    ..ServeConfig::default()
-                },
-                None,
-            ),
+        let rows: [(LintCode, ServeConfig, Option<AsyncConfig>); 7] = [
             (
                 Lma260SloBelowFloor,
                 ServeConfig {

@@ -254,7 +254,10 @@ impl Serialize for RejectReason {
                 m.insert("reason".into(), serde::Value::String(reason.clone()));
                 "invalid"
             }
-            RejectReason::DeadlineExpired { deadline_us, now_us } => {
+            RejectReason::DeadlineExpired {
+                deadline_us,
+                now_us,
+            } => {
                 m.insert("deadline_us".into(), serde::Value::PosInt(*deadline_us));
                 m.insert("now_us".into(), serde::Value::PosInt(*now_us));
                 "deadline_expired"
@@ -317,7 +320,10 @@ impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RejectReason::Invalid(r) => write!(f, "invalid request: {r}"),
-            RejectReason::DeadlineExpired { deadline_us, now_us } => {
+            RejectReason::DeadlineExpired {
+                deadline_us,
+                now_us,
+            } => {
                 write!(f, "deadline {deadline_us}us expired at {now_us}us")
             }
             RejectReason::PoolOverCommit { bytes, capacity } => {
@@ -374,11 +380,7 @@ impl ArrivalQueue {
     /// Remove and return every request with `arrival_us <= now_us`.
     pub fn pop_arrived(&mut self, now_us: u64) -> Vec<Request> {
         let mut out = Vec::new();
-        while self
-            .pending
-            .front()
-            .is_some_and(|r| r.arrival_us <= now_us)
-        {
+        while self.pending.front().is_some_and(|r| r.arrival_us <= now_us) {
             if let Some(r) = self.pending.pop_front() {
                 out.push(r);
             }

@@ -1235,8 +1235,7 @@ mod tests {
         let (b, reqs) = traffic(8);
         let mut events: Vec<TokenEvent> = Vec::new();
         let (_, out) =
-            continuous_with(&b, &ServeConfig::default(), reqs, &mut |e| events.push(e))
-                .unwrap();
+            continuous_with(&b, &ServeConfig::default(), reqs, &mut |e| events.push(e)).unwrap();
         assert_eq!(events.len() as u64, out.generated_tokens);
         let mut t = 0;
         for e in &events {
@@ -1373,8 +1372,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut events: Vec<TokenEvent> = Vec::new();
-        let (plan, stormy) =
-            continuous_with(&b, &cfg, reqs, &mut |e| events.push(e)).unwrap();
+        let (plan, stormy) = continuous_with(&b, &cfg, reqs, &mut |e| events.push(e)).unwrap();
         assert!(stormy.stats.slot_crashes > 0, "30% crash rate must fire");
         conform(&plan, &stormy).unwrap();
         // Completed-under-storm responses carry the exact same tokens as
@@ -1426,7 +1424,10 @@ mod tests {
         // (resumed after it) with an uncorrupted stream.
         let urgent_r = out.responses.iter().find(|r| r.id == urgent).unwrap();
         for hog in out.responses.iter().filter(|r| r.id != urgent) {
-            assert!(urgent_r.finish_us < hog.finish_us, "urgent must finish first");
+            assert!(
+                urgent_r.finish_us < hog.finish_us,
+                "urgent must finish first"
+            );
             assert_eq!(hog.tokens.len(), 60);
             let streamed = events.iter().filter(|e| e.request_id == hog.id).count();
             assert_eq!(streamed, 60, "hog {} must stream each token once", hog.id);
@@ -1536,7 +1537,11 @@ mod tests {
             "the storm must exercise more than the happy path: {:?}",
             out.stats
         );
-        assert_eq!(conform(&plan, &out).unwrap().requests, n, "each id resolved once");
+        assert_eq!(
+            conform(&plan, &out).unwrap().requests,
+            n,
+            "each id resolved once"
+        );
         let retired: Vec<u64> = counting.retired.keys().copied().collect();
         assert_eq!(retired, submitted, "every id retired at the driver");
         assert!(
@@ -1625,12 +1630,10 @@ mod tests {
         let trace = crate::obs::serve_timeline(&plan, &out.obs);
         let v = trace.to_value();
         let events = v["traceEvents"].as_array().unwrap();
+        assert!(events.iter().any(|e| e["name"].as_str() == Some("prefill")));
+        assert!(events.iter().any(|e| e["ph"].as_str() == Some("C")));
         assert!(events
             .iter()
-            .any(|e| e["name"].as_str() == Some("prefill")));
-        assert!(events.iter().any(|e| e["ph"].as_str() == Some("C")));
-        assert!(events.iter().any(|e| {
-            e["name"].as_str().is_some_and(|n| n.ends_with("[done]"))
-        }));
+            .any(|e| { e["name"].as_str().is_some_and(|n| n.ends_with("[done]")) }));
     }
 }

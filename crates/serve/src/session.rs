@@ -25,6 +25,7 @@ use crate::driver::{Delivery, ServeDriver, VirtualDriver};
 use crate::preflight::preflight;
 use crate::request::Request;
 use crate::scheduler::{run_continuous, ServeOutcome, TokenEvent};
+use lm_analyze::{Diagnostic, LintCode, Report};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use tokio::sync::mpsc;
@@ -74,9 +75,9 @@ impl ServeRun {
     }
 }
 
-/// Knobs for the real-time front end, judged by the `LMA30x` family in
-/// [`crate::preflight`] before the session starts. The session's SLO is
-/// [`ServeConfig::slo`], judged by `LMA260` as on the virtual clock.
+/// Knobs for the real-time front end, judged by [`AsyncConfig::check`]
+/// in [`crate::preflight`] before the session starts. The session's SLO
+/// is [`ServeConfig::slo`], judged by `LMA260` as on the virtual clock.
 #[derive(Debug, Clone)]
 pub struct AsyncConfig {
     /// Capacity of each request's bounded token channel (`LMA300`
@@ -96,6 +97,41 @@ impl Default for AsyncConfig {
             channel_capacity: 32,
             time_scale: 1.0,
         }
+    }
+}
+
+impl AsyncConfig {
+    /// `LMA30x`: the settings that type-check but can never work once
+    /// the scheduler thread runs.
+    pub fn check(&self) -> Report {
+        let mut out = Vec::new();
+        // LMA300: `try_send` on a zero-capacity channel never succeeds,
+        // so every token burns the whole backpressure grace and every
+        // stream is then cancelled as disconnected.
+        if self.channel_capacity == 0 {
+            out.push(Diagnostic::error(
+                LintCode::Lma300AsyncZeroChannelCapacity,
+                "async.channel_capacity",
+                "per-request token channel has capacity 0: no token can ever \
+                 be delivered, every stream would resolve as a spurious \
+                 disconnect",
+            ));
+        }
+        // LMA302: the pacer maps `wall_elapsed · time_scale` onto the
+        // modelled clock; a zero, negative or non-finite scale never
+        // catches up or jumps past every deadline at once.
+        if !self.time_scale.is_finite() || self.time_scale <= 0.0 {
+            out.push(Diagnostic::error(
+                LintCode::Lma302AsyncBadTimeScale,
+                "async.time_scale",
+                format!(
+                    "time scale {} cannot map wall time onto the modelled \
+                     clock (must be finite and > 0)",
+                    self.time_scale
+                ),
+            ));
+        }
+        Report::new(out)
     }
 }
 
@@ -342,7 +378,6 @@ mod tests {
     use crate::backend::AnalyticBackend;
     use crate::obs::conform;
     use crate::request::synth_traffic;
-    use lm_analyze::LintCode;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn traffic(n: usize) -> (AnalyticBackend, Vec<Request>) {
@@ -362,7 +397,9 @@ mod tests {
         assert_eq!(quotes(), 1, "run");
         session.run_streaming(Vec::new(), &mut |_| {}).unwrap();
         assert_eq!(quotes(), 1, "run_streaming");
-        session.run_async(Vec::new(), &AsyncConfig::default(), |_| ()).unwrap();
+        session
+            .run_async(Vec::new(), &AsyncConfig::default(), |_| ())
+            .unwrap();
         assert_eq!(quotes(), 1, "run_async");
     }
 
@@ -375,8 +412,11 @@ mod tests {
             slo: Some(crate::slo::SloPolicy::enforcing(1e4)),
             ..ServeConfig::default()
         };
-        let report = crate::preflight::obs_report(&cfg);
-        assert!(report.has(LintCode::Lma270SloWithoutTtftHistogram), "{report}");
+        let report = crate::obs::obs_report(&cfg);
+        assert!(
+            report.has(LintCode::Lma270SloWithoutTtftHistogram),
+            "{report}"
+        );
         let n = reqs.len();
         let run = ServeSession::new(&b).config(cfg).run(reqs).unwrap();
         let (plan, out) = run.into_continuous();
@@ -426,16 +466,25 @@ mod tests {
             let session = ServeSession::new(&b).mode(mode);
             match session.run_streaming(reqs.clone(), &mut |_| {}) {
                 Err(ServeError::DuplicateRequestId(5)) => {}
-                other => panic!("{mode:?}: expected the duplicate id, got ok={}", other.is_ok()),
+                other => panic!(
+                    "{mode:?}: expected the duplicate id, got ok={}",
+                    other.is_ok()
+                ),
             }
         }
         let client_ran = AtomicBool::new(false);
         let client = |_| client_ran.store(true, Ordering::Relaxed);
         match ServeSession::new(&b).run_async(reqs, &AsyncConfig::default(), client) {
             Err(ServeError::DuplicateRequestId(5)) => {}
-            other => panic!("run_async: expected the duplicate id, got ok={}", other.is_ok()),
+            other => panic!(
+                "run_async: expected the duplicate id, got ok={}",
+                other.is_ok()
+            ),
         }
-        assert!(!client_ran.load(Ordering::Relaxed), "rejected before anything runs");
+        assert!(
+            !client_ran.load(Ordering::Relaxed),
+            "rejected before anything runs"
+        );
     }
 
     #[test]
@@ -448,7 +497,10 @@ mod tests {
         };
         match session.run_async(reqs.clone(), &zero, |_| ()) {
             Err(ServeError::Plan(report)) => {
-                assert!(report.has(LintCode::Lma300AsyncZeroChannelCapacity), "{report}")
+                assert!(
+                    report.has(LintCode::Lma300AsyncZeroChannelCapacity),
+                    "{report}"
+                )
             }
             other => panic!("expected LMA300 rejection, got ok={}", other.is_ok()),
         }
@@ -489,7 +541,11 @@ mod tests {
             })
             .unwrap();
         let (plan, out) = run.into_continuous();
-        assert_eq!(conform(&plan, &out).unwrap().requests, n, "every request resolves");
+        assert_eq!(
+            conform(&plan, &out).unwrap().requests,
+            n,
+            "every request resolves"
+        );
         // Transparency: completed responses streamed exactly their
         // tokens (wall jitter may shed *other* requests via deadlines,
         // never corrupt a stream).
@@ -533,7 +589,10 @@ mod tests {
     fn async_unread_full_channel_sheds_after_the_grace() {
         let b = AnalyticBackend::opt_30b();
         let (a_id, b_id) = (0, 1);
-        let reqs = vec![Request::new(a_id, vec![1, 2], 8), Request::new(b_id, vec![3, 4], 8)];
+        let reqs = vec![
+            Request::new(a_id, vec![1, 2], 8),
+            Request::new(b_id, vec![3, 4], 8),
+        ];
         let cfg = ServeConfig {
             tracer: lm_trace::Tracer::new(),
             ..ServeConfig::default()
@@ -558,11 +617,18 @@ mod tests {
             .unwrap();
         let (plan, out) = run.into_continuous();
         assert_eq!(conform(&plan, &out).unwrap().requests, 2, "no KV leaked");
-        let a = out.responses.iter().find(|r| r.id == a_id).expect("A completes");
+        let a = out
+            .responses
+            .iter()
+            .find(|r| r.id == a_id)
+            .expect("A completes");
         assert_eq!((a.tokens.len(), a_tokens), (8, 8), "A streams in full");
         assert!(out.responses.iter().all(|r| r.id != b_id));
         let cancelled: Vec<_> = out.cancellations.iter().map(|c| (c.id, c.reason)).collect();
-        assert_eq!(cancelled, [(b_id, crate::request::CancelReason::ClientDisconnect)]);
+        assert_eq!(
+            cancelled,
+            [(b_id, crate::request::CancelReason::ClientDisconnect)]
+        );
         assert_eq!(b_tokens, 1, "B keeps only the token its channel held");
         let counters = cfg.tracer.snapshot().metrics.counters;
         assert_eq!(counters.get("serve.backpressure_disconnects"), Some(&1));

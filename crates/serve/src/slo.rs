@@ -25,6 +25,7 @@
 //! decisions replay bit-identically from the traffic seed.
 
 use crate::request::micros;
+use lm_analyze::{Diagnostic, LintCode, Report};
 use serde::{Deserialize, Serialize};
 
 /// Fraction of the objective a request without a deadline of its own
@@ -64,6 +65,40 @@ impl SloPolicy {
     /// The SLO target in virtual microseconds.
     pub fn ttft_p99_us(&self) -> u64 {
         micros(self.ttft_p99_s)
+    }
+
+    /// Judge this policy against a plan of `slots` slots whose physical
+    /// TTFT floor (one prefill plus one step,
+    /// [`ttft_floor_s`](crate::preflight::ttft_floor_s)) is `floor_s`.
+    pub fn check(&self, floor_s: f64, slots: usize) -> Report {
+        let mut out = Vec::new();
+        // LMA260: an objective at or below the floor is a predicted
+        // violation on every boundary, and the actuators flail.
+        if self.ttft_p99_s <= floor_s || !self.ttft_p99_s.is_finite() {
+            out.push(Diagnostic::error(
+                LintCode::Lma260SloBelowFloor,
+                "slo.ttft_p99_s",
+                format!(
+                    "p99 TTFT objective {:.3}s is at or below the physical \
+                     service floor {floor_s:.3}s (one prefill + one step)",
+                    self.ttft_p99_s
+                ),
+            ));
+        }
+        // LMA262: with one slot, preemption evicts the only running
+        // request to admit another of the same service time. A warning:
+        // resumes are exact, so the run still terminates.
+        if self.enforce && slots <= 1 {
+            out.push(Diagnostic::warn(
+                LintCode::Lma262PreemptSingleSlot,
+                "slo.enforce",
+                format!(
+                    "enforcement arms preemption on a {slots}-slot plan: \
+                     evicting the only slot adds churn, not capacity"
+                ),
+            ));
+        }
+        Report::new(out)
     }
 }
 

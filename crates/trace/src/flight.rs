@@ -84,7 +84,7 @@ impl FlightRecorder {
 
     /// An armed recorder keeping the newest `capacity` events. Capacity
     /// 0 is accepted but useless — every event drops on the floor and
-    /// dumps carry no history; `lm-analyze` flags it (LMA271).
+    /// dumps carry no history; `lm-serve`'s `obs_report` flags it (LMA271).
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             inner: Some(Arc::new(Inner {

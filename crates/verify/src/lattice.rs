@@ -37,13 +37,12 @@
 //! The sweep is pure arithmetic plus deterministic allocator calls — no
 //! clocks, no RNG — so its report is byte-stable across runs.
 
-use lm_analyze::UnsoundnessWitness;
 use lm_engine::MemPool;
 use lm_kvpool::{PageConfig, PagedKvPool};
 use lm_models::{presets, ModelConfig};
 use lm_serve::preflight::preflight_reports;
-use lm_serve::{AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
 use lm_serve::{degrade_factor, geometric_ladder, DegradeRung, ServePlan, TtftModel};
+use lm_serve::{AnalyticBackend, ServeBackend, ServeConfig, SloPolicy};
 use lm_sim::Policy;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -87,6 +86,19 @@ pub enum Mutation {
     OvergrantPage,
 }
 
+/// One lint-unsoundness witness: the sweep point and the invariant that
+/// failed there while the lints stayed clean.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct UnsoundnessWitness {
+    /// Human-readable sweep-point identity (model, pool bytes, page
+    /// geometry, SLO policy, ladder).
+    pub config: String,
+    /// The executable invariant that failed (e.g. `pool_capacity`).
+    pub invariant: String,
+    /// Offending values inline.
+    pub detail: String,
+}
+
 /// The verdict at one lattice point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -123,12 +135,27 @@ struct ModelAxis {
 
 fn model_axis(depth: SweepDepth) -> Vec<ModelAxis> {
     let mut v = vec![
-        ModelAxis { name: "opt-13b", cfg: presets::opt_13b() },
-        ModelAxis { name: "opt-30b", cfg: presets::opt_30b() },
-        ModelAxis { name: "opt-66b", cfg: presets::opt_66b() },
+        ModelAxis {
+            name: "opt-13b",
+            cfg: presets::opt_13b(),
+        },
+        ModelAxis {
+            name: "opt-30b",
+            cfg: presets::opt_30b(),
+        },
+        ModelAxis {
+            name: "opt-66b",
+            cfg: presets::opt_66b(),
+        },
     ];
     if depth == SweepDepth::Full {
-        v.insert(0, ModelAxis { name: "opt-6.7b", cfg: presets::opt_6p7b() });
+        v.insert(
+            0,
+            ModelAxis {
+                name: "opt-6.7b",
+                cfg: presets::opt_6p7b(),
+            },
+        );
     }
     v
 }
@@ -223,7 +250,11 @@ impl LadderAxis {
 fn ladder_axis(depth: SweepDepth) -> Vec<LadderAxis> {
     match depth {
         SweepDepth::Quick => vec![LadderAxis::None, LadderAxis::Geometric],
-        SweepDepth::Full => vec![LadderAxis::None, LadderAxis::Geometric, LadderAxis::Inverted],
+        SweepDepth::Full => vec![
+            LadderAxis::None,
+            LadderAxis::Geometric,
+            LadderAxis::Inverted,
+        ],
     }
 }
 
@@ -261,7 +292,10 @@ fn ground_truth(
         let mem = MemPool::new("verify.kv", plan.kv_pool_bytes as usize);
         let pool = PagedKvPool::new(
             Arc::clone(&mem),
-            PageConfig { page_tokens, bytes_per_token },
+            PageConfig {
+                page_tokens,
+                bytes_per_token,
+            },
         );
         let expected_pages = (plan.pages_per_slot as usize).div_ceil(2).max(1);
         let tokens_per_seq = expected_pages * page_tokens;
@@ -438,9 +472,15 @@ mod tests {
     #[test]
     fn quick_lattice_covers_the_floor_with_no_degenerate_axis() {
         let axes = SweepDepth::Quick.axes();
-        assert!(axes.iter().all(|&(_, n)| n >= 2), "degenerate axis: {axes:?}");
+        assert!(
+            axes.iter().all(|&(_, n)| n >= 2),
+            "degenerate axis: {axes:?}"
+        );
         let points: u64 = axes.iter().map(|&(_, n)| n).product();
-        assert!(points >= crate::CONFIGS_FLOOR, "quick lattice too small: {points}");
+        assert!(
+            points >= crate::CONFIGS_FLOOR,
+            "quick lattice too small: {points}"
+        );
     }
 
     /// `SweepDepth::axes` is the lattice `run_sweep` walks: the report
@@ -475,8 +515,11 @@ mod tests {
             "the seeded over-grant must produce at least one LMA291 witness"
         );
         let w = &report.unsoundness[0];
-        assert!(w.invariant.contains("slots_feasible") || w.invariant.contains("pool_capacity"),
-            "unexpected invariant: {}", w.invariant);
+        assert!(
+            w.invariant.contains("slots_feasible") || w.invariant.contains("pool_capacity"),
+            "unexpected invariant: {}",
+            w.invariant
+        );
     }
 
     /// One-model slice of the quick lattice, for unit-test cost.

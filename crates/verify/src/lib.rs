@@ -25,9 +25,9 @@
 //!    ([`lm_serve::conform`]) — plus transition-coverage accounting for
 //!    `LMA292`.
 //!
-//! The outputs of both fold into one [`VerifyProbe`] judged by
-//! `lm-analyze`'s `LMA29x` family; `repro verify` publishes the result
-//! as `results/verify.json` and `scripts/verify.sh` gates on it.
+//! [`verify_report`] judges the outputs of both (`LMA291`, `LMA292`);
+//! `repro verify` publishes the result as `results/verify.json` and
+//! `scripts/verify.sh` gates on it.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -36,41 +36,78 @@
 pub mod lattice;
 pub mod protocol;
 
-pub use lattice::{run_sweep, Mutation, SweepDepth, SweepPoint, SweepReport};
+pub use lattice::{run_sweep, Mutation, SweepDepth, SweepPoint, SweepReport, UnsoundnessWitness};
 pub use protocol::{
     check_kvpool_protocol, check_scheduler_protocol, kvpool_declared, ProtocolReport,
 };
 
-use lm_analyze::VerifyProbe;
+use lm_analyze::{Diagnostic, LintCode, Report};
 use std::collections::BTreeSet;
 
 /// Minimum lattice points for a sweep to count as coverage: both
 /// [`SweepDepth`] lattices clear it, and `repro verify` gates on it.
 pub const CONFIGS_FLOOR: u64 = 200;
 
-/// Fold a finished sweep and the protocol explorations into the probe
-/// `lm-analyze`'s `LMA29x` lints judge.
-pub fn build_probe(sweep: &SweepReport, protocols: &[ProtocolReport]) -> VerifyProbe {
-    let declared: BTreeSet<String> = protocols
+/// The verification run's own verdict: one `LMA291` per unsoundness
+/// witness of `sweep`, and `LMA292` when the explorations in `protocols`
+/// ran no interleaving or, taken together, left a declared transition
+/// unexercised or exercised an undeclared one.
+pub fn verify_report(sweep: &SweepReport, protocols: &[ProtocolReport]) -> Report {
+    // LMA291: one finding per witness, so every offending config shows.
+    let mut out: Vec<Diagnostic> = sweep
+        .unsoundness
         .iter()
-        .flat_map(|p| p.declared.iter().cloned())
+        .map(|w| {
+            Diagnostic::error(
+                LintCode::Lma291LintUnsoundnessWitness,
+                format!("verify.witness[{}]", w.config),
+                format!(
+                    "lints passed but invariant `{}` failed: {}",
+                    w.invariant, w.detail
+                ),
+            )
+        })
         .collect();
-    let exercised: BTreeSet<String> = protocols
-        .iter()
-        .flat_map(|p| p.exercised.iter().cloned())
-        .collect();
-    VerifyProbe {
-        unsoundness_witnesses: sweep.unsoundness.clone(),
-        declared_transitions: declared.into_iter().collect(),
-        exercised_transitions: exercised.into_iter().collect(),
-        interleavings: protocols.iter().map(|p| p.interleavings).sum(),
+
+    // LMA292: a declared transition never driven carries unverified
+    // invariants; one driven but undeclared means the declared table —
+    // the spec the exploration is checked against — is stale.
+    let union = |side: fn(&ProtocolReport) -> &Vec<String>| -> BTreeSet<&str> {
+        protocols
+            .iter()
+            .flat_map(|p| side(p).iter().map(String::as_str))
+            .collect()
+    };
+    let declared = union(|p| &p.declared);
+    let exercised = union(|p| &p.exercised);
+    let missing: Vec<&str> = declared.difference(&exercised).copied().collect();
+    let undeclared: Vec<&str> = exercised.difference(&declared).copied().collect();
+    let interleavings: u64 = protocols.iter().map(|p| p.interleavings).sum();
+    if !missing.is_empty() || !undeclared.is_empty() || interleavings == 0 {
+        out.push(Diagnostic::error(
+            LintCode::Lma292UncheckedProtocolTransition,
+            "verify.protocol",
+            format!(
+                "after {interleavings} interleavings, declared-but-unexercised \
+                 transitions {missing:?}; exercised-but-undeclared {undeclared:?}"
+            ),
+        ));
     }
+    Report::new(out)
 }
+
+// `verify_report`'s unit tests, under the module name they have always
+// been reported by.
+#[cfg(test)]
+mod verify_lints;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Transitions are judged over the union of every exploration, and
+    /// interleavings summed: a transition one protocol declares and
+    /// another drives is covered, and two empty explorations are not.
     #[test]
     fn probe_assembly_unions_transitions_and_sums_interleavings() {
         let sweep = SweepReport {
@@ -88,18 +125,15 @@ mod tests {
             declared: decl.iter().map(|s| s.to_string()).collect(),
             exercised: exer.iter().map(|s| s.to_string()).collect(),
         };
-        let probe = build_probe(
-            &sweep,
-            &[
-                mk("kvpool", 6_000, &["k:a", "k:b"], &["k:a", "k:b"]),
-                mk("scheduler", 5_000, &["s:a"], &["s:a"]),
-            ],
-        );
-        assert_eq!(probe.interleavings, 11_000);
-        assert_eq!(
-            probe.declared_transitions,
-            vec!["k:a".to_string(), "k:b".to_string(), "s:a".to_string()]
-        );
-        assert_eq!(probe.declared_transitions, probe.exercised_transitions);
+        let split = [
+            mk("kvpool", 6_000, &["k:a", "k:b"], &["k:a"]),
+            mk("scheduler", 5_000, &["s:a"], &["s:a", "k:b"]),
+        ];
+        let r = verify_report(&sweep, &split);
+        assert!(r.is_clean(), "{r}");
+        let idle = [mk("kvpool", 0, &[], &[]), mk("scheduler", 0, &[], &[])];
+        let r = verify_report(&sweep, &idle);
+        assert!(r.has(LintCode::Lma292UncheckedProtocolTransition), "{r}");
+        assert!(r.to_string().contains("after 0 interleavings"), "{r}");
     }
 }

@@ -103,7 +103,10 @@ fn run_seq(pool: &Arc<PagedKvPool>, prompt: &[u32], gen: &[u32], trace: &Trace) 
     if shared >= PAGE_TOKENS {
         record(trace, "kvpool:admit/shared-full");
     }
-    assert!(pool.accounting_balanced(), "byte/page accounting drifted at admit");
+    assert!(
+        pool.accounting_balanced(),
+        "byte/page accounting drifted at admit"
+    );
     loom::thread::yield_now();
 
     for &token in gen {
@@ -139,10 +142,7 @@ pub fn check_kvpool_protocol(opts: Options) -> ProtocolReport {
     let trace: Trace = Arc::new(StdMutex::new(BTreeSet::new()));
     let t = Arc::clone(&trace);
     let outcome = explore(opts, move || {
-        let mem = MemPool::new(
-            "verify.kvpool",
-            16 * PAGE_TOKENS * BYTES_PER_TOKEN,
-        );
+        let mem = MemPool::new("verify.kvpool", 16 * PAGE_TOKENS * BYTES_PER_TOKEN);
         let pool = PagedKvPool::new(
             mem.clone(),
             PageConfig {
@@ -155,19 +155,15 @@ pub fn check_kvpool_protocol(opts: Options) -> ProtocolReport {
         // and every sequence appends in place into its private tail
         // before its growth page.
         let prompt: Vec<u32> = vec![1, 2, 3, 4, 5, 6];
-        let handles: Vec<_> = [
-            vec![101, 102, 103],
-            vec![201, 202],
-            vec![301, 302],
-        ]
-        .into_iter()
-        .map(|gen| {
-            let pool = Arc::clone(&pool);
-            let prompt = prompt.clone();
-            let trace = Arc::clone(&t);
-            loom::thread::spawn(move || run_seq(&pool, &prompt, &gen, &trace))
-        })
-        .collect();
+        let handles: Vec<_> = [vec![101, 102, 103], vec![201, 202], vec![301, 302]]
+            .into_iter()
+            .map(|gen| {
+                let pool = Arc::clone(&pool);
+                let prompt = prompt.clone();
+                let trace = Arc::clone(&t);
+                loom::thread::spawn(move || run_seq(&pool, &prompt, &gen, &trace))
+            })
+            .collect();
         for h in handles {
             let Ok(()) = h.join() else {
                 panic!("sequence thread panicked");
@@ -198,7 +194,11 @@ pub fn check_kvpool_protocol(opts: Options) -> ProtocolReport {
 
 /// A lifecycle edge as the scheduler report names it.
 fn sched_name((from, to): Transition) -> String {
-    format!("sched:{}->{}", from.map_or("start", RequestPhase::name), to.name())
+    format!(
+        "sched:{}->{}",
+        from.map_or("start", RequestPhase::name),
+        to.name()
+    )
 }
 
 /// Check the shipped scheduler against the lifecycle spec on a fixed
@@ -232,16 +232,30 @@ pub fn check_scheduler_protocol() -> ProtocolReport {
     for profile in StormProfile::ALL {
         for seed in [7, 1234] {
             let fault = FaultInjector::new(FaultConfig::storm(seed, profile));
-            let cfg = ServeConfig { fault, ..ServeConfig::default() };
-            check(&format!("{} storm seed {seed}", profile.name()), cfg, traffic.clone());
+            let cfg = ServeConfig {
+                fault,
+                ..ServeConfig::default()
+            };
+            check(
+                &format!("{} storm seed {seed}", profile.name()),
+                cfg,
+                traffic.clone(),
+            );
         }
     }
-    let mut slo = ServeConfig { max_slots: 2, ..ServeConfig::default() };
+    let mut slo = ServeConfig {
+        max_slots: 2,
+        ..ServeConfig::default()
+    };
     let floor_s = ttft_floor_s(&derive_plan(&backend, &slo).0, &backend);
     slo.slo = Some(SloPolicy::enforcing(1.5 * floor_s));
     check("enforcing slo", slo, traffic);
     // A 48-token context over a one-slot pool plans exactly one slot.
-    let single = ServeConfig { max_slots: 1, slot_context: 48, ..ServeConfig::default() };
+    let single = ServeConfig {
+        max_slots: 1,
+        slot_context: 48,
+        ..ServeConfig::default()
+    };
     let cancel_at = |t_us| {
         let token = CancelToken::never();
         token.cancel_at_us(t_us);

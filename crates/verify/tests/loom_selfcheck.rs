@@ -41,7 +41,9 @@ fn racy_counter() -> Exploration {
 #[test]
 fn seeded_racy_counter_is_found() {
     let outcome = racy_counter();
-    let failure = outcome.failure.expect("the checker must find the lost update");
+    let failure = outcome
+        .failure
+        .expect("the checker must find the lost update");
     assert!(
         failure.contains("lost update"),
         "failure must carry the assertion message: {failure}"
@@ -107,7 +109,10 @@ fn iteration_cap_reports_truncation_instead_of_false_confidence() {
         },
     );
     assert!(outcome.truncated, "2 iterations cannot exhaust this tree");
-    assert!(!outcome.passed(), "a truncated search must not claim a pass");
+    assert!(
+        !outcome.passed(),
+        "a truncated search must not claim a pass"
+    );
     assert!(outcome.failure.is_none(), "truncation is not a failure");
 }
 

@@ -59,8 +59,8 @@ lane "cargo test" 30 cargo test -q --locked
 # rustfmt-clean crates stay clean. The list grows as crates are formatted;
 # a workspace-wide `cargo fmt` would rewrite unrelated code, vendored
 # stand-ins included.
-echo "==> cargo fmt --check (lm-analyze, lm-trace)"
-cargo fmt -p lm-analyze -p lm-trace -- --check
+echo "==> cargo fmt --check (lm-analyze, lm-trace, lm-serve, lm-verify)"
+cargo fmt -p lm-analyze -p lm-trace -p lm-serve -p lm-verify -- --check
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"

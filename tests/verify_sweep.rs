@@ -4,15 +4,15 @@
 //! must surface as an `LMA291` witness, a kvpool exploration too
 //! shallow to share a page must surface as `LMA292`, the lane's kvpool
 //! exploration and the scheduler's lifecycle-conformance runs must cover
-//! every declared transition, and the assembled probe must pass the `LMA29x` lints
-//! cleanly — deterministically, twice.
+//! every declared transition, and `verify_report` over the sweep and the
+//! explorations must be clean — deterministically, twice.
 
 #![allow(clippy::unwrap_used)]
 
-use lm_analyze::{lint_verify, LintCode};
+use lm_analyze::LintCode;
 use lm_verify::{
-    build_probe, check_kvpool_protocol, check_scheduler_protocol, run_sweep, Mutation, SweepDepth,
-    CONFIGS_FLOOR,
+    check_kvpool_protocol, check_scheduler_protocol, run_sweep, verify_report, Mutation,
+    SweepDepth, CONFIGS_FLOOR,
 };
 use loom::Options;
 
@@ -59,8 +59,7 @@ fn seeded_overgrant_mutation_becomes_an_lma291_witness() {
         check_kvpool_protocol(lane_opts()),
         check_scheduler_protocol(),
     ];
-    let probe = build_probe(&sweep, &protocols);
-    let report = lint_verify(&probe);
+    let report = verify_report(&sweep, &protocols);
     assert!(
         report.has(LintCode::Lma291LintUnsoundnessWitness),
         "the witness must surface as LMA291: {report}"
@@ -69,8 +68,7 @@ fn seeded_overgrant_mutation_becomes_an_lma291_witness() {
 
 /// A one-interleaving, preemption-free exploration runs the three
 /// sequences in order with no peer holding the prompt page, so no admit
-/// shares it: the shipped probe assembly must report that gap as
-/// `LMA292`.
+/// shares it: `verify_report` must report that gap as `LMA292`.
 #[test]
 fn truncated_kvpool_exploration_becomes_an_lma292_finding() {
     let kvpool = check_kvpool_protocol(Options {
@@ -83,8 +81,7 @@ fn truncated_kvpool_exploration_becomes_an_lma292_finding() {
         kvpool.exercised
     );
     let sweep = run_sweep(SweepDepth::Quick, Mutation::None);
-    let probe = build_probe(&sweep, &[kvpool, check_scheduler_protocol()]);
-    let report = lint_verify(&probe);
+    let report = verify_report(&sweep, &[kvpool, check_scheduler_protocol()]);
     assert!(
         report.has(LintCode::Lma292UncheckedProtocolTransition),
         "the unexercised transition must surface as LMA292: {report}"
@@ -123,13 +120,13 @@ fn assembled_probe_passes_the_lma29x_lints_and_is_deterministic() {
             check_kvpool_protocol(lane_opts()),
             check_scheduler_protocol(),
         ];
-        build_probe(&sweep, &protocols)
+        let report = verify_report(&sweep, &protocols);
+        (sweep, protocols, report)
     };
-    let probe = run();
-    let report = lint_verify(&probe);
+    let (sweep, protocols, report) = run();
     assert!(report.is_clean(), "{report}");
-    assert!(probe.interleavings > 0);
-    let a = serde_json::to_string(&probe).unwrap();
+    assert!(protocols.iter().map(|p| p.interleavings).sum::<u64>() > 0);
+    let a = serde_json::to_string(&(sweep, protocols, report)).unwrap();
     let b = serde_json::to_string(&run()).unwrap();
     assert_eq!(a, b, "verification must be deterministic run-over-run");
 }
